@@ -13,14 +13,13 @@ calculus, so quadrature error enters only through the final integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError
 from .functions import PolyGauss
-from .measure import (WeightedContext, eta, eta_directional, eta_radial_factor,
-                      weighted_norm)
+from .measure import EtaFields, WeightedContext, _weighted_norm
 from .operators import apply_dunkl, positive_roots
 from .quadrature import TensorGrid, check_shell
 
@@ -69,26 +68,41 @@ class BilinearFormSpec:
 def t_g_eta_values(ctx: WeightedContext, s: float, zeta: np.ndarray,
                    order: int, g: PolyGauss, pts: np.ndarray) -> np.ndarray:
     """T_zeta^order (g eta(., s)) at points, orders 1 and 2, in closed form."""
+    return _t_g_eta(ctx, zeta, order, g, pts, EtaFields(s))
+
+
+def _sample(h: PolyGauss, where) -> np.ndarray:
+    return h.values_on(where) if isinstance(where, TensorGrid) else h(where)
+
+
+def _t_g_eta(ctx: WeightedContext, zeta: np.ndarray, order: int,
+             g: PolyGauss, where, fields: EtaFields) -> np.ndarray:
+    """T_zeta^order (g eta(., fields.s)) on a TensorGrid (grid-shaped values)
+    or at an (M, dim) point array.
+
+    Dunkl operators of PolyGauss inputs exist on product systems only, whose
+    positive roots are sqrt(2) e_d: g o sigma_alpha is g.reflect_axis(d).
+    """
     if order not in (1, 2):
         raise ValueError("closed-form expansion implemented for orders 1 and 2")
-    if s == 0.0:
+    if fields.s == 0.0:
         raise ValueError("s = 0 has no eta factor")
-    system = ctx.system
-    eta_v = eta(pts, s)
-    d1 = eta_directional(pts, s, zeta, 1)
+    eta_v = fields.eta(where)
+    d1 = fields.directional(where, zeta, 1)
     tg = apply_dunkl(ctx, zeta, g)
     if order == 1:
-        return eta_v * tg(pts) + g(pts) * d1
-    d2 = eta_directional(pts, s, zeta, 2)
+        return eta_v * _sample(tg, where) + _sample(g, where) * d1
+    d2 = fields.directional(where, zeta, 2)
     ttg = apply_dunkl(ctx, zeta, tg)
-    out = eta_v * ttg(pts) + 2.0 * d1 * tg(pts) + g(pts) * d2
-    fprime = eta_radial_factor(pts, s)
-    for alpha, k in positive_roots(system):
+    out = (eta_v * _sample(ttg, where) + 2.0 * d1 * _sample(tg, where)
+           + _sample(g, where) * d2)
+    fprime = fields.radial_factor(where)
+    for alpha, k in positive_roots(ctx.system):
         if k == 0.0:
             continue
         coef = k * float(alpha @ zeta) ** 2 * 4.0 / float(alpha @ alpha)
-        refl = pts - (2.0 / float(alpha @ alpha)) * np.outer(pts @ alpha, alpha)
-        out = out + coef * fprime * g(refl)
+        axis = int(np.flatnonzero(alpha)[0])
+        out = out + coef * fprime * _sample(g.reflect_axis(axis), where)
     return out
 
 
@@ -100,18 +114,17 @@ def _require_polygauss(*fs):
 
 
 def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec",
-                f: PolyGauss, g: PolyGauss, grid: TensorGrid):
+                f: PolyGauss, g: PolyGauss, grid: TensorGrid,
+                fields: EtaFields):
     """Per-direction integrals of T^l f . T^l(g eta) plus their gross mass."""
-    pts = grid.points()
     total = 0.0
     gross = 0.0
     for zeta in spec.direction_arrays():
         tf = f
         for _ in range(spec.ell):
             tf = apply_dunkl(ctx, zeta, tf)
-        lhs = tf(pts)
-        rhs = t_g_eta_values(ctx, spec.s, zeta, spec.ell, g, pts)
-        integrand = (lhs * rhs).reshape(grid.shape)
+        integrand = tf.values_on(grid) * _t_g_eta(ctx, zeta, spec.ell, g,
+                                                  grid, fields)
         check_shell(grid, np.abs(integrand), what="bilinear form integrand")
         total += float(ctx.integrate(grid, integrand))
         gross += float(ctx.integrate(grid, np.abs(integrand)))
@@ -131,33 +144,36 @@ def _refine_checked(ctx, evaluate) -> float:
 def form_a_s(ctx: WeightedContext, spec: BilinearFormSpec,
              f: PolyGauss, g: PolyGauss) -> float:
     """a_s(f, g); value from the refined grid, checked against the base grid."""
-    _require_polygauss(f, g)
-    if spec.s == 0.0:
-        raise ValueError("bilinear forms need s > 1/4")
-
-    def evaluate(grid):
-        total, gross = _form_terms(ctx, spec, f, g, grid)
-        return -total, gross
-
-    return _refine_checked(ctx, evaluate)
+    return _form(ctx, replace(spec, eps=0.0), f, g, EtaFields(spec.s))
 
 
 def form_b_s_eps(ctx: WeightedContext, spec: BilinearFormSpec,
                  f: PolyGauss, g: PolyGauss) -> float:
     """b_{s,eps}(f, g) = a_s(f, g) + eps sum_d int T_d f . T_d(g eta) dw."""
+    return _form(ctx, spec, f, g, EtaFields(spec.s))
+
+
+def _form(ctx: WeightedContext, spec: BilinearFormSpec, f: PolyGauss,
+          g: PolyGauss, fields: EtaFields) -> float:
+    """b_{s,eps}(f, g), which is a_s(f, g) at eps = 0, with eta from
+    ``fields`` (at spec.s)."""
     _require_polygauss(f, g)
     if spec.s == 0.0:
         raise ValueError("bilinear forms need s > 1/4")
     if spec.eps == 0.0:
-        return form_a_s(ctx, spec, f, g)
+        def evaluate(grid):
+            total, gross = _form_terms(ctx, spec, f, g, grid, fields)
+            return -total, gross
+
+        return _refine_checked(ctx, evaluate)
     coords = [np.eye(ctx.dim)[d] for d in range(ctx.dim)]
     coord_spec = BilinearFormSpec(ell=1, s=spec.s, eps=0.0,
                                   directions=tuple(tuple(c) for c in coords),
                                   eps_max=spec.eps_max)
 
     def evaluate(grid):
-        total_a, gross_a = _form_terms(ctx, spec, f, g, grid)
-        total_c, gross_c = _form_terms(ctx, coord_spec, f, g, grid)
+        total_a, gross_a = _form_terms(ctx, spec, f, g, grid, fields)
+        total_c, gross_c = _form_terms(ctx, coord_spec, f, g, grid, fields)
         return -total_a + spec.eps * total_c, gross_a + spec.eps * gross_c
 
     return _refine_checked(ctx, evaluate)
@@ -167,10 +183,29 @@ def sobolev_norm_V(ctx: WeightedContext, spec: BilinearFormSpec,
                    f: PolyGauss) -> float:
     """(||f||_{H_s}^2 + sum_j ||T_{zeta_j}^l f||_{H_s}^2)^{1/2}."""
     _require_polygauss(f)
-    total = weighted_norm(ctx, f, spec.s) ** 2
+    fields = EtaFields(spec.s)
+    return _sobolev_norm(ctx, spec, f, fields, _weighted_norm(ctx, f, fields))
+
+
+def _sobolev_norm(ctx: WeightedContext, spec: BilinearFormSpec, f: PolyGauss,
+                  fields: EtaFields, h_norm: float) -> float:
+    """``sobolev_norm_V`` given ||f||_{H_s} = ``h_norm``."""
+    total = h_norm ** 2
     for zeta in spec.direction_arrays():
         tf = f
         for _ in range(spec.ell):
             tf = apply_dunkl(ctx, zeta, tf)
-        total += weighted_norm(ctx, tf, spec.s) ** 2
+        total += _weighted_norm(ctx, tf, fields) ** 2
     return float(np.sqrt(total))
+
+
+def _coercivity_terms(ctx: WeightedContext, spec: BilinearFormSpec,
+                      f: PolyGauss, fields: EtaFields
+                      ) -> tuple[float, float, float]:
+    """(-b_{s,eps}(f, f), ||f||_{H_s}^2, ||f||_{V_{l,s}}^2) at s = spec.s.
+
+    eta comes from ``fields``, so one instance serves every f at that s.
+    """
+    A = -_form(ctx, spec, f, f, fields)
+    h_norm = _weighted_norm(ctx, f, fields)
+    return A, h_norm ** 2, _sobolev_norm(ctx, spec, f, fields, h_norm) ** 2

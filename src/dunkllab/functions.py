@@ -13,7 +13,7 @@ CallableFunction — plain callable with optional directional-derivative
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -82,9 +82,23 @@ class PolyGauss:
         return _poly_eval(self.coeffs, pts) * gauss
 
     def values_on(self, grid: TensorGrid) -> np.ndarray:
-        """Sample on a tensor grid, exploiting separability of the Gaussian."""
-        vals = self(grid.points()).reshape(grid.shape)
-        return vals
+        """Sample on a tensor grid without forming its points.
+
+        Horner runs along one axis at a time, in axis order, and the Gaussian
+        exponent is summed over axes by broadcasting in the same order.  These
+        are the floating-point operations of ``polyval2d``/``polyval3d`` and
+        of ``__call__``, so the result equals
+        ``self(grid.points()).reshape(grid.shape)`` bit for bit.
+        """
+        vals = self.coeffs
+        expo = 0.0
+        for d in range(self.dim):
+            nodes = grid.axis_nodes(d)
+            vals = npoly.polyval(nodes, vals)
+            shape = [1] * self.dim
+            shape[d] = nodes.size
+            expo = expo + (self.exponents[d] * nodes**2).reshape(shape)
+        return vals * np.exp(-expo)
 
     # -- algebra ------------------------------------------------------------
 

@@ -19,12 +19,12 @@ from .fitting import (alternating_split, envelope_fit, envelope_fit_upper,
                       envelope_holdout_ratio, fit_decay_exponent, garding_lp,
                       garding_holdout_ratio, ratio_constant_fit,
                       ratio_holdout_ratio)
-from .forms import BilinearFormSpec, form_a_s, form_b_s_eps, sobolev_norm_V
+from .forms import BilinearFormSpec, _coercivity_terms
 from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
-from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
-                      heat_kernel, heat_kernel_two_point, q_on_grid,
-                      two_point_kernel)
-from .measure import WeightedContext, volume_max, weighted_norm
+from .kernels import (KernelSpec, _spec_from, dunkl_translate, evaluate_q,
+                      freq_box_for, heat_kernel, heat_kernel_two_point,
+                      q_on_grid, two_point_kernel)
+from .measure import EtaFields, WeightedContext, volume_max_pairs
 from .report import VerificationReport, grid_metadata
 from .root_systems import orbit_distance_pairwise
 from .transform import dunkl_convolve
@@ -150,7 +150,7 @@ def check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
     p = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
     qctx = _freq_sized_ctx(ctx, spec, params)
     q = np.atleast_1d(two_point_kernel(qctx, spec, xs, ys))
-    V = np.array([volume_max(ctx.system, x, y, 1.0) for x, y in zip(xs, ys)])
+    V = volume_max_pairs(ctx.system, xs, ys, 1.0)
     d = orbit_distance_pairwise(ctx.group, xs, ys)
     vals = np.abs(q) * V
     order = np.lexsort((vals, d))
@@ -182,8 +182,7 @@ def check_heat_gaussian_bound(ctx: WeightedContext,
     zs, vals = [], []
     for t in t_set:
         h = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, float(t)))
-        V = np.array([volume_max(ctx.system, x, y, float(np.sqrt(t)))
-                      for x, y in zip(xs, ys)])
+        V = volume_max_pairs(ctx.system, xs, ys, float(np.sqrt(t)))
         zs.append(d**2 / float(t))
         vals.append(h * V)
     z = np.concatenate(zs)
@@ -236,21 +235,21 @@ def check_garding(ctx: WeightedContext, form_spec: BilinearFormSpec,
     params = dict(params or {})
     family = family if family is not None else default_garding_family(ctx.dim)
     c_cap = float(params.get("garding_c_cap", 100.0))
-    form = form_b_s_eps if form_spec.eps > 0 else form_a_s
     cal_f, held_f = alternating_split(len(family))
-    rows = {"cal": [], "held": []}
-    for label, idxs in (("cal", cal_f), ("held", held_f)):
-        for i in idxs:
-            f = family[i]
-            for s in s_set:
-                spec_s = BilinearFormSpec(ell=form_spec.ell, s=float(s),
-                                          eps=form_spec.eps,
-                                          directions=form_spec.directions,
-                                          eps_max=form_spec.eps_max)
-                A = -form(ctx, spec_s, f, f)
-                H = weighted_norm(ctx, f, float(s)) ** 2
-                V = sobolev_norm_V(ctx, spec_s, f) ** 2
-                rows[label].append((A, float(s) ** (2 * form_spec.ell) * H, V))
+    # the eta fields depend on s only, so s is the outer loop and one set of
+    # fields is alive at a time; rows are then listed per function, s inner
+    terms = {}
+    for s in s_set:
+        spec_s = BilinearFormSpec(ell=form_spec.ell, s=float(s),
+                                  eps=form_spec.eps,
+                                  directions=form_spec.directions,
+                                  eps_max=form_spec.eps_max)
+        fields = EtaFields(float(s))
+        for i, f in enumerate(family):
+            A, H, V = _coercivity_terms(ctx, spec_s, f, fields)
+            terms[i, s] = (A, float(s) ** (2 * form_spec.ell) * H, V)
+    rows = {label: [terms[i, s] for i in idxs for s in s_set]
+            for label, idxs in (("cal", cal_f), ("held", held_f))}
     A_c, S_c, V_c = map(np.array, zip(*rows["cal"]))
     A_h, S_h, V_h = map(np.array, zip(*rows["held"]))
     alpha, C = garding_lp(A_c, S_c, V_c, c_cap=c_cap)
@@ -331,8 +330,7 @@ def _check_e_lipschitz(ctx: WeightedContext, params: dict) -> VerificationReport
 
 def _check_translation_lipschitz(ctx: WeightedContext,
                                  params: dict) -> VerificationReport:
-    spec = KernelSpec(**params["spec"]) if "spec" in params \
-        else KernelSpec.heat(ctx.dim)
+    spec = _spec_from(params, ctx.dim)
     stab_tol = float(params.get("stability_tol", 0.05))
     shifts = np.geomspace(0.05, 2.0, 24)
     qctx = _freq_sized_ctx(ctx, spec, params)

@@ -7,14 +7,14 @@ with closed-form derivatives, and weighted norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import AccuracyError, CapabilityError, DomainTooSmallError
-from .quadrature import TensorGrid, boundary_shell_fraction, check_shell
+from .errors import AccuracyError, CapabilityError
+from .quadrature import TensorGrid, check_shell
 from .root_systems import ReflectionGroup, RootSystemSpec, generate_group
 
 DEFAULT_SHELL_TOL = 1e-10
@@ -40,12 +40,23 @@ def _axis_antiderivative(v, k: float):
     return 2.0**k * np.sign(v) * np.abs(v) ** (2.0 * k + 1.0) / (2.0 * k + 1.0)
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n and
+    shared read-only by every ball volume of the process."""
+    t, w = roots_legendre(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _ball_volume_product2(ks, center, r: float, n: int = 240) -> float:
     """w(B(center, r)) for a 2-axis product weight, reduced to one dimension.
 
     Integrates over u = x1 - r*cos(theta); the x2 chord integral is the exact
     antiderivative.  The theta integral is split where u crosses 0 so each
-    panel is smooth up to an algebraic endpoint factor.
+    panel is smooth up to an algebraic endpoint factor.  Every panel uses the
+    same n-point Gauss-Legendre rule, built once per process.
     """
     k1, k2 = ks
     x1, x2 = center
@@ -60,7 +71,7 @@ def _ball_volume_product2(ks, center, r: float, n: int = 240) -> float:
     if abs(x1) < r:
         cuts.append(float(np.arccos(np.clip(x1 / r, -1.0, 1.0))))
     cuts = sorted(cuts)
-    t, w = roots_legendre(n)
+    t, w = _legendre_rule(n)
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         theta = (b - a) / 2.0 * t + (a + b) / 2.0
@@ -71,7 +82,7 @@ def _ball_volume_product2(ks, center, r: float, n: int = 240) -> float:
 def _ball_volume_generic2(system: RootSystemSpec, center, r: float,
                           n_rad: int = 120, n_ang: int = 512) -> float:
     """Polar quadrature for a generic planar system (measured constants only)."""
-    t, w = roots_legendre(n_rad)
+    t, w = _legendre_rule(n_rad)
     rho = r * (t + 1.0) / 2.0
     wr = w * r / 2.0
     theta = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
@@ -100,23 +111,24 @@ def ball_volume(system: RootSystemSpec, center, r: float) -> float:
     raise CapabilityError("generic ball volumes implemented for dim 2 only")
 
 
+def volume_max_pairs(system: RootSystemSpec, xs, ys, t: float) -> np.ndarray:
+    """V(x_i, y_i, t) = max(w(B(x_i,t)), w(B(y_i,t))) for each pair of rows.
+
+    Pair sets repeat their points, so each distinct centre among the rows of
+    xs and ys gets one ball volume; the pairs then take element-wise maxima.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(-1, system.dim)
+    ys = np.asarray(ys, dtype=float).reshape(-1, system.dim)
+    centers, inverse = np.unique(np.concatenate([xs, ys]), axis=0,
+                                 return_inverse=True)
+    vols = np.array([ball_volume(system, c, t) for c in centers])
+    vols = vols[inverse.reshape(-1)]
+    return np.maximum(vols[:len(xs)], vols[len(xs):])
+
+
 def volume_max(system: RootSystemSpec, x, y, t: float) -> float:
     """V(x, y, t) = max(w(B(x,t)), w(B(y,t))) — the two-point normalization."""
-    return max(ball_volume(system, x, t), ball_volume(system, y, t))
-
-
-def ball_volume_proxy(system: RootSystemSpec, center, r: float) -> float:
-    """Comparability proxy r^dim * prod (|<x,a>| + r)^{k(a)}.
-
-    w(B(x,r)) and this proxy stay within system-dependent constant factors of
-    each other; the ratio is exercised by tests, not used in computations.
-    """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    val = float(r) ** system.dim
-    for a, k in zip(system.roots, system.multiplicity):
-        if k != 0.0:
-            val *= (abs(float(center @ a)) + r * np.linalg.norm(a)) ** k
-    return val
+    return float(volume_max_pairs(system, [x], [y], t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,41 +185,6 @@ def eta_directional(points: np.ndarray, s: float, zeta, order: int) -> np.ndarra
     return F[4] * rp**4 + 6.0 * F[3] * rp**2 * rpp + 3.0 * F[2] * rpp**2
 
 
-def eta_partial(points: np.ndarray, s: float, index: tuple[int, ...]) -> np.ndarray:
-    """Mixed partial derivative of eta w.r.t. the coordinates in ``index``
-    (e.g. (0, 0, 1) = twice in x_0, once in x_1).  Orders 1..4."""
-    order = len(index)
-    if not 1 <= order <= 4:
-        raise ValueError("partial derivatives implemented for orders 1..4")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rho = np.sum(pts**2, axis=1)
-    F = _radial_derivs(rho, s, order)
-    r1 = {d: 2.0 * pts[:, d] for d in set(index)}
-
-    def rho2(a, b):
-        return 2.0 if a == b else 0.0
-
-    idx = list(index)
-    if order == 1:
-        (a,) = idx
-        return F[1] * r1[a]
-    if order == 2:
-        a, b = idx
-        return F[2] * r1[a] * r1[b] + F[1] * rho2(a, b)
-    if order == 3:
-        a, b, c = idx
-        return (F[3] * r1[a] * r1[b] * r1[c]
-                + F[2] * (rho2(a, b) * r1[c] + rho2(a, c) * r1[b] + rho2(b, c) * r1[a]))
-    a, b, c, d = idx
-    term4 = F[4] * r1[a] * r1[b] * r1[c] * r1[d]
-    term3 = F[3] * (rho2(a, b) * r1[c] * r1[d] + rho2(a, c) * r1[b] * r1[d]
-                    + rho2(a, d) * r1[b] * r1[c] + rho2(b, c) * r1[a] * r1[d]
-                    + rho2(b, d) * r1[a] * r1[c] + rho2(c, d) * r1[a] * r1[b])
-    term2 = F[2] * (rho2(a, b) * rho2(c, d) + rho2(a, c) * rho2(b, d)
-                    + rho2(a, d) * rho2(b, c))
-    return term4 + term3 + term2
-
-
 def eta_radial_factor(points: np.ndarray, s: float) -> np.ndarray:
     """F'(|x|^2) for F(rho) = exp(sqrt(1+s^2 rho)).
 
@@ -219,6 +196,45 @@ def eta_radial_factor(points: np.ndarray, s: float) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rho = np.sum(pts**2, axis=1)
     return _radial_derivs(rho, s, 1)[1]
+
+
+class EtaFields:
+    """eta(., s), its directional derivatives and F'(|x|^2), at one s.
+
+    ``where`` is a TensorGrid or an (M, dim) point array.  On a grid every
+    field takes the grid's shape and is computed once, then held with the
+    grid for the life of the object; a check that evaluates many functions at
+    one s builds one instance per s and drops it before the next.  Fields on
+    point arrays are computed on each request.
+    """
+
+    def __init__(self, s: float):
+        self.s = s
+        self._held: dict = {}
+
+    def _held_for(self, grid: TensorGrid, key, compute):
+        # the grid stays referenced next to its fields, so its id is not reused
+        slot = (id(grid), key)
+        if slot not in self._held:
+            self._held[slot] = (grid, compute())
+        return self._held[slot][1]
+
+    def _field(self, where, key, fn):
+        if not isinstance(where, TensorGrid):
+            return fn(where)
+        pts = self._held_for(where, "points", where.points)
+        return self._held_for(where, key, lambda: fn(pts).reshape(where.shape))
+
+    def eta(self, where) -> np.ndarray:
+        return self._field(where, ("eta",), lambda p: eta(p, self.s))
+
+    def directional(self, where, zeta, order: int) -> np.ndarray:
+        return self._field(where, ("directional", tuple(zeta), order),
+                           lambda p: eta_directional(p, self.s, zeta, order))
+
+    def radial_factor(self, where) -> np.ndarray:
+        return self._field(where, ("radial",),
+                           lambda p: eta_radial_factor(p, self.s))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +359,21 @@ def weighted_norm(ctx: WeightedContext, f, s: float,
     The integrand must decay inside the box (boundary-shell check) and the
     value must be stable under grid refinement.
     """
+    return _weighted_norm(ctx, f, EtaFields(s), shell_tol, accuracy_tol)
+
+
+def _weighted_norm(ctx: WeightedContext, f, fields: EtaFields,
+                   shell_tol: float = DEFAULT_SHELL_TOL,
+                   accuracy_tol: float = 1e-8) -> float:
+    """``weighted_norm`` at ``fields.s``, taking eta from ``fields``."""
     def norm_sq(grid: TensorGrid) -> float:
         if hasattr(f, "values_on"):
             vals = np.asarray(f.values_on(grid), dtype=float).reshape(grid.shape)
         else:
             vals = grid.evaluate(f)
         integrand = np.abs(vals) ** 2
-        if s != 0.0:
-            pts = grid.points()
-            integrand = integrand * eta(pts, s).reshape(grid.shape)
+        if fields.s != 0.0:
+            integrand = integrand * fields.eta(grid)
         check_shell(grid, integrand, tol=shell_tol, what="weighted norm")
         return float(grid.integrate(integrand))
 

@@ -7,8 +7,8 @@ from dunkllab import (BilinearFormSpec, CapabilityError, WeightedContext,
                       apply_dunkl, form_a_s, form_b_s_eps, gaussian,
                       hermite_gauss, monomial_gauss, product_z2, rank1,
                       sobolev_norm_V)
-from dunkllab.forms import t_g_eta_values
-from dunkllab.measure import eta
+from dunkllab.forms import _t_g_eta, t_g_eta_values
+from dunkllab.measure import EtaFields, eta
 
 
 class TestSpecValidation:
@@ -127,6 +127,51 @@ class TestEtaProductExpansion:
         expect = coef * eta_radial_factor(pts, s) * g(pts)
         assert np.allclose(full - smooth, expect, rtol=1e-12, atol=1e-12)
         assert np.all(np.abs(expect) > 1e-4)
+
+
+    def test_order_two_reflection_term_for_asymmetric_g(self):
+        # g is neither even nor odd in either coordinate, so the extra
+        # term needs g at the reflected points: sum_d 4 k_d zeta_d^2
+        # F'(|x|^2) g(sigma_d x), with sigma_d flipping the sign of x_d
+        ks = (0.7, 0.3)
+        ctx = WeightedContext(product_z2(list(ks)))
+        s = 0.8
+        zeta = np.array([1.0, 0.4])
+        g = (gaussian(2, 0.5) + monomial_gauss([1, 2], 0.5)
+             + monomial_gauss([3, 1], 0.5).scale(0.3))
+        pts = np.array([[0.9, 0.4], [0.3, -1.1], [1.5, 0.2]])
+        full = t_g_eta_values(ctx, s, zeta, 2, g, pts)
+
+        from dunkllab.measure import eta_directional, eta_radial_factor
+        tg = apply_dunkl(ctx, zeta, g)
+        ttg = apply_dunkl(ctx, zeta, tg)
+        smooth = (eta(pts, s) * ttg(pts)
+                  + 2 * eta_directional(pts, s, zeta, 1) * tg(pts)
+                  + g(pts) * eta_directional(pts, s, zeta, 2))
+        expect = 0.0
+        for d, k in enumerate(ks):
+            flipped = pts.copy()
+            flipped[:, d] = -flipped[:, d]
+            expect = expect + 4 * k * zeta[d] ** 2 * g(flipped)
+        expect = expect * eta_radial_factor(pts, s)
+        assert np.allclose(full - smooth, expect, rtol=1e-12, atol=1e-12)
+        assert np.all(np.abs(expect - 4 * (0.7 + 0.3 * 0.16)
+                             * eta_radial_factor(pts, s) * g(pts)) > 1e-3)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_grid_sampling_equals_pointwise_expansion(self, order):
+        # the forms sample on grids; the public function takes points; both
+        # run one expansion and must agree bit for bit, also when one set
+        # of fields serves several directions
+        ctx = WeightedContext(product_z2([0.7, 0.3]))
+        g = gaussian(2, 0.5) + monomial_gauss([1, 2], 0.5)
+        grid = ctx.grid
+        fields = EtaFields(0.8)
+        for zeta in (np.array([1.0, 0.4]), np.array([0.0, 1.0])):
+            on_grid = _t_g_eta(ctx, zeta, order, g, grid, fields)
+            at_points = t_g_eta_values(ctx, 0.8, zeta, order, g,
+                                       grid.points())
+            assert np.array_equal(on_grid, at_points.reshape(grid.shape))
 
 
 class TestFormValues:

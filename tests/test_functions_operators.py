@@ -9,6 +9,7 @@ from dunkllab import (CallableFunction, CapabilityError, PolyGauss,
                       hermite_gauss, monomial_gauss, product_z2, radial_bump,
                       rank1)
 from dunkllab.operators import dunkl_apply_values
+from dunkllab.quadrature import TensorGrid
 
 RNG = np.random.default_rng(42)
 PTS1 = RNG.normal(size=(40, 1))
@@ -68,6 +69,27 @@ class TestPolyGaussAlgebra:
         assert len(fam) == 15
         assert all(isinstance(f, PolyGauss) for f in fam)
         assert max(f.degree for f in fam) == 4
+
+
+class TestPolyGaussGridSampling:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_values_on_is_bit_identical_to_pointwise(self, dim):
+        # separable sampling must repeat the pointwise floating-point
+        # operations exactly, on unequal axes and unequal exponents
+        rng = np.random.default_rng(dim)
+        grid = TensorGrid.build(rng.uniform(0.0, 1.0, dim), 6.0,
+                                [9, 8, 7][:dim] if dim == 3 else [30, 25][:dim])
+        pts = grid.points()
+        for _ in range(5):
+            f = PolyGauss(rng.normal(size=tuple(rng.integers(1, 6, size=dim))),
+                          rng.uniform(0.2, 1.0, dim))
+            assert np.array_equal(f.values_on(grid),
+                                  f(pts).reshape(grid.shape))
+            for d in range(dim):
+                refl = pts.copy()
+                refl[:, d] = -refl[:, d]
+                assert np.array_equal(f.reflect_axis(d).values_on(grid),
+                                      f(refl).reshape(grid.shape))
 
 
 class TestRank1Operator:

@@ -376,6 +376,43 @@ class TestRunEndToEnd:
         assert payloads[0] == payloads[1]
 
 
+    def test_translation_lipschitz_runs_without_spec(self, tmp_path,
+                                                     monkeypatch):
+        # without params.spec the runner's kernel (the heat kernel by
+        # default) is used, as if it were written out in the config
+        heat = {"directions": [[1.0]], "ell": 1, "eps": 0.0, "t": 1.0}
+        payloads = []
+        for name, params in (("bare", {}), ("explicit", {"spec": heat})):
+            config = dict(FAST_CONFIG, checks=[
+                {"kind": "translation-lipschitz", "params": params}])
+            path = write_config(tmp_path, config, name=f"{name}.json")
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / name))
+            assert run(str(path)) == 0
+            report, = (tmp_path / name).glob("*translation-lipschitz.json")
+            payloads.append(report.read_bytes())
+        assert payloads[0] == payloads[1]
+
+    def test_rank2_pointwise_reports_independent_of_workers(self, tmp_path,
+                                                             monkeypatch):
+        # garding and heat-gaussian-bound share the Legendre rule cache and
+        # run side by side on two workers; the bytes must not change
+        config = {"system": {"type": "product_z2", "ks": [0.5, 0.5]},
+                  "checks": [{"kind": "garding"},
+                             {"kind": "heat-gaussian-bound"}]}
+        outputs = []
+        for workers in (1, 2):
+            path = write_config(tmp_path, dict(config, workers=workers),
+                                name=f"w{workers}.json")
+            target = tmp_path / f"out{workers}"
+            monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+            assert run(str(path)) == 0
+            outputs.append({p.name.split("_", 2)[-1]: p.read_bytes()
+                            for p in target.iterdir()})
+        assert set(outputs[0]) == {"garding.json", "heat-gaussian-bound.json",
+                                   "summary.csv", "decay.csv"}
+        assert outputs[0] == outputs[1]
+
+
 class TestCli:
     def test_version(self, capsys):
         assert cli.main(["version"]) == 0
