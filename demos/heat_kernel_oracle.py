@@ -32,7 +32,7 @@ def main() -> None:
     for x0 in (0.0, 1.0, 3.0):
         x = np.full(grid_pts.shape, x0)
         vals = heat_kernel_two_point(ctx, x, grid_pts, 1.0)
-        mass = float(ctx.integrate(ctx.grid, vals.reshape(ctx.grid.shape)))
+        mass = float(ctx.grid.integrate(vals.reshape(ctx.grid.shape)))
         print(f"int h_1({x0:g}, y) dw(y) = {mass:.12f}")
 
     print("\n== positivity and symmetry ==")

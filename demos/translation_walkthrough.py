@@ -54,8 +54,8 @@ def main() -> None:
 
     print("\n== weighted L^1 conservation ==")
     bump_vals = bump(pts).reshape(bctx.grid.shape)
-    l1_before = float(bctx.integrate(bctx.grid, np.abs(bump_vals)))
-    l1_after = float(bctx.integrate(bctx.grid, np.abs(moved.values)))
+    l1_before = float(bctx.grid.integrate(np.abs(bump_vals)))
+    l1_after = float(bctx.grid.integrate(np.abs(moved.values)))
     print(f"||f||_L1(dw) = {l1_before:.9f}")
     print(f"||tau_2.5 f||_L1(dw) = {l1_after:.9f}")
     print(f"ratio = {l1_after / l1_before:.9f}")

@@ -16,13 +16,12 @@ from .functions import (CallableFunction, GridSampled, PolyGauss, gaussian,
                         hermite_family, hermite_gauss, monomial_gauss,
                         radial_bump)
 from .dunkl_kernel import dunkl_kernel_E, kernel_series
-from .harness import (AUX_KINDS, check_auxiliary_bounds, check_garding,
-                      check_heat_gaussian_bound, check_thm1_decay,
-                      check_two_point_bound, make_pair_grid)
-from .kernels import (KERNEL_CHECK_KINDS, KernelSpec, dunkl_translate,
-                      evaluate_q, freq_box_for, heat_kernel,
-                      heat_kernel_two_point, kernel_identity_check,
-                      q_on_grid, translate_at_points, two_point_kernel)
+from .harness import (check_garding, check_heat_gaussian_bound,
+                      check_thm1_decay, check_two_point_bound,
+                      make_pair_grid)
+from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
+                      heat_kernel, heat_kernel_two_point, q_on_grid,
+                      translate_at_points, two_point_kernel)
 from .measure import (WeightedContext, ball_volume, eta, volume_max,
                       weight_density, weighted_norm)
 from .operators import (apply_dunkl, apply_dunkl_iterated, dunkl_laplacian,
@@ -33,10 +32,10 @@ from .root_systems import (ReflectionGroup, RootSystemSpec, dihedral,
                            generate_group, orbit_distance,
                            orbit_distance_pairwise, product_z2, rank1,
                            reflect, reflection_matrix)
-from .runner import config_schema, list_checks, run
+from .runner import config_schema, list_checks, run, run_check
 from .transform import (SpectralFunction, dunkl_convolve, dunkl_transform,
                         inverse_at_points, inverse_dunkl_transform,
-                        plancherel_defect, set_kernel_cache_limit)
+                        plancherel_defect)
 
 __version__ = "0.1.0"
 
@@ -49,13 +48,11 @@ __all__ = [
     "CallableFunction", "GridSampled", "PolyGauss", "gaussian",
     "hermite_family", "hermite_gauss", "monomial_gauss", "radial_bump",
     "dunkl_kernel_E", "kernel_series",
-    "AUX_KINDS", "check_auxiliary_bounds", "check_garding",
-    "check_heat_gaussian_bound", "check_thm1_decay", "check_two_point_bound",
-    "make_pair_grid",
-    "KERNEL_CHECK_KINDS", "KernelSpec", "dunkl_translate", "evaluate_q",
-    "freq_box_for", "heat_kernel", "heat_kernel_two_point",
-    "kernel_identity_check", "q_on_grid", "translate_at_points",
-    "two_point_kernel",
+    "check_garding", "check_heat_gaussian_bound", "check_thm1_decay",
+    "check_two_point_bound", "make_pair_grid",
+    "KernelSpec", "dunkl_translate", "evaluate_q", "freq_box_for",
+    "heat_kernel", "heat_kernel_two_point", "q_on_grid",
+    "translate_at_points", "two_point_kernel",
     "WeightedContext", "ball_volume", "eta", "volume_max", "weight_density",
     "weighted_norm",
     "apply_dunkl", "apply_dunkl_iterated", "dunkl_laplacian",
@@ -65,9 +62,8 @@ __all__ = [
     "ReflectionGroup", "RootSystemSpec", "dihedral", "generate_group",
     "orbit_distance", "orbit_distance_pairwise", "product_z2", "rank1",
     "reflect", "reflection_matrix",
-    "config_schema", "list_checks", "run",
+    "config_schema", "list_checks", "run", "run_check",
     "SpectralFunction", "dunkl_convolve", "dunkl_transform",
     "inverse_at_points", "inverse_dunkl_transform", "plancherel_defect",
-    "set_kernel_cache_limit",
     "__version__",
 ]

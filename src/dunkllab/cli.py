@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from . import __version__
+from .checks import type_text
 from .runner import OUTPUT_DIR_ENV, list_checks, run
 
 
@@ -33,10 +34,12 @@ def _print_catalog() -> None:
     print(f"{len(entries)} registered checks "
           f"(set {OUTPUT_DIR_ENV} to redirect report output):\n")
     for entry in entries:
-        params = ", ".join(sorted(entry.allowed_params)) or "none"
         print(f"{entry.kind}")
         print(f"    {entry.description}")
-        print(f"    optional params: {params}")
+        print(f"    optional params:{'' if entry.params else ' none'}")
+        for p in entry.params:
+            print(f"      {p.name}: {type_text(p.schema)}; "
+                  f"default {p.default_text()}")
         print()
 
 

@@ -126,8 +126,8 @@ def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec",
         integrand = tf.values_on(grid) * _t_g_eta(ctx, zeta, spec.ell, g,
                                                   grid, fields)
         check_shell(grid, np.abs(integrand), what="bilinear form integrand")
-        total += float(ctx.integrate(grid, integrand))
-        gross += float(ctx.integrate(grid, np.abs(integrand)))
+        total += float(grid.integrate(integrand))
+        gross += float(grid.integrate(np.abs(integrand)))
     return total, gross
 
 

@@ -1,5 +1,9 @@
 """Quantitative checks for kernel decay, coercivity, and auxiliary bounds.
 
+Every check here is entered in the one registry (``checks.CHECKS``) next
+to its body, with its declared parameters; ``runner.run_check`` runs any
+registered kind by name.
+
 Each check turns a qualitative statement ("there exist C, c > 0 such that
 ...") into a deterministic pass/fail verdict: constants are fitted on a
 calibration subset and the inequality must hold, with a fixed 1.05 slack,
@@ -11,35 +15,42 @@ exponent itself is the quantity under test, so it is fitted and compared.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from .checks import (CHECKS, GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA,
+                     Derived, Param, grid_params, integer, number, numbers,
+                     register, tolerance)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_parts
-from .errors import CapabilityError
-from .fitting import (alternating_split, envelope_fit, envelope_fit_upper,
+from .errors import CapabilityError, ConfigError
+from .fitting import (GARDING_C_CAP, HOLDOUT_SLACK, alternating_split,
+                      envelope_fit, envelope_fit_upper,
                       envelope_holdout_ratio, fit_decay_exponent, garding_lp,
                       garding_holdout_ratio, ratio_constant_fit,
                       ratio_holdout_ratio)
-from .forms import BilinearFormSpec, _coercivity_terms
+from .forms import EPSILON_MAX, BilinearFormSpec, _coercivity_terms
 from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
-from .kernels import (KernelSpec, _spec_from, dunkl_translate, evaluate_q,
-                      freq_box_for, heat_kernel, heat_kernel_two_point,
-                      q_on_grid, two_point_kernel)
+from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
+                      dunkl_translate, evaluate_q, freq_box_for, heat_kernel,
+                      heat_kernel_two_point, q_on_grid, two_point_kernel)
 from .measure import EtaFields, WeightedContext, volume_max_pairs
 from .report import VerificationReport, grid_metadata
 from .root_systems import orbit_distance_pairwise
 from .transform import dunkl_convolve
 
 DECAY_RADII = (0.75, 6.0, 24)
-HOLDOUT_SLACK = 1.05
+_FREQ_GRID = grid_params(
+    freq_box=Derived("1.1 x the decay radius of the symbol"),
+    freq_n_half=Derived("the config's"))
 
 
 def _freq_sized_ctx(ctx: WeightedContext, spec: KernelSpec,
                     params: dict) -> WeightedContext:
     """Context whose frequency box matches the symbol decay of the spec."""
-    fbox = float(params.get("freq_box",
-                            np.ceil(1.1 * freq_box_for(spec))))
-    fn = int(params.get("freq_n_half", ctx.freq_grid.axes[0].n_half))
-    if fbox == ctx.freq_box and fn == ctx.freq_grid.axes[0].n_half:
+    fbox = params["freq_box"] or float(np.ceil(1.1 * freq_box_for(spec)))
+    fn = params["freq_n_half"] or ctx.freq_n_half
+    if fbox == ctx.freq_box and fn == ctx.freq_n_half:
         return ctx
     return ctx.with_grids(freq_box=fbox, freq_n_half=fn)
 
@@ -67,6 +78,13 @@ def decay_samples(ctx: WeightedContext, spec: KernelSpec,
     return rr, vals
 
 
+@register("thm1-decay",
+          "single-point decay of the generalized heat kernel: fit |q_1(x)| ~ "
+          "C exp(-c |x|^p) along rays; pass needs p within tolerance of "
+          "2l/(2l-1), r^2 >= 0.995, and a refinement-stable exponent",
+          number("p_rtol", 0.05, exclusiveMinimum=0),
+          number("r2_min", 0.995, exclusiveMaximum=1),
+          Param("check_stability", {"type": "boolean"}, True), *_FREQ_GRID)
 def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
                      params: dict | None = None) -> VerificationReport:
     """Fit |q_1(x)| ~ C exp(-c |x|^p) and compare p with 2l/(2l-1).
@@ -76,11 +94,9 @@ def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
     0.995), and (unless disabled) exponent movement under a 1.5x-refined
     frequency grid below 1%.
     """
-    params = dict(params or {})
+    params = CHECKS["thm1-decay"].resolve(params)
     p_theory = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
-    p_rtol = float(params.get("p_rtol", 0.05))
-    r2_min = float(params.get("r2_min", 0.995))
-    check_stability = bool(params.get("check_stability", True))
+    p_rtol, r2_min = params["p_rtol"], params["r2_min"]
     qctx = _freq_sized_ctx(ctx, spec, params)
     radii, vals = decay_samples(qctx, spec)
     fit = fit_decay_exponent(np.column_stack([radii, vals]), p0=p_theory)
@@ -98,7 +114,7 @@ def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
         "radii": radii.tolist(),
         "abs_q": vals.tolist(),
     }
-    if check_stability:
+    if params["check_stability"]:
         fine = qctx.with_grids(
             freq_n_half=int(1.5 * qctx.freq_grid.axes[0].n_half))
         radii2, vals2 = decay_samples(fine, spec)
@@ -110,7 +126,7 @@ def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
     defect = max(ratios)
     return VerificationReport.from_defect(
         "thm1-decay",
-        {"spec": _spec_dict(spec), "p_rtol": p_rtol, "r2_min": r2_min},
+        {"spec": spec.to_dict(), "p_rtol": p_rtol, "r2_min": r2_min},
         defect, 1.0, fitted=fitted, grid=grid_metadata(qctx),
         notes="defect is the worst criterion ratio: exponent error / tol, "
               "r^2 deficit / (1 - r2_min), refinement move / 1%")
@@ -140,12 +156,17 @@ def make_pair_grid(ctx: WeightedContext,
     return np.asarray(xs), np.asarray(ys)
 
 
+@register("thm2-two-point",
+          "two-point bound: calibrate (c, C) in |q_1(x,y)| * "
+          "max(w(B(x,1)), w(B(y,1))) <= C exp(-c d(x,y)^{2l/(2l-1)}) and "
+          "verify the bound on held-out pairs with 1.05 slack",
+          *_FREQ_GRID)
 def check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
                           pair_grid: tuple[np.ndarray, np.ndarray] | None = None,
                           params: dict | None = None) -> VerificationReport:
     """Calibrate (c, C) in |q(x,y)| V(x,y,1) <= C exp(-c d(x,y)^{2l/(2l-1)})
     and verify the bound, with 1.05 slack, on the held-out pair half."""
-    params = dict(params or {})
+    params = CHECKS["thm2-two-point"].resolve(params)
     xs, ys = pair_grid if pair_grid is not None else make_pair_grid(ctx)
     p = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
     qctx = _freq_sized_ctx(ctx, spec, params)
@@ -162,7 +183,7 @@ def check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
     defect = ratio if c > 0 else max(ratio, 2.0)
     return VerificationReport.from_defect(
         "thm2-two-point",
-        {"spec": _spec_dict(spec), "n_pairs": int(len(d)), "exponent": p},
+        {"spec": spec.to_dict(), "n_pairs": int(len(d)), "exponent": p},
         defect, 1.0,
         fitted={"c_fitted": c, "C_fitted": C, "holdout_ratio": ratio,
                 "max_distance": float(np.max(d))},
@@ -171,19 +192,29 @@ def check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
               "calibrated envelope with 1.05 slack")
 
 
+@register("heat-gaussian-bound",
+          "Gaussian heat bound: calibrate (c, C) in h_t(x,y) * "
+          "max(w(B(x,sqrt(t))), w(B(y,sqrt(t)))) <= C exp(-c d(x,y)^2/t); "
+          "at k=0 the fitted rate recovers the classical 1/4",
+          numbers("t_set", [0.5, 1.0, 2.0], exclusiveMinimum=0))
+def _heat_gaussian_bound(ctx, spec, params):
+    return check_heat_gaussian_bound(ctx, params=params)
+
+
 def check_heat_gaussian_bound(ctx: WeightedContext,
                               pair_grid: tuple[np.ndarray, np.ndarray] | None = None,
-                              t_set=(0.5, 1.0, 2.0),
+                              t_set=None,
                               params: dict | None = None) -> VerificationReport:
-    """Calibrate (c, C) in h_t(x,y) V(x,y,sqrt(t)) <= C exp(-c d(x,y)^2/t)."""
-    params = dict(params or {})
+    """Calibrate (c, C) in h_t(x,y) V(x,y,sqrt(t)) <= C exp(-c d(x,y)^2/t).
+    ``t_set``, when given, takes the place of ``params["t_set"]``."""
+    t_set = CHECKS["heat-gaussian-bound"].resolve(params, t_set=t_set)["t_set"]
     xs, ys = pair_grid if pair_grid is not None else make_pair_grid(ctx)
     d = orbit_distance_pairwise(ctx.group, xs, ys)
     zs, vals = [], []
     for t in t_set:
-        h = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, float(t)))
+        h = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, t))
         V = volume_max_pairs(ctx.system, xs, ys, float(np.sqrt(t)))
-        zs.append(d**2 / float(t))
+        zs.append(d**2 / t)
         vals.append(h * V)
     z = np.concatenate(zs)
     v = np.concatenate(vals)
@@ -196,7 +227,7 @@ def check_heat_gaussian_bound(ctx: WeightedContext,
     defect = ratio if c > 0 else max(ratio, 2.0)
     return VerificationReport.from_defect(
         "heat-gaussian-bound",
-        {"t_set": [float(t) for t in t_set], "n_pairs": int(len(z))},
+        {"t_set": t_set, "n_pairs": int(len(z))},
         defect, 1.0,
         fitted={"c_fitted": c, "C_fitted": C, "holdout_ratio": ratio},
         grid=grid_metadata(ctx),
@@ -225,29 +256,50 @@ def default_garding_family(dim: int) -> list:
     raise CapabilityError("calibration families implemented for dim <= 2")
 
 
+@register("garding",
+          "coercivity of the quadratic form: maximize alpha in -b_{s,eps}(f,f) "
+          "+ C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2 by linear "
+          "program on calibration functions, verified on held-out functions",
+          Param("ell", {"type": "integer", "enum": [1, 2]},
+                Derived("the kernel's l when it is 1 or 2, else 1")),
+          number("eps", 0.0, minimum=0, maximum=EPSILON_MAX),
+          Param("directions", KERNEL_SCHEMA["properties"]["directions"],
+                Derived("the kernel's directions")),
+          numbers("s_set", [0.5, 1.0, 2.0], exclusiveMinimum=0.25),
+          number("garding_c_cap", GARDING_C_CAP, exclusiveMinimum=0))
+def _garding(ctx, spec, params):
+    ell = params["ell"] or (spec.ell if spec.ell in (1, 2) else 1)
+    try:
+        form = BilinearFormSpec(
+            ell=ell, s=1.0, eps=params["eps"],
+            directions=params["directions"] or spec.directions)
+    except ValueError as err:
+        raise ConfigError(f"garding: {err}") from err
+    return check_garding(ctx, form, params=params)
+
+
 def check_garding(ctx: WeightedContext, form_spec: BilinearFormSpec,
-                  family: list | None = None, s_set=(0.5, 1.0, 2.0),
+                  family: list | None = None, s_set=None,
                   params: dict | None = None) -> VerificationReport:
     """Coercivity protocol: maximize alpha with
         -form(f, f) + C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2
     on calibration functions (linear program in (alpha, C)), then require
-    the inequality with slack 1.05 on held-out functions, pooled over s."""
-    params = dict(params or {})
+    the inequality with slack 1.05 on held-out functions, pooled over s.
+    ``form_spec`` fixes l, eps and the directions; ``s_set``, when given,
+    takes the place of ``params["s_set"]``."""
+    params = CHECKS["garding"].resolve(params, s_set=s_set)
+    s_set, c_cap = params["s_set"], params["garding_c_cap"]
     family = family if family is not None else default_garding_family(ctx.dim)
-    c_cap = float(params.get("garding_c_cap", 100.0))
     cal_f, held_f = alternating_split(len(family))
     # the eta fields depend on s only, so s is the outer loop and one set of
     # fields is alive at a time; rows are then listed per function, s inner
     terms = {}
     for s in s_set:
-        spec_s = BilinearFormSpec(ell=form_spec.ell, s=float(s),
-                                  eps=form_spec.eps,
-                                  directions=form_spec.directions,
-                                  eps_max=form_spec.eps_max)
-        fields = EtaFields(float(s))
+        spec_s = replace(form_spec, s=s)
+        fields = EtaFields(s)
         for i, f in enumerate(family):
             A, H, V = _coercivity_terms(ctx, spec_s, f, fields)
-            terms[i, s] = (A, float(s) ** (2 * form_spec.ell) * H, V)
+            terms[i, s] = (A, s ** (2 * form_spec.ell) * H, V)
     rows = {label: [terms[i, s] for i in idxs for s in s_set]
             for label, idxs in (("cal", cal_f), ("held", held_f))}
     A_c, S_c, V_c = map(np.array, zip(*rows["cal"]))
@@ -259,7 +311,7 @@ def check_garding(ctx: WeightedContext, form_spec: BilinearFormSpec,
         "garding",
         {"ell": form_spec.ell, "eps": form_spec.eps,
          "directions": [list(z) for z in form_spec.directions],
-         "s_set": [float(s) for s in s_set], "n_family": len(family),
+         "s_set": s_set, "n_family": len(family),
          "garding_c_cap": c_cap},
         defect, 1.0,
         fitted={"alpha": alpha, "C_alpha": C, "holdout_ratio": ratio},
@@ -272,13 +324,12 @@ def check_garding(ctx: WeightedContext, form_spec: BilinearFormSpec,
 # auxiliary bounds
 # ---------------------------------------------------------------------------
 
-AUX_KINDS = ("e-bound", "e-lipschitz", "translation-lipschitz",
-             "compact-support-l1", "exp-weighted-l1")
-
-
-def _check_e_bound(ctx: WeightedContext, params: dict) -> VerificationReport:
-    n = int(params.get("n", 50))
-    tol = float(params.get("tol", 1e-10))
+@register("e-bound",
+          "kernel bound |E(i xi, x)| <= 1 on a product grid of arguments",
+          integer("n", 50, minimum=1), tolerance(1e-10))
+def _check_e_bound(ctx: WeightedContext, spec: KernelSpec,
+                   params: dict) -> VerificationReport:
+    n, tol = params["n"], params["tol"]
     worst = 0.0
     for k in ctx.axis_ks:
         xi = np.linspace(0.0, ctx.freq_box, n)
@@ -304,8 +355,16 @@ def _lipschitz_pair_set(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xi), np.asarray(x)
 
 
-def _check_e_lipschitz(ctx: WeightedContext, params: dict) -> VerificationReport:
-    stab_tol = float(params.get("stability_tol", 0.05))
+_STABILITY_TOL = number("stability_tol", 0.05, exclusiveMinimum=0)
+
+
+@register("e-lipschitz",
+          "kernel Lipschitz bound |E(i xi, x) - 1| <= C ||x|| ||xi|| with a "
+          "calibration/held-out stable constant",
+          _STABILITY_TOL)
+def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
+                       params: dict) -> VerificationReport:
+    stab_tol = params["stability_tol"]
     xi, x = _lipschitz_pair_set(ctx.dim)
     vals = np.abs(kernel_imag_batch(ctx, xi, x) - 1.0)
     scales = np.linalg.norm(xi, axis=1) * np.linalg.norm(x, axis=1)
@@ -328,10 +387,13 @@ def _check_e_lipschitz(ctx: WeightedContext, params: dict) -> VerificationReport
               "cal/held constant drift over 5% and the held-out bound ratio")
 
 
-def _check_translation_lipschitz(ctx: WeightedContext,
+@register("translation-lipschitz",
+          "translation Lipschitz bound: sup_y |tau_x q_1(y) - q_1(y)| <= "
+          "C ||x|| over a range of shifts",
+          SPEC, _STABILITY_TOL, *_FREQ_GRID)
+def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                                  params: dict) -> VerificationReport:
-    spec = _spec_from(params, ctx.dim)
-    stab_tol = float(params.get("stability_tol", 0.05))
+    stab_tol = params["stability_tol"]
     shifts = np.geomspace(0.05, 2.0, 24)
     qctx = _freq_sized_ctx(ctx, spec, params)
     base = q_on_grid(qctx, spec)
@@ -354,7 +416,7 @@ def _check_translation_lipschitz(ctx: WeightedContext,
     defect = max(stability / stab_tol, ratio)
     return VerificationReport.from_defect(
         "translation-lipschitz",
-        {"spec": _spec_dict(spec), "stability_tol": stab_tol},
+        {"spec": spec.to_dict(), "stability_tol": stab_tol},
         defect, 1.0,
         fitted={"C_cal": C_cal, "C_held": C_held, "stability": stability,
                 "holdout_ratio": ratio, "shifts": shifts.tolist(),
@@ -364,32 +426,29 @@ def _check_translation_lipschitz(ctx: WeightedContext,
               "[0.05, 2] along the first axis")
 
 
-def _bump_l1_context(ctx: WeightedContext, params: dict) -> WeightedContext:
-    """Grids for compactly supported bumps: a spatial box just past the
-    support of the convolutions (radius <= 4 plus the shift) and a frequency
-    grid dense enough to resolve E(i xi, x) oscillation across that box."""
-    box = float(params.get("box", 6.0))
-    n_half = int(params.get("n_half", 240))
-    fbox = float(params.get("freq_box", 20.0))
-    fn = int(params.get("freq_n_half", 400))
-    return ctx.with_grids(box=box, n_half=n_half, freq_box=fbox,
-                          freq_n_half=fn)
-
-
-def _check_compact_support_l1(ctx: WeightedContext,
+# The bump grids: a spatial box just past the support of the convolutions
+# (radius <= 4 plus the shift) and a frequency grid dense enough to resolve
+# E(i xi, x) oscillation across that box.
+@register("compact-support-l1",
+          "compact-support convolution bound: ||tau_y(f * phi)||_{L1(dw)} <= "
+          "C (r1 (r1 + r2))^{N_h/2} ||phi||_inf ||f||_{L1(dw)} across a grid "
+          "of support radii",
+          numbers("radii", [0.5, 1.0, 2.0], exclusiveMinimum=0),
+          Param("y", VECTOR_SCHEMA, Derived("(1, 0, ...)")),
+          *grid_params(box=6.0, n_half=240, freq_box=20.0, freq_n_half=400))
+def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
                               params: dict) -> VerificationReport:
-    radii = [float(r) for r in params.get("radii", (0.5, 1.0, 2.0))]
-    y_shift = np.asarray(params.get("y", [1.0] + [0.0] * (ctx.dim - 1)),
-                         dtype=float)
-    bctx = _bump_l1_context(ctx, params)
+    radii = params["radii"]
+    y_shift = np.asarray(params["y"] or [1.0] + [0.0] * (ctx.dim - 1))
+    bctx = ctx.with_grids(**{key: params[key]
+                             for key in GRID_SCHEMA["properties"]})
     grid_shape = bctx.grid.shape
     pts = bctx.grid.points()
     norms = np.linalg.norm(pts, axis=1).reshape(grid_shape)
     vals, scales, cal_mask = [], [], []
     for r2 in radii:          # support radius of f
         f = radial_bump(ctx.dim, r2)
-        f_l1 = float(bctx.integrate(bctx.grid,
-                                    np.abs(f(pts)).reshape(grid_shape)))
+        f_l1 = float(bctx.grid.integrate(np.abs(f(pts)).reshape(grid_shape)))
         for r1 in radii:      # support radius of the radial factor phi
             phi = radial_bump(ctx.dim, r1)
             conv = dunkl_convolve(bctx, f, phi)
@@ -400,7 +459,7 @@ def _check_compact_support_l1(ctx: WeightedContext,
             conv = GridSampled(grid=bctx.grid,
                                values=conv.values.real * support)
             moved = dunkl_translate(bctx, conv, y_shift)
-            l1 = float(bctx.integrate(bctx.grid, np.abs(moved.values)))
+            l1 = float(bctx.grid.integrate(np.abs(moved.values)))
             vals.append(l1)
             scales.append((r1 * (r1 + r2)) ** (ctx.homogeneous_dim / 2.0) * f_l1)
             cal_mask.append(r1 >= r2)
@@ -427,25 +486,26 @@ def _check_compact_support_l1(ctx: WeightedContext,
               "takes r1 >= r2, held-out the mirrored pairs")
 
 
-def _check_exp_weighted_l1(ctx: WeightedContext,
+@register("exp-weighted-l1",
+          "exponentially weighted integrability: the integral of "
+          "|tau_y(q_1^{(eps0)} * h_{eps0/2})(-x)| exp(c d(x,y)^{2l/(2l-1)}) "
+          "dw(x) is finite and stable under grid refinement",
+          number("eps0", 0.1, exclusiveMinimum=0),
+          Param("ell", KERNEL_SCHEMA["properties"]["ell"], 2),
+          number("c_weight", 0.05, minimum=0),
+          number("rel_tol", 0.02, exclusiveMinimum=0),
+          Param("y", VECTOR_SCHEMA, Derived("(0.5, 0, ...)")),
+          Param("directions", KERNEL_SCHEMA["properties"]["directions"],
+                Derived("the axes")),
+          *CONVOLUTION_GRID)
+def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
                            params: dict) -> VerificationReport:
-    eps0 = float(params.get("eps0", 0.1))
-    ell = int(params.get("ell", 2))
-    c_weight = float(params.get("c_weight", 0.05))
-    rel_tol = float(params.get("rel_tol", 0.02))
-    y_shift = np.asarray(params.get("y", [0.5] + [0.0] * (ctx.dim - 1)),
-                         dtype=float)
-    dirs = params.get("directions")
-    if dirs is None:
-        dirs = tuple(tuple(row) for row in np.eye(ctx.dim))
-    spec = KernelSpec(directions=dirs, ell=ell, eps=eps0, t=1.0)
-    box = float(params.get("box", 12.0 if ell == 1 else 48.0))
-    n_half = int(params.get("n_half", ctx.grid.axes[0].n_half
-                            if ell == 1 else 600))
-    fbox = float(params.get("freq_box",
-                            np.ceil(1.1 * freq_box_for(
-                                KernelSpec(directions=dirs, ell=ell, eps=eps0,
-                                           t=eps0 / 2.0)))))
+    eps0, ell = params["eps0"], params["ell"]
+    c_weight, rel_tol = params["c_weight"], params["rel_tol"]
+    y_shift = np.asarray(params["y"] or [0.5] + [0.0] * (ctx.dim - 1))
+    spec = KernelSpec.from_config(
+        {"directions": params["directions"], "ell": ell, "eps": eps0},
+        ctx.dim)
     a_exp = 2.0 * ell / (2.0 * ell - 1.0)
 
     def weighted_integral(cctx: WeightedContext) -> float:
@@ -461,11 +521,10 @@ def _check_exp_weighted_l1(ctx: WeightedContext,
         d = orbit_distance_pairwise(
             cctx.group, pts, np.broadcast_to(y_shift, pts.shape))
         weight = np.exp(c_weight * d**a_exp).reshape(cctx.grid.shape)
-        return float(cctx.integrate(cctx.grid, np.abs(flipped) * weight))
+        return float(cctx.grid.integrate(np.abs(flipped) * weight))
 
-    base_ctx = ctx.with_grids(box=box, n_half=n_half, freq_box=fbox,
-                              freq_n_half=int(params.get("freq_n_half", 200)))
-    fine_ctx = base_ctx.with_grids(n_half=int(1.5 * n_half))
+    base_ctx = convolution_context(ctx, spec, params, t_min=eps0 / 2.0)
+    fine_ctx = base_ctx.with_grids(n_half=int(1.5 * base_ctx.n_half))
     w_base = weighted_integral(base_ctx)
     w_fine = weighted_integral(fine_ctx)
     rel = abs(w_base - w_fine) / max(abs(w_fine), 1e-300)
@@ -479,26 +538,3 @@ def _check_exp_weighted_l1(ctx: WeightedContext,
         grid=grid_metadata(base_ctx),
         notes="int |tau_y(q_1^(eps0) * h_{eps0/2})(-x)| "
               "exp(c d(x,y)^{2l/(2l-1)}) dw finite and refinement-stable")
-
-
-_AUX_DISPATCH = {
-    "e-bound": _check_e_bound,
-    "e-lipschitz": _check_e_lipschitz,
-    "translation-lipschitz": _check_translation_lipschitz,
-    "compact-support-l1": _check_compact_support_l1,
-    "exp-weighted-l1": _check_exp_weighted_l1,
-}
-
-
-def check_auxiliary_bounds(ctx: WeightedContext, kind: str,
-                           params: dict | None = None) -> VerificationReport:
-    """Run one auxiliary-bound check by kind."""
-    if kind not in _AUX_DISPATCH:
-        raise ValueError(f"unknown auxiliary check kind {kind!r}; "
-                         f"known: {AUX_KINDS}")
-    return _AUX_DISPATCH[kind](ctx, dict(params or {}))
-
-
-def _spec_dict(spec: KernelSpec) -> dict:
-    return {"directions": [list(z) for z in spec.directions],
-            "ell": spec.ell, "eps": spec.eps, "t": spec.t}

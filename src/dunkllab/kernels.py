@@ -12,6 +12,10 @@ The generator symbol is sym(xi) = sum_j <zeta_j, xi>^{2l} - eps |xi|^2 and
 Direct quadrature covers t in [0.25, 4]; outside, homogeneity rescales to
 t = 1 first:  q_t^(eps)(x) = t^{-N_h/(2l)} q_1^(eps')(t^{-1/(2l)} x) with
 eps' = eps t^{(l-1)/l}.
+
+The structural identity checks (``kernel-*``) are entered in the one
+registry (``checks.CHECKS``) next to their bodies, with their declared
+parameters; ``runner.run_check`` runs any registered kind by name.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dunkl_kernel import kernel_imag_parts, kernel_real_scaled
+from .checks import (GRID_SCHEMA, POINTS_SCHEMA, SPEC, Derived, Param,
+                     grid_params, integer, number, numbers, register,
+                     tolerance)
 from .errors import AccuracyError, DomainTooSmallError, SymbolError
 from .functions import GridSampled, PolyGauss, gaussian, monomial_gauss
 from .measure import WeightedContext
@@ -74,6 +81,20 @@ class KernelSpec:
         """Axis directions with l=1 and eps=0: symbol |xi|^2, kernel h_t."""
         return cls(directions=tuple(tuple(row) for row in np.eye(dim)),
                    ell=1, eps=0.0, t=t)
+
+    @classmethod
+    def from_config(cls, cfg: dict, dim: int) -> "KernelSpec":
+        """The kernel of a config's ``kernel`` section, or of a check's
+        ``params.spec`` (same shape); directions default to the axes."""
+        dirs = cfg.get("directions") or np.eye(dim)
+        return cls(directions=tuple(tuple(map(float, z)) for z in dirs),
+                   ell=int(cfg.get("ell", 1)), eps=float(cfg.get("eps", 0.0)),
+                   t=float(cfg.get("t", 1.0)))
+
+    def to_dict(self) -> dict:
+        """The JSON shape read by ``from_config``."""
+        return {"directions": [list(z) for z in self.directions],
+                "ell": self.ell, "eps": self.eps, "t": self.t}
 
     @property
     def dim(self) -> int:
@@ -274,38 +295,36 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np
 # structural identity checks
 # ---------------------------------------------------------------------------
 
-KERNEL_CHECK_KINDS = ("mass", "symmetry", "positivity", "semigroup",
-                      "scaling", "decomposition", "laplacian-consistency")
+#: grid keys of ``convolution_context``
+CONVOLUTION_GRID = grid_params(
+    box=Derived("12 for l = 1, else 48"),
+    n_half=Derived("the config's for l = 1, else 600"),
+    freq_box=Derived("1.1 x the decay radius of the symbol at the smallest "
+                     "time"),
+    freq_n_half=Derived("200"))
 
 
-def _spec_from(params: dict, dim: int) -> KernelSpec:
-    raw = params.get("spec")
-    if isinstance(raw, KernelSpec):
-        return raw
-    if raw is None:
-        return KernelSpec.heat(dim, t=float(params.get("t", 1.0)))
-    return KernelSpec(directions=tuple(tuple(map(float, z))
-                                       for z in raw["directions"]),
-                      ell=int(raw.get("ell", 1)),
-                      eps=float(raw.get("eps", 0.0)),
-                      t=float(raw.get("t", 1.0)))
+def convolution_context(ctx: WeightedContext, spec: KernelSpec,
+                        params: dict, t_min: float) -> WeightedContext:
+    """Context sized for convolution checks: the spatial box must contain the
+    slowly decaying q of order l, the frequency box the symbol decay down to
+    time ``t_min``; grid keys given in ``params`` take precedence."""
+    return ctx.with_grids(
+        box=params["box"] or (12.0 if spec.ell == 1 else 48.0),
+        n_half=params["n_half"] or (ctx.n_half if spec.ell == 1 else 600),
+        freq_box=params["freq_box"] or float(
+            np.ceil(freq_box_for(replace(spec, t=t_min)) * 1.1)),
+        freq_n_half=params["freq_n_half"] or 200)
 
 
 def _identity_context(ctx: WeightedContext, spec: KernelSpec,
                       params: dict, t_min: float) -> WeightedContext:
-    """Context sized for convolution checks: the spatial box must contain the
-    slowly decaying q of order l, the frequency box the symbol decay."""
-    if spec.ell == 1 and not any(key in params for key in
-                                 ("box", "n_half", "freq_box", "freq_n_half")):
+    """The config's context for l = 1 with no grid key given, else a
+    ``convolution_context``."""
+    if spec.ell == 1 and all(params[key] is None
+                             for key in GRID_SCHEMA["properties"]):
         return ctx
-    box = float(params.get("box", 12.0 if spec.ell == 1 else 48.0))
-    n_half = int(params.get("n_half", ctx.grid.axes[0].n_half
-                            if spec.ell == 1 else 600))
-    fbox = float(params.get("freq_box",
-                            np.ceil(freq_box_for(replace(spec, t=t_min)) * 1.1)))
-    fn_half = int(params.get("freq_n_half", 200))
-    return ctx.with_grids(box=box, n_half=n_half, freq_box=fbox,
-                          freq_n_half=fn_half)
+    return convolution_context(ctx, spec, params, t_min)
 
 
 def _default_points(dim: int, radii=(0.0, 1.0, 3.0)) -> np.ndarray:
@@ -314,17 +333,23 @@ def _default_points(dim: int, radii=(0.0, 1.0, 3.0)) -> np.ndarray:
     return pts
 
 
-def _check_mass(ctx: WeightedContext, params: dict) -> VerificationReport:
-    t = float(params.get("t", 1.0))
-    tol = float(params.get("tol", 1e-6))
+@register("kernel-mass",
+          "unit mass: integral of h_t(x, .) against the weighted measure "
+          "equals 1 for each probe point x",
+          number("t", 1.0, exclusiveMinimum=0), tolerance(1e-6),
+          Param("points", POINTS_SCHEMA,
+                Derived("0, 1 and 3 on the first axis")))
+def _check_mass(ctx: WeightedContext, spec: KernelSpec,
+                params: dict) -> VerificationReport:
+    t, tol = params["t"], params["tol"]
     points = np.atleast_2d(np.asarray(
-        params.get("points", _default_points(ctx.dim)), dtype=float))
+        params["points"] or _default_points(ctx.dim), dtype=float))
     grid_pts = ctx.grid.points()
     masses = []
     for x in points:
         vals = heat_kernel_two_point(ctx, np.broadcast_to(x, grid_pts.shape),
                                      grid_pts, t)
-        masses.append(float(ctx.integrate(ctx.grid, vals.reshape(ctx.grid.shape))))
+        masses.append(float(ctx.grid.integrate(vals.reshape(ctx.grid.shape))))
     defect = max(abs(m - 1.0) for m in masses)
     return VerificationReport.from_defect(
         "kernel-mass", {"t": t, "points": points.tolist(), "tol": tol},
@@ -338,24 +363,34 @@ def _pair_sample(ctx: WeightedContext, n: int, radius: float) -> tuple[np.ndarra
     return xs, ys
 
 
-def _check_symmetry(ctx: WeightedContext, params: dict) -> VerificationReport:
-    spec = _spec_from(params, ctx.dim)
-    tol = float(params.get("tol", 1e-8))
-    n = int(params.get("n_pairs", 20))
-    xs, ys = _pair_sample(ctx, n, radius=float(params.get("radius", 2.5)))
+@register("kernel-symmetry",
+          "symmetry of the two-point kernel: q_t(x,y) = q_t(y,x) on sampled "
+          "pairs",
+          tolerance(1e-8), integer("n_pairs", 20, minimum=1),
+          number("radius", 2.5, exclusiveMinimum=0), SPEC)
+def _check_symmetry(ctx: WeightedContext, spec: KernelSpec,
+                    params: dict) -> VerificationReport:
+    tol, n = params["tol"], params["n_pairs"]
+    xs, ys = _pair_sample(ctx, n, params["radius"])
     qxy = np.atleast_1d(two_point_kernel(ctx, spec, xs, ys))
     qyx = np.atleast_1d(two_point_kernel(ctx, spec, ys, xs))
     scale = max(float(np.max(np.abs(qxy))), 1e-300)
     defect = float(np.max(np.abs(qxy - qyx))) / scale
     return VerificationReport.from_defect(
-        "kernel-symmetry", {"spec": _spec_params(spec), "n_pairs": n, "tol": tol},
+        "kernel-symmetry", {"spec": spec.to_dict(), "n_pairs": n, "tol": tol},
         defect, tol, fitted={"scale": scale}, grid=grid_metadata(ctx))
 
 
-def _check_positivity(ctx: WeightedContext, params: dict) -> VerificationReport:
-    t_set = [float(t) for t in params.get("t_set", (0.5, 1.0, 2.0))]
-    n = int(params.get("n_pairs", 50))
-    xs, ys = _pair_sample(ctx, n, radius=float(params.get("radius", 3.0)))
+@register("kernel-positivity",
+          "positivity of the heat kernel: h_t(x,y) > 0 on sampled pairs and "
+          "times",
+          numbers("t_set", [0.5, 1.0, 2.0], exclusiveMinimum=0),
+          integer("n_pairs", 50, minimum=1),
+          number("radius", 3.0, exclusiveMinimum=0))
+def _check_positivity(ctx: WeightedContext, spec: KernelSpec,
+                      params: dict) -> VerificationReport:
+    t_set, n = params["t_set"], params["n_pairs"]
+    xs, ys = _pair_sample(ctx, n, params["radius"])
     min_val = np.inf
     for t in t_set:
         vals = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, t))
@@ -366,24 +401,33 @@ def _check_positivity(ctx: WeightedContext, params: dict) -> VerificationReport:
         fitted={"min_value": min_val}, grid=grid_metadata(ctx))
 
 
-def _check_semigroup(ctx: WeightedContext, params: dict) -> VerificationReport:
-    spec = _spec_from(params, ctx.dim)
-    tol = float(params.get("tol", 1e-7))
+@register("kernel-semigroup",
+          "semigroup law: q_{t/2} convolved with itself equals q_t in sup "
+          "norm; for l = 1 with no grid key the config's grids are used",
+          tolerance(1e-7), SPEC, *CONVOLUTION_GRID)
+def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
+                     params: dict) -> VerificationReport:
+    tol = params["tol"]
     cctx = _identity_context(ctx, spec, params, t_min=spec.t / 2.0)
     half = q_on_grid(cctx, replace(spec, t=spec.t / 2.0))
     conv = dunkl_convolve(cctx, half, half)
     direct = q_on_grid(cctx, spec)
     defect = float(np.max(np.abs(conv.values.real - direct.values)))
     return VerificationReport.from_defect(
-        "kernel-semigroup", {"spec": _spec_params(spec), "tol": tol},
+        "kernel-semigroup", {"spec": spec.to_dict(), "tol": tol},
         defect, tol, fitted={"sup_q": float(np.max(np.abs(direct.values)))},
         grid=grid_metadata(cctx))
 
 
-def _check_scaling(ctx: WeightedContext, params: dict) -> VerificationReport:
-    spec = _spec_from(params, ctx.dim)
-    tol = float(params.get("tol", 1e-7))
-    t_values = [float(t) for t in params.get("t_values", (0.5, 2.0))]
+@register("kernel-scaling",
+          "parabolic scaling: q_t(x) = t^{-N_h/(2l)} "
+          "q_1^{(eps t^{(l-1)/l})}(t^{-1/(2l)} x) with N_h the homogeneous "
+          "dimension",
+          tolerance(1e-7), numbers("t_values", [0.5, 2.0], exclusiveMinimum=0),
+          SPEC)
+def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
+                   params: dict) -> VerificationReport:
+    tol, t_values = params["tol"], params["t_values"]
     pts = _default_points(ctx.dim, radii=np.linspace(0.0, 2.0, 9))
     defect = 0.0
     for t in t_values:
@@ -394,15 +438,20 @@ def _check_scaling(ctx: WeightedContext, params: dict) -> VerificationReport:
         rhs = amp * np.atleast_1d(evaluate_q(ctx, unit, pts * lam))
         defect = max(defect, float(np.max(np.abs(lhs - rhs))))
     return VerificationReport.from_defect(
-        "kernel-scaling", {"spec": _spec_params(spec), "t_values": t_values,
+        "kernel-scaling", {"spec": spec.to_dict(), "t_values": t_values,
                            "tol": tol},
         defect, tol, grid=grid_metadata(ctx))
 
 
-def _check_decomposition(ctx: WeightedContext, params: dict) -> VerificationReport:
-    spec = _spec_from(params, ctx.dim)
-    eps0 = float(params.get("eps0", 0.1))
-    tol = float(params.get("tol", 1e-6))
+@register("kernel-decomposition",
+          "perturbative decomposition: q_1 equals q_1^{(eps+eps0)} convolved "
+          "with two copies of h_{eps0/2}; for l = 1 with no grid key the "
+          "config's grids are used",
+          number("eps0", 0.1, exclusiveMinimum=0), tolerance(1e-6), SPEC,
+          *CONVOLUTION_GRID)
+def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
+                         params: dict) -> VerificationReport:
+    eps0, tol = params["eps0"], params["tol"]
     cctx = _identity_context(ctx, spec, params, t_min=eps0 / 2.0)
     q_eps = q_on_grid(cctx, replace(spec, eps=spec.eps + eps0))
     h_vals = heat_kernel(cctx, cctx.grid.points(), eps0 / 2.0)
@@ -414,7 +463,7 @@ def _check_decomposition(ctx: WeightedContext, params: dict) -> VerificationRepo
     defect = float(np.max(np.abs(step2.values.real - direct.values)))
     return VerificationReport.from_defect(
         "kernel-decomposition",
-        {"spec": _spec_params(spec), "eps0": eps0, "tol": tol},
+        {"spec": spec.to_dict(), "eps0": eps0, "tol": tol},
         defect, tol, fitted={"sup_q": float(np.max(np.abs(direct.values)))},
         grid=grid_metadata(cctx))
 
@@ -434,8 +483,13 @@ def _laplacian_battery(dim: int) -> list[PolyGauss]:
     return fams
 
 
-def _check_laplacian(ctx: WeightedContext, params: dict) -> VerificationReport:
-    tol = float(params.get("tol", 1e-8))
+@register("kernel-laplacian",
+          "Dunkl Laplacian consistency: the divided-difference formula agrees "
+          "with composing first-order Dunkl operators, sum_j T_j^2",
+          tolerance(1e-8))
+def _check_laplacian(ctx: WeightedContext, spec: KernelSpec,
+                     params: dict) -> VerificationReport:
+    tol = params["tol"]
     pts = _default_points(ctx.dim, radii=np.linspace(-3.0, 3.0, 13))
     if ctx.dim == 2:
         pts[:, 1] = 0.7 * pts[:, 0] + 0.3
@@ -445,31 +499,7 @@ def _check_laplacian(ctx: WeightedContext, params: dict) -> VerificationReport:
         via_compose = dunkl_laplacian(ctx, f, method="compose")(pts)
         scale = max(float(np.max(np.abs(via_formula))), 1.0)
         defect = max(defect, float(np.max(np.abs(via_formula - via_compose))) / scale)
+    # the report keeps its earlier name: stored reference reports use it
     return VerificationReport.from_defect(
         "kernel-laplacian-consistency", {"tol": tol}, defect, tol,
         grid=grid_metadata(ctx))
-
-
-def _spec_params(spec: KernelSpec) -> dict:
-    return {"directions": [list(z) for z in spec.directions],
-            "ell": spec.ell, "eps": spec.eps, "t": spec.t}
-
-
-_KIND_DISPATCH = {
-    "mass": _check_mass,
-    "symmetry": _check_symmetry,
-    "positivity": _check_positivity,
-    "semigroup": _check_semigroup,
-    "scaling": _check_scaling,
-    "decomposition": _check_decomposition,
-    "laplacian-consistency": _check_laplacian,
-}
-
-
-def kernel_identity_check(ctx: WeightedContext, kind: str,
-                          params: dict | None = None) -> VerificationReport:
-    """Run one structural kernel identity check and report defect vs tolerance."""
-    if kind not in _KIND_DISPATCH:
-        raise ValueError(
-            f"unknown kernel check kind {kind!r}; known: {KERNEL_CHECK_KINDS}")
-    return _KIND_DISPATCH[kind](ctx, dict(params or {}))

@@ -303,15 +303,8 @@ class WeightedContext:
         return self._make_grid(self.freq_box, self.freq_n_half)
 
     @cached_property
-    def freq_grid_fine(self) -> TensorGrid:
-        return self.freq_grid.refined()
-
-    @cached_property
     def group(self) -> ReflectionGroup:
         return generate_group(self.system)
-
-    def integrate(self, grid: TensorGrid, values: np.ndarray) -> float | complex:
-        return grid.integrate(values)
 
     @cached_property
     def c_k(self) -> float:
@@ -320,7 +313,7 @@ class WeightedContext:
         def gauss(grid):
             pts = grid.points()
             vals = np.exp(-0.5 * np.sum(pts**2, axis=1))
-            return self.integrate(grid, vals)
+            return grid.integrate(vals)
 
         base = gauss(self.grid)
         fine = gauss(self.grid_fine)

@@ -64,7 +64,6 @@ class VerificationReport:
     fitted: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     notes: str = ""
-    runtime_s: float | None = None  # console display only, never persisted
 
     @classmethod
     def from_defect(cls, check: str, params: dict, max_defect: float,

@@ -16,7 +16,7 @@ and orbit-distance work only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

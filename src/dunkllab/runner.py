@@ -3,6 +3,9 @@
 Reads a JSON config describing a reflection-group setup, a symbol, and a
 list of checks; runs the checks on a bounded worker pool; writes one JSON
 report per check plus a flat summary CSV and a plot-ready decay CSV.
+Check kinds and their parameters come from the one registry,
+``checks.CHECKS``, filled where each check is defined (``kernels``,
+``harness``); ``run_check`` runs one of them by name.
 
 Determinism contract: re-running an unchanged config overwrites all output
 files with identical bytes.  Every output filename embeds a hash of the
@@ -18,18 +21,16 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
+from . import harness  # noqa: F401  (enters its checks in the registry)
+from .checks import (CHECKS, GRID_SCHEMA, KERNEL_SCHEMA, coerce, json_path,
+                     validate)
 from .errors import ConfigError, DunklLabError
-from .forms import BilinearFormSpec
-from .harness import (check_auxiliary_bounds, check_garding,
-                      check_heat_gaussian_bound, check_thm1_decay,
-                      check_two_point_bound)
-from .kernels import KernelSpec, kernel_identity_check
+from .kernels import KernelSpec
 from .measure import WeightedContext
 from .report import VerificationReport, to_builtin
 from .root_systems import RootSystemSpec, product_z2, rank1
@@ -39,167 +40,14 @@ CONFIG_HASH_LEN = 12
 
 
 # ---------------------------------------------------------------------------
-# check registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckEntry:
-    """One runnable check kind: dispatcher, accepted params, catalog text."""
-    kind: str
-    allowed_params: frozenset
-    description: str
-
-
-def _run_thm1(ctx, spec, params):
-    return check_thm1_decay(ctx, spec, params)
-
-
-def _run_thm2(ctx, spec, params):
-    return check_two_point_bound(ctx, spec, params=params)
-
-
-def _run_heat_bound(ctx, spec, params):
-    t_set = tuple(float(t) for t in params.get("t_set", (0.5, 1.0, 2.0)))
-    return check_heat_gaussian_bound(ctx, t_set=t_set, params=params)
-
-
-def _run_garding(ctx, spec, params):
-    ell = int(params.get("ell", spec.ell if spec.ell in (1, 2) else 1))
-    dirs = params.get("directions")
-    if dirs is None:
-        dirs = spec.directions if spec.dim == ctx.dim else \
-            tuple(tuple(row) for row in np.eye(ctx.dim))
-    dirs = tuple(tuple(float(c) for c in z) for z in dirs)
-    eps = float(params.get("eps", 0.0))
-    s_set = tuple(float(s) for s in params.get("s_set", (0.5, 1.0, 2.0)))
-    template = BilinearFormSpec(ell=ell, s=1.0, eps=eps, directions=dirs)
-    return check_garding(ctx, template, s_set=s_set, params=params)
-
-
-def _kernel_check_runner(inner_kind: str, uses_spec: bool):
-    def _run(ctx, spec, params):
-        if uses_spec:
-            params.setdefault("spec", spec)
-        return kernel_identity_check(ctx, inner_kind, params)
-    return _run
-
-
-def _aux_check_runner(kind: str, inject_spec: bool = False):
-    def _run(ctx, spec, params):
-        if inject_spec:
-            params.setdefault("spec", spec)
-        return check_auxiliary_bounds(ctx, kind, params)
-    return _run
-
-
-_GRID_PARAMS = ("box", "n_half", "freq_box", "freq_n_half")
-
-CHECK_REGISTRY: dict[str, CheckEntry] = {}
-_DISPATCH: dict[str, object] = {}
-
-
-def _register(kind, runner, allowed, description):
-    CHECK_REGISTRY[kind] = CheckEntry(kind, frozenset(allowed), description)
-    _DISPATCH[kind] = runner
-
-
-_register(
-    "thm1-decay", _run_thm1,
-    ("p_rtol", "r2_min", "check_stability", "freq_box", "freq_n_half"),
-    "single-point decay of the generalized heat kernel: fit |q_1(x)| ~ "
-    "C exp(-c |x|^p) along rays; pass needs p within tolerance of "
-    "2l/(2l-1), r^2 >= 0.995, and a refinement-stable exponent")
-_register(
-    "thm2-two-point", _run_thm2,
-    ("freq_box", "freq_n_half"),
-    "two-point bound: calibrate (c, C) in |q_1(x,y)| * "
-    "max(w(B(x,1)), w(B(y,1))) <= C exp(-c d(x,y)^{2l/(2l-1)}) and "
-    "verify the bound on held-out pairs with 1.05 slack")
-_register(
-    "heat-gaussian-bound", _run_heat_bound,
-    ("t_set",),
-    "Gaussian heat bound: calibrate (c, C) in h_t(x,y) * "
-    "max(w(B(x,sqrt(t))), w(B(y,sqrt(t)))) <= C exp(-c d(x,y)^2/t); "
-    "at k=0 the fitted rate recovers the classical 1/4")
-_register(
-    "garding", _run_garding,
-    ("ell", "eps", "directions", "s_set", "garding_c_cap"),
-    "coercivity of the quadratic form: maximize alpha in -b_{s,eps}(f,f) "
-    "+ C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2 by linear "
-    "program on calibration functions, verified on held-out functions")
-_register(
-    "kernel-mass", _kernel_check_runner("mass", uses_spec=False),
-    ("t", "tol", "points"),
-    "unit mass: integral of h_t(x, .) against the weighted measure "
-    "equals 1 for each probe point x")
-_register(
-    "kernel-symmetry", _kernel_check_runner("symmetry", uses_spec=True),
-    ("tol", "n_pairs", "radius", "spec", "t"),
-    "symmetry of the two-point kernel: q_t(x,y) = q_t(y,x) on sampled "
-    "pairs")
-_register(
-    "kernel-positivity", _kernel_check_runner("positivity", uses_spec=False),
-    ("t_set", "n_pairs", "radius"),
-    "positivity of the heat kernel: h_t(x,y) > 0 on sampled pairs and "
-    "times")
-_register(
-    "kernel-semigroup", _kernel_check_runner("semigroup", uses_spec=True),
-    ("tol", "spec", "t", *_GRID_PARAMS),
-    "semigroup law: q_{t/2} convolved with itself equals q_t in sup norm")
-_register(
-    "kernel-scaling", _kernel_check_runner("scaling", uses_spec=True),
-    ("tol", "t_values", "spec", "t"),
-    "parabolic scaling: q_t(x) = t^{-N_h/(2l)} "
-    "q_1^{(eps t^{(l-1)/l})}(t^{-1/(2l)} x) with N_h the homogeneous "
-    "dimension")
-_register(
-    "kernel-decomposition",
-    _kernel_check_runner("decomposition", uses_spec=True),
-    ("eps0", "tol", "spec", "t", *_GRID_PARAMS),
-    "perturbative decomposition: q_1 equals q_1^{(eps+eps0)} convolved "
-    "with two copies of h_{eps0/2}")
-_register(
-    "kernel-laplacian",
-    _kernel_check_runner("laplacian-consistency", uses_spec=False),
-    ("tol",),
-    "Dunkl Laplacian consistency: the divided-difference formula agrees "
-    "with composing first-order Dunkl operators, sum_j T_j^2")
-_register(
-    "e-bound", _aux_check_runner("e-bound"),
-    ("n", "tol"),
-    "kernel bound |E(i xi, x)| <= 1 on a product grid of arguments")
-_register(
-    "e-lipschitz", _aux_check_runner("e-lipschitz"),
-    ("stability_tol",),
-    "kernel Lipschitz bound |E(i xi, x) - 1| <= C ||x|| ||xi|| with a "
-    "calibration/held-out stable constant")
-_register(
-    "translation-lipschitz",
-    _aux_check_runner("translation-lipschitz", inject_spec=True),
-    ("spec", "stability_tol", "freq_box", "freq_n_half"),
-    "translation Lipschitz bound: sup_y |tau_x q_1(y) - q_1(y)| <= "
-    "C ||x|| over a range of shifts")
-_register(
-    "compact-support-l1", _aux_check_runner("compact-support-l1"),
-    ("radii", "y", *_GRID_PARAMS),
-    "compact-support convolution bound: ||tau_y(f * phi)||_{L1(dw)} <= "
-    "C (r1 (r1 + r2))^{N_h/2} ||phi||_inf ||f||_{L1(dw)} across a grid "
-    "of support radii")
-_register(
-    "exp-weighted-l1", _aux_check_runner("exp-weighted-l1"),
-    ("eps0", "ell", "c_weight", "rel_tol", "y", "directions", *_GRID_PARAMS),
-    "exponentially weighted integrability: the integral of "
-    "|tau_y(q_1^{(eps0)} * h_{eps0/2})(-x)| exp(c d(x,y)^{2l/(2l-1)}) "
-    "dw(x) is finite and stable under grid refinement")
-
-
-# ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
 
 def config_schema() -> dict:
-    """JSON schema for experiment configs; unknown keys are rejected."""
-    kinds = sorted(CHECK_REGISTRY)
+    """JSON schema for experiment configs; unknown keys are rejected.  Each
+    check's ``params`` are checked against its kind's own schema
+    (``CHECKS[kind].schema``) by ``validate_config``."""
+    kinds = sorted(CHECKS)
     return {
         "type": "object",
         "additionalProperties": False,
@@ -216,30 +64,8 @@ def config_schema() -> dict:
                            "items": {"type": "number", "minimum": 0}},
                 },
             },
-            "grid": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "box": {"type": "number", "exclusiveMinimum": 0},
-                    "n_half": {"type": "integer", "minimum": 8},
-                    "freq_box": {"type": "number", "exclusiveMinimum": 0},
-                    "freq_n_half": {"type": "integer", "minimum": 8},
-                },
-            },
-            "kernel": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "directions": {
-                        "type": "array", "minItems": 1,
-                        "items": {"type": "array", "minItems": 1,
-                                  "items": {"type": "number"}},
-                    },
-                    "ell": {"enum": [1, 2, 3]},
-                    "eps": {"type": "number", "minimum": 0},
-                    "t": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
+            "grid": GRID_SCHEMA,
+            "kernel": KERNEL_SCHEMA,
             "checks": {
                 "type": "array",
                 "minItems": 1,
@@ -265,20 +91,12 @@ def config_schema() -> dict:
     }
 
 
-def _json_path(error: jsonschema.ValidationError) -> str:
-    parts = []
-    for p in error.absolute_path:
-        parts.append(f"[{p}]" if isinstance(p, int) else f".{p}" if parts
-                     else str(p))
-    return "".join(parts) or "(top level)"
-
-
 def validate_config(config: dict) -> None:
-    """Schema validation plus kind-specific parameter-key checks."""
+    """Schema validation, then each check's params against its kind."""
     try:
         jsonschema.validate(config, config_schema())
     except jsonschema.ValidationError as err:
-        raise ConfigError(f"config error at {_json_path(err)}: "
+        raise ConfigError(f"config error at {json_path(err.absolute_path)}: "
                           f"{err.message}") from err
     system = config["system"]
     stype = system["type"]
@@ -292,14 +110,11 @@ def validate_config(config: dict) -> None:
     if extra:
         raise ConfigError(f"config error at system: type {stype!r} does not "
                           f"accept {sorted(extra)}")
+    dim = 1 if stype == "rank1" else len(system["ks"])
+    validate(config.get("kernel", {}), KERNEL_SCHEMA, ("kernel",), dim)
     for i, chk in enumerate(config["checks"]):
-        entry = CHECK_REGISTRY[chk["kind"]]
-        unknown = set(chk.get("params", {})) - set(entry.allowed_params)
-        if unknown:
-            raise ConfigError(
-                f"config error at checks[{i}].params: {chk['kind']!r} does "
-                f"not accept {sorted(unknown)}; accepted: "
-                f"{sorted(entry.allowed_params)}")
+        CHECKS[chk["kind"]].validate(chk.get("params", {}),
+                                     ("checks", i, "params"), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -313,32 +128,13 @@ def build_system(system_cfg: dict) -> RootSystemSpec:
 
 
 def build_context(config: dict) -> WeightedContext:
-    system = build_system(config["system"])
-    grid = config.get("grid", {})
-    kwargs = {}
-    if "box" in grid:
-        kwargs["box"] = float(grid["box"])
-    if "n_half" in grid:
-        kwargs["n_half"] = int(grid["n_half"])
-    if "freq_box" in grid:
-        kwargs["freq_box"] = float(grid["freq_box"])
-    if "freq_n_half" in grid:
-        kwargs["freq_n_half"] = int(grid["freq_n_half"])
-    return WeightedContext(system, **kwargs)
+    grid = {key: coerce(value, GRID_SCHEMA["properties"][key])
+            for key, value in config.get("grid", {}).items()}
+    return WeightedContext(build_system(config["system"]), **grid)
 
 
 def build_kernel_spec(config: dict, dim: int) -> KernelSpec:
-    kcfg = config.get("kernel")
-    if not kcfg:
-        return KernelSpec.heat(dim)
-    dirs = kcfg.get("directions")
-    if dirs is None:
-        dirs = tuple(tuple(row) for row in np.eye(dim))
-    else:
-        dirs = tuple(tuple(float(c) for c in z) for z in dirs)
-    return KernelSpec(directions=dirs, ell=int(kcfg.get("ell", 1)),
-                      eps=float(kcfg.get("eps", 0.0)),
-                      t=float(kcfg.get("t", 1.0)))
+    return KernelSpec.from_config(config.get("kernel") or {}, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +217,28 @@ def _apply_tolerance_override(report: VerificationReport,
         fitted=report.fitted, grid=report.grid, notes=report.notes)
 
 
+def run_check(ctx: WeightedContext, kind: str, params: dict | None = None,
+              spec: KernelSpec | None = None) -> VerificationReport:
+    """Run the registered check ``kind`` with ``params`` (defaults filled
+    from its declared table).  ``spec`` is the experiment's kernel, by
+    default the heat kernel; a kind that declares ``spec`` uses
+    ``params["spec"]`` in its place when given."""
+    if kind not in CHECKS:
+        raise ValueError(f"unknown check kind {kind!r}; known: "
+                         f"{sorted(CHECKS)}")
+    entry = CHECKS[kind]
+    params = entry.resolve(params, dim=ctx.dim)
+    if params.get("spec") is not None:
+        spec = KernelSpec.from_config(params["spec"], ctx.dim)
+    elif spec is None:
+        spec = KernelSpec.heat(ctx.dim)
+    return entry.run(ctx, spec, params=params)
+
+
 def _execute_one(ctx, spec, chk: dict):
-    kind = chk["kind"]
-    params = dict(chk.get("params", {}))
     start = time.perf_counter()
-    report = _DISPATCH[kind](ctx, spec, params)
-    elapsed = time.perf_counter() - start
-    return report, elapsed
+    report = run_check(ctx, chk["kind"], chk.get("params"), spec)
+    return report, time.perf_counter() - start
 
 
 def run(config_path: str) -> int:
@@ -504,6 +315,6 @@ def run(config_path: str) -> int:
     return 0 if n_pass == len(results) else 2
 
 
-def list_checks() -> list[CheckEntry]:
-    """Catalog of registered check kinds in stable (sorted) order."""
-    return [CHECK_REGISTRY[k] for k in sorted(CHECK_REGISTRY)]
+def list_checks() -> list:
+    """Catalog of registered check kinds (``checks.Check``), sorted."""
+    return [CHECKS[k] for k in sorted(CHECKS)]

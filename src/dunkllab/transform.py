@@ -6,7 +6,7 @@ Inverse:  F^{-1} g(x) = c_k^{-1} int E(i xi, x) g(xi) dw(xi)
 Both sides use the tensor quadrature grids of the WeightedContext.  For
 product systems E factors per coordinate, so the transform is one matrix
 product per axis; the per-axis kernel-value matrices are cached (they are
-the dominant memory object) under a configurable byte cap.
+the dominant memory object) under a byte cap.
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ import numpy as np
 from .dunkl_kernel import kernel_imag_parts
 from .errors import AccuracyError, CapabilityError
 from .functions import GridSampled
-from .measure import WeightedContext
+from .measure import DEFAULT_SHELL_TOL, WeightedContext
 from .quadrature import TensorGrid, boundary_shell_fraction
-
-DEFAULT_SHELL_TOL = 1e-10
-ROUNDTRIP_TOL = 1e-6
 
 
 class KernelMatrixCache:
@@ -52,11 +49,6 @@ class KernelMatrixCache:
 
 
 _CACHE = KernelMatrixCache()
-
-
-def set_kernel_cache_limit(max_bytes: int):
-    """Resize the process-wide kernel-matrix cache."""
-    _CACHE.max_bytes = int(max_bytes)
 
 
 @dataclass(frozen=True)
@@ -178,9 +170,9 @@ def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray
 def plancherel_defect(ctx: WeightedContext, f) -> float:
     """Relative defect |  ||f|| - ||Ff||  | / ||f|| in L^2(dw) on each side."""
     vals = _values_on(f, ctx.grid)
-    norm_f = np.sqrt(float(ctx.integrate(ctx.grid, np.abs(vals) ** 2)))
+    norm_f = np.sqrt(float(ctx.grid.integrate(np.abs(vals) ** 2)))
     tf = dunkl_transform(ctx, f)
-    norm_tf = np.sqrt(float(ctx.integrate(ctx.freq_grid, np.abs(tf.values) ** 2)))
+    norm_tf = np.sqrt(float(ctx.freq_grid.integrate(np.abs(tf.values) ** 2)))
     return abs(norm_f - norm_tf) / norm_f
 
 

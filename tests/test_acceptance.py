@@ -17,16 +17,15 @@ import pytest
 
 from dunkllab.forms import BilinearFormSpec
 from dunkllab.functions import gaussian, hermite_family, monomial_gauss, radial_bump
-from dunkllab.harness import (check_auxiliary_bounds, check_garding,
-                              check_heat_gaussian_bound, check_thm1_decay,
-                              check_two_point_bound)
+from dunkllab.harness import (check_garding, check_heat_gaussian_bound,
+                              check_thm1_decay, check_two_point_bound)
 from dunkllab.kernels import (KernelSpec, dunkl_translate, evaluate_q,
-                              heat_kernel, kernel_identity_check)
+                              heat_kernel)
 from dunkllab.measure import WeightedContext
 from dunkllab.operators import apply_dunkl, dunkl_laplacian
 from dunkllab.root_systems import (orbit_distance_pairwise, product_z2,
                                    rank1)
-from dunkllab.runner import OUTPUT_DIR_ENV, run
+from dunkllab.runner import OUTPUT_DIR_ENV, run, run_check
 from dunkllab.dunkl_kernel import dunkl_kernel_E
 from dunkllab.transform import dunkl_transform, plancherel_defect
 
@@ -176,7 +175,7 @@ def test_07_kernel_identities_hold_at_stated_tolerances():
              ("scaling", {"tol": 1e-7}),
              ("decomposition", {"tol": 1e-6, "eps0": 0.1,
                                 "spec": order_two})]
-    reports = {kind: kernel_identity_check(ctx, kind, params)
+    reports = {kind: run_check(ctx, "kernel-" + kind, params)
                for kind, params in cases}
     ok = all(rep.passed for rep in reports.values())
     detail = ", ".join(f"{kind} {rep.max_defect:.1e}"
@@ -216,11 +215,12 @@ def test_08_operator_algebra_identities():
     skew = 0.0
     for f in battery[:2]:
         for g in battery[2:]:
-            tf_g = ctx.integrate(ctx.grid,
-                                 apply_dunkl(system, z1, f).values_on(ctx.grid)
-                                 * g.values_on(ctx.grid))
-            f_tg = ctx.integrate(ctx.grid, f.values_on(ctx.grid)
-                                 * apply_dunkl(system, z1, g).values_on(ctx.grid))
+            tf_g = ctx.grid.integrate(
+                apply_dunkl(system, z1, f).values_on(ctx.grid)
+                * g.values_on(ctx.grid))
+            f_tg = ctx.grid.integrate(
+                f.values_on(ctx.grid)
+                * apply_dunkl(system, z1, g).values_on(ctx.grid))
             skew = max(skew, abs(tf_g + f_tg) / max(abs(tf_g), 1.0))
     defects["skew-symmetry"] = skew
 
@@ -255,8 +255,8 @@ def test_08_operator_algebra_identities():
 
 def test_09_exponential_kernel_bound_lipschitz_and_reference_value():
     ctx = WeightedContext(rank1(0.75))
-    bound = check_auxiliary_bounds(ctx, "e-bound", {"n": 50, "tol": 1e-10})
-    lip = check_auxiliary_bounds(ctx, "e-lipschitz", {"stability_tol": 0.05})
+    bound = run_check(ctx, "e-bound", {"n": 50, "tol": 1e-10})
+    lip = run_check(ctx, "e-lipschitz", {"stability_tol": 0.05})
     # closed form for multiplicity k = 1 in one dimension:
     # E(1, 1) = sinh(1)/1 + (cosh 1 - sinh(1)/1)/1 = cosh(1)
     reference = 1.5430806348152437785
@@ -331,11 +331,11 @@ def test_11_translation_identity_support_and_contraction():
     leak = float(np.max(np.abs(moved.values[outside]))
                  / np.max(np.abs(bump_vals)))
 
-    l1_before = float(bctx.integrate(bctx.grid, np.abs(bump_vals)))
-    l1_after = float(bctx.integrate(bctx.grid, np.abs(moved.values)))
+    l1_before = float(bctx.grid.integrate(np.abs(bump_vals)))
+    l1_after = float(bctx.grid.integrate(np.abs(moved.values)))
     l1_ratio = l1_after / l1_before
 
-    ratio_rep = check_auxiliary_bounds(ctx, "translation-lipschitz", {})
+    ratio_rep = run_check(ctx, "translation-lipschitz", {})
 
     ok = (tau0_sup <= 1e-9 and leak <= 1e-8 and l1_ratio <= 1.0 + 1e-6
           and ratio_rep.passed)

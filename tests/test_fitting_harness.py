@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dunkllab import (BilinearFormSpec, CapabilityError, KernelSpec,
-                      WeightedContext, check_auxiliary_bounds, check_garding,
+                      WeightedContext, check_garding,
                       check_heat_gaussian_bound, check_thm1_decay,
-                      check_two_point_bound, hermite_family, product_z2, rank1)
+                      check_two_point_bound, hermite_family, product_z2, rank1,
+                      run_check)
 from dunkllab.fitting import (FitConvergenceError, alternating_split,
                               envelope_fit, envelope_fit_upper,
                               envelope_holdout_ratio, fit_decay_exponent,
@@ -275,17 +276,17 @@ class TestAuxiliaryDispatch:
     def test_unknown_kind_lists_known(self):
         ctx = WeightedContext(rank1(0.5))
         with pytest.raises(ValueError, match="e-bound"):
-            check_auxiliary_bounds(ctx, "nonsense")
+            run_check(ctx, "nonsense")
 
     def test_modulus_bound_check(self):
         ctx = WeightedContext(rank1(0.5))
-        report = check_auxiliary_bounds(ctx, "e-bound")
+        report = run_check(ctx, "e-bound")
         assert report.passed
         assert report.max_defect <= 1e-10
 
     def test_kernel_lipschitz_stability(self):
         ctx = WeightedContext(rank1(1.0))
-        report = check_auxiliary_bounds(ctx, "e-lipschitz")
+        report = run_check(ctx, "e-lipschitz")
         assert report.passed
         assert report.fitted["C_cal"] > 0
         assert report.fitted["stability"] <= 0.05

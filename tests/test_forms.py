@@ -100,10 +100,10 @@ class TestEtaProductExpansion:
         grid = ctx.grid
         pts = grid.points()
         lhs_vals = t_g_eta_values(ctx, s, zeta, 2, g, pts) * w(pts)
-        lhs = ctx.integrate(grid, lhs_vals.reshape(grid.shape))
+        lhs = grid.integrate(lhs_vals.reshape(grid.shape))
         ttw = apply_dunkl(ctx, zeta, apply_dunkl(ctx, zeta, w))
         rhs_vals = g(pts) * eta(pts, s) * ttw(pts)
-        rhs = ctx.integrate(grid, rhs_vals.reshape(grid.shape))
+        rhs = grid.integrate(rhs_vals.reshape(grid.shape))
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
     def test_order_two_reflection_term_hand_computed(self):

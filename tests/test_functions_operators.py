@@ -185,11 +185,11 @@ class TestOperatorIdentities:
         grid = ctx.grid
         for f in self.battery()[:2]:
             for g in self.battery()[2:]:
-                tf_g = ctx.integrate(grid, apply_dunkl(ctx, self.Z1, f)
-                                     .values_on(grid) * g.values_on(grid))
-                f_tg = ctx.integrate(grid, f.values_on(grid)
-                                     * apply_dunkl(ctx, self.Z1, g)
-                                     .values_on(grid))
+                tf_g = grid.integrate(apply_dunkl(ctx, self.Z1, f)
+                                      .values_on(grid) * g.values_on(grid))
+                f_tg = grid.integrate(f.values_on(grid)
+                                      * apply_dunkl(ctx, self.Z1, g)
+                                      .values_on(grid))
                 assert tf_g == pytest.approx(-f_tg, abs=1e-10)
 
     def test_leibniz_for_invariant_radial_factor(self):

@@ -5,9 +5,8 @@ import pytest
 
 from dunkllab import (KernelSpec, SymbolError, WeightedContext, dunkl_translate,
                       evaluate_q, freq_box_for, gaussian, heat_kernel,
-                      heat_kernel_two_point, kernel_identity_check, product_z2,
-                      q_on_grid, rank1, translate_at_points, two_point_kernel)
-from dunkllab.kernels import KERNEL_CHECK_KINDS
+                      heat_kernel_two_point, product_z2, q_on_grid, rank1,
+                      run_check, translate_at_points, two_point_kernel)
 
 
 class TestKernelSpecValidation:
@@ -133,7 +132,7 @@ class TestGridEvaluator:
         fbox = float(np.ceil(freq_box_for(spec) * 1.1))
         ctx = WeightedContext(rank1(0.5)).with_grids(
             box=48.0, n_half=600, freq_box=fbox, freq_n_half=200)
-        mass = ctx.integrate(ctx.grid, q_on_grid(ctx, spec).values)
+        mass = ctx.grid.integrate(q_on_grid(ctx, spec).values)
         assert mass == pytest.approx(1.0, abs=1e-7)
 
 
@@ -201,10 +200,14 @@ class TestTranslation:
 
 
 class TestIdentityChecks:
-    @pytest.mark.parametrize("kind", KERNEL_CHECK_KINDS)
+    @pytest.mark.parametrize("kind", [
+        pytest.param("kernel-" + name, id=name) for name in
+        ("mass", "symmetry", "positivity", "semigroup", "scaling",
+         "decomposition")] + [pytest.param("kernel-laplacian",
+                                           id="laplacian-consistency")])
     def test_all_kinds_pass_on_default_heat_setup(self, kind):
         ctx = WeightedContext(rank1(0.5))
-        report = kernel_identity_check(ctx, kind)
+        report = run_check(ctx, kind)
         assert report.passed, (kind, report.max_defect, report.tolerance)
         assert report.check.startswith("kernel-")
         assert report.max_defect <= report.tolerance
@@ -212,19 +215,30 @@ class TestIdentityChecks:
     def test_unknown_kind_lists_options(self):
         ctx = WeightedContext(rank1(0.5))
         with pytest.raises(ValueError, match="mass"):
-            kernel_identity_check(ctx, "no-such-check")
+            run_check(ctx, "no-such-check")
 
     def test_semigroup_property_quartic_symbol(self):
         ctx = WeightedContext(rank1(0.0))
-        report = kernel_identity_check(
-            ctx, "semigroup",
+        report = run_check(
+            ctx, "kernel-semigroup",
             {"spec": {"directions": [[1.0]], "ell": 2, "t": 1.0}})
         assert report.passed
 
+    @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.5, 0.25])])
+    def test_spec_directions_default_to_the_axes(self, system):
+        ctx = WeightedContext(system)
+        axes = np.eye(system.dim).tolist()
+        bare, explicit = (
+            run_check(ctx, "kernel-symmetry", {"n_pairs": 5, "spec": spec})
+            for spec in ({"ell": 2}, {"directions": axes, "ell": 2}))
+        assert bare.to_json_dict() == explicit.to_json_dict()
+        assert bare.params["spec"]["directions"] == axes
+        assert bare.params["spec"]["ell"] == 2
+
     def test_scaling_law_quartic_symbol(self):
         ctx = WeightedContext(rank1(1.0))
-        report = kernel_identity_check(
-            ctx, "scaling",
+        report = run_check(
+            ctx, "kernel-scaling",
             {"spec": {"directions": [[1.0]], "ell": 2, "t": 1.0},
              "t_values": [0.5, 2.0]})
         assert report.passed

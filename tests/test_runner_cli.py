@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from dunkllab import __version__, cli
+from dunkllab.checks import CHECKS, Derived, Param
 from dunkllab.errors import ConfigError
 from dunkllab.report import VerificationReport
-from dunkllab.runner import (CHECK_REGISTRY, CONFIG_HASH_LEN, OUTPUT_DIR_ENV,
-                             build_context, build_kernel_spec, build_system,
-                             config_schema, list_checks, report_filenames,
-                             run, validate_config, write_decay_csv,
+from dunkllab.runner import (CONFIG_HASH_LEN, OUTPUT_DIR_ENV, build_context,
+                             build_kernel_spec, build_system, config_schema,
+                             list_checks, report_filenames, run, run_check,
+                             validate_config, write_decay_csv,
                              write_summary_csv)
 
 ALL_KINDS = {
@@ -101,6 +102,14 @@ class TestConfigValidation:
         assert "['bogus']" in message
         assert "accepted: ['points', 't', 'tol']" in message
 
+    def test_kernel_directions_need_the_system_dimension(self):
+        config = minimal_config(kernel={"directions": [[1.0, 0.0]]})
+        with pytest.raises(ConfigError) as exc:
+            validate_config(config)
+        assert "config error at kernel.directions[0]:" in str(exc.value)
+        assert "has 2 components; the system has dimension 1" in \
+            str(exc.value)
+
     def test_empty_check_list_rejected(self):
         config = minimal_config(checks=[])
         with pytest.raises(ConfigError) as exc:
@@ -119,17 +128,77 @@ class TestConfigValidation:
             validate_config(config)
 
 
+class TestCheckParams:
+    @pytest.mark.parametrize("kind, params, path", [
+        ("kernel-mass", {"tol": "abc"}, "tol"),
+        ("garding", {"ell": "two"}, "ell"),
+        ("garding", {"eps": 0.5}, "eps"),
+        ("e-bound", {"n": 2.5}, "n"),
+        ("kernel-semigroup", {"n_half": 0}, "n_half"),
+        ("kernel-symmetry", {"spec": {"directions": [[0.0]]}},
+         "spec.directions[0]"),
+        ("kernel-mass", {"bogus": 1}, "bogus"),
+        # vectors must have one component per axis of the system
+        ("kernel-mass", {"points": [[1.0, 2.0]]}, "points[0]"),
+        ("compact-support-l1", {"y": [1.0, 0.0]}, "y"),
+        ("kernel-symmetry", {"spec": {"directions": [[1.0, 0.0]]}},
+         "spec.directions[0]"),
+    ])
+    def test_malformed_params_exit_one_with_path(self, tmp_path, out_dir,
+                                                 capsys, kind, params, path):
+        config = dict(FAST_CONFIG, checks=[{"kind": "e-bound"},
+                                           {"kind": kind, "params": params}])
+        assert run(str(write_config(tmp_path, config))) == 1
+        out = capsys.readouterr().out
+        assert f"config error at checks[1].params.{path}:" in out
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["kernel-symmetry", "kernel-semigroup",
+                                      "kernel-scaling",
+                                      "kernel-decomposition"])
+    def test_time_is_not_a_param_of_spec_kinds(self, tmp_path, out_dir,
+                                               capsys, kind):
+        # their time is kernel.t or params.spec.t; a bare t used to be
+        # accepted and then ignored
+        config = dict(FAST_CONFIG, checks=[{"kind": kind,
+                                            "params": {"t": 2.0}}])
+        assert run(str(write_config(tmp_path, config))) == 1
+        out = capsys.readouterr().out
+        assert f"config error at checks[0].params.t: {kind!r} does not " \
+               f"accept ['t']; accepted: " in out
+        accepted = out.split("accepted:")[1]
+        assert "'spec'" in accepted and "'t'" not in accepted
+
+    def test_run_check_holds_vectors_to_the_context_dimension(self):
+        ctx = build_context({"system": {"type": "rank1", "k": 0.5}})
+        with pytest.raises(ConfigError, match=r"params\.points\[0\]: "):
+            run_check(ctx, "kernel-mass", {"points": [[1.0, 2.0]]})
+
+    def test_kernel_mass_keeps_its_heat_time(self):
+        assert CHECKS["kernel-mass"].resolve({"t": 2})["t"] == 2.0
+
+    def test_defaults_and_coercion_come_from_the_table(self):
+        params = CHECKS["heat-gaussian-bound"].resolve({"t_set": [1, 2]})
+        assert params == {"t_set": [1.0, 2.0]}
+        assert all(type(t) is float for t in params["t_set"])
+        assert CHECKS["heat-gaussian-bound"].resolve() == {
+            "t_set": [0.5, 1.0, 2.0]}
+        # a derived default is left to the check
+        assert CHECKS["thm2-two-point"].resolve() == {
+            "freq_box": None, "freq_n_half": None}
+
+
 class TestRegistryCatalog:
     def test_sixteen_kinds_registered(self):
-        assert set(CHECK_REGISTRY) == ALL_KINDS
-        assert len(CHECK_REGISTRY) == 16
+        assert set(CHECKS) == ALL_KINDS
+        assert len(CHECKS) == 16
 
     def test_catalog_is_sorted_and_described(self):
         entries = list_checks()
         assert [e.kind for e in entries] == sorted(ALL_KINDS)
         for entry in entries:
             assert entry.description
-            assert isinstance(entry.allowed_params, frozenset)
+            assert all(isinstance(p, Param) for p in entry.params)
 
     def test_schema_enumerates_registered_kinds(self):
         schema = config_schema()
@@ -392,6 +461,24 @@ class TestRunEndToEnd:
             payloads.append(report.read_bytes())
         assert payloads[0] == payloads[1]
 
+    def test_every_kind_runs_from_one_config(self, tmp_path, out_dir, capsys):
+        config = {"system": {"type": "rank1", "k": 0.5}, "workers": 2,
+                  "checks": [{"kind": kind} for kind in sorted(ALL_KINDS)]}
+        path = write_config(tmp_path, config)
+        assert run(str(path)) == 0
+        assert "16/16 checks passed" in capsys.readouterr().out
+        chash = hashlib.sha256(path.read_bytes()).hexdigest()[:CONFIG_HASH_LEN]
+        assert {p.name for p in out_dir.iterdir()} == (
+            {f"exp_{chash}_{kind}.json" for kind in ALL_KINDS}
+            | {f"exp_{chash}_summary.csv", f"exp_{chash}_decay.csv"})
+        for kind in ALL_KINDS:
+            payload = json.loads(
+                (out_dir / f"exp_{chash}_{kind}.json").read_text())
+            # the Laplacian report keeps its earlier name
+            assert payload["check"] == {
+                "kernel-laplacian": "kernel-laplacian-consistency"}.get(
+                    kind, kind)
+
     def test_rank2_pointwise_reports_independent_of_workers(self, tmp_path,
                                                              monkeypatch):
         # garding and heat-gaussian-bound share the Legendre rule cache and
@@ -426,6 +513,23 @@ class TestCli:
             assert kind in out
         assert OUTPUT_DIR_ENV in out
         assert "optional params" in out
+
+    def test_catalog_shows_every_param_with_type_and_default(self, capsys):
+        assert cli.main(["list-checks"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")[1:]
+        by_kind = {block.splitlines()[0]: block for block in blocks if block}
+        assert set(by_kind) == ALL_KINDS
+        for kind, entry in CHECKS.items():
+            lines = {line.split(":", 1)[0].strip(): line
+                     for line in by_kind[kind].splitlines()[3:]}
+            assert set(lines) == {p.name for p in entry.params}
+            for p in entry.params:
+                kind_word = ("vector" if p.schema.get("vector")
+                             else p.schema["type"].replace("array", "list"))
+                default = (p.default if isinstance(p.default, Derived)
+                           else json.dumps(p.default))
+                assert kind_word in lines[p.name]
+                assert lines[p.name].endswith(f"; default {default}")
 
     def test_run_subcommand(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
