@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import gamma, hyp0f1, ive, jv
 
 from .errors import AccuracyError, CapabilityError
+from .root_systems import RootSystemSpec
 
 #: adaptive series termination: stop after this many consecutive terms below
 #: SERIES_STOP_RATIO times the partial sum.
@@ -154,9 +155,9 @@ def _axis_value(w: complex, k: float, truncation: int | None) -> complex:
         "off the real and imaginary axes")
 
 
-def kernel_imag_batch(ctx, xi_pts: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
+def kernel_imag_batch(system: RootSystemSpec, xi_pts: np.ndarray,
+                      x_pts: np.ndarray) -> np.ndarray:
     """E(i xi, x) for paired batches of real vectors, as a complex array."""
-    system = ctx.system if hasattr(ctx, "system") else ctx
     if not system.is_product():
         raise CapabilityError(
             "Dunkl kernel is implemented for sign-flip product systems only")
@@ -171,14 +172,14 @@ def kernel_imag_batch(ctx, xi_pts: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def dunkl_kernel_E(ctx, x, z, truncation: int | None = None) -> complex:
+def dunkl_kernel_E(system: RootSystemSpec, x, z,
+                   truncation: int | None = None) -> complex:
     """E_k(x, z) for a sign-flip product system; z may be real or imaginary.
 
     The value is the per-coordinate product of rank-1 kernels at the
     products x_d z_d.  An explicit ``truncation`` forces the series
     evaluator with that many terms on every coordinate.
     """
-    system = ctx.system if hasattr(ctx, "system") else ctx
     if not system.is_product():
         raise CapabilityError(
             "Dunkl kernel is implemented for sign-flip product systems only")

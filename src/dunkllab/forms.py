@@ -89,11 +89,11 @@ def _t_g_eta(ctx: WeightedContext, zeta: np.ndarray, order: int,
         raise ValueError("s = 0 has no eta factor")
     eta_v = fields.eta(where)
     d1 = fields.directional(where, zeta, 1)
-    tg = apply_dunkl(ctx, zeta, g)
+    tg = apply_dunkl(ctx.system, zeta, g)
     if order == 1:
         return eta_v * _sample(tg, where) + _sample(g, where) * d1
     d2 = fields.directional(where, zeta, 2)
-    ttg = apply_dunkl(ctx, zeta, tg)
+    ttg = apply_dunkl(ctx.system, zeta, tg)
     out = (eta_v * _sample(ttg, where) + 2.0 * d1 * _sample(tg, where)
            + _sample(g, where) * d2)
     fprime = fields.radial_factor(where)
@@ -122,7 +122,7 @@ def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec",
     for zeta in spec.direction_arrays():
         tf = f
         for _ in range(spec.ell):
-            tf = apply_dunkl(ctx, zeta, tf)
+            tf = apply_dunkl(ctx.system, zeta, tf)
         integrand = tf.values_on(grid) * _t_g_eta(ctx, zeta, spec.ell, g,
                                                   grid, fields)
         check_shell(grid, np.abs(integrand), what="bilinear form integrand")
@@ -194,7 +194,7 @@ def _sobolev_norm(ctx: WeightedContext, spec: BilinearFormSpec, f: PolyGauss,
     for zeta in spec.direction_arrays():
         tf = f
         for _ in range(spec.ell):
-            tf = apply_dunkl(ctx, zeta, tf)
+            tf = apply_dunkl(ctx.system, zeta, tf)
         total += _weighted_norm(ctx, tf, fields) ** 2
     return float(np.sqrt(total))
 

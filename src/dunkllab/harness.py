@@ -37,7 +37,7 @@ from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
 from .measure import EtaFields, WeightedContext, volume_max_pairs
 from .report import VerificationReport, grid_metadata
 from .root_systems import orbit_distance_pairwise
-from .transform import dunkl_convolve
+from .transform import dunkl_convolve, dunkl_transform
 
 DECAY_RADII = (0.75, 6.0, 24)
 _FREQ_GRID = grid_params(
@@ -366,7 +366,7 @@ def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                        params: dict) -> VerificationReport:
     stab_tol = params["stability_tol"]
     xi, x = _lipschitz_pair_set(ctx.dim)
-    vals = np.abs(kernel_imag_batch(ctx, xi, x) - 1.0)
+    vals = np.abs(kernel_imag_batch(ctx.system, xi, x) - 1.0)
     scales = np.linalg.norm(xi, axis=1) * np.linalg.norm(x, axis=1)
     order = np.lexsort((vals, scales))
     vals, scales = vals[order], scales[order]
@@ -445,13 +445,15 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     grid_shape = bctx.grid.shape
     pts = bctx.grid.points()
     norms = np.linalg.norm(pts, axis=1).reshape(grid_shape)
+    # f and phi are the same bumps: transform each radius once
+    bumps = {r: radial_bump(ctx.dim, r) for r in radii}
+    spectra = {r: dunkl_transform(bctx, bump) for r, bump in bumps.items()}
     vals, scales, cal_mask = [], [], []
     for r2 in radii:          # support radius of f
-        f = radial_bump(ctx.dim, r2)
-        f_l1 = float(bctx.grid.integrate(np.abs(f(pts)).reshape(grid_shape)))
+        f_l1 = float(bctx.grid.integrate(
+            np.abs(bumps[r2](pts)).reshape(grid_shape)))
         for r1 in radii:      # support radius of the radial factor phi
-            phi = radial_bump(ctx.dim, r1)
-            conv = dunkl_convolve(bctx, f, phi)
+            conv = dunkl_convolve(bctx, spectra[r2], spectra[r1])
             # the convolution of radial functions supported in radii r1, r2
             # is supported in radius r1 + r2; zero the outside so grid
             # ripple there cannot pollute the translation step

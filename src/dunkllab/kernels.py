@@ -142,12 +142,13 @@ def freq_box_for(spec: KernelSpec, tol: float = SYMBOL_SIZING_TOL) -> float:
     return float(b)
 
 
-def _rescale_to_unit_time(spec: KernelSpec) -> tuple[KernelSpec, float, float]:
-    """(unit-time spec, spatial scale, amplitude factor) of the homogeneity law."""
+def _rescale_to_unit_time(spec: KernelSpec) -> tuple[KernelSpec, float]:
+    """(unit-time spec, spatial scale lam) of the homogeneity law
+    q_t(x) = t^{-N_h/(2l)} q_1^{unit}(lam x), lam = t^{-1/(2l)}; the
+    amplitude t^{-N_h/(2l)} is left to the caller, who knows N_h."""
     t, ell = spec.t, spec.ell
     eps1 = spec.eps * t ** ((ell - 1.0) / ell)
-    return (replace(spec, eps=eps1, t=1.0),
-            t ** (-1.0 / (2.0 * ell)), t ** (-1.0 / (2.0 * ell)))
+    return replace(spec, eps=eps1, t=1.0), t ** (-1.0 / (2.0 * ell))
 
 
 def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
@@ -178,7 +179,7 @@ def evaluate_q(ctx: WeightedContext, spec: KernelSpec, x) -> float | np.ndarray:
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        unit, lam, _ = _rescale_to_unit_time(spec)
+        unit, lam = _rescale_to_unit_time(spec)
         amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
         out = amp * np.atleast_1d(evaluate_q(ctx, unit, pts * lam))
         return float(out[0]) if single else out
@@ -268,7 +269,7 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np
     xs, ys = np.atleast_2d(x), np.atleast_2d(y)
     xs, ys = np.broadcast_arrays(xs, ys)
     if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        unit, lam, _ = _rescale_to_unit_time(spec)
+        unit, lam = _rescale_to_unit_time(spec)
         amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
         out = amp * np.atleast_1d(two_point_kernel(ctx, unit, xs * lam, ys * lam))
         return float(out[0]) if single else out
@@ -433,7 +434,7 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
     for t in t_values:
         spec_t = replace(spec, t=t)
         lhs = np.atleast_1d(evaluate_q(ctx, spec_t, pts))
-        unit, lam, _ = _rescale_to_unit_time(spec_t)
+        unit, lam = _rescale_to_unit_time(spec_t)
         amp = t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
         rhs = amp * np.atleast_1d(evaluate_q(ctx, unit, pts * lam))
         defect = max(defect, float(np.max(np.abs(lhs - rhs))))
@@ -495,8 +496,8 @@ def _check_laplacian(ctx: WeightedContext, spec: KernelSpec,
         pts[:, 1] = 0.7 * pts[:, 0] + 0.3
     defect = 0.0
     for f in _laplacian_battery(ctx.dim):
-        via_formula = dunkl_laplacian(ctx, f, method="formula")(pts)
-        via_compose = dunkl_laplacian(ctx, f, method="compose")(pts)
+        via_formula = dunkl_laplacian(ctx.system, f, method="formula")(pts)
+        via_compose = dunkl_laplacian(ctx.system, f, method="compose")(pts)
         scale = max(float(np.max(np.abs(via_formula))), 1.0)
         defect = max(defect, float(np.max(np.abs(via_formula - via_compose))) / scale)
     # the report keeps its earlier name: stored reference reports use it

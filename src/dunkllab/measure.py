@@ -311,9 +311,10 @@ class WeightedContext:
         """Gaussian mass integral c_k = ∫ exp(-|x|^2/2) dw(x), by quadrature,
         refinement-checked; cross-checked against (2 pi)^{dim/2} when k = 0."""
         def gauss(grid):
-            pts = grid.points()
-            vals = np.exp(-0.5 * np.sum(pts**2, axis=1))
-            return grid.integrate(vals)
+            r2 = grid.axis_nodes(0) ** 2
+            for d in range(1, grid.dim):
+                r2 = np.add.outer(r2, grid.axis_nodes(d) ** 2)
+            return grid.integrate(np.exp(-0.5 * r2))
 
         base = gauss(self.grid)
         fine = gauss(self.grid_fine)

@@ -33,10 +33,6 @@ _SEG_NODES = 0.5 * (_SEG_NODES + 1.0)
 _SEG_WEIGHTS = 0.5 * _SEG_WEIGHTS
 
 
-def _system_of(ctx) -> RootSystemSpec:
-    return ctx.system if hasattr(ctx, "system") else ctx
-
-
 def positive_roots(system: RootSystemSpec) -> list[tuple[np.ndarray, float]]:
     """One representative per {alpha, -alpha} pair, with its multiplicity."""
     chosen: list[tuple[np.ndarray, float]] = []
@@ -94,14 +90,13 @@ def dunkl_apply_values(system: RootSystemSpec, f: CallableFunction,
     return out
 
 
-def apply_dunkl(ctx, zeta, f):
+def apply_dunkl(system: RootSystemSpec, zeta, f):
     """Dunkl operator T_zeta applied to f.
 
     PolyGauss inputs on product systems return PolyGauss (exact).  Callable
     inputs with a gradient callback return a CallableFunction evaluating
     T_zeta f pointwise.
     """
-    system = _system_of(ctx)
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if zeta.shape != (system.dim,):
         raise ValueError(f"direction must be a vector of length {system.dim}")
@@ -119,16 +114,16 @@ def apply_dunkl(ctx, zeta, f):
         f"Dunkl operator not implemented for {type(f).__name__}")
 
 
-def apply_dunkl_iterated(ctx, zeta, f, order: int):
+def apply_dunkl_iterated(system: RootSystemSpec, zeta, f, order: int):
     """T_zeta^order f by repeated application."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     for _ in range(order):
-        f = apply_dunkl(ctx, zeta, f)
+        f = apply_dunkl(system, zeta, f)
     return f
 
 
-def dunkl_laplacian(ctx, f, method: str = "formula"):
+def dunkl_laplacian(system: RootSystemSpec, f, method: str = "formula"):
     """Dunkl Laplacian of a PolyGauss function on a product system.
 
     method="formula" uses, per positive root,
@@ -137,7 +132,6 @@ def dunkl_laplacian(ctx, f, method: str = "formula"):
     method="compose" iterates the coordinate Dunkl operators; the two agree
     to rounding and the comparison is a standing consistency test.
     """
-    system = _system_of(ctx)
     if not isinstance(f, PolyGauss):
         raise CapabilityError("Dunkl Laplacian requires a PolyGauss input")
     if not system.is_product():
@@ -148,7 +142,7 @@ def dunkl_laplacian(ctx, f, method: str = "formula"):
         for d in range(system.dim):
             e_d = np.zeros(system.dim)
             e_d[d] = 1.0
-            term = apply_dunkl(ctx, e_d, apply_dunkl(ctx, e_d, f))
+            term = apply_dunkl(system, e_d, apply_dunkl(system, e_d, f))
             out = term if out is None else out + term
         return out
     if method != "formula":

@@ -17,6 +17,7 @@ and orbit-distance work only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,20 @@ class ReflectionGroup:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
+    @cached_property
+    def flipped_axes(self) -> np.ndarray | None:
+        """For a sign-flip product group, the axes some element flips.
+
+        That is a group of diagonal +-1 matrices holding every combination
+        of flips on those axes; any other group gives None.
+        """
+        eye = np.eye(self.dim, dtype=bool)
+        diag = self.matrices[:, eye]
+        if np.any(self.matrices[:, ~eye] != 0.0) or np.any(np.abs(diag) != 1.0):
+            return None
+        flips = np.any(diag == -1.0, axis=0)
+        return flips if self.order == 2 ** int(flips.sum()) else None
+
     def orbit(self, x: np.ndarray) -> np.ndarray:
         """All images g(x), deduplicated."""
         x = np.asarray(x, dtype=float)
@@ -162,9 +177,21 @@ def orbit_distance(group: ReflectionGroup, x: np.ndarray, y: np.ndarray) -> floa
 
 
 def orbit_distance_pairwise(group: ReflectionGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Orbit distances for batches xs (m, dim) and ys (m, dim), elementwise."""
+    """Orbit distances for batches xs (m, dim) and ys (m, dim), elementwise.
+
+    On a sign-flip product group (every element diagonal) the minimum over
+    G is taken axis by axis, in closed form:
+        d(x, y)^2 = sum_d (|x_d| - |y_d|)^2 over the flipped axes
+                    + sum_d (x_d - y_d)^2 over the others,
+    which is bit-identical to the minimum over all |G| images.  Other
+    groups form every image g(x).
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    flips = group.flipped_axes
+    if flips is not None:
+        diff = np.where(flips, np.abs(xs) - np.abs(ys), xs - ys)
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
     images = np.einsum("gij,mj->mgi", group.matrices, xs)
     return np.min(np.linalg.norm(images - ys[:, None, :], axis=2), axis=1)
 

@@ -7,11 +7,25 @@ Both sides use the tensor quadrature grids of the WeightedContext.  For
 product systems E factors per coordinate, so the transform is one matrix
 product per axis; the per-axis kernel-value matrices are cached (they are
 the dominant memory object) under a byte cap.
+
+Every axis rule is mirrored (nodes = concat(-x[::-1], x)), and on the
+imaginary axis Re E(iu) is even and Im E(iu) is odd.  So a matrix
+E(i xi_a x_b) is built from its positive quadrant alone: the other three
+quadrants are that quadrant reversed, conjugated where one factor is
+negative.  The rank-one kernel is evaluated once per quadrant entry, and
+the matrix is bit-identical to evaluating every entry.
+
+The cache is shared by the runner's worker threads.  A lock guards its
+dictionary updates only; the first thread to miss on a key builds that
+matrix while later threads asking for the same key wait for it and get the
+same array, and matrices for different keys are built concurrently.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,28 +37,71 @@ from .measure import DEFAULT_SHELL_TOL, WeightedContext
 from .quadrature import TensorGrid, boundary_shell_fraction
 
 
+def _half(nodes: np.ndarray) -> np.ndarray:
+    """The positive half x of mirrored nodes concat(-x[::-1], x)."""
+    n = nodes.size // 2
+    if nodes.size % 2 or not np.array_equal(nodes[:n], -nodes[n:][::-1]):
+        raise ValueError("kernel matrices need mirrored axis nodes "
+                         "concat(-x[::-1], x)")
+    return nodes[n:]
+
+
+def _folded_matrix(xi_nodes: np.ndarray, x_nodes: np.ndarray, k: float) -> np.ndarray:
+    """E(i xi_a x_b) from its positive quadrant; Re is even, Im is odd."""
+    xi, x = _half(xi_nodes), _half(x_nodes)
+    n, m = xi.size, x.size
+    re, im = kernel_imag_parts(np.outer(xi, x), k)
+    q = re + 1j * im
+    mat = np.empty((2 * n, 2 * m), dtype=complex)
+    mat[n:, m:] = q
+    mat[:n, :m] = q[::-1, ::-1]
+    np.conj(q[::-1, :], out=mat[:n, m:])
+    np.conj(q[:, ::-1], out=mat[n:, :m])
+    return mat
+
+
 class KernelMatrixCache:
-    """Per-axis matrices E(i xi_a x_b), keyed by nodes and multiplicity."""
+    """Per-axis matrices E(i xi_a x_b), keyed by nodes and multiplicity.
+
+    Safe under threads, and single-flight: one build per key however many
+    threads miss on it at once.
+    """
 
     def __init__(self, max_bytes: int = 256 * 2**20):
         self.max_bytes = max_bytes
         self._store: OrderedDict[bytes, np.ndarray] = OrderedDict()
         self._bytes = 0
+        self._lock = threading.Lock()
+        self._building: dict[bytes, Future] = {}
 
     def matrix(self, xi_nodes: np.ndarray, x_nodes: np.ndarray, k: float) -> np.ndarray:
         key = (np.float64(k).tobytes() + xi_nodes.tobytes() + x_nodes.tobytes())
-        hit = self._store.get(key)
-        if hit is not None:
-            self._store.move_to_end(key)
-            return hit
-        u = np.outer(xi_nodes, x_nodes)
-        re, im = kernel_imag_parts(u, k)
-        mat = re + 1j * im
-        self._store[key] = mat
-        self._bytes += mat.nbytes
-        while self._bytes > self.max_bytes and len(self._store) > 1:
-            _, old = self._store.popitem(last=False)
-            self._bytes -= old.nbytes
+        with self._lock:
+            hit = self._store.get(key)
+            if hit is not None:
+                self._store.move_to_end(key)
+                return hit
+            pending = self._building.get(key)
+            owner = pending is None
+            if owner:
+                pending = self._building[key] = Future()
+        if not owner:
+            return pending.result()
+        try:
+            mat = _folded_matrix(xi_nodes, x_nodes, k)
+        except BaseException as exc:
+            with self._lock:
+                del self._building[key]
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            del self._building[key]
+            self._store[key] = mat
+            self._bytes += mat.nbytes
+            while self._bytes > self.max_bytes and len(self._store) > 1:
+                _, old = self._store.popitem(last=False)
+                self._bytes -= old.nbytes
+        pending.set_result(mat)
         return mat
 
 
@@ -177,11 +234,20 @@ def plancherel_defect(ctx: WeightedContext, f) -> float:
 
 
 def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
-    """Dunkl convolution f * g = c_k F^{-1}[(F f)(F g)] on the spatial grid."""
-    tf = dunkl_transform(ctx, f)
-    tg = dunkl_transform(ctx, g)
-    product = SpectralFunction(grid=ctx.freq_grid,
-                               values=tf.values * tg.values,
+    """Dunkl convolution f * g = c_k F^{-1}[(F f)(F g)] on the spatial grid.
+
+    Either operand may be given as a SpectralFunction (its transform on the
+    frequency grid, e.g. from ``dunkl_transform``), which is then used as it
+    is instead of being transformed again.
+    """
+    def spectrum(h) -> np.ndarray:
+        if isinstance(h, SpectralFunction):
+            return h.values_on(ctx.freq_grid)
+        return dunkl_transform(ctx, h).values
+
+    tf = spectrum(f)
+    tg = spectrum(g)
+    product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg,
                                provenance="symbol")
     back = inverse_dunkl_transform(ctx, product)
     return GridSampled(grid=ctx.grid, values=ctx.c_k * back.values)

@@ -101,7 +101,7 @@ class TestEtaProductExpansion:
         pts = grid.points()
         lhs_vals = t_g_eta_values(ctx, s, zeta, 2, g, pts) * w(pts)
         lhs = grid.integrate(lhs_vals.reshape(grid.shape))
-        ttw = apply_dunkl(ctx, zeta, apply_dunkl(ctx, zeta, w))
+        ttw = apply_dunkl(ctx.system, zeta, apply_dunkl(ctx.system, zeta, w))
         rhs_vals = g(pts) * eta(pts, s) * ttw(pts)
         rhs = grid.integrate(rhs_vals.reshape(grid.shape))
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
@@ -118,8 +118,8 @@ class TestEtaProductExpansion:
         full = t_g_eta_values(ctx, s, zeta, 2, g, pts)
 
         from dunkllab.measure import eta_directional, eta_radial_factor
-        tg = apply_dunkl(ctx, zeta, g)
-        ttg = apply_dunkl(ctx, zeta, tg)
+        tg = apply_dunkl(ctx.system, zeta, g)
+        ttg = apply_dunkl(ctx.system, zeta, tg)
         smooth = (eta(pts, s) * ttg(pts)
                   + 2 * eta_directional(pts, s, zeta, 1) * tg(pts)
                   + g(pts) * eta_directional(pts, s, zeta, 2))
@@ -143,8 +143,8 @@ class TestEtaProductExpansion:
         full = t_g_eta_values(ctx, s, zeta, 2, g, pts)
 
         from dunkllab.measure import eta_directional, eta_radial_factor
-        tg = apply_dunkl(ctx, zeta, g)
-        ttg = apply_dunkl(ctx, zeta, tg)
+        tg = apply_dunkl(ctx.system, zeta, g)
+        ttg = apply_dunkl(ctx.system, zeta, tg)
         smooth = (eta(pts, s) * ttg(pts)
                   + 2 * eta_directional(pts, s, zeta, 1) * tg(pts)
                   + g(pts) * eta_directional(pts, s, zeta, 2))

@@ -185,10 +185,10 @@ class TestOperatorIdentities:
         grid = ctx.grid
         for f in self.battery()[:2]:
             for g in self.battery()[2:]:
-                tf_g = grid.integrate(apply_dunkl(ctx, self.Z1, f)
+                tf_g = grid.integrate(apply_dunkl(ctx.system, self.Z1, f)
                                       .values_on(grid) * g.values_on(grid))
                 f_tg = grid.integrate(f.values_on(grid)
-                                      * apply_dunkl(ctx, self.Z1, g)
+                                      * apply_dunkl(ctx.system, self.Z1, g)
                                       .values_on(grid))
                 assert tf_g == pytest.approx(-f_tg, abs=1e-10)
 

@@ -249,6 +249,16 @@ class TestWeightedContext:
                  * 2.0 ** (2 * 1.0 + 0.5) * gamma(1.5))
         assert ctx.c_k == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.25, 1.0])])
+    def test_ck_bit_identical_to_point_formula(self, system):
+        ctx = WeightedContext(system, n_half=60)
+
+        def gauss(grid):
+            pts = grid.points()
+            return grid.integrate(np.exp(-0.5 * np.sum(pts**2, axis=1)))
+
+        assert ctx.c_k == float(gauss(ctx.grid_fine))
+
     def test_context_rejects_generic_system(self):
         # quadrature contexts need per-coordinate multiplicities; dihedral
         # weights are not tensor products, so only the density/volume/distance

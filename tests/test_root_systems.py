@@ -131,6 +131,59 @@ class TestOrbitDistance:
             orbit_distance(group, y, x))
 
 
+def _min_over_images(group, xs, ys):
+    """The minimum over all |G| images, as for a generic group."""
+    images = np.einsum("gij,mj->mgi", group.matrices, xs)
+    return np.min(np.linalg.norm(images - ys[:, None, :], axis=2), axis=1)
+
+
+class TestProductOrbitDistanceClosedForm:
+    ONE_AXIS = RootSystemSpec(roots=[[SQRT2, 0.0], [-SQRT2, 0.0]],
+                              multiplicity=[0.5, 0.5])
+
+    @pytest.mark.parametrize("spec, flips", [
+        (rank1(0.5), [True]),
+        (product_z2([0.5, 1.0]), [True, True]),
+        (ONE_AXIS, [True, False]),
+    ])
+    def test_bytes_equal_minimum_over_images(self, spec, flips):
+        group = generate_group(spec)
+        assert group.flipped_axes.tolist() == flips
+        rng = np.random.default_rng(5)
+        xs = 3.0 * rng.normal(size=(400, spec.dim))
+        ys = 3.0 * rng.normal(size=(400, spec.dim))
+        xs[::7] = 0.0
+        ys[::5, 0] = 0.0
+        ys[::11] = -0.0
+        xs[::3] = -ys[::3]
+        closed = orbit_distance_pairwise(group, xs, ys)
+        assert closed.tobytes() == _min_over_images(group, xs, ys).tobytes()
+
+    def test_one_axis_system_keeps_the_other_difference(self):
+        group = generate_group(self.ONE_AXIS)
+        d = orbit_distance_pairwise(group, [[1.0, 2.0]], [[-1.0, -2.0]])
+        assert d.tolist() == [4.0]
+
+    @pytest.mark.parametrize("spec", [dihedral(3, 0.5), dihedral(4, 0.5)])
+    def test_non_diagonal_group_matches_scalar(self, spec):
+        group = generate_group(spec)
+        assert group.flipped_axes is None
+        rng = np.random.default_rng(9)
+        xs = rng.normal(size=(50, 2))
+        ys = rng.normal(size=(50, 2))
+        xs[:5] = 0.0
+        batch = orbit_distance_pairwise(group, xs, ys)
+        single = [orbit_distance(group, x, y) for x, y in zip(xs, ys)]
+        assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
+
+    def test_diagonal_subgroup_is_not_a_product(self):
+        # {I, -I} is diagonal but misses the single-axis flips
+        group = ReflectionGroup(matrices=np.array([np.eye(2), -np.eye(2)]))
+        assert group.flipped_axes is None
+        d = orbit_distance_pairwise(group, [[1.0, 2.0]], [[-1.0, 2.0]])
+        assert d.tolist() == [2.0]
+
+
 class TestGroupClosure:
     def test_group_closed_under_multiplication(self):
         group = generate_group(dihedral(3, 1.0))

@@ -1,14 +1,22 @@
 """Weighted integral transform: fixed points, Plancherel, inversion, convolution."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from dunkllab import harness, transform
 from dunkllab import (AccuracyError, CapabilityError, GridSampled, PolyGauss,
                       WeightedContext, apply_dunkl, dunkl_convolve,
                       dunkl_transform, gaussian, hermite_gauss,
                       inverse_at_points, inverse_dunkl_transform,
                       monomial_gauss, plancherel_defect, product_z2, rank1)
-from dunkllab.transform import SpectralFunction
+from dunkllab.dunkl_kernel import kernel_imag_parts
+from dunkllab.quadrature import AxisRule
+from dunkllab.runner import run_check
+from dunkllab.transform import KernelMatrixCache, SpectralFunction
 
 
 def ctx_rank1(k: float) -> WeightedContext:
@@ -91,7 +99,7 @@ class TestDerivativeIdentity:
     def test_rank1(self, k):
         ctx = ctx_rank1(k)
         f = hermite_gauss(1, 0.55)
-        lhs = dunkl_transform(ctx, apply_dunkl(ctx, [1.0], f)).values.ravel()
+        lhs = dunkl_transform(ctx, apply_dunkl(ctx.system, [1.0], f)).values.ravel()
         xi = ctx.freq_grid.points()[:, 0]
         rhs = 1j * xi * dunkl_transform(ctx, f).values.ravel()
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -152,3 +160,88 @@ class TestGuards:
         other = ctx.with_grids(freq_n_half=ctx.freq_n_half + 10)
         with pytest.raises(ValueError):
             tf.values_on(other.freq_grid)
+
+
+class TestFoldedKernelMatrix:
+    """Matrices built from their positive quadrant equal the entrywise
+    evaluation bit for bit."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("halves", [(40, 40), (30, 55)])
+    def test_bytes_equal_entrywise_kernel(self, k, halves):
+        x = AxisRule.build(k, 6.0, halves[0]).nodes
+        xi = AxisRule.build(k, 20.0, halves[1]).nodes
+        re, im = kernel_imag_parts(np.outer(xi, x), k)
+        expect = re + 1j * im
+        got = KernelMatrixCache().matrix(xi, x, k)
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("nodes", [np.array([-1.0, 0.5, 1.0]),
+                                       np.array([-1.0, 0.5, 0.7, 1.0])])
+    def test_unmirrored_nodes_rejected(self, nodes):
+        mirrored = AxisRule.build(0.5, 6.0, 10).nodes
+        with pytest.raises(ValueError, match="mirrored"):
+            KernelMatrixCache().matrix(mirrored, nodes, 0.5)
+
+
+class TestKernelMatrixCacheThreads:
+    def test_one_build_for_concurrent_misses_on_one_key(self, monkeypatch):
+        builds = []
+        release = threading.Event()
+        real = transform._folded_matrix
+
+        def slow_build(*args):
+            builds.append(args)
+            release.wait(5.0)
+            return real(*args)
+
+        monkeypatch.setattr(transform, "_folded_matrix", slow_build)
+        cache = KernelMatrixCache()
+        nodes = AxisRule.build(0.5, 6.0, 20).nodes
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(cache.matrix, nodes, nodes, 0.5)
+                       for _ in range(2)]
+            while not builds:
+                time.sleep(0.001)
+            time.sleep(0.05)  # the second lookup now waits on the first
+            release.set()
+            first, second = (f.result() for f in futures)
+        assert len(builds) == 1
+        assert first is second
+
+    def test_byte_count_matches_store_under_eviction(self):
+        rules = [AxisRule.build(0.5, 6.0, n).nodes for n in range(10, 34)]
+        cache = KernelMatrixCache(max_bytes=3 * rules[-1].size ** 2 * 16)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for mat in pool.map(lambda x: cache.matrix(x, x, 0.5), rules * 2):
+                assert mat.shape[0] == mat.shape[1]
+        assert cache._bytes == sum(m.nbytes for m in cache._store.values())
+        assert cache._bytes <= cache.max_bytes
+        assert not cache._building
+
+
+class TestConvolutionOperands:
+    def test_spectral_operand_matches_function_operand(self):
+        ctx = ctx_rank1(0.5)
+        f, g = gaussian(1, 0.5), hermite_gauss(2, 0.6)
+        direct = dunkl_convolve(ctx, f, g).values
+        via_spectra = dunkl_convolve(ctx, dunkl_transform(ctx, f),
+                                     dunkl_transform(ctx, g)).values
+        assert via_spectra.tobytes() == direct.tobytes()
+
+    def test_compact_support_transforms_each_bump_once(self, monkeypatch):
+        calls = []
+        real = transform.dunkl_transform
+
+        def counting(ctx, f, **kwargs):
+            calls.append(f)
+            return real(ctx, f, **kwargs)
+
+        monkeypatch.setattr(transform, "dunkl_transform", counting)
+        monkeypatch.setattr(harness, "dunkl_transform", counting)
+        radii = [0.5, 1.0, 2.0]
+        report = run_check(ctx_rank1(0.5), "compact-support-l1",
+                           {"radii": radii})
+        assert report.passed
+        assert len(calls) == len(radii)
