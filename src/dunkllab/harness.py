@@ -33,7 +33,8 @@ from .forms import EPSILON_MAX, BilinearFormSpec, _coercivity_terms
 from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
 from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
                       dunkl_translate, evaluate_q, freq_box_for, heat_kernel,
-                      heat_kernel_two_point, q_on_grid, two_point_kernel)
+                      heat_kernel_two_point, q_on_grid, spatial_rule,
+                      two_point_kernel)
 from .measure import EtaFields, WeightedContext, volume_max_pairs
 from .report import VerificationReport, grid_metadata
 from .root_systems import orbit_distance_pairwise
@@ -395,13 +396,16 @@ def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                                  params: dict) -> VerificationReport:
     stab_tol = params["stability_tol"]
     shifts = np.geomspace(0.05, 2.0, 24)
+    if spec.ell > 1:
+        ctx = ctx.with_grids(*spatial_rule(ctx, spec))
     qctx = _freq_sized_ctx(ctx, spec, params)
     base = q_on_grid(qctx, spec)
+    base_spectrum = dunkl_transform(qctx, base)
     sups = []
     for r in shifts:
         x = np.zeros(ctx.dim)
         x[0] = r
-        moved = dunkl_translate(qctx, base, x)
+        moved = dunkl_translate(qctx, base_spectrum, x)
         sups.append(float(np.max(np.abs(moved.values - base.values))))
     sups = np.asarray(sups)
     # calibration takes the odd half so it contains the largest shift:
@@ -444,7 +448,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
                              for key in GRID_SCHEMA["properties"]})
     grid_shape = bctx.grid.shape
     pts = bctx.grid.points()
-    norms = np.linalg.norm(pts, axis=1).reshape(grid_shape)
+    norms = np.sqrt(bctx.grid.outer_sum(lambda d, x: x * x))
     # f and phi are the same bumps: transform each radius once
     bumps = {r: radial_bump(ctx.dim, r) for r in radii}
     spectra = {r: dunkl_transform(bctx, bump) for r, bump in bumps.items()}
@@ -488,6 +492,21 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
               "takes r1 >= r2, held-out the mirrored pairs")
 
 
+def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:
+    """d(x, y) at every node x of the spatial grid, in its shape.
+
+    A transform context's group is a sign-flip product, so the closed form
+    of ``orbit_distance_pairwise`` is taken axis by axis, bit-identical to
+    it on ``points()`` but without forming them.
+    """
+    flips = ctx.group.flipped_axes
+
+    def square(d, x):
+        diff = np.abs(x) - np.abs(y[d]) if flips[d] else x - y[d]
+        return diff * diff
+    return np.sqrt(ctx.grid.outer_sum(square))
+
+
 @register("exp-weighted-l1",
           "exponentially weighted integrability: the integral of "
           "|tau_y(q_1^{(eps0)} * h_{eps0/2})(-x)| exp(c d(x,y)^{2l/(2l-1)}) "
@@ -511,19 +530,25 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
     a_exp = 2.0 * ell / (2.0 * ell - 1.0)
 
     def weighted_integral(cctx: WeightedContext) -> float:
+        # each grid-sized array is dropped once used, so at most a few are
+        # alive at a time on the largest grid
         q_eps = q_on_grid(cctx, spec)
-        h_vals = heat_kernel(cctx, cctx.grid.points(), eps0 / 2.0)
         h_half = GridSampled(grid=cctx.grid,
-                             values=h_vals.reshape(cctx.grid.shape))
-        conv = dunkl_convolve(cctx, q_eps, h_half)
-        moved = dunkl_translate(
-            cctx, GridSampled(grid=cctx.grid, values=conv.values.real), y_shift)
-        flipped = moved.values[(slice(None, None, -1),) * cctx.dim]
-        pts = cctx.grid.points()
-        d = orbit_distance_pairwise(
-            cctx.group, pts, np.broadcast_to(y_shift, pts.shape))
-        weight = np.exp(c_weight * d**a_exp).reshape(cctx.grid.shape)
-        return float(cctx.grid.integrate(np.abs(flipped) * weight))
+                             values=heat_kernel(cctx, cctx.grid, eps0 / 2.0))
+        conv = dunkl_convolve(cctx, q_eps, h_half).values
+        del q_eps, h_half
+        real = GridSampled(grid=cctx.grid, values=conv.real.copy(order="K"))
+        del conv
+        moved = dunkl_translate(cctx, real, y_shift).values
+        del real
+        flipped = np.abs(moved[(slice(None, None, -1),) * cctx.dim])
+        del moved
+        weight = _orbit_distance_to(cctx, y_shift)
+        weight **= a_exp
+        weight *= c_weight
+        np.exp(weight, out=weight)
+        flipped *= weight
+        return float(cctx.grid.integrate(flipped))
 
     base_ctx = convolution_context(ctx, spec, params, t_min=eps0 / 2.0)
     fine_ctx = base_ctx.with_grids(n_half=int(1.5 * base_ctx.n_half))

@@ -34,8 +34,8 @@ from .measure import WeightedContext
 from .operators import dunkl_laplacian
 from .quadrature import TensorGrid
 from .report import VerificationReport, grid_metadata
-from .transform import (dunkl_convolve, dunkl_transform, inverse_at_points,
-                        inverse_dunkl_transform)
+from .transform import (SpectralFunction, dunkl_convolve, dunkl_transform,
+                        inverse_at_points, inverse_dunkl_transform)
 
 T_DIRECT_MIN = 0.25
 T_DIRECT_MAX = 4.0
@@ -194,19 +194,32 @@ def q_on_grid(ctx: WeightedContext, spec: KernelSpec) -> GridSampled:
     if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
         raise ValueError("grid sampling expects t in [0.25, 4]; rescale first")
     sym = _symbol_exp_on(spec, ctx.freq_grid, spec.t)
-    back = inverse_dunkl_transform(ctx, sym)
-    vals = _real_part_checked(back.values / ctx.c_k, "q_t on grid")
+    back = inverse_dunkl_transform(ctx, sym).values
+    back /= ctx.c_k
+    # a copy in the grid's memory order, so the complex buffer is released
+    vals = _real_part_checked(back, "q_t on grid").copy(order="K")
     return GridSampled(grid=ctx.grid, values=vals)
 
 
 def heat_kernel(ctx: WeightedContext, x, t: float) -> float | np.ndarray:
-    """h_t(x) = c_k^{-1} (2t)^{-N_h/2} exp(-|x|^2/(4t))."""
+    """h_t(x) = c_k^{-1} (2t)^{-N_h/2} exp(-|x|^2/(4t)).
+
+    ``x`` is a point (N,), a batch (M, N), or a TensorGrid: then the values
+    come in the grid's shape, formed from its axes and in place.
+    """
     if t <= 0:
         raise ValueError("time t must be positive")
+    amp = (2.0 * t) ** (-ctx.homogeneous_dim / 2.0) / ctx.c_k
+    if isinstance(x, TensorGrid):
+        out = x.outer_sum(lambda d, u: u**2)
+        np.negative(out, out=out)
+        out /= 4.0 * t
+        np.exp(out, out=out)
+        out *= amp
+        return out
     x = np.asarray(x, dtype=float)
     single = x.ndim <= 1
     pts = np.atleast_2d(x)
-    amp = (2.0 * t) ** (-ctx.homogeneous_dim / 2.0) / ctx.c_k
     out = amp * np.exp(-np.sum(pts**2, axis=1) / (4.0 * t))
     return float(out[0]) if single else out
 
@@ -243,10 +256,15 @@ def _kernel_at_point(ctx: WeightedContext, x: np.ndarray, grid: TensorGrid) -> n
 
 
 def dunkl_translate(ctx: WeightedContext, f, x) -> GridSampled:
-    """tau_x f on the spatial grid: F^{-1}[E(i xi, x) F f(xi)]."""
+    """tau_x f on the spatial grid: F^{-1}[E(i xi, x) F f(xi)].
+
+    ``f`` may be given as a SpectralFunction (its transform), which is then
+    used as it is instead of being transformed again.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    tf = dunkl_transform(ctx, f)
-    shifted = tf.values * _kernel_at_point(ctx, x, ctx.freq_grid)
+    tf = (f.values_on(ctx.freq_grid) if isinstance(f, SpectralFunction)
+          else dunkl_transform(ctx, f).values)
+    shifted = tf * _kernel_at_point(ctx, x, ctx.freq_grid)
     back = inverse_dunkl_transform(ctx, shifted)
     vals = _real_part_checked(back.values, "translated function")
     return GridSampled(grid=ctx.grid, values=vals)
@@ -305,14 +323,22 @@ CONVOLUTION_GRID = grid_params(
     freq_n_half=Derived("200"))
 
 
+def spatial_rule(ctx: WeightedContext, spec: KernelSpec) -> tuple[float, int]:
+    """(box, n_half) of a spatial grid that holds q of order l, which decays
+    slowly for l >= 2: a 12 box on the config's nodes for l = 1, a 48 box
+    on 600 nodes per half-axis for l >= 2."""
+    return (12.0, ctx.n_half) if spec.ell == 1 else (48.0, 600)
+
+
 def convolution_context(ctx: WeightedContext, spec: KernelSpec,
                         params: dict, t_min: float) -> WeightedContext:
-    """Context sized for convolution checks: the spatial box must contain the
-    slowly decaying q of order l, the frequency box the symbol decay down to
+    """Context sized for convolution checks: the spatial grid holds q of
+    order l (``spatial_rule``), the frequency box the symbol decay down to
     time ``t_min``; grid keys given in ``params`` take precedence."""
+    box, n_half = spatial_rule(ctx, spec)
     return ctx.with_grids(
-        box=params["box"] or (12.0 if spec.ell == 1 else 48.0),
-        n_half=params["n_half"] or (ctx.n_half if spec.ell == 1 else 600),
+        box=params["box"] or box,
+        n_half=params["n_half"] or n_half,
         freq_box=params["freq_box"] or float(
             np.ceil(freq_box_for(replace(spec, t=t_min)) * 1.1)),
         freq_n_half=params["freq_n_half"] or 200)
@@ -430,6 +456,16 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
     tol, t_values = params["tol"], params["t_values"]
     pts = _default_points(ctx.dim, radii=np.linspace(0.0, 2.0, 9))
+    # q_t is integrated at t inside the direct range and at unit time
+    # outside it; enlarge the frequency box only when it cannot hold the
+    # symbol decay of every spec integrated
+    integrated = [_rescale_to_unit_time(replace(spec, t=t))[0]
+                  for t in t_values]
+    integrated += [replace(spec, t=t) for t in t_values
+                   if T_DIRECT_MIN <= t <= T_DIRECT_MAX]
+    need = max(freq_box_for(s) for s in integrated)
+    if ctx.freq_box < need:
+        ctx = ctx.with_grids(freq_box=float(np.ceil(1.1 * need)))
     defect = 0.0
     for t in t_values:
         spec_t = replace(spec, t=t)
@@ -455,8 +491,8 @@ def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
     eps0, tol = params["eps0"], params["tol"]
     cctx = _identity_context(ctx, spec, params, t_min=eps0 / 2.0)
     q_eps = q_on_grid(cctx, replace(spec, eps=spec.eps + eps0))
-    h_vals = heat_kernel(cctx, cctx.grid.points(), eps0 / 2.0)
-    h_half = GridSampled(grid=cctx.grid, values=h_vals.reshape(cctx.grid.shape))
+    h_half = GridSampled(grid=cctx.grid,
+                         values=heat_kernel(cctx, cctx.grid, eps0 / 2.0))
     step1 = dunkl_convolve(cctx, q_eps, h_half)
     step1 = GridSampled(grid=cctx.grid, values=step1.values.real)
     step2 = dunkl_convolve(cctx, step1, h_half)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import AccuracyError, CapabilityError
-from .quadrature import TensorGrid, check_shell
+from .quadrature import AxisRule, TensorGrid, check_shell
 from .root_systems import ReflectionGroup, RootSystemSpec, generate_group
 
 DEFAULT_SHELL_TOL = 1e-10
@@ -241,6 +241,25 @@ class EtaFields:
 # weighted context
 # ---------------------------------------------------------------------------
 
+def _geometry(grid: TensorGrid) -> tuple:
+    """(k, half-width, n_half) per axis: what a grid is built from."""
+    return tuple((ax.k, ax.half_width, ax.n_half) for ax in grid.axes)
+
+
+@lru_cache(maxsize=16)
+def _gaussian_mass(geometry: tuple) -> float:
+    """int exp(-|x|^2/2) dw by the quadrature of one grid geometry, once per
+    process: a refined context's base grid is the refined grid of the
+    context it came from, so both of their c_k need the same sum.  The
+    field is formed on the grid axes and scaled in place."""
+    grid = TensorGrid(axes=tuple(AxisRule.build(*axis) for axis in geometry))
+    vals = grid.outer_sum(lambda d, x: x ** 2)
+    vals *= -0.5
+    np.exp(vals, out=vals)
+    vals *= grid.weight_tensor()
+    return np.sum(vals)
+
+
 @dataclass
 class WeightedContext:
     """Root system + quadrature grids + cached normalization constant.
@@ -310,14 +329,8 @@ class WeightedContext:
     def c_k(self) -> float:
         """Gaussian mass integral c_k = ∫ exp(-|x|^2/2) dw(x), by quadrature,
         refinement-checked; cross-checked against (2 pi)^{dim/2} when k = 0."""
-        def gauss(grid):
-            r2 = grid.axis_nodes(0) ** 2
-            for d in range(1, grid.dim):
-                r2 = np.add.outer(r2, grid.axis_nodes(d) ** 2)
-            return grid.integrate(np.exp(-0.5 * r2))
-
-        base = gauss(self.grid)
-        fine = gauss(self.grid_fine)
+        base = _gaussian_mass(_geometry(self.grid))
+        fine = _gaussian_mass(_geometry(self.grid_fine))
         if abs(base - fine) > 1e-9 * abs(fine):
             raise AccuracyError(
                 f"normalization constant unstable under refinement: "

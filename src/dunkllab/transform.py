@@ -5,20 +5,27 @@ Inverse:  F^{-1} g(x) = c_k^{-1} int E(i xi, x) g(xi) dw(xi)
 
 Both sides use the tensor quadrature grids of the WeightedContext.  For
 product systems E factors per coordinate, so the transform is one matrix
-product per axis; the per-axis kernel-value matrices are cached (they are
-the dominant memory object) under a byte cap.
+product per axis, with the quadrature weights folded into the matrix:
+
+    forward   conj(E) * w_x     E[a, b] = E(i xi_a x_b)
+    inverse   E.T * w_xi        (E(i x_a xi_b) = E(i xi_b x_a), products commute)
+
+The cache holds these weighted operators (the dominant memory object),
+both in C order, under a byte cap; the raw E is not kept.
 
 Every axis rule is mirrored (nodes = concat(-x[::-1], x)), and on the
-imaginary axis Re E(iu) is even and Im E(iu) is odd.  So a matrix
-E(i xi_a x_b) is built from its positive quadrant alone: the other three
-quadrants are that quadrant reversed, conjugated where one factor is
-negative.  The rank-one kernel is evaluated once per quadrant entry, and
-the matrix is bit-identical to evaluating every entry.
+imaginary axis Re E(iu) is even and Im E(iu) is odd.  So E is determined
+by its positive quadrant: the other three quadrants are that quadrant
+reversed, conjugated where one factor is negative.  The rank-one kernel
+is evaluated once per quadrant entry and per (frequency rule, spatial
+rule) pair, and that one evaluation gives both operators, bit-identical
+to evaluating every entry of each.
 
 The cache is shared by the runner's worker threads.  A lock guards its
-dictionary updates only; the first thread to miss on a key builds that
-matrix while later threads asking for the same key wait for it and get the
-same array, and matrices for different keys are built concurrently.
+dictionary updates only; the first thread to miss on a grid pair builds
+its operators while later threads asking for the same pair wait for it
+and get the same arrays, and operators for different pairs are built
+concurrently.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .dunkl_kernel import kernel_imag_parts
 from .errors import AccuracyError, CapabilityError
 from .functions import GridSampled
 from .measure import DEFAULT_SHELL_TOL, WeightedContext
-from .quadrature import TensorGrid, boundary_shell_fraction
+from .quadrature import AxisRule, TensorGrid, boundary_shell_fraction
 
 
 def _half(nodes: np.ndarray) -> np.ndarray:
@@ -46,12 +53,9 @@ def _half(nodes: np.ndarray) -> np.ndarray:
     return nodes[n:]
 
 
-def _folded_matrix(xi_nodes: np.ndarray, x_nodes: np.ndarray, k: float) -> np.ndarray:
-    """E(i xi_a x_b) from its positive quadrant; Re is even, Im is odd."""
-    xi, x = _half(xi_nodes), _half(x_nodes)
-    n, m = xi.size, x.size
-    re, im = kernel_imag_parts(np.outer(xi, x), k)
-    q = re + 1j * im
+def _unfold(q: np.ndarray) -> np.ndarray:
+    """The mirrored-grid matrix with positive quadrant q (C order)."""
+    n, m = q.shape
     mat = np.empty((2 * n, 2 * m), dtype=complex)
     mat[n:, m:] = q
     mat[:n, :m] = q[::-1, ::-1]
@@ -60,8 +64,22 @@ def _folded_matrix(xi_nodes: np.ndarray, x_nodes: np.ndarray, k: float) -> np.nd
     return mat
 
 
+def _weighted_operators(freq: AxisRule, space: AxisRule,
+                        k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(conj(E) * w_x, E.T * w_xi) for E = E(i xi_a x_b), from one
+    evaluation of its positive quadrant; Re is even, Im is odd."""
+    re, im = kernel_imag_parts(np.outer(_half(freq.nodes), _half(space.nodes)), k)
+    q = re + 1j * im
+    forward = _unfold(np.conj(q))
+    forward *= space.weights[None, :]
+    inverse = _unfold(q.T)
+    inverse *= freq.weights[None, :]
+    return forward, inverse
+
+
 class KernelMatrixCache:
-    """Per-axis matrices E(i xi_a x_b), keyed by nodes and multiplicity.
+    """Weighted per-axis operators of the transform, keyed by the frequency
+    rule, the spatial rule and the multiplicity.
 
     Safe under threads, and single-flight: one build per key however many
     threads miss on it at once.
@@ -69,26 +87,35 @@ class KernelMatrixCache:
 
     def __init__(self, max_bytes: int = 256 * 2**20):
         self.max_bytes = max_bytes
-        self._store: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._store: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
         self._building: dict[bytes, Future] = {}
 
-    def matrix(self, xi_nodes: np.ndarray, x_nodes: np.ndarray, k: float) -> np.ndarray:
-        key = (np.float64(k).tobytes() + xi_nodes.tobytes() + x_nodes.tobytes())
+    def matrix(self, freq: AxisRule, space: AxisRule, k: float,
+               forward: bool) -> np.ndarray:
+        """conj(E) * w_x (frequency x space) if ``forward``, else
+        E.T * w_xi (space x frequency)."""
+        key = b"".join((np.float64(k).tobytes(), freq.nodes.tobytes(),
+                        freq.weights.tobytes(), space.nodes.tobytes(),
+                        space.weights.tobytes()))
         with self._lock:
-            hit = self._store.get(key)
-            if hit is not None:
+            ops = self._store.get(key)
+            if ops is not None:
                 self._store.move_to_end(key)
-                return hit
+                return ops[0] if forward else ops[1]
             pending = self._building.get(key)
             owner = pending is None
             if owner:
                 pending = self._building[key] = Future()
-        if not owner:
-            return pending.result()
+        ops = (self._build(key, pending, freq, space, k) if owner
+               else pending.result())
+        return ops[0] if forward else ops[1]
+
+    def _build(self, key: bytes, pending: Future, freq: AxisRule,
+               space: AxisRule, k: float) -> tuple[np.ndarray, np.ndarray]:
         try:
-            mat = _folded_matrix(xi_nodes, x_nodes, k)
+            ops = _weighted_operators(freq, space, k)
         except BaseException as exc:
             with self._lock:
                 del self._building[key]
@@ -96,13 +123,17 @@ class KernelMatrixCache:
             raise
         with self._lock:
             del self._building[key]
-            self._store[key] = mat
-            self._bytes += mat.nbytes
+            self._store[key] = ops
+            self._bytes += _nbytes(ops)
             while self._bytes > self.max_bytes and len(self._store) > 1:
                 _, old = self._store.popitem(last=False)
-                self._bytes -= old.nbytes
-        pending.set_result(mat)
-        return mat
+                self._bytes -= _nbytes(old)
+        pending.set_result(ops)
+        return ops
+
+
+def _nbytes(ops: tuple[np.ndarray, np.ndarray]) -> int:
+    return sum(op.nbytes for op in ops)
 
 
 _CACHE = KernelMatrixCache()
@@ -141,17 +172,17 @@ def _values_on(f, grid: TensorGrid) -> np.ndarray:
 
 
 def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
-                    src: TensorGrid, dst: TensorGrid, conjugate: bool) -> np.ndarray:
-    """Apply the per-axis kernel matrices: dst_a <- sum_b E(+-i a b) w_b vals_b."""
+                    src: TensorGrid, dst: TensorGrid, forward: bool) -> np.ndarray:
+    """Apply the cached weighted operators axis by axis, then divide by c_k
+    in place."""
     ks = ctx.axis_ks
+    freq, space = (dst, src) if forward else (src, dst)
     out = np.asarray(vals, dtype=complex)
     for d in range(ctx.dim):
-        mat = _CACHE.matrix(dst.axis_nodes(d), src.axis_nodes(d), ks[d])
-        if conjugate:
-            mat = np.conj(mat)
-        weighted = mat * src.axes[d].weights[None, :]
-        out = np.moveaxis(np.tensordot(weighted, out, axes=([1], [d])), 0, d)
-    return out / ctx.c_k
+        op = _CACHE.matrix(freq.axes[d], space.axes[d], ks[d], forward)
+        out = np.moveaxis(np.tensordot(op, out, axes=([1], [d])), 0, d)
+    out /= ctx.c_k
+    return out
 
 
 def dunkl_transform(ctx: WeightedContext, f, *, shell_tol: float = DEFAULT_SHELL_TOL,
@@ -170,13 +201,13 @@ def dunkl_transform(ctx: WeightedContext, f, *, shell_tol: float = DEFAULT_SHELL
         raise AccuracyError(
             f"boundary shell carries {frac:.3g} of |f| mass "
             f"(tolerance {shell_tol:.3g}); enlarge the spatial box")
-    out = _axis_transform(ctx, vals, ctx.grid, ctx.freq_grid, conjugate=True)
+    out = _axis_transform(ctx, vals, ctx.grid, ctx.freq_grid, forward=True)
     if check_accuracy:
         if isinstance(f, GridSampled):
             raise CapabilityError("accuracy check needs an off-grid evaluator")
         fine_vals = _values_on(f, ctx.grid_fine)
         fine = _axis_transform(ctx, fine_vals, ctx.grid_fine, ctx.freq_grid,
-                               conjugate=True)
+                               forward=True)
         err = np.max(np.abs(fine - out)) / max(np.max(np.abs(fine)), 1e-300)
         if err > 1e-8:
             raise AccuracyError(
@@ -197,7 +228,7 @@ def inverse_dunkl_transform(ctx: WeightedContext, g) -> GridSampled:
         vals = np.asarray(g(ctx.freq_grid.points())).reshape(ctx.freq_grid.shape)
     else:
         vals = np.asarray(g).reshape(ctx.freq_grid.shape)
-    out = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid, conjugate=False)
+    out = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid, forward=False)
     return GridSampled(grid=ctx.grid, values=out)
 
 
@@ -249,5 +280,6 @@ def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
     tg = spectrum(g)
     product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg,
                                provenance="symbol")
-    back = inverse_dunkl_transform(ctx, product)
-    return GridSampled(grid=ctx.grid, values=ctx.c_k * back.values)
+    vals = inverse_dunkl_transform(ctx, product).values
+    vals *= ctx.c_k
+    return GridSampled(grid=ctx.grid, values=vals)

@@ -6,14 +6,15 @@ import pytest
 from dunkllab import (BilinearFormSpec, CapabilityError, KernelSpec,
                       WeightedContext, check_garding,
                       check_heat_gaussian_bound, check_thm1_decay,
-                      check_two_point_bound, hermite_family, product_z2, rank1,
-                      run_check)
+                      check_two_point_bound, harness, hermite_family, kernels,
+                      product_z2, rank1, run_check, transform)
 from dunkllab.fitting import (FitConvergenceError, alternating_split,
                               envelope_fit, envelope_fit_upper,
                               envelope_holdout_ratio, fit_decay_exponent,
                               garding_holdout_ratio, garding_lp,
                               ratio_constant_fit, ratio_holdout_ratio)
 from dunkllab.harness import decay_rays, decay_samples, make_pair_grid
+from dunkllab.root_systems import RootSystemSpec, orbit_distance_pairwise
 
 
 class TestDecayExponentFit:
@@ -290,3 +291,39 @@ class TestAuxiliaryDispatch:
         assert report.passed
         assert report.fitted["C_cal"] > 0
         assert report.fitted["stability"] <= 0.05
+
+    def test_translation_lipschitz_transforms_q_once(self, monkeypatch):
+        calls = []
+        real = transform.dunkl_transform
+
+        def counting(ctx, f, **kwargs):
+            calls.append(f)
+            return real(ctx, f, **kwargs)
+
+        for module in (transform, harness, kernels):
+            monkeypatch.setattr(module, "dunkl_transform", counting)
+        report = run_check(WeightedContext(rank1(0.5)),
+                           "translation-lipschitz")
+        assert report.passed
+        assert len(calls) == 1
+
+
+class TestGridOrbitDistance:
+    ONE_AXIS = RootSystemSpec(roots=[[np.sqrt(2.0), 0.0],
+                                     [-np.sqrt(2.0), 0.0]],
+                              multiplicity=[0.5, 0.5])
+
+    @pytest.mark.parametrize("system, y", [
+        (rank1(0.5), [0.5]), (rank1(0.5), [-0.7]),
+        (product_z2([0.5, 1.0]), [0.5, 0.0]),
+        (product_z2([0.5, 1.0]), [-1.25, 0.75]),
+        (ONE_AXIS, [0.5, -0.75])])
+    def test_bytes_equal_pairwise_on_points(self, system, y):
+        ctx = WeightedContext(system, n_half=25)
+        y = np.asarray(y)
+        pts = ctx.grid.points()
+        expect = orbit_distance_pairwise(ctx.group, pts,
+                                         np.broadcast_to(y, pts.shape))
+        got = harness._orbit_distance_to(ctx, y)
+        assert got.shape == ctx.grid.shape
+        assert got.tobytes() == expect.tobytes()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dunkllab import (KernelSpec, SymbolError, WeightedContext, dunkl_translate,
-                      evaluate_q, freq_box_for, gaussian, heat_kernel,
+from dunkllab import (KernelSpec, SymbolError, WeightedContext,
+                      dunkl_transform, dunkl_translate, evaluate_q,
+                      freq_box_for, gaussian, heat_kernel,
                       heat_kernel_two_point, product_z2, q_on_grid, rank1,
                       run_check, translate_at_points, two_point_kernel)
 
@@ -111,6 +112,16 @@ class TestHeatOracle:
         assert np.max(np.abs(got - expect) / expect) < 1e-9
 
 
+class TestGridFields:
+    @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.25, 1.0])])
+    def test_heat_kernel_on_grid_bytes_equal_points(self, system):
+        ctx = WeightedContext(system, n_half=30)
+        on_grid = heat_kernel(ctx, ctx.grid, 0.05)
+        on_points = heat_kernel(ctx, ctx.grid.points(), 0.05)
+        assert on_grid.shape == ctx.grid.shape
+        assert on_grid.tobytes() == on_points.tobytes()
+
+
 class TestGridEvaluator:
     def test_grid_matches_pointwise(self):
         ctx = WeightedContext(rank1(0.5))
@@ -188,6 +199,15 @@ class TestTranslation:
         at_pts = translate_at_points(ctx, f, [0.8], ctx.grid.points())
         assert np.max(np.abs(at_pts - moved.values.ravel())) < 1e-11
 
+    @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.5, 1.0])])
+    def test_spectral_operand_matches_function_operand(self, system):
+        ctx = WeightedContext(system, n_half=40)
+        f = gaussian(system.dim, 0.6)
+        x = [0.7] + [-0.3] * (system.dim - 1)
+        direct = dunkl_translate(ctx, f, x).values
+        via_spectrum = dunkl_translate(ctx, dunkl_transform(ctx, f), x).values
+        assert via_spectrum.tobytes() == direct.tobytes()
+
     def test_classical_translation_shifts(self):
         # at k = 0 the frequency multiplier is e^{i xi x}, so the generalized
         # translation by x sends f to f(x + .)
@@ -241,4 +261,18 @@ class TestIdentityChecks:
             ctx, "kernel-scaling",
             {"spec": {"directions": [[1.0]], "ell": 2, "t": 1.0},
              "t_values": [0.5, 2.0]})
+        assert report.passed
+
+    def test_scaling_keeps_a_sufficient_frequency_box(self):
+        report = run_check(WeightedContext(rank1(0.5)), "kernel-scaling")
+        assert report.grid["freq_box"] == 13.0
+
+    def test_scaling_enlarges_a_frequency_box_too_small_for_some_time(self):
+        # at t = 0.5 this symbol needs a box of about 17 > 13
+        ctx = WeightedContext(product_z2([0.25, 1.0]))
+        spec = {"directions": [[1.0, 0.0], [1.0, 1.0]], "eps": 0.1}
+        report = run_check(ctx, "kernel-scaling", {"spec": spec})
+        need = freq_box_for(KernelSpec.from_config(dict(spec, t=0.5), 2))
+        assert need > ctx.freq_box
+        assert report.grid["freq_box"] == np.ceil(1.1 * need)
         assert report.passed

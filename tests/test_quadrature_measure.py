@@ -58,6 +58,17 @@ class TestTensorGrid:
         fine = grid.refined()
         assert fine.axes[0].n_half == 30
 
+    @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]])
+    def test_outer_sum_bytes_equal_point_rows(self, ks):
+        grid = TensorGrid.build(ks=ks, half_widths=6.0, n_halves=25)
+        pts = grid.points()
+        squares = grid.outer_sum(lambda d, x: x * x)
+        assert squares.shape == grid.shape and squares.flags.c_contiguous
+        assert (squares.tobytes()
+                == np.add.reduce(pts * pts, axis=1).tobytes())
+        assert (np.sqrt(squares).tobytes()
+                == np.linalg.norm(pts, axis=1).tobytes())
+
     def test_shell_fraction_flags_boundary_mass(self):
         grid = TensorGrid.build(ks=0.0, half_widths=5.0, n_halves=60)
         x = grid.points()[:, 0].reshape(grid.shape)
@@ -258,6 +269,15 @@ class TestWeightedContext:
             return grid.integrate(np.exp(-0.5 * np.sum(pts**2, axis=1)))
 
         assert ctx.c_k == float(gauss(ctx.grid_fine))
+
+    def test_gaussian_mass_once_per_grid_geometry(self):
+        # the refined context's base grid is the base context's fine grid
+        measure._gaussian_mass.cache_clear()
+        base = WeightedContext(product_z2([0.5, 0.5]), n_half=40)
+        fine = base.with_grids(n_half=60)
+        assert base.c_k != fine.c_k
+        info = measure._gaussian_mass.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
 
     def test_context_rejects_generic_system(self):
         # quadrature contexts need per-coordinate multiplicities; dihedral

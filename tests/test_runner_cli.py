@@ -413,6 +413,20 @@ class TestRunEndToEnd:
         assert "error in check 0 (kernel-mass):" in out
         assert "unstable under refinement" in out
 
+    def test_order_two_translation_lipschitz_sizes_its_spatial_box(
+            self, tmp_path, out_dir, capsys):
+        # q_1 of order 2 outlives the default 12 box; the check takes the
+        # spatial grid of the convolution checks and reaches a verdict
+        config = {"system": {"type": "rank1", "k": 1.0},
+                  "kernel": {"ell": 2},
+                  "checks": [{"kind": "translation-lipschitz"}]}
+        path = write_config(tmp_path, config)
+        assert run(str(path)) != 1
+        assert "error in check" not in capsys.readouterr().out
+        report_path, = out_dir.glob("*translation-lipschitz.json")
+        grid = json.loads(report_path.read_text())["grid"]
+        assert (grid["box"], grid["n_half"]) == (48.0, 600)
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(str(tmp_path / "nope.json")) == 1
         assert "cannot read config" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Weighted integral transform: fixed points, Plancherel, inversion, convolution."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -162,45 +163,109 @@ class TestGuards:
             tf.values_on(other.freq_grid)
 
 
+def entrywise(rows: np.ndarray, cols: np.ndarray, k: float) -> np.ndarray:
+    """E(i r_a c_b), one kernel evaluation per entry."""
+    re, im = kernel_imag_parts(np.outer(rows, cols), k)
+    return re + 1j * im
+
+
 class TestFoldedKernelMatrix:
-    """Matrices built from their positive quadrant equal the entrywise
-    evaluation bit for bit."""
+    """The cached weighted operators equal the weighted entrywise kernel
+    matrices of each direction bit for bit, in C order."""
 
     @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("halves", [(40, 40), (30, 55)])
     def test_bytes_equal_entrywise_kernel(self, k, halves):
-        x = AxisRule.build(k, 6.0, halves[0]).nodes
-        xi = AxisRule.build(k, 20.0, halves[1]).nodes
-        re, im = kernel_imag_parts(np.outer(xi, x), k)
-        expect = re + 1j * im
-        got = KernelMatrixCache().matrix(xi, x, k)
-        assert got.shape == expect.shape
-        assert got.tobytes() == expect.tobytes()
+        space = AxisRule.build(k, 6.0, halves[0])
+        freq = AxisRule.build(k, 20.0, halves[1])
+        cache = KernelMatrixCache()
+        forward = cache.matrix(freq, space, k, forward=True)
+        inverse = cache.matrix(freq, space, k, forward=False)
+        expect_fwd = (np.conj(entrywise(freq.nodes, space.nodes, k))
+                      * space.weights[None, :])
+        expect_inv = (entrywise(space.nodes, freq.nodes, k)
+                      * freq.weights[None, :])
+        for got, expect in ((forward, expect_fwd), (inverse, expect_inv)):
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+            assert got.flags.c_contiguous
 
     @pytest.mark.parametrize("nodes", [np.array([-1.0, 0.5, 1.0]),
                                        np.array([-1.0, 0.5, 0.7, 1.0])])
     def test_unmirrored_nodes_rejected(self, nodes):
-        mirrored = AxisRule.build(0.5, 6.0, 10).nodes
+        mirrored = AxisRule.build(0.5, 6.0, 10)
+        other = AxisRule(nodes=nodes, weights=np.ones_like(nodes), k=0.5,
+                         half_width=1.0, n_half=nodes.size // 2)
         with pytest.raises(ValueError, match="mirrored"):
-            KernelMatrixCache().matrix(mirrored, nodes, 0.5)
+            KernelMatrixCache().matrix(mirrored, other, 0.5, forward=True)
+
+    def test_one_quadrant_evaluation_serves_both_directions(self,
+                                                            monkeypatch):
+        sizes = []
+        real = transform.kernel_imag_parts
+
+        def counting(u, k):
+            sizes.append(np.size(u))
+            return real(u, k)
+
+        monkeypatch.setattr(transform, "kernel_imag_parts", counting)
+        space = AxisRule.build(0.5, 6.0, 30)
+        freq = AxisRule.build(0.5, 20.0, 45)
+        cache = KernelMatrixCache()
+        for forward in (True, False, True, False):
+            cache.matrix(freq, space, 0.5, forward=forward)
+        assert sizes == [30 * 45]
+
+
+def old_axis_transform(ctx, vals, src, dst, conjugate):
+    """The transform as it was written before the cache held weighted
+    operators: raw E per axis, conjugated and weighted on every call."""
+    ks = ctx.axis_ks
+    out = np.asarray(vals, dtype=complex)
+    for d in range(ctx.dim):
+        mat = entrywise(dst.axis_nodes(d), src.axis_nodes(d), ks[d])
+        if conjugate:
+            mat = np.conj(mat)
+        weighted = mat * src.axes[d].weights[None, :]
+        out = np.moveaxis(np.tensordot(weighted, out, axes=([1], [d])), 0, d)
+    return out / ctx.c_k
+
+
+class TestAxisTransformOracle:
+    @pytest.mark.parametrize("ctx", [
+        WeightedContext(rank1(0.5), n_half=60, freq_n_half=50),
+        WeightedContext(product_z2([0.25, 1.0]), n_half=30, freq_n_half=24)],
+        ids=["dim1", "dim2"])
+    def test_forward_and_inverse_bytes_equal_old_transform(self, ctx):
+        f = monomial_gauss([1] * ctx.dim, [0.6] * ctx.dim)
+        vals = f.values_on(ctx.grid)
+        got = dunkl_transform(ctx, f).values
+        expect = old_axis_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
+        assert got.tobytes() == expect.tobytes()
+        assert got.strides == expect.strides
+        back = inverse_dunkl_transform(ctx, got).values
+        expect_back = old_axis_transform(ctx, expect, ctx.freq_grid,
+                                         ctx.grid, False)
+        assert back.tobytes() == expect_back.tobytes()
+        assert back.strides == expect_back.strides
 
 
 class TestKernelMatrixCacheThreads:
     def test_one_build_for_concurrent_misses_on_one_key(self, monkeypatch):
         builds = []
         release = threading.Event()
-        real = transform._folded_matrix
+        real = transform._weighted_operators
 
         def slow_build(*args):
             builds.append(args)
             release.wait(5.0)
             return real(*args)
 
-        monkeypatch.setattr(transform, "_folded_matrix", slow_build)
+        monkeypatch.setattr(transform, "_weighted_operators", slow_build)
         cache = KernelMatrixCache()
-        nodes = AxisRule.build(0.5, 6.0, 20).nodes
+        rule = AxisRule.build(0.5, 6.0, 20)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(cache.matrix, nodes, nodes, 0.5)
+            futures = [pool.submit(cache.matrix, rule, rule, 0.5, True)
                        for _ in range(2)]
             while not builds:
                 time.sleep(0.001)
@@ -211,12 +276,19 @@ class TestKernelMatrixCacheThreads:
         assert first is second
 
     def test_byte_count_matches_store_under_eviction(self):
-        rules = [AxisRule.build(0.5, 6.0, n).nodes for n in range(10, 34)]
+        rules = [AxisRule.build(0.5, 6.0, n) for n in range(10, 34)]
         cache = KernelMatrixCache(max_bytes=3 * rules[-1].size ** 2 * 16)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for mat in pool.map(lambda x: cache.matrix(x, x, 0.5), rules * 2):
-                assert mat.shape[0] == mat.shape[1]
-        assert cache._bytes == sum(m.nbytes for m in cache._store.values())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for mat in pool.map(lambda r: cache.matrix(r, r, 0.5, True),
+                                    rules * 2, timeout=60):
+                    assert mat.shape[0] == mat.shape[1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache._bytes == sum(op.nbytes for ops in cache._store.values()
+                                   for op in ops)
         assert cache._bytes <= cache.max_bytes
         assert not cache._building
 
