@@ -1,17 +1,16 @@
 """Tour of reflection groups and their weighted measures.
 
-Walks through the three supported system families (rank-one, sign-change
-products, dihedral), showing the reflection group sizes, the weight
-density, the Gaussian normalization constant against its Gamma-function
-closed form, and how weighted ball volumes scale with the homogeneous
-dimension.
+Walks through the supported systems (rank-one and its sign-change product
+in dimension 2), showing the reflection group sizes, the Gaussian
+normalization constant against its Gamma-function closed form, and how
+weighted ball volumes scale with the homogeneous dimension.
 """
 
 import numpy as np
 from scipy.special import gamma
 
-from dunkllab import (WeightedContext, ball_volume, dihedral, generate_group,
-                      product_z2, rank1, weight_density)
+from dunkllab import (ReflectionGroup, WeightedContext, ball_volume,
+                      product_z2, rank1)
 
 
 def closed_form_rank1_constant(k: float) -> float:
@@ -22,19 +21,11 @@ def closed_form_rank1_constant(k: float) -> float:
 def main() -> None:
     print("== reflection groups ==")
     for name, system in [("rank-one", rank1(0.5)),
-                         ("Z2 x Z2 product", product_z2([0.5, 1.0])),
-                         ("dihedral m=3", dihedral(3, 0.5))]:
-        group = generate_group(system)
+                         ("Z2 x Z2 product", product_z2([0.5, 1.0]))]:
+        group = ReflectionGroup(system.dim)
         print(f"{name:>16}: {len(system.roots)} roots, group order "
               f"{len(group.matrices)}, homogeneous dimension "
               f"{system.homogeneous_dim:g}")
-
-    print("\n== weight density ==")
-    system = product_z2([0.5, 1.0])
-    for x in ([1.0, 1.0], [2.0, 0.5], [-2.0, 0.5]):
-        w = float(weight_density(system, np.asarray(x)[None, :])[0])
-        print(f"w{tuple(x)} = {w:.6f}   (product of |2 x_d|^{{2 k_d}} "
-              "over coordinates)")
 
     print("\n== Gaussian normalization constant ==")
     for k in (0.0, 0.5, 1.0, 2.0):

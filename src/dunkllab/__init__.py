@@ -1,6 +1,6 @@
 """Numerical laboratory for rational Dunkl analysis.
 
-Finite reflection groups with weighted measures, Dunkl operators, the
+Product reflection groups with weighted measures, Dunkl operators, the
 Dunkl transform, heat-type kernels generated by powers of directional
 Dunkl operators, and a harness of quantitative checks for their decay
 and coercivity properties.
@@ -8,8 +8,8 @@ and coercivity properties.
 
 from .errors import (AccuracyError, CapabilityError, ConfigError,
                      DomainTooSmallError, DunklLabError,
-                     FitConvergenceError, GroupExplosionError,
-                     InvalidRootSystemError, SymbolError)
+                     FitConvergenceError, InvalidRootSystemError,
+                     SymbolError)
 from .fitting import DecayFitReport, alternating_split, fit_decay_exponent
 from .forms import BilinearFormSpec, form_a_s, form_b_s_eps, sobolev_norm_V
 from .functions import (CallableFunction, GridSampled, PolyGauss, gaussian,
@@ -23,15 +23,13 @@ from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
                       heat_kernel, heat_kernel_two_point, q_on_grid,
                       translate_at_points, two_point_kernel)
 from .measure import (WeightedContext, ball_volume, eta, volume_max,
-                      weight_density, weighted_norm)
+                      weighted_norm)
 from .operators import (apply_dunkl, apply_dunkl_iterated, dunkl_laplacian,
                         positive_roots)
 from .quadrature import AxisRule, TensorGrid, integrate_checked
 from .report import VerificationReport, grid_metadata
-from .root_systems import (ReflectionGroup, RootSystemSpec, dihedral,
-                           generate_group, orbit_distance,
-                           orbit_distance_pairwise, product_z2, rank1,
-                           reflect, reflection_matrix)
+from .root_systems import (ReflectionGroup, RootSystemSpec, orbit_distance,
+                           orbit_distance_pairwise, product_z2, rank1)
 from .runner import config_schema, list_checks, run, run_check
 from .transform import (SpectralFunction, dunkl_convolve, dunkl_transform,
                         inverse_at_points, inverse_dunkl_transform,
@@ -41,8 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "CapabilityError", "ConfigError", "DomainTooSmallError",
-    "DunklLabError", "FitConvergenceError", "GroupExplosionError",
-    "InvalidRootSystemError", "SymbolError",
+    "DunklLabError", "FitConvergenceError", "InvalidRootSystemError",
+    "SymbolError",
     "DecayFitReport", "alternating_split", "fit_decay_exponent",
     "BilinearFormSpec", "form_a_s", "form_b_s_eps", "sobolev_norm_V",
     "CallableFunction", "GridSampled", "PolyGauss", "gaussian",
@@ -53,15 +51,13 @@ __all__ = [
     "KernelSpec", "dunkl_translate", "evaluate_q", "freq_box_for",
     "heat_kernel", "heat_kernel_two_point", "q_on_grid",
     "translate_at_points", "two_point_kernel",
-    "WeightedContext", "ball_volume", "eta", "volume_max", "weight_density",
-    "weighted_norm",
+    "WeightedContext", "ball_volume", "eta", "volume_max", "weighted_norm",
     "apply_dunkl", "apply_dunkl_iterated", "dunkl_laplacian",
     "positive_roots",
     "AxisRule", "TensorGrid", "integrate_checked",
     "VerificationReport", "grid_metadata",
-    "ReflectionGroup", "RootSystemSpec", "dihedral", "generate_group",
-    "orbit_distance", "orbit_distance_pairwise", "product_z2", "rank1",
-    "reflect", "reflection_matrix",
+    "ReflectionGroup", "RootSystemSpec", "orbit_distance",
+    "orbit_distance_pairwise", "product_z2", "rank1",
     "config_schema", "list_checks", "run", "run_check",
     "SpectralFunction", "dunkl_convolve", "dunkl_transform",
     "inverse_at_points", "inverse_dunkl_transform", "plancherel_defect",

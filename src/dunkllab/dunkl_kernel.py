@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gamma, hyp0f1, ive, jv
 
-from .errors import AccuracyError, CapabilityError
+from .errors import AccuracyError
 from .root_systems import RootSystemSpec
 
 #: adaptive series termination: stop after this many consecutive terms below
@@ -158,13 +158,10 @@ def _axis_value(w: complex, k: float, truncation: int | None) -> complex:
 def kernel_imag_batch(system: RootSystemSpec, xi_pts: np.ndarray,
                       x_pts: np.ndarray) -> np.ndarray:
     """E(i xi, x) for paired batches of real vectors, as a complex array."""
-    if not system.is_product():
-        raise CapabilityError(
-            "Dunkl kernel is implemented for sign-flip product systems only")
     xi_pts = np.atleast_2d(np.asarray(xi_pts, dtype=float))
     x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
     xi_pts, x_pts = np.broadcast_arrays(xi_pts, x_pts)
-    ks = system.axis_multiplicities()
+    ks = system.ks
     out = np.ones(len(xi_pts), dtype=complex)
     for d in range(system.dim):
         re, im = kernel_imag_parts(xi_pts[:, d] * x_pts[:, d], ks[d])
@@ -180,14 +177,11 @@ def dunkl_kernel_E(system: RootSystemSpec, x, z,
     products x_d z_d.  An explicit ``truncation`` forces the series
     evaluator with that many terms on every coordinate.
     """
-    if not system.is_product():
-        raise CapabilityError(
-            "Dunkl kernel is implemented for sign-flip product systems only")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if x.shape != (system.dim,) or z.shape != (system.dim,):
         raise ValueError(f"arguments must be vectors of length {system.dim}")
-    ks = system.axis_multiplicities()
+    ks = system.ks
     total = 1.0 + 0.0j
     for d in range(system.dim):
         total *= _axis_value(complex(x[d] * z[d]), ks[d], truncation)

@@ -1,8 +1,8 @@
 """Exception taxonomy for dunkllab.
 
-Data problems (a root system failing validation) are reported as data by
-``validate``; exceptions are reserved for conditions that make the requested
-computation meaningless or impossible.
+Exceptions are reserved for conditions that make the requested computation
+meaningless or impossible; a root system outside the supported scope is
+rejected when its ``RootSystemSpec`` is built.
 """
 
 
@@ -12,10 +12,6 @@ class DunklLabError(Exception):
 
 class InvalidRootSystemError(DunklLabError):
     """Root-system data violates a structural requirement."""
-
-
-class GroupExplosionError(DunklLabError):
-    """Reflection-group closure exceeded the configured order bound."""
 
 
 class CapabilityError(DunklLabError):

@@ -23,7 +23,7 @@ from .checks import (CHECKS, GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA,
                      Derived, Param, grid_params, integer, number, numbers,
                      register, tolerance)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_parts
-from .errors import CapabilityError, ConfigError
+from .errors import ConfigError
 from .fitting import (GARDING_C_CAP, HOLDOUT_SLACK, alternating_split,
                       envelope_fit, envelope_fit_upper,
                       envelope_holdout_ratio, fit_decay_exponent, garding_lp,
@@ -60,10 +60,8 @@ def decay_rays(dim: int) -> np.ndarray:
     """Sampling directions: both signs in rank 1, 8 compass rays in dim 2."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        ang = np.arange(8) * (np.pi / 4.0)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    raise CapabilityError("ray sampling implemented for dim <= 2")
+    ang = np.arange(8) * (np.pi / 4.0)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def decay_samples(ctx: WeightedContext, spec: KernelSpec,
@@ -244,17 +242,15 @@ def default_garding_family(dim: int) -> list:
     """Deterministic calibration battery: Hermite polynomials x Gaussians."""
     if dim == 1:
         return hermite_family(4, widths=(0.35, 0.5, 0.75))
-    if dim == 2:
-        fams = []
-        for a in (0.4, 0.6):
-            for n1 in range(3):
-                for n2 in range(3):
-                    f1 = hermite_gauss(n1, a)
-                    f2 = hermite_gauss(n2, a)
-                    coeffs = np.outer(f1.coeffs, f2.coeffs)
-                    fams.append(type(f1)(coeffs, np.array([a, a])))
-        return fams
-    raise CapabilityError("calibration families implemented for dim <= 2")
+    fams = []
+    for a in (0.4, 0.6):
+        for n1 in range(3):
+            for n2 in range(3):
+                f1 = hermite_gauss(n1, a)
+                f2 = hermite_gauss(n2, a)
+                coeffs = np.outer(f1.coeffs, f2.coeffs)
+                fams.append(type(f1)(coeffs, np.array([a, a])))
+    return fams
 
 
 @register("garding",
@@ -332,7 +328,7 @@ def _check_e_bound(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
     n, tol = params["n"], params["tol"]
     worst = 0.0
-    for k in ctx.axis_ks:
+    for k in ctx.system.ks:
         xi = np.linspace(0.0, ctx.freq_box, n)
         x = np.linspace(0.0, ctx.box, n)
         re, im = kernel_imag_parts(np.outer(xi, x), float(k))
@@ -495,14 +491,11 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
 def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:
     """d(x, y) at every node x of the spatial grid, in its shape.
 
-    A transform context's group is a sign-flip product, so the closed form
-    of ``orbit_distance_pairwise`` is taken axis by axis, bit-identical to
-    it on ``points()`` but without forming them.
+    The closed form of ``orbit_distance_pairwise`` is taken axis by axis,
+    bit-identical to it on ``points()`` but without forming them.
     """
-    flips = ctx.group.flipped_axes
-
     def square(d, x):
-        diff = np.abs(x) - np.abs(y[d]) if flips[d] else x - y[d]
+        diff = np.abs(x) - np.abs(y[d])
         return diff * diff
     return np.sqrt(ctx.grid.outer_sum(square))
 

@@ -233,7 +233,7 @@ def heat_kernel_two_point(ctx: WeightedContext, x, y, t: float) -> float | np.nd
     single = x.ndim == 1 and y.ndim == 1
     xs, ys = np.atleast_2d(x), np.atleast_2d(y)
     xs, ys = np.broadcast_arrays(xs, ys)
-    ks = ctx.axis_ks
+    ks = ctx.system.ks
     amp = (2.0 * t) ** (-ctx.homogeneous_dim / 2.0) / ctx.c_k
     expo = -np.sum((np.abs(xs) - np.abs(ys)) ** 2, axis=1) / (4.0 * t)
     prod = np.ones(len(xs))
@@ -245,7 +245,7 @@ def heat_kernel_two_point(ctx: WeightedContext, x, y, t: float) -> float | np.nd
 
 def _kernel_at_point(ctx: WeightedContext, x: np.ndarray, grid: TensorGrid) -> np.ndarray:
     """E(i xi, x) on all nodes of a frequency grid, as a shaped array."""
-    ks = ctx.axis_ks
+    ks = ctx.system.ks
     axis_vals = []
     for d in range(ctx.dim):
         re, im = kernel_imag_parts(grid.axis_nodes(d) * x[d], ks[d])
@@ -293,7 +293,7 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np
         return float(out[0]) if single else out
     grid = ctx.freq_grid
     sym = _symbol_exp_on(spec, grid, spec.t)
-    ks = ctx.axis_ks
+    ks = ctx.system.ks
     pair_axis = []
     for d in range(ctx.dim):
         ux = np.outer(xs[:, d], grid.axis_nodes(d))

@@ -13,21 +13,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import AccuracyError, CapabilityError
+from .errors import AccuracyError
 from .quadrature import AxisRule, TensorGrid, check_shell
-from .root_systems import ReflectionGroup, RootSystemSpec, generate_group
+from .root_systems import ReflectionGroup, RootSystemSpec
 
 DEFAULT_SHELL_TOL = 1e-10
-
-
-def weight_density(system: RootSystemSpec, points: np.ndarray) -> np.ndarray:
-    """prod over roots of |<x, a>|^{k(a)} at each point (pointwise measure density)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.ones(pts.shape[0])
-    for a, k in zip(system.roots, system.multiplicity):
-        if k != 0.0:
-            vals *= np.abs(pts @ a) ** k
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -79,36 +69,16 @@ def _ball_volume_product2(ks, center, r: float, n: int = 240) -> float:
     return float(total)
 
 
-def _ball_volume_generic2(system: RootSystemSpec, center, r: float,
-                          n_rad: int = 120, n_ang: int = 512) -> float:
-    """Polar quadrature for a generic planar system (measured constants only)."""
-    t, w = _legendre_rule(n_rad)
-    rho = r * (t + 1.0) / 2.0
-    wr = w * r / 2.0
-    theta = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = center[None, None, :] + rho[:, None, None] * dirs[None, :, :]
-    dens = weight_density(system, pts.reshape(-1, 2)).reshape(n_rad, n_ang)
-    ang = dens.sum(axis=1) * (2.0 * np.pi / n_ang)
-    return float(np.sum(wr * rho * ang))
-
-
 def ball_volume(system: RootSystemSpec, center, r: float) -> float:
     """Weighted volume w(B(center, r))."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if r <= 0:
         raise ValueError("ball radius must be positive")
-    if system.is_product():
-        ks = system.axis_multiplicities()
-        if system.dim == 1:
-            lo, hi = center[0] - r, center[0] + r
-            return float(_axis_antiderivative(hi, ks[0]) - _axis_antiderivative(lo, ks[0]))
-        if system.dim == 2:
-            return _ball_volume_product2(ks, center, r)
-        raise CapabilityError("product ball volumes implemented for dim <= 2")
-    if system.dim == 2:
-        return _ball_volume_generic2(system, center, r)
-    raise CapabilityError("generic ball volumes implemented for dim 2 only")
+    ks = system.ks
+    if system.dim == 1:
+        lo, hi = center[0] - r, center[0] + r
+        return float(_axis_antiderivative(hi, ks[0]) - _axis_antiderivative(lo, ks[0]))
+    return _ball_volume_product2(ks, center, r)
 
 
 def volume_max_pairs(system: RootSystemSpec, xs, ys, t: float) -> np.ndarray:
@@ -276,17 +246,10 @@ class WeightedContext:
     freq_n_half: int | None = None
 
     def __post_init__(self):
-        if not self.system.is_product():
-            raise CapabilityError(
-                "weighted quadrature contexts need per-coordinate multiplicities "
-                "(rank-1 or sign-change product systems); generic systems are "
-                "supported for group, density, volume, and distance operations only"
-            )
         if self.n_half is None:
             self.n_half = 200 if self.system.dim == 1 else 80
         if self.freq_n_half is None:
             self.freq_n_half = self.n_half
-        self._cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -296,18 +259,8 @@ class WeightedContext:
     def homogeneous_dim(self) -> float:
         return self.system.homogeneous_dim
 
-    @property
-    def is_product(self) -> bool:
-        return self.system.is_product()
-
-    @cached_property
-    def axis_ks(self) -> np.ndarray:
-        if not self.is_product:
-            raise CapabilityError("per-axis multiplicities need a product system")
-        return self.system.axis_multiplicities()
-
     def _make_grid(self, box: float, n_half: int) -> TensorGrid:
-        return TensorGrid.build(self.axis_ks, box, n_half)
+        return TensorGrid.build(self.system.ks, box, n_half)
 
     @cached_property
     def grid(self) -> TensorGrid:
@@ -323,7 +276,7 @@ class WeightedContext:
 
     @cached_property
     def group(self) -> ReflectionGroup:
-        return generate_group(self.system)
+        return ReflectionGroup(self.dim)
 
     @cached_property
     def c_k(self) -> float:
@@ -336,7 +289,7 @@ class WeightedContext:
                 f"normalization constant unstable under refinement: "
                 f"{base:.12g} vs {fine:.12g}"
             )
-        if np.all(self.system.multiplicity == 0.0):
+        if np.all(self.system.ks == 0.0):
             classical = (2.0 * np.pi) ** (self.dim / 2.0)
             if abs(fine - classical) > 1e-8 * classical:
                 raise AccuracyError(

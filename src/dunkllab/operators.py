@@ -34,22 +34,13 @@ _SEG_WEIGHTS = 0.5 * _SEG_WEIGHTS
 
 
 def positive_roots(system: RootSystemSpec) -> list[tuple[np.ndarray, float]]:
-    """One representative per {alpha, -alpha} pair, with its multiplicity."""
-    chosen: list[tuple[np.ndarray, float]] = []
-    for alpha, k in zip(system.roots, system.multiplicity):
-        if any(np.allclose(alpha, -beta, rtol=0, atol=1e-12) for beta, _ in chosen):
-            continue
-        chosen.append((alpha, float(k)))
-    return chosen
+    """The roots sqrt(2) e_j, one per {alpha, -alpha} pair, with k_j."""
+    return [(alpha, float(k)) for alpha, k in zip(system.roots[::2], system.ks)]
 
 
 def _apply_polygauss(system: RootSystemSpec, zeta: np.ndarray, f: PolyGauss) -> PolyGauss:
-    if not system.is_product():
-        raise CapabilityError(
-            "exact PolyGauss Dunkl calculus is implemented for sign-flip "
-            "product systems only")
     out = f.directional_deriv(zeta)
-    ks = system.axis_multiplicities()
+    ks = system.ks
     for d in range(system.dim):
         if ks[d] == 0.0 or zeta[d] == 0.0:
             continue
@@ -134,9 +125,6 @@ def dunkl_laplacian(system: RootSystemSpec, f, method: str = "formula"):
     """
     if not isinstance(f, PolyGauss):
         raise CapabilityError("Dunkl Laplacian requires a PolyGauss input")
-    if not system.is_product():
-        raise CapabilityError(
-            "Dunkl Laplacian implemented for sign-flip product systems only")
     if method == "compose":
         out = None
         for d in range(system.dim):
@@ -147,7 +135,7 @@ def dunkl_laplacian(system: RootSystemSpec, f, method: str = "formula"):
         return out
     if method != "formula":
         raise ValueError("method must be 'formula' or 'compose'")
-    ks = system.axis_multiplicities()
+    ks = system.ks
     out = None
     for d in range(system.dim):
         term = f.deriv(d).deriv(d)

@@ -60,7 +60,7 @@ def config_schema() -> dict:
                 "properties": {
                     "type": {"enum": ["rank1", "product_z2"]},
                     "k": {"type": "number", "minimum": 0},
-                    "ks": {"type": "array", "minItems": 1,
+                    "ks": {"type": "array", "minItems": 1, "maxItems": 2,
                            "items": {"type": "number", "minimum": 0}},
                 },
             },

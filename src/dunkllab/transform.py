@@ -157,14 +157,6 @@ class SpectralFunction:
         return self.values
 
 
-def _require_product(ctx: WeightedContext):
-    if not ctx.is_product:
-        raise CapabilityError(
-            "transforms are implemented for sign-flip product systems only")
-    if ctx.dim > 2:
-        raise CapabilityError("transforms are implemented for dim <= 2")
-
-
 def _values_on(f, grid: TensorGrid) -> np.ndarray:
     if hasattr(f, "values_on"):
         return np.asarray(f.values_on(grid))
@@ -175,7 +167,7 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
                     src: TensorGrid, dst: TensorGrid, forward: bool) -> np.ndarray:
     """Apply the cached weighted operators axis by axis, then divide by c_k
     in place."""
-    ks = ctx.axis_ks
+    ks = ctx.system.ks
     freq, space = (dst, src) if forward else (src, dst)
     out = np.asarray(vals, dtype=complex)
     for d in range(ctx.dim):
@@ -194,7 +186,6 @@ def dunkl_transform(ctx: WeightedContext, f, *, shell_tol: float = DEFAULT_SHELL
     ``check_accuracy`` the transform is recomputed on 1.5x-refined grids
     and compared (callable or PolyGauss inputs only).
     """
-    _require_product(ctx)
     vals = _values_on(f, ctx.grid)
     frac = boundary_shell_fraction(ctx.grid, np.abs(vals))
     if frac > shell_tol:
@@ -221,7 +212,6 @@ def inverse_dunkl_transform(ctx: WeightedContext, g) -> GridSampled:
     ``g`` may be a SpectralFunction, an array of values on the frequency
     grid, or a callable evaluated on it.
     """
-    _require_product(ctx)
     if isinstance(g, SpectralFunction):
         vals = g.values_on(ctx.freq_grid)
     elif callable(g) and not isinstance(g, np.ndarray):
@@ -234,7 +224,6 @@ def inverse_dunkl_transform(ctx: WeightedContext, g) -> GridSampled:
 
 def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray:
     """Inverse transform evaluated at arbitrary spatial points."""
-    _require_product(ctx)
     if isinstance(g, SpectralFunction):
         vals = g.values_on(ctx.freq_grid)
     elif callable(g) and not isinstance(g, np.ndarray):
@@ -242,7 +231,7 @@ def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray
     else:
         vals = np.asarray(g).reshape(ctx.freq_grid.shape)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ks = ctx.axis_ks
+    ks = ctx.system.ks
     factors = []
     for d in range(ctx.dim):
         u = np.outer(pts[:, d], ctx.freq_grid.axis_nodes(d))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dunkllab import AccuracyError, CapabilityError, dihedral, product_z2, rank1
+from dunkllab import AccuracyError, product_z2, rank1
 from dunkllab.dunkl_kernel import (dunkl_kernel_E, kernel_imag_batch,
                                    kernel_imag_parts, kernel_real,
                                    kernel_real_scaled, kernel_series)
@@ -150,10 +150,6 @@ class TestProductExtension:
         for j in range(6):
             assert batch[j] == pytest.approx(
                 dunkl_kernel_E(sys2, xs[j], 1j * xis[j]), abs=1e-13)
-
-    def test_generic_system_rejected(self):
-        with pytest.raises(CapabilityError):
-            dunkl_kernel_E(dihedral(3, 0.5), np.ones(2), np.ones(2))
 
     def test_wrong_length_arguments_rejected(self):
         with pytest.raises(ValueError):

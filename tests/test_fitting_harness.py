@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dunkllab import (BilinearFormSpec, CapabilityError, KernelSpec,
+from dunkllab import (BilinearFormSpec, InvalidRootSystemError, KernelSpec,
                       WeightedContext, check_garding,
                       check_heat_gaussian_bound, check_thm1_decay,
                       check_two_point_bound, harness, hermite_family, kernels,
@@ -14,7 +14,7 @@ from dunkllab.fitting import (FitConvergenceError, alternating_split,
                               garding_holdout_ratio, garding_lp,
                               ratio_constant_fit, ratio_holdout_ratio)
 from dunkllab.harness import decay_rays, decay_samples, make_pair_grid
-from dunkllab.root_systems import RootSystemSpec, orbit_distance_pairwise
+from dunkllab.root_systems import orbit_distance_pairwise
 
 
 class TestDecayExponentFit:
@@ -204,8 +204,9 @@ class TestSamplingGeometry:
         assert any(np.allclose(r, [np.sqrt(0.5), np.sqrt(0.5)]) for r in rays)
 
     def test_dim3_unsupported(self):
-        with pytest.raises(CapabilityError):
-            decay_rays(3)
+        # no sampling geometry is needed past dim 2: the system is refused
+        with pytest.raises(InvalidRootSystemError):
+            WeightedContext(product_z2([0.5, 0.5, 0.5]))
 
     def test_decay_samples_shape_and_positivity(self):
         ctx = WeightedContext(rank1(0.0))
@@ -309,15 +310,11 @@ class TestAuxiliaryDispatch:
 
 
 class TestGridOrbitDistance:
-    ONE_AXIS = RootSystemSpec(roots=[[np.sqrt(2.0), 0.0],
-                                     [-np.sqrt(2.0), 0.0]],
-                              multiplicity=[0.5, 0.5])
-
     @pytest.mark.parametrize("system, y", [
         (rank1(0.5), [0.5]), (rank1(0.5), [-0.7]),
         (product_z2([0.5, 1.0]), [0.5, 0.0]),
         (product_z2([0.5, 1.0]), [-1.25, 0.75]),
-        (ONE_AXIS, [0.5, -0.75])])
+        (product_z2([0.0, 0.5]), [0.5, -0.75])])
     def test_bytes_equal_pairwise_on_points(self, system, y):
         ctx = WeightedContext(system, n_half=25)
         y = np.asarray(y)

@@ -5,7 +5,7 @@ import pytest
 
 from dunkllab import (CallableFunction, CapabilityError, PolyGauss,
                       WeightedContext, apply_dunkl, apply_dunkl_iterated,
-                      dihedral, dunkl_laplacian, gaussian, hermite_family,
+                      dunkl_laplacian, gaussian, hermite_family,
                       hermite_gauss, monomial_gauss, product_z2, radial_bump,
                       rank1)
 from dunkllab.operators import dunkl_apply_values
@@ -236,10 +236,6 @@ class TestCapabilityBoundaries:
     def test_wrong_dimension_direction_rejected(self):
         with pytest.raises(ValueError):
             apply_dunkl(rank1(0.5), [1.0, 0.0], gaussian(1))
-
-    def test_generic_system_polygauss_rejected(self):
-        with pytest.raises(CapabilityError):
-            apply_dunkl(dihedral(3, 0.5), [1.0, 0.0], gaussian(2))
 
     def test_laplacian_requires_polygauss(self):
         bump = radial_bump(1, 2.0)

@@ -6,8 +6,7 @@ from scipy.integrate import dblquad
 from scipy.special import gamma
 
 from dunkllab import (DomainTooSmallError, WeightedContext, ball_volume,
-                      eta, product_z2, rank1, dihedral, volume_max,
-                      weight_density, weighted_norm)
+                      eta, product_z2, rank1, weighted_norm)
 from dunkllab import measure
 from dunkllab.harness import make_pair_grid
 from dunkllab.measure import (eta_directional, volume_max as vol_max,
@@ -94,28 +93,6 @@ class TestTensorGrid:
                               * np.exp(-p[:, 0] ** 2))
 
 
-class TestWeightDensity:
-    def test_rank1_density_closed_form(self):
-        sys1 = rank1(1.0)
-        pts = np.array([[1.0], [2.0], [-0.5]])
-        assert np.allclose(weight_density(sys1, pts), 2.0 * pts[:, 0] ** 2)
-
-    def test_product_density_factorizes(self):
-        sys2 = product_z2([0.5, 0.5])
-        pts = np.array([[1.0, 2.0], [0.3, -0.7]])
-        expect = 2.0 * np.abs(pts[:, 0] * pts[:, 1])
-        assert np.allclose(weight_density(sys2, pts), expect)
-
-    def test_density_group_invariance(self):
-        from dunkllab import generate_group
-        sys_d = dihedral(3, 0.8)
-        group = generate_group(sys_d)
-        x = np.array([[0.9, 0.4]])
-        base = weight_density(sys_d, x)
-        for mat in group.matrices:
-            assert weight_density(sys_d, x @ mat.T) == pytest.approx(base)
-
-
 class TestBallVolume:
     def test_rank1_ball_volumes_frozen(self):
         sys1 = rank1(1.0)
@@ -137,12 +114,6 @@ class TestBallVolume:
         vx = ball_volume(sys1, x, 1.0)
         vy = ball_volume(sys1, y, 1.0)
         assert vol_max(sys1, x, y, 1.0) == pytest.approx(max(vx, vy))
-
-    def test_dihedral_ball_volume_scales_homogeneously(self):
-        sys_d = dihedral(3, 0.5)
-        v1 = ball_volume(sys_d, np.zeros(2), 1.0)
-        v2 = ball_volume(sys_d, np.zeros(2), 2.0)
-        assert v2 / v1 == pytest.approx(2.0 ** sys_d.homogeneous_dim, rel=1e-6)
 
 
 def _disc_volume_oracle(ks, center, r):
@@ -278,14 +249,6 @@ class TestWeightedContext:
         assert base.c_k != fine.c_k
         info = measure._gaussian_mass.cache_info()
         assert (info.misses, info.hits) == (3, 1)
-
-    def test_context_rejects_generic_system(self):
-        # quadrature contexts need per-coordinate multiplicities; dihedral
-        # weights are not tensor products, so only the density/volume/distance
-        # operations support them
-        from dunkllab import CapabilityError
-        with pytest.raises(CapabilityError):
-            WeightedContext(dihedral(3, 0.5))
 
     def test_with_grids_overrides(self):
         ctx = WeightedContext(rank1(0.0))

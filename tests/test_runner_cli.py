@@ -216,7 +216,7 @@ class TestBuilders:
     def test_build_product_system(self):
         system = build_system({"type": "product_z2", "ks": [0.5, 0.25]})
         assert system.dim == 2
-        assert system.is_product()
+        assert system.ks.tolist() == [0.5, 0.25]
 
     def test_build_context_applies_grid_settings(self):
         config = {"system": {"type": "rank1", "k": 0.0},
@@ -398,6 +398,17 @@ class TestRunEndToEnd:
                             minimal_config(system={"type": "dihedral"}))
         assert run(str(path)) == 1
         assert "configuration error:" in capsys.readouterr().out
+
+    def test_three_axis_system_exits_one_without_report(self, tmp_path,
+                                                         out_dir, capsys):
+        config = minimal_config(system={"type": "product_z2",
+                                        "ks": [0.5, 0.5, 0.5]})
+        path = write_config(tmp_path, config)
+        assert cli.main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "config error at system.ks" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_check_error_reported_with_index_and_kind(self, tmp_path,
                                                       out_dir, capsys):

@@ -220,7 +220,7 @@ class TestFoldedKernelMatrix:
 def old_axis_transform(ctx, vals, src, dst, conjugate):
     """The transform as it was written before the cache held weighted
     operators: raw E per axis, conjugated and weighted on every call."""
-    ks = ctx.axis_ks
+    ks = ctx.system.ks
     out = np.asarray(vals, dtype=complex)
     for d in range(ctx.dim):
         mat = entrywise(dst.axis_nodes(d), src.axis_nodes(d), ks[d])
