@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AccuracyError, CapabilityError
+from .errors import CapabilityError
 from .functions import PolyGauss
 from .measure import EtaFields, WeightedContext, _weighted_norm
 from .operators import apply_dunkl, positive_roots
-from .quadrature import TensorGrid, check_shell
+from .quadrature import TensorGrid, check_refined, check_shell
 
 #: largest admissible perturbation strength eps.
 EPSILON_MAX = 0.1
@@ -125,20 +125,19 @@ def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec",
             tf = apply_dunkl(ctx.system, zeta, tf)
         integrand = tf.values_on(grid) * _t_g_eta(ctx, zeta, spec.ell, g,
                                                   grid, fields)
-        check_shell(grid, np.abs(integrand), what="bilinear form integrand")
+        check_shell(grid, integrand, what="bilinear form integrand")
         total += float(grid.integrate(integrand))
         gross += float(grid.integrate(np.abs(integrand)))
     return total, gross
 
 
 def _refine_checked(ctx, evaluate) -> float:
-    base, gross_b = evaluate(ctx.grid)
-    fine, gross_f = evaluate(ctx.grid_fine)
-    scale = max(abs(fine), 1e-6 * gross_f, 1e-300)
-    if abs(base - fine) > FORM_REFINE_TOL * scale:
-        raise AccuracyError(
-            f"form value unstable under grid refinement: {base!r} vs {fine!r}")
-    return fine
+    """The refined-grid value of ``evaluate``, checked against the base grid
+    relative to max(|value|, 1e-6 of its gross mass)."""
+    base, _ = evaluate(ctx.grid)
+    fine, gross = evaluate(ctx.grid_fine)
+    return check_refined(base, fine, FORM_REFINE_TOL, "form value",
+                         floor=max(1e-6 * gross, 1e-300))
 
 
 def form_a_s(ctx: WeightedContext, spec: BilinearFormSpec,

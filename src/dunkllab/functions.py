@@ -218,7 +218,7 @@ class GridSampled:
         object.__setattr__(self, "values", v.reshape(self.grid.shape))
 
     def values_on(self, grid: TensorGrid) -> np.ndarray:
-        if grid is not self.grid and grid.shape != self.grid.shape:
+        if grid is not self.grid and grid.geometry != self.grid.geometry:
             raise ValueError("GridSampled is bound to its own grid")
         return self.values
 

@@ -14,10 +14,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import AccuracyError
-from .quadrature import AxisRule, TensorGrid, check_shell
+from .quadrature import AxisRule, TensorGrid, check_refined, check_shell
 from .root_systems import ReflectionGroup, RootSystemSpec
-
-DEFAULT_SHELL_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +209,6 @@ class EtaFields:
 # weighted context
 # ---------------------------------------------------------------------------
 
-def _geometry(grid: TensorGrid) -> tuple:
-    """(k, half-width, n_half) per axis: what a grid is built from."""
-    return tuple((ax.k, ax.half_width, ax.n_half) for ax in grid.axes)
-
-
 @lru_cache(maxsize=16)
 def _gaussian_mass(geometry: tuple) -> float:
     """int exp(-|x|^2/2) dw by the quadrature of one grid geometry, once per
@@ -282,13 +275,9 @@ class WeightedContext:
     def c_k(self) -> float:
         """Gaussian mass integral c_k = ∫ exp(-|x|^2/2) dw(x), by quadrature,
         refinement-checked; cross-checked against (2 pi)^{dim/2} when k = 0."""
-        base = _gaussian_mass(_geometry(self.grid))
-        fine = _gaussian_mass(_geometry(self.grid_fine))
-        if abs(base - fine) > 1e-9 * abs(fine):
-            raise AccuracyError(
-                f"normalization constant unstable under refinement: "
-                f"{base:.12g} vs {fine:.12g}"
-            )
+        fine = check_refined(_gaussian_mass(self.grid.geometry),
+                             _gaussian_mass(self.grid_fine.geometry),
+                             1e-9, "normalization constant")
         if np.all(self.system.ks == 0.0):
             classical = (2.0 * np.pi) ** (self.dim / 2.0)
             if abs(fine - classical) > 1e-8 * classical:
@@ -310,21 +299,17 @@ class WeightedContext:
         )
 
 
-def weighted_norm(ctx: WeightedContext, f, s: float,
-                  shell_tol: float = DEFAULT_SHELL_TOL,
-                  accuracy_tol: float = 1e-8) -> float:
+def weighted_norm(ctx: WeightedContext, f, s: float) -> float:
     """L^2 norm of f against eta(., s) dw; s = 0 means plain L^2(dw).
 
     f may be a callable on point batches or an object with ``values_on(grid)``.
     The integrand must decay inside the box (boundary-shell check) and the
     value must be stable under grid refinement.
     """
-    return _weighted_norm(ctx, f, EtaFields(s), shell_tol, accuracy_tol)
+    return _weighted_norm(ctx, f, EtaFields(s))
 
 
-def _weighted_norm(ctx: WeightedContext, f, fields: EtaFields,
-                   shell_tol: float = DEFAULT_SHELL_TOL,
-                   accuracy_tol: float = 1e-8) -> float:
+def _weighted_norm(ctx: WeightedContext, f, fields: EtaFields) -> float:
     """``weighted_norm`` at ``fields.s``, taking eta from ``fields``."""
     def norm_sq(grid: TensorGrid) -> float:
         if hasattr(f, "values_on"):
@@ -334,14 +319,9 @@ def _weighted_norm(ctx: WeightedContext, f, fields: EtaFields,
         integrand = np.abs(vals) ** 2
         if fields.s != 0.0:
             integrand = integrand * fields.eta(grid)
-        check_shell(grid, integrand, tol=shell_tol, what="weighted norm")
+        check_shell(grid, integrand, what="weighted norm")
         return float(grid.integrate(integrand))
 
-    base = norm_sq(ctx.grid)
-    fine = norm_sq(ctx.grid_fine)
-    if abs(base - fine) > accuracy_tol * max(abs(fine), 1.0):
-        raise AccuracyError(
-            f"weighted norm unstable under refinement: "
-            f"{base:.12g} vs {fine:.12g}"
-        )
+    fine = check_refined(norm_sq(ctx.grid), norm_sq(ctx.grid_fine),
+                         1e-8, "weighted norm", floor=1.0)
     return float(np.sqrt(fine))

@@ -6,8 +6,11 @@ half.  Splitting at the origin keeps the rule spectrally accurate for smooth
 integrands times the (possibly kinked) density, and no node ever lands on a
 reflection hyperplane.  For k = 0 the rule is plain Gauss-Legendre per half.
 
-Every reported integral is recomputed on a 1.5x-refined grid and the pair must
-agree to the declared tolerance (``integrate_checked``).
+This module also holds the package's one accuracy guard.  ``check_refined``
+accepts a value only if it stays put, by ``relative_move``, on the grid refined
+by ``REFINE_FACTOR``; ``check_shell`` rejects an integrand whose outer boundary
+shell carries more than ``SHELL_TOL`` of its mass.  ``integrate_checked`` is
+``check_refined`` applied to the integral of one callable.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import AccuracyError, DomainTooSmallError
 
 REFINE_FACTOR = 1.5
 SHELL_FRACTION = 0.05
+SHELL_TOL = 1e-10
 
 
 @lru_cache(maxsize=256)
@@ -73,6 +77,11 @@ class TensorGrid:
     @property
     def dim(self) -> int:
         return len(self.axes)
+
+    @property
+    def geometry(self) -> tuple:
+        """(k, half-width, n_half) per axis: what the grid is built from."""
+        return tuple((ax.k, ax.half_width, ax.n_half) for ax in self.axes)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,8 +157,10 @@ def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray,
     return shell / total
 
 
-def check_shell(grid: TensorGrid, values: np.ndarray, tol: float = 1e-10,
+def check_shell(grid: TensorGrid, values: np.ndarray, tol: float = SHELL_TOL,
                 what: str = "integrand") -> None:
+    """Raise DomainTooSmallError if the boundary shell carries more than
+    ``tol`` of the |values| dw mass."""
     frac = boundary_shell_fraction(grid, values)
     if frac > tol:
         raise DomainTooSmallError(
@@ -158,17 +169,31 @@ def check_shell(grid: TensorGrid, values: np.ndarray, tol: float = 1e-10,
         )
 
 
-def integrate_checked(grid: TensorGrid, fn, tol: float = 1e-9,
-                      what: str = "integral") -> float | complex:
-    """Integrate fn on the grid and on the 1.5x-refined grid; the two values
-    must agree to tol (relative to scale) or an AccuracyError is raised."""
-    base = grid.integrate(grid.evaluate(fn))
-    fine_grid = grid.refined()
-    fine = fine_grid.integrate(fine_grid.evaluate(fn))
-    scale = max(abs(base), abs(fine), 1e-300)
-    if abs(base - fine) > tol * max(scale, 1.0):
+def relative_move(value, reference, floor: float = 1e-300) -> float:
+    """sup |value - reference| / max(sup |reference|, floor), for scalars or
+    arrays alike."""
+    move = float(np.max(np.abs(np.subtract(value, reference))))
+    return move / max(float(np.max(np.abs(reference))), floor)
+
+
+def check_refined(base, fine, tol: float, what: str, floor: float = 1e-300):
+    """Return ``fine``, the value on the refined grid, if it moved from
+    ``base`` by at most ``tol`` relative to max(sup |fine|, floor); else (a
+    NaN move included) raise AccuracyError."""
+    move = relative_move(base, fine, floor)
+    if not move <= tol:
         raise AccuracyError(
-            f"{what}: refinement disagreement {abs(base - fine):.3e} "
-            f"(values {base!r} vs {fine!r}); increase resolution"
+            f"{what} unstable under refinement: relative move {move:.3e} "
+            f"(> {tol:.1e}); increase resolution"
         )
     return fine
+
+
+def integrate_checked(grid: TensorGrid, fn, tol: float = 1e-9,
+                      what: str = "integral") -> float | complex:
+    """Integrate fn on the grid and on the refined grid; the two values must
+    agree to tol relative to max(|fine|, 1) or an AccuracyError is raised."""
+    fine_grid = grid.refined()
+    return check_refined(grid.integrate(grid.evaluate(fn)),
+                         fine_grid.integrate(fine_grid.evaluate(fn)),
+                         tol, what, floor=1.0)

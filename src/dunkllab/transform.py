@@ -38,10 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dunkl_kernel import kernel_imag_parts
-from .errors import AccuracyError, CapabilityError
 from .functions import GridSampled
-from .measure import DEFAULT_SHELL_TOL, WeightedContext
-from .quadrature import AxisRule, TensorGrid, boundary_shell_fraction
+from .measure import WeightedContext
+from .quadrature import AxisRule, TensorGrid, check_shell
 
 
 def _half(nodes: np.ndarray) -> np.ndarray:
@@ -141,18 +140,17 @@ _CACHE = KernelMatrixCache()
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """Frequency-side values on a tensor grid, tagged by how they arose."""
+    """Frequency-side values on a tensor grid."""
 
     grid: TensorGrid
     values: np.ndarray
-    provenance: str = "symbol"  # "forward" (transform of a function) or "symbol"
 
     def __post_init__(self):
         v = np.asarray(self.values)
         object.__setattr__(self, "values", v.reshape(self.grid.shape))
 
     def values_on(self, grid: TensorGrid) -> np.ndarray:
-        if grid.shape != self.grid.shape:
+        if grid is not self.grid and grid.geometry != self.grid.geometry:
             raise ValueError("SpectralFunction is bound to its own grid")
         return self.values
 
@@ -177,33 +175,27 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
     return out
 
 
-def dunkl_transform(ctx: WeightedContext, f, *, shell_tol: float = DEFAULT_SHELL_TOL,
-                    check_accuracy: bool = False) -> SpectralFunction:
+def dunkl_transform(ctx: WeightedContext, f) -> SpectralFunction:
     """Forward transform onto the frequency grid of the context.
 
     The integrand must have decayed inside the spatial box: the outer 5%
-    shell of |f| dw may carry at most ``shell_tol`` of its mass.  With
-    ``check_accuracy`` the transform is recomputed on 1.5x-refined grids
-    and compared (callable or PolyGauss inputs only).
+    shell of |f| dw may carry at most ``quadrature.SHELL_TOL`` of its mass,
+    else DomainTooSmallError.
     """
     vals = _values_on(f, ctx.grid)
-    frac = boundary_shell_fraction(ctx.grid, np.abs(vals))
-    if frac > shell_tol:
-        raise AccuracyError(
-            f"boundary shell carries {frac:.3g} of |f| mass "
-            f"(tolerance {shell_tol:.3g}); enlarge the spatial box")
+    check_shell(ctx.grid, vals, what="transform input")
     out = _axis_transform(ctx, vals, ctx.grid, ctx.freq_grid, forward=True)
-    if check_accuracy:
-        if isinstance(f, GridSampled):
-            raise CapabilityError("accuracy check needs an off-grid evaluator")
-        fine_vals = _values_on(f, ctx.grid_fine)
-        fine = _axis_transform(ctx, fine_vals, ctx.grid_fine, ctx.freq_grid,
-                               forward=True)
-        err = np.max(np.abs(fine - out)) / max(np.max(np.abs(fine)), 1e-300)
-        if err > 1e-8:
-            raise AccuracyError(
-                f"transform changes by {err:.3g} under grid refinement")
-    return SpectralFunction(grid=ctx.freq_grid, values=out, provenance="forward")
+    return SpectralFunction(grid=ctx.freq_grid, values=out)
+
+
+def _spectral_values(ctx: WeightedContext, g) -> np.ndarray:
+    """Values on the frequency grid of ``g``: a SpectralFunction, a callable
+    evaluated on the grid, or an array of values on it."""
+    if isinstance(g, SpectralFunction):
+        return g.values_on(ctx.freq_grid)
+    if callable(g) and not isinstance(g, np.ndarray):
+        return np.asarray(g(ctx.freq_grid.points())).reshape(ctx.freq_grid.shape)
+    return np.asarray(g).reshape(ctx.freq_grid.shape)
 
 
 def inverse_dunkl_transform(ctx: WeightedContext, g) -> GridSampled:
@@ -212,24 +204,14 @@ def inverse_dunkl_transform(ctx: WeightedContext, g) -> GridSampled:
     ``g`` may be a SpectralFunction, an array of values on the frequency
     grid, or a callable evaluated on it.
     """
-    if isinstance(g, SpectralFunction):
-        vals = g.values_on(ctx.freq_grid)
-    elif callable(g) and not isinstance(g, np.ndarray):
-        vals = np.asarray(g(ctx.freq_grid.points())).reshape(ctx.freq_grid.shape)
-    else:
-        vals = np.asarray(g).reshape(ctx.freq_grid.shape)
+    vals = _spectral_values(ctx, g)
     out = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid, forward=False)
     return GridSampled(grid=ctx.grid, values=out)
 
 
 def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray:
     """Inverse transform evaluated at arbitrary spatial points."""
-    if isinstance(g, SpectralFunction):
-        vals = g.values_on(ctx.freq_grid)
-    elif callable(g) and not isinstance(g, np.ndarray):
-        vals = np.asarray(g(ctx.freq_grid.points())).reshape(ctx.freq_grid.shape)
-    else:
-        vals = np.asarray(g).reshape(ctx.freq_grid.shape)
+    vals = _spectral_values(ctx, g)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ks = ctx.system.ks
     factors = []
@@ -267,8 +249,7 @@ def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
 
     tf = spectrum(f)
     tg = spectrum(g)
-    product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg,
-                               provenance="symbol")
+    product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg)
     vals = inverse_dunkl_transform(ctx, product).values
     vals *= ctx.c_k
     return GridSampled(grid=ctx.grid, values=vals)

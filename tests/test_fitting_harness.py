@@ -244,6 +244,15 @@ class TestDecayCheck:
         report = check_thm1_decay(ctx, KernelSpec.heat(1))
         assert report.max_defect < 0.01
 
+    def test_refinement_move_from_its_own_fields(self):
+        ctx = WeightedContext(rank1(0.5))
+        spec = KernelSpec(directions=((1.0,),), ell=2, t=1.0)
+        fitted = check_thm1_decay(ctx, spec).fitted
+        move = (abs(fitted["exponent_refined"] - fitted["exponent_fitted"])
+                / fitted["exponent_fitted"])
+        assert move > 0.0
+        assert fitted["refinement_rel_move"] == move
+
 
 class TestTwoPointCheck:
     def test_rank1_quartic_bound(self):
@@ -279,6 +288,13 @@ class TestAuxiliaryDispatch:
         ctx = WeightedContext(rank1(0.5))
         with pytest.raises(ValueError, match="e-bound"):
             run_check(ctx, "nonsense")
+
+    def test_exp_weighted_defect_from_its_own_fields(self):
+        report = run_check(WeightedContext(rank1(0.5)), "exp-weighted-l1")
+        fine = report.fitted["weighted_integral"]
+        move = abs(report.fitted["base_value"] - fine) / abs(fine)
+        assert move > 0.0
+        assert report.max_defect == move
 
     def test_modulus_bound_check(self):
         ctx = WeightedContext(rank1(0.5))

@@ -13,8 +13,9 @@ from dunkllab.measure import (eta_directional, volume_max as vol_max,
                               volume_max_pairs)
 from dunkllab.errors import AccuracyError
 from dunkllab.quadrature import (AxisRule, TensorGrid,
-                                 boundary_shell_fraction, check_shell,
-                                 integrate_checked)
+                                 boundary_shell_fraction, check_refined,
+                                 check_shell, integrate_checked,
+                                 relative_move)
 
 
 class TestAxisRule:
@@ -91,6 +92,41 @@ class TestTensorGrid:
         with pytest.raises(AccuracyError):
             integrate_checked(grid, lambda p: np.cos(60 * p[:, 0] ** 2)
                               * np.exp(-p[:, 0] ** 2))
+
+
+class TestRefinementGuard:
+    def test_scalar_move_is_relative_to_reference(self):
+        assert relative_move(1.25, 1.0) == 0.25
+        assert relative_move(-3.0, -2.0) == 0.5
+
+    def test_array_move_is_a_sup_norm(self):
+        value = np.array([1.0, 2.5, -4.0])
+        reference = np.array([1.0, 2.0, -5.0])
+        assert relative_move(value, reference) == 1.0 / 5.0
+
+    def test_floor_bounds_the_scale(self):
+        assert relative_move(1e-3, 2e-3) == 0.5
+        assert relative_move(1e-3, 2e-3, floor=1.0) == 1e-3
+        assert relative_move(1e-20, 0.0) == 1e-20 / 1e-300
+
+    def test_returns_the_refined_object(self):
+        fine = np.array([1.0, -2.0])
+        assert check_refined(fine * (1.0 + 1e-12), fine, 1e-9, "pair") is fine
+        assert check_refined(0.5, 0.5, 0.0, "equal pair") == 0.5
+
+    def test_message_names_the_quantity(self):
+        with pytest.raises(AccuracyError,
+                           match="widget mass unstable under refinement"):
+            check_refined(1.0, 1.1, 1e-3, "widget mass")
+
+    def test_floor_can_pass_a_move_above_the_value(self):
+        with pytest.raises(AccuracyError):
+            check_refined(2e-9, 1e-9, 1e-8, "tiny")
+        assert check_refined(2e-9, 1e-9, 1e-8, "tiny", floor=1.0) == 1e-9
+
+    def test_nan_move_is_rejected(self):
+        with pytest.raises(AccuracyError):
+            check_refined(np.nan, 1.0, 1e-3, "nan value")
 
 
 class TestBallVolume:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dunkllab import harness, transform
-from dunkllab import (AccuracyError, CapabilityError, GridSampled, PolyGauss,
+from dunkllab import (DomainTooSmallError, GridSampled, PolyGauss,
                       WeightedContext, apply_dunkl, dunkl_convolve,
                       dunkl_transform, gaussian, hermite_gauss,
                       inverse_at_points, inverse_dunkl_transform,
@@ -140,20 +140,8 @@ class TestGuards:
     def test_undecayed_function_rejected(self):
         ctx = ctx_rank1(0.0)
         wide = PolyGauss(np.ones(1), np.array([0.01]))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(DomainTooSmallError):
             dunkl_transform(ctx, wide)
-
-    def test_accuracy_check_passes_for_confined_function(self):
-        ctx = ctx_rank1(0.5)
-        tf = dunkl_transform(ctx, gaussian(1), check_accuracy=True)
-        assert np.isfinite(tf.values).all()
-
-    def test_accuracy_check_rejects_grid_bound_input(self):
-        ctx = ctx_rank1(0.0)
-        sampled = GridSampled(grid=ctx.grid,
-                              values=gaussian(1).values_on(ctx.grid))
-        with pytest.raises(CapabilityError):
-            dunkl_transform(ctx, sampled, check_accuracy=True)
 
     def test_spectral_function_bound_to_its_grid(self):
         ctx = ctx_rank1(0.0)
@@ -161,6 +149,33 @@ class TestGuards:
         other = ctx.with_grids(freq_n_half=ctx.freq_n_half + 10)
         with pytest.raises(ValueError):
             tf.values_on(other.freq_grid)
+
+    def test_spectral_function_rejects_other_box_of_same_shape(self):
+        ctx = ctx_rank1(0.5)
+        tf = dunkl_transform(ctx, gaussian(1))
+        narrow = ctx.with_grids(freq_box=9.0)
+        assert narrow.freq_grid.shape == ctx.freq_grid.shape
+        with pytest.raises(ValueError, match="bound to its own grid"):
+            inverse_dunkl_transform(narrow, tf)
+
+    def test_grid_sampled_rejects_other_box_of_same_shape(self):
+        # a box-12 field read on box-8 nodes of the same count
+        ctx = ctx_rank1(0.5)
+        sampled = GridSampled(grid=ctx.grid,
+                              values=gaussian(1).values_on(ctx.grid))
+        narrow = ctx.with_grids(box=8.0)
+        assert narrow.grid.shape == ctx.grid.shape
+        with pytest.raises(ValueError, match="bound to its own grid"):
+            dunkl_transform(narrow, sampled)
+
+    def test_grid_sampled_accepts_equal_geometry(self):
+        ctx = ctx_rank1(0.5)
+        sampled = GridSampled(grid=ctx.grid,
+                              values=gaussian(1).values_on(ctx.grid))
+        twin = ctx.with_grids()
+        assert twin.grid is not ctx.grid
+        assert np.array_equal(dunkl_transform(twin, sampled).values,
+                              dunkl_transform(ctx, sampled).values)
 
 
 def entrywise(rows: np.ndarray, cols: np.ndarray, k: float) -> np.ndarray:
