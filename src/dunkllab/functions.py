@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import convolve
 
 from .quadrature import TensorGrid
 
@@ -32,6 +31,25 @@ def _poly_eval(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     if nd == 3:
         return npoly.polyval3d(pts[:, 0], pts[:, 1], pts[:, 2], coeffs)
     raise NotImplementedError("polynomial evaluation implemented for dim <= 3")
+
+
+def _convolve(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Full convolution of two coefficient arrays of the same rank, with the
+    bytes of ``scipy.signal.convolve(c, p, method="direct")``.
+
+    In 1-D scipy hands the product to ``np.convolve``.  In N-D the loop
+    adds ``p * c[j]`` into a zero array for each index ``j`` of ``c`` in C
+    order, which gives scipy's sums in scipy's order, so rounding and
+    signed zeros agree (the tests compare bytes).  Looping over the indices
+    of ``p`` instead changes the order of the sums, and so the bits; a
+    slice shift for a factor x_d changes the sign of zeros.
+    """
+    if c.ndim == 1:
+        return np.convolve(c, p)
+    out = np.zeros(tuple(m + n - 1 for m, n in zip(c.shape, p.shape)))
+    for j in np.ndindex(c.shape):
+        out[tuple(slice(i, i + n) for i, n in zip(j, p.shape))] += p * c[j]
+    return out
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -121,11 +139,15 @@ class PolyGauss:
         return PolyGauss(self.coeffs * c, self.exponents)
 
     def mul_poly(self, poly_coeffs: np.ndarray) -> "PolyGauss":
-        """Multiply by a polynomial given as an N-dim coefficient array."""
+        """Multiply by a polynomial given as an N-dim coefficient array.
+
+        The product's coefficients have the bytes of scipy's direct
+        convolution, ``scipy.signal.convolve(coeffs, p, method="direct")``.
+        """
         p = np.asarray(poly_coeffs, dtype=float)
         if p.ndim != self.dim:
             raise ValueError("polynomial factor has wrong dimension")
-        return PolyGauss(convolve(self.coeffs, p, method="direct"), self.exponents)
+        return PolyGauss(_convolve(self.coeffs, p), self.exponents)
 
     def mul_coordinate(self, axis: int) -> "PolyGauss":
         shape = [1] * self.dim

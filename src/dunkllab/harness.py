@@ -36,7 +36,7 @@ from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
                       heat_kernel_two_point, q_on_grid, spatial_rule,
                       two_point_kernel)
 from .measure import EtaFields, WeightedContext, volume_max_pairs
-from .quadrature import REFINE_FACTOR, relative_move
+from .quadrature import refined_n_half, relative_move
 from .report import VerificationReport, grid_metadata
 from .root_systems import orbit_distance_pairwise
 from .transform import dunkl_convolve, dunkl_transform
@@ -116,7 +116,7 @@ def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
     }
     if params["check_stability"]:
         fine = qctx.with_grids(
-            freq_n_half=int(REFINE_FACTOR * qctx.freq_grid.axes[0].n_half))
+            freq_n_half=refined_n_half(qctx.freq_grid.axes[0].n_half))
         radii2, vals2 = decay_samples(fine, spec)
         fit2 = fit_decay_exponent(np.column_stack([radii2, vals2]), p0=p_theory)
         stab = relative_move(fit2.exponent_fitted, fit.exponent_fitted)
@@ -545,7 +545,7 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         return float(cctx.grid.integrate(flipped))
 
     base_ctx = convolution_context(ctx, spec, params, t_min=eps0 / 2.0)
-    fine_ctx = base_ctx.with_grids(n_half=int(REFINE_FACTOR * base_ctx.n_half))
+    fine_ctx = base_ctx.with_grids(n_half=refined_n_half(base_ctx.n_half))
     w_base = weighted_integral(base_ctx)
     w_fine = weighted_integral(fine_ctx)
     rel = relative_move(w_base, w_fine)

@@ -491,8 +491,9 @@ def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
     eps0, tol = params["eps0"], params["tol"]
     cctx = _identity_context(ctx, spec, params, t_min=eps0 / 2.0)
     q_eps = q_on_grid(cctx, replace(spec, eps=spec.eps + eps0))
-    h_half = GridSampled(grid=cctx.grid,
-                         values=heat_kernel(cctx, cctx.grid, eps0 / 2.0))
+    # h_{eps0/2} enters both convolutions: transform it once
+    h_half = dunkl_transform(cctx, GridSampled(
+        grid=cctx.grid, values=heat_kernel(cctx, cctx.grid, eps0 / 2.0)))
     step1 = dunkl_convolve(cctx, q_eps, h_half)
     step1 = GridSampled(grid=cctx.grid, values=step1.values.real)
     step2 = dunkl_convolve(cctx, step1, h_half)

@@ -214,12 +214,19 @@ def _gaussian_mass(geometry: tuple) -> float:
     """int exp(-|x|^2/2) dw by the quadrature of one grid geometry, once per
     process: a refined context's base grid is the refined grid of the
     context it came from, so both of their c_k need the same sum.  The
-    field is formed on the grid axes and scaled in place."""
+    field is formed on the grid axes and scaled in place.  The weights are
+    applied in blocks of rows, the products of ``weight_tensor()`` without
+    a second grid-sized array."""
     grid = TensorGrid(axes=tuple(AxisRule.build(*axis) for axis in geometry))
     vals = grid.outer_sum(lambda d, x: x ** 2)
     vals *= -0.5
     np.exp(vals, out=vals)
-    vals *= grid.weight_tensor()
+    w0 = grid.axes[0].weights
+    for i in range(0, w0.size, 64):
+        block = w0[i:i + 64]
+        for ax in grid.axes[1:]:
+            block = np.multiply.outer(block, ax.weights)
+        vals[i:i + 64] *= block
     return np.sum(vals)
 
 

@@ -8,9 +8,10 @@ reflection hyperplane.  For k = 0 the rule is plain Gauss-Legendre per half.
 
 This module also holds the package's one accuracy guard.  ``check_refined``
 accepts a value only if it stays put, by ``relative_move``, on the grid refined
-by ``REFINE_FACTOR``; ``check_shell`` rejects an integrand whose outer boundary
-shell carries more than ``SHELL_TOL`` of its mass.  ``integrate_checked`` is
-``check_refined`` applied to the integral of one callable.
+by ``REFINE_FACTOR`` (node counts from ``refined_n_half``); ``check_shell``
+rejects an integrand whose outer boundary shell carries more than
+``SHELL_TOL`` of its mass.  ``integrate_checked`` is ``check_refined`` applied
+to the integral of one callable.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ from .errors import AccuracyError, DomainTooSmallError
 REFINE_FACTOR = 1.5
 SHELL_FRACTION = 0.05
 SHELL_TOL = 1e-10
+
+
+def refined_n_half(n_half: int) -> int:
+    """Nodes per half-axis of the refined grid: ``REFINE_FACTOR`` times
+    ``n_half``, rounded up.  Every refinement in the package uses this."""
+    return int(np.ceil(n_half * REFINE_FACTOR))
 
 
 @lru_cache(maxsize=256)
@@ -115,9 +122,9 @@ class TensorGrid:
             w = np.multiply.outer(w, ax.weights)
         return w
 
-    def refined(self, factor: float = REFINE_FACTOR) -> "TensorGrid":
+    def refined(self) -> "TensorGrid":
         axes = tuple(
-            AxisRule.build(ax.k, ax.half_width, int(np.ceil(ax.n_half * factor)))
+            AxisRule.build(ax.k, ax.half_width, refined_n_half(ax.n_half))
             for ax in self.axes
         )
         return TensorGrid(axes=axes)

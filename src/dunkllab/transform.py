@@ -164,14 +164,19 @@ def _values_on(f, grid: TensorGrid) -> np.ndarray:
 def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
                     src: TensorGrid, dst: TensorGrid, forward: bool) -> np.ndarray:
     """Apply the cached weighted operators axis by axis, then divide by c_k
-    in place."""
+    in place.
+
+    c_k is read before the output is allocated: its first read sums the
+    Gaussian mass on the refined grid, which should not overlap the complex
+    output in memory."""
+    c_k = ctx.c_k
     ks = ctx.system.ks
     freq, space = (dst, src) if forward else (src, dst)
     out = np.asarray(vals, dtype=complex)
     for d in range(ctx.dim):
         op = _CACHE.matrix(freq.axes[d], space.axes[d], ks[d], forward)
         out = np.moveaxis(np.tensordot(op, out, axes=([1], [d])), 0, d)
-    out /= ctx.c_k
+    out /= c_k
     return out
 
 
@@ -240,7 +245,8 @@ def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
 
     Either operand may be given as a SpectralFunction (its transform on the
     frequency grid, e.g. from ``dunkl_transform``), which is then used as it
-    is instead of being transformed again.
+    is instead of being transformed again.  When ``g is f`` the operand is
+    transformed once.
     """
     def spectrum(h) -> np.ndarray:
         if isinstance(h, SpectralFunction):
@@ -248,7 +254,7 @@ def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
         return dunkl_transform(ctx, h).values
 
     tf = spectrum(f)
-    tg = spectrum(g)
+    tg = tf if g is f else spectrum(g)
     product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg)
     vals = inverse_dunkl_transform(ctx, product).values
     vals *= ctx.c_k

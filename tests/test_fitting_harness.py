@@ -309,6 +309,27 @@ class TestAuxiliaryDispatch:
         assert report.fitted["C_cal"] > 0
         assert report.fitted["stability"] <= 0.05
 
+    @pytest.mark.parametrize("kind, params, probe, n_half_of", [
+        ("thm1-decay", {"freq_n_half": 81}, "decay_samples",
+         lambda ctx: ctx.freq_grid.axes[0].n_half),
+        ("exp-weighted-l1", {"n_half": 81, "ell": 1, "freq_box": 20.0},
+         "q_on_grid", lambda ctx: ctx.n_half)])
+    def test_refined_grid_rounds_odd_node_counts_up(self, monkeypatch, kind,
+                                                    params, probe, n_half_of):
+        # one rule with TensorGrid.refined: ceil(1.5 * 81) = 122, not 121
+        seen = []
+        real = getattr(harness, probe)
+
+        def recording(ctx, *args, **kwargs):
+            seen.append(n_half_of(ctx))
+            return real(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(harness, probe, recording)
+        run_check(WeightedContext(rank1(0.5)), kind, params)
+        assert seen == [81, 122]
+        assert WeightedContext(rank1(0.5), n_half=81).grid_fine.axes[0] \
+            .n_half == 122
+
     def test_translation_lipschitz_transforms_q_once(self, monkeypatch):
         calls = []
         real = transform.dunkl_transform

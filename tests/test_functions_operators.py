@@ -1,13 +1,20 @@
 """Polynomial-times-Gaussian calculus and the difference-differential operators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.signal import convolve
 
 from dunkllab import (CallableFunction, CapabilityError, PolyGauss,
                       WeightedContext, apply_dunkl, apply_dunkl_iterated,
                       dunkl_laplacian, gaussian, hermite_family,
                       hermite_gauss, monomial_gauss, product_z2, radial_bump,
                       rank1)
+from dunkllab.functions import _convolve
 from dunkllab.operators import dunkl_apply_values
 from dunkllab.quadrature import TensorGrid
 
@@ -69,6 +76,79 @@ class TestPolyGaussAlgebra:
         assert len(fam) == 15
         assert all(isinstance(f, PolyGauss) for f in fam)
         assert max(f.degree for f in fam) == 4
+
+
+def _signed_zero_coeffs(rng, shape):
+    """Normal coefficients with about a third of them replaced by +0 or -0."""
+    c = rng.normal(size=shape)
+    zeros = rng.random(shape) < 0.35
+    c[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return c
+
+
+def _shift_kernel(dim, axis, sign=1.0):
+    """The factor x_axis of ``mul_coordinate``, optionally negated."""
+    shape = [1] * dim
+    shape[axis] = 2
+    p = np.zeros(shape)
+    p[tuple(0 if d != axis else 1 for d in range(dim))] = sign
+    return p
+
+
+class TestConvolve:
+    """``_convolve`` must give the bytes of scipy's direct convolution, so
+    that PolyGauss products, and every report built on them, keep their
+    bits without importing scipy.signal."""
+
+    @staticmethod
+    def _assert_same_bytes(c, p):
+        ours = _convolve(c, p)
+        ref = convolve(c, p, method="direct")
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_inputs_match_scipy_direct(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(200):
+            c = _signed_zero_coeffs(rng, tuple(rng.integers(1, 7, size=dim)))
+            p = _signed_zero_coeffs(rng, tuple(rng.integers(1, 7, size=dim)))
+            self._assert_same_bytes(c, p)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_shift_kernels_match_scipy_direct(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for _ in range(50):
+            c = _signed_zero_coeffs(rng, tuple(rng.integers(1, 7, size=dim)))
+            for axis in range(dim):
+                for sign in (1.0, -1.0):
+                    self._assert_same_bytes(c, _shift_kernel(dim, axis, sign))
+
+    def test_mul_coordinate_matches_scipy_direct(self):
+        rng = np.random.default_rng(7)
+        f = PolyGauss(_signed_zero_coeffs(rng, (4, 5)), [0.5, 0.7])
+        for axis in range(2):
+            expect = convolve(f.coeffs, _shift_kernel(2, axis),
+                              method="direct")
+            got = f.mul_coordinate(axis).coeffs
+            assert got.tobytes() == expect[tuple(
+                slice(0, s) for s in got.shape)].tobytes()
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    # scipy.signal pulls in scipy.stats, ndimage and interpolate, close to
+    # a second of start-up for every run; the package needs none of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    heavy = ["scipy.signal", "scipy.stats", "scipy.ndimage",
+             "scipy.interpolate"]
+    code = ("import sys, dunkllab, dunkllab.runner; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestPolyGaussGridSampling:

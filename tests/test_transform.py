@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dunkllab import harness, transform
+from dunkllab import harness, kernels, transform
 from dunkllab import (DomainTooSmallError, GridSampled, PolyGauss,
                       WeightedContext, apply_dunkl, dunkl_convolve,
                       dunkl_transform, gaussian, hermite_gauss,
@@ -332,3 +332,40 @@ class TestConvolutionOperands:
                            {"radii": radii})
         assert report.passed
         assert len(calls) == len(radii)
+
+    @staticmethod
+    def _count_transforms(monkeypatch) -> list:
+        calls = []
+        real = transform.dunkl_transform
+
+        def counting(ctx, f, **kwargs):
+            calls.append(f)
+            return real(ctx, f, **kwargs)
+
+        for module in (transform, harness, kernels):
+            monkeypatch.setattr(module, "dunkl_transform", counting)
+        return calls
+
+    def test_self_convolution_transforms_once(self, monkeypatch):
+        ctx = ctx_rank1(0.5)
+        f = gaussian(1, 0.5)
+        expect = dunkl_convolve(ctx, f, dunkl_transform(ctx, f)).values
+        calls = self._count_transforms(monkeypatch)
+        got = dunkl_convolve(ctx, f, f).values
+        assert got.tobytes() == expect.tobytes()
+        assert calls == [f]
+
+    def test_semigroup_transforms_the_half_time_kernel_once(self,
+                                                            monkeypatch):
+        calls = self._count_transforms(monkeypatch)
+        report = run_check(ctx_rank1(0.5), "kernel-semigroup")
+        assert report.passed
+        assert len(calls) == 1
+
+    def test_decomposition_transforms_the_heat_factor_once(self,
+                                                           monkeypatch):
+        # q_1^(eps+eps0), h_{eps0/2} and the first convolution: three
+        calls = self._count_transforms(monkeypatch)
+        report = run_check(ctx_rank1(0.5), "kernel-decomposition")
+        assert report.passed
+        assert len(calls) == 3
