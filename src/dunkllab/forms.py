@@ -9,6 +9,10 @@ exploit radiality of eta: for radial v, T_zeta(u v) = v T_zeta u + u d_zeta v,
 and the reflection-difference quotient of d_zeta eta collapses to
 4 F'(|x|^2) <alpha, zeta>/|alpha|^2.  Everything else is exact PolyGauss
 calculus, so quadrature error enters only through the final integral.
+
+Each Dunkl image of a function is formed once per call (``DunklImages``)
+and each image is sampled once per grid, so the form and the norms of one
+function read the same arrays; garding keeps the images for a whole check.
 """
 
 from __future__ import annotations
@@ -75,10 +79,70 @@ def _sample(h: PolyGauss, where) -> np.ndarray:
     return h.values_on(where) if isinstance(where, TensorGrid) else h(where)
 
 
+class DunklImages:
+    """One function f with its Dunkl images T_zeta^j f.
+
+    Each image is formed on first request and kept for the life of the
+    object.  garding holds one per family member for the whole check, so
+    every image is formed once, however many s, grids and terms use it.
+    """
+
+    def __init__(self, system, f):
+        self.system = system
+        self.f = f
+        self._held: dict = {}
+
+    def power(self, zeta, j: int):
+        """T_zeta^j f; j = 0 is f itself."""
+        if j == 0:
+            return self.f
+        key = (tuple(zeta), j)
+        if key not in self._held:
+            self._held[key] = apply_dunkl(self.system, zeta,
+                                          self.power(zeta, j - 1))
+        return self._held[key]
+
+
+class _Samples:
+    """Values of the images of one ``DunklImages`` on TensorGrids (grid
+    shape) or (M, dim) point arrays, each sampled once and held for the
+    life of the object.  garding keeps one per (s, f): the form, the H_s
+    norm and the V_{l,s} norm all read the same arrays."""
+
+    def __init__(self, images: DunklImages):
+        self.images = images
+        self._held: dict = {}
+
+    def _value(self, where, key, image):
+        # ``where`` stays referenced next to its values, so its id is not
+        # reused while the entry lives
+        slot = (id(where), key)
+        if slot not in self._held:
+            self._held[slot] = (where, _sample(image(), where))
+        return self._held[slot][1]
+
+    def power(self, where, zeta=None, j: int = 0) -> np.ndarray:
+        """T_zeta^j f at ``where``; f itself by default."""
+        key = (tuple(zeta), j) if j else ()
+        return self._value(where, key, lambda: self.images.power(zeta, j))
+
+    def reflected(self, where, axis: int) -> np.ndarray:
+        """f o sigma_axis at ``where``."""
+        return self._value(where, ("reflected", axis),
+                           lambda: self.images.f.reflect_axis(axis))
+
+
 def _t_g_eta(ctx: WeightedContext, zeta: np.ndarray, order: int,
              g: PolyGauss, where, fields: EtaFields) -> np.ndarray:
     """T_zeta^order (g eta(., fields.s)) on a TensorGrid (grid-shaped values)
-    or at an (M, dim) point array.
+    or at an (M, dim) point array."""
+    return _t_eta(ctx, zeta, order, _Samples(DunklImages(ctx.system, g)),
+                  where, fields)
+
+
+def _t_eta(ctx: WeightedContext, zeta: np.ndarray, order: int, g: _Samples,
+           where, fields: EtaFields) -> np.ndarray:
+    """``_t_g_eta`` with the values of g and its images read from ``g``.
 
     Dunkl operators of PolyGauss inputs exist on product systems only, whose
     positive roots are sqrt(2) e_d: g o sigma_alpha is g.reflect_axis(d).
@@ -89,20 +153,18 @@ def _t_g_eta(ctx: WeightedContext, zeta: np.ndarray, order: int,
         raise ValueError("s = 0 has no eta factor")
     eta_v = fields.eta(where)
     d1 = fields.directional(where, zeta, 1)
-    tg = apply_dunkl(ctx.system, zeta, g)
     if order == 1:
-        return eta_v * _sample(tg, where) + _sample(g, where) * d1
+        return eta_v * g.power(where, zeta, 1) + g.power(where) * d1
     d2 = fields.directional(where, zeta, 2)
-    ttg = apply_dunkl(ctx.system, zeta, tg)
-    out = (eta_v * _sample(ttg, where) + 2.0 * d1 * _sample(tg, where)
-           + _sample(g, where) * d2)
+    out = (eta_v * g.power(where, zeta, 2) + 2.0 * d1 * g.power(where, zeta, 1)
+           + g.power(where) * d2)
     fprime = fields.radial_factor(where)
     for alpha, k in positive_roots(ctx.system):
         if k == 0.0:
             continue
         coef = k * float(alpha @ zeta) ** 2 * 4.0 / float(alpha @ alpha)
         axis = int(np.flatnonzero(alpha)[0])
-        out = out + coef * fprime * _sample(g.reflect_axis(axis), where)
+        out = out + coef * fprime * g.reflected(where, axis)
     return out
 
 
@@ -113,21 +175,17 @@ def _require_polygauss(*fs):
                 "bilinear forms are evaluated on the PolyGauss family only")
 
 
-def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec",
-                f: PolyGauss, g: PolyGauss, grid: TensorGrid,
-                fields: EtaFields):
-    """Per-direction integrals of T^l f . T^l(g eta) plus their gross mass."""
+def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec", f: _Samples,
+                g: _Samples, grid: TensorGrid, fields: EtaFields):
+    """Per-direction integrals of T^l f . T^l(g eta) plus their gross mass,
+    the |integrand| dw sum that the shell check takes."""
     total = 0.0
     gross = 0.0
     for zeta in spec.direction_arrays():
-        tf = f
-        for _ in range(spec.ell):
-            tf = apply_dunkl(ctx.system, zeta, tf)
-        integrand = tf.values_on(grid) * _t_g_eta(ctx, zeta, spec.ell, g,
-                                                  grid, fields)
-        check_shell(grid, integrand, what="bilinear form integrand")
+        integrand = f.power(grid, zeta, spec.ell) * _t_eta(
+            ctx, zeta, spec.ell, g, grid, fields)
+        gross += check_shell(grid, integrand, what="bilinear form integrand")
         total += float(grid.integrate(integrand))
-        gross += float(grid.integrate(np.abs(integrand)))
     return total, gross
 
 
@@ -140,23 +198,31 @@ def _refine_checked(ctx, evaluate) -> float:
                          floor=max(1e-6 * gross, 1e-300))
 
 
+def _pair_samples(system, f: PolyGauss, g: PolyGauss):
+    """Samples of f and of g; one set when ``g is f``."""
+    _require_polygauss(f, g)
+    fs = _Samples(DunklImages(system, f))
+    return fs, (fs if g is f else _Samples(DunklImages(system, g)))
+
+
 def form_a_s(ctx: WeightedContext, spec: BilinearFormSpec,
              f: PolyGauss, g: PolyGauss) -> float:
     """a_s(f, g); value from the refined grid, checked against the base grid."""
-    return _form(ctx, replace(spec, eps=0.0), f, g, EtaFields(spec.s))
+    return _form(ctx, replace(spec, eps=0.0), *_pair_samples(ctx.system, f, g),
+                 EtaFields(spec.s))
 
 
 def form_b_s_eps(ctx: WeightedContext, spec: BilinearFormSpec,
                  f: PolyGauss, g: PolyGauss) -> float:
     """b_{s,eps}(f, g) = a_s(f, g) + eps sum_d int T_d f . T_d(g eta) dw."""
-    return _form(ctx, spec, f, g, EtaFields(spec.s))
+    return _form(ctx, spec, *_pair_samples(ctx.system, f, g),
+                 EtaFields(spec.s))
 
 
-def _form(ctx: WeightedContext, spec: BilinearFormSpec, f: PolyGauss,
-          g: PolyGauss, fields: EtaFields) -> float:
+def _form(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
+          g: _Samples, fields: EtaFields) -> float:
     """b_{s,eps}(f, g), which is a_s(f, g) at eps = 0, with eta from
     ``fields`` (at spec.s)."""
-    _require_polygauss(f, g)
     if spec.s == 0.0:
         raise ValueError("bilinear forms need s > 1/4")
     if spec.eps == 0.0:
@@ -183,28 +249,34 @@ def sobolev_norm_V(ctx: WeightedContext, spec: BilinearFormSpec,
     """(||f||_{H_s}^2 + sum_j ||T_{zeta_j}^l f||_{H_s}^2)^{1/2}."""
     _require_polygauss(f)
     fields = EtaFields(spec.s)
-    return _sobolev_norm(ctx, spec, f, fields, _weighted_norm(ctx, f, fields))
+    fs = _Samples(DunklImages(ctx.system, f))
+    return _sobolev_norm(ctx, spec, fs, fields,
+                         _weighted_norm(ctx, fs.power, fields))
 
 
-def _sobolev_norm(ctx: WeightedContext, spec: BilinearFormSpec, f: PolyGauss,
+def _sobolev_norm(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
                   fields: EtaFields, h_norm: float) -> float:
     """``sobolev_norm_V`` given ||f||_{H_s} = ``h_norm``."""
     total = h_norm ** 2
     for zeta in spec.direction_arrays():
-        tf = f
-        for _ in range(spec.ell):
-            tf = apply_dunkl(ctx.system, zeta, tf)
-        total += _weighted_norm(ctx, tf, fields) ** 2
+        total += _weighted_norm(
+            ctx, lambda grid: f.power(grid, zeta, spec.ell), fields) ** 2
     return float(np.sqrt(total))
 
 
 def _coercivity_terms(ctx: WeightedContext, spec: BilinearFormSpec,
-                      f: PolyGauss, fields: EtaFields
+                      images: DunklImages, fields: EtaFields
                       ) -> tuple[float, float, float]:
-    """(-b_{s,eps}(f, f), ||f||_{H_s}^2, ||f||_{V_{l,s}}^2) at s = spec.s.
+    """(-b_{s,eps}(f, f), ||f||_{H_s}^2, ||f||_{V_{l,s}}^2) at s = spec.s for
+    f = ``images.f``.
 
-    eta comes from ``fields``, so one instance serves every f at that s.
+    eta comes from ``fields``, so one instance serves every f at that s; the
+    images of f come from ``images``, so one instance serves every s.  f and
+    each image are sampled once per grid here and the three terms share the
+    samples, which are dropped on return.
     """
+    _require_polygauss(images.f)
+    f = _Samples(images)
     A = -_form(ctx, spec, f, f, fields)
-    h_norm = _weighted_norm(ctx, f, fields)
+    h_norm = _weighted_norm(ctx, f.power, fields)
     return A, h_norm ** 2, _sobolev_norm(ctx, spec, f, fields, h_norm) ** 2

@@ -23,20 +23,22 @@ from .checks import (CHECKS, GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA,
                      Derived, Param, grid_params, integer, number, numbers,
                      register, tolerance)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_parts
-from .errors import ConfigError
+from .errors import ConfigError, DomainTooSmallError
 from .fitting import (GARDING_C_CAP, HOLDOUT_SLACK, alternating_split,
                       envelope_fit, envelope_fit_upper,
                       envelope_holdout_ratio, fit_decay_exponent, garding_lp,
                       garding_holdout_ratio, ratio_constant_fit,
                       ratio_holdout_ratio)
-from .forms import EPSILON_MAX, BilinearFormSpec, _coercivity_terms
+from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages,
+                    _coercivity_terms)
 from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
 from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
                       dunkl_translate, evaluate_q, freq_box_for, heat_kernel,
                       heat_kernel_two_point, q_on_grid, spatial_rule,
                       two_point_kernel)
 from .measure import EtaFields, WeightedContext, volume_max_pairs
-from .quadrature import refined_n_half, relative_move
+from .quadrature import (SHELL_TOL, boundary_shell_fraction, refined_n_half,
+                         relative_move)
 from .report import VerificationReport, grid_metadata
 from .root_systems import orbit_distance_pairwise
 from .transform import dunkl_convolve, dunkl_transform
@@ -289,14 +291,19 @@ def check_garding(ctx: WeightedContext, form_spec: BilinearFormSpec,
     s_set, c_cap = params["s_set"], params["garding_c_cap"]
     family = family if family is not None else default_garding_family(ctx.dim)
     cal_f, held_f = alternating_split(len(family))
-    # the eta fields depend on s only, so s is the outer loop and one set of
-    # fields is alive at a time; rows are then listed per function, s inner
+    # each member's Dunkl images do not depend on s: they are formed once,
+    # on first use, and kept for the whole check (small PolyGauss objects).
+    # The eta fields depend on s only and are grid-sized, so s is the outer
+    # loop and one set of fields is alive at a time; the grid samples of f
+    # and its images live for one (s, f), shared by its three terms.  Rows
+    # are then listed per function, s inner
+    members = [DunklImages(ctx.system, f) for f in family]
     terms = {}
     for s in s_set:
         spec_s = replace(form_spec, s=s)
         fields = EtaFields(s)
-        for i, f in enumerate(family):
-            A, H, V = _coercivity_terms(ctx, spec_s, f, fields)
+        for i, images in enumerate(members):
+            A, H, V = _coercivity_terms(ctx, spec_s, images, fields)
             terms[i, s] = (A, s ** (2 * form_spec.ell) * H, V)
     rows = {label: [terms[i, s] for i in idxs for s in s_set]
             for label, idxs in (("cal", cal_f), ("held", held_f))}
@@ -449,20 +456,30 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     # f and phi are the same bumps: transform each radius once
     bumps = {r: radial_bump(ctx.dim, r) for r in radii}
     spectra = {r: dunkl_transform(bctx, bump) for r, bump in bumps.items()}
+
+    def translated_l1(r1: float, r2: float) -> float:
+        conv = dunkl_convolve(bctx, spectra[r2], spectra[r1])
+        # the convolution of radial functions supported in radii r1, r2
+        # is supported in radius r1 + r2; zero the outside so grid
+        # ripple there cannot pollute the translation step
+        support = norms <= r1 + r2 + 0.1
+        conv = GridSampled(grid=bctx.grid, values=conv.values.real * support)
+        moved = dunkl_translate(bctx, conv, y_shift)
+        return float(bctx.grid.integrate(np.abs(moved.values)))
+
+    # the spectra product commutes bit for bit and the support mask is
+    # symmetric, so (r1, r2) and (r2, r1) give the same bits: each
+    # unordered pair is convolved, masked and translated once
+    l1_of = {}
     vals, scales, cal_mask = [], [], []
     for r2 in radii:          # support radius of f
         f_l1 = float(bctx.grid.integrate(
             np.abs(bumps[r2](pts)).reshape(grid_shape)))
         for r1 in radii:      # support radius of the radial factor phi
-            conv = dunkl_convolve(bctx, spectra[r2], spectra[r1])
-            # the convolution of radial functions supported in radii r1, r2
-            # is supported in radius r1 + r2; zero the outside so grid
-            # ripple there cannot pollute the translation step
-            support = norms <= r1 + r2 + 0.1
-            conv = GridSampled(grid=bctx.grid,
-                               values=conv.values.real * support)
-            moved = dunkl_translate(bctx, conv, y_shift)
-            l1 = float(bctx.grid.integrate(np.abs(moved.values)))
+            pair = (min(r1, r2), max(r1, r2))
+            if pair not in l1_of:
+                l1_of[pair] = translated_l1(r1, r2)
+            l1 = l1_of[pair]
             vals.append(l1)
             scales.append((r1 * (r1 + r2)) ** (ctx.homogeneous_dim / 2.0) * f_l1)
             cal_mask.append(r1 >= r2)
@@ -501,6 +518,29 @@ def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:
     return np.sqrt(ctx.grid.outer_sum(square))
 
 
+def _aliasing_error(ctx: WeightedContext,
+                    values: np.ndarray) -> DomainTooSmallError | None:
+    """The shell failure of ``values``, samples on the spatial grid formed
+    from spectra, when the frequency box outruns the spatial nodes; None
+    when it does not, and the box is the suspect.
+
+    n_half nodes per half-axis of the box resolve frequencies up to about
+    pi n_half / box (half a period per mean node spacing).  Above that the
+    spectra taken by spatial quadrature are aliased, and their inverse
+    transform leaves noise on the boundary shell that a larger box makes
+    worse.
+    """
+    resolved = np.pi * ctx.n_half / ctx.box
+    if ctx.freq_box <= resolved:
+        return None
+    return DomainTooSmallError(
+        f"q_1^(eps0) * h_(eps0/2) on the spatial grid: boundary shell carries "
+        f"{boundary_shell_fraction(ctx.grid, values):.3e} of the mass "
+        f"(> {SHELL_TOL:.1e}); freq_box {ctx.freq_box:g} exceeds the about "
+        f"{resolved:.3g} that n_half {ctx.n_half} resolves on the "
+        f"{ctx.box:g} box: lower freq_box or raise n_half")
+
+
 @register("exp-weighted-l1",
           "exponentially weighted integrability: the integral of "
           "|tau_y(q_1^{(eps0)} * h_{eps0/2})(-x)| exp(c d(x,y)^{2l/(2l-1)}) "
@@ -533,7 +573,13 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         del q_eps, h_half
         real = GridSampled(grid=cctx.grid, values=conv.real.copy(order="K"))
         del conv
-        moved = dunkl_translate(cctx, real, y_shift).values
+        try:
+            moved = dunkl_translate(cctx, real, y_shift).values
+        except DomainTooSmallError as err:
+            aliased = _aliasing_error(cctx, real.values)
+            if aliased is None:
+                raise
+            raise aliased from err
         del real
         flipped = np.abs(moved[(slice(None, None, -1),) * cctx.dim])
         del moved

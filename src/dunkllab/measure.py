@@ -171,9 +171,17 @@ class EtaFields:
 
     ``where`` is a TensorGrid or an (M, dim) point array.  On a grid every
     field takes the grid's shape and is computed once, then held with the
-    grid for the life of the object; a check that evaluates many functions at
-    one s builds one instance per s and drops it before the next.  Fields on
-    point arrays are computed on each request.
+    grid for the life of the object.  Fields on point arrays are computed on
+    each request.
+
+    The fields are grid-sized and depend on s alone, so a check that
+    evaluates many functions at several s (garding) keeps s as its outer
+    loop: it builds one instance per s and drops it before the next, and
+    only one set of fields is alive at a time.  What does not depend on s is
+    held elsewhere for the whole check: the Dunkl images of each function
+    (``forms.DunklImages``), small PolyGauss objects.  The grid samples of a
+    function and its images depend on neither, but are grid-sized too: they
+    live for one (s, f) only.
     """
 
     def __init__(self, s: float):
@@ -313,17 +321,19 @@ def weighted_norm(ctx: WeightedContext, f, s: float) -> float:
     The integrand must decay inside the box (boundary-shell check) and the
     value must be stable under grid refinement.
     """
-    return _weighted_norm(ctx, f, EtaFields(s))
-
-
-def _weighted_norm(ctx: WeightedContext, f, fields: EtaFields) -> float:
-    """``weighted_norm`` at ``fields.s``, taking eta from ``fields``."""
-    def norm_sq(grid: TensorGrid) -> float:
+    def values(grid: TensorGrid) -> np.ndarray:
         if hasattr(f, "values_on"):
-            vals = np.asarray(f.values_on(grid), dtype=float).reshape(grid.shape)
-        else:
-            vals = grid.evaluate(f)
-        integrand = np.abs(vals) ** 2
+            return np.asarray(f.values_on(grid), dtype=float).reshape(grid.shape)
+        return grid.evaluate(f)
+
+    return _weighted_norm(ctx, values, EtaFields(s))
+
+
+def _weighted_norm(ctx: WeightedContext, values, fields: EtaFields) -> float:
+    """``weighted_norm`` at ``fields.s`` of the function whose samples on a
+    grid are ``values(grid)``, taking eta from ``fields``."""
+    def norm_sq(grid: TensorGrid) -> float:
+        integrand = np.abs(values(grid)) ** 2
         if fields.s != 0.0:
             integrand = integrand * fields.eta(grid)
         check_shell(grid, integrand, what="weighted norm")

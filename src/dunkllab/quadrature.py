@@ -153,27 +153,34 @@ class TensorGrid:
         return m
 
 
-def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray,
-                            fraction: float = SHELL_FRACTION) -> float:
-    """|integrand| mass carried by the outer shell, relative to the total."""
+def _shell_share(grid: TensorGrid, values: np.ndarray,
+                 fraction: float) -> tuple[float, float]:
+    """(share of the |values| dw mass on the outer shell, that mass)."""
     mass = grid.weight_tensor() * np.abs(np.asarray(values).reshape(grid.shape))
     total = float(np.sum(mass))
     if total == 0.0:
-        return 0.0
-    shell = float(np.sum(mass[grid.shell_mask(fraction)]))
-    return shell / total
+        return 0.0, total
+    return float(np.sum(mass[grid.shell_mask(fraction)])) / total, total
+
+
+def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray,
+                            fraction: float = SHELL_FRACTION) -> float:
+    """|integrand| mass carried by the outer shell, relative to the total."""
+    return _shell_share(grid, values, fraction)[0]
 
 
 def check_shell(grid: TensorGrid, values: np.ndarray, tol: float = SHELL_TOL,
-                what: str = "integrand") -> None:
+                what: str = "integrand") -> float:
     """Raise DomainTooSmallError if the boundary shell carries more than
-    ``tol`` of the |values| dw mass."""
-    frac = boundary_shell_fraction(grid, values)
+    ``tol`` of the |values| dw mass; else return that mass, which equals
+    ``grid.integrate(np.abs(values))`` bit for bit."""
+    frac, total = _shell_share(grid, values, SHELL_FRACTION)
     if frac > tol:
         raise DomainTooSmallError(
             f"{what}: boundary shell carries {frac:.3e} of the mass "
             f"(> {tol:.1e}); enlarge the grid box"
         )
+    return total
 
 
 def relative_move(value, reference, floor: float = 1e-300) -> float:

@@ -175,21 +175,29 @@ def _flat_constant_rows(index: int, kind: str,
     return rows
 
 
-def write_summary_csv(path: Path, results: list[tuple[str, VerificationReport]]) -> None:
+def write_summary_csv(path: Path, results: list[tuple]) -> None:
+    """Flat constant rows per check; a check that raised (a DunklLabError
+    in place of its report) has one ``error`` row naming the error type."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check_index", "kind", "name", "value"])
     for i, (kind, report) in enumerate(results):
-        writer.writerows(_flat_constant_rows(i, kind, report))
+        if isinstance(report, DunklLabError):
+            writer.writerow([i, kind, "error", type(report).__name__])
+        else:
+            writer.writerows(_flat_constant_rows(i, kind, report))
     path.write_text(buf.getvalue())
 
 
-def write_decay_csv(path: Path, results: list[tuple[str, VerificationReport]]) -> None:
-    """Plot-ready radius vs log|q| data from every decay check."""
+def write_decay_csv(path: Path, results: list[tuple]) -> None:
+    """Plot-ready radius vs log|q| data from every decay check (checks that
+    raised are skipped)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check_index", "radius", "abs_q", "log_abs_q"])
     for i, (kind, report) in enumerate(results):
+        if isinstance(report, DunklLabError):
+            continue
         radii = report.fitted.get("radii")
         values = report.fitted.get("abs_q")
         if radii is None or values is None:
@@ -204,6 +212,14 @@ def write_decay_csv(path: Path, results: list[tuple[str, VerificationReport]]) -
 def _write_report_json(path: Path, report: VerificationReport) -> None:
     payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
     path.write_text(payload + "\n")
+
+
+def _write_error_json(path: Path, chk: dict, err: DunklLabError) -> None:
+    """The record of a check that raised: its kind and config params, the
+    error type and its message."""
+    record = {"check": chk["kind"], "params": chk.get("params", {}),
+              "error": {"type": type(err).__name__, "message": str(err)}}
+    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +261,10 @@ def run(config_path: str) -> int:
     """Execute an experiment config.
 
     Returns 0 if every check passed, 2 if any check failed, 1 on
-    configuration or accuracy errors.
+    configuration errors or when a check raised: the reports of the checks
+    that finished are written all the same, and each check that raised
+    leaves an error record (``<stem>_<hash>_<kind>_error.json``) and an
+    ``error`` row in the summary.
     """
     path = Path(config_path)
     try:
@@ -286,16 +305,14 @@ def run(config_path: str) -> int:
             except DunklLabError as err:
                 outcomes[i] = err
 
-    errors = [(i, err) for i, err in enumerate(outcomes)
-              if isinstance(err, DunklLabError)]
-    if errors:
-        for i, err in errors:
-            print(f"error in check {i} ({checks[i]['kind']}): {err}")
-        return 1
-
-    results: list[tuple[str, VerificationReport]] = []
-    for chk, (report, elapsed) in zip(checks, outcomes):
+    results: list[tuple[str, VerificationReport | DunklLabError]] = []
+    for i, (chk, outcome) in enumerate(zip(checks, outcomes)):
         kind = chk["kind"]
+        if isinstance(outcome, DunklLabError):
+            print(f"error in check {i} ({kind}): {outcome}")
+            results.append((kind, outcome))
+            continue
+        report, elapsed = outcome
         if kind in overrides:
             report = _apply_tolerance_override(report, float(overrides[kind]))
         results.append((kind, report))
@@ -303,15 +320,26 @@ def run(config_path: str) -> int:
 
     filenames = report_filenames(path.stem, chash,
                                  [kind for kind, _ in results])
-    for fname, (_, report) in zip(filenames, results):
-        _write_report_json(out_dir / fname, report)
+    for fname, chk, (_, report) in zip(filenames, checks, results):
+        if isinstance(report, DunklLabError):
+            _write_error_json(
+                out_dir / (fname.removesuffix(".json") + "_error.json"),
+                chk, report)
+        else:
+            _write_report_json(out_dir / fname, report)
     write_summary_csv(out_dir / f"{path.stem}_{chash}_summary.csv", results)
     write_decay_csv(out_dir / f"{path.stem}_{chash}_decay.csv", results)
 
     total = time.perf_counter() - start
-    n_pass = sum(report.passed for _, report in results)
-    print(f"{n_pass}/{len(results)} checks passed in {total:.2f}s; "
+    reports = [report for _, report in results
+               if isinstance(report, VerificationReport)]
+    n_pass = sum(report.passed for report in reports)
+    n_error = len(results) - len(reports)
+    raised = f", {n_error} raised" if n_error else ""
+    print(f"{n_pass}/{len(results)} checks passed{raised} in {total:.2f}s; "
           f"reports in {out_dir}")
+    if n_error:
+        return 1
     return 0 if n_pass == len(results) else 2
 
 

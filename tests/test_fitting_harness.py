@@ -1,19 +1,24 @@
 """Fitting protocols on synthetic data, plus harness-level checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dunkllab import (BilinearFormSpec, InvalidRootSystemError, KernelSpec,
                       WeightedContext, check_garding,
                       check_heat_gaussian_bound, check_thm1_decay,
-                      check_two_point_bound, harness, hermite_family, kernels,
-                      product_z2, rank1, run_check, transform)
+                      check_two_point_bound, forms, harness, hermite_family,
+                      kernels, product_z2, rank1, run_check, transform)
+from dunkllab.errors import DomainTooSmallError
 from dunkllab.fitting import (FitConvergenceError, alternating_split,
                               envelope_fit, envelope_fit_upper,
                               envelope_holdout_ratio, fit_decay_exponent,
                               garding_holdout_ratio, garding_lp,
                               ratio_constant_fit, ratio_holdout_ratio)
+from dunkllab.forms import form_b_s_eps, sobolev_norm_V
 from dunkllab.harness import decay_rays, decay_samples, make_pair_grid
+from dunkllab.measure import weighted_norm
 from dunkllab.root_systems import orbit_distance_pairwise
 
 
@@ -283,6 +288,60 @@ class TestGardingCheck:
         assert report.fitted["holdout_ratio"] <= 1.0
 
 
+class TestGardingSharesWork:
+    """garding forms each member's Dunkl images once and samples them once
+    per (s, grid); its rows equal the public forms called one by one."""
+
+    def test_rank2_default_forms_each_image_once(self, monkeypatch):
+        # 18 members x 2 axis directions at l = 1; forming them afresh for
+        # every s, grid and term took 540 calls
+        calls = []
+        real = forms.apply_dunkl
+
+        def counting(system, zeta, f):
+            calls.append(tuple(zeta))
+            return real(system, zeta, f)
+
+        monkeypatch.setattr(forms, "apply_dunkl", counting)
+        ctx = WeightedContext(product_z2([0.5, 0.5]))
+        report = run_check(ctx, "garding")
+        assert report.passed
+        assert len(calls) == 36
+
+    @pytest.mark.parametrize("system, ell, eps, directions", [
+        (rank1(0.5), 2, 0.0, ((1.0,),)),
+        (product_z2([0.7, 0.3]), 1, 0.05, ((1.0, 0.0), (1.0, 1.0)))])
+    def test_rows_equal_public_forms_bit_for_bit(self, monkeypatch, system,
+                                                 ell, eps, directions):
+        rows = []
+        real_lp = harness.garding_lp
+
+        def recording(A, S, V, **kwargs):
+            rows.append((A, S, V))
+            return real_lp(A, S, V, **kwargs)
+
+        monkeypatch.setattr(harness, "garding_lp", recording)
+        ctx = WeightedContext(system)
+        spec = BilinearFormSpec(ell=ell, s=1.0, eps=eps,
+                                directions=directions)
+        family = harness.default_garding_family(ctx.dim)[:4]
+        s_set = (0.5, 2.0)
+        check_garding(ctx, spec, family=family, s_set=s_set)
+        (A, S, V), = rows
+        cal, _ = alternating_split(len(family))
+        expect = []
+        for i in cal:
+            for s in s_set:
+                spec_s = replace(spec, s=s)
+                f = family[i]
+                expect.append((-form_b_s_eps(ctx, spec_s, f, f),
+                               s ** (2 * ell) * weighted_norm(ctx, f, s) ** 2,
+                               sobolev_norm_V(ctx, spec_s, f) ** 2))
+        assert A.tolist() == [a for a, _, _ in expect]
+        assert S.tolist() == [h for _, h, _ in expect]
+        assert V.tolist() == [v for _, _, v in expect]
+
+
 class TestAuxiliaryDispatch:
     def test_unknown_kind_lists_known(self):
         ctx = WeightedContext(rank1(0.5))
@@ -329,6 +388,47 @@ class TestAuxiliaryDispatch:
         assert seen == [81, 122]
         assert WeightedContext(rank1(0.5), n_half=81).grid_fine.axes[0] \
             .n_half == 122
+
+    def test_compact_support_translates_each_unordered_pair_once(
+            self, monkeypatch):
+        # 3 bump spectra, then per unordered radius pair one inverse
+        # transform (convolution) and two (translation): 3 + 6 x 3 = 21;
+        # every ordered pair took 3 + 9 x 3 = 30
+        calls = []
+        for name in ("dunkl_transform", "inverse_dunkl_transform"):
+            real = getattr(transform, name)
+
+            def counting(*args, real=real, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            for module in (transform, harness, kernels):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        report = run_check(WeightedContext(rank1(0.5)), "compact-support-l1")
+        assert report.passed
+        assert len(calls) == 21
+        # the mirrored pairs keep their bit-identical L1 values
+        vals = np.reshape(report.fitted["l1_values"], (3, 3))
+        assert np.array_equal(vals, vals.T)
+
+    def test_exp_weighted_aliasing_names_the_frequency_box(self):
+        # 81 nodes per half-axis of the 12 box resolve frequencies up to
+        # about 21; the derived frequency box of 34 aliases the spectra, and
+        # a wider box would only make it worse
+        ctx = WeightedContext(rank1(0.5))
+        with pytest.raises(DomainTooSmallError,
+                           match="lower freq_box or raise n_half"):
+            run_check(ctx, "exp-weighted-l1", {"n_half": 81, "ell": 1})
+        report = run_check(ctx, "exp-weighted-l1",
+                           {"n_half": 81, "ell": 1, "freq_box": 20.0})
+        assert report.passed
+
+    def test_exp_weighted_small_box_keeps_the_box_advice(self):
+        ctx = WeightedContext(rank1(0.5))
+        with pytest.raises(DomainTooSmallError,
+                           match="enlarge the grid box"):
+            run_check(ctx, "exp-weighted-l1", {"box": 5.0, "ell": 1})
 
     def test_translation_lipschitz_transforms_q_once(self, monkeypatch):
         calls = []

@@ -424,6 +424,33 @@ class TestRunEndToEnd:
         assert "error in check 0 (kernel-mass):" in out
         assert "unstable under refinement" in out
 
+    def test_raising_check_keeps_the_reports_that_finished(
+            self, tmp_path, out_dir, capsys):
+        # exp-weighted-l1 on 81 nodes raises (its frequency box aliases);
+        # e-bound finishes, and its report is written all the same
+        raising = {"kind": "exp-weighted-l1",
+                   "params": {"n_half": 81, "ell": 1}}
+        config = {"system": {"type": "rank1", "k": 0.5}, "workers": 1,
+                  "checks": [{"kind": "e-bound"}, raising]}
+        path = write_config(tmp_path, config)
+        assert run(str(path)) == 1
+        out = capsys.readouterr().out
+        assert "error in check 1 (exp-weighted-l1):" in out
+        report_path, = out_dir.glob("exp_*_e-bound.json")
+        assert json.loads(report_path.read_text())["pass"] is True
+        error_path, = out_dir.glob("exp_*_exp-weighted-l1_error.json")
+        record = json.loads(error_path.read_text())
+        assert record["check"] == "exp-weighted-l1"
+        assert record["params"] == raising["params"]
+        assert record["error"]["type"] == "DomainTooSmallError"
+        assert "lower freq_box" in record["error"]["message"]
+        assert not list(out_dir.glob("exp_*_exp-weighted-l1.json"))
+        summary, = out_dir.glob("exp_*_summary.csv")
+        rows = list(csv.reader(summary.read_text().splitlines()))
+        assert ["0", "e-bound", "pass", "1"] in rows
+        assert ["1", "exp-weighted-l1", "error",
+                "DomainTooSmallError"] in rows
+
     def test_order_two_translation_lipschitz_sizes_its_spatial_box(
             self, tmp_path, out_dir, capsys):
         # q_1 of order 2 outlives the default 12 box; the check takes the
