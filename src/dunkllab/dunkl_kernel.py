@@ -108,6 +108,25 @@ def kernel_imag_parts(u, k: float):
     return re, im
 
 
+def kernel_imag_outer(x, nodes, k: float):
+    """``kernel_imag_parts(np.outer(x, nodes), k)`` bit for bit, from one
+    evaluation per distinct |x_i| |nodes_j|.
+
+    Both parts are functions of |u| up to the sign of Im, and
+    |x_i nodes_j| = |x_i| |nodes_j| exactly; the sign of u = x_i nodes_j is
+    applied to Im afterwards, as ``kernel_imag_parts`` applies it.
+    """
+    x = np.asarray(x, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    ax, rows = np.unique(np.abs(x), return_inverse=True)
+    an, cols = np.unique(np.abs(nodes), return_inverse=True)
+    re, im = kernel_imag_parts(np.outer(ax, an), k)
+    cells = np.ix_(rows.ravel(), cols.ravel())
+    re, im = re[cells], im[cells]
+    im *= np.sign(np.outer(x, nodes))
+    return re, im
+
+
 def kernel_real_scaled(v, k: float):
     """E_k(v) * exp(-|v|) for real v, vectorized and overflow-free.
 

@@ -230,10 +230,16 @@ def _axis_permutations(dim: int):
 
 @dataclass(frozen=True)
 class GridSampled:
-    """Function known by its samples on a tensor quadrature grid."""
+    """Function known by its samples on a tensor quadrature grid.
+
+    ``imag_residue`` is sup |Im| of the complex samples whose real part
+    ``values`` holds, when they were taken from such (an inverse transform
+    with ``real_part=True``); 0 otherwise.
+    """
 
     grid: TensorGrid
     values: np.ndarray
+    imag_residue: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -299,16 +305,34 @@ def monomial_gauss(powers, a) -> PolyGauss:
     return PolyGauss(c, a.copy())
 
 
-def radial_bump(dim: int, radius: float, power: int = 12) -> CallableFunction:
+@dataclass(frozen=True)
+class RadialFunction(CallableFunction):
+    """A CallableFunction of |x|^2 alone: ``profile(|x|^2)``.
+
+    On a grid it is sampled from the axes, |x|^2 by
+    ``TensorGrid.outer_sum``, which for dim <= 2 has the bits of the row
+    sums over ``points()``; ``points()`` is not formed.
+    """
+
+    profile: object = None
+
+    def values_on(self, grid: TensorGrid) -> np.ndarray:
+        return self.profile(grid.outer_sum(lambda d, x: x * x))
+
+
+def radial_bump(dim: int, radius: float, power: int = 12) -> RadialFunction:
     """Compactly supported radial bump (1 - (|x|/radius)^2)^power on B(0, radius).
 
     C^{power-1} at the boundary; its transform decays like |xi|^{-(power+1)}
     per axis, which sets the frequency box needed to reconstruct it.
     """
+    def profile(sq):
+        u = sq / radius**2
+        return np.where(u < 1.0, np.maximum(1.0 - u, 0.0) ** power, 0.0)
+
     def fn(pts):
         pts = np.atleast_2d(pts)
-        u = np.sum(pts**2, axis=1) / radius**2
-        return np.where(u < 1.0, np.maximum(1.0 - u, 0.0) ** power, 0.0)
+        return profile(np.sum(pts**2, axis=1))
 
     def grad(pts):
         pts = np.atleast_2d(pts)
@@ -317,4 +341,4 @@ def radial_bump(dim: int, radius: float, power: int = 12) -> CallableFunction:
                        * np.maximum(1.0 - u, 0.0) ** (power - 1), 0.0)
         return fac[:, None] * pts
 
-    return CallableFunction(fn=fn, gradient=grad)
+    return RadialFunction(fn=fn, gradient=grad, profile=profile)

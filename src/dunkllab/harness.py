@@ -22,7 +22,7 @@ import numpy as np
 from .checks import (CHECKS, GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA,
                      Derived, Param, grid_params, integer, number, numbers,
                      register, tolerance)
-from .dunkl_kernel import kernel_imag_batch, kernel_imag_parts
+from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
 from .errors import ConfigError, DomainTooSmallError
 from .fitting import (GARDING_C_CAP, HOLDOUT_SLACK, alternating_split,
                       envelope_fit, envelope_fit_upper,
@@ -339,7 +339,7 @@ def _check_e_bound(ctx: WeightedContext, spec: KernelSpec,
     for k in ctx.system.ks:
         xi = np.linspace(0.0, ctx.freq_box, n)
         x = np.linspace(0.0, ctx.box, n)
-        re, im = kernel_imag_parts(np.outer(xi, x), float(k))
+        re, im = kernel_imag_outer(xi, x, float(k))
         worst = max(worst, float(np.max(np.hypot(re, im))))
     defect = max(0.0, worst - 1.0)
     return VerificationReport.from_defect(
@@ -450,20 +450,19 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     y_shift = np.asarray(params["y"] or [1.0] + [0.0] * (ctx.dim - 1))
     bctx = ctx.with_grids(**{key: params[key]
                              for key in GRID_SCHEMA["properties"]})
-    grid_shape = bctx.grid.shape
-    pts = bctx.grid.points()
     norms = np.sqrt(bctx.grid.outer_sum(lambda d, x: x * x))
-    # f and phi are the same bumps: transform each radius once
+    # f and phi are the same bumps, sampled on the grid axes: transform
+    # each radius once
     bumps = {r: radial_bump(ctx.dim, r) for r in radii}
     spectra = {r: dunkl_transform(bctx, bump) for r, bump in bumps.items()}
 
     def translated_l1(r1: float, r2: float) -> float:
-        conv = dunkl_convolve(bctx, spectra[r2], spectra[r1])
+        conv = dunkl_convolve(bctx, spectra[r2], spectra[r1], real_part=True)
         # the convolution of radial functions supported in radii r1, r2
         # is supported in radius r1 + r2; zero the outside so grid
         # ripple there cannot pollute the translation step
         support = norms <= r1 + r2 + 0.1
-        conv = GridSampled(grid=bctx.grid, values=conv.values.real * support)
+        conv = GridSampled(grid=bctx.grid, values=conv.values * support)
         moved = dunkl_translate(bctx, conv, y_shift)
         return float(bctx.grid.integrate(np.abs(moved.values)))
 
@@ -474,7 +473,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     vals, scales, cal_mask = [], [], []
     for r2 in radii:          # support radius of f
         f_l1 = float(bctx.grid.integrate(
-            np.abs(bumps[r2](pts)).reshape(grid_shape)))
+            np.abs(bumps[r2].values_on(bctx.grid))))
         for r1 in radii:      # support radius of the radial factor phi
             pair = (min(r1, r2), max(r1, r2))
             if pair not in l1_of:
@@ -515,7 +514,8 @@ def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:
     def square(d, x):
         diff = np.abs(x) - np.abs(y[d])
         return diff * diff
-    return np.sqrt(ctx.grid.outer_sum(square))
+    total = ctx.grid.outer_sum(square)
+    return np.sqrt(total, out=total)
 
 
 def _aliasing_error(ctx: WeightedContext,
@@ -564,23 +564,23 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
     a_exp = 2.0 * ell / (2.0 * ell - 1.0)
 
     def weighted_integral(cctx: WeightedContext) -> float:
-        # each grid-sized array is dropped once used, so at most a few are
-        # alive at a time on the largest grid
-        q_eps = q_on_grid(cctx, spec)
-        h_half = GridSampled(grid=cctx.grid,
-                             values=heat_kernel(cctx, cctx.grid, eps0 / 2.0))
-        conv = dunkl_convolve(cctx, q_eps, h_half).values
-        del q_eps, h_half
-        real = GridSampled(grid=cctx.grid, values=conv.real.copy(order="K"))
-        del conv
+        # each spatial array is dropped once it is transformed or used, so
+        # at most a few grid-sized arrays are alive on the largest grid
+        q_spectrum = dunkl_transform(cctx, q_on_grid(cctx, spec))
+        h_spectrum = dunkl_transform(cctx, GridSampled(
+            grid=cctx.grid, values=heat_kernel(cctx, cctx.grid, eps0 / 2.0)))
+        real = dunkl_convolve(cctx, q_spectrum, h_spectrum, real_part=True)
+        del q_spectrum, h_spectrum
         try:
-            moved = dunkl_translate(cctx, real, y_shift).values
+            spectrum = dunkl_transform(cctx, real)
         except DomainTooSmallError as err:
             aliased = _aliasing_error(cctx, real.values)
             if aliased is None:
                 raise
             raise aliased from err
         del real
+        moved = dunkl_translate(cctx, spectrum, y_shift).values
+        del spectrum
         flipped = np.abs(moved[(slice(None, None, -1),) * cctx.dim])
         del moved
         weight = _orbit_distance_to(cctx, y_shift)
@@ -588,6 +588,7 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         weight *= c_weight
         np.exp(weight, out=weight)
         flipped *= weight
+        del weight
         return float(cctx.grid.integrate(flipped))
 
     base_ctx = convolution_context(ctx, spec, params, t_min=eps0 / 2.0)

@@ -24,18 +24,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dunkl_kernel import kernel_imag_parts, kernel_real_scaled
+from .dunkl_kernel import kernel_imag_outer, kernel_real_scaled
 from .checks import (GRID_SCHEMA, POINTS_SCHEMA, SPEC, Derived, Param,
                      grid_params, integer, number, numbers, register,
                      tolerance)
-from .errors import AccuracyError, DomainTooSmallError, SymbolError
+from .errors import (AccuracyError, CapabilityError, DomainTooSmallError,
+                     SymbolError)
 from .functions import GridSampled, PolyGauss, gaussian, monomial_gauss
 from .measure import WeightedContext
 from .operators import dunkl_laplacian
 from .quadrature import TensorGrid
 from .report import VerificationReport, grid_metadata
 from .transform import (SpectralFunction, dunkl_convolve, dunkl_transform,
-                        inverse_at_points, inverse_dunkl_transform)
+                        inverse_at_points, inverse_dunkl_transform, sup_abs)
 
 T_DIRECT_MIN = 0.25
 T_DIRECT_MAX = 4.0
@@ -163,10 +164,15 @@ def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
     return vals
 
 
-def _real_part_checked(values: np.ndarray, what: str) -> np.ndarray:
+def _real_part_checked(values: np.ndarray, what: str,
+                       residue: float | None = None) -> np.ndarray:
+    """The real part of ``values``, or AccuracyError if sup |Im| exceeds
+    IMAG_RESIDUE_TOL x max(sup |Re|, 1).  For real ``values`` taken from
+    complex ones, ``residue`` is that sup |Im|."""
     values = np.asarray(values)
-    scale = max(float(np.max(np.abs(values.real))), 1.0)
-    residue = float(np.max(np.abs(values.imag)))
+    scale = max(sup_abs(values.real), 1.0)
+    if residue is None:
+        residue = sup_abs(values.imag)
     if residue > IMAG_RESIDUE_TOL * scale:
         raise AccuracyError(
             f"{what} has imaginary residue {residue:.3g} (scale {scale:.3g})")
@@ -192,12 +198,14 @@ def evaluate_q(ctx: WeightedContext, spec: KernelSpec, x) -> float | np.ndarray:
 def q_on_grid(ctx: WeightedContext, spec: KernelSpec) -> GridSampled:
     """q_t^(eps) sampled on the spatial grid of the context."""
     if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        raise ValueError("grid sampling expects t in [0.25, 4]; rescale first")
+        raise CapabilityError(
+            f"q_t on the spatial grid covers t in [{T_DIRECT_MIN:g}, "
+            f"{T_DIRECT_MAX:g}] only; got t = {spec.t:g}")
     sym = _symbol_exp_on(spec, ctx.freq_grid, spec.t)
-    back = inverse_dunkl_transform(ctx, sym).values
-    back /= ctx.c_k
-    # a copy in the grid's memory order, so the complex buffer is released
-    vals = _real_part_checked(back, "q_t on grid").copy(order="K")
+    # the second c_k^{-1} is applied to the complex result, block by block
+    back = inverse_dunkl_transform(ctx, sym, real_part=True,
+                                   then=(np.divide, ctx.c_k))
+    vals = _real_part_checked(back.values, "q_t on grid", back.imag_residue)
     return GridSampled(grid=ctx.grid, values=vals)
 
 
@@ -248,8 +256,8 @@ def _kernel_at_point(ctx: WeightedContext, x: np.ndarray, grid: TensorGrid) -> n
     ks = ctx.system.ks
     axis_vals = []
     for d in range(ctx.dim):
-        re, im = kernel_imag_parts(grid.axis_nodes(d) * x[d], ks[d])
-        axis_vals.append(re + 1j * im)
+        re, im = kernel_imag_outer(x[d:d + 1], grid.axis_nodes(d), ks[d])
+        axis_vals.append(re[0] + 1j * im[0])
     if ctx.dim == 1:
         return axis_vals[0]
     return np.multiply.outer(axis_vals[0], axis_vals[1])
@@ -265,8 +273,9 @@ def dunkl_translate(ctx: WeightedContext, f, x) -> GridSampled:
     tf = (f.values_on(ctx.freq_grid) if isinstance(f, SpectralFunction)
           else dunkl_transform(ctx, f).values)
     shifted = tf * _kernel_at_point(ctx, x, ctx.freq_grid)
-    back = inverse_dunkl_transform(ctx, shifted)
-    vals = _real_part_checked(back.values, "translated function")
+    back = inverse_dunkl_transform(ctx, shifted, real_part=True)
+    vals = _real_part_checked(back.values, "translated function",
+                              back.imag_residue)
     return GridSampled(grid=ctx.grid, values=vals)
 
 
@@ -294,13 +303,13 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np
     grid = ctx.freq_grid
     sym = _symbol_exp_on(spec, grid, spec.t)
     ks = ctx.system.ks
+    n = len(xs)
     pair_axis = []
     for d in range(ctx.dim):
-        ux = np.outer(xs[:, d], grid.axis_nodes(d))
-        uy = np.outer(ys[:, d], grid.axis_nodes(d))
-        rex, imx = kernel_imag_parts(ux, ks[d])
-        rey, imy = kernel_imag_parts(uy, ks[d])
-        pair_axis.append((rex + 1j * imx) * (rey - 1j * imy)
+        # x and y rows in one evaluation: each distinct |coordinate| once
+        re, im = kernel_imag_outer(np.concatenate([xs[:, d], ys[:, d]]),
+                                   grid.axis_nodes(d), ks[d])
+        pair_axis.append((re[:n] + 1j * im[:n]) * (re[n:] - 1j * im[n:])
                          * grid.axes[d].weights[None, :])
     if ctx.dim == 1:
         acc = pair_axis[0] @ sym.reshape(-1)
@@ -437,9 +446,9 @@ def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
     tol = params["tol"]
     cctx = _identity_context(ctx, spec, params, t_min=spec.t / 2.0)
     half = q_on_grid(cctx, replace(spec, t=spec.t / 2.0))
-    conv = dunkl_convolve(cctx, half, half)
+    conv = dunkl_convolve(cctx, half, half, real_part=True)
     direct = q_on_grid(cctx, spec)
-    defect = float(np.max(np.abs(conv.values.real - direct.values)))
+    defect = float(np.max(np.abs(conv.values - direct.values)))
     return VerificationReport.from_defect(
         "kernel-semigroup", {"spec": spec.to_dict(), "tol": tol},
         defect, tol, fitted={"sup_q": float(np.max(np.abs(direct.values)))},
@@ -494,11 +503,10 @@ def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
     # h_{eps0/2} enters both convolutions: transform it once
     h_half = dunkl_transform(cctx, GridSampled(
         grid=cctx.grid, values=heat_kernel(cctx, cctx.grid, eps0 / 2.0)))
-    step1 = dunkl_convolve(cctx, q_eps, h_half)
-    step1 = GridSampled(grid=cctx.grid, values=step1.values.real)
-    step2 = dunkl_convolve(cctx, step1, h_half)
+    step1 = dunkl_convolve(cctx, q_eps, h_half, real_part=True)
+    step2 = dunkl_convolve(cctx, step1, h_half, real_part=True)
     direct = q_on_grid(cctx, spec)
-    defect = float(np.max(np.abs(step2.values.real - direct.values)))
+    defect = float(np.max(np.abs(step2.values - direct.values)))
     return VerificationReport.from_defect(
         "kernel-decomposition",
         {"spec": spec.to_dict(), "eps0": eps0, "tol": tol},

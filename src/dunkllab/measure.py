@@ -222,19 +222,14 @@ def _gaussian_mass(geometry: tuple) -> float:
     """int exp(-|x|^2/2) dw by the quadrature of one grid geometry, once per
     process: a refined context's base grid is the refined grid of the
     context it came from, so both of their c_k need the same sum.  The
-    field is formed on the grid axes and scaled in place.  The weights are
-    applied in blocks of rows, the products of ``weight_tensor()`` without
-    a second grid-sized array."""
+    field is formed on the grid axes and scaled in place, one block of
+    weight rows at a time (``TensorGrid.row_blocks``)."""
     grid = TensorGrid(axes=tuple(AxisRule.build(*axis) for axis in geometry))
     vals = grid.outer_sum(lambda d, x: x ** 2)
     vals *= -0.5
     np.exp(vals, out=vals)
-    w0 = grid.axes[0].weights
-    for i in range(0, w0.size, 64):
-        block = w0[i:i + 64]
-        for ax in grid.axes[1:]:
-            block = np.multiply.outer(block, ax.weights)
-        vals[i:i + 64] *= block
+    for rows in grid.row_blocks():
+        vals[rows] *= grid.weight_rows(rows)
     return np.sum(vals)
 
 

@@ -12,6 +12,12 @@ by ``REFINE_FACTOR`` (node counts from ``refined_n_half``); ``check_shell``
 rejects an integrand whose outer boundary shell carries more than
 ``SHELL_TOL`` of its mass.  ``integrate_checked`` is ``check_refined`` applied
 to the integral of one callable.
+
+The weights reach a grid-sized integrand one block of rows at a time
+(``TensorGrid.row_blocks``, ``BLOCK_BYTES`` a block): ``integrate`` and
+the shell check write weight x integrand into one C-ordered buffer and sum
+it, the same bits as ``np.sum(weight_tensor() * values)``.  What stays
+grid-sized is that one buffer; the weight tensor is never formed whole.
 """
 
 from __future__ import annotations
@@ -27,6 +33,20 @@ from .errors import AccuracyError, DomainTooSmallError
 REFINE_FACTOR = 1.5
 SHELL_FRACTION = 0.05
 SHELL_TOL = 1e-10
+#: bytes of one block of the package's blocked grid loops: weight rows here,
+#: the transform's operands and results in ``transform``.  Small next to a
+#: grid-sized array, and large enough that a 240^2 grid of float64 is one
+#: block.
+BLOCK_BYTES = 4 * 2**20
+
+
+def block_slices(n: int, row_bytes: int) -> list[slice]:
+    """Slices over range(n), each about ``BLOCK_BYTES`` of rows of
+    ``row_bytes``.  The widths are even (at least 2): mirrored node counts
+    are even, so no block is a single row or column, which numpy would hand
+    to gemv instead of gemm in a blocked matrix product."""
+    step = max(2, BLOCK_BYTES // row_bytes // 2 * 2)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def refined_n_half(n_half: int) -> int:
@@ -122,6 +142,19 @@ class TensorGrid:
             w = np.multiply.outer(w, ax.weights)
         return w
 
+    def row_blocks(self) -> list[slice]:
+        """``block_slices`` over the rows (leading-axis indices) of a
+        float64 array on the grid."""
+        n = self.shape[0]
+        return block_slices(n, 8 * (self.size // n))
+
+    def weight_rows(self, rows: slice) -> np.ndarray:
+        """``weight_tensor()[rows]`` with its bits, formed on its own."""
+        block = self.axes[0].weights[rows]
+        for ax in self.axes[1:]:
+            block = np.multiply.outer(block, ax.weights)
+        return block
+
     def refined(self) -> "TensorGrid":
         axes = tuple(
             AxisRule.build(ax.k, ax.half_width, refined_n_half(ax.n_half))
@@ -130,10 +163,15 @@ class TensorGrid:
         return TensorGrid(axes=axes)
 
     def integrate(self, values: np.ndarray) -> float | complex:
-        """Integrate values sampled on the grid (tensor shape or flat)."""
+        """Integrate values sampled on the grid (tensor shape or flat):
+        ``np.sum(weight_tensor() * values)`` bit for bit, the product
+        formed in row blocks into one C-ordered buffer."""
         v = np.asarray(values).reshape(self.shape)
-        w = self.weight_tensor()
-        return np.sum(w * v)
+        out = np.empty(self.shape,
+                       dtype=np.result_type(self.axes[0].weights, v))
+        for rows in self.row_blocks():
+            np.multiply(self.weight_rows(rows), v[rows], out=out[rows])
+        return np.sum(out)
 
     def evaluate(self, fn) -> np.ndarray:
         """Sample a callable fn(points[M, dim]) -> values on the grid."""
@@ -156,7 +194,11 @@ class TensorGrid:
 def _shell_share(grid: TensorGrid, values: np.ndarray,
                  fraction: float) -> tuple[float, float]:
     """(share of the |values| dw mass on the outer shell, that mass)."""
-    mass = grid.weight_tensor() * np.abs(np.asarray(values).reshape(grid.shape))
+    v = np.asarray(values).reshape(grid.shape)
+    mass = np.empty(grid.shape)
+    for rows in grid.row_blocks():
+        np.abs(v[rows], out=mass[rows])
+        mass[rows] *= grid.weight_rows(rows)
     total = float(np.sum(mass))
     if total == 0.0:
         return 0.0, total

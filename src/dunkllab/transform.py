@@ -21,6 +21,22 @@ is evaluated once per quadrant entry and per (frequency rule, spatial
 rule) pair, and that one evaluation gives both operators, bit-identical
 to evaluating every entry of each.
 
+In 2-D the grid-sized work is done in blocks (``quadrature.block_slices``)
+that split only a dimension a product does not contract.  That leaves each
+entry's dot product as it was, and on OpenBLAS 0.3.31 (Haswell kernels)
+the blocked products have the bits of the whole ones, for C- and F-ordered
+operands (``tests/test_transform.py`` compares them byte for byte):
+
+* a real input is converted to complex one column block at a time for
+  the first contraction, so it is never copied to complex whole;
+* an inverse with ``real_part=True`` takes its last contraction in row
+  blocks of the operator; each complex block gets the elementwise steps the
+  whole array got (``/ c_k``, then ``then``), and its real part goes into
+  a real result with the memory order the complex result had (Fortran).
+
+What stays grid-sized: the input, the intermediate of the first
+contraction, and the result.
+
 The cache is shared by the runner's worker threads.  A lock guards its
 dictionary updates only; the first thread to miss on a grid pair builds
 its operators while later threads asking for the same pair wait for it
@@ -37,10 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dunkl_kernel import kernel_imag_parts
+from .dunkl_kernel import kernel_imag_outer, kernel_imag_parts
 from .functions import GridSampled
 from .measure import WeightedContext
-from .quadrature import AxisRule, TensorGrid, check_shell
+from .quadrature import AxisRule, TensorGrid, block_slices, check_shell
 
 
 def _half(nodes: np.ndarray) -> np.ndarray:
@@ -161,10 +177,34 @@ def _values_on(f, grid: TensorGrid) -> np.ndarray:
     return np.asarray(f(grid.points())).reshape(grid.shape)
 
 
+def sup_abs(x: np.ndarray) -> float:
+    """max |x| of a real array as max(max x, -min x): no temporary array,
+    the same value (NaN if x holds one)."""
+    return float(np.maximum(np.max(x), -np.min(x)))
+
+
+def _scale(block: np.ndarray, steps) -> None:
+    for ufunc, scalar in steps:
+        ufunc(block, scalar, out=block)
+
+
+def _real_part_into(dst: np.ndarray, block: np.ndarray, steps) -> float:
+    """Scale the complex ``block`` in place by ``steps``, write its real
+    part into ``dst`` and return its sup |Im|; the block dies with the call,
+    before the next one is formed."""
+    _scale(block, steps)
+    dst[...] = block.real
+    return sup_abs(block.imag)
+
+
 def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
-                    src: TensorGrid, dst: TensorGrid, forward: bool) -> np.ndarray:
+                    src: TensorGrid, dst: TensorGrid, forward: bool,
+                    real_part: bool = False, then=None):
     """Apply the cached weighted operators axis by axis, then divide by c_k
-    in place.
+    in place, then apply ``then`` = (ufunc, scalar) in place if given.
+
+    With ``real_part`` the result is (real part, sup |Im|) of that complex
+    result, which is never formed whole in 2-D (see the module docstring).
 
     c_k is read before the output is allocated: its first read sums the
     Gaussian mass on the refined grid, which should not overlap the complex
@@ -172,12 +212,28 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
     c_k = ctx.c_k
     ks = ctx.system.ks
     freq, space = (dst, src) if forward else (src, dst)
-    out = np.asarray(vals, dtype=complex)
-    for d in range(ctx.dim):
-        op = _CACHE.matrix(freq.axes[d], space.axes[d], ks[d], forward)
-        out = np.moveaxis(np.tensordot(op, out, axes=([1], [d])), 0, d)
-    out /= c_k
-    return out
+    steps = [(np.divide, c_k)] + ([then] if then else [])
+    ops = [_CACHE.matrix(freq.axes[d], space.axes[d], ks[d], forward)
+           for d in range(ctx.dim)]
+    vals = np.asarray(vals)
+    if ctx.dim == 2 and not np.iscomplexobj(vals):
+        first = np.empty((ops[0].shape[0], vals.shape[1]), dtype=complex)
+        for cols in block_slices(vals.shape[1], 16 * vals.shape[0]):
+            first[:, cols] = np.dot(ops[0], vals[:, cols].astype(complex))
+    else:
+        first = np.tensordot(ops[0], np.asarray(vals, dtype=complex),
+                             axes=([1], [0]))
+    if ctx.dim == 1 or not real_part:
+        out = first if ctx.dim == 1 else np.moveaxis(
+            np.tensordot(ops[1], first, axes=([1], [1])), 0, 1)
+        _scale(out, steps)
+        return (out.real.copy(), sup_abs(out.imag)) if real_part else out
+    out = np.empty((first.shape[0], ops[1].shape[0]), order="F")
+    residue = 0.0
+    for rows in block_slices(ops[1].shape[0], 16 * first.shape[0]):
+        residue = np.maximum(residue, _real_part_into(
+            out.T[rows], np.dot(ops[1][rows], first.T), steps))
+    return out, float(residue)
 
 
 def dunkl_transform(ctx: WeightedContext, f) -> SpectralFunction:
@@ -203,14 +259,24 @@ def _spectral_values(ctx: WeightedContext, g) -> np.ndarray:
     return np.asarray(g).reshape(ctx.freq_grid.shape)
 
 
-def inverse_dunkl_transform(ctx: WeightedContext, g) -> GridSampled:
+def inverse_dunkl_transform(ctx: WeightedContext, g, real_part: bool = False,
+                            then=None) -> GridSampled:
     """Inverse transform of frequency-side data onto the spatial grid.
 
     ``g`` may be a SpectralFunction, an array of values on the frequency
-    grid, or a callable evaluated on it.
+    grid, or a callable evaluated on it.  ``then`` = (ufunc, scalar), if
+    given, is applied in place to the complex result after the division by
+    c_k, e.g. (np.multiply, c) for ``result *= c``.
+
+    With ``real_part`` only the real part is kept, formed block by block (see
+    the module docstring); the returned samples carry the sup |Im| of the
+    complex result as ``imag_residue``.
     """
     vals = _spectral_values(ctx, g)
-    out = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid, forward=False)
+    out = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid, forward=False,
+                          real_part=real_part, then=then)
+    if real_part:
+        return GridSampled(grid=ctx.grid, values=out[0], imag_residue=out[1])
     return GridSampled(grid=ctx.grid, values=out)
 
 
@@ -221,8 +287,8 @@ def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray
     ks = ctx.system.ks
     factors = []
     for d in range(ctx.dim):
-        u = np.outer(pts[:, d], ctx.freq_grid.axis_nodes(d))
-        re, im = kernel_imag_parts(u, ks[d])
+        re, im = kernel_imag_outer(pts[:, d], ctx.freq_grid.axis_nodes(d),
+                                   ks[d])
         factors.append((re + 1j * im) * ctx.freq_grid.axes[d].weights[None, :])
     if ctx.dim == 1:
         acc = factors[0] @ vals.reshape(-1)
@@ -240,13 +306,15 @@ def plancherel_defect(ctx: WeightedContext, f) -> float:
     return abs(norm_f - norm_tf) / norm_f
 
 
-def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
+def dunkl_convolve(ctx: WeightedContext, f, g,
+                   real_part: bool = False) -> GridSampled:
     """Dunkl convolution f * g = c_k F^{-1}[(F f)(F g)] on the spatial grid.
 
     Either operand may be given as a SpectralFunction (its transform on the
     frequency grid, e.g. from ``dunkl_transform``), which is then used as it
     is instead of being transformed again.  When ``g is f`` the operand is
-    transformed once.
+    transformed once.  With ``real_part`` only the real part is kept
+    (``inverse_dunkl_transform``).
     """
     def spectrum(h) -> np.ndarray:
         if isinstance(h, SpectralFunction):
@@ -256,6 +324,5 @@ def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
     tf = spectrum(f)
     tg = tf if g is f else spectrum(g)
     product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg)
-    vals = inverse_dunkl_transform(ctx, product).values
-    vals *= ctx.c_k
-    return GridSampled(grid=ctx.grid, values=vals)
+    return inverse_dunkl_transform(ctx, product, real_part=real_part,
+                                   then=(np.multiply, ctx.c_k))

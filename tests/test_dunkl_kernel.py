@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dunkllab import AccuracyError, product_z2, rank1
-from dunkllab.dunkl_kernel import (dunkl_kernel_E, kernel_imag_batch,
+from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, dunkl_kernel_E,
+                                   kernel_imag_batch, kernel_imag_outer,
                                    kernel_imag_parts, kernel_real,
                                    kernel_real_scaled, kernel_series)
 
@@ -154,3 +155,35 @@ class TestProductExtension:
     def test_wrong_length_arguments_rejected(self):
         with pytest.raises(ValueError):
             dunkl_kernel_E(rank1(0.5), np.ones(2), np.ones(2))
+
+
+class TestOuterEvaluation:
+    @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0])
+    def test_bytes_equal_direct_call(self, k):
+        # repeats, both signed zeros, products on both sides of (and at)
+        # SMALL_ARG_LIMIT
+        x = np.array([0.3, -0.3, 0.0, -0.0, 1.7, 0.3, -2.0, 0.5, -0.1,
+                      5.0, 0.25, -1.7])
+        nodes = np.array([-3.0, -1.0, -0.2, -0.0, 0.0, 0.2, 1.0, 3.0,
+                          SMALL_ARG_LIMIT, 2.0, -2.0, 0.2])
+        re, im = kernel_imag_outer(x, nodes, k)
+        re0, im0 = kernel_imag_parts(np.outer(x, nodes), k)
+        assert re.shape == im.shape == (x.size, nodes.size)
+        assert re.tobytes() == re0.tobytes()
+        assert im.tobytes() == im0.tobytes()
+        assert np.array_equal(np.signbit(im), np.signbit(im0))
+
+    def test_evaluates_each_distinct_modulus_once(self, monkeypatch):
+        from dunkllab import dunkl_kernel
+        sizes = []
+        real = dunkl_kernel.kernel_imag_parts
+
+        def counting(u, k):
+            sizes.append(np.size(u))
+            return real(u, k)
+
+        monkeypatch.setattr(dunkl_kernel, "kernel_imag_parts", counting)
+        nodes = np.concatenate([-np.arange(1.0, 6.0)[::-1],
+                                np.arange(1.0, 6.0)])
+        kernel_imag_outer(np.array([0.5, -0.5, 0.5, 2.0]), nodes, 0.5)
+        assert sizes == [2 * 5]

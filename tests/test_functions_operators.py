@@ -324,6 +324,15 @@ class TestCapabilityBoundaries:
 
 
 class TestRadialBump:
+    @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]])
+    def test_grid_samples_bytes_equal_point_evaluation(self, ks):
+        grid = TensorGrid.build(ks=ks, half_widths=3.0, n_halves=40)
+        bump = radial_bump(len(ks), 2.0)
+        on_axes = bump.values_on(grid)
+        on_points = bump(grid.points()).reshape(grid.shape)
+        assert on_axes.shape == grid.shape
+        assert on_axes.tobytes() == on_points.tobytes()
+
     def test_support_and_peak(self):
         bump = radial_bump(2, 1.5)
         assert bump(np.zeros((1, 2)))[0] == pytest.approx(1.0)

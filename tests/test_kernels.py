@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from dunkllab import (KernelSpec, SymbolError, WeightedContext,
-                      dunkl_transform, dunkl_translate, evaluate_q,
-                      freq_box_for, gaussian, heat_kernel,
+from dunkllab import (AccuracyError, CapabilityError, KernelSpec, SymbolError,
+                      WeightedContext, dunkl_transform, dunkl_translate,
+                      evaluate_q, freq_box_for, gaussian, heat_kernel,
                       heat_kernel_two_point, product_z2, q_on_grid, rank1,
                       run_check, translate_at_points, two_point_kernel)
+from dunkllab.kernels import _real_part_checked
 
 
 class TestKernelSpecValidation:
@@ -133,7 +134,7 @@ class TestGridEvaluator:
     def test_grid_rejects_out_of_window_time(self):
         ctx = WeightedContext(rank1(0.5))
         spec = KernelSpec(directions=((1.0,),), ell=2, t=10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapabilityError, match=r"t in \[0.25, 4\]"):
             q_on_grid(ctx, spec)
 
     def test_quartic_kernel_has_unit_mass(self):
@@ -145,6 +146,29 @@ class TestGridEvaluator:
             box=48.0, n_half=600, freq_box=fbox, freq_n_half=200)
         mass = ctx.grid.integrate(q_on_grid(ctx, spec).values)
         assert mass == pytest.approx(1.0, abs=1e-7)
+
+
+class TestRealPartCheck:
+    @pytest.mark.parametrize("values", [
+        [1.0 + 0j, np.nan + 0j, 2.0 + 1e-3j],
+        [1.0 + 0j, 3.0 + np.nan * 1j, -2.0 + 0j],
+        [np.nan + np.nan * 1j, 1.0 + 1.0j]])
+    def test_nan_passes_through_unchecked(self, values):
+        # a NaN scale or residue makes the comparison false: no error, and
+        # the real part comes back with its NaN
+        values = np.asarray(values)
+        out = _real_part_checked(values, "probe")
+        assert out.tobytes() == values.real.tobytes()
+        real = values.real.copy()
+        out = _real_part_checked(real, "probe",
+                                 float(np.max(np.abs(values.imag))))
+        assert out.tobytes() == real.tobytes()
+
+    def test_residue_over_tolerance_raises(self):
+        with pytest.raises(AccuracyError, match="imaginary residue 0.001"):
+            _real_part_checked(np.array([2.0 + 0j, -3.0 + 1e-3j]), "probe")
+        with pytest.raises(AccuracyError, match="scale 3"):
+            _real_part_checked(np.array([2.0, -3.0]), "probe", 1e-3)
 
 
 class TestTwoPointKernel:

@@ -7,7 +7,7 @@ from scipy.special import gamma
 
 from dunkllab import (DomainTooSmallError, WeightedContext, ball_volume,
                       eta, product_z2, rank1, weighted_norm)
-from dunkllab import measure
+from dunkllab import measure, quadrature
 from dunkllab.harness import make_pair_grid
 from dunkllab.measure import (eta_directional, volume_max as vol_max,
                               volume_max_pairs)
@@ -92,6 +92,53 @@ class TestTensorGrid:
         with pytest.raises(AccuracyError):
             integrate_checked(grid, lambda p: np.cos(60 * p[:, 0] ** 2)
                               * np.exp(-p[:, 0] ** 2))
+
+
+def _signed_samples(grid, rng, dtype):
+    """A field decayed on the shell, with signed zeros scattered in."""
+    r2 = grid.outer_sum(lambda d, x: x * x)
+    vals = np.exp(-r2) * rng.standard_normal(grid.shape)
+    if dtype is complex:
+        vals = vals + 1j * np.exp(-r2) * rng.standard_normal(grid.shape)
+    vals[rng.random(grid.shape) < 0.1] = -0.0
+    return vals
+
+
+class TestBlockedWeights:
+    """integrate and the shell check take the weights in row blocks; the
+    bits are those of the whole weight tensor."""
+
+    @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]], ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bytes_equal_weight_tensor_products(self, monkeypatch, ks,
+                                                order, dtype):
+        grid = TensorGrid.build(ks=ks, half_widths=6.0, n_halves=25)
+        # 6 rows a block: 50 rows are 8 full blocks and one of 2
+        monkeypatch.setattr(quadrature, "BLOCK_BYTES",
+                            6 * 8 * (grid.size // grid.shape[0]))
+        assert len(grid.row_blocks()) == 9
+        vals = np.asarray(_signed_samples(grid, np.random.default_rng(5),
+                                          dtype), order=order)
+        w = grid.weight_tensor()
+        got = np.asarray(grid.integrate(vals))
+        assert got.tobytes() == np.asarray(np.sum(w * vals)).tobytes()
+        mass = w * np.abs(vals)
+        total = float(np.sum(mass))
+        assert check_shell(grid, vals, tol=1.0) == total
+        share = float(np.sum(mass[grid.shell_mask()])) / total
+        assert boundary_shell_fraction(grid, vals) == share
+
+    @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]], ids=["dim1", "dim2"])
+    def test_gaussian_mass_bytes_equal_weight_tensor_sum(self, monkeypatch,
+                                                         ks):
+        grid = TensorGrid.build(ks=ks, half_widths=6.0, n_halves=25)
+        monkeypatch.setattr(quadrature, "BLOCK_BYTES",
+                            6 * 8 * (grid.size // grid.shape[0]))
+        field = np.exp(-0.5 * grid.outer_sum(lambda d, x: x ** 2))
+        expect = np.sum(grid.weight_tensor() * field)
+        got = measure._gaussian_mass.__wrapped__(grid.geometry)
+        assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
 
 
 class TestRefinementGuard:

@@ -451,6 +451,28 @@ class TestRunEndToEnd:
         assert ["1", "exp-weighted-l1", "error",
                 "DomainTooSmallError"] in rows
 
+    def test_out_of_window_time_is_an_error_record_not_a_traceback(
+            self, tmp_path, out_dir, capsys):
+        # q_t is sampled on the grid for t in [0.25, 4] only; kernel-semigroup
+        # at t = 10 raises there, and the run keeps the e-bound report
+        raising = {"kind": "kernel-semigroup",
+                   "params": {"spec": {"directions": [[1.0]], "ell": 1,
+                                       "eps": 0.0, "t": 10.0}}}
+        config = {"system": {"type": "rank1", "k": 0.5},
+                  "checks": [{"kind": "e-bound"}, raising]}
+        path = write_config(tmp_path, config)
+        assert cli.main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "error in check 1 (kernel-semigroup):" in captured.out
+        report_path, = out_dir.glob("exp_*_e-bound.json")
+        assert json.loads(report_path.read_text())["pass"] is True
+        error_path, = out_dir.glob("exp_*_kernel-semigroup_error.json")
+        record = json.loads(error_path.read_text())
+        assert record["params"] == raising["params"]
+        assert record["error"]["type"] == "CapabilityError"
+        assert "t in [0.25, 4]" in record["error"]["message"]
+
     def test_order_two_translation_lipschitz_sizes_its_spatial_box(
             self, tmp_path, out_dir, capsys):
         # q_1 of order 2 outlives the default 12 box; the check takes the

@@ -3,17 +3,19 @@
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dunkllab import harness, kernels, transform
-from dunkllab import (DomainTooSmallError, GridSampled, PolyGauss,
-                      WeightedContext, apply_dunkl, dunkl_convolve,
-                      dunkl_transform, gaussian, hermite_gauss,
-                      inverse_at_points, inverse_dunkl_transform,
-                      monomial_gauss, plancherel_defect, product_z2, rank1)
+from dunkllab import harness, kernels, quadrature, transform
+from dunkllab import (DomainTooSmallError, GridSampled, KernelSpec,
+                      PolyGauss, WeightedContext, apply_dunkl,
+                      dunkl_convolve, dunkl_transform, gaussian,
+                      heat_kernel, hermite_gauss, inverse_at_points,
+                      inverse_dunkl_transform, monomial_gauss,
+                      plancherel_defect, product_z2, q_on_grid, rank1)
 from dunkllab.dunkl_kernel import kernel_imag_parts
 from dunkllab.quadrature import AxisRule
 from dunkllab.runner import run_check
@@ -263,6 +265,121 @@ class TestAxisTransformOracle:
                                          ctx.grid, False)
         assert back.tobytes() == expect_back.tobytes()
         assert back.strides == expect_back.strides
+
+
+def unblocked_transform(ctx, vals, src, dst, forward, then=None):
+    """The cached-operator transform with whole arrays: one complex copy of
+    the input, whole products, the scalings on the whole result."""
+    freq, space = (dst, src) if forward else (src, dst)
+    out = np.asarray(vals, dtype=complex)
+    for d in range(ctx.dim):
+        op = transform._CACHE.matrix(freq.axes[d], space.axes[d],
+                                     ctx.system.ks[d], forward)
+        out = np.moveaxis(np.tensordot(op, out, axes=([1], [d])), 0, d)
+    out /= ctx.c_k
+    if then is not None:
+        then[0](out, then[1], out=out)
+    return out
+
+
+def signed_field(grid, rng, dtype, order):
+    """Decayed noise on the grid, zero (of either sign) on the boundary
+    shell and at scattered interior nodes."""
+    r2 = grid.outer_sum(lambda d, x: x * x)
+    vals = np.exp(-r2 / 4.0) * rng.standard_normal(grid.shape)
+    if dtype is complex:
+        vals = vals + 1j * np.exp(-r2 / 4.0) * rng.standard_normal(grid.shape)
+    zeros = grid.shell_mask() | (rng.random(grid.shape) < 0.05)
+    vals[zeros] = np.where(rng.random(grid.shape) < 0.5, 0.0, -0.0)[zeros]
+    return np.asarray(vals, order=order)
+
+
+def assert_same_array(got, expect):
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    assert got.tobytes(order="A") == expect.tobytes(order="A")
+    assert got.strides == expect.strides
+    assert np.array_equal(np.signbit(got.real), np.signbit(expect.real))
+
+
+BLOCK_CONTEXTS = [
+    WeightedContext(rank1(0.5), n_half=45, freq_n_half=37),
+    WeightedContext(product_z2([0.25, 1.0]), n_half=45, freq_n_half=37)]
+
+
+class TestBlockedTransform:
+    """Blocks of 14 columns or rows: the 90 spatial and 74 frequency nodes
+    per axis are above the block size and not a multiple of it."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "BLOCK_BYTES", 14 * 16 * 90)
+
+    @pytest.mark.parametrize("ctx", BLOCK_CONTEXTS, ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_forward_bytes_and_strides_equal_whole_products(self, ctx, order,
+                                                            dtype):
+        vals = signed_field(ctx.grid, np.random.default_rng(11), dtype, order)
+        got = dunkl_transform(ctx, GridSampled(grid=ctx.grid,
+                                               values=vals)).values
+        expect = unblocked_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
+        assert_same_array(got, expect)
+
+    @pytest.mark.parametrize("ctx", BLOCK_CONTEXTS, ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("then", [None, (np.multiply, 1.7),
+                                      (np.divide, 2.3)])
+    def test_inverse_bytes_and_strides_equal_whole_products(self, ctx, order,
+                                                            dtype, then):
+        vals = signed_field(ctx.freq_grid, np.random.default_rng(12), dtype,
+                            order)
+        expect = unblocked_transform(ctx, vals, ctx.freq_grid, ctx.grid,
+                                     False, then)
+        whole = inverse_dunkl_transform(ctx, vals, then=then)
+        assert_same_array(whole.values, expect)
+        real = inverse_dunkl_transform(ctx, vals, real_part=True, then=then)
+        assert_same_array(real.values, expect.real.copy(order="K"))
+        assert real.imag_residue == np.max(np.abs(expect.imag))
+
+    def test_convolution_real_part_equals_real_of_complex(self):
+        ctx = BLOCK_CONTEXTS[1]
+        f, g = gaussian(2, 0.5), monomial_gauss([1, 2], [0.6, 0.4])
+        whole = dunkl_convolve(ctx, f, g).values
+        real = dunkl_convolve(ctx, f, g, real_part=True)
+        assert_same_array(real.values, whole.real.copy(order="K"))
+        assert real.imag_residue == np.max(np.abs(whole.imag))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedMemory:
+    """On 1000^2 spatial nodes (100^2 frequency nodes) the blocked paths
+    stay below one complex grid-sized array, 16 n^2 bytes."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return WeightedContext(product_z2([0.5, 0.5]), box=12.0, n_half=500,
+                               freq_box=8.0, freq_n_half=50)
+
+    def test_real_forward_allocates_less_than_a_complex_copy(self, ctx):
+        n = ctx.grid.shape[0]
+        f = GridSampled(grid=ctx.grid, values=heat_kernel(ctx, ctx.grid, 1.0))
+        dunkl_transform(ctx, f)       # c_k and the operators, outside
+        assert _traced_peak(lambda: dunkl_transform(ctx, f)) < 16 * n * n
+
+    def test_q_on_grid_never_holds_a_complex_grid_array(self, ctx):
+        n = ctx.grid.shape[0]
+        spec = KernelSpec.heat(2)
+        q_on_grid(ctx, spec)
+        assert _traced_peak(lambda: q_on_grid(ctx, spec)) < 16 * n * n
 
 
 class TestKernelMatrixCacheThreads:
