@@ -25,7 +25,7 @@ from .errors import CapabilityError
 from .functions import PolyGauss
 from .measure import EtaFields, WeightedContext, _weighted_norm
 from .operators import apply_dunkl, positive_roots
-from .quadrature import TensorGrid, check_refined, check_shell
+from .quadrature import TensorGrid, check_refined, integrate_shell_checked
 
 #: largest admissible perturbation strength eps.
 EPSILON_MAX = 0.1
@@ -178,14 +178,17 @@ def _require_polygauss(*fs):
 def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec", f: _Samples,
                 g: _Samples, grid: TensorGrid, fields: EtaFields):
     """Per-direction integrals of T^l f . T^l(g eta) plus their gross mass,
-    the |integrand| dw sum that the shell check takes."""
+    the |integrand| dw sum that the shell check takes; one weighted pass
+    gives both."""
     total = 0.0
     gross = 0.0
     for zeta in spec.direction_arrays():
         integrand = f.power(grid, zeta, spec.ell) * _t_eta(
             ctx, zeta, spec.ell, g, grid, fields)
-        gross += check_shell(grid, integrand, what="bilinear form integrand")
-        total += float(grid.integrate(integrand))
+        value, mass = integrate_shell_checked(
+            grid, integrand, what="bilinear form integrand")
+        total += value
+        gross += mass
     return total, gross
 
 

@@ -222,15 +222,13 @@ def _gaussian_mass(geometry: tuple) -> float:
     """int exp(-|x|^2/2) dw by the quadrature of one grid geometry, once per
     process: a refined context's base grid is the refined grid of the
     context it came from, so both of their c_k need the same sum.  The
-    field is formed on the grid axes and scaled in place, one block of
-    weight rows at a time (``TensorGrid.row_blocks``)."""
+    field is formed on the grid axes and weighted in place
+    (``TensorGrid.weighted``)."""
     grid = TensorGrid(axes=tuple(AxisRule.build(*axis) for axis in geometry))
     vals = grid.outer_sum(lambda d, x: x ** 2)
     vals *= -0.5
     np.exp(vals, out=vals)
-    for rows in grid.row_blocks():
-        vals[rows] *= grid.weight_rows(rows)
-    return np.sum(vals)
+    return np.sum(grid.weighted(vals, vals))
 
 
 @dataclass
@@ -328,11 +326,11 @@ def _weighted_norm(ctx: WeightedContext, values, fields: EtaFields) -> float:
     """``weighted_norm`` at ``fields.s`` of the function whose samples on a
     grid are ``values(grid)``, taking eta from ``fields``."""
     def norm_sq(grid: TensorGrid) -> float:
+        # |f|^2 eta >= 0, so the shell check's mass is its integral
         integrand = np.abs(values(grid)) ** 2
         if fields.s != 0.0:
             integrand = integrand * fields.eta(grid)
-        check_shell(grid, integrand, what="weighted norm")
-        return float(grid.integrate(integrand))
+        return check_shell(grid, integrand, what="weighted norm")
 
     fine = check_refined(norm_sq(ctx.grid), norm_sq(ctx.grid_fine),
                          1e-8, "weighted norm", floor=1.0)

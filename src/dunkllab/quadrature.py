@@ -9,19 +9,27 @@ reflection hyperplane.  For k = 0 the rule is plain Gauss-Legendre per half.
 This module also holds the package's one accuracy guard.  ``check_refined``
 accepts a value only if it stays put, by ``relative_move``, on the grid refined
 by ``REFINE_FACTOR`` (node counts from ``refined_n_half``); ``check_shell``
-rejects an integrand whose outer boundary shell carries more than
-``SHELL_TOL`` of its mass.  ``integrate_checked`` is ``check_refined`` applied
-to the integral of one callable.
+rejects an integrand whose |values| dw mass is not finite, or whose outer
+boundary shell carries more than ``SHELL_TOL`` of that mass.
+``integrate_checked`` is ``check_refined`` applied to the integral of one
+callable.
 
-The weights reach a grid-sized integrand one block of rows at a time
-(``TensorGrid.row_blocks``, ``BLOCK_BYTES`` a block): ``integrate`` and
-the shell check write weight x integrand into one C-ordered buffer and sum
-it, the same bits as ``np.sum(weight_tensor() * values)``.  What stays
-grid-sized is that one buffer; the weight tensor is never formed whole.
+``integrate`` and the shell check write weight x integrand into one
+C-ordered buffer and sum it, the same bits as
+``np.sum(weight_tensor() * values)``; ``integrate_shell_checked`` takes
+both numbers of a real integrand from one such buffer.  A grid whose
+float64 array fits in one block (``TensorGrid.row_blocks`` is a single
+slice, ``BLOCK_BYTES`` a block: 1-D grids, and 2-D grids up to 724^2)
+forms its weight tensor and its default shell mask once and keeps both,
+read-only, for its lifetime.  A larger grid holds neither: its weights
+reach the integrand one block of rows at a time, so what stays grid-sized
+is the one buffer, and the weight tensor is never formed whole.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,6 +46,8 @@ SHELL_TOL = 1e-10
 #: grid-sized array, and large enough that a 240^2 grid of float64 is one
 #: block.
 BLOCK_BYTES = 4 * 2**20
+#: guards the first forming of a grid's held arrays (``TensorGrid._held``)
+_HELD_LOCK = threading.Lock()
 
 
 def block_slices(n: int, row_bytes: int) -> list[slice]:
@@ -116,7 +126,7 @@ class TensorGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis_nodes(self, d: int) -> np.ndarray:
         return self.axes[d].nodes
@@ -136,17 +146,34 @@ class TensorGrid:
             total = np.add.outer(total, fn(d, self.axes[d].nodes))
         return total
 
-    def weight_tensor(self) -> np.ndarray:
-        w = self.axes[0].weights
-        for ax in self.axes[1:]:
-            w = np.multiply.outer(w, ax.weights)
-        return w
-
     def row_blocks(self) -> list[slice]:
         """``block_slices`` over the rows (leading-axis indices) of a
         float64 array on the grid."""
         n = self.shape[0]
         return block_slices(n, 8 * (self.size // n))
+
+    def _held(self, name: str, compute) -> np.ndarray:
+        """``compute()``; on a one-block grid formed once, made read-only
+        and kept with the grid, so threads sharing the grid share the one
+        array."""
+        held = self.__dict__.get(name)
+        if held is not None:
+            return held
+        if len(self.row_blocks()) > 1:
+            return compute()
+        with _HELD_LOCK:
+            held = self.__dict__.get(name)
+            if held is None:
+                held = compute()
+                held.flags.writeable = False
+                # the dataclass is frozen; the held arrays are not fields
+                self.__dict__[name] = held
+        return held
+
+    def weight_tensor(self) -> np.ndarray:
+        """The weights of all nodes in the grid's shape; held with a
+        one-block grid."""
+        return self._held("_weights", lambda: self.weight_rows(slice(None)))
 
     def weight_rows(self, rows: slice) -> np.ndarray:
         """``weight_tensor()[rows]`` with its bits, formed on its own."""
@@ -154,6 +181,22 @@ class TensorGrid:
         for ax in self.axes[1:]:
             block = np.multiply.outer(block, ax.weights)
         return block
+
+    def weighted(self, values: np.ndarray, out: np.ndarray,
+                 first=None) -> np.ndarray:
+        """``out = weight_tensor() * first(values)`` bit for bit, for values
+        in the grid's shape and an elementwise ufunc ``first`` (none by
+        default), one block of rows at a time: the held weight tensor on a
+        one-block grid, else its rows formed per block.  ``out`` may be
+        ``values``."""
+        blocks = self.row_blocks()
+        for rows in blocks:
+            v = values[rows] if first is None else first(values[rows],
+                                                         out=out[rows])
+            # a block of weight rows lives for its product only
+            np.multiply(self.weight_tensor() if len(blocks) == 1
+                        else self.weight_rows(rows), v, out=out[rows])
+        return out
 
     def refined(self) -> "TensorGrid":
         axes = tuple(
@@ -169,9 +212,7 @@ class TensorGrid:
         v = np.asarray(values).reshape(self.shape)
         out = np.empty(self.shape,
                        dtype=np.result_type(self.axes[0].weights, v))
-        for rows in self.row_blocks():
-            np.multiply(self.weight_rows(rows), v[rows], out=out[rows])
-        return np.sum(out)
+        return np.sum(self.weighted(v, out))
 
     def evaluate(self, fn) -> np.ndarray:
         """Sample a callable fn(points[M, dim]) -> values on the grid."""
@@ -180,7 +221,13 @@ class TensorGrid:
 
     def shell_mask(self, fraction: float = SHELL_FRACTION) -> np.ndarray:
         """Boolean tensor marking the outer boundary shell (per-axis outer
-        ``fraction`` of the half-width)."""
+        ``fraction`` of the half-width); the default one is held with a
+        one-block grid."""
+        if fraction == SHELL_FRACTION:
+            return self._held("_shell", lambda: self._shell_mask(fraction))
+        return self._shell_mask(fraction)
+
+    def _shell_mask(self, fraction: float) -> np.ndarray:
         masks = []
         for ax in self.axes:
             cut = ax.half_width * (1.0 - fraction)
@@ -191,14 +238,16 @@ class TensorGrid:
         return m
 
 
-def _shell_share(grid: TensorGrid, values: np.ndarray,
+def _abs_mass(grid: TensorGrid, values: np.ndarray) -> np.ndarray:
+    """|values| dw per node, in one C-ordered buffer: the bits of
+    ``weight_tensor() * np.abs(values)``."""
+    return grid.weighted(np.asarray(values).reshape(grid.shape),
+                         np.empty(grid.shape), first=np.abs)
+
+
+def _shell_share(grid: TensorGrid, mass: np.ndarray,
                  fraction: float) -> tuple[float, float]:
-    """(share of the |values| dw mass on the outer shell, that mass)."""
-    v = np.asarray(values).reshape(grid.shape)
-    mass = np.empty(grid.shape)
-    for rows in grid.row_blocks():
-        np.abs(v[rows], out=mass[rows])
-        mass[rows] *= grid.weight_rows(rows)
+    """(share of the per-node ``mass`` on the outer shell, its sum)."""
     total = float(np.sum(mass))
     if total == 0.0:
         return 0.0, total
@@ -208,21 +257,47 @@ def _shell_share(grid: TensorGrid, values: np.ndarray,
 def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray,
                             fraction: float = SHELL_FRACTION) -> float:
     """|integrand| mass carried by the outer shell, relative to the total."""
-    return _shell_share(grid, values, fraction)[0]
+    return _shell_share(grid, _abs_mass(grid, values), fraction)[0]
 
 
-def check_shell(grid: TensorGrid, values: np.ndarray, tol: float = SHELL_TOL,
-                what: str = "integrand") -> float:
-    """Raise DomainTooSmallError if the boundary shell carries more than
-    ``tol`` of the |values| dw mass; else return that mass, which equals
-    ``grid.integrate(np.abs(values))`` bit for bit."""
-    frac, total = _shell_share(grid, values, SHELL_FRACTION)
-    if frac > tol:
+def _checked_mass(grid: TensorGrid, mass: np.ndarray, tol: float,
+                  what: str) -> float:
+    """The sum of the per-node ``mass``, which must be finite (else
+    AccuracyError) and carry at most ``tol`` of itself on the boundary
+    shell (else, a NaN share included, DomainTooSmallError)."""
+    frac, total = _shell_share(grid, mass, SHELL_FRACTION)
+    if not np.isfinite(total):
+        raise AccuracyError(
+            f"{what} is not finite: its |values| dw mass is {total}")
+    if not frac <= tol:
         raise DomainTooSmallError(
             f"{what}: boundary shell carries {frac:.3e} of the mass "
             f"(> {tol:.1e}); enlarge the grid box"
         )
     return total
+
+
+def check_shell(grid: TensorGrid, values: np.ndarray, tol: float = SHELL_TOL,
+                what: str = "integrand") -> float:
+    """Raise DomainTooSmallError if the boundary shell carries more than
+    ``tol`` of the |values| dw mass, or AccuracyError if that mass is not
+    finite; else return the mass, which equals
+    ``grid.integrate(np.abs(values))`` bit for bit."""
+    return _checked_mass(grid, _abs_mass(grid, values), tol, what)
+
+
+def integrate_shell_checked(grid: TensorGrid, values: np.ndarray,
+                            tol: float = SHELL_TOL,
+                            what: str = "integrand") -> tuple[float, float]:
+    """(``grid.integrate(values)``, ``check_shell(grid, values, tol,
+    what)``) of a real integrand, bit for bit, from one weighted float64
+    buffer.  The weights are positive, so |fl(w v)| = fl(w |v|): the
+    products sum to the integral and their absolute values to the mass.  A
+    complex integrand cannot be cast to the buffer: TypeError."""
+    buf = grid.weighted(np.asarray(values).reshape(grid.shape),
+                        np.empty(grid.shape))
+    integral = float(np.sum(buf))
+    return integral, _checked_mass(grid, np.abs(buf, out=buf), tol, what)
 
 
 def relative_move(value, reference, floor: float = 1e-300) -> float:

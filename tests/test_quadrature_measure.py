@@ -1,5 +1,9 @@
 """Weighted quadrature grids, the measure, and weighted norms."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -15,7 +19,7 @@ from dunkllab.errors import AccuracyError
 from dunkllab.quadrature import (AxisRule, TensorGrid,
                                  boundary_shell_fraction, check_refined,
                                  check_shell, integrate_checked,
-                                 relative_move)
+                                 integrate_shell_checked, relative_move)
 
 
 class TestAxisRule:
@@ -139,6 +143,178 @@ class TestBlockedWeights:
         expect = np.sum(grid.weight_tensor() * field)
         got = measure._gaussian_mass.__wrapped__(grid.geometry)
         assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _small_blocks(monkeypatch, grid, rows: int = 6):
+    """Shrink ``BLOCK_BYTES`` to ``rows`` rows of ``grid`` a block."""
+    monkeypatch.setattr(quadrature, "BLOCK_BYTES",
+                        rows * 8 * (grid.size // grid.shape[0]))
+    assert len(grid.row_blocks()) > 1
+
+
+def _edge_samples(grid, rng, order):
+    """Real decayed samples: negative values, zeros of both signs, and
+    subnormal values whose weighted products are subnormal too."""
+    vals = _signed_samples(grid, rng, float)
+    vals[rng.random(grid.shape) < 0.05] = 0.0
+    tiny = rng.random(grid.shape) < 0.1
+    vals[tiny] = 1e-310 * rng.standard_normal(grid.shape)[tiny]
+    vals.flat[:3] = [5e-324, -5e-324, -0.0]
+    return np.asarray(vals, order=order)
+
+
+BLOCKS = ["one_block", "many_blocks"]
+
+
+class TestOneWeightedPass:
+    """``integrate_shell_checked`` returns the bits of ``integrate`` and of
+    ``check_shell``, and of the whole weight tensor's sums."""
+
+    @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]], ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_bytes_equal_integrate_and_check_shell(self, monkeypatch, ks,
+                                                   order, blocks):
+        grid = TensorGrid.build(ks=ks, half_widths=6.0, n_halves=25)
+        if blocks == "many_blocks":
+            _small_blocks(monkeypatch, grid)
+        vals = _edge_samples(grid, np.random.default_rng(7), order)
+        w = grid.weight_rows(slice(None))
+        products = w * vals
+        assert np.any((products != 0) & (np.abs(products) < 2.2e-308))
+        value, mass = integrate_shell_checked(grid, vals, tol=1.0)
+        assert _bits(value) == _bits(float(grid.integrate(vals)))
+        assert _bits(mass) == _bits(check_shell(grid, vals, tol=1.0))
+        assert _bits(value) == _bits(float(np.sum(products)))
+        assert _bits(mass) == _bits(float(np.sum(w * np.abs(vals))))
+
+    def test_complex_integrand_rejected(self):
+        grid = TensorGrid.build(ks=[0.5], half_widths=6.0, n_halves=25)
+        with pytest.raises(TypeError):
+            integrate_shell_checked(grid, np.ones(grid.shape, dtype=complex))
+
+
+def _integrate_after_shell(grid, vals, s):
+    """The weighted-norm square as integral taken after the shell check."""
+    integrand = np.abs(vals) ** 2
+    if s != 0.0:
+        integrand = integrand * measure.EtaFields(s).eta(grid)
+    check_shell(grid, integrand, what="weighted norm")
+    expect = float(grid.integrate(integrand))
+    assert _bits(expect) == _bits(float(np.sum(grid.weight_rows(slice(None))
+                                              * integrand)))
+    return expect
+
+
+class TestWeightedNormBits:
+    """The squared norm is the shell check's mass, with the bits of the
+    integral taken after the check."""
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_bytes_equal_integral_after_shell_check(self, monkeypatch, s,
+                                                    order, blocks):
+        ctx = WeightedContext(product_z2([0.25, 1.0]), box=6.0, n_half=25)
+        if blocks == "many_blocks":
+            _small_blocks(monkeypatch, ctx.grid)
+        rng = np.random.default_rng(3)
+        samples = {}
+        for grid in (ctx.grid, ctx.grid_fine):
+            vals = _edge_samples(grid, rng, "C")
+            # |v|^2 subnormal at these
+            tiny = rng.random(grid.shape) < 0.1
+            vals[tiny] = 1e-156 * rng.standard_normal(grid.shape)[tiny]
+            samples[id(grid)] = np.asarray(vals, order=order)
+
+        class Sampled:
+            def values_on(self, grid):
+                return samples[id(grid)]
+
+        squares = []
+        monkeypatch.setattr(measure, "check_refined",
+                            lambda base, fine, *a, **k:
+                            squares.append((base, fine)) or fine)
+        weighted_norm(ctx, Sampled(), s)
+        expect = tuple(_integrate_after_shell(grid, samples[id(grid)], s)
+                       for grid in (ctx.grid, ctx.grid_fine))
+        assert len(squares) == 1
+        assert _bits(squares[0]) == _bits(expect)
+
+
+class TestHeldGridConstants:
+    """A one-block grid forms its weight tensor and default shell mask
+    once, read-only; a larger grid holds nothing."""
+
+    def test_threads_on_a_cold_grid_share_one_weight_array(self,
+                                                           monkeypatch):
+        grid = TensorGrid.build(ks=[0.25, 1.0], half_widths=6.0, n_halves=60)
+        assert len(grid.row_blocks()) == 1
+        vals = _signed_samples(grid, np.random.default_rng(9), float)
+        formed = {"weights": 0, "masks": 0}
+        true_rows, true_mask = TensorGrid.weight_rows, TensorGrid._shell_mask
+
+        def slow(name, fn):
+            def wrapped(*args):
+                formed[name] += 1
+                time.sleep(0.02)   # widen the window of a racing first use
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(TensorGrid, "weight_rows",
+                            slow("weights", true_rows))
+        monkeypatch.setattr(TensorGrid, "_shell_mask",
+                            slow("masks", true_mask))
+        start = threading.Barrier(8)
+
+        def work(_):
+            start.wait()
+            value, mass = integrate_shell_checked(grid, vals, tol=1.0)
+            return (_bits(grid.integrate(vals)),
+                    _bits(check_shell(grid, vals, tol=1.0)),
+                    _bits(value), _bits(mass), grid.weight_tensor())
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(8)))
+        assert len({r[:4] for r in results}) == 1
+        assert formed == {"weights": 1, "masks": 1}
+        weights = [v for v in vars(grid).values()
+                   if isinstance(v, np.ndarray) and v.dtype == float]
+        assert len(weights) == 1
+        assert all(r[4] is weights[0] for r in results)
+        assert not weights[0].flags.writeable
+        assert not grid.shell_mask().flags.writeable
+
+    def test_blocked_grid_holds_nothing(self, monkeypatch):
+        grid = TensorGrid.build(ks=[0.25, 1.0], half_widths=6.0, n_halves=25)
+        _small_blocks(monkeypatch, grid)
+        vals = _signed_samples(grid, np.random.default_rng(9), float)
+        grid.integrate(vals)
+        check_shell(grid, vals, tol=1.0)
+        integrate_shell_checked(grid, vals, tol=1.0)
+        assert grid.weight_tensor() is not grid.weight_tensor()
+        assert not [v for v in vars(grid).values()
+                    if isinstance(v, np.ndarray)]
+
+
+class TestNonFiniteIntegrand:
+    """A NaN or infinite sample makes the |values| dw mass non-finite: an
+    AccuracyError naming the integrand, not a box to enlarge."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["interior", "shell"])
+    def test_shell_guards_raise(self, bad, where):
+        grid = TensorGrid.build(ks=[0.5, 0.5], half_widths=6.0, n_halves=20)
+        vals = np.exp(-grid.outer_sum(lambda d, x: x * x))
+        vals[(20, 17) if where == "interior" else (0, 17)] = bad
+        with pytest.raises(AccuracyError, match="probe is not finite"):
+            check_shell(grid, vals, what="probe")
+        with pytest.raises(AccuracyError, match="probe is not finite"):
+            integrate_shell_checked(grid, vals, what="probe")
 
 
 class TestRefinementGuard:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from dunkllab import harness, kernels, quadrature, transform
-from dunkllab import (DomainTooSmallError, GridSampled, KernelSpec,
-                      PolyGauss, WeightedContext, apply_dunkl,
+from dunkllab import (AccuracyError, DomainTooSmallError, GridSampled,
+                      KernelSpec, PolyGauss, WeightedContext, apply_dunkl,
                       dunkl_convolve, dunkl_transform, gaussian,
                       heat_kernel, hermite_gauss, inverse_at_points,
                       inverse_dunkl_transform, monomial_gauss,
@@ -144,6 +144,17 @@ class TestGuards:
         wide = PolyGauss(np.ones(1), np.array([0.01]))
         with pytest.raises(DomainTooSmallError):
             dunkl_transform(ctx, wide)
+
+    def test_nan_input_raises_accuracy_error(self):
+        # one NaN sample used to pass the shell guard and turn all 1600
+        # spectral values into NaN
+        ctx = WeightedContext(product_z2([0.5, 0.5]), box=6.0, n_half=20,
+                              freq_n_half=20)
+        vals = gaussian(2).values_on(ctx.grid)
+        vals[7, 11] = np.nan
+        with pytest.raises(AccuracyError,
+                           match="transform input is not finite"):
+            dunkl_transform(ctx, GridSampled(grid=ctx.grid, values=vals))
 
     def test_spectral_function_bound_to_its_grid(self):
         ctx = ctx_rank1(0.0)
