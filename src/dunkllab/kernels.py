@@ -166,14 +166,17 @@ def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
 
 def _real_part_checked(values: np.ndarray, what: str,
                        residue: float | None = None) -> np.ndarray:
-    """The real part of ``values``, or AccuracyError if sup |Im| exceeds
-    IMAG_RESIDUE_TOL x max(sup |Re|, 1).  For real ``values`` taken from
-    complex ones, ``residue`` is that sup |Im|."""
+    """The real part of ``values``, or AccuracyError if it is not finite or
+    if sup |Im| exceeds IMAG_RESIDUE_TOL x max(sup |Re|, 1) (a NaN residue
+    included).  For real ``values`` taken from complex ones, ``residue`` is
+    that sup |Im|."""
     values = np.asarray(values)
     scale = max(sup_abs(values.real), 1.0)
+    if not np.isfinite(scale):
+        raise AccuracyError(f"{what} is not finite: sup |Re| is {scale}")
     if residue is None:
         residue = sup_abs(values.imag)
-    if residue > IMAG_RESIDUE_TOL * scale:
+    if not residue <= IMAG_RESIDUE_TOL * scale:
         raise AccuracyError(
             f"{what} has imaginary residue {residue:.3g} (scale {scale:.3g})")
     return values.real

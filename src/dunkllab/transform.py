@@ -29,6 +29,16 @@ operands (``tests/test_transform.py`` compares them byte for byte):
 
 * a real input is converted to complex one column block at a time for
   the first contraction, so it is never copied to complex whole;
+* that first contraction of a real input is formed on the non-negative
+  rows only.  Row -a of each operator is the conjugate of row a (the rows
+  of ``_unfold``), so for a real operand row -a of the product is the
+  conjugate of row a, and it is filled in by conjugation.  These rows are
+  those of the whole product, except that an all-zero column gets
+  imaginary zeros of the other sign, which leave the bits of the second
+  contraction as they were.  For a real input the second contraction's
+  result is conjugate-symmetric too, but it is not mirrored: on OpenBLAS
+  0.3.31 its whole product is conjugate-symmetric bit for bit only when
+  the destination axis has a multiple of 8 nodes;
 * an inverse with ``real_part=True`` takes its last contraction in row
   blocks of the operator; each complex block gets the elementwise steps the
   whole array got (``/ c_k``, then ``then``), and its real part goes into
@@ -217,9 +227,11 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
            for d in range(ctx.dim)]
     vals = np.asarray(vals)
     if ctx.dim == 2 and not np.iscomplexobj(vals):
-        first = np.empty((ops[0].shape[0], vals.shape[1]), dtype=complex)
+        h = ops[0].shape[0] // 2
+        first = np.empty((2 * h, vals.shape[1]), dtype=complex)
         for cols in block_slices(vals.shape[1], 16 * vals.shape[0]):
-            first[:, cols] = np.dot(ops[0], vals[:, cols].astype(complex))
+            first[h:, cols] = np.dot(ops[0][h:], vals[:, cols].astype(complex))
+        np.conj(first[h:][::-1], out=first[:h])
     else:
         first = np.tensordot(ops[0], np.asarray(vals, dtype=complex),
                              axes=([1], [0]))

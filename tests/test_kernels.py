@@ -150,19 +150,24 @@ class TestGridEvaluator:
 
 class TestRealPartCheck:
     @pytest.mark.parametrize("values", [
-        [1.0 + 0j, np.nan + 0j, 2.0 + 1e-3j],
-        [1.0 + 0j, 3.0 + np.nan * 1j, -2.0 + 0j],
-        [np.nan + np.nan * 1j, 1.0 + 1.0j]])
-    def test_nan_passes_through_unchecked(self, values):
-        # a NaN scale or residue makes the comparison false: no error, and
-        # the real part comes back with its NaN
+        [1.0 + 0j, np.nan + 0j, 2.0 + 0j],
+        [complex(np.nan, np.nan), 1.0 + 1.0j],
+        [1.0 + 0j, np.inf + 0j, -2.0 + 0j],
+        [1.0 + 0j, -np.inf + 0j, -2.0 + 0j]])
+    def test_real_part_not_finite_raises(self, values):
         values = np.asarray(values)
-        out = _real_part_checked(values, "probe")
-        assert out.tobytes() == values.real.tobytes()
-        real = values.real.copy()
-        out = _real_part_checked(real, "probe",
-                                 float(np.max(np.abs(values.imag))))
-        assert out.tobytes() == real.tobytes()
+        with pytest.raises(AccuracyError, match="probe is not finite"):
+            _real_part_checked(values, "probe")
+        with pytest.raises(AccuracyError, match="probe is not finite"):
+            _real_part_checked(values.real.copy(), "probe", 0.0)
+
+    @pytest.mark.parametrize("residue", [np.nan, np.inf])
+    def test_residue_not_finite_raises(self, residue):
+        values = np.array([1.0, complex(3.0, residue), -2.0])
+        with pytest.raises(AccuracyError, match=f"imaginary residue {residue}"):
+            _real_part_checked(values, "probe")
+        with pytest.raises(AccuracyError, match=f"imaginary residue {residue}"):
+            _real_part_checked(values.real.copy(), "probe", residue)
 
     def test_residue_over_tolerance_raises(self):
         with pytest.raises(AccuracyError, match="imaginary residue 0.001"):

@@ -362,6 +362,110 @@ class TestBlockedTransform:
         assert real.imag_residue == np.max(np.abs(whole.imag))
 
 
+#: odd halves on the first contracted axis: forward rows 74 and 82
+#: frequency nodes, inverse rows 90 and 82 spatial nodes; the ks differ
+#: per axis, so the two axes never share a cached operator
+MIRROR_CONTEXTS = [
+    WeightedContext(product_z2([0.25, 1.0]), n_half=45, freq_n_half=37),
+    WeightedContext(product_z2([1.0, 0.5]), n_half=41, freq_n_half=41)]
+
+
+def zero_lined_field(grid, pattern, order):
+    """A real field in memory order ``order``: ``signed_field`` with whole
+    columns and a row of +0.0 and -0.0 inside the grid, or all +0.0 or all
+    -0.0."""
+    if pattern == "zeros":
+        return np.zeros(grid.shape, order=order)
+    if pattern == "negative-zeros":
+        return np.full(grid.shape, -0.0, order=order)
+    vals = signed_field(grid, np.random.default_rng(13), float, order)
+    n = grid.shape[1]
+    vals[:, n // 3] = 0.0
+    vals[:, n // 2 + 1] = -0.0
+    vals[grid.shape[0] // 4, :] = -0.0
+    return vals
+
+
+class TestMirroredFirstContraction:
+    """Row -a of each cached operator is the conjugate of row a, so a real
+    operand's first contraction is formed on rows h: and mirrored.  The
+    results keep the bytes and strides of the whole products, with one
+    block (default ``BLOCK_BYTES``) or blocks of 14 columns or rows."""
+
+    @pytest.fixture(params=["one-block", "multi-block"])
+    def blocks(self, request, monkeypatch):
+        if request.param == "multi-block":
+            monkeypatch.setattr(quadrature, "BLOCK_BYTES", 14 * 16 * 90)
+
+    @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0])
+    def test_operator_rows_mirror_by_conjugation(self, k):
+        space = AxisRule.build(k, 6.0, 45)
+        freq = AxisRule.build(k, 20.0, 37)
+        cache = KernelMatrixCache()
+        for forward in (True, False):
+            op = cache.matrix(freq, space, k, forward)
+            h = op.shape[0] // 2
+            assert h % 2 == 1
+            assert op[:h].tobytes() == np.conj(op[h:][::-1]).tobytes()
+
+    @pytest.mark.parametrize("ctx", MIRROR_CONTEXTS, ids=["74", "82"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("pattern", ["lines", "zeros", "negative-zeros"])
+    def test_real_forward_bytes_and_strides_equal_whole_products(
+            self, blocks, ctx, order, pattern):
+        vals = zero_lined_field(ctx.grid, pattern, order)
+        got = dunkl_transform(ctx, GridSampled(grid=ctx.grid,
+                                               values=vals)).values
+        expect = unblocked_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
+        assert_same_array(got, expect)
+
+    @pytest.mark.parametrize("ctx", MIRROR_CONTEXTS, ids=["90", "82"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("pattern", ["lines", "zeros", "negative-zeros"])
+    @pytest.mark.parametrize("then", [None, (np.multiply, 1.7),
+                                      (np.divide, 2.3)])
+    def test_real_inverse_bytes_and_strides_equal_whole_products(
+            self, blocks, ctx, order, pattern, then):
+        vals = zero_lined_field(ctx.freq_grid, pattern, order)
+        expect = unblocked_transform(ctx, vals, ctx.freq_grid, ctx.grid,
+                                     False, then)
+        whole = inverse_dunkl_transform(ctx, vals, then=then)
+        assert_same_array(whole.values, expect)
+        real = inverse_dunkl_transform(ctx, vals, real_part=True, then=then)
+        assert_same_array(real.values, expect.real.copy(order="K"))
+        assert real.imag_residue == np.max(np.abs(expect.imag))
+
+    @pytest.mark.parametrize("forward", [True, False],
+                             ids=["forward", "real-part-inverse"])
+    def test_real_first_product_takes_the_non_negative_rows(self, monkeypatch,
+                                                            forward):
+        monkeypatch.setattr(quadrature, "BLOCK_BYTES", 14 * 16 * 90)
+        ctx = MIRROR_CONTEXTS[0]
+        src, dst = ((ctx.grid, ctx.freq_grid) if forward
+                    else (ctx.freq_grid, ctx.grid))
+        freq, space = (dst, src) if forward else (src, dst)
+        op = transform._CACHE.matrix(freq.axes[0], space.axes[0],
+                                     ctx.system.ks[0], forward)
+        h = op.shape[0] // 2
+        vals = zero_lined_field(src, "lines", "C")
+        columns = []
+        real_dot = np.dot
+
+        def spy(a, b, *args, **kwargs):
+            if a.base is op:
+                assert a.shape == (h, op.shape[1])
+                assert a.ctypes.data == op[h:].ctypes.data
+                columns.append(b.shape[1])
+            return real_dot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", spy)
+        if forward:
+            dunkl_transform(ctx, GridSampled(grid=src, values=vals))
+        else:
+            inverse_dunkl_transform(ctx, vals, real_part=True)
+        assert len(columns) > 1 and sum(columns) == vals.shape[1]
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
