@@ -12,9 +12,8 @@ scales, and the eps-perturbed variant.
 
 import numpy as np
 
-from dunkllab import (BilinearFormSpec, WeightedContext, check_garding,
-                      form_a_s, gaussian, rank1, sobolev_norm_V,
-                      weighted_norm)
+from dunkllab import (BilinearFormSpec, WeightedContext, form_a_s, gaussian,
+                      rank1, run_check, sobolev_norm_V, weighted_norm)
 
 
 def main() -> None:
@@ -35,9 +34,9 @@ def main() -> None:
     print(f"{'l':>2} {'eps':>5} {'alpha':>8} {'C':>8} {'held-out ratio':>15}")
     for ell in (1, 2):
         for eps in (0.0, 0.1):
-            spec = BilinearFormSpec(ell=ell, s=1.0, eps=eps,
-                                    directions=((1.0,),))
-            rep = check_garding(ctx, spec, s_set=(0.5, 1.0, 2.0))
+            rep = run_check(ctx, "garding",
+                            {"ell": ell, "eps": eps, "directions": [[1.0]],
+                             "s_set": [0.5, 1.0, 2.0]})
             print(f"{ell:>2} {eps:>5.2f} {rep.fitted['alpha']:>8.4f} "
                   f"{rep.fitted['C_alpha']:>8.4f} "
                   f"{rep.fitted['holdout_ratio']:>15.4f}")

@@ -11,7 +11,7 @@ that explain the fit quality.
 
 import numpy as np
 
-from dunkllab import KernelSpec, WeightedContext, check_thm1_decay, rank1
+from dunkllab import KernelSpec, WeightedContext, rank1, run_check
 from dunkllab.harness import decay_samples
 from dunkllab.kernels import evaluate_q
 
@@ -31,8 +31,8 @@ def main() -> None:
         for k in (0.0, 1.0):
             ctx = WeightedContext(rank1(k))
             spec = KernelSpec(directions=((1.0,),), ell=ell, eps=0.0, t=1.0)
-            rep = check_thm1_decay(ctx, spec,
-                                   params={"check_stability": False})
+            rep = run_check(ctx, "thm1-decay", {"check_stability": False},
+                            spec)
             fit = rep.fitted
             flips = sign_change_radii(ctx, spec, np.linspace(0.3, 6.0, 400))
             flip_note = ", ".join(f"{r:.2f}" for r in flips) or "none"

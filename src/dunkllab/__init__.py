@@ -16,9 +16,7 @@ from .functions import (CallableFunction, GridSampled, PolyGauss, gaussian,
                         hermite_family, hermite_gauss, monomial_gauss,
                         radial_bump)
 from .dunkl_kernel import dunkl_kernel_E, kernel_series
-from .harness import (check_garding, check_heat_gaussian_bound,
-                      check_thm1_decay, check_two_point_bound,
-                      make_pair_grid)
+from .harness import make_pair_grid
 from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
                       heat_kernel, heat_kernel_two_point, q_on_grid,
                       translate_at_points, two_point_kernel)
@@ -46,8 +44,7 @@ __all__ = [
     "CallableFunction", "GridSampled", "PolyGauss", "gaussian",
     "hermite_family", "hermite_gauss", "monomial_gauss", "radial_bump",
     "dunkl_kernel_E", "kernel_series",
-    "check_garding", "check_heat_gaussian_bound", "check_thm1_decay",
-    "check_two_point_bound", "make_pair_grid",
+    "make_pair_grid",
     "KernelSpec", "dunkl_translate", "evaluate_q", "freq_box_for",
     "heat_kernel", "heat_kernel_two_point", "q_on_grid",
     "translate_at_points", "two_point_kernel",

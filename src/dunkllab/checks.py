@@ -160,8 +160,9 @@ SPEC = Param("spec", KERNEL_SCHEMA,
 
 @dataclass(frozen=True)
 class Check:
-    """A registered kind.  ``run(ctx, spec, params=...)`` returns its
-    VerificationReport; ``params`` holds every declared parameter."""
+    """A registered kind.  ``run(ctx, spec, params)`` returns its
+    VerificationReport; ``params`` holds every declared parameter
+    (``resolve``), as ``runner.run_check`` passes them."""
     kind: str
     run: Callable
     description: str
@@ -187,14 +188,12 @@ class Check:
                 f"{accepted}")
         validate(params, self.schema, where, dim)
 
-    def resolve(self, params: dict | None = None, dim: int | None = None,
-                **typed) -> dict:
+    def resolve(self, params: dict | None = None,
+                dim: int | None = None) -> dict:
         """Every declared parameter: given ones validated and coerced, the
-        rest at their defaults, None for a derived one.  Keyword values
-        take the place of the same keys in ``params``.  A given None counts
+        rest at their defaults, None for a derived one.  A given None counts
         as not given, so a resolved dict resolves to itself."""
         given = {k: v for k, v in (params or {}).items() if v is not None}
-        given.update((k, v) for k, v in typed.items() if v is not None)
         self.validate(given, dim=dim)
         values = {p.name: given.get(p.name, p.default) for p in self.params}
         return {p.name: None if isinstance(values[p.name], Derived)

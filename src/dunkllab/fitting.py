@@ -34,19 +34,18 @@ class DecayFitReport:
     n_samples: int
 
 
-def fit_decay_exponent(samples, p0: float = 1.5,
-                       floor: float = SAMPLE_FLOOR) -> DecayFitReport:
+def fit_decay_exponent(samples, p0: float = 1.5) -> DecayFitReport:
     """Nonlinear least squares of log|q| = log C - c r^p over (log C, c, p).
 
-    ``samples`` is a sequence of (r, |q|) pairs.  Pairs with |q| <= floor are
-    discarded before fitting; at least MIN_SAMPLES must remain, spanning an
-    r-ratio of at least MIN_SPAN_RATIO.  Initialization is fixed
-    (c0 = 1, C0 = max|q|, p0 as given), so the fit is deterministic.
+    ``samples`` is a sequence of (r, |q|) pairs.  Pairs with |q| <=
+    SAMPLE_FLOOR are discarded before fitting; at least MIN_SAMPLES must
+    remain, spanning an r-ratio of at least MIN_SPAN_RATIO.  Initialization
+    is fixed (c0 = 1, C0 = max|q|, p0 as given), so the fit is deterministic.
     """
     arr = np.asarray(list(samples), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be (r, |q|) pairs")
-    arr = arr[arr[:, 1] > floor]
+    arr = arr[arr[:, 1] > SAMPLE_FLOOR]
     if len(arr) < MIN_SAMPLES:
         raise ValueError(
             f"need at least {MIN_SAMPLES} samples above the floor, "
@@ -85,8 +84,8 @@ def alternating_split(n: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[0::2], idx[1::2]
 
 
-def envelope_fit(d: np.ndarray, vals: np.ndarray, p: float,
-                 floor: float = SAMPLE_FLOOR) -> tuple[float, float]:
+def envelope_fit(d: np.ndarray, vals: np.ndarray,
+                 p: float) -> tuple[float, float]:
     """Fit (c, C) in vals <= C exp(-c d^p) with the exponent p imposed.
 
     The rate c is the least-squares slope of log(vals) against -d^p; the
@@ -95,7 +94,7 @@ def envelope_fit(d: np.ndarray, vals: np.ndarray, p: float,
     """
     d = np.asarray(d, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    keep = vals > floor
+    keep = vals > SAMPLE_FLOOR
     d, vals = d[keep], vals[keep]
     if len(d) < 2:
         raise ValueError("need at least two samples above the floor")
@@ -128,8 +127,8 @@ def _upper_hull(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z[idx], y[idx]
 
 
-def envelope_fit_upper(z: np.ndarray, vals: np.ndarray,
-                       floor: float = SAMPLE_FLOOR) -> tuple[float, float]:
+def envelope_fit_upper(z: np.ndarray,
+                       vals: np.ndarray) -> tuple[float, float]:
     """Fit (c, C) in vals <= C exp(-c z) through the upper envelope.
 
     The rate c is the least-squares slope through the vertices of the upper
@@ -141,7 +140,7 @@ def envelope_fit_upper(z: np.ndarray, vals: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    keep = vals > floor
+    keep = vals > SAMPLE_FLOOR
     z, vals = z[keep], vals[keep]
     if len(z) < 2:
         raise ValueError("need at least two samples above the floor")
@@ -165,12 +164,12 @@ def envelope_fit_upper(z: np.ndarray, vals: np.ndarray,
 
 
 def envelope_holdout_ratio(d: np.ndarray, vals: np.ndarray, p: float,
-                           c: float, C: float,
-                           slack: float = HOLDOUT_SLACK) -> float:
-    """max vals / (slack * C * exp(-c d^p)) on held-out data; <= 1 passes."""
+                           c: float, C: float) -> float:
+    """max vals / (HOLDOUT_SLACK * C * exp(-c d^p)) on held-out data; <= 1
+    passes."""
     d = np.asarray(d, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    bound = slack * C * np.exp(-c * d**p)
+    bound = HOLDOUT_SLACK * C * np.exp(-c * d**p)
     return float(np.max(vals / bound))
 
 
@@ -184,11 +183,11 @@ def ratio_constant_fit(cal_vals: np.ndarray, cal_scales: np.ndarray) -> float:
 
 
 def ratio_holdout_ratio(held_vals: np.ndarray, held_scales: np.ndarray,
-                        C: float, slack: float = HOLDOUT_SLACK) -> float:
-    """max held_vals / (slack * C * held_scales); <= 1 passes."""
+                        C: float) -> float:
+    """max held_vals / (HOLDOUT_SLACK * C * held_scales); <= 1 passes."""
     held_vals = np.asarray(held_vals, dtype=float)
     held_scales = np.asarray(held_scales, dtype=float)
-    return float(np.max(held_vals / (slack * C * held_scales)))
+    return float(np.max(held_vals / (HOLDOUT_SLACK * C * held_scales)))
 
 
 def garding_lp(A: np.ndarray, S: np.ndarray, V: np.ndarray,
@@ -217,9 +216,9 @@ def garding_lp(A: np.ndarray, S: np.ndarray, V: np.ndarray,
 
 
 def garding_holdout_ratio(A: np.ndarray, S: np.ndarray, V: np.ndarray,
-                          alpha: float, C: float,
-                          slack: float = HOLDOUT_SLACK) -> float:
-    """max (alpha/slack)*V_i / (A_i + C*S_i) on held-out data; <= 1 passes.
+                          alpha: float, C: float) -> float:
+    """max (alpha/HOLDOUT_SLACK)*V_i / (A_i + C*S_i) on held-out data; <= 1
+    passes.
 
     A nonpositive denominator means the inequality fails outright; the ratio
     is reported as infinity in that case.
@@ -228,7 +227,7 @@ def garding_holdout_ratio(A: np.ndarray, S: np.ndarray, V: np.ndarray,
     S = np.asarray(S, dtype=float)
     V = np.asarray(V, dtype=float)
     denom = A + C * S
-    lhs = (alpha / slack) * V
+    lhs = (alpha / HOLDOUT_SLACK) * V
     if np.any(denom <= 0):
         return float(np.inf)
     return float(np.max(lhs / denom))

@@ -27,7 +27,7 @@ from .measure import EtaFields, WeightedContext, _weighted_norm
 from .operators import apply_dunkl, positive_roots
 from .quadrature import TensorGrid, check_refined, integrate_shell_checked
 
-#: largest admissible perturbation strength eps.
+#: largest admissible perturbation strength eps, read on every validation.
 EPSILON_MAX = 0.1
 FORM_REFINE_TOL = 1e-8
 
@@ -44,7 +44,6 @@ class BilinearFormSpec:
     s: float
     eps: float = 0.0
     directions: tuple = ((1.0,),)
-    eps_max: float = EPSILON_MAX
 
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
@@ -54,8 +53,8 @@ class BilinearFormSpec:
         if not (self.s == 0.0 or self.s > 0.25):
             raise ValueError("weight parameter s must exceed 1/4 (or be 0 "
                              "for the plain-L^2 norm)")
-        if self.eps < 0 or (self.eps > 0 and self.eps > self.eps_max):
-            raise ValueError(f"eps must lie in {{0}} or (0, {self.eps_max}]")
+        if self.eps < 0 or self.eps > EPSILON_MAX:
+            raise ValueError(f"eps must lie in {{0}} or (0, {EPSILON_MAX}]")
         if np.min(np.linalg.norm(dirs, axis=1)) == 0.0:
             raise ValueError("directions must be nonzero")
         if np.linalg.matrix_rank(dirs) < dirs.shape[1]:
@@ -236,8 +235,7 @@ def _form(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
         return _refine_checked(ctx, evaluate)
     coords = [np.eye(ctx.dim)[d] for d in range(ctx.dim)]
     coord_spec = BilinearFormSpec(ell=1, s=spec.s, eps=0.0,
-                                  directions=tuple(tuple(c) for c in coords),
-                                  eps_max=spec.eps_max)
+                                  directions=tuple(tuple(c) for c in coords))
 
     def evaluate(grid):
         total_a, gross_a = _form_terms(ctx, spec, f, g, grid, fields)

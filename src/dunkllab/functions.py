@@ -22,15 +22,13 @@ from .quadrature import TensorGrid
 
 
 def _poly_eval(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate an N-dim coefficient array at points (M, N), N <= 3."""
+    """Evaluate an N-dim coefficient array at points (M, N), N <= 2."""
     nd = coeffs.ndim
     if nd == 1:
         return npoly.polyval(pts[:, 0], coeffs)
     if nd == 2:
         return npoly.polyval2d(pts[:, 0], pts[:, 1], coeffs)
-    if nd == 3:
-        return npoly.polyval3d(pts[:, 0], pts[:, 1], pts[:, 2], coeffs)
-    raise NotImplementedError("polynomial evaluation implemented for dim <= 3")
+    raise NotImplementedError("polynomial evaluation implemented for dim <= 2")
 
 
 def _convolve(c: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -88,10 +86,6 @@ class PolyGauss:
     def dim(self) -> int:
         return self.coeffs.ndim
 
-    @property
-    def degree(self) -> int:
-        return int(sum(s - 1 for s in self.coeffs.shape))
-
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -104,8 +98,8 @@ class PolyGauss:
 
         Horner runs along one axis at a time, in axis order, and the Gaussian
         exponent is summed over axes by broadcasting in the same order.  These
-        are the floating-point operations of ``polyval2d``/``polyval3d`` and
-        of ``__call__``, so the result equals
+        are the floating-point operations of ``polyval2d`` and of
+        ``__call__``, so the result equals
         ``self(grid.points()).reshape(grid.shape)`` bit for bit.
         """
         vals = self.coeffs
@@ -205,36 +199,14 @@ class PolyGauss:
             out = np.zeros([1 if d == axis else s for d, s in enumerate(c.shape)])
         return PolyGauss(out, self.exponents)
 
-    def is_radial(self) -> bool:
-        """True for polynomials in |x|^2 with an isotropic Gaussian."""
-        if not np.allclose(self.exponents, self.exponents[0], rtol=0, atol=0):
-            return False
-        idx = np.indices(self.coeffs.shape)
-        odd = np.zeros(self.coeffs.shape, dtype=bool)
-        for d in range(self.dim):
-            odd |= idx[d] % 2 == 1
-        if np.any(self.coeffs[odd] != 0.0):
-            return False
-        # even in every coordinate; radial additionally needs symmetry under
-        # coordinate permutations of the even-degree coefficients
-        c = self.coeffs
-        return all(np.allclose(c, np.transpose(c, perm), rtol=1e-12, atol=1e-12)
-                   for perm in _axis_permutations(self.dim)
-                   if c.shape == tuple(np.array(c.shape)[list(perm)]))
-
-
-def _axis_permutations(dim: int):
-    from itertools import permutations
-    return list(permutations(range(dim)))
-
 
 @dataclass(frozen=True)
 class GridSampled:
     """Function known by its samples on a tensor quadrature grid.
 
     ``imag_residue`` is sup |Im| of the complex samples whose real part
-    ``values`` holds, when they were taken from such (an inverse transform
-    with ``real_part=True``); 0 otherwise.
+    ``values`` holds, when they were taken from such (a grid inverse
+    transform); 0 otherwise.
     """
 
     grid: TensorGrid
@@ -290,10 +262,11 @@ def hermite_gauss(n: int, a: float = 0.5) -> PolyGauss:
     return PolyGauss(coeffs, np.array([a]))
 
 
-def hermite_family(max_degree: int, widths=(0.35, 0.5, 0.75)) -> list[PolyGauss]:
-    """1-D calibration family: Hermite polynomials times Gaussians of several
-    widths, ordered deterministically."""
-    return [hermite_gauss(n, a) for a in widths for n in range(max_degree + 1)]
+def hermite_family(max_degree: int) -> list[PolyGauss]:
+    """1-D calibration family: Hermite polynomials times Gaussians of the
+    widths 0.35, 0.5 and 0.75, ordered deterministically."""
+    return [hermite_gauss(n, a) for a in (0.35, 0.5, 0.75)
+            for n in range(max_degree + 1)]
 
 
 def monomial_gauss(powers, a) -> PolyGauss:
@@ -320,15 +293,21 @@ class RadialFunction(CallableFunction):
         return self.profile(grid.outer_sum(lambda d, x: x * x))
 
 
-def radial_bump(dim: int, radius: float, power: int = 12) -> RadialFunction:
-    """Compactly supported radial bump (1 - (|x|/radius)^2)^power on B(0, radius).
+#: exponent of ``radial_bump``
+BUMP_POWER = 12
 
-    C^{power-1} at the boundary; its transform decays like |xi|^{-(power+1)}
-    per axis, which sets the frequency box needed to reconstruct it.
+
+def radial_bump(dim: int, radius: float) -> RadialFunction:
+    """Compactly supported radial bump (1 - (|x|/radius)^2)^p on B(0, radius),
+    p = BUMP_POWER.
+
+    C^{p-1} at the boundary; its transform decays like |xi|^{-(p+1)} per
+    axis, which sets the frequency box needed to reconstruct it.
     """
+
     def profile(sq):
         u = sq / radius**2
-        return np.where(u < 1.0, np.maximum(1.0 - u, 0.0) ** power, 0.0)
+        return np.where(u < 1.0, np.maximum(1.0 - u, 0.0) ** BUMP_POWER, 0.0)
 
     def fn(pts):
         pts = np.atleast_2d(pts)
@@ -337,8 +316,8 @@ def radial_bump(dim: int, radius: float, power: int = 12) -> RadialFunction:
     def grad(pts):
         pts = np.atleast_2d(pts)
         u = np.sum(pts**2, axis=1) / radius**2
-        fac = np.where(u < 1.0, -2.0 * power / radius**2
-                       * np.maximum(1.0 - u, 0.0) ** (power - 1), 0.0)
+        fac = np.where(u < 1.0, -2.0 * BUMP_POWER / radius**2
+                       * np.maximum(1.0 - u, 0.0) ** (BUMP_POWER - 1), 0.0)
         return fac[:, None] * pts
 
     return RadialFunction(fn=fn, gradient=grad, profile=profile)

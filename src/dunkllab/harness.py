@@ -1,8 +1,9 @@
 """Quantitative checks for kernel decay, coercivity, and auxiliary bounds.
 
-Every check here is entered in the one registry (``checks.CHECKS``) next
-to its body, with its declared parameters; ``runner.run_check`` runs any
-registered kind by name.
+Every check here is a private body ``(ctx, spec, params)`` entered in the
+one registry (``checks.CHECKS``), with its declared parameters;
+``runner.run_check`` is the one way to run it, and hands the body every
+declared parameter, validated and at its default when not given.
 
 Each check turns a qualitative statement ("there exist C, c > 0 such that
 ...") into a deterministic pass/fail verdict: constants are fitted on a
@@ -19,16 +20,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .checks import (CHECKS, GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA,
-                     Derived, Param, grid_params, integer, number, numbers,
-                     register, tolerance)
+from .checks import (GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived,
+                     Param, grid_params, integer, number, numbers, register,
+                     tolerance)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
 from .errors import ConfigError, DomainTooSmallError
-from .fitting import (GARDING_C_CAP, HOLDOUT_SLACK, alternating_split,
-                      envelope_fit, envelope_fit_upper,
-                      envelope_holdout_ratio, fit_decay_exponent, garding_lp,
-                      garding_holdout_ratio, ratio_constant_fit,
-                      ratio_holdout_ratio)
+from .fitting import (GARDING_C_CAP, alternating_split, envelope_fit,
+                      envelope_fit_upper, envelope_holdout_ratio,
+                      fit_decay_exponent, garding_lp, garding_holdout_ratio,
+                      ratio_constant_fit, ratio_holdout_ratio)
 from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages,
                     _coercivity_terms)
 from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
@@ -87,8 +87,8 @@ def decay_samples(ctx: WeightedContext, spec: KernelSpec,
           number("p_rtol", 0.05, exclusiveMinimum=0),
           number("r2_min", 0.995, exclusiveMaximum=1),
           Param("check_stability", {"type": "boolean"}, True), *_FREQ_GRID)
-def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
-                     params: dict | None = None) -> VerificationReport:
+def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
+                      params: dict) -> VerificationReport:
     """Fit |q_1(x)| ~ C exp(-c |x|^p) and compare p with 2l/(2l-1).
 
     Pass requires the fitted exponent within ``p_rtol`` (default 5%) of the
@@ -96,7 +96,6 @@ def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
     0.995), and (unless disabled) exponent movement under a 1.5x-refined
     frequency grid below 1%.
     """
-    params = CHECKS["thm1-decay"].resolve(params)
     p_theory = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
     p_rtol, r2_min = params["p_rtol"], params["r2_min"]
     qctx = _freq_sized_ctx(ctx, spec, params)
@@ -134,17 +133,12 @@ def check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
               "r^2 deficit / (1 - r2_min), refinement move / 1%")
 
 
-def make_pair_grid(ctx: WeightedContext,
-                   centers: np.ndarray | None = None,
-                   radii: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def make_pair_grid(ctx: WeightedContext) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (x, y) pairs: rays around a few base points, plus the
     zero-orbit-distance pairs (x, gx) for every group element."""
-    if centers is None:
-        centers = (np.array([[0.0], [0.6], [1.2]]) if ctx.dim == 1
-                   else np.array([[0.0, 0.0], [0.6, 0.3], [1.0, -0.5]]))
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if radii is None:
-        radii = np.geomspace(0.5, 5.0, 12)
+    centers = (np.array([[0.0], [0.6], [1.2]]) if ctx.dim == 1
+               else np.array([[0.0, 0.0], [0.6, 0.3], [1.0, -0.5]]))
+    radii = np.geomspace(0.5, 5.0, 12)
     rays = decay_rays(ctx.dim)
     xs, ys = [], []
     for x in centers:
@@ -163,13 +157,11 @@ def make_pair_grid(ctx: WeightedContext,
           "max(w(B(x,1)), w(B(y,1))) <= C exp(-c d(x,y)^{2l/(2l-1)}) and "
           "verify the bound on held-out pairs with 1.05 slack",
           *_FREQ_GRID)
-def check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
-                          pair_grid: tuple[np.ndarray, np.ndarray] | None = None,
-                          params: dict | None = None) -> VerificationReport:
+def _check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
+                           params: dict) -> VerificationReport:
     """Calibrate (c, C) in |q(x,y)| V(x,y,1) <= C exp(-c d(x,y)^{2l/(2l-1)})
     and verify the bound, with 1.05 slack, on the held-out pair half."""
-    params = CHECKS["thm2-two-point"].resolve(params)
-    xs, ys = pair_grid if pair_grid is not None else make_pair_grid(ctx)
+    xs, ys = make_pair_grid(ctx)
     p = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
     qctx = _freq_sized_ctx(ctx, spec, params)
     q = np.atleast_1d(two_point_kernel(qctx, spec, xs, ys))
@@ -180,8 +172,7 @@ def check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
     d, vals = d[order], vals[order]
     cal, held = alternating_split(len(d))
     c, C = envelope_fit(d[cal], vals[cal], p)
-    ratio = envelope_holdout_ratio(d[held], vals[held], p, c, C,
-                                   slack=HOLDOUT_SLACK)
+    ratio = envelope_holdout_ratio(d[held], vals[held], p, c, C)
     defect = ratio if c > 0 else max(ratio, 2.0)
     return VerificationReport.from_defect(
         "thm2-two-point",
@@ -199,18 +190,12 @@ def check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
           "max(w(B(x,sqrt(t))), w(B(y,sqrt(t)))) <= C exp(-c d(x,y)^2/t); "
           "at k=0 the fitted rate recovers the classical 1/4",
           numbers("t_set", [0.5, 1.0, 2.0], exclusiveMinimum=0))
-def _heat_gaussian_bound(ctx, spec, params):
-    return check_heat_gaussian_bound(ctx, params=params)
-
-
-def check_heat_gaussian_bound(ctx: WeightedContext,
-                              pair_grid: tuple[np.ndarray, np.ndarray] | None = None,
-                              t_set=None,
-                              params: dict | None = None) -> VerificationReport:
-    """Calibrate (c, C) in h_t(x,y) V(x,y,sqrt(t)) <= C exp(-c d(x,y)^2/t).
-    ``t_set``, when given, takes the place of ``params["t_set"]``."""
-    t_set = CHECKS["heat-gaussian-bound"].resolve(params, t_set=t_set)["t_set"]
-    xs, ys = pair_grid if pair_grid is not None else make_pair_grid(ctx)
+def _check_heat_gaussian_bound(ctx: WeightedContext, spec: KernelSpec,
+                               params: dict) -> VerificationReport:
+    """Calibrate (c, C) in h_t(x,y) V(x,y,sqrt(t)) <= C exp(-c d(x,y)^2/t);
+    the kernel is always the heat kernel, whatever ``spec``."""
+    t_set = params["t_set"]
+    xs, ys = make_pair_grid(ctx)
     d = orbit_distance_pairwise(ctx.group, xs, ys)
     zs, vals = [], []
     for t in t_set:
@@ -224,8 +209,7 @@ def check_heat_gaussian_bound(ctx: WeightedContext,
     z, v = z[order], v[order]
     cal, held = alternating_split(len(z))
     c, C = envelope_fit_upper(z[cal], v[cal])
-    ratio = envelope_holdout_ratio(z[held], v[held], 1.0, c, C,
-                                   slack=HOLDOUT_SLACK)
+    ratio = envelope_holdout_ratio(z[held], v[held], 1.0, c, C)
     defect = ratio if c > 0 else max(ratio, 2.0)
     return VerificationReport.from_defect(
         "heat-gaussian-bound",
@@ -244,7 +228,7 @@ def check_heat_gaussian_bound(ctx: WeightedContext,
 def default_garding_family(dim: int) -> list:
     """Deterministic calibration battery: Hermite polynomials x Gaussians."""
     if dim == 1:
-        return hermite_family(4, widths=(0.35, 0.5, 0.75))
+        return hermite_family(4)
     fams = []
     for a in (0.4, 0.6):
         for n1 in range(3):
@@ -267,29 +251,23 @@ def default_garding_family(dim: int) -> list:
                 Derived("the kernel's directions")),
           numbers("s_set", [0.5, 1.0, 2.0], exclusiveMinimum=0.25),
           number("garding_c_cap", GARDING_C_CAP, exclusiveMinimum=0))
-def _garding(ctx, spec, params):
+def _check_garding(ctx: WeightedContext, spec: KernelSpec,
+                   params: dict) -> VerificationReport:
+    """Coercivity protocol: maximize alpha with
+        -form(f, f) + C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2
+    on calibration functions of ``default_garding_family`` (linear program
+    in (alpha, C)), then require the inequality with slack 1.05 on held-out
+    functions, pooled over s.  The form's l, eps and directions come from
+    ``params``, else from the kernel."""
     ell = params["ell"] or (spec.ell if spec.ell in (1, 2) else 1)
     try:
-        form = BilinearFormSpec(
+        form_spec = BilinearFormSpec(
             ell=ell, s=1.0, eps=params["eps"],
             directions=params["directions"] or spec.directions)
     except ValueError as err:
         raise ConfigError(f"garding: {err}") from err
-    return check_garding(ctx, form, params=params)
-
-
-def check_garding(ctx: WeightedContext, form_spec: BilinearFormSpec,
-                  family: list | None = None, s_set=None,
-                  params: dict | None = None) -> VerificationReport:
-    """Coercivity protocol: maximize alpha with
-        -form(f, f) + C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2
-    on calibration functions (linear program in (alpha, C)), then require
-    the inequality with slack 1.05 on held-out functions, pooled over s.
-    ``form_spec`` fixes l, eps and the directions; ``s_set``, when given,
-    takes the place of ``params["s_set"]``."""
-    params = CHECKS["garding"].resolve(params, s_set=s_set)
     s_set, c_cap = params["s_set"], params["garding_c_cap"]
-    family = family if family is not None else default_garding_family(ctx.dim)
+    family = default_garding_family(ctx.dim)
     cal_f, held_f = alternating_split(len(family))
     # each member's Dunkl images do not depend on s: they are formed once,
     # on first use, and kept for the whole check (small PolyGauss objects).
@@ -310,7 +288,7 @@ def check_garding(ctx: WeightedContext, form_spec: BilinearFormSpec,
     A_c, S_c, V_c = map(np.array, zip(*rows["cal"]))
     A_h, S_h, V_h = map(np.array, zip(*rows["held"]))
     alpha, C = garding_lp(A_c, S_c, V_c, c_cap=c_cap)
-    ratio = garding_holdout_ratio(A_h, S_h, V_h, alpha, C, slack=HOLDOUT_SLACK)
+    ratio = garding_holdout_ratio(A_h, S_h, V_h, alpha, C)
     defect = ratio if alpha > 0 else max(ratio, 2.0)
     return VerificationReport.from_defect(
         "garding",
@@ -378,8 +356,7 @@ def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
     cal, held = alternating_split(len(vals))
     C_cal = ratio_constant_fit(vals[cal], scales[cal])
     C_held = ratio_constant_fit(vals[held], scales[held])
-    ratio = ratio_holdout_ratio(vals[held], scales[held], C_cal,
-                                slack=HOLDOUT_SLACK)
+    ratio = ratio_holdout_ratio(vals[held], scales[held], C_cal)
     stability = abs(C_held - C_cal) / C_cal
     defect = max(stability / stab_tol, ratio)
     return VerificationReport.from_defect(
@@ -418,8 +395,7 @@ def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
     held, cal = alternating_split(len(shifts))
     C_cal = ratio_constant_fit(sups[cal], shifts[cal])
     C_held = ratio_constant_fit(sups[held], shifts[held])
-    ratio = ratio_holdout_ratio(sups[held], shifts[held], C_cal,
-                                slack=HOLDOUT_SLACK)
+    ratio = ratio_holdout_ratio(sups[held], shifts[held], C_cal)
     stability = abs(C_held - C_cal) / C_cal
     defect = max(stability / stab_tol, ratio)
     return VerificationReport.from_defect(
@@ -457,7 +433,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     spectra = {r: dunkl_transform(bctx, bump) for r, bump in bumps.items()}
 
     def translated_l1(r1: float, r2: float) -> float:
-        conv = dunkl_convolve(bctx, spectra[r2], spectra[r1], real_part=True)
+        conv = dunkl_convolve(bctx, spectra[r2], spectra[r1])
         # the convolution of radial functions supported in radii r1, r2
         # is supported in radius r1 + r2; zero the outside so grid
         # ripple there cannot pollute the translation step
@@ -489,8 +465,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     # bound is tightest) and hold out the mirror pairs
     cal_mask = np.asarray(cal_mask)
     C_cal = ratio_constant_fit(vals[cal_mask], scales[cal_mask])
-    ratio = ratio_holdout_ratio(vals[~cal_mask], scales[~cal_mask], C_cal,
-                                slack=HOLDOUT_SLACK)
+    ratio = ratio_holdout_ratio(vals[~cal_mask], scales[~cal_mask], C_cal)
     return VerificationReport.from_defect(
         "compact-support-l1",
         {"radii": radii, "y": y_shift.tolist()},
@@ -569,7 +544,7 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         q_spectrum = dunkl_transform(cctx, q_on_grid(cctx, spec))
         h_spectrum = dunkl_transform(cctx, GridSampled(
             grid=cctx.grid, values=heat_kernel(cctx, cctx.grid, eps0 / 2.0)))
-        real = dunkl_convolve(cctx, q_spectrum, h_spectrum, real_part=True)
+        real = dunkl_convolve(cctx, q_spectrum, h_spectrum)
         del q_spectrum, h_spectrum
         try:
             spectrum = dunkl_transform(cctx, real)

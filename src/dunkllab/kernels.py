@@ -13,9 +13,13 @@ Direct quadrature covers t in [0.25, 4]; outside, homogeneity rescales to
 t = 1 first:  q_t^(eps)(x) = t^{-N_h/(2l)} q_1^(eps')(t^{-1/(2l)} x) with
 eps' = eps t^{(l-1)/l}.
 
+On the grid, q_t and tau_x f are the real part of a grid inverse, whose
+imaginary residue ``transform.inverse_dunkl_transform`` checks; the point
+evaluators check theirs with the same guard (``_real_part_checked``).
+
 The structural identity checks (``kernel-*``) are entered in the one
 registry (``checks.CHECKS``) next to their bodies, with their declared
-parameters; ``runner.run_check`` runs any registered kind by name.
+parameters; ``runner.run_check`` is the one way to run a registered kind.
 """
 
 from __future__ import annotations
@@ -28,15 +32,15 @@ from .dunkl_kernel import kernel_imag_outer, kernel_real_scaled
 from .checks import (GRID_SCHEMA, POINTS_SCHEMA, SPEC, Derived, Param,
                      grid_params, integer, number, numbers, register,
                      tolerance)
-from .errors import (AccuracyError, CapabilityError, DomainTooSmallError,
-                     SymbolError)
+from .errors import CapabilityError, DomainTooSmallError, SymbolError
 from .functions import GridSampled, PolyGauss, gaussian, monomial_gauss
 from .measure import WeightedContext
 from .operators import dunkl_laplacian
 from .quadrature import TensorGrid
 from .report import VerificationReport, grid_metadata
-from .transform import (SpectralFunction, dunkl_convolve, dunkl_transform,
-                        inverse_at_points, inverse_dunkl_transform, sup_abs)
+from .transform import (SpectralFunction, _real_part_checked,
+                        dunkl_convolve, dunkl_transform, inverse_at_points,
+                        inverse_dunkl_transform)
 
 T_DIRECT_MIN = 0.25
 T_DIRECT_MAX = 4.0
@@ -44,7 +48,6 @@ T_DIRECT_MAX = 4.0
 SYMBOL_BOUNDARY_TOL = 1e-15
 #: target for sizing frequency boxes from the symbol decay.
 SYMBOL_SIZING_TOL = 1e-18
-IMAG_RESIDUE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,10 @@ class KernelSpec:
         raise NotImplementedError("symbol analysis implemented for dim <= 2")
 
 
-def freq_box_for(spec: KernelSpec, tol: float = SYMBOL_SIZING_TOL) -> float:
-    """Radius B with exp(-t sym) < tol outside the box |xi|_inf <= B."""
-    level = np.log(1.0 / tol) / spec.t
+def freq_box_for(spec: KernelSpec) -> float:
+    """Radius B with exp(-t sym) < SYMBOL_SIZING_TOL outside the box
+    |xi|_inf <= B."""
+    level = np.log(1.0 / SYMBOL_SIZING_TOL) / spec.t
     cmin = spec.min_direction_coefficient()
     if spec.ell == 1 and spec.eps > 0:
         # quadratic symbol with its eps-reduced smallest eigenvalue
@@ -164,24 +168,6 @@ def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
     return vals
 
 
-def _real_part_checked(values: np.ndarray, what: str,
-                       residue: float | None = None) -> np.ndarray:
-    """The real part of ``values``, or AccuracyError if it is not finite or
-    if sup |Im| exceeds IMAG_RESIDUE_TOL x max(sup |Re|, 1) (a NaN residue
-    included).  For real ``values`` taken from complex ones, ``residue`` is
-    that sup |Im|."""
-    values = np.asarray(values)
-    scale = max(sup_abs(values.real), 1.0)
-    if not np.isfinite(scale):
-        raise AccuracyError(f"{what} is not finite: sup |Re| is {scale}")
-    if residue is None:
-        residue = sup_abs(values.imag)
-    if not residue <= IMAG_RESIDUE_TOL * scale:
-        raise AccuracyError(
-            f"{what} has imaginary residue {residue:.3g} (scale {scale:.3g})")
-    return values.real
-
-
 def evaluate_q(ctx: WeightedContext, spec: KernelSpec, x) -> float | np.ndarray:
     """q_t^(eps) at one point (shape (N,)) or a batch ((M, N))."""
     x = np.asarray(x, dtype=float)
@@ -206,10 +192,7 @@ def q_on_grid(ctx: WeightedContext, spec: KernelSpec) -> GridSampled:
             f"{T_DIRECT_MAX:g}] only; got t = {spec.t:g}")
     sym = _symbol_exp_on(spec, ctx.freq_grid, spec.t)
     # the second c_k^{-1} is applied to the complex result, block by block
-    back = inverse_dunkl_transform(ctx, sym, real_part=True,
-                                   then=(np.divide, ctx.c_k))
-    vals = _real_part_checked(back.values, "q_t on grid", back.imag_residue)
-    return GridSampled(grid=ctx.grid, values=vals)
+    return inverse_dunkl_transform(ctx, sym, then=(np.divide, ctx.c_k))
 
 
 def heat_kernel(ctx: WeightedContext, x, t: float) -> float | np.ndarray:
@@ -276,10 +259,7 @@ def dunkl_translate(ctx: WeightedContext, f, x) -> GridSampled:
     tf = (f.values_on(ctx.freq_grid) if isinstance(f, SpectralFunction)
           else dunkl_transform(ctx, f).values)
     shifted = tf * _kernel_at_point(ctx, x, ctx.freq_grid)
-    back = inverse_dunkl_transform(ctx, shifted, real_part=True)
-    vals = _real_part_checked(back.values, "translated function",
-                              back.imag_residue)
-    return GridSampled(grid=ctx.grid, values=vals)
+    return inverse_dunkl_transform(ctx, shifted)
 
 
 def translate_at_points(ctx: WeightedContext, f, x, points) -> np.ndarray:
@@ -449,7 +429,7 @@ def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
     tol = params["tol"]
     cctx = _identity_context(ctx, spec, params, t_min=spec.t / 2.0)
     half = q_on_grid(cctx, replace(spec, t=spec.t / 2.0))
-    conv = dunkl_convolve(cctx, half, half, real_part=True)
+    conv = dunkl_convolve(cctx, half, half)
     direct = q_on_grid(cctx, spec)
     defect = float(np.max(np.abs(conv.values - direct.values)))
     return VerificationReport.from_defect(
@@ -506,8 +486,8 @@ def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
     # h_{eps0/2} enters both convolutions: transform it once
     h_half = dunkl_transform(cctx, GridSampled(
         grid=cctx.grid, values=heat_kernel(cctx, cctx.grid, eps0 / 2.0)))
-    step1 = dunkl_convolve(cctx, q_eps, h_half, real_part=True)
-    step2 = dunkl_convolve(cctx, step1, h_half, real_part=True)
+    step1 = dunkl_convolve(cctx, q_eps, h_half)
+    step2 = dunkl_convolve(cctx, step1, h_half)
     direct = q_on_grid(cctx, spec)
     defect = float(np.max(np.abs(step2.values - direct.values)))
     return VerificationReport.from_defect(

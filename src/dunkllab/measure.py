@@ -38,13 +38,13 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _ball_volume_product2(ks, center, r: float, n: int = 240) -> float:
+def _ball_volume_product2(ks, center, r: float) -> float:
     """w(B(center, r)) for a 2-axis product weight, reduced to one dimension.
 
     Integrates over u = x1 - r*cos(theta); the x2 chord integral is the exact
     antiderivative.  The theta integral is split where u crosses 0 so each
     panel is smooth up to an algebraic endpoint factor.  Every panel uses the
-    same n-point Gauss-Legendre rule, built once per process.
+    same 240-point Gauss-Legendre rule, built once per process.
     """
     k1, k2 = ks
     x1, x2 = center
@@ -59,7 +59,7 @@ def _ball_volume_product2(ks, center, r: float, n: int = 240) -> float:
     if abs(x1) < r:
         cuts.append(float(np.arccos(np.clip(x1 / r, -1.0, 1.0))))
     cuts = sorted(cuts)
-    t, w = _legendre_rule(n)
+    t, w = _legendre_rule(240)
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         theta = (b - a) / 2.0 * t + (a + b) / 2.0
@@ -104,7 +104,8 @@ def volume_max(system: RootSystemSpec, x, y, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _radial_derivs(rho: np.ndarray, s: float, order: int) -> list[np.ndarray]:
-    """Derivatives in rho of F(rho) = exp(sqrt(1 + s^2 rho)), orders 0..order."""
+    """Derivatives in rho of F(rho) = exp(sqrt(1 + s^2 rho)), orders
+    0..order, order <= 2."""
     g = np.sqrt(1.0 + s * s * rho)
     E = np.exp(g)
     out = [E]
@@ -114,12 +115,6 @@ def _radial_derivs(rho: np.ndarray, s: float, order: int) -> list[np.ndarray]:
     if order >= 2:
         gpp = -(s**4) / (4.0 * g**3)
         out.append((gpp + gp**2) * E)
-    if order >= 3:
-        gp3 = 3.0 * s**6 / (8.0 * g**5)
-        out.append((gp3 + 3.0 * gp * gpp + gp**3) * E)
-    if order >= 4:
-        gp4 = -15.0 * s**8 / (16.0 * g**7)
-        out.append((gp4 + 4.0 * gp * gp3 + 3.0 * gpp**2 + 6.0 * gp**2 * gpp + gp**4) * E)
     return out
 
 
@@ -133,11 +128,11 @@ def eta(points: np.ndarray, s: float) -> np.ndarray:
 def eta_directional(points: np.ndarray, s: float, zeta, order: int) -> np.ndarray:
     """Directional derivative (d/dt)^order eta(x + t*zeta, s) at t = 0.
 
-    Closed form through order 4 via the chain rule on rho(t) = |x + t zeta|^2,
+    Orders 1, 2 in closed form via the chain rule on rho(t) = |x + t zeta|^2,
     whose only nonzero derivatives are rho' and rho''.
     """
-    if not 1 <= order <= 4:
-        raise ValueError("directional derivatives implemented for orders 1..4")
+    if order not in (1, 2):
+        raise ValueError("directional derivatives implemented for orders 1, 2")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     zeta = np.asarray(zeta, dtype=float)
     rho = np.sum(pts**2, axis=1)
@@ -146,11 +141,7 @@ def eta_directional(points: np.ndarray, s: float, zeta, order: int) -> np.ndarra
     F = _radial_derivs(rho, s, order)
     if order == 1:
         return F[1] * rp
-    if order == 2:
-        return F[2] * rp**2 + F[1] * rpp
-    if order == 3:
-        return F[3] * rp**3 + 3.0 * F[2] * rp * rpp
-    return F[4] * rp**4 + 6.0 * F[3] * rp**2 * rpp + 3.0 * F[2] * rpp**2
+    return F[2] * rp**2 + F[1] * rpp
 
 
 def eta_radial_factor(points: np.ndarray, s: float) -> np.ndarray:

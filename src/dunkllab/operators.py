@@ -50,8 +50,7 @@ def _apply_polygauss(system: RootSystemSpec, zeta: np.ndarray, f: PolyGauss) -> 
 
 
 def dunkl_apply_values(system: RootSystemSpec, f: CallableFunction,
-                       zeta: np.ndarray, pts: np.ndarray,
-                       switch: float = QUOTIENT_SWITCH) -> np.ndarray:
+                       zeta: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Evaluate T_zeta f at a batch of points for a callable with gradient."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     zeta = np.asarray(zeta, dtype=float)
@@ -65,7 +64,7 @@ def dunkl_apply_values(system: RootSystemSpec, f: CallableFunction,
         proj = pts @ alpha
         refl = pts - (2.0 / nrm2) * proj[:, None] * alpha[None, :]
         quot = np.zeros(len(pts))
-        far = np.abs(proj) > switch
+        far = np.abs(proj) > QUOTIENT_SWITCH
         if np.any(far):
             if fvals is None:
                 fvals = f(pts)

@@ -20,7 +20,7 @@ C-ordered buffer and sum it, the same bits as
 both numbers of a real integrand from one such buffer.  A grid whose
 float64 array fits in one block (``TensorGrid.row_blocks`` is a single
 slice, ``BLOCK_BYTES`` a block: 1-D grids, and 2-D grids up to 724^2)
-forms its weight tensor and its default shell mask once and keeps both,
+forms its weight tensor and its shell mask once and keeps both,
 read-only, for its lifetime.  A larger grid holds neither: its weights
 reach the integrand one block of rows at a time, so what stays grid-sized
 is the one buffer, and the weight tensor is never formed whole.
@@ -219,18 +219,15 @@ class TensorGrid:
         vals = fn(self.points())
         return np.asarray(vals).reshape(self.shape)
 
-    def shell_mask(self, fraction: float = SHELL_FRACTION) -> np.ndarray:
+    def shell_mask(self) -> np.ndarray:
         """Boolean tensor marking the outer boundary shell (per-axis outer
-        ``fraction`` of the half-width); the default one is held with a
-        one-block grid."""
-        if fraction == SHELL_FRACTION:
-            return self._held("_shell", lambda: self._shell_mask(fraction))
-        return self._shell_mask(fraction)
+        ``SHELL_FRACTION`` of the half-width); held with a one-block grid."""
+        return self._held("_shell", self._shell_mask)
 
-    def _shell_mask(self, fraction: float) -> np.ndarray:
+    def _shell_mask(self) -> np.ndarray:
         masks = []
         for ax in self.axes:
-            cut = ax.half_width * (1.0 - fraction)
+            cut = ax.half_width * (1.0 - SHELL_FRACTION)
             masks.append(np.abs(ax.nodes) > cut)
         m = masks[0]
         for mm in masks[1:]:
@@ -245,19 +242,17 @@ def _abs_mass(grid: TensorGrid, values: np.ndarray) -> np.ndarray:
                          np.empty(grid.shape), first=np.abs)
 
 
-def _shell_share(grid: TensorGrid, mass: np.ndarray,
-                 fraction: float) -> tuple[float, float]:
+def _shell_share(grid: TensorGrid, mass: np.ndarray) -> tuple[float, float]:
     """(share of the per-node ``mass`` on the outer shell, its sum)."""
     total = float(np.sum(mass))
     if total == 0.0:
         return 0.0, total
-    return float(np.sum(mass[grid.shell_mask(fraction)])) / total, total
+    return float(np.sum(mass[grid.shell_mask()])) / total, total
 
 
-def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray,
-                            fraction: float = SHELL_FRACTION) -> float:
+def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray) -> float:
     """|integrand| mass carried by the outer shell, relative to the total."""
-    return _shell_share(grid, _abs_mass(grid, values), fraction)[0]
+    return _shell_share(grid, _abs_mass(grid, values))[0]
 
 
 def _checked_mass(grid: TensorGrid, mass: np.ndarray, tol: float,
@@ -265,7 +260,7 @@ def _checked_mass(grid: TensorGrid, mass: np.ndarray, tol: float,
     """The sum of the per-node ``mass``, which must be finite (else
     AccuracyError) and carry at most ``tol`` of itself on the boundary
     shell (else, a NaN share included, DomainTooSmallError)."""
-    frac, total = _shell_share(grid, mass, SHELL_FRACTION)
+    frac, total = _shell_share(grid, mass)
     if not np.isfinite(total):
         raise AccuracyError(
             f"{what} is not finite: its |values| dw mass is {total}")

@@ -248,7 +248,7 @@ def run_check(ctx: WeightedContext, kind: str, params: dict | None = None,
         spec = KernelSpec.from_config(params["spec"], ctx.dim)
     elif spec is None:
         spec = KernelSpec.heat(ctx.dim)
-    return entry.run(ctx, spec, params=params)
+    return entry.run(ctx, spec, params)
 
 
 def _execute_one(ctx, spec, chk: dict):

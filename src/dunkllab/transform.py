@@ -39,13 +39,18 @@ operands (``tests/test_transform.py`` compares them byte for byte):
   result is conjugate-symmetric too, but it is not mirrored: on OpenBLAS
   0.3.31 its whole product is conjugate-symmetric bit for bit only when
   the destination axis has a multiple of 8 nodes;
-* an inverse with ``real_part=True`` takes its last contraction in row
-  blocks of the operator; each complex block gets the elementwise steps the
-  whole array got (``/ c_k``, then ``then``), and its real part goes into
-  a real result with the memory order the complex result had (Fortran).
+* an inverse takes its last contraction in row blocks of the operator;
+  each complex block gets the elementwise steps the whole array got
+  (``/ c_k``, then ``then``), and its real part goes into a real result
+  with the memory order the complex result had (Fortran).
 
 What stays grid-sized: the input, the intermediate of the first
 contraction, and the result.
+
+Every grid inverse inverts the spectrum of a real function (E(-i xi, x)
+is the conjugate of E(i xi, x)), so it keeps the real part of its result;
+``inverse_dunkl_transform`` checks the sup |Im| it drops, ``imag_residue``,
+against ``IMAG_RESIDUE_TOL`` (``_real_part_checked``).
 
 The cache is shared by the runner's worker threads.  A lock guards its
 dictionary updates only; the first thread to miss on a grid pair builds
@@ -64,9 +69,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dunkl_kernel import kernel_imag_outer, kernel_imag_parts
+from .errors import AccuracyError
 from .functions import GridSampled
 from .measure import WeightedContext
 from .quadrature import AxisRule, TensorGrid, block_slices, check_shell
+
+#: byte cap of the kernel-matrix cache, read on every build
+CACHE_BYTES = 256 * 2**20
+IMAG_RESIDUE_TOL = 1e-10
 
 
 def _half(nodes: np.ndarray) -> np.ndarray:
@@ -107,11 +117,11 @@ class KernelMatrixCache:
     rule, the spatial rule and the multiplicity.
 
     Safe under threads, and single-flight: one build per key however many
-    threads miss on it at once.
+    threads miss on it at once.  Least recently used operators are evicted
+    past ``CACHE_BYTES``.
     """
 
-    def __init__(self, max_bytes: int = 256 * 2**20):
-        self.max_bytes = max_bytes
+    def __init__(self):
         self._store: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
@@ -150,7 +160,7 @@ class KernelMatrixCache:
             del self._building[key]
             self._store[key] = ops
             self._bytes += _nbytes(ops)
-            while self._bytes > self.max_bytes and len(self._store) > 1:
+            while self._bytes > CACHE_BYTES and len(self._store) > 1:
                 _, old = self._store.popitem(last=False)
                 self._bytes -= _nbytes(old)
         pending.set_result(ops)
@@ -209,12 +219,13 @@ def _real_part_into(dst: np.ndarray, block: np.ndarray, steps) -> float:
 
 def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
                     src: TensorGrid, dst: TensorGrid, forward: bool,
-                    real_part: bool = False, then=None):
+                    then=None):
     """Apply the cached weighted operators axis by axis, then divide by c_k
     in place, then apply ``then`` = (ufunc, scalar) in place if given.
 
-    With ``real_part`` the result is (real part, sup |Im|) of that complex
-    result, which is never formed whole in 2-D (see the module docstring).
+    A forward transform returns that complex result.  An inverse returns
+    (real part, sup |Im|) of it, and in 2-D the complex result is never
+    formed whole (see the module docstring).
 
     c_k is read before the output is allocated: its first read sums the
     Gaussian mass on the refined grid, which should not overlap the complex
@@ -235,11 +246,11 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
     else:
         first = np.tensordot(ops[0], np.asarray(vals, dtype=complex),
                              axes=([1], [0]))
-    if ctx.dim == 1 or not real_part:
+    if ctx.dim == 1 or forward:
         out = first if ctx.dim == 1 else np.moveaxis(
             np.tensordot(ops[1], first, axes=([1], [1])), 0, 1)
         _scale(out, steps)
-        return (out.real.copy(), sup_abs(out.imag)) if real_part else out
+        return out if forward else (out.real.copy(), sup_abs(out.imag))
     out = np.empty((first.shape[0], ops[1].shape[0]), order="F")
     residue = 0.0
     for rows in block_slices(ops[1].shape[0], 16 * first.shape[0]):
@@ -271,25 +282,43 @@ def _spectral_values(ctx: WeightedContext, g) -> np.ndarray:
     return np.asarray(g).reshape(ctx.freq_grid.shape)
 
 
-def inverse_dunkl_transform(ctx: WeightedContext, g, real_part: bool = False,
-                            then=None) -> GridSampled:
-    """Inverse transform of frequency-side data onto the spatial grid.
+def _real_part_checked(values: np.ndarray, what: str,
+                       residue: float | None = None) -> np.ndarray:
+    """The real part of ``values``, or AccuracyError if it is not finite or
+    if sup |Im| exceeds IMAG_RESIDUE_TOL x max(sup |Re|, 1) (a NaN residue
+    included).  For real ``values`` taken from complex ones, ``residue`` is
+    that sup |Im|."""
+    values = np.asarray(values)
+    scale = max(sup_abs(values.real), 1.0)
+    if not np.isfinite(scale):
+        raise AccuracyError(f"{what} is not finite: sup |Re| is {scale}")
+    if residue is None:
+        residue = sup_abs(values.imag)
+    if not residue <= IMAG_RESIDUE_TOL * scale:
+        raise AccuracyError(
+            f"{what} has imaginary residue {residue:.3g} (scale {scale:.3g})")
+    return values.real
+
+
+def inverse_dunkl_transform(ctx: WeightedContext, g, then=None) -> GridSampled:
+    """Inverse transform of the spectrum of a real function onto the
+    spatial grid.
 
     ``g`` may be a SpectralFunction, an array of values on the frequency
     grid, or a callable evaluated on it.  ``then`` = (ufunc, scalar), if
     given, is applied in place to the complex result after the division by
     c_k, e.g. (np.multiply, c) for ``result *= c``.
 
-    With ``real_part`` only the real part is kept, formed block by block (see
-    the module docstring); the returned samples carry the sup |Im| of the
-    complex result as ``imag_residue``.
+    Only the real part is kept, formed block by block (see the module
+    docstring); the returned samples carry the sup |Im| of the complex
+    result as ``imag_residue``, which must be finite and at most
+    IMAG_RESIDUE_TOL of the scale of the result, else AccuracyError.
     """
     vals = _spectral_values(ctx, g)
-    out = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid, forward=False,
-                          real_part=real_part, then=then)
-    if real_part:
-        return GridSampled(grid=ctx.grid, values=out[0], imag_residue=out[1])
-    return GridSampled(grid=ctx.grid, values=out)
+    out, residue = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid,
+                                   forward=False, then=then)
+    values = _real_part_checked(out, "inverse transform", residue)
+    return GridSampled(grid=ctx.grid, values=values, imag_residue=residue)
 
 
 def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray:
@@ -318,15 +347,15 @@ def plancherel_defect(ctx: WeightedContext, f) -> float:
     return abs(norm_f - norm_tf) / norm_f
 
 
-def dunkl_convolve(ctx: WeightedContext, f, g,
-                   real_part: bool = False) -> GridSampled:
-    """Dunkl convolution f * g = c_k F^{-1}[(F f)(F g)] on the spatial grid.
+def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
+    """Dunkl convolution f * g = c_k F^{-1}[(F f)(F g)] on the spatial grid,
+    for real f and g: the real part, with its ``imag_residue``
+    (``inverse_dunkl_transform``).
 
     Either operand may be given as a SpectralFunction (its transform on the
     frequency grid, e.g. from ``dunkl_transform``), which is then used as it
     is instead of being transformed again.  When ``g is f`` the operand is
-    transformed once.  With ``real_part`` only the real part is kept
-    (``inverse_dunkl_transform``).
+    transformed once.
     """
     def spectrum(h) -> np.ndarray:
         if isinstance(h, SpectralFunction):
@@ -336,5 +365,4 @@ def dunkl_convolve(ctx: WeightedContext, f, g,
     tf = spectrum(f)
     tg = tf if g is f else spectrum(g)
     product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg)
-    return inverse_dunkl_transform(ctx, product, real_part=real_part,
-                                   then=(np.multiply, ctx.c_k))
+    return inverse_dunkl_transform(ctx, product, then=(np.multiply, ctx.c_k))

@@ -15,10 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from dunkllab.forms import BilinearFormSpec
 from dunkllab.functions import gaussian, hermite_family, monomial_gauss, radial_bump
-from dunkllab.harness import (check_garding, check_heat_gaussian_bound,
-                              check_thm1_decay, check_two_point_bound)
 from dunkllab.kernels import (KernelSpec, dunkl_translate, evaluate_q,
                               heat_kernel)
 from dunkllab.measure import WeightedContext
@@ -112,7 +109,7 @@ def test_04_kernel_decay_exponent_matches_prediction(ell, k):
     start = time.perf_counter()
     ctx = WeightedContext(rank1(k))
     spec = KernelSpec(directions=((1.0,),), ell=ell, eps=0.0, t=1.0)
-    rep = check_thm1_decay(ctx, spec)
+    rep = run_check(ctx, "thm1-decay", None, spec)
     elapsed = time.perf_counter() - start
     p = rep.fitted["exponent_fitted"]
     target = rep.fitted["exponent_prescribed"]
@@ -133,7 +130,7 @@ def test_05_two_point_bound_on_held_out_pairs():
     ctx = WeightedContext(product_z2([0.5, 0.5]))
     spec = KernelSpec(directions=((1.0, 0.0), (1.0, 1.0)), ell=2,
                       eps=0.0, t=1.0)
-    rep = check_two_point_bound(ctx, spec)
+    rep = run_check(ctx, "thm2-two-point", None, spec)
     elapsed = time.perf_counter() - start
     c = rep.fitted["c_fitted"]
     ratio = rep.fitted["holdout_ratio"]
@@ -148,12 +145,13 @@ def test_05_two_point_bound_on_held_out_pairs():
 
 
 def test_06_heat_kernel_gaussian_bound_recovers_classical_rate():
-    rep0 = check_heat_gaussian_bound(WeightedContext(rank1(0.0)),
-                                     t_set=(0.5, 1.0, 2.0))
+    t_set = {"t_set": [0.5, 1.0, 2.0]}
+    rep0 = run_check(WeightedContext(rank1(0.0)), "heat-gaussian-bound",
+                     t_set)
     c0 = rep0.fitted["c_fitted"]
     rate_err = abs(c0 - 0.25) / 0.25
-    rep1 = check_heat_gaussian_bound(WeightedContext(rank1(1.0)),
-                                     t_set=(0.5, 1.0, 2.0))
+    rep1 = run_check(WeightedContext(rank1(1.0)), "heat-gaussian-bound",
+                     t_set)
     ratio1 = rep1.fitted["holdout_ratio"]
     ok = rate_err <= 0.02 and rep0.passed and rep1.passed and ratio1 <= 1.0
     report_line(6, "Gaussian heat bound", ok,
@@ -281,9 +279,9 @@ def test_10_coercivity_protocol_over_orders_scales_and_perturbations():
     results = {}
     for ell in (1, 2):
         for eps in (0.0, 0.1):
-            spec = BilinearFormSpec(ell=ell, s=1.0, eps=eps,
-                                    directions=((1.0,),))
-            rep = check_garding(ctx, spec, s_set=(0.5, 1.0, 2.0))
+            rep = run_check(ctx, "garding",
+                            {"ell": ell, "eps": eps, "directions": [[1.0]],
+                             "s_set": [0.5, 1.0, 2.0]})
             results[(ell, eps)] = rep
     elapsed = time.perf_counter() - start
     ok = all(rep.passed and rep.fitted["alpha"] > 0.0

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from dunkllab import (BilinearFormSpec, InvalidRootSystemError, KernelSpec,
-                      WeightedContext, check_garding,
-                      check_heat_gaussian_bound, check_thm1_decay,
-                      check_two_point_bound, forms, harness, hermite_family,
+                      WeightedContext, forms, harness, hermite_family,
                       kernels, product_z2, rank1, run_check, transform)
 from dunkllab.errors import DomainTooSmallError
 from dunkllab.fitting import (FitConvergenceError, alternating_split,
@@ -163,8 +161,7 @@ class TestRatioProtocol:
             ratio_constant_fit(np.ones(3), np.array([1.0, 0.0, 2.0]))
 
     def test_holdout_arithmetic(self):
-        ratio = ratio_holdout_ratio(np.array([2.1]), np.array([1.0]),
-                                    C=2.0, slack=1.05)
+        ratio = ratio_holdout_ratio(np.array([2.1]), np.array([1.0]), C=2.0)
         assert ratio == pytest.approx(2.1 / 2.1)
 
 
@@ -193,8 +190,7 @@ class TestCoercivityLP:
 
     def test_holdout_ratio_arithmetic(self):
         ratio = garding_holdout_ratio(np.array([2.0]), np.array([1.0]),
-                                      np.array([3.0]), alpha=1.0, C=1.0,
-                                      slack=1.05)
+                                      np.array([3.0]), alpha=1.0, C=1.0)
         assert ratio == pytest.approx((1.0 / 1.05) * 3.0 / 3.0)
 
 
@@ -236,7 +232,7 @@ class TestDecayCheck:
         # l = 1 has the Gaussian closed form: exponent 2 and rate 1/4 exact
         ctx = WeightedContext(rank1(0.0))
         spec = KernelSpec.heat(1)
-        report = check_thm1_decay(ctx, spec)
+        report = run_check(ctx, "thm1-decay", None, spec)
         assert report.passed
         fitted = report.fitted
         assert fitted["exponent_fitted"] == pytest.approx(2.0, abs=1e-6)
@@ -246,13 +242,13 @@ class TestDecayCheck:
 
     def test_defect_reflects_exponent_error(self):
         ctx = WeightedContext(rank1(0.0))
-        report = check_thm1_decay(ctx, KernelSpec.heat(1))
+        report = run_check(ctx, "thm1-decay", None, KernelSpec.heat(1))
         assert report.max_defect < 0.01
 
     def test_refinement_move_from_its_own_fields(self):
         ctx = WeightedContext(rank1(0.5))
         spec = KernelSpec(directions=((1.0,),), ell=2, t=1.0)
-        fitted = check_thm1_decay(ctx, spec).fitted
+        fitted = run_check(ctx, "thm1-decay", None, spec).fitted
         move = (abs(fitted["exponent_refined"] - fitted["exponent_fitted"])
                 / fitted["exponent_fitted"])
         assert move > 0.0
@@ -263,7 +259,7 @@ class TestTwoPointCheck:
     def test_rank1_quartic_bound(self):
         ctx = WeightedContext(rank1(0.5))
         spec = KernelSpec(directions=((1.0,),), ell=2, t=1.0)
-        report = check_two_point_bound(ctx, spec)
+        report = run_check(ctx, "thm2-two-point", None, spec)
         assert report.passed
         assert report.fitted["c_fitted"] > 0
         assert report.fitted["holdout_ratio"] <= 1.0
@@ -272,17 +268,17 @@ class TestTwoPointCheck:
 class TestHeatBoundCheck:
     def test_classical_rate_recovered(self):
         ctx = WeightedContext(rank1(0.0))
-        report = check_heat_gaussian_bound(ctx)
+        report = run_check(ctx, "heat-gaussian-bound")
         assert report.passed
         assert report.fitted["c_fitted"] == pytest.approx(0.25, rel=1e-6)
 
 
 class TestGardingCheck:
-    def test_small_family_first_order(self):
+    def test_small_family_first_order(self, monkeypatch):
+        monkeypatch.setattr(harness, "default_garding_family",
+                            lambda dim: hermite_family(2))
         ctx = WeightedContext(rank1(0.5))
-        form_spec = BilinearFormSpec(ell=1, s=1.0)
-        report = check_garding(ctx, form_spec, family=hermite_family(2),
-                               s_set=(0.5, 1.0))
+        report = run_check(ctx, "garding", {"ell": 1, "s_set": [0.5, 1.0]})
         assert report.passed
         assert report.fitted["alpha"] > 0
         assert report.fitted["holdout_ratio"] <= 1.0
@@ -325,8 +321,13 @@ class TestGardingSharesWork:
         spec = BilinearFormSpec(ell=ell, s=1.0, eps=eps,
                                 directions=directions)
         family = harness.default_garding_family(ctx.dim)[:4]
+        monkeypatch.setattr(harness, "default_garding_family",
+                            lambda dim: family)
         s_set = (0.5, 2.0)
-        check_garding(ctx, spec, family=family, s_set=s_set)
+        run_check(ctx, "garding",
+                  {"ell": ell, "eps": eps,
+                   "directions": [list(z) for z in directions],
+                   "s_set": list(s_set)})
         (A, S, V), = rows
         cal, _ = alternating_split(len(family))
         expect = []

@@ -7,6 +7,7 @@ from dunkllab import (BilinearFormSpec, CapabilityError, WeightedContext,
                       apply_dunkl, form_a_s, form_b_s_eps, gaussian,
                       hermite_gauss, monomial_gauss, product_z2, rank1,
                       sobolev_norm_V)
+from dunkllab import forms
 from dunkllab.forms import _t_g_eta, t_g_eta_values
 from dunkllab.measure import EtaFields, eta
 
@@ -22,12 +23,14 @@ class TestSpecValidation:
         BilinearFormSpec(ell=1, s=0.0)  # plain-L2 marker is allowed
         BilinearFormSpec(ell=1, s=0.3)
 
-    def test_eps_window(self):
+    def test_eps_window(self, monkeypatch):
         with pytest.raises(ValueError):
             BilinearFormSpec(ell=1, s=1.0, eps=0.2)  # above default cap
         with pytest.raises(ValueError):
             BilinearFormSpec(ell=1, s=1.0, eps=-0.1)
-        BilinearFormSpec(ell=1, s=1.0, eps=0.5, eps_max=1.0)
+        # the cap is read when a spec is validated
+        monkeypatch.setattr(forms, "EPSILON_MAX", 1.0)
+        BilinearFormSpec(ell=1, s=1.0, eps=0.5)
 
     def test_directions_must_be_nonzero_and_span(self):
         with pytest.raises(ValueError):
@@ -181,13 +184,14 @@ class TestFormValues:
         f, g = gaussian(1), hermite_gauss(2)
         assert form_b_s_eps(ctx, spec, f, g) == form_a_s(ctx, spec, f, g)
 
-    def test_full_strength_coordinate_perturbation_cancels_exactly(self):
+    def test_full_strength_coordinate_perturbation_cancels_exactly(
+            self, monkeypatch):
         # in one dimension with the coordinate direction and l = 1, the
         # perturbation integral is the negative of the base form, so
         # b_{s,eps=1} vanishes identically
+        monkeypatch.setattr(forms, "EPSILON_MAX", 1.0)
         ctx = WeightedContext(rank1(0.75))
-        spec = BilinearFormSpec(ell=1, s=0.5, eps=1.0, eps_max=1.0,
-                                directions=((1.0,),))
+        spec = BilinearFormSpec(ell=1, s=0.5, eps=1.0, directions=((1.0,),))
         for f, g in [(gaussian(1), gaussian(1)),
                      (hermite_gauss(1), hermite_gauss(2)),
                      (monomial_gauss([2], 0.5), gaussian(1, 0.5))]:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from dunkllab import (AccuracyError, CapabilityError, KernelSpec, SymbolError,
+from dunkllab import (CapabilityError, KernelSpec, SymbolError,
                       WeightedContext, dunkl_transform, dunkl_translate,
                       evaluate_q, freq_box_for, gaussian, heat_kernel,
-                      heat_kernel_two_point, product_z2, q_on_grid, rank1,
-                      run_check, translate_at_points, two_point_kernel)
-from dunkllab.kernels import _real_part_checked
+                      heat_kernel_two_point, kernels, product_z2, q_on_grid,
+                      rank1, run_check, translate_at_points, two_point_kernel)
 
 
 class TestKernelSpecValidation:
@@ -57,9 +56,10 @@ class TestKernelSpecValidation:
 
 
 class TestFrequencyBoxSizing:
-    def test_heat_box_hits_target_level(self):
+    def test_heat_box_hits_target_level(self, monkeypatch):
+        monkeypatch.setattr(kernels, "SYMBOL_SIZING_TOL", 1e-12)
         spec = KernelSpec.heat(1, t=1.0)
-        b = freq_box_for(spec, tol=1e-12)
+        b = freq_box_for(spec)
         assert np.exp(-spec.symbol(np.array([[b]]))[0]) == pytest.approx(
             1e-12, rel=1e-6)
 
@@ -146,34 +146,6 @@ class TestGridEvaluator:
             box=48.0, n_half=600, freq_box=fbox, freq_n_half=200)
         mass = ctx.grid.integrate(q_on_grid(ctx, spec).values)
         assert mass == pytest.approx(1.0, abs=1e-7)
-
-
-class TestRealPartCheck:
-    @pytest.mark.parametrize("values", [
-        [1.0 + 0j, np.nan + 0j, 2.0 + 0j],
-        [complex(np.nan, np.nan), 1.0 + 1.0j],
-        [1.0 + 0j, np.inf + 0j, -2.0 + 0j],
-        [1.0 + 0j, -np.inf + 0j, -2.0 + 0j]])
-    def test_real_part_not_finite_raises(self, values):
-        values = np.asarray(values)
-        with pytest.raises(AccuracyError, match="probe is not finite"):
-            _real_part_checked(values, "probe")
-        with pytest.raises(AccuracyError, match="probe is not finite"):
-            _real_part_checked(values.real.copy(), "probe", 0.0)
-
-    @pytest.mark.parametrize("residue", [np.nan, np.inf])
-    def test_residue_not_finite_raises(self, residue):
-        values = np.array([1.0, complex(3.0, residue), -2.0])
-        with pytest.raises(AccuracyError, match=f"imaginary residue {residue}"):
-            _real_part_checked(values, "probe")
-        with pytest.raises(AccuracyError, match=f"imaginary residue {residue}"):
-            _real_part_checked(values.real.copy(), "probe", residue)
-
-    def test_residue_over_tolerance_raises(self):
-        with pytest.raises(AccuracyError, match="imaginary residue 0.001"):
-            _real_part_checked(np.array([2.0 + 0j, -3.0 + 1e-3j]), "probe")
-        with pytest.raises(AccuracyError, match="scale 3"):
-            _real_part_checked(np.array([2.0, -3.0]), "probe", 1e-3)
 
 
 class TestTwoPointKernel:

@@ -19,7 +19,8 @@ from dunkllab import (AccuracyError, DomainTooSmallError, GridSampled,
 from dunkllab.dunkl_kernel import kernel_imag_parts
 from dunkllab.quadrature import AxisRule
 from dunkllab.runner import run_check
-from dunkllab.transform import KernelMatrixCache, SpectralFunction
+from dunkllab.transform import (KernelMatrixCache, SpectralFunction,
+                                _real_part_checked)
 
 
 def ctx_rank1(k: float) -> WeightedContext:
@@ -66,8 +67,8 @@ class TestInversion:
         ctx = ctx_rank1(0.75)
         f = hermite_gauss(2, 0.45)
         back = inverse_dunkl_transform(ctx, dunkl_transform(ctx, f))
-        assert np.max(np.abs(back.values.real - f.values_on(ctx.grid))) < 1e-9
-        assert np.max(np.abs(back.values.imag)) < 1e-9
+        assert np.max(np.abs(back.values - f.values_on(ctx.grid))) < 1e-9
+        assert back.imag_residue < 1e-9
 
     def test_inverse_at_points_matches_grid_inverse(self):
         ctx = ctx_rank1(0.5)
@@ -191,6 +192,34 @@ class TestGuards:
                               dunkl_transform(ctx, sampled).values)
 
 
+class TestRealPartCheck:
+    @pytest.mark.parametrize("values", [
+        [1.0 + 0j, np.nan + 0j, 2.0 + 0j],
+        [complex(np.nan, np.nan), 1.0 + 1.0j],
+        [1.0 + 0j, np.inf + 0j, -2.0 + 0j],
+        [1.0 + 0j, -np.inf + 0j, -2.0 + 0j]])
+    def test_real_part_not_finite_raises(self, values):
+        values = np.asarray(values)
+        with pytest.raises(AccuracyError, match="probe is not finite"):
+            _real_part_checked(values, "probe")
+        with pytest.raises(AccuracyError, match="probe is not finite"):
+            _real_part_checked(values.real.copy(), "probe", 0.0)
+
+    @pytest.mark.parametrize("residue", [np.nan, np.inf])
+    def test_residue_not_finite_raises(self, residue):
+        values = np.array([1.0, complex(3.0, residue), -2.0])
+        with pytest.raises(AccuracyError, match=f"imaginary residue {residue}"):
+            _real_part_checked(values, "probe")
+        with pytest.raises(AccuracyError, match=f"imaginary residue {residue}"):
+            _real_part_checked(values.real.copy(), "probe", residue)
+
+    def test_residue_over_tolerance_raises(self):
+        with pytest.raises(AccuracyError, match="imaginary residue 0.001"):
+            _real_part_checked(np.array([2.0 + 0j, -3.0 + 1e-3j]), "probe")
+        with pytest.raises(AccuracyError, match="scale 3"):
+            _real_part_checked(np.array([2.0, -3.0]), "probe", 1e-3)
+
+
 def entrywise(rows: np.ndarray, cols: np.ndarray, k: float) -> np.ndarray:
     """E(i r_a c_b), one kernel evaluation per entry."""
     re, im = kernel_imag_parts(np.outer(rows, cols), k)
@@ -271,11 +300,11 @@ class TestAxisTransformOracle:
         expect = old_axis_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
         assert got.tobytes() == expect.tobytes()
         assert got.strides == expect.strides
-        back = inverse_dunkl_transform(ctx, got).values
+        back = inverse_dunkl_transform(ctx, got)
         expect_back = old_axis_transform(ctx, expect, ctx.freq_grid,
                                          ctx.grid, False)
-        assert back.tobytes() == expect_back.tobytes()
-        assert back.strides == expect_back.strides
+        assert_same_array(back.values, expect_back.real.copy(order="K"))
+        assert back.imag_residue == np.max(np.abs(expect_back.imag))
 
 
 def unblocked_transform(ctx, vals, src, dst, forward, then=None):
@@ -347,17 +376,19 @@ class TestBlockedTransform:
                             order)
         expect = unblocked_transform(ctx, vals, ctx.freq_grid, ctx.grid,
                                      False, then)
-        whole = inverse_dunkl_transform(ctx, vals, then=then)
-        assert_same_array(whole.values, expect)
-        real = inverse_dunkl_transform(ctx, vals, real_part=True, then=then)
-        assert_same_array(real.values, expect.real.copy(order="K"))
-        assert real.imag_residue == np.max(np.abs(expect.imag))
+        real, residue = transform._axis_transform(
+            ctx, vals, ctx.freq_grid, ctx.grid, False, then)
+        assert_same_array(real, expect.real.copy(order="K"))
+        assert residue == np.max(np.abs(expect.imag))
 
-    def test_convolution_real_part_equals_real_of_complex(self):
+    def test_convolution_equals_real_part_of_whole_products(self):
         ctx = BLOCK_CONTEXTS[1]
         f, g = gaussian(2, 0.5), monomial_gauss([1, 2], [0.6, 0.4])
-        whole = dunkl_convolve(ctx, f, g).values
-        real = dunkl_convolve(ctx, f, g, real_part=True)
+        product = (dunkl_transform(ctx, f).values
+                   * dunkl_transform(ctx, g).values)
+        whole = unblocked_transform(ctx, product, ctx.freq_grid, ctx.grid,
+                                    False, (np.multiply, ctx.c_k))
+        real = dunkl_convolve(ctx, f, g)
         assert_same_array(real.values, whole.real.copy(order="K"))
         assert real.imag_residue == np.max(np.abs(whole.imag))
 
@@ -429,11 +460,10 @@ class TestMirroredFirstContraction:
         vals = zero_lined_field(ctx.freq_grid, pattern, order)
         expect = unblocked_transform(ctx, vals, ctx.freq_grid, ctx.grid,
                                      False, then)
-        whole = inverse_dunkl_transform(ctx, vals, then=then)
-        assert_same_array(whole.values, expect)
-        real = inverse_dunkl_transform(ctx, vals, real_part=True, then=then)
-        assert_same_array(real.values, expect.real.copy(order="K"))
-        assert real.imag_residue == np.max(np.abs(expect.imag))
+        real, residue = transform._axis_transform(
+            ctx, vals, ctx.freq_grid, ctx.grid, False, then)
+        assert_same_array(real, expect.real.copy(order="K"))
+        assert residue == np.max(np.abs(expect.imag))
 
     @pytest.mark.parametrize("forward", [True, False],
                              ids=["forward", "real-part-inverse"])
@@ -462,7 +492,7 @@ class TestMirroredFirstContraction:
         if forward:
             dunkl_transform(ctx, GridSampled(grid=src, values=vals))
         else:
-            inverse_dunkl_transform(ctx, vals, real_part=True)
+            transform._axis_transform(ctx, vals, src, dst, False)
         assert len(columns) > 1 and sum(columns) == vals.shape[1]
 
 
@@ -522,9 +552,11 @@ class TestKernelMatrixCacheThreads:
         assert len(builds) == 1
         assert first is second
 
-    def test_byte_count_matches_store_under_eviction(self):
+    def test_byte_count_matches_store_under_eviction(self, monkeypatch):
         rules = [AxisRule.build(0.5, 6.0, n) for n in range(10, 34)]
-        cache = KernelMatrixCache(max_bytes=3 * rules[-1].size ** 2 * 16)
+        monkeypatch.setattr(transform, "CACHE_BYTES",
+                            3 * rules[-1].size ** 2 * 16)
+        cache = KernelMatrixCache()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -536,7 +568,7 @@ class TestKernelMatrixCacheThreads:
             sys.setswitchinterval(interval)
         assert cache._bytes == sum(op.nbytes for ops in cache._store.values()
                                    for op in ops)
-        assert cache._bytes <= cache.max_bytes
+        assert cache._bytes <= transform.CACHE_BYTES
         assert not cache._building
 
 
