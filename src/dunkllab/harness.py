@@ -67,12 +67,11 @@ def decay_rays(dim: int) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def decay_samples(ctx: WeightedContext, spec: KernelSpec,
-                  radii: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(radius, |q|) samples along the standard rays."""
-    if radii is None:
-        lo, hi, n = DECAY_RADII
-        radii = np.geomspace(lo, hi, n)
+def decay_samples(ctx: WeightedContext,
+                  spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(radius, |q|) samples along the standard rays, at the radii
+    ``np.geomspace(*DECAY_RADII)``."""
+    radii = np.geomspace(*DECAY_RADII)
     rays = decay_rays(ctx.dim)
     pts = (radii[:, None, None] * rays[None, :, :]).reshape(-1, ctx.dim)
     vals = np.abs(np.atleast_1d(evaluate_q(ctx, spec, pts)))

@@ -255,44 +255,42 @@ def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray) -> float:
     return _shell_share(grid, _abs_mass(grid, values))[0]
 
 
-def _checked_mass(grid: TensorGrid, mass: np.ndarray, tol: float,
-                  what: str) -> float:
+def _checked_mass(grid: TensorGrid, mass: np.ndarray, what: str) -> float:
     """The sum of the per-node ``mass``, which must be finite (else
-    AccuracyError) and carry at most ``tol`` of itself on the boundary
+    AccuracyError) and carry at most ``SHELL_TOL`` of itself on the boundary
     shell (else, a NaN share included, DomainTooSmallError)."""
     frac, total = _shell_share(grid, mass)
     if not np.isfinite(total):
         raise AccuracyError(
             f"{what} is not finite: its |values| dw mass is {total}")
-    if not frac <= tol:
+    if not frac <= SHELL_TOL:
         raise DomainTooSmallError(
             f"{what}: boundary shell carries {frac:.3e} of the mass "
-            f"(> {tol:.1e}); enlarge the grid box"
+            f"(> {SHELL_TOL:.1e}); enlarge the grid box"
         )
     return total
 
 
-def check_shell(grid: TensorGrid, values: np.ndarray, tol: float = SHELL_TOL,
+def check_shell(grid: TensorGrid, values: np.ndarray,
                 what: str = "integrand") -> float:
     """Raise DomainTooSmallError if the boundary shell carries more than
-    ``tol`` of the |values| dw mass, or AccuracyError if that mass is not
-    finite; else return the mass, which equals
+    ``SHELL_TOL`` of the |values| dw mass, or AccuracyError if that mass is
+    not finite; else return the mass, which equals
     ``grid.integrate(np.abs(values))`` bit for bit."""
-    return _checked_mass(grid, _abs_mass(grid, values), tol, what)
+    return _checked_mass(grid, _abs_mass(grid, values), what)
 
 
 def integrate_shell_checked(grid: TensorGrid, values: np.ndarray,
-                            tol: float = SHELL_TOL,
                             what: str = "integrand") -> tuple[float, float]:
-    """(``grid.integrate(values)``, ``check_shell(grid, values, tol,
-    what)``) of a real integrand, bit for bit, from one weighted float64
+    """(``grid.integrate(values)``, ``check_shell(grid, values, what)``)
+    of a real integrand, bit for bit, from one weighted float64
     buffer.  The weights are positive, so |fl(w v)| = fl(w |v|): the
     products sum to the integral and their absolute values to the mass.  A
     complex integrand cannot be cast to the buffer: TypeError."""
     buf = grid.weighted(np.asarray(values).reshape(grid.shape),
                         np.empty(grid.shape))
     integral = float(np.sum(buf))
-    return integral, _checked_mass(grid, np.abs(buf, out=buf), tol, what)
+    return integral, _checked_mass(grid, np.abs(buf, out=buf), what)
 
 
 def relative_move(value, reference, floor: float = 1e-300) -> float:

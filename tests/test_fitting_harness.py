@@ -209,10 +209,11 @@ class TestSamplingGeometry:
         with pytest.raises(InvalidRootSystemError):
             WeightedContext(product_z2([0.5, 0.5, 0.5]))
 
-    def test_decay_samples_shape_and_positivity(self):
+    def test_decay_samples_shape_and_positivity(self, monkeypatch):
+        monkeypatch.setattr(harness, "DECAY_RADII", (0.75, 6.0, 10))
         ctx = WeightedContext(rank1(0.0))
         spec = KernelSpec.heat(1)
-        rr, vals = decay_samples(ctx, spec, radii=np.geomspace(0.75, 6, 10))
+        rr, vals = decay_samples(ctx, spec)
         assert rr.shape == vals.shape == (20,)
         assert np.all(vals > 0)
 

@@ -129,7 +129,8 @@ class TestBlockedWeights:
         assert got.tobytes() == np.asarray(np.sum(w * vals)).tobytes()
         mass = w * np.abs(vals)
         total = float(np.sum(mass))
-        assert check_shell(grid, vals, tol=1.0) == total
+        monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
+        assert check_shell(grid, vals) == total
         share = float(np.sum(mass[grid.shell_mask()])) / total
         assert boundary_shell_fraction(grid, vals) == share
 
@@ -186,9 +187,10 @@ class TestOneWeightedPass:
         w = grid.weight_rows(slice(None))
         products = w * vals
         assert np.any((products != 0) & (np.abs(products) < 2.2e-308))
-        value, mass = integrate_shell_checked(grid, vals, tol=1.0)
+        monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
+        value, mass = integrate_shell_checked(grid, vals)
         assert _bits(value) == _bits(float(grid.integrate(vals)))
-        assert _bits(mass) == _bits(check_shell(grid, vals, tol=1.0))
+        assert _bits(mass) == _bits(check_shell(grid, vals))
         assert _bits(value) == _bits(float(np.sum(products)))
         assert _bits(mass) == _bits(float(np.sum(w * np.abs(vals))))
 
@@ -247,8 +249,8 @@ class TestWeightedNormBits:
 
 
 class TestHeldGridConstants:
-    """A one-block grid forms its weight tensor and default shell mask
-    once, read-only; a larger grid holds nothing."""
+    """A one-block grid forms its weight tensor and shell mask once,
+    read-only; a larger grid holds nothing."""
 
     def test_threads_on_a_cold_grid_share_one_weight_array(self,
                                                            monkeypatch):
@@ -269,13 +271,14 @@ class TestHeldGridConstants:
                             slow("weights", true_rows))
         monkeypatch.setattr(TensorGrid, "_shell_mask",
                             slow("masks", true_mask))
+        monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
         start = threading.Barrier(8)
 
         def work(_):
             start.wait()
-            value, mass = integrate_shell_checked(grid, vals, tol=1.0)
+            value, mass = integrate_shell_checked(grid, vals)
             return (_bits(grid.integrate(vals)),
-                    _bits(check_shell(grid, vals, tol=1.0)),
+                    _bits(check_shell(grid, vals)),
                     _bits(value), _bits(mass), grid.weight_tensor())
 
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -293,9 +296,10 @@ class TestHeldGridConstants:
         grid = TensorGrid.build(ks=[0.25, 1.0], half_widths=6.0, n_halves=25)
         _small_blocks(monkeypatch, grid)
         vals = _signed_samples(grid, np.random.default_rng(9), float)
+        monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
         grid.integrate(vals)
-        check_shell(grid, vals, tol=1.0)
-        integrate_shell_checked(grid, vals, tol=1.0)
+        check_shell(grid, vals)
+        integrate_shell_checked(grid, vals)
         assert grid.weight_tensor() is not grid.weight_tensor()
         assert not [v for v in vars(grid).values()
                     if isinstance(v, np.ndarray)]
