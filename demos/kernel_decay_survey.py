@@ -31,8 +31,7 @@ def main() -> None:
         for k in (0.0, 1.0):
             ctx = WeightedContext(rank1(k))
             spec = KernelSpec(directions=((1.0,),), ell=ell, eps=0.0, t=1.0)
-            rep = run_check(ctx, "thm1-decay", {"check_stability": False},
-                            spec)
+            rep = run_check(ctx, "thm1-decay", None, spec)
             fit = rep.fitted
             flips = sign_change_radii(ctx, spec, np.linspace(0.3, 6.0, 400))
             flip_note = ", ".join(f"{r:.2f}" for r in flips) or "none"

@@ -9,6 +9,8 @@ the type coercion and the catalog of ``dunkllab list-checks``.  The grid
 keys and ``spec`` reuse the schemas of a config's ``grid`` and ``kernel``
 sections.  This module imports only the package's errors, so every module
 that defines checks can register here.
+A parameter says what to compute, never how to judge it: each criterion
+is a module constant, read when its check runs and recorded in the report.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _BOUNDS = {"minimum": ">=", "exclusiveMinimum": ">", "maximum": "<=",
 
 
 def json_path(parts) -> str:
-    """``checks[0].params.tol`` from ``("checks", 0, "params", "tol")``."""
+    """``checks[0].params.n`` from ``("checks", 0, "params", "n")``."""
     out = ""
     for p in parts:
         out += f"[{p}]" if isinstance(p, int) else f".{p}" if out else str(p)
@@ -142,10 +144,6 @@ def numbers(name: str, default, **bounds) -> Param:
     """A nonempty list of numbers, each within ``bounds``."""
     return Param(name, {"type": "array", "minItems": 1,
                         "items": {"type": "number", **bounds}}, default)
-
-
-def tolerance(default: float) -> Param:
-    return number("tol", default, exclusiveMinimum=0)
 
 
 def grid_params(**defaults) -> tuple[Param, ...]:

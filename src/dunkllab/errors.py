@@ -32,7 +32,8 @@ class SymbolError(DunklLabError):
 
 
 class FitConvergenceError(DunklLabError):
-    """Nonlinear fit failed to converge."""
+    """A fit did not converge, or had too few usable samples to be made
+    (see ``fitting``); malformed input is a ValueError instead."""
 
 
 class ConfigError(DunklLabError):

@@ -4,6 +4,7 @@ Every existence statement "there exist C, c > 0 such that ..." becomes a
 deterministic two-stage procedure: fit the constants on a calibration subset,
 then require the inequality (with a fixed 1.05 slack) on a disjoint held-out
 subset.  Splits are alternating-index on sorted data, never random.
+Data too short for a fit raises FitConvergenceError, as a failed solver does.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def fit_decay_exponent(samples, p0: float = 1.5) -> DecayFitReport:
 
     ``samples`` is a sequence of (r, |q|) pairs.  Pairs with |q| <=
     SAMPLE_FLOOR are discarded before fitting; at least MIN_SAMPLES must
-    remain, spanning an r-ratio of at least MIN_SPAN_RATIO.  Initialization
+    remain, spanning an r-ratio of at least MIN_SPAN_RATIO (else
+    FitConvergenceError).  Initialization
     is fixed (c0 = 1, C0 = max|q|, p0 as given), so the fit is deterministic.
     """
     arr = np.asarray(list(samples), dtype=float)
@@ -47,14 +49,14 @@ def fit_decay_exponent(samples, p0: float = 1.5) -> DecayFitReport:
         raise ValueError("samples must be (r, |q|) pairs")
     arr = arr[arr[:, 1] > SAMPLE_FLOOR]
     if len(arr) < MIN_SAMPLES:
-        raise ValueError(
+        raise FitConvergenceError(
             f"need at least {MIN_SAMPLES} samples above the floor, "
             f"got {len(arr)}")
     r, q = arr[:, 0], arr[:, 1]
     if np.min(r) <= 0:
         raise ValueError("radii must be positive")
     if np.max(r) / np.min(r) < MIN_SPAN_RATIO:
-        raise ValueError(
+        raise FitConvergenceError(
             f"samples must span a radius ratio of at least {MIN_SPAN_RATIO}")
     logq = np.log(q)
 
@@ -97,7 +99,7 @@ def envelope_fit(d: np.ndarray, vals: np.ndarray,
     keep = vals > SAMPLE_FLOOR
     d, vals = d[keep], vals[keep]
     if len(d) < 2:
-        raise ValueError("need at least two samples above the floor")
+        raise FitConvergenceError("need at least two samples above the floor")
     x = d**p
     logv = np.log(vals)
     slope, _ = np.polyfit(x, logv, 1)
@@ -143,7 +145,7 @@ def envelope_fit_upper(z: np.ndarray,
     keep = vals > SAMPLE_FLOOR
     z, vals = z[keep], vals[keep]
     if len(z) < 2:
-        raise ValueError("need at least two samples above the floor")
+        raise FitConvergenceError("need at least two samples above the floor")
     order = np.lexsort((vals, z))
     z, vals = z[order], vals[order]
     logv = np.log(vals)
@@ -152,7 +154,7 @@ def envelope_fit_upper(z: np.ndarray,
     top = np.r_[distinct[1:] - 1, len(z) - 1]
     zu, yu = z[top], logv[top]
     if len(zu) < 2:
-        raise ValueError("need at least two distinct z values")
+        raise FitConvergenceError("need at least two distinct z values")
     zh, yh = _upper_hull(zu, yu)
     if len(zh) >= 3:
         slope = float(np.polyfit(zh, yh, 1)[0])
@@ -190,9 +192,10 @@ def ratio_holdout_ratio(held_vals: np.ndarray, held_scales: np.ndarray,
     return float(np.max(held_vals / (HOLDOUT_SLACK * C * held_scales)))
 
 
-def garding_lp(A: np.ndarray, S: np.ndarray, V: np.ndarray,
-               c_cap: float = GARDING_C_CAP) -> tuple[float, float]:
-    """Maximize alpha subject to  alpha*V_i <= A_i + C*S_i,  0 <= C <= c_cap.
+def garding_lp(A: np.ndarray, S: np.ndarray,
+               V: np.ndarray) -> tuple[float, float]:
+    """Maximize alpha subject to  alpha*V_i <= A_i + C*S_i,
+    0 <= C <= GARDING_C_CAP.
 
     A_i is the (negated) quadratic form value, S_i the s^{2l}-scaled weighted
     norm, V_i the squared Sobolev norm of the i-th calibration function.  The
@@ -207,7 +210,7 @@ def garding_lp(A: np.ndarray, S: np.ndarray, V: np.ndarray,
     res = linprog(c=[-1.0, 1e-9],
                   A_ub=np.column_stack([V, -S]),
                   b_ub=A,
-                  bounds=[(None, None), (0.0, c_cap)],
+                  bounds=[(None, None), (0.0, GARDING_C_CAP)],
                   method="highs")
     if not res.success:
         raise FitConvergenceError(f"coercivity LP failed: {res.message}")

@@ -3,7 +3,8 @@
 Every check here is a private body ``(ctx, spec, params)`` entered in the
 one registry (``checks.CHECKS``), with its declared parameters;
 ``runner.run_check`` is the one way to run it, and hands the body every
-declared parameter, validated and at its default when not given.
+declared parameter, validated and at its default when not given.  Every
+criterion is a module constant (here, in ``fitting`` or in ``kernels``).
 
 Each check turns a qualitative statement ("there exist C, c > 0 such that
 ...") into a deterministic pass/fail verdict: constants are fitted on a
@@ -20,12 +21,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import fitting
 from .checks import (GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived,
-                     Param, grid_params, integer, number, numbers, register,
-                     tolerance)
+                     Param, grid_params, integer, number, numbers, register)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
 from .errors import ConfigError, DomainTooSmallError
-from .fitting import (GARDING_C_CAP, alternating_split, envelope_fit,
+from .fitting import (alternating_split, envelope_fit,
                       envelope_fit_upper, envelope_holdout_ratio,
                       fit_decay_exponent, garding_lp, garding_holdout_ratio,
                       ratio_constant_fit, ratio_holdout_ratio)
@@ -34,8 +35,8 @@ from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages,
 from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
 from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
                       dunkl_translate, evaluate_q, freq_box_for, heat_kernel,
-                      heat_kernel_two_point, q_on_grid, spatial_rule,
-                      two_point_kernel)
+                      heat_kernel_two_point, integrated_spec, q_on_grid,
+                      spatial_rule, two_point_kernel)
 from .measure import EtaFields, WeightedContext, volume_max_pairs
 from .quadrature import (SHELL_TOL, boundary_shell_fraction, refined_n_half,
                          relative_move)
@@ -44,6 +45,16 @@ from .root_systems import orbit_distance_pairwise
 from .transform import dunkl_convolve, dunkl_transform
 
 DECAY_RADII = (0.75, 6.0, 24)
+#: criteria, read when a check runs and recorded in its report: thm1-decay's
+#: relative exponent error, r^2 floor and exponent move on a refined grid;
+#: e-bound's excess of |E| over 1; the relative drift of a constant-ratio
+#: fit between its halves; exp-weighted-l1's relative move on a refined grid
+DECAY_P_RTOL = 0.05
+DECAY_R2_MIN = 0.995
+DECAY_REFINE_TOL = 0.01
+E_BOUND_TOL = 1e-10
+STABILITY_TOL = 0.05
+WEIGHTED_L1_REL_TOL = 0.02
 _FREQ_GRID = grid_params(
     freq_box=Derived("1.1 x the decay radius of the symbol"),
     freq_n_half=Derived("the config's"))
@@ -51,8 +62,10 @@ _FREQ_GRID = grid_params(
 
 def _freq_sized_ctx(ctx: WeightedContext, spec: KernelSpec,
                     params: dict) -> WeightedContext:
-    """Context whose frequency box matches the symbol decay of the spec."""
-    fbox = params["freq_box"] or float(np.ceil(1.1 * freq_box_for(spec)))
+    """Context whose frequency box matches the symbol decay of the spec the
+    point evaluators integrate (``kernels.integrated_spec``)."""
+    fbox = params["freq_box"] or float(
+        np.ceil(1.1 * freq_box_for(integrated_spec(spec))))
     fn = params["freq_n_half"] or ctx.freq_n_half
     if fbox == ctx.freq_box and fn == ctx.freq_n_half:
         return ctx
@@ -81,27 +94,31 @@ def decay_samples(ctx: WeightedContext,
 
 @register("thm1-decay",
           "single-point decay of the generalized heat kernel: fit |q_1(x)| ~ "
-          "C exp(-c |x|^p) along rays; pass needs p within tolerance of "
+          "C exp(-c |x|^p) along rays; pass needs p within 5% of "
           "2l/(2l-1), r^2 >= 0.995, and a refinement-stable exponent",
-          number("p_rtol", 0.05, exclusiveMinimum=0),
-          number("r2_min", 0.995, exclusiveMaximum=1),
-          Param("check_stability", {"type": "boolean"}, True), *_FREQ_GRID)
+          *_FREQ_GRID)
 def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
                       params: dict) -> VerificationReport:
     """Fit |q_1(x)| ~ C exp(-c |x|^p) and compare p with 2l/(2l-1).
 
-    Pass requires the fitted exponent within ``p_rtol`` (default 5%) of the
-    prescribed value, r^2 of the log-fit at least ``r2_min`` (default
-    0.995), and (unless disabled) exponent movement under a 1.5x-refined
-    frequency grid below 1%.
+    Pass requires the fitted exponent within ``DECAY_P_RTOL`` (5%) of the
+    prescribed value, r^2 of the log-fit at least ``DECAY_R2_MIN`` (0.995),
+    and exponent movement under a 1.5x-refined frequency grid below
+    ``DECAY_REFINE_TOL`` (1%).  The refinement gate always runs.
     """
     p_theory = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
-    p_rtol, r2_min = params["p_rtol"], params["r2_min"]
     qctx = _freq_sized_ctx(ctx, spec, params)
     radii, vals = decay_samples(qctx, spec)
     fit = fit_decay_exponent(np.column_stack([radii, vals]), p0=p_theory)
+    fine = qctx.with_grids(
+        freq_n_half=refined_n_half(qctx.freq_grid.axes[0].n_half))
+    radii2, vals2 = decay_samples(fine, spec)
+    fit2 = fit_decay_exponent(np.column_stack([radii2, vals2]), p0=p_theory)
+    stab = relative_move(fit2.exponent_fitted, fit.exponent_fitted)
     p_err = abs(fit.exponent_fitted - p_theory) / p_theory
-    ratios = [p_err / p_rtol, max(0.0, r2_min - fit.r_squared) / (1.0 - r2_min)]
+    defect = max(p_err / DECAY_P_RTOL,
+                 max(0.0, DECAY_R2_MIN - fit.r_squared) / (1.0 - DECAY_R2_MIN),
+                 stab / DECAY_REFINE_TOL)
     fitted = {
         "exponent_fitted": fit.exponent_fitted,
         "exponent_prescribed": p_theory,
@@ -113,20 +130,13 @@ def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
         "sample_range": list(fit.sample_range),
         "radii": radii.tolist(),
         "abs_q": vals.tolist(),
+        "exponent_refined": fit2.exponent_fitted,
+        "refinement_rel_move": stab,
     }
-    if params["check_stability"]:
-        fine = qctx.with_grids(
-            freq_n_half=refined_n_half(qctx.freq_grid.axes[0].n_half))
-        radii2, vals2 = decay_samples(fine, spec)
-        fit2 = fit_decay_exponent(np.column_stack([radii2, vals2]), p0=p_theory)
-        stab = relative_move(fit2.exponent_fitted, fit.exponent_fitted)
-        fitted["exponent_refined"] = fit2.exponent_fitted
-        fitted["refinement_rel_move"] = stab
-        ratios.append(stab / 0.01)
-    defect = max(ratios)
     return VerificationReport.from_defect(
         "thm1-decay",
-        {"spec": spec.to_dict(), "p_rtol": p_rtol, "r2_min": r2_min},
+        {"spec": spec.to_dict(), "p_rtol": DECAY_P_RTOL,
+         "r2_min": DECAY_R2_MIN},
         defect, 1.0, fitted=fitted, grid=grid_metadata(qctx),
         notes="defect is the worst criterion ratio: exponent error / tol, "
               "r^2 deficit / (1 - r2_min), refinement move / 1%")
@@ -151,6 +161,20 @@ def make_pair_grid(ctx: WeightedContext) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xs), np.asarray(ys)
 
 
+def _envelope_verdict(z: np.ndarray, vals: np.ndarray, p: float,
+                      fit) -> tuple[float, dict]:
+    """(defect, fitted) of vals <= C exp(-c z^p): (c, C) = ``fit`` on the
+    even half of the (z, vals)-sorted samples, the odd half held out with
+    1.05 slack; the defect is the held-out ratio, at least 2 when c <= 0."""
+    order = np.lexsort((vals, z))
+    z, vals = z[order], vals[order]
+    cal, held = alternating_split(len(z))
+    c, C = fit(z[cal], vals[cal])
+    ratio = envelope_holdout_ratio(z[held], vals[held], p, c, C)
+    defect = ratio if c > 0 else max(ratio, 2.0)
+    return defect, {"c_fitted": c, "C_fitted": C, "holdout_ratio": ratio}
+
+
 @register("thm2-two-point",
           "two-point bound: calibrate (c, C) in |q_1(x,y)| * "
           "max(w(B(x,1)), w(B(y,1))) <= C exp(-c d(x,y)^{2l/(2l-1)}) and "
@@ -167,18 +191,12 @@ def _check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
     V = volume_max_pairs(ctx.system, xs, ys, 1.0)
     d = orbit_distance_pairwise(ctx.group, xs, ys)
     vals = np.abs(q) * V
-    order = np.lexsort((vals, d))
-    d, vals = d[order], vals[order]
-    cal, held = alternating_split(len(d))
-    c, C = envelope_fit(d[cal], vals[cal], p)
-    ratio = envelope_holdout_ratio(d[held], vals[held], p, c, C)
-    defect = ratio if c > 0 else max(ratio, 2.0)
+    defect, fitted = _envelope_verdict(
+        d, vals, p, lambda z, v: envelope_fit(z, v, p))
     return VerificationReport.from_defect(
         "thm2-two-point",
         {"spec": spec.to_dict(), "n_pairs": int(len(d)), "exponent": p},
-        defect, 1.0,
-        fitted={"c_fitted": c, "C_fitted": C, "holdout_ratio": ratio,
-                "max_distance": float(np.max(d))},
+        defect, 1.0, fitted={**fitted, "max_distance": float(np.max(d))},
         grid=grid_metadata(qctx),
         notes="pass needs c > 0 and every held-out value below the "
               "calibrated envelope with 1.05 slack")
@@ -203,19 +221,12 @@ def _check_heat_gaussian_bound(ctx: WeightedContext, spec: KernelSpec,
         zs.append(d**2 / t)
         vals.append(h * V)
     z = np.concatenate(zs)
-    v = np.concatenate(vals)
-    order = np.lexsort((v, z))
-    z, v = z[order], v[order]
-    cal, held = alternating_split(len(z))
-    c, C = envelope_fit_upper(z[cal], v[cal])
-    ratio = envelope_holdout_ratio(z[held], v[held], 1.0, c, C)
-    defect = ratio if c > 0 else max(ratio, 2.0)
+    defect, fitted = _envelope_verdict(z, np.concatenate(vals), 1.0,
+                                       envelope_fit_upper)
     return VerificationReport.from_defect(
         "heat-gaussian-bound",
         {"t_set": t_set, "n_pairs": int(len(z))},
-        defect, 1.0,
-        fitted={"c_fitted": c, "C_fitted": C, "holdout_ratio": ratio},
-        grid=grid_metadata(ctx),
+        defect, 1.0, fitted=fitted, grid=grid_metadata(ctx),
         notes="variable is d(x,y)^2/t pooled over t; c is the upper-envelope "
               "rate (classical value 1/4 at k=0)")
 
@@ -248,16 +259,16 @@ def default_garding_family(dim: int) -> list:
           number("eps", 0.0, minimum=0, maximum=EPSILON_MAX),
           Param("directions", KERNEL_SCHEMA["properties"]["directions"],
                 Derived("the kernel's directions")),
-          numbers("s_set", [0.5, 1.0, 2.0], exclusiveMinimum=0.25),
-          number("garding_c_cap", GARDING_C_CAP, exclusiveMinimum=0))
+          numbers("s_set", [0.5, 1.0, 2.0], exclusiveMinimum=0.25))
 def _check_garding(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
     """Coercivity protocol: maximize alpha with
         -form(f, f) + C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2
     on calibration functions of ``default_garding_family`` (linear program
-    in (alpha, C)), then require the inequality with slack 1.05 on held-out
-    functions, pooled over s.  The form's l, eps and directions come from
-    ``params``, else from the kernel."""
+    in (alpha, C), with C at most ``fitting.GARDING_C_CAP``), then require
+    the inequality with slack 1.05 on held-out functions, pooled over s.
+    The form's l, eps and directions come from ``params``, else from the
+    kernel."""
     ell = params["ell"] or (spec.ell if spec.ell in (1, 2) else 1)
     try:
         form_spec = BilinearFormSpec(
@@ -265,7 +276,7 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
             directions=params["directions"] or spec.directions)
     except ValueError as err:
         raise ConfigError(f"garding: {err}") from err
-    s_set, c_cap = params["s_set"], params["garding_c_cap"]
+    s_set = params["s_set"]
     family = default_garding_family(ctx.dim)
     cal_f, held_f = alternating_split(len(family))
     # each member's Dunkl images do not depend on s: they are formed once,
@@ -286,7 +297,7 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
             for label, idxs in (("cal", cal_f), ("held", held_f))}
     A_c, S_c, V_c = map(np.array, zip(*rows["cal"]))
     A_h, S_h, V_h = map(np.array, zip(*rows["held"]))
-    alpha, C = garding_lp(A_c, S_c, V_c, c_cap=c_cap)
+    alpha, C = garding_lp(A_c, S_c, V_c)
     ratio = garding_holdout_ratio(A_h, S_h, V_h, alpha, C)
     defect = ratio if alpha > 0 else max(ratio, 2.0)
     return VerificationReport.from_defect(
@@ -294,7 +305,7 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
         {"ell": form_spec.ell, "eps": form_spec.eps,
          "directions": [list(z) for z in form_spec.directions],
          "s_set": s_set, "n_family": len(family),
-         "garding_c_cap": c_cap},
+         "garding_c_cap": fitting.GARDING_C_CAP},
         defect, 1.0,
         fitted={"alpha": alpha, "C_alpha": C, "holdout_ratio": ratio},
         grid=grid_metadata(ctx),
@@ -308,10 +319,10 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
 
 @register("e-bound",
           "kernel bound |E(i xi, x)| <= 1 on a product grid of arguments",
-          integer("n", 50, minimum=1), tolerance(1e-10))
+          integer("n", 50, minimum=1))
 def _check_e_bound(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
-    n, tol = params["n"], params["tol"]
+    n = params["n"]
     worst = 0.0
     for k in ctx.system.ks:
         xi = np.linspace(0.0, ctx.freq_box, n)
@@ -320,7 +331,7 @@ def _check_e_bound(ctx: WeightedContext, spec: KernelSpec,
         worst = max(worst, float(np.max(np.hypot(re, im))))
     defect = max(0.0, worst - 1.0)
     return VerificationReport.from_defect(
-        "e-bound", {"n": n, "tol": tol}, defect, tol,
+        "e-bound", {"n": n, "tol": E_BOUND_TOL}, defect, E_BOUND_TOL,
         fitted={"max_modulus": worst}, grid=grid_metadata(ctx))
 
 
@@ -337,33 +348,37 @@ def _lipschitz_pair_set(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xi), np.asarray(x)
 
 
-_STABILITY_TOL = number("stability_tol", 0.05, exclusiveMinimum=0)
+def _constant_ratio_verdict(vals: np.ndarray, scales: np.ndarray,
+                            cal: np.ndarray,
+                            held: np.ndarray) -> tuple[float, dict]:
+    """(defect, fitted) of vals <= C scales: C fitted on each half, the
+    held-out half against the calibrated C with 1.05 slack; the defect is
+    max(drift of C between the halves / STABILITY_TOL, held-out ratio)."""
+    C_cal = ratio_constant_fit(vals[cal], scales[cal])
+    C_held = ratio_constant_fit(vals[held], scales[held])
+    ratio = ratio_holdout_ratio(vals[held], scales[held], C_cal)
+    stability = abs(C_held - C_cal) / C_cal
+    return max(stability / STABILITY_TOL, ratio), {
+        "C_cal": C_cal, "C_held": C_held, "stability": stability,
+        "holdout_ratio": ratio}
 
 
 @register("e-lipschitz",
           "kernel Lipschitz bound |E(i xi, x) - 1| <= C ||x|| ||xi|| with a "
-          "calibration/held-out stable constant",
-          _STABILITY_TOL)
+          "calibration/held-out stable constant")
 def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                        params: dict) -> VerificationReport:
-    stab_tol = params["stability_tol"]
     xi, x = _lipschitz_pair_set(ctx.dim)
     vals = np.abs(kernel_imag_batch(ctx.system, xi, x) - 1.0)
     scales = np.linalg.norm(xi, axis=1) * np.linalg.norm(x, axis=1)
     order = np.lexsort((vals, scales))
     vals, scales = vals[order], scales[order]
     cal, held = alternating_split(len(vals))
-    C_cal = ratio_constant_fit(vals[cal], scales[cal])
-    C_held = ratio_constant_fit(vals[held], scales[held])
-    ratio = ratio_holdout_ratio(vals[held], scales[held], C_cal)
-    stability = abs(C_held - C_cal) / C_cal
-    defect = max(stability / stab_tol, ratio)
+    defect, fitted = _constant_ratio_verdict(vals, scales, cal, held)
     return VerificationReport.from_defect(
-        "e-lipschitz", {"n_pairs": int(len(vals)), "stability_tol": stab_tol},
-        defect, 1.0,
-        fitted={"C_cal": C_cal, "C_held": C_held, "stability": stability,
-                "holdout_ratio": ratio},
-        grid=grid_metadata(ctx),
+        "e-lipschitz",
+        {"n_pairs": int(len(vals)), "stability_tol": STABILITY_TOL},
+        defect, 1.0, fitted=fitted, grid=grid_metadata(ctx),
         notes="|E(i xi, x) - 1| <= C |x||xi|; defect is the worse of the "
               "cal/held constant drift over 5% and the held-out bound ratio")
 
@@ -371,10 +386,9 @@ def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
 @register("translation-lipschitz",
           "translation Lipschitz bound: sup_y |tau_x q_1(y) - q_1(y)| <= "
           "C ||x|| over a range of shifts",
-          SPEC, _STABILITY_TOL, *_FREQ_GRID)
+          SPEC, *_FREQ_GRID)
 def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                                  params: dict) -> VerificationReport:
-    stab_tol = params["stability_tol"]
     shifts = np.geomspace(0.05, 2.0, 24)
     if spec.ell > 1:
         ctx = ctx.with_grids(*spatial_rule(ctx, spec))
@@ -392,17 +406,12 @@ def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
     # the sup/shift ratio grows with the shift, and the extreme point
     # belongs on the calibration side of the protocol
     held, cal = alternating_split(len(shifts))
-    C_cal = ratio_constant_fit(sups[cal], shifts[cal])
-    C_held = ratio_constant_fit(sups[held], shifts[held])
-    ratio = ratio_holdout_ratio(sups[held], shifts[held], C_cal)
-    stability = abs(C_held - C_cal) / C_cal
-    defect = max(stability / stab_tol, ratio)
+    defect, fitted = _constant_ratio_verdict(sups, shifts, cal, held)
     return VerificationReport.from_defect(
         "translation-lipschitz",
-        {"spec": spec.to_dict(), "stability_tol": stab_tol},
+        {"spec": spec.to_dict(), "stability_tol": STABILITY_TOL},
         defect, 1.0,
-        fitted={"C_cal": C_cal, "C_held": C_held, "stability": stability,
-                "holdout_ratio": ratio, "shifts": shifts.tolist(),
+        fitted={**fitted, "shifts": shifts.tolist(),
                 "sup_differences": sups.tolist()},
         grid=grid_metadata(qctx),
         notes="sup_y |tau_x q_1(y) - q_1(y)| <= C |x| over shifts in "
@@ -522,7 +531,6 @@ def _aliasing_error(ctx: WeightedContext,
           number("eps0", 0.1, exclusiveMinimum=0),
           Param("ell", KERNEL_SCHEMA["properties"]["ell"], 2),
           number("c_weight", 0.05, minimum=0),
-          number("rel_tol", 0.02, exclusiveMinimum=0),
           Param("y", VECTOR_SCHEMA, Derived("(0.5, 0, ...)")),
           Param("directions", KERNEL_SCHEMA["properties"]["directions"],
                 Derived("the axes")),
@@ -530,7 +538,7 @@ def _aliasing_error(ctx: WeightedContext,
 def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
                            params: dict) -> VerificationReport:
     eps0, ell = params["eps0"], params["ell"]
-    c_weight, rel_tol = params["c_weight"], params["rel_tol"]
+    c_weight = params["c_weight"]
     y_shift = np.asarray(params["y"] or [0.5] + [0.0] * (ctx.dim - 1))
     spec = KernelSpec.from_config(
         {"directions": params["directions"], "ell": ell, "eps": eps0},
@@ -573,9 +581,9 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
     defect = rel if np.isfinite(w_fine) else np.inf
     return VerificationReport.from_defect(
         "exp-weighted-l1",
-        {"eps0": eps0, "ell": ell, "c_weight": c_weight, "rel_tol": rel_tol,
-         "y": y_shift.tolist()},
-        defect, rel_tol,
+        {"eps0": eps0, "ell": ell, "c_weight": c_weight,
+         "rel_tol": WEIGHTED_L1_REL_TOL, "y": y_shift.tolist()},
+        defect, WEIGHTED_L1_REL_TOL,
         fitted={"weighted_integral": w_fine, "base_value": w_base},
         grid=grid_metadata(base_ctx),
         notes="int |tau_y(q_1^(eps0) * h_{eps0/2})(-x)| "

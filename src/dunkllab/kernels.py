@@ -20,6 +20,8 @@ evaluators check theirs with the same guard (``_real_part_checked``).
 The structural identity checks (``kernel-*``) are entered in the one
 registry (``checks.CHECKS``) next to their bodies, with their declared
 parameters; ``runner.run_check`` is the one way to run a registered kind.
+Their criteria are module constants (``MASS_TOL`` ... ``LAPLACIAN_TOL``),
+read when a check runs and recorded in its report.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import numpy as np
 
 from .dunkl_kernel import kernel_imag_outer, kernel_real_scaled
 from .checks import (GRID_SCHEMA, POINTS_SCHEMA, SPEC, Derived, Param,
-                     grid_params, integer, number, numbers, register,
-                     tolerance)
+                     grid_params, integer, number, numbers, register)
 from .errors import CapabilityError, DomainTooSmallError, SymbolError
 from .functions import GridSampled, PolyGauss, gaussian, monomial_gauss
 from .measure import WeightedContext
@@ -154,6 +155,14 @@ def _rescale_to_unit_time(spec: KernelSpec) -> tuple[KernelSpec, float]:
     t, ell = spec.t, spec.ell
     eps1 = spec.eps * t ** ((ell - 1.0) / ell)
     return replace(spec, eps=eps1, t=1.0), t ** (-1.0 / (2.0 * ell))
+
+
+def integrated_spec(spec: KernelSpec) -> KernelSpec:
+    """The spec whose symbol the point evaluators integrate: ``spec`` for t
+    in [T_DIRECT_MIN, T_DIRECT_MAX], else its unit-time rescaling."""
+    if T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
+        return spec
+    return _rescale_to_unit_time(spec)[0]
 
 
 def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
@@ -306,6 +315,14 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np
 # structural identity checks
 # ---------------------------------------------------------------------------
 
+#: criteria of the identity checks, recorded as ``tolerance`` and ``tol``
+MASS_TOL = 1e-6
+SYMMETRY_TOL = 1e-8
+SEMIGROUP_TOL = 1e-7
+SCALING_TOL = 1e-7
+DECOMPOSITION_TOL = 1e-6
+LAPLACIAN_TOL = 1e-8
+
 #: grid keys of ``convolution_context``
 CONVOLUTION_GRID = grid_params(
     box=Derived("12 for l = 1, else 48"),
@@ -355,12 +372,12 @@ def _default_points(dim: int, radii=(0.0, 1.0, 3.0)) -> np.ndarray:
 @register("kernel-mass",
           "unit mass: integral of h_t(x, .) against the weighted measure "
           "equals 1 for each probe point x",
-          number("t", 1.0, exclusiveMinimum=0), tolerance(1e-6),
+          number("t", 1.0, exclusiveMinimum=0),
           Param("points", POINTS_SCHEMA,
                 Derived("0, 1 and 3 on the first axis")))
 def _check_mass(ctx: WeightedContext, spec: KernelSpec,
                 params: dict) -> VerificationReport:
-    t, tol = params["t"], params["tol"]
+    t = params["t"]
     points = np.atleast_2d(np.asarray(
         params["points"] or _default_points(ctx.dim), dtype=float))
     grid_pts = ctx.grid.points()
@@ -371,8 +388,8 @@ def _check_mass(ctx: WeightedContext, spec: KernelSpec,
         masses.append(float(ctx.grid.integrate(vals.reshape(ctx.grid.shape))))
     defect = max(abs(m - 1.0) for m in masses)
     return VerificationReport.from_defect(
-        "kernel-mass", {"t": t, "points": points.tolist(), "tol": tol},
-        defect, tol, fitted={"masses": masses}, grid=grid_metadata(ctx))
+        "kernel-mass", {"t": t, "points": points.tolist(), "tol": MASS_TOL},
+        defect, MASS_TOL, fitted={"masses": masses}, grid=grid_metadata(ctx))
 
 
 def _pair_sample(ctx: WeightedContext, n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -385,19 +402,21 @@ def _pair_sample(ctx: WeightedContext, n: int, radius: float) -> tuple[np.ndarra
 @register("kernel-symmetry",
           "symmetry of the two-point kernel: q_t(x,y) = q_t(y,x) on sampled "
           "pairs",
-          tolerance(1e-8), integer("n_pairs", 20, minimum=1),
+          integer("n_pairs", 20, minimum=1),
           number("radius", 2.5, exclusiveMinimum=0), SPEC)
 def _check_symmetry(ctx: WeightedContext, spec: KernelSpec,
                     params: dict) -> VerificationReport:
-    tol, n = params["tol"], params["n_pairs"]
+    n = params["n_pairs"]
     xs, ys = _pair_sample(ctx, n, params["radius"])
     qxy = np.atleast_1d(two_point_kernel(ctx, spec, xs, ys))
     qyx = np.atleast_1d(two_point_kernel(ctx, spec, ys, xs))
     scale = max(float(np.max(np.abs(qxy))), 1e-300)
     defect = float(np.max(np.abs(qxy - qyx))) / scale
     return VerificationReport.from_defect(
-        "kernel-symmetry", {"spec": spec.to_dict(), "n_pairs": n, "tol": tol},
-        defect, tol, fitted={"scale": scale}, grid=grid_metadata(ctx))
+        "kernel-symmetry",
+        {"spec": spec.to_dict(), "n_pairs": n, "tol": SYMMETRY_TOL},
+        defect, SYMMETRY_TOL, fitted={"scale": scale},
+        grid=grid_metadata(ctx))
 
 
 @register("kernel-positivity",
@@ -423,18 +442,18 @@ def _check_positivity(ctx: WeightedContext, spec: KernelSpec,
 @register("kernel-semigroup",
           "semigroup law: q_{t/2} convolved with itself equals q_t in sup "
           "norm; for l = 1 with no grid key the config's grids are used",
-          tolerance(1e-7), SPEC, *CONVOLUTION_GRID)
+          SPEC, *CONVOLUTION_GRID)
 def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
                      params: dict) -> VerificationReport:
-    tol = params["tol"]
     cctx = _identity_context(ctx, spec, params, t_min=spec.t / 2.0)
     half = q_on_grid(cctx, replace(spec, t=spec.t / 2.0))
     conv = dunkl_convolve(cctx, half, half)
     direct = q_on_grid(cctx, spec)
     defect = float(np.max(np.abs(conv.values - direct.values)))
     return VerificationReport.from_defect(
-        "kernel-semigroup", {"spec": spec.to_dict(), "tol": tol},
-        defect, tol, fitted={"sup_q": float(np.max(np.abs(direct.values)))},
+        "kernel-semigroup", {"spec": spec.to_dict(), "tol": SEMIGROUP_TOL},
+        defect, SEMIGROUP_TOL,
+        fitted={"sup_q": float(np.max(np.abs(direct.values)))},
         grid=grid_metadata(cctx))
 
 
@@ -442,20 +461,18 @@ def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
           "parabolic scaling: q_t(x) = t^{-N_h/(2l)} "
           "q_1^{(eps t^{(l-1)/l})}(t^{-1/(2l)} x) with N_h the homogeneous "
           "dimension",
-          tolerance(1e-7), numbers("t_values", [0.5, 2.0], exclusiveMinimum=0),
+          numbers("t_values", [0.5, 2.0], exclusiveMinimum=0),
           SPEC)
 def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
-    tol, t_values = params["tol"], params["t_values"]
+    t_values = params["t_values"]
     pts = _default_points(ctx.dim, radii=np.linspace(0.0, 2.0, 9))
     # q_t is integrated at t inside the direct range and at unit time
     # outside it; enlarge the frequency box only when it cannot hold the
     # symbol decay of every spec integrated
-    integrated = [_rescale_to_unit_time(replace(spec, t=t))[0]
-                  for t in t_values]
-    integrated += [replace(spec, t=t) for t in t_values
-                   if T_DIRECT_MIN <= t <= T_DIRECT_MAX]
-    need = max(freq_box_for(s) for s in integrated)
+    need = max(freq_box_for(s) for t in t_values for s in (
+        integrated_spec(replace(spec, t=t)),
+        _rescale_to_unit_time(replace(spec, t=t))[0]))
     if ctx.freq_box < need:
         ctx = ctx.with_grids(freq_box=float(np.ceil(1.1 * need)))
     defect = 0.0
@@ -468,19 +485,19 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
         defect = max(defect, float(np.max(np.abs(lhs - rhs))))
     return VerificationReport.from_defect(
         "kernel-scaling", {"spec": spec.to_dict(), "t_values": t_values,
-                           "tol": tol},
-        defect, tol, grid=grid_metadata(ctx))
+                           "tol": SCALING_TOL},
+        defect, SCALING_TOL, grid=grid_metadata(ctx))
 
 
 @register("kernel-decomposition",
           "perturbative decomposition: q_1 equals q_1^{(eps+eps0)} convolved "
           "with two copies of h_{eps0/2}; for l = 1 with no grid key the "
           "config's grids are used",
-          number("eps0", 0.1, exclusiveMinimum=0), tolerance(1e-6), SPEC,
+          number("eps0", 0.1, exclusiveMinimum=0), SPEC,
           *CONVOLUTION_GRID)
 def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
                          params: dict) -> VerificationReport:
-    eps0, tol = params["eps0"], params["tol"]
+    eps0 = params["eps0"]
     cctx = _identity_context(ctx, spec, params, t_min=eps0 / 2.0)
     q_eps = q_on_grid(cctx, replace(spec, eps=spec.eps + eps0))
     # h_{eps0/2} enters both convolutions: transform it once
@@ -492,8 +509,9 @@ def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
     defect = float(np.max(np.abs(step2.values - direct.values)))
     return VerificationReport.from_defect(
         "kernel-decomposition",
-        {"spec": spec.to_dict(), "eps0": eps0, "tol": tol},
-        defect, tol, fitted={"sup_q": float(np.max(np.abs(direct.values)))},
+        {"spec": spec.to_dict(), "eps0": eps0, "tol": DECOMPOSITION_TOL},
+        defect, DECOMPOSITION_TOL,
+        fitted={"sup_q": float(np.max(np.abs(direct.values)))},
         grid=grid_metadata(cctx))
 
 
@@ -514,11 +532,9 @@ def _laplacian_battery(dim: int) -> list[PolyGauss]:
 
 @register("kernel-laplacian",
           "Dunkl Laplacian consistency: the divided-difference formula agrees "
-          "with composing first-order Dunkl operators, sum_j T_j^2",
-          tolerance(1e-8))
+          "with composing first-order Dunkl operators, sum_j T_j^2")
 def _check_laplacian(ctx: WeightedContext, spec: KernelSpec,
                      params: dict) -> VerificationReport:
-    tol = params["tol"]
     pts = _default_points(ctx.dim, radii=np.linspace(-3.0, 3.0, 13))
     if ctx.dim == 2:
         pts[:, 1] = 0.7 * pts[:, 0] + 0.3
@@ -530,5 +546,6 @@ def _check_laplacian(ctx: WeightedContext, spec: KernelSpec,
         defect = max(defect, float(np.max(np.abs(via_formula - via_compose))) / scale)
     # the report keeps its earlier name: stored reference reports use it
     return VerificationReport.from_defect(
-        "kernel-laplacian-consistency", {"tol": tol}, defect, tol,
+        "kernel-laplacian-consistency", {"tol": LAPLACIAN_TOL}, defect,
+        LAPLACIAN_TOL,
         grid=grid_metadata(ctx))

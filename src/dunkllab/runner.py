@@ -5,7 +5,9 @@ list of checks; runs the checks on a bounded worker pool; writes one JSON
 report per check plus a flat summary CSV and a plot-ready decay CSV.
 Check kinds and their parameters come from the one registry,
 ``checks.CHECKS``, filled where each check is defined (``kernels``,
-``harness``); ``run_check`` runs one of them by name.
+``harness``); ``run_check`` runs one of them by name.  A config chooses
+what each check computes, never its criterion: every report is judged by
+the constants its check records in ``tolerance`` and ``params``.
 
 Determinism contract: re-running an unchanged config overwrites all output
 files with identical bytes.  Every output filename embeds a hash of the
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -47,7 +50,6 @@ def config_schema() -> dict:
     """JSON schema for experiment configs; unknown keys are rejected.  Each
     check's ``params`` are checked against its kind's own schema
     (``CHECKS[kind].schema``) by ``validate_config``."""
-    kinds = sorted(CHECKS)
     return {
         "type": "object",
         "additionalProperties": False,
@@ -74,19 +76,13 @@ def config_schema() -> dict:
                     "additionalProperties": False,
                     "required": ["kind"],
                     "properties": {
-                        "kind": {"enum": kinds},
+                        "kind": {"enum": sorted(CHECKS)},
                         "params": {"type": "object"},
                     },
                 },
             },
             "output_dir": {"type": "string"},
             "workers": {"type": "integer", "minimum": 1},
-            "tolerance_overrides": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {k: {"type": "number", "exclusiveMinimum": 0}
-                               for k in kinds},
-            },
         },
     }
 
@@ -147,18 +143,12 @@ def _config_hash(raw: bytes) -> str:
 
 def report_filenames(stem: str, chash: str, kinds: list[str]) -> list[str]:
     """Per-check JSON filenames; duplicate kinds get an index suffix."""
+    total, seen = Counter(kinds), Counter()
     names = []
-    seen: dict[str, int] = {}
-    total: dict[str, int] = {}
     for kind in kinds:
-        total[kind] = total.get(kind, 0) + 1
-    for kind in kinds:
-        if total[kind] == 1:
-            names.append(f"{stem}_{chash}_{kind}.json")
-        else:
-            i = seen.get(kind, 0)
-            seen[kind] = i + 1
-            names.append(f"{stem}_{chash}_{kind}_{i}.json")
+        suffix = f"_{seen[kind]}" if total[kind] > 1 else ""
+        seen[kind] += 1
+        names.append(f"{stem}_{chash}_{kind}{suffix}.json")
     return names
 
 
@@ -226,13 +216,6 @@ def _write_error_json(path: Path, chk: dict, err: DunklLabError) -> None:
 # execution
 # ---------------------------------------------------------------------------
 
-def _apply_tolerance_override(report: VerificationReport,
-                              tolerance: float) -> VerificationReport:
-    return VerificationReport.from_defect(
-        report.check, report.params, report.max_defect, tolerance,
-        fitted=report.fitted, grid=report.grid, notes=report.notes)
-
-
 def run_check(ctx: WeightedContext, kind: str, params: dict | None = None,
               spec: KernelSpec | None = None) -> VerificationReport:
     """Run the registered check ``kind`` with ``params`` (defaults filled
@@ -282,7 +265,7 @@ def run(config_path: str) -> int:
         validate_config(config)
         ctx = build_context(config)
         spec = build_kernel_spec(config, ctx.dim)
-    except (ConfigError, DunklLabError, ValueError) as err:
+    except (DunklLabError, ValueError) as err:
         print(f"configuration error: {err}")
         return 1
 
@@ -291,32 +274,22 @@ def run(config_path: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = _config_hash(raw)
     checks = config["checks"]
-    overrides = config.get("tolerance_overrides", {})
     workers = int(config.get("workers", os.cpu_count() or 1))
 
     start = time.perf_counter()
-    outcomes: list = [None] * len(checks)
+    results: list[tuple[str, VerificationReport | DunklLabError]] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_execute_one, ctx, spec, chk)
                    for chk in checks]
-        for i, fut in enumerate(futures):
+        for i, (chk, fut) in enumerate(zip(checks, futures)):
             try:
-                outcomes[i] = fut.result()
+                report, elapsed = fut.result()
             except DunklLabError as err:
-                outcomes[i] = err
-
-    results: list[tuple[str, VerificationReport | DunklLabError]] = []
-    for i, (chk, outcome) in enumerate(zip(checks, outcomes)):
-        kind = chk["kind"]
-        if isinstance(outcome, DunklLabError):
-            print(f"error in check {i} ({kind}): {outcome}")
-            results.append((kind, outcome))
-            continue
-        report, elapsed = outcome
-        if kind in overrides:
-            report = _apply_tolerance_override(report, float(overrides[kind]))
-        results.append((kind, report))
-        print(f"{report.summary_line()}  [{elapsed:.2f}s]")
+                print(f"error in check {i} ({chk['kind']}): {err}")
+                results.append((chk["kind"], err))
+                continue
+            results.append((chk["kind"], report))
+            print(f"{report.summary_line()}  [{elapsed:.2f}s]")
 
     filenames = report_filenames(path.stem, chash,
                                  [kind for kind, _ in results])

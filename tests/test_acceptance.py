@@ -167,12 +167,11 @@ def test_06_heat_kernel_gaussian_bound_recovers_classical_rate():
 def test_07_kernel_identities_hold_at_stated_tolerances():
     ctx = WeightedContext(rank1(0.5))
     order_two = {"directions": [[1.0]], "ell": 2, "eps": 0.0, "t": 1.0}
-    cases = [("mass", {"tol": 1e-6}),
-             ("symmetry", {"tol": 1e-8}),
-             ("semigroup", {"tol": 1e-7}),
-             ("scaling", {"tol": 1e-7}),
-             ("decomposition", {"tol": 1e-6, "eps0": 0.1,
-                                "spec": order_two})]
+    cases = [("mass", None),
+             ("symmetry", None),
+             ("semigroup", None),
+             ("scaling", None),
+             ("decomposition", {"eps0": 0.1, "spec": order_two})]
     reports = {kind: run_check(ctx, "kernel-" + kind, params)
                for kind, params in cases}
     ok = all(rep.passed for rep in reports.values())
@@ -187,6 +186,8 @@ def test_07_kernel_identities_hold_at_stated_tolerances():
     assert reports["semigroup"].tolerance == 1e-7
     assert reports["scaling"].tolerance == 1e-7
     assert reports["decomposition"].tolerance == 1e-6
+    for rep in reports.values():
+        assert rep.params["tol"] == rep.tolerance
 
 
 def test_08_operator_algebra_identities():
@@ -253,8 +254,8 @@ def test_08_operator_algebra_identities():
 
 def test_09_exponential_kernel_bound_lipschitz_and_reference_value():
     ctx = WeightedContext(rank1(0.75))
-    bound = run_check(ctx, "e-bound", {"n": 50, "tol": 1e-10})
-    lip = run_check(ctx, "e-lipschitz", {"stability_tol": 0.05})
+    bound = run_check(ctx, "e-bound", {"n": 50})
+    lip = run_check(ctx, "e-lipschitz")
     # closed form for multiplicity k = 1 in one dimension:
     # E(1, 1) = sinh(1)/1 + (cosh 1 - sinh(1)/1)/1 = cosh(1)
     reference = 1.5430806348152437785
@@ -267,8 +268,11 @@ def test_09_exponential_kernel_bound_lipschitz_and_reference_value():
                 f"{100 * lip.fitted['stability']:.2f}% (tol 5%), "
                 f"|E(1,1) - cosh(1)| = {value_err:.1e} (tol 1e-10)")
     assert bound.passed
+    assert bound.tolerance == 1e-10
     assert bound.fitted["max_modulus"] <= 1.0 + 1e-10
     assert lip.passed
+    assert lip.tolerance == 1.0
+    assert lip.params["stability_tol"] == 0.05
     assert lip.fitted["stability"] <= 0.05
     assert value_err <= 1e-10
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from dunkllab import (BilinearFormSpec, InvalidRootSystemError, KernelSpec,
-                      WeightedContext, forms, harness, hermite_family,
-                      kernels, product_z2, rank1, run_check, transform)
+                      WeightedContext, fitting, forms, harness,
+                      hermite_family, kernels, product_z2, rank1, run_check,
+                      transform)
 from dunkllab.errors import DomainTooSmallError
 from dunkllab.fitting import (FitConvergenceError, alternating_split,
                               envelope_fit, envelope_fit_upper,
@@ -43,13 +44,13 @@ class TestDecayExponentFit:
         r = np.geomspace(0.5, 8.0, 30)
         v = np.exp(-0.3 * r**1.8)
         v[:15] = 1e-15
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(FitConvergenceError, match="at least"):
             fit_decay_exponent(np.column_stack([r, v]))
 
     def test_narrow_span_rejected(self):
         r = np.linspace(1.0, 2.0, 30)
         v = np.exp(-r)
-        with pytest.raises(ValueError, match="span"):
+        with pytest.raises(FitConvergenceError, match="span"):
             fit_decay_exponent(np.column_stack([r, v]))
 
     def test_nonpositive_radii_rejected(self):
@@ -132,7 +133,7 @@ class TestEnvelopeFits:
         assert C == pytest.approx(1.0, rel=1e-10)
 
     def test_upper_fit_needs_two_distinct_z(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(FitConvergenceError, match="distinct"):
             envelope_fit_upper(np.array([1.0, 1.0]), np.array([0.5, 0.6]))
 
     def test_bound_holds_on_calibration_data(self):
@@ -178,6 +179,12 @@ class TestCoercivityLP:
         alpha, C = garding_lp(np.array([1.0, 2.0]), np.zeros(2), np.ones(2))
         assert alpha == pytest.approx(1.0, rel=1e-9)
         assert C == pytest.approx(0.0, abs=1e-6)
+
+    def test_cap_is_read_when_the_program_is_solved(self, monkeypatch):
+        monkeypatch.setattr(fitting, "GARDING_C_CAP", 5.0)
+        alpha, C = garding_lp(np.ones(1), np.ones(1), np.ones(1))
+        assert alpha == pytest.approx(6.0, rel=1e-9)
+        assert C == pytest.approx(5.0)
 
     def test_negative_form_value_gives_negative_alpha(self):
         alpha, _ = garding_lp(np.array([-1.0]), np.zeros(1), np.ones(1))
@@ -245,6 +252,16 @@ class TestDecayCheck:
         ctx = WeightedContext(rank1(0.0))
         report = run_check(ctx, "thm1-decay", None, KernelSpec.heat(1))
         assert report.max_defect < 0.01
+
+    @pytest.mark.parametrize("t", [8.0, 50.0])
+    def test_frequency_box_sized_from_the_integrated_spec(self, t):
+        # outside t in [0.25, 4] q_t is integrated at unit time; the box is
+        # sized from that spec, not from the one at t (box 2 at t = 50)
+        ctx = WeightedContext(rank1(0.5))
+        spec = KernelSpec(directions=((1.0,),), ell=1, t=t)
+        report = run_check(ctx, "thm1-decay", None, spec)
+        assert report.grid["freq_box"] == 8.0
+        assert report.passed, report.max_defect
 
     def test_refinement_move_from_its_own_fields(self):
         ctx = WeightedContext(rank1(0.5))

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from dunkllab import __version__, cli
+from dunkllab import __version__, cli, kernels
 from dunkllab.checks import CHECKS, Derived, Param
 from dunkllab.errors import ConfigError
 from dunkllab.report import VerificationReport
@@ -100,7 +100,7 @@ class TestConfigValidation:
         assert "checks[0].params" in message
         assert "'kernel-mass'" in message
         assert "['bogus']" in message
-        assert "accepted: ['points', 't', 'tol']" in message
+        assert "accepted: ['points', 't']" in message
 
     def test_kernel_directions_need_the_system_dimension(self):
         config = minimal_config(kernel={"directions": [[1.0, 0.0]]})
@@ -116,16 +116,52 @@ class TestConfigValidation:
             validate_config(config)
         assert "checks" in str(exc.value)
 
-    def test_tolerance_override_keys_must_be_registered(self):
-        config = minimal_config(tolerance_overrides={"no-such": 1e-6})
-        with pytest.raises(ConfigError) as exc:
-            validate_config(config)
-        assert "tolerance_overrides" in str(exc.value)
 
-    def test_tolerance_override_must_be_positive(self):
-        config = minimal_config(tolerance_overrides={"e-bound": 0.0})
-        with pytest.raises(ConfigError):
-            validate_config(config)
+#: every criterion that was once a config value, with its old default
+RETIRED_CRITERIA = [
+    ("kernel-mass", "tol", 1e-6), ("kernel-symmetry", "tol", 1e-8),
+    ("kernel-semigroup", "tol", 1e-7), ("kernel-scaling", "tol", 1e-7),
+    ("kernel-decomposition", "tol", 1e-6), ("kernel-laplacian", "tol", 1e-8),
+    ("e-bound", "tol", 1e-10), ("thm1-decay", "p_rtol", 0.05),
+    ("thm1-decay", "r2_min", 0.995), ("thm1-decay", "check_stability", False),
+    ("exp-weighted-l1", "rel_tol", 0.02),
+    ("e-lipschitz", "stability_tol", 0.05),
+    ("translation-lipschitz", "stability_tol", 0.05),
+    ("garding", "garding_c_cap", 100.0)]
+
+
+class TestCriteriaAreConstants:
+    @pytest.mark.parametrize("kind, key, value", RETIRED_CRITERIA)
+    def test_retired_criterion_param_exits_one_with_path(
+            self, tmp_path, out_dir, capsys, kind, key, value):
+        config = dict(FAST_CONFIG, checks=[{"kind": kind,
+                                            "params": {key: value}}])
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 1
+        captured = capsys.readouterr()
+        assert f"config error at checks[0].params.{key}: {kind!r} does " \
+               f"not accept [{key!r}]" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        assert not out_dir.exists()
+
+    def test_tolerance_overrides_exits_one_with_path(self, tmp_path, out_dir,
+                                                     capsys):
+        config = dict(FAST_CONFIG, checks=[{"kind": "kernel-mass"}],
+                      tolerance_overrides={"kernel-mass": 1e-5})
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 1
+        captured = capsys.readouterr()
+        assert "config error at (top level): " in captured.out
+        assert "'tolerance_overrides' was unexpected" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+        assert not out_dir.exists()
+
+    def test_no_kind_declares_a_criterion_param(self):
+        def criterion(name):
+            return (name == "tol" or name.endswith("_tol")
+                    or name in ("p_rtol", "r2_min")
+                    or name.endswith("_cap") or name.startswith("check_"))
+        declared = {(kind, p.name) for kind, entry in CHECKS.items()
+                    for p in entry.params if criterion(p.name)}
+        assert declared == set()
 
 
 class TestCheckParams:
@@ -372,9 +408,10 @@ class TestRunEndToEnd:
         assert run(str(path)) == 0
         assert any(p.suffix == ".json" for p in target.iterdir())
 
-    def test_exit_two_when_a_check_fails(self, tmp_path, out_dir, capsys):
-        config = dict(FAST_CONFIG, checks=[{"kind": "kernel-mass"}],
-                      tolerance_overrides={"kernel-mass": 1e-20})
+    def test_exit_two_when_a_check_fails(self, tmp_path, out_dir, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(kernels, "MASS_TOL", 1e-20)
+        config = dict(FAST_CONFIG, checks=[{"kind": "kernel-mass"}])
         path = write_config(tmp_path, config)
         assert run(str(path)) == 2
         out = capsys.readouterr().out
@@ -384,6 +421,7 @@ class TestRunEndToEnd:
         payload = json.loads(report_path.read_text())
         assert payload["pass"] is False
         assert payload["tolerance"] == 1e-20
+        assert payload["params"]["tol"] == 1e-20
 
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -472,6 +510,29 @@ class TestRunEndToEnd:
         assert record["params"] == raising["params"]
         assert record["error"]["type"] == "CapabilityError"
         assert "t in [0.25, 4]" in record["error"]["message"]
+
+    def test_short_decay_sample_is_an_error_record_not_a_traceback(
+            self, tmp_path, out_dir, capsys):
+        # q_t at t = 0.05 falls below the sample floor within a radius ratio
+        # of 4: the decay fit has too little data, an error of the check,
+        # and the run keeps the e-bound report
+        config = {"system": {"type": "rank1", "k": 0.5},
+                  "kernel": {"t": 0.05},
+                  "checks": [{"kind": "e-bound"}, {"kind": "thm1-decay"}]}
+        path = write_config(tmp_path, config)
+        assert cli.main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "error in check 1 (thm1-decay):" in captured.out
+        report_path, = out_dir.glob("exp_*_e-bound.json")
+        assert json.loads(report_path.read_text())["pass"] is True
+        error_path, = out_dir.glob("exp_*_thm1-decay_error.json")
+        record = json.loads(error_path.read_text())
+        assert record["error"]["type"] == "FitConvergenceError"
+        assert "radius ratio" in record["error"]["message"]
+        summary, = out_dir.glob("exp_*_summary.csv")
+        rows = list(csv.reader(summary.read_text().splitlines()))
+        assert ["1", "thm1-decay", "error", "FitConvergenceError"] in rows
 
     def test_order_two_translation_lipschitz_sizes_its_spatial_box(
             self, tmp_path, out_dir, capsys):
