@@ -65,7 +65,7 @@ def _freq_sized_ctx(ctx: WeightedContext, spec: KernelSpec,
     """Context whose frequency box matches the symbol decay of the spec the
     point evaluators integrate (``kernels.integrated_spec``)."""
     fbox = params["freq_box"] or float(
-        np.ceil(1.1 * freq_box_for(integrated_spec(spec))))
+        np.ceil(1.1 * freq_box_for(integrated_spec(spec)[0])))
     fn = params["freq_n_half"] or ctx.freq_n_half
     if fbox == ctx.freq_box and fn == ctx.freq_n_half:
         return ctx
@@ -94,17 +94,18 @@ def decay_samples(ctx: WeightedContext,
 
 @register("thm1-decay",
           "single-point decay of the generalized heat kernel: fit |q_1(x)| ~ "
-          "C exp(-c |x|^p) along rays; pass needs p within 5% of "
-          "2l/(2l-1), r^2 >= 0.995, and a refinement-stable exponent",
+          "C exp(-c |x|^p) along rays; pass needs p within "
+          f"{DECAY_P_RTOL:.0%} of 2l/(2l-1), r^2 >= {DECAY_R2_MIN:g}, and a "
+          "refinement-stable exponent",
           *_FREQ_GRID)
 def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
                       params: dict) -> VerificationReport:
     """Fit |q_1(x)| ~ C exp(-c |x|^p) and compare p with 2l/(2l-1).
 
-    Pass requires the fitted exponent within ``DECAY_P_RTOL`` (5%) of the
-    prescribed value, r^2 of the log-fit at least ``DECAY_R2_MIN`` (0.995),
-    and exponent movement under a 1.5x-refined frequency grid below
-    ``DECAY_REFINE_TOL`` (1%).  The refinement gate always runs.
+    Pass requires the fitted exponent within ``DECAY_P_RTOL`` of the
+    prescribed value, r^2 of the log-fit at least ``DECAY_R2_MIN``, and
+    exponent movement under a 1.5x-refined frequency grid below
+    ``DECAY_REFINE_TOL``.  The refinement gate always runs.
     """
     p_theory = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
     qctx = _freq_sized_ctx(ctx, spec, params)
@@ -139,7 +140,8 @@ def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
          "r2_min": DECAY_R2_MIN},
         defect, 1.0, fitted=fitted, grid=grid_metadata(qctx),
         notes="defect is the worst criterion ratio: exponent error / tol, "
-              "r^2 deficit / (1 - r2_min), refinement move / 1%")
+              "r^2 deficit / (1 - r2_min), refinement move / "
+              f"{DECAY_REFINE_TOL:.0%}")
 
 
 def make_pair_grid(ctx: WeightedContext) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +382,8 @@ def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
         {"n_pairs": int(len(vals)), "stability_tol": STABILITY_TOL},
         defect, 1.0, fitted=fitted, grid=grid_metadata(ctx),
         notes="|E(i xi, x) - 1| <= C |x||xi|; defect is the worse of the "
-              "cal/held constant drift over 5% and the held-out bound ratio")
+              f"cal/held constant drift over {STABILITY_TOL:.0%} and the "
+              "held-out bound ratio")
 
 
 @register("translation-lipschitz",

@@ -157,12 +157,12 @@ def _rescale_to_unit_time(spec: KernelSpec) -> tuple[KernelSpec, float]:
     return replace(spec, eps=eps1, t=1.0), t ** (-1.0 / (2.0 * ell))
 
 
-def integrated_spec(spec: KernelSpec) -> KernelSpec:
-    """The spec whose symbol the point evaluators integrate: ``spec`` for t
-    in [T_DIRECT_MIN, T_DIRECT_MAX], else its unit-time rescaling."""
+def integrated_spec(spec: KernelSpec) -> tuple[KernelSpec, float]:
+    """(spec, lam): the point evaluators integrate spec at lam x, unchanged
+    for t in [T_DIRECT_MIN, T_DIRECT_MAX], else at unit time."""
     if T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        return spec
-    return _rescale_to_unit_time(spec)[0]
+        return spec, 1.0
+    return _rescale_to_unit_time(spec)
 
 
 def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
@@ -182,8 +182,8 @@ def evaluate_q(ctx: WeightedContext, spec: KernelSpec, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        unit, lam = _rescale_to_unit_time(spec)
+    unit, lam = integrated_spec(spec)
+    if unit is not spec:
         amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
         out = amp * np.atleast_1d(evaluate_q(ctx, unit, pts * lam))
         return float(out[0]) if single else out
@@ -287,8 +287,8 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np
     single = x.ndim == 1 and y.ndim == 1
     xs, ys = np.atleast_2d(x), np.atleast_2d(y)
     xs, ys = np.broadcast_arrays(xs, ys)
-    if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        unit, lam = _rescale_to_unit_time(spec)
+    unit, lam = integrated_spec(spec)
+    if unit is not spec:
         amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
         out = amp * np.atleast_1d(two_point_kernel(ctx, unit, xs * lam, ys * lam))
         return float(out[0]) if single else out
@@ -413,10 +413,9 @@ def _check_symmetry(ctx: WeightedContext, spec: KernelSpec,
     scale = max(float(np.max(np.abs(qxy))), 1e-300)
     defect = float(np.max(np.abs(qxy - qyx))) / scale
     return VerificationReport.from_defect(
-        "kernel-symmetry",
-        {"spec": spec.to_dict(), "n_pairs": n, "tol": SYMMETRY_TOL},
-        defect, SYMMETRY_TOL, fitted={"scale": scale},
-        grid=grid_metadata(ctx))
+        "kernel-symmetry", {"spec": spec.to_dict(), "n_pairs": n,
+                            "tol": SYMMETRY_TOL},
+        defect, SYMMETRY_TOL, fitted={"scale": scale}, grid=grid_metadata(ctx))
 
 
 @register("kernel-positivity",
@@ -470,9 +469,11 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
     # q_t is integrated at t inside the direct range and at unit time
     # outside it; enlarge the frequency box only when it cannot hold the
     # symbol decay of every spec integrated
-    need = max(freq_box_for(s) for t in t_values for s in (
-        integrated_spec(replace(spec, t=t)),
-        _rescale_to_unit_time(replace(spec, t=t))[0]))
+    integrated = [_rescale_to_unit_time(replace(spec, t=t))[0]
+                  for t in t_values]
+    integrated += [replace(spec, t=t) for t in t_values
+                   if T_DIRECT_MIN <= t <= T_DIRECT_MAX]
+    need = max(freq_box_for(s) for s in integrated)
     if ctx.freq_box < need:
         ctx = ctx.with_grids(freq_box=float(np.ceil(1.1 * need)))
     defect = 0.0
@@ -547,5 +548,4 @@ def _check_laplacian(ctx: WeightedContext, spec: KernelSpec,
     # the report keeps its earlier name: stored reference reports use it
     return VerificationReport.from_defect(
         "kernel-laplacian-consistency", {"tol": LAPLACIAN_TOL}, defect,
-        LAPLACIAN_TOL,
-        grid=grid_metadata(ctx))
+        LAPLACIAN_TOL, grid=grid_metadata(ctx))

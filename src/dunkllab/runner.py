@@ -5,9 +5,7 @@ list of checks; runs the checks on a bounded worker pool; writes one JSON
 report per check plus a flat summary CSV and a plot-ready decay CSV.
 Check kinds and their parameters come from the one registry,
 ``checks.CHECKS``, filled where each check is defined (``kernels``,
-``harness``); ``run_check`` runs one of them by name.  A config chooses
-what each check computes, never its criterion: every report is judged by
-the constants its check records in ``tolerance`` and ``params``.
+``harness``); ``run_check`` runs one of them by name.
 
 Determinism contract: re-running an unchanged config overwrites all output
 files with identical bytes.  Every output filename embeds a hash of the
@@ -22,7 +20,6 @@ import io
 import json
 import os
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -143,12 +140,18 @@ def _config_hash(raw: bytes) -> str:
 
 def report_filenames(stem: str, chash: str, kinds: list[str]) -> list[str]:
     """Per-check JSON filenames; duplicate kinds get an index suffix."""
-    total, seen = Counter(kinds), Counter()
     names = []
+    seen: dict[str, int] = {}
+    total: dict[str, int] = {}
     for kind in kinds:
-        suffix = f"_{seen[kind]}" if total[kind] > 1 else ""
-        seen[kind] += 1
-        names.append(f"{stem}_{chash}_{kind}{suffix}.json")
+        total[kind] = total.get(kind, 0) + 1
+    for kind in kinds:
+        if total[kind] == 1:
+            names.append(f"{stem}_{chash}_{kind}.json")
+        else:
+            i = seen.get(kind, 0)
+            seen[kind] = i + 1
+            names.append(f"{stem}_{chash}_{kind}_{i}.json")
     return names
 
 
@@ -265,7 +268,7 @@ def run(config_path: str) -> int:
         validate_config(config)
         ctx = build_context(config)
         spec = build_kernel_spec(config, ctx.dim)
-    except (DunklLabError, ValueError) as err:
+    except (ConfigError, DunklLabError, ValueError) as err:
         print(f"configuration error: {err}")
         return 1
 

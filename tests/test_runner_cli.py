@@ -166,7 +166,7 @@ class TestCriteriaAreConstants:
 
 class TestCheckParams:
     @pytest.mark.parametrize("kind, params, path", [
-        ("kernel-mass", {"tol": "abc"}, "tol"),
+        ("kernel-mass", {"t": "abc"}, "t"),
         ("garding", {"ell": "two"}, "ell"),
         ("garding", {"eps": 0.5}, "eps"),
         ("e-bound", {"n": 2.5}, "n"),
@@ -187,6 +187,18 @@ class TestCheckParams:
         assert run(str(write_config(tmp_path, config))) == 1
         out = capsys.readouterr().out
         assert f"config error at checks[1].params.{path}:" in out
+        assert not out_dir.exists()
+
+    def test_numeric_param_of_wrong_type_names_its_type(self, tmp_path,
+                                                         out_dir, capsys):
+        # the example message the README gives
+        config = dict(FAST_CONFIG, checks=[{"kind": "e-bound"},
+                                           {"kind": "kernel-mass",
+                                            "params": {"t": "abc"}}])
+        assert run(str(write_config(tmp_path, config))) == 1
+        out = capsys.readouterr().out
+        assert ("config error at checks[1].params.t: 'abc' is not of type "
+                "'number'") in out
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("kind", ["kernel-symmetry", "kernel-semigroup",
