@@ -177,10 +177,8 @@ class PolyGauss:
 
     def reflect_axis(self, axis: int) -> "PolyGauss":
         """Compose with the sign flip of one coordinate (Gaussian invariant)."""
-        c = self.coeffs.copy()
+        c = self.coeffs
         idx = np.arange(c.shape[axis])
-        sl = [None] * self.dim
-        sl[axis] = slice(None)
         signs = np.where(idx % 2 == 1, -1.0, 1.0)
         shape = [1] * self.dim
         shape[axis] = c.shape[axis]

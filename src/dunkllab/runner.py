@@ -20,6 +20,7 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -140,18 +141,12 @@ def _config_hash(raw: bytes) -> str:
 
 def report_filenames(stem: str, chash: str, kinds: list[str]) -> list[str]:
     """Per-check JSON filenames; duplicate kinds get an index suffix."""
+    total, seen = Counter(kinds), Counter()
     names = []
-    seen: dict[str, int] = {}
-    total: dict[str, int] = {}
     for kind in kinds:
-        total[kind] = total.get(kind, 0) + 1
-    for kind in kinds:
-        if total[kind] == 1:
-            names.append(f"{stem}_{chash}_{kind}.json")
-        else:
-            i = seen.get(kind, 0)
-            seen[kind] = i + 1
-            names.append(f"{stem}_{chash}_{kind}_{i}.json")
+        suffix = f"_{seen[kind]}" if total[kind] > 1 else ""
+        seen[kind] += 1
+        names.append(f"{stem}_{chash}_{kind}{suffix}.json")
     return names
 
 
