@@ -108,7 +108,9 @@ def type_text(schema: dict) -> str:
     if schema.get("vector"):
         return "vector (one number per axis)"
     if schema["type"] == "array":
-        return "list of " + type_text(schema["items"])
+        distinct = (f"at least {schema['minItems']} distinct "
+                    if schema.get("uniqueItems") else "")
+        return "list of " + distinct + type_text(schema["items"])
     if schema["type"] == "object":
         return "object {" + ", ".join(schema["properties"]) + "}"
     return ", ".join([schema["type"]] + [f"{op} {schema[key]:g}" for key, op

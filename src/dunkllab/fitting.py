@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares, linprog
 
-from .errors import FitConvergenceError
+from .errors import AccuracyError, FitConvergenceError
 
 SAMPLE_FLOOR = 1e-12
 MIN_SAMPLES = 20
@@ -166,12 +166,21 @@ def envelope_fit_upper(z: np.ndarray,
 
 
 def envelope_holdout_ratio(d: np.ndarray, vals: np.ndarray, p: float,
-                           c: float, C: float) -> float:
+                           c: float, C: float, labels=None) -> float:
     """max vals / (HOLDOUT_SLACK * C * exp(-c d^p)) on held-out data; <= 1
-    passes."""
+    passes.  A held-out value that underflows to 0 with its envelope has no
+    ratio (0/0): AccuracyError, naming those samples by their ``labels``
+    when given."""
     d = np.asarray(d, dtype=float)
     vals = np.asarray(vals, dtype=float)
     bound = HOLDOUT_SLACK * C * np.exp(-c * d**p)
+    both = (vals == 0) & (bound == 0)
+    if np.any(both):
+        where = ("" if labels is None else
+                 " at " + ", ".join(sorted(set(np.asarray(labels)[both]))))
+        raise AccuracyError(
+            f"{int(np.sum(both))} held-out values and their envelope both "
+            f"underflow to 0{where}")
     return float(np.max(vals / bound))
 
 

@@ -25,7 +25,7 @@ from . import fitting
 from .checks import (GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived,
                      Param, grid_params, integer, number, numbers, register)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
-from .errors import ConfigError, DomainTooSmallError
+from .errors import CapabilityError, ConfigError, DomainTooSmallError
 from .fitting import (alternating_split, envelope_fit,
                       envelope_fit_upper, envelope_holdout_ratio,
                       fit_decay_exponent, garding_lp, garding_holdout_ratio,
@@ -164,15 +164,19 @@ def make_pair_grid(ctx: WeightedContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _envelope_verdict(z: np.ndarray, vals: np.ndarray, p: float,
-                      fit) -> tuple[float, dict]:
+                      fit, labels=None) -> tuple[float, dict]:
     """(defect, fitted) of vals <= C exp(-c z^p): (c, C) = ``fit`` on the
     even half of the (z, vals)-sorted samples, the odd half held out with
-    1.05 slack; the defect is the held-out ratio, at least 2 when c <= 0."""
+    1.05 slack; the defect is the held-out ratio, at least 2 when c <= 0.
+    ``labels`` (one per sample) name held-out samples that have no ratio
+    (``envelope_holdout_ratio``)."""
     order = np.lexsort((vals, z))
     z, vals = z[order], vals[order]
     cal, held = alternating_split(len(z))
     c, C = fit(z[cal], vals[cal])
-    ratio = envelope_holdout_ratio(z[held], vals[held], p, c, C)
+    held_labels = None if labels is None else np.asarray(labels)[order][held]
+    ratio = envelope_holdout_ratio(z[held], vals[held], p, c, C,
+                                   held_labels)
     defect = ratio if c > 0 else max(ratio, 2.0)
     return defect, {"c_fitted": c, "C_fitted": C, "holdout_ratio": ratio}
 
@@ -185,7 +189,13 @@ def _envelope_verdict(z: np.ndarray, vals: np.ndarray, p: float,
 def _check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
                            params: dict) -> VerificationReport:
     """Calibrate (c, C) in |q(x,y)| V(x,y,1) <= C exp(-c d(x,y)^{2l/(2l-1)})
-    and verify the bound, with 1.05 slack, on the held-out pair half."""
+    and verify the bound, with 1.05 slack, on the held-out pair half.  The
+    bound is stated for q_1 on a fixed pair grid, while q_t spreads over
+    distances of order t^{1/(2l)}: another time is a CapabilityError."""
+    if spec.t != 1.0:
+        raise CapabilityError(
+            f"thm2-two-point bounds q_1; kernel t = {spec.t:g} would need "
+            "its pairs rescaled to unit time")
     xs, ys = make_pair_grid(ctx)
     p = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
     qctx = _freq_sized_ctx(ctx, spec, params)
@@ -223,8 +233,9 @@ def _check_heat_gaussian_bound(ctx: WeightedContext, spec: KernelSpec,
         zs.append(d**2 / t)
         vals.append(h * V)
     z = np.concatenate(zs)
+    times = np.repeat([f"t = {t:g}" for t in t_set], [len(zt) for zt in zs])
     defect, fitted = _envelope_verdict(z, np.concatenate(vals), 1.0,
-                                       envelope_fit_upper)
+                                       envelope_fit_upper, times)
     return VerificationReport.from_defect(
         "heat-gaussian-bound",
         {"t_set": t_set, "n_pairs": int(len(z))},
@@ -428,7 +439,11 @@ def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
           "compact-support convolution bound: ||tau_y(f * phi)||_{L1(dw)} <= "
           "C (r1 (r1 + r2))^{N_h/2} ||phi||_inf ||f||_{L1(dw)} across a grid "
           "of support radii",
-          numbers("radii", [0.5, 1.0, 2.0], exclusiveMinimum=0),
+          # one radius, or a repeated one, leaves no held-out pair
+          Param("radii", {"type": "array", "minItems": 2,
+                          "uniqueItems": True,
+                          "items": {"type": "number", "exclusiveMinimum": 0}},
+                [0.5, 1.0, 2.0]),
           Param("y", VECTOR_SCHEMA, Derived("(1, 0, ...)")),
           *grid_params(box=6.0, n_half=240, freq_box=20.0, freq_n_half=400))
 def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
@@ -566,7 +581,10 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         del real
         moved = dunkl_translate(cctx, spectrum, y_shift).values
         del spectrum
-        flipped = np.abs(moved[(slice(None, None, -1),) * cctx.dim])
+        # C order, as the buffer of ``grid.integrate`` is: the weighted sum
+        # is formed in place and has the bits of ``integrate(flipped)``
+        flipped = np.abs(moved[(slice(None, None, -1),) * cctx.dim],
+                         order="C")
         del moved
         weight = _orbit_distance_to(cctx, y_shift)
         weight **= a_exp
@@ -574,7 +592,7 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         np.exp(weight, out=weight)
         flipped *= weight
         del weight
-        return float(cctx.grid.integrate(flipped))
+        return float(np.sum(cctx.grid.weighted(flipped, flipped)))
 
     base_ctx = convolution_context(ctx, spec, params, t_min=eps0 / 2.0)
     fine_ctx = base_ctx.with_grids(n_half=refined_n_half(base_ctx.n_half))

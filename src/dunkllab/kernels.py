@@ -268,6 +268,7 @@ def dunkl_translate(ctx: WeightedContext, f, x) -> GridSampled:
     tf = (f.values_on(ctx.freq_grid) if isinstance(f, SpectralFunction)
           else dunkl_transform(ctx, f).values)
     shifted = tf * _kernel_at_point(ctx, x, ctx.freq_grid)
+    del tf      # a spectrum computed here is dead before the inverse
     return inverse_dunkl_transform(ctx, shifted)
 
 

@@ -10,9 +10,6 @@ product per axis, with the quadrature weights folded into the matrix:
     forward   conj(E) * w_x     E[a, b] = E(i xi_a x_b)
     inverse   E.T * w_xi        (E(i x_a xi_b) = E(i xi_b x_a), products commute)
 
-The cache holds these weighted operators (the dominant memory object),
-both in C order, under a byte cap; the raw E is not kept.
-
 Every axis rule is mirrored (nodes = concat(-x[::-1], x)), and on the
 imaginary axis Re E(iu) is even and Im E(iu) is odd.  So E is determined
 by its positive quadrant: the other three quadrants are that quadrant
@@ -20,6 +17,26 @@ reversed, conjugated where one factor is negative.  The rank-one kernel
 is evaluated once per quadrant entry and per (frequency rule, spatial
 rule) pair, and that one evaluation gives both operators, bit-identical
 to evaluating every entry of each.
+
+Row -a of each weighted operator is then the conjugate of row a, bit for
+bit.  The cache (the dominant memory object) holds only the rows of the
+non-negative nodes of each operator, the "half", in C order and under a
+byte cap; the raw E is not kept.  Each product forms the negative rows
+from the half:
+
+* in 1-D, row -a of op @ v is conj(row a of half @ conj(v)).  That is
+  the whole product's row bit for bit, except where its imaginary part
+  is exactly zero: the sums of the negated terms give +0, conjugated to
+  -0, where the whole product has +0, so +0.0 is added back;
+* in 2-D, a product with a real input's first contraction needs no
+  negative rows (below); every other product is taken in two parts,
+  rows -h..-1 from a conjugated copy of the half reversed, which lives
+  for that product only, and then rows 0..h-1 from the half itself
+  (``_row_parts``).  Each row's dot product is the whole product's.
+  Row blocks of at most ``BLOCK_BYTES`` would hold less memory, but
+  every block call repacks the whole operand: with an 800 x 1800
+  operator, a 1800² operand and 2 BLAS threads, blocks of that size
+  made the product 15-25% slower than the whole one.
 
 In 2-D the grid-sized work is done in blocks (``quadrature.block_slices``)
 that split only a dimension a product does not contract.  That leaves each
@@ -29,16 +46,15 @@ operands (``tests/test_transform.py`` compares them byte for byte):
 
 * a real input is converted to complex one column block at a time for
   the first contraction, so it is never copied to complex whole;
-* that first contraction of a real input is formed on the non-negative
-  rows only.  Row -a of each operator is the conjugate of row a (the rows
-  of ``_unfold``), so for a real operand row -a of the product is the
-  conjugate of row a, and it is filled in by conjugation.  These rows are
-  those of the whole product, except that an all-zero column gets
-  imaginary zeros of the other sign, which leave the bits of the second
-  contraction as they were.  For a real input the second contraction's
-  result is conjugate-symmetric too, but it is not mirrored: on OpenBLAS
-  0.3.31 its whole product is conjugate-symmetric bit for bit only when
-  the destination axis has a multiple of 8 nodes;
+* that first contraction of a real input is formed on the half only: for
+  a real operand row -a of the product is the conjugate of row a, and it
+  is filled in by conjugation.  These rows are those of the whole
+  product, except that an all-zero column gets imaginary zeros of the
+  other sign, which leave the bits of the second contraction as they
+  were.  For a real input the second contraction's result is
+  conjugate-symmetric too, but it is not mirrored: on OpenBLAS 0.3.31 its
+  whole product is conjugate-symmetric bit for bit only when the
+  destination axis has a multiple of 8 nodes;
 * an inverse takes its last contraction in row blocks of the operator;
   each complex block gets the elementwise steps the whole array got
   (``/ c_k``, then ``then``), and its real part goes into a real result
@@ -88,33 +104,29 @@ def _half(nodes: np.ndarray) -> np.ndarray:
     return nodes[n:]
 
 
-def _unfold(q: np.ndarray) -> np.ndarray:
-    """The mirrored-grid matrix with positive quadrant q (C order)."""
-    n, m = q.shape
-    mat = np.empty((2 * n, 2 * m), dtype=complex)
-    mat[n:, m:] = q
-    mat[:n, :m] = q[::-1, ::-1]
-    np.conj(q[::-1, :], out=mat[:n, m:])
-    np.conj(q[:, ::-1], out=mat[n:, :m])
-    return mat
-
-
 def _weighted_operators(freq: AxisRule, space: AxisRule,
                         k: float) -> tuple[np.ndarray, np.ndarray]:
-    """(conj(E) * w_x, E.T * w_xi) for E = E(i xi_a x_b), from one
-    evaluation of its positive quadrant; Re is even, Im is odd."""
+    """The non-negative rows of conj(E) * w_x and of E.T * w_xi, for
+    E = E(i xi_a x_b), from one evaluation of its positive quadrant q:
+    [q[:, ::-1], conj(q)] * w_x and [conj(q.T[:, ::-1]), q.T] * w_xi."""
     re, im = kernel_imag_parts(np.outer(_half(freq.nodes), _half(space.nodes)), k)
     q = re + 1j * im
-    forward = _unfold(np.conj(q))
+    n, m = q.shape
+    forward = np.empty((n, 2 * m), dtype=complex)
+    forward[:, :m] = q[:, ::-1]
+    np.conj(q, out=forward[:, m:])
     forward *= space.weights[None, :]
-    inverse = _unfold(q.T)
+    inverse = np.empty((m, 2 * n), dtype=complex)
+    np.conj(q.T[:, ::-1], out=inverse[:, :n])
+    inverse[:, n:] = q.T
     inverse *= freq.weights[None, :]
     return forward, inverse
 
 
 class KernelMatrixCache:
-    """Weighted per-axis operators of the transform, keyed by the frequency
-    rule, the spatial rule and the multiplicity.
+    """Halves of the weighted per-axis operators of the transform (their
+    non-negative rows), keyed by the frequency rule, the spatial rule and
+    the multiplicity.
 
     Safe under threads, and single-flight: one build per key however many
     threads miss on it at once.  Least recently used operators are evicted
@@ -129,8 +141,9 @@ class KernelMatrixCache:
 
     def matrix(self, freq: AxisRule, space: AxisRule, k: float,
                forward: bool) -> np.ndarray:
-        """conj(E) * w_x (frequency x space) if ``forward``, else
-        E.T * w_xi (space x frequency)."""
+        """The non-negative rows of conj(E) * w_x (frequency x space) if
+        ``forward``, else of E.T * w_xi (space x frequency): the stored
+        array itself, so a hit returns the array the build did."""
         key = b"".join((np.float64(k).tobytes(), freq.nodes.tobytes(),
                         freq.weights.tobytes(), space.nodes.tobytes(),
                         space.weights.tobytes()))
@@ -217,6 +230,13 @@ def _real_part_into(dst: np.ndarray, block: np.ndarray, steps) -> float:
     return sup_abs(block.imag)
 
 
+def _row_parts(half: np.ndarray):
+    """(first row, rows) of the operator whose non-negative rows are
+    ``half``: its negative rows, a conjugated copy of ``half`` reversed (row
+    -a is the conjugate of row a), then ``half`` itself."""
+    return (0, np.conj(half[::-1])), (half.shape[0], half)
+
+
 def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
                     src: TensorGrid, dst: TensorGrid, forward: bool,
                     then=None):
@@ -234,28 +254,42 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
     ks = ctx.system.ks
     freq, space = (dst, src) if forward else (src, dst)
     steps = [(np.divide, c_k)] + ([then] if then else [])
-    ops = [_CACHE.matrix(freq.axes[d], space.axes[d], ks[d], forward)
-           for d in range(ctx.dim)]
+    halves = [_CACHE.matrix(freq.axes[d], space.axes[d], ks[d], forward)
+              for d in range(ctx.dim)]
     vals = np.asarray(vals)
-    if ctx.dim == 2 and not np.iscomplexobj(vals):
-        h = ops[0].shape[0] // 2
-        first = np.empty((2 * h, vals.shape[1]), dtype=complex)
-        for cols in block_slices(vals.shape[1], 16 * vals.shape[0]):
-            first[h:, cols] = np.dot(ops[0][h:], vals[:, cols].astype(complex))
-        np.conj(first[h:][::-1], out=first[:h])
-    else:
-        first = np.tensordot(ops[0], np.asarray(vals, dtype=complex),
-                             axes=([1], [0]))
-    if ctx.dim == 1 or forward:
-        out = first if ctx.dim == 1 else np.moveaxis(
-            np.tensordot(ops[1], first, axes=([1], [1])), 0, 1)
+    h = halves[0].shape[0]
+    if ctx.dim == 1:
+        v = np.asarray(vals, dtype=complex)
+        out = np.empty(2 * h, dtype=complex)
+        np.dot(halves[0], v, out=out[h:])
+        np.conj(np.dot(halves[0], np.conj(v))[::-1], out=out[:h])
+        out[:h].imag += 0.0
         _scale(out, steps)
         return out if forward else (out.real.copy(), sup_abs(out.imag))
-    out = np.empty((first.shape[0], ops[1].shape[0]), order="F")
+    first = np.empty((2 * h, vals.shape[1]), dtype=complex)
+    if not np.iscomplexobj(vals):
+        for cols in block_slices(vals.shape[1], 16 * vals.shape[0]):
+            first[h:, cols] = np.dot(halves[0], vals[:, cols].astype(complex))
+        np.conj(first[h:][::-1], out=first[:h])
+    else:
+        vals = np.asarray(vals, dtype=complex)
+        for start, part in _row_parts(halves[0]):
+            np.dot(part, vals, out=first[start:start + h])
+    h = halves[1].shape[0]
+    if forward:
+        out_t = np.empty((2 * h, first.shape[0]), dtype=complex)
+        for start, part in _row_parts(halves[1]):
+            np.dot(part, first.T, out=out_t[start:start + h])
+        _scale(out_t, steps)
+        return out_t.T
+    out = np.empty((first.shape[0], 2 * h), order="F")
     residue = 0.0
-    for rows in block_slices(ops[1].shape[0], 16 * first.shape[0]):
-        residue = np.maximum(residue, _real_part_into(
-            out.T[rows], np.dot(ops[1][rows], first.T), steps))
+    for start, part in _row_parts(halves[1]):
+        for rows in block_slices(h, 16 * first.shape[0]):
+            stop = start + min(rows.stop, h)
+            residue = np.maximum(residue, _real_part_into(
+                out.T[start + rows.start:stop], np.dot(part[rows], first.T),
+                steps))
     return out, float(residue)
 
 

@@ -9,7 +9,7 @@ from dunkllab import (BilinearFormSpec, InvalidRootSystemError, KernelSpec,
                       WeightedContext, fitting, forms, harness,
                       hermite_family, kernels, product_z2, rank1, run_check,
                       transform)
-from dunkllab.errors import DomainTooSmallError
+from dunkllab.errors import CapabilityError, DomainTooSmallError
 from dunkllab.fitting import (FitConvergenceError, alternating_split,
                               envelope_fit, envelope_fit_upper,
                               envelope_holdout_ratio, fit_decay_exponent,
@@ -281,6 +281,15 @@ class TestTwoPointCheck:
         assert report.passed
         assert report.fitted["c_fitted"] > 0
         assert report.fitted["holdout_ratio"] <= 1.0
+
+
+    def test_kernel_time_other_than_one_is_refused(self):
+        # at t = 8 the fitted rate is negative and the check used to FAIL,
+        # which reads as a violated bound
+        ctx = WeightedContext(rank1(0.5))
+        spec = KernelSpec(directions=((1.0,),), ell=1, t=8.0)
+        with pytest.raises(CapabilityError, match="kernel t = 8"):
+            run_check(ctx, "thm2-two-point", None, spec)
 
 
 class TestHeatBoundCheck:

@@ -177,6 +177,10 @@ class TestCheckParams:
         # vectors must have one component per axis of the system
         ("kernel-mass", {"points": [[1.0, 2.0]]}, "points[0]"),
         ("compact-support-l1", {"y": [1.0, 0.0]}, "y"),
+        # one radius, or a repeated one, leaves the fit no held-out pair
+        ("compact-support-l1", {"radii": [1.0]}, "radii"),
+        ("compact-support-l1", {"radii": [1.0, 1.0]}, "radii"),
+        ("compact-support-l1", {"radii": [0.5, 1, 1.0]}, "radii"),
         ("kernel-symmetry", {"spec": {"directions": [[1.0, 0.0]]}},
          "spec.directions[0]"),
     ])
@@ -434,6 +438,22 @@ class TestRunEndToEnd:
         assert payload["pass"] is False
         assert payload["tolerance"] == 1e-20
         assert payload["params"]["tol"] == 1e-20
+
+    def test_underflowed_heat_bound_exits_one_without_nan(self, tmp_path,
+                                                          out_dir, capsys):
+        # at t = 1e-4 held-out heat values and their envelope are both 0:
+        # the ratio 0/0 used to be written into the report as NaN
+        config = dict(FAST_CONFIG, checks=[
+            {"kind": "heat-gaussian-bound", "params": {"t_set": [1e-4]}}])
+        assert run(str(write_config(tmp_path, config))) == 1
+        out = capsys.readouterr().out
+        assert "underflow to 0 at t = 0.0001" in out
+        error_path, = out_dir.glob("*heat-gaussian-bound_error.json")
+        error = json.loads(error_path.read_text())["error"]
+        assert error["type"] == "AccuracyError"
+        assert not list(out_dir.glob("*heat-gaussian-bound.json"))
+        for path in out_dir.iterdir():
+            assert "nan" not in path.read_text().lower()
 
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
