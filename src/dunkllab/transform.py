@@ -28,15 +28,15 @@ from the half:
   the whole product's row bit for bit, except where its imaginary part
   is exactly zero: the sums of the negated terms give +0, conjugated to
   -0, where the whole product has +0, so +0.0 is added back;
-* in 2-D, a product with a real input's first contraction needs no
-  negative rows (below); every other product is taken in two parts,
-  rows -h..-1 from a conjugated copy of the half reversed, which lives
-  for that product only, and then rows 0..h-1 from the half itself
-  (``_row_parts``).  Each row's dot product is the whole product's.
-  Row blocks of at most ``BLOCK_BYTES`` would hold less memory, but
-  every block call repacks the whole operand: with an 800 x 1800
-  operator, a 1800² operand and 2 BLAS threads, blocks of that size
-  made the product 15-25% slower than the whole one.
+* in 2-D, the first contraction of a real input, and its last one when
+  the destination has an even half, need no negative rows (below); every
+  other product is taken in two parts, rows -h..-1 from a conjugated copy
+  of the half reversed, which lives for that product only, and then rows
+  0..h-1 from the half itself (``_row_parts``).  Each row's dot product
+  is the whole product's.  Row blocks of at most ``BLOCK_BYTES`` would
+  hold less memory, but every block call repacks the whole operand: with
+  an 800 x 1800 operator, a 1800² operand and 2 BLAS threads, blocks of
+  that size made the product 15-25% slower than the whole one.
 
 In 2-D the grid-sized work is done in blocks (``quadrature.block_slices``)
 that split only a dimension a product does not contract.  That leaves each
@@ -51,10 +51,25 @@ operands (``tests/test_transform.py`` compares them byte for byte):
   is filled in by conjugation.  These rows are those of the whole
   product, except that an all-zero column gets imaginary zeros of the
   other sign, which leave the bits of the second contraction as they
-  were.  For a real input the second contraction's result is
-  conjugate-symmetric too, but it is not mirrored: on OpenBLAS 0.3.31 its
-  whole product is conjugate-symmetric bit for bit only when the
-  destination axis has a multiple of 8 nodes;
+  were;
+* for a real input the last contraction is point symmetric too: the
+  transform of a real function has F f(-xi) = conj F f(xi), since
+  E(-iu) = conj E(iu), and the inverse of a real spectrum has the same
+  symmetry.  On OpenBLAS 0.3.31 the whole product has it bit for bit
+  when the destination's half is even (a multiple of 4 nodes) and not
+  when it is odd.  A sweep of destination halves 36-60 and 80-360 from
+  source halves 45 and 48 (forward transforms and real-spectrum
+  inverses, C and F order, lines of +-0.0, 1, 2 and 4 BLAS threads)
+  matched at every even destination half and at no odd one.  So when
+  every destination half is even, the last contraction multiplies the
+  half only: a forward transform fills rows -h..-1 with the conjugate
+  of rows h..2h-1 reversed on both axes and adds +0.0 to their
+  imaginary parts, as in 1-D; an inverse runs its row blocks over the
+  half and copies its real part reversed on both axes, and the half's
+  sup |Im| is the whole result's.  The path is picked from the
+  operand's dtype and the half counts of the cached operators; complex
+  operands and odd destination halves keep the two-part products, and
+  every default grid has even halves;
 * an inverse takes its last contraction in row blocks of the operator;
   each complex block gets the elementwise steps the whole array got
   (``/ c_k``, then ``then``), and its real part goes into a real result
@@ -267,7 +282,8 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
         _scale(out, steps)
         return out if forward else (out.real.copy(), sup_abs(out.imag))
     first = np.empty((2 * h, vals.shape[1]), dtype=complex)
-    if not np.iscomplexobj(vals):
+    real = not np.iscomplexobj(vals)
+    if real:
         for cols in block_slices(vals.shape[1], 16 * vals.shape[0]):
             first[h:, cols] = np.dot(halves[0], vals[:, cols].astype(complex))
         np.conj(first[h:][::-1], out=first[:h])
@@ -276,20 +292,27 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
         for start, part in _row_parts(halves[0]):
             np.dot(part, vals, out=first[start:start + h])
     h = halves[1].shape[0]
+    mirror = real and all(half.shape[0] % 2 == 0 for half in halves)
+    parts = ((h, halves[1]),) if mirror else _row_parts(halves[1])
     if forward:
         out_t = np.empty((2 * h, first.shape[0]), dtype=complex)
-        for start, part in _row_parts(halves[1]):
+        for start, part in parts:
             np.dot(part, first.T, out=out_t[start:start + h])
+        if mirror:
+            np.conj(out_t[h:][::-1, ::-1], out=out_t[:h])
+            out_t[:h].imag += 0.0
         _scale(out_t, steps)
         return out_t.T
     out = np.empty((first.shape[0], 2 * h), order="F")
     residue = 0.0
-    for start, part in _row_parts(halves[1]):
+    for start, part in parts:
         for rows in block_slices(h, 16 * first.shape[0]):
             stop = start + min(rows.stop, h)
             residue = np.maximum(residue, _real_part_into(
                 out.T[start + rows.start:stop], np.dot(part[rows], first.T),
                 steps))
+    if mirror:
+        out.T[:h] = out.T[h:][::-1, ::-1]
     return out, float(residue)
 
 

@@ -1,5 +1,7 @@
 """Weighted integral transform: fixed points, Plancherel, inversion, convolution."""
 
+import dataclasses
+import functools
 import sys
 import threading
 import time
@@ -8,8 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from dunkllab import harness, kernels, quadrature, transform
+from dunkllab.checks import CHECKS, Derived
 from dunkllab import (AccuracyError, DomainTooSmallError, GridSampled,
                       KernelSpec, PolyGauss, WeightedContext, apply_dunkl,
                       dunkl_convolve, dunkl_transform, gaussian,
@@ -17,7 +21,7 @@ from dunkllab import (AccuracyError, DomainTooSmallError, GridSampled,
                       inverse_dunkl_transform, monomial_gauss,
                       plancherel_defect, product_z2, q_on_grid, rank1)
 from dunkllab.dunkl_kernel import kernel_imag_parts
-from dunkllab.quadrature import AxisRule
+from dunkllab.quadrature import AxisRule, refined_n_half
 from dunkllab.runner import run_check
 from dunkllab.transform import (KernelMatrixCache, SpectralFunction,
                                 _real_part_checked)
@@ -46,6 +50,77 @@ class TestGaussianFixedPoint:
     def test_imaginary_part_vanishes_for_even_functions(self):
         tf = dunkl_transform(ctx_rank1(0.75), gaussian(1))
         assert np.max(np.abs(tf.values.imag)) < 1e-12
+
+
+def generalized_hermite(n: int, k: float, x: np.ndarray) -> np.ndarray:
+    """h_n(x) = x^(n mod 2) L_m^(k - 1/2 + n mod 2)(x^2) exp(-x^2/2), m = n // 2:
+    an eigenfunction of the rank-one Dunkl transform with eigenvalue (-i)^n
+    (Rosler, Comm. Math. Phys. 192 (1998))."""
+    odd = n % 2
+    return (x ** odd * eval_genlaguerre(n // 2, k - 0.5 + odd, x * x)
+            * np.exp(-x * x / 2.0))
+
+
+def relative_error(got: np.ndarray, expect: np.ndarray) -> float:
+    return float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+
+
+@functools.cache
+def default_context(ks: tuple) -> WeightedContext:
+    return WeightedContext(rank1(ks[0]) if len(ks) == 1 else product_z2(ks))
+
+
+class TestHermiteEigenfunctions:
+    """F h_n = (-i)^n h_n on the default grids, to a relative error set at
+    1.5 times the worst one measured (n <= 8; OpenBLAS 0.3.31 at 1, 2 and 4
+    threads).  The error is the quadrature c_k's own (ROADMAP item 7)."""
+
+    #: measured worst 1.31e-13, 1.10e-14 and 2.81e-14
+    RANK1_TOL = {0.0: 2.0e-13, 0.5: 1.7e-14, 1.3: 4.3e-14}
+    #: measured worst over both directions 1.13e-13, 1.73e-14 and 5.87e-14
+    RANK2_TOL = {(0.0, 0.0): 1.7e-13, (0.5, 1.3): 2.6e-14,
+                 (1.3, 0.0): 8.9e-14}
+    #: tensor degrees (n, m): n + m odd, then even (real spectra)
+    RANK2_DEGREES = [(1, 0), (2, 1), (3, 4), (0, 7), (7, 8),
+                     (0, 0), (1, 1), (2, 2), (5, 3), (4, 4), (8, 0), (6, 2),
+                     (8, 8)]
+
+    @pytest.mark.parametrize("k", sorted(RANK1_TOL))
+    @pytest.mark.parametrize("n", range(9))
+    def test_rank1_forward(self, k, n):
+        ctx = default_context((k,))
+        x, xi = ctx.grid.axis_nodes(0), ctx.freq_grid.axis_nodes(0)
+        got = dunkl_transform(ctx, GridSampled(
+            grid=ctx.grid, values=generalized_hermite(n, k, x))).values
+        expect = (-1j) ** n * generalized_hermite(n, k, xi)
+        assert relative_error(got, expect) < self.RANK1_TOL[k]
+
+    @staticmethod
+    def tensor(ks, n, m, grid) -> np.ndarray:
+        return np.multiply.outer(
+            generalized_hermite(n, ks[0], grid.axis_nodes(0)),
+            generalized_hermite(m, ks[1], grid.axis_nodes(1)))
+
+    @pytest.mark.parametrize("ks", sorted(RANK2_TOL))
+    def test_rank2_forward_of_tensor_products(self, ks):
+        ctx = default_context(ks)
+        for n, m in self.RANK2_DEGREES:
+            got = dunkl_transform(ctx, GridSampled(
+                grid=ctx.grid, values=self.tensor(ks, n, m, ctx.grid))).values
+            expect = (-1j) ** (n + m) * self.tensor(ks, n, m, ctx.freq_grid)
+            assert relative_error(got, expect) < self.RANK2_TOL[ks], (n, m)
+
+    @pytest.mark.parametrize("ks", sorted(RANK2_TOL))
+    def test_rank2_inverse_of_real_spectra(self, ks):
+        ctx = default_context(ks)
+        for n, m in self.RANK2_DEGREES:
+            if (n + m) % 2:
+                continue
+            back = inverse_dunkl_transform(
+                ctx, self.tensor(ks, n, m, ctx.freq_grid))
+            expect = (-1) ** ((n + m) // 2) * self.tensor(ks, n, m, ctx.grid)
+            assert relative_error(back.values, expect) < self.RANK2_TOL[ks], \
+                (n, m)
 
 
 class TestPlancherel:
@@ -226,14 +301,26 @@ def entrywise(rows: np.ndarray, cols: np.ndarray, k: float) -> np.ndarray:
     return re + 1j * im
 
 
+#: whole operators by (id(freq), id(space), k, forward), each entry with
+#: its two rules, which it keeps alive so that their ids stay theirs
+_WHOLE_OPERATORS: dict = {}
+
+
 def whole_operator(freq: AxisRule, space: AxisRule, k: float,
                    forward: bool) -> np.ndarray:
     """The weighted operator of one direction with every entry evaluated:
-    conj(E) * w_x (frequency x space) or E.T * w_xi (space x frequency)."""
-    if forward:
-        return (np.conj(entrywise(freq.nodes, space.nodes, k))
-                * space.weights[None, :])
-    return entrywise(space.nodes, freq.nodes, k) * freq.weights[None, :]
+    conj(E) * w_x (frequency x space) or E.T * w_xi (space x frequency).
+    Computed once per pair of rule objects; read-only."""
+    key = (id(freq), id(space), k, forward)
+    if key not in _WHOLE_OPERATORS:
+        if forward:
+            op = (np.conj(entrywise(freq.nodes, space.nodes, k))
+                  * space.weights[None, :])
+        else:
+            op = entrywise(space.nodes, freq.nodes, k) * freq.weights[None, :]
+        op.flags.writeable = False
+        _WHOLE_OPERATORS[key] = (freq, space, op)
+    return _WHOLE_OPERATORS[key][2]
 
 
 class TestFoldedKernelMatrix:
@@ -363,16 +450,26 @@ BLOCK_CONTEXTS = [
     WeightedContext(rank1(0.5), n_half=45, freq_n_half=37),
     WeightedContext(product_z2([0.25, 1.0]), n_half=45, freq_n_half=37)]
 
+#: even halves on every axis (76 spatial and 84 frequency nodes, multiples
+#: of 4, not of 8): a real 2-D operand's last contraction takes the half
+#: of the operator and fills the other rows by point reflection
+EVEN_CONTEXT = WeightedContext(product_z2([0.25, 1.0]), n_half=38,
+                               freq_n_half=42)
+#: the contexts of the blocked and half-operator products, with their ids
+GRID_CONTEXTS = BLOCK_CONTEXTS + [EVEN_CONTEXT]
+GRID_IDS = ["dim1", "dim2", "dim2-even"]
+
 
 class TestBlockedTransform:
     """Blocks of 14 columns or rows: the 90 spatial and 74 frequency nodes
-    per axis are above the block size and not a multiple of it."""
+    per axis (76 and 84 on the even-half context) are above the block size
+    and not a multiple of it."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(quadrature, "BLOCK_BYTES", 14 * 16 * 90)
 
-    @pytest.mark.parametrize("ctx", BLOCK_CONTEXTS, ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("ctx", GRID_CONTEXTS, ids=GRID_IDS)
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_forward_bytes_and_strides_equal_whole_products(self, ctx, order,
@@ -383,7 +480,7 @@ class TestBlockedTransform:
         expect = unblocked_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
         assert_same_array(got, expect)
 
-    @pytest.mark.parametrize("ctx", BLOCK_CONTEXTS, ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("ctx", GRID_CONTEXTS, ids=GRID_IDS)
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("then", [None, (np.multiply, 1.7),
@@ -417,6 +514,14 @@ class TestBlockedTransform:
 MIRROR_CONTEXTS = [
     WeightedContext(product_z2([0.25, 1.0]), n_half=45, freq_n_half=37),
     WeightedContext(product_z2([1.0, 0.5]), n_half=41, freq_n_half=41)]
+#: even destination halves, whose last contraction is mirrored too: forward
+#: rows 84, 80 and 96 frequency nodes (the last from 74 spatial nodes, an
+#: odd source half), inverse rows 76 and 96 spatial nodes and, from 96
+#: frequency nodes, 74 (odd again: two-part products)
+EVEN_MIRROR_CONTEXTS = [
+    EVEN_CONTEXT,
+    WeightedContext(product_z2([1.0, 0.5]), n_half=48, freq_n_half=40),
+    WeightedContext(product_z2([0.5, 0.25]), n_half=37, freq_n_half=48)]
 
 
 def zero_lined_field(grid, pattern, order, dtype=float):
@@ -456,10 +561,10 @@ def blocks(request, monkeypatch):
 class TestHalfOperatorProducts:
     """Products with the cached halves, the negative rows formed from
     them, equal the whole-operator products byte for byte: 1-D and 2-D,
-    real and complex operands, odd halves (37 and 45) in both directions,
-    and zeros of either sign."""
+    real and complex operands, odd halves (37 and 45) and even ones (38
+    and 42) in both directions, and zeros of either sign."""
 
-    @pytest.mark.parametrize("ctx", BLOCK_CONTEXTS, ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("ctx", GRID_CONTEXTS, ids=GRID_IDS)
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("pattern", ["lines", "zeros", "negative-zeros",
                                          "mirrored-pair"])
@@ -471,7 +576,7 @@ class TestHalfOperatorProducts:
         expect = unblocked_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
         assert_same_array(got, expect)
 
-    @pytest.mark.parametrize("ctx", BLOCK_CONTEXTS, ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("ctx", GRID_CONTEXTS, ids=GRID_IDS)
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("pattern", ["lines", "zeros", "negative-zeros",
                                          "mirrored-pair"])
@@ -497,9 +602,10 @@ class TestHalfOperatorProducts:
 
 class TestMirroredFirstContraction:
     """Row -a of each weighted operator is the conjugate of row a, so a
-    real operand's first contraction is formed on rows h: and mirrored.  The
-    results keep the bytes and strides of the whole products, with one
-    block (default ``BLOCK_BYTES``) or blocks of 14 columns or rows."""
+    real operand's first contraction is formed on rows h: and mirrored, and
+    at even destination halves its last contraction too.  The results keep
+    the bytes and strides of the whole products, with one block (default
+    ``BLOCK_BYTES``) or blocks of 14 columns or rows."""
 
     @pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0])
     def test_operator_rows_mirror_by_conjugation(self, k):
@@ -511,7 +617,8 @@ class TestMirroredFirstContraction:
             assert h % 2 == 1
             assert op[:h].tobytes() == np.conj(op[h:][::-1]).tobytes()
 
-    @pytest.mark.parametrize("ctx", MIRROR_CONTEXTS, ids=["74", "82"])
+    @pytest.mark.parametrize("ctx", MIRROR_CONTEXTS + EVEN_MIRROR_CONTEXTS,
+                             ids=["74", "82", "84", "80", "96-from-74"])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("pattern", ["lines", "zeros", "negative-zeros"])
     def test_real_forward_bytes_and_strides_equal_whole_products(
@@ -522,7 +629,8 @@ class TestMirroredFirstContraction:
         expect = unblocked_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
         assert_same_array(got, expect)
 
-    @pytest.mark.parametrize("ctx", MIRROR_CONTEXTS, ids=["90", "82"])
+    @pytest.mark.parametrize("ctx", MIRROR_CONTEXTS + EVEN_MIRROR_CONTEXTS,
+                             ids=["90", "82", "76", "96", "74-from-96"])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("pattern", ["lines", "zeros", "negative-zeros"])
     @pytest.mark.parametrize("then", [None, (np.multiply, 1.7),
@@ -563,6 +671,54 @@ class TestMirroredFirstContraction:
         else:
             transform._axis_transform(ctx, vals, src, dst, False)
         assert len(columns) > 1 and sum(columns) == vals.shape[1]
+
+    @pytest.mark.parametrize("forward", [True, False],
+                             ids=["forward", "real-part-inverse"])
+    @pytest.mark.parametrize("ctx, dtype, parts", [
+        (EVEN_CONTEXT, float, 1), (MIRROR_CONTEXTS[0], float, 2),
+        (EVEN_CONTEXT, complex, 2)], ids=["even-real", "odd-real",
+                                          "even-complex"])
+    def test_last_product_takes_half_the_rows_at_even_halves(
+            self, monkeypatch, forward, ctx, dtype, parts):
+        # source and destination node counts differ on both contexts, so
+        # only the last product has first.T, (source, destination), as b
+        src, dst = ((ctx.grid, ctx.freq_grid) if forward
+                    else (ctx.freq_grid, ctx.grid))
+        vals = zero_lined_field(src, "lines", "C", dtype)
+        rows = []
+        real_dot = np.dot
+
+        def spy(a, b, *args, **kwargs):
+            if b.shape == (src.shape[1], dst.shape[0]):
+                rows.append(a.shape[0])
+            return real_dot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", spy)
+        transform._axis_transform(ctx, vals, src, dst, forward)
+        assert sum(rows) == parts * dst.shape[1] // 2
+
+
+class TestEvenDefaultHalves:
+    """Every grid the defaults build has an even half, refined or not, so
+    the real 2-D transforms of the checks take the mirrored last
+    contraction."""
+
+    def test_defaults_and_their_refinements_are_even(self):
+        halves = [p.default for check in CHECKS.values() for p in check.params
+                  if p.name in ("n_half", "freq_n_half")
+                  and not isinstance(p.default, Derived)]
+        unset = dict.fromkeys(("box", "n_half", "freq_box", "freq_n_half"))
+        for system in (rank1(0.5), product_z2([0.5, 0.5])):
+            ctx = WeightedContext(system)
+            halves += [ctx.n_half, ctx.freq_n_half]
+            for ell in (1, 2, 3):
+                spec = dataclasses.replace(KernelSpec.heat(ctx.dim), ell=ell)
+                halves.append(kernels.spatial_rule(ctx, spec)[1])
+                conv = kernels.convolution_context(ctx, spec, unset, 1.0)
+                halves += [conv.n_half, conv.freq_n_half]
+        assert {80, 200, 240, 400, 600} <= set(halves)
+        for n in halves:
+            assert n % 2 == 0 and refined_n_half(n) % 2 == 0, n
 
 
 def _traced_peak(fn) -> int:
