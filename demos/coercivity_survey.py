@@ -3,9 +3,10 @@
 For the form built from order-l Dunkl derivatives against the
 exponential weight eta_s, coercivity means
     -b_{s,eps}(f, f) + C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2
-with alpha > 0.  The protocol calibrates (alpha, C) by linear program on
-half of a polynomial-Gaussian family and then demands the inequality,
-with 5% slack, on the held-out half.  This script prints the raw form
+with alpha > 0.  The protocol calibrates (alpha, C) on half of a
+polynomial-Gaussian family, with C at its cap and alpha the largest rate
+the calibration rows allow (a closed form), and then demands the
+inequality, with 5% slack, on the held-out half.  This script prints the raw form
 values for one function and the calibrated constants across orders,
 scales, and the eps-perturbed variant.
 """

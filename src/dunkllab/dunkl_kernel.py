@@ -26,8 +26,6 @@ from .root_systems import RootSystemSpec
 SERIES_STOP_RUN = 5
 SERIES_STOP_RATIO = 1e-16
 SERIES_MAX_TERMS = 1000
-#: requested-truncation acceptance: geometric tail bound must sit below this.
-SERIES_TAIL_TOL = 1e-14
 #: |w| beyond which the alternating series loses more than ~6 digits in
 #: float64 and the closed forms take over.
 SERIES_STABLE_LIMIT = 20.0
@@ -36,35 +34,14 @@ SERIES_STABLE_LIMIT = 20.0
 SMALL_ARG_LIMIT = 0.5
 
 
-def kernel_series(w: complex, k: float, truncation: int | None = None) -> complex:
-    """Sum the defining power series of E_k at product argument w.
-
-    With ``truncation`` given, exactly that many terms are summed and a
-    geometric tail bound is enforced; otherwise terms are added until
-    ``SERIES_STOP_RUN`` consecutive ones are negligible.
-    """
+def kernel_series(w: complex, k: float) -> complex:
+    """Sum the defining power series of E_k at product argument w, adding
+    terms until ``SERIES_STOP_RUN`` consecutive ones are negligible."""
     w = complex(w)
     if k < 0:
         raise ValueError("multiplicity must be nonnegative")
     a = 1.0 + 0.0j
     total = a
-    if truncation is not None:
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        for n in range(1, truncation + 1):
-            denom = n + (2.0 * k if n % 2 == 1 else 0.0)
-            a = w * a / denom
-            total += a
-        nxt = abs(w) / (truncation + 2)
-        if nxt >= 1.0:
-            raise AccuracyError(
-                f"series truncation {truncation} too small for |w|={abs(w):.3g}")
-        tail = abs(a) * nxt / (1.0 - nxt)
-        if tail > SERIES_TAIL_TOL * max(abs(total), 1.0):
-            raise AccuracyError(
-                f"series tail bound {tail:.3g} exceeds tolerance at "
-                f"truncation {truncation}")
-        return total
     quiet = 0
     for n in range(1, SERIES_MAX_TERMS + 1):
         denom = n + (2.0 * k if n % 2 == 1 else 0.0)
@@ -159,9 +136,7 @@ def kernel_real(v, k: float):
     return kernel_real_scaled(v, k) * np.exp(np.abs(v))
 
 
-def _axis_value(w: complex, k: float, truncation: int | None) -> complex:
-    if truncation is not None:
-        return kernel_series(w, k, truncation)
+def _axis_value(w: complex, k: float) -> complex:
     if abs(w) <= SERIES_STABLE_LIMIT:
         return kernel_series(w, k)
     if w.imag == 0.0:
@@ -188,13 +163,11 @@ def kernel_imag_batch(system: RootSystemSpec, xi_pts: np.ndarray,
     return out
 
 
-def dunkl_kernel_E(system: RootSystemSpec, x, z,
-                   truncation: int | None = None) -> complex:
+def dunkl_kernel_E(system: RootSystemSpec, x, z) -> complex:
     """E_k(x, z) for a sign-flip product system; z may be real or imaginary.
 
     The value is the per-coordinate product of rank-1 kernels at the
-    products x_d z_d.  An explicit ``truncation`` forces the series
-    evaluator with that many terms on every coordinate.
+    products x_d z_d.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -203,5 +176,5 @@ def dunkl_kernel_E(system: RootSystemSpec, x, z,
     ks = system.ks
     total = 1.0 + 0.0j
     for d in range(system.dim):
-        total *= _axis_value(complex(x[d] * z[d]), ks[d], truncation)
+        total *= _axis_value(complex(x[d] * z[d]), ks[d])
     return total

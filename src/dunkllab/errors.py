@@ -24,7 +24,7 @@ class DomainTooSmallError(DunklLabError):
 
 class AccuracyError(DunklLabError):
     """A computation could not reach the requested accuracy (refinement
-    disagreement, series truncation too small, ...)."""
+    disagreement, a series that does not settle, non-finite values, ...)."""
 
 
 class SymbolError(DunklLabError):

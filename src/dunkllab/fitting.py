@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, linprog
+from scipy.optimize import least_squares
 
 from .errors import AccuracyError, FitConvergenceError
 
@@ -203,28 +203,26 @@ def ratio_holdout_ratio(held_vals: np.ndarray, held_scales: np.ndarray,
 
 def garding_lp(A: np.ndarray, S: np.ndarray,
                V: np.ndarray) -> tuple[float, float]:
-    """Maximize alpha subject to  alpha*V_i <= A_i + C*S_i,
-    0 <= C <= GARDING_C_CAP.
+    """Optimum of the linear program: maximize alpha subject to
+    alpha*V_i <= A_i + C*S_i, 0 <= C <= GARDING_C_CAP, in closed form.
 
     A_i is the (negated) quadratic form value, S_i the s^{2l}-scaled weighted
-    norm, V_i the squared Sobolev norm of the i-th calibration function.  The
-    cap on C keeps the program bounded; the returned alpha is > 0 exactly
-    when the coercivity inequality is satisfiable on the calibration family.
+    norm, V_i the squared Sobolev norm of the i-th calibration function.  With
+    every S_i > 0 and V_i > 0, each row's bound (A_i + C*S_i)/V_i grows with
+    C, so the optimum is C = GARDING_C_CAP and alpha = min_i (A_i + C*S_i)/V_i;
+    alpha > 0 exactly when the coercivity inequality is satisfiable on the
+    calibration family.  A row with S_i or V_i not positive (or NaN) raises
+    FitConvergenceError.
     """
     A = np.asarray(A, dtype=float)
     S = np.asarray(S, dtype=float)
     V = np.asarray(V, dtype=float)
-    # the tiny positive weight on C makes the solution lexicographic:
-    # maximize alpha first, then report the smallest C achieving it
-    res = linprog(c=[-1.0, 1e-9],
-                  A_ub=np.column_stack([V, -S]),
-                  b_ub=A,
-                  bounds=[(None, None), (0.0, GARDING_C_CAP)],
-                  method="highs")
-    if not res.success:
-        raise FitConvergenceError(f"coercivity LP failed: {res.message}")
-    alpha, C = res.x
-    return float(alpha), float(C)
+    bad = int(np.sum(~((S > 0) & (V > 0))))
+    if bad:
+        raise FitConvergenceError(
+            f"coercivity fit needs S_i > 0 and V_i > 0; {bad} rows are not")
+    C = GARDING_C_CAP
+    return float(np.min((A + C * S) / V)), C
 
 
 def garding_holdout_ratio(A: np.ndarray, S: np.ndarray, V: np.ndarray,

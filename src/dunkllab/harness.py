@@ -264,9 +264,10 @@ def default_garding_family(dim: int) -> list:
 
 
 @register("garding",
-          "coercivity of the quadratic form: maximize alpha in -b_{s,eps}(f,f) "
-          "+ C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2 by linear "
-          "program on calibration functions, verified on held-out functions",
+          "coercivity of the quadratic form: the largest alpha in "
+          "-b_{s,eps}(f,f) + C s^{2l} ||f||_{H_s}^2 >= alpha "
+          "||f||_{V_{l,s}}^2 on calibration functions, in closed form at the "
+          "capped C, verified on held-out functions",
           Param("ell", {"type": "integer", "enum": [1, 2]},
                 Derived("the kernel's l when it is 1 or 2, else 1")),
           number("eps", 0.0, minimum=0, maximum=EPSILON_MAX),
@@ -277,8 +278,10 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
     """Coercivity protocol: maximize alpha with
         -form(f, f) + C s^{2l} ||f||_{H_s}^2 >= alpha ||f||_{V_{l,s}}^2
-    on calibration functions of ``default_garding_family`` (linear program
-    in (alpha, C), with C at most ``fitting.GARDING_C_CAP``), then require
+    on calibration functions of ``default_garding_family``.  Every row has
+    s^{2l} ||f||_{H_s}^2 > 0, so the optimum over C <= ``fitting.GARDING_C_CAP``
+    is the cap, and alpha is the closed form min_i (A_i + C S_i) / V_i
+    (``fitting.garding_lp``).  Then require
     the inequality with slack 1.05 on held-out functions, pooled over s.
     The form's l, eps and directions come from ``params``, else from the
     kernel."""

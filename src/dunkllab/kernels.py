@@ -33,7 +33,8 @@ import numpy as np
 from .dunkl_kernel import kernel_imag_outer, kernel_real_scaled
 from .checks import (GRID_SCHEMA, POINTS_SCHEMA, SPEC, Derived, Param,
                      grid_params, integer, number, numbers, register)
-from .errors import CapabilityError, DomainTooSmallError, SymbolError
+from .errors import (AccuracyError, CapabilityError, DomainTooSmallError,
+                     SymbolError)
 from .functions import GridSampled, PolyGauss, gaussian, monomial_gauss
 from .measure import WeightedContext
 from .operators import dunkl_laplacian
@@ -430,9 +431,16 @@ def _check_positivity(ctx: WeightedContext, spec: KernelSpec,
     t_set, n = params["t_set"], params["n_pairs"]
     xs, ys = _pair_sample(ctx, n, params["radius"])
     min_val = np.inf
+    non_finite = []
     for t in t_set:
         vals = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, t))
+        bad = int(np.sum(~np.isfinite(vals)))
+        if bad:
+            non_finite.append(f"{bad} of {vals.size} at t = {t:g}")
         min_val = min(min_val, float(np.min(vals)))
+    if non_finite:
+        raise AccuracyError("heat kernel values are not finite: "
+                            + "; ".join(non_finite))
     defect = max(0.0, -min_val) if min_val > 0.0 else max(1e-300, -min_val)
     return VerificationReport.from_defect(
         "kernel-positivity", {"t_set": t_set, "n_pairs": n}, defect, 0.0,

@@ -164,13 +164,13 @@ def _flat_constant_rows(index: int, kind: str,
 
 
 def write_summary_csv(path: Path, results: list[tuple]) -> None:
-    """Flat constant rows per check; a check that raised (a DunklLabError
-    in place of its report) has one ``error`` row naming the error type."""
+    """Flat constant rows per check; a check that raised (its exception in
+    place of its report) has one ``error`` row naming the error type."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check_index", "kind", "name", "value"])
     for i, (kind, report) in enumerate(results):
-        if isinstance(report, DunklLabError):
+        if isinstance(report, Exception):
             writer.writerow([i, kind, "error", type(report).__name__])
         else:
             writer.writerows(_flat_constant_rows(i, kind, report))
@@ -184,7 +184,7 @@ def write_decay_csv(path: Path, results: list[tuple]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check_index", "radius", "abs_q", "log_abs_q"])
     for i, (kind, report) in enumerate(results):
-        if isinstance(report, DunklLabError):
+        if isinstance(report, Exception):
             continue
         radii = report.fitted.get("radii")
         values = report.fitted.get("abs_q")
@@ -202,7 +202,7 @@ def _write_report_json(path: Path, report: VerificationReport) -> None:
     path.write_text(payload + "\n")
 
 
-def _write_error_json(path: Path, chk: dict, err: DunklLabError) -> None:
+def _write_error_json(path: Path, chk: dict, err: Exception) -> None:
     """The record of a check that raised: its kind and config params, the
     error type and its message."""
     record = {"check": chk["kind"], "params": chk.get("params", {}),
@@ -242,10 +242,12 @@ def run(config_path: str) -> int:
     """Execute an experiment config.
 
     Returns 0 if every check passed, 2 if any check failed, 1 on
-    configuration errors or when a check raised: the reports of the checks
-    that finished are written all the same, and each check that raised
-    leaves an error record (``<stem>_<hash>_<kind>_error.json``) and an
-    ``error`` row in the summary.
+    configuration errors or when a check raised a ``DunklLabError``: the
+    reports of the checks that finished are written all the same, and each
+    check that raised leaves an error record
+    (``<stem>_<hash>_<kind>_error.json``) and an ``error`` row in the
+    summary.  Any other exception is a fault: it is recorded the same way,
+    and once every file is written the first one is raised again.
     """
     path = Path(config_path)
     try:
@@ -275,24 +277,24 @@ def run(config_path: str) -> int:
     workers = int(config.get("workers", os.cpu_count() or 1))
 
     start = time.perf_counter()
-    results: list[tuple[str, VerificationReport | DunklLabError]] = []
+    results: list[tuple[str, VerificationReport | Exception]] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_execute_one, ctx, spec, chk)
                    for chk in checks]
         for i, (chk, fut) in enumerate(zip(checks, futures)):
-            try:
-                report, elapsed = fut.result()
-            except DunklLabError as err:
+            err = fut.exception()
+            if err is not None:
                 print(f"error in check {i} ({chk['kind']}): {err}")
                 results.append((chk["kind"], err))
                 continue
+            report, elapsed = fut.result()
             results.append((chk["kind"], report))
             print(f"{report.summary_line()}  [{elapsed:.2f}s]")
 
     filenames = report_filenames(path.stem, chash,
                                  [kind for kind, _ in results])
     for fname, chk, (_, report) in zip(filenames, checks, results):
-        if isinstance(report, DunklLabError):
+        if isinstance(report, Exception):
             _write_error_json(
                 out_dir / (fname.removesuffix(".json") + "_error.json"),
                 chk, report)
@@ -309,6 +311,9 @@ def run(config_path: str) -> int:
     raised = f", {n_error} raised" if n_error else ""
     print(f"{n_pass}/{len(results)} checks passed{raised} in {total:.2f}s; "
           f"reports in {out_dir}")
+    for _, err in results:
+        if isinstance(err, Exception) and not isinstance(err, DunklLabError):
+            raise err
     if n_error:
         return 1
     return 0 if n_pass == len(results) else 2

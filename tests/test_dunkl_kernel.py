@@ -108,20 +108,6 @@ class TestKernelBounds:
 
 
 class TestTruncationControl:
-    def test_explicit_truncation_matches_adaptive(self):
-        full = kernel_series(2.0j, 0.5)
-        trunc = kernel_series(2.0j, 0.5, truncation=60)
-        assert trunc == pytest.approx(full, abs=1e-14)
-
-    def test_truncation_too_small_raises(self):
-        with pytest.raises(AccuracyError):
-            kernel_series(30.0, 0.5, truncation=10)
-
-    def test_marginal_truncation_tail_bound_raises(self):
-        # the geometric ratio is < 1 but the tail is far above tolerance
-        with pytest.raises(AccuracyError):
-            kernel_series(8.0, 0.5, truncation=12)
-
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             kernel_series(1.0, -0.5)

@@ -174,11 +174,10 @@ class TestCoercivityLP:
         assert C == pytest.approx(100.0)
 
     def test_unhelpful_s_term_gives_minimal_c(self):
-        # with S = 0 the C column is inactive; the lexicographic tie-break
-        # must report C = 0, and alpha is the worst-case A/V
-        alpha, C = garding_lp(np.array([1.0, 2.0]), np.zeros(2), np.ones(2))
-        assert alpha == pytest.approx(1.0, rel=1e-9)
-        assert C == pytest.approx(0.0, abs=1e-6)
+        # with S = 0 the cap is no longer the optimum of the program, so the
+        # closed form refuses the rows and counts them
+        with pytest.raises(FitConvergenceError, match="2 rows"):
+            garding_lp(np.array([1.0, 2.0]), np.zeros(2), np.ones(2))
 
     def test_cap_is_read_when_the_program_is_solved(self, monkeypatch):
         monkeypatch.setattr(fitting, "GARDING_C_CAP", 5.0)
@@ -187,8 +186,8 @@ class TestCoercivityLP:
         assert C == pytest.approx(5.0)
 
     def test_negative_form_value_gives_negative_alpha(self):
-        alpha, _ = garding_lp(np.array([-1.0]), np.zeros(1), np.ones(1))
-        assert alpha == pytest.approx(-1.0, rel=1e-9)
+        alpha, _ = garding_lp(np.array([-200.0]), np.ones(1), np.ones(1))
+        assert alpha == pytest.approx(-100.0, rel=1e-9)
 
     def test_holdout_ratio_infinite_when_denominator_nonpositive(self):
         ratio = garding_holdout_ratio(np.array([-1.0]), np.zeros(1),

@@ -1,0 +1,107 @@
+"""The rank-one kernel against an independent 40-digit oracle.
+
+E_k(w) = e^w 1F1(k; 2k+1; -2w) (Kummer's form of the rank-one Dunkl
+kernel) is summed by mpmath at 40 significant digits.  Each tolerance is
+relative, set at 1.5 times the worst error measured on the points below
+(scipy 1.17.1).  The points cross both switch points of the evaluators:
+``SMALL_ARG_LIMIT`` (hypergeometric series to Bessel forms) and
+``SERIES_STABLE_LIMIT`` (power series to Bessel forms).
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from dunkllab import rank1
+from dunkllab.dunkl_kernel import (SERIES_STABLE_LIMIT, SMALL_ARG_LIMIT,
+                                   dunkl_kernel_E, kernel_imag_parts,
+                                   kernel_real_scaled)
+
+DIGITS = 40
+L, S = SMALL_ARG_LIMIT, SERIES_STABLE_LIMIT
+NEAR = (1 - 1e-12, 1.0, 1 + 1e-12)
+#: Im-axis arguments u of E_k(iu)
+U = np.r_[np.linspace(-60.0, 60.0, 121), 0.0, 1e-8, -0.3, 0.49, 0.51, -L,
+          [L * f for f in NEAR]]
+#: real arguments v >= 0 of E_k(v) e^{-|v|}; the v < 0 points are -V[1:]
+V = np.r_[np.linspace(0.0, 300.0, 61), 1e-8, 0.3, 0.49, 0.51, 1.0,
+          [L * f for f in NEAR]]
+#: |w| of dunkl_kernel_E's arguments, on both sides of the series limit
+W = np.r_[np.linspace(0.0, 40.0, 21), 19.5, 20.5, [S * f for f in NEAR]]
+
+
+def oracle(w: complex, k: float) -> mp.mpc:
+    with mp.workdps(DIGITS):
+        w = mp.mpmathify(w)
+        return mp.exp(w) * mp.hyp1f1(k, 2 * k + 1, -2 * w)
+
+
+def oracle_scaled(v: float, k: float) -> float:
+    """E_k(v) e^{-|v|}, scaled before rounding so that |v| = 300 fits."""
+    with mp.workdps(DIGITS):
+        v = mp.mpf(v)
+        return float(mp.exp(v - abs(v)) * mp.hyp1f1(k, 2 * k + 1, -2 * v))
+
+
+def worst_relative(got, expect) -> float:
+    got, expect = np.asarray(got), np.asarray(expect)
+    return float(np.max(np.abs(got - expect) / np.abs(expect)))
+
+
+#: measured worst 2.18e-14, 5.18e-14, 1.31e-15 and 5.62e-14
+IMAG_TOL = {0.0: 3.3e-14, 1e-3: 7.8e-14, 0.5: 2.0e-15, 1.3: 8.4e-14}
+#: measured worst 2.51e-14, 1.19e-14, 4.05e-16 and 2.36e-14
+REAL_POS_TOL = {0.0: 3.8e-14, 1e-3: 1.8e-14, 0.5: 6.1e-16, 1.3: 3.5e-14}
+#: measured worst 2.16e-13 and 8.19e-14; the small-k entries hold the
+#: larger of these as the target of ROADMAP item 2
+REAL_NEG_TOL = {0.5: 3.2e-13, 1.3: 1.2e-13, 0.0: 3.2e-13, 1e-3: 3.2e-13}
+#: measured worst 7.18e-9, 3.25e-9, 4.59e-9 and 4.73e-9, all from the power
+#: series just inside SERIES_STABLE_LIMIT on the imaginary axis
+E_TOL = {0.0: 1.1e-8, 1e-3: 4.9e-9, 0.5: 6.9e-9, 1.3: 7.1e-9}
+
+CANCELLATION = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: kernel_real_scaled forms even + sign(v) odd, "
+           "which cancels for v < 0 at small k; measured worst relative "
+           "error 9.5e239 at k = 0 (v = -295) and 1.7e-9 at k = 1e-3 "
+           "(v = -20)")
+
+
+@pytest.mark.parametrize("k", sorted(IMAG_TOL))
+def test_imag_parts(k):
+    re, im = kernel_imag_parts(U, k)
+    expect = [complex(oracle(1j * u, k)) for u in U]
+    assert worst_relative(re + 1j * im, expect) < IMAG_TOL[k]
+
+
+@pytest.mark.parametrize("k", sorted(REAL_POS_TOL))
+def test_real_scaled_nonnegative_axis(k):
+    expect = [oracle_scaled(v, k) for v in V]
+    assert worst_relative(kernel_real_scaled(V, k), expect) < REAL_POS_TOL[k]
+
+
+@pytest.mark.parametrize("k", [
+    0.5, 1.3,
+    pytest.param(0.0, marks=CANCELLATION),
+    pytest.param(1e-3, marks=CANCELLATION)])
+def test_real_scaled_negative_axis(k):
+    v = -V[V > 0]
+    expect = [oracle_scaled(x, k) for x in v]
+    assert worst_relative(kernel_real_scaled(v, k), expect) < REAL_NEG_TOL[k]
+
+
+@pytest.mark.parametrize("k", sorted(E_TOL))
+def test_dunkl_kernel_E_across_the_series_limit(k):
+    system = rank1(k)
+    args = np.r_[1j * W, -1j * W, W]
+    got = [dunkl_kernel_E(system, 1.0, w) for w in args]
+    expect = [complex(oracle(w, k)) for w in args]
+    assert worst_relative(got, expect) < E_TOL[k]
+
+
+def test_e_one_at_one_is_cosh_one():
+    with mp.workdps(DIGITS):
+        assert abs(oracle(1.0, 1.0) - mp.cosh(1)) < mp.mpf(10) ** (1 - DIGITS)
+    #: measured 2.88e-16 (two units in the last place)
+    assert worst_relative(dunkl_kernel_E(rank1(1.0), 1.0, 1.0),
+                          np.cosh(1.0)) < 4.3e-16

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dunkllab import (CapabilityError, KernelSpec, SymbolError,
+from dunkllab import (AccuracyError, CapabilityError, KernelSpec, SymbolError,
                       WeightedContext, dunkl_transform, dunkl_translate,
                       evaluate_q, freq_box_for, gaussian, heat_kernel,
                       heat_kernel_two_point, kernels, product_z2, q_on_grid,
@@ -232,6 +232,22 @@ class TestIdentityChecks:
         assert report.passed, (kind, report.max_defect, report.tolerance)
         assert report.check.startswith("kernel-")
         assert report.max_defect <= report.tolerance
+
+    def test_positivity_raises_on_non_finite_values(self):
+        # at radius 1e6 the rank-one heat kernel is NaN on most pairs;
+        # min(inf, nan) kept inf, so the check PASSED with min_value inf
+        ctx = WeightedContext(rank1(0.5))
+        with pytest.raises(AccuracyError) as info:
+            run_check(ctx, "kernel-positivity", {"radius": 1e6})
+        assert str(info.value).endswith(
+            "50 of 50 at t = 0.5; 48 of 50 at t = 1; 47 of 50 at t = 2")
+
+    def test_positivity_still_fails_on_zero_values(self):
+        # the k = 0 probe: exact zeros are a FAIL, not an error
+        report = run_check(WeightedContext(rank1(0.0)), "kernel-positivity",
+                           {"radius": 8.0})
+        assert not report.passed
+        assert report.fitted["min_value"] == 0.0
 
     def test_unknown_kind_lists_options(self):
         ctx = WeightedContext(rank1(0.5))

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -520,6 +521,50 @@ class TestRunEndToEnd:
         assert ["0", "e-bound", "pass", "1"] in rows
         assert ["1", "exp-weighted-l1", "error",
                 "DomainTooSmallError"] in rows
+
+    def test_fault_in_one_check_is_raised_after_the_reports_are_written(
+            self, tmp_path, out_dir, monkeypatch):
+        # an exception outside the DunklLabError taxonomy is a fault: the
+        # run writes what finished, then raises that very exception
+        fault = RuntimeError("injected fault")
+
+        def broken(ctx, spec, params):
+            raise fault
+
+        monkeypatch.setitem(CHECKS, "kernel-laplacian",
+                            replace(CHECKS["kernel-laplacian"], run=broken))
+        config = {"system": {"type": "rank1", "k": 0.5}, "workers": 2,
+                  "checks": [{"kind": "e-bound"},
+                             {"kind": "kernel-laplacian"}]}
+        with pytest.raises(RuntimeError) as info:
+            run(str(write_config(tmp_path, config)))
+        assert info.value is fault
+        report_path, = out_dir.glob("exp_*_e-bound.json")
+        assert json.loads(report_path.read_text())["pass"] is True
+        error_path, = out_dir.glob("exp_*_kernel-laplacian_error.json")
+        record = json.loads(error_path.read_text())["error"]
+        assert record == {"type": "RuntimeError", "message": "injected fault"}
+        summary, = out_dir.glob("exp_*_summary.csv")
+        rows = list(csv.reader(summary.read_text().splitlines()))
+        assert ["0", "e-bound", "pass", "1"] in rows
+        assert ["1", "kernel-laplacian", "error", "RuntimeError"] in rows
+        assert len(list(out_dir.glob("exp_*_decay.csv"))) == 1
+
+    def test_non_finite_positivity_values_are_an_error_record(
+            self, tmp_path, out_dir, capsys):
+        # at radius 1e6 the heat kernel is NaN on most sampled pairs; the
+        # check used to PASS with min_value inf
+        config = {"system": {"type": "rank1", "k": 0.5},
+                  "checks": [{"kind": "kernel-positivity",
+                              "params": {"radius": 1e6}}]}
+        assert run(str(write_config(tmp_path, config))) == 1
+        assert "error in check 0 (kernel-positivity):" in (
+            capsys.readouterr().out)
+        error_path, = out_dir.glob("exp_*_kernel-positivity_error.json")
+        error = json.loads(error_path.read_text())["error"]
+        assert error["type"] == "AccuracyError"
+        assert "50 of 50 at t = 0.5" in error["message"]
+        assert not list(out_dir.glob("exp_*_kernel-positivity.json"))
 
     def test_out_of_window_time_is_an_error_record_not_a_traceback(
             self, tmp_path, out_dir, capsys):
