@@ -22,24 +22,23 @@ def main() -> None:
                          ("Z2 x Z2 k=(0.5, 0.5)", product_z2([0.5, 0.5]))]:
         ctx = WeightedContext(system)
         pts = rng.uniform(-3.0, 3.0, size=(25, ctx.dim))
-        q = np.atleast_1d(evaluate_q(ctx, KernelSpec.heat(ctx.dim), pts))
-        h = np.atleast_1d(heat_kernel(ctx, pts, 1.0))
+        q = evaluate_q(ctx, KernelSpec.heat(ctx.dim), pts)
+        h = heat_kernel(ctx, pts, 1.0)
         print(f"{name:>22}: sup difference {np.max(np.abs(q - h)):.2e}")
 
     ctx = WeightedContext(rank1(0.75))
     print("\n== unit mass ==")
     grid_pts = ctx.grid.points()
     for x0 in (0.0, 1.0, 3.0):
-        x = np.full(grid_pts.shape, x0)
-        vals = heat_kernel_two_point(ctx, x, grid_pts, 1.0)
+        vals = heat_kernel_two_point(ctx, x0, grid_pts, 1.0)
         mass = float(ctx.grid.integrate(vals.reshape(ctx.grid.shape)))
         print(f"int h_1({x0:g}, y) dw(y) = {mass:.12f}")
 
     print("\n== positivity and symmetry ==")
     xs = rng.uniform(-3, 3, size=(200, 1))
     ys = rng.uniform(-3, 3, size=(200, 1))
-    h_xy = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, 0.7))
-    h_yx = np.atleast_1d(heat_kernel_two_point(ctx, ys, xs, 0.7))
+    h_xy = heat_kernel_two_point(ctx, xs, ys, 0.7)
+    h_yx = heat_kernel_two_point(ctx, ys, xs, 0.7)
     print(f"min h_0.7(x, y) over 200 random pairs: {np.min(h_xy):.3e} > 0")
     print(f"sup |h(x, y) - h(y, x)|: {np.max(np.abs(h_xy - h_yx)):.2e}")
 

@@ -18,7 +18,7 @@ from dunkllab.kernels import evaluate_q
 
 def sign_change_radii(ctx, spec, radii):
     pts = radii[:, None]
-    q = np.atleast_1d(evaluate_q(ctx, spec, pts))
+    q = evaluate_q(ctx, spec, pts)
     flips = np.nonzero(np.sign(q[:-1]) != np.sign(q[1:]))[0]
     return radii[flips]
 

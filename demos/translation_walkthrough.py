@@ -46,8 +46,7 @@ def main() -> None:
               f"({label})")
 
     pts = bctx.grid.points()
-    dist = orbit_distance_pairwise(bctx.group, pts,
-                                   np.broadcast_to(shift, pts.shape))
+    dist = orbit_distance_pairwise(bctx.group, pts, shift)
     outside = dist > 1.0 + 0.05
     print(f"  max |tau_2.5 f| at orbit distance > radius: "
           f"{float(np.max(np.abs(moved.values[outside]))):.2e}")

@@ -20,11 +20,10 @@ from .harness import make_pair_grid
 from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
                       heat_kernel, heat_kernel_two_point, q_on_grid,
                       translate_at_points, two_point_kernel)
-from .measure import (WeightedContext, ball_volume, eta, volume_max,
-                      weighted_norm)
+from .measure import WeightedContext, ball_volume, eta, weighted_norm
 from .operators import (apply_dunkl, apply_dunkl_iterated, dunkl_laplacian,
                         positive_roots)
-from .quadrature import AxisRule, TensorGrid, integrate_checked
+from .quadrature import AxisRule, TensorGrid
 from .report import VerificationReport, grid_metadata
 from .root_systems import (ReflectionGroup, RootSystemSpec, orbit_distance,
                            orbit_distance_pairwise, product_z2, rank1)
@@ -48,10 +47,10 @@ __all__ = [
     "KernelSpec", "dunkl_translate", "evaluate_q", "freq_box_for",
     "heat_kernel", "heat_kernel_two_point", "q_on_grid",
     "translate_at_points", "two_point_kernel",
-    "WeightedContext", "ball_volume", "eta", "volume_max", "weighted_norm",
+    "WeightedContext", "ball_volume", "eta", "weighted_norm",
     "apply_dunkl", "apply_dunkl_iterated", "dunkl_laplacian",
     "positive_roots",
-    "AxisRule", "TensorGrid", "integrate_checked",
+    "AxisRule", "TensorGrid",
     "VerificationReport", "grid_metadata",
     "ReflectionGroup", "RootSystemSpec", "orbit_distance",
     "orbit_distance_pairwise", "product_z2", "rank1",

@@ -4,9 +4,9 @@ E_k restricted to one coordinate pair depends only on the product w = x*z and
 solves T f = z f, f(0) = 1.  Three evaluators of the same analytic function:
 
 * power series via the recurrence a_{n+1} = w a_n / (n+1 + 2k*[n+1 odd]) —
-  definitive but float64-cancellation-limited to moderate |w| on the
-  imaginary axis;
-* Bessel-J closed form for purely imaginary argument (transform side);
+  definitive but float64-cancellation-limited to moderate |w|; off the
+  imaginary axis only;
+* Bessel-J closed form for purely imaginary argument, at every |w|;
 * Bessel-I closed form for real argument (heat-kernel side), with an
   exponentially scaled variant for large arguments.
 
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gamma, hyp0f1, ive, jv
 
 from .errors import AccuracyError
-from .root_systems import RootSystemSpec
+from .root_systems import RootSystemSpec, as_points
 
 #: adaptive series termination: stop after this many consecutive terms below
 #: SERIES_STOP_RATIO times the partial sum.
@@ -137,13 +137,14 @@ def kernel_real(v, k: float):
 
 
 def _axis_value(w: complex, k: float) -> complex:
+    """E_k(w), on the imaginary axis by ``kernel_imag_parts`` at every |w|."""
+    if w.real == 0.0:
+        re, im = kernel_imag_parts(np.array(w.imag), k)
+        return complex(re) + 1j * complex(im)
     if abs(w) <= SERIES_STABLE_LIMIT:
         return kernel_series(w, k)
     if w.imag == 0.0:
         return complex(kernel_real(np.array(w.real), k))
-    if w.real == 0.0:
-        re, im = kernel_imag_parts(np.array(w.imag), k)
-        return complex(re) + 1j * complex(im)
     raise AccuracyError(
         f"no stable evaluator for large complex argument |w|={abs(w):.3g} "
         "off the real and imaginary axes")
@@ -151,10 +152,10 @@ def _axis_value(w: complex, k: float) -> complex:
 
 def kernel_imag_batch(system: RootSystemSpec, xi_pts: np.ndarray,
                       x_pts: np.ndarray) -> np.ndarray:
-    """E(i xi, x) for paired batches of real vectors, as a complex array."""
-    xi_pts = np.atleast_2d(np.asarray(xi_pts, dtype=float))
-    x_pts = np.atleast_2d(np.asarray(x_pts, dtype=float))
-    xi_pts, x_pts = np.broadcast_arrays(xi_pts, x_pts)
+    """E(i xi, x) for each pair of points (``as_points``; one point
+    broadcasts against a batch), as a complex array."""
+    xi_pts, x_pts = np.broadcast_arrays(as_points(xi_pts, system.dim),
+                                        as_points(x_pts, system.dim))
     ks = system.ks
     out = np.ones(len(xi_pts), dtype=complex)
     for d in range(system.dim):

@@ -26,6 +26,7 @@ from .functions import PolyGauss
 from .measure import EtaFields, WeightedContext, _weighted_norm
 from .operators import apply_dunkl, positive_roots
 from .quadrature import TensorGrid, check_refined, integrate_shell_checked
+from .root_systems import as_points
 
 #: largest admissible perturbation strength eps, read on every validation.
 EPSILON_MAX = 0.1
@@ -70,8 +71,9 @@ class BilinearFormSpec:
 
 def t_g_eta_values(ctx: WeightedContext, s: float, zeta: np.ndarray,
                    order: int, g: PolyGauss, pts: np.ndarray) -> np.ndarray:
-    """T_zeta^order (g eta(., s)) at points, orders 1 and 2, in closed form."""
-    return _t_g_eta(ctx, zeta, order, g, pts, EtaFields(s))
+    """T_zeta^order (g eta(., s)) at ``pts`` (``as_points``), order 1 or 2."""
+    return _t_g_eta(ctx, zeta, order, g, as_points(pts, ctx.dim),
+                    EtaFields(s))
 
 
 def _sample(h: PolyGauss, where) -> np.ndarray:

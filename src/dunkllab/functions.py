@@ -19,6 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .quadrature import TensorGrid
+from .root_systems import as_points
 
 
 def _poly_eval(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -89,7 +90,7 @@ class PolyGauss:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = as_points(pts, self.dim)
         gauss = np.exp(-np.sum(self.exponents[None, :] * pts**2, axis=1))
         return _poly_eval(self.coeffs, pts) * gauss
 

@@ -25,7 +25,8 @@ from . import fitting
 from .checks import (GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived,
                      Param, grid_params, integer, number, numbers, register)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
-from .errors import CapabilityError, ConfigError, DomainTooSmallError
+from .errors import (AccuracyError, CapabilityError, ConfigError,
+                     DomainTooSmallError)
 from .fitting import (alternating_split, envelope_fit,
                       envelope_fit_upper, envelope_holdout_ratio,
                       fit_decay_exponent, garding_lp, garding_holdout_ratio,
@@ -65,7 +66,7 @@ def _freq_sized_ctx(ctx: WeightedContext, spec: KernelSpec,
     """Context whose frequency box matches the symbol decay of the spec the
     point evaluators integrate (``kernels.integrated_spec``)."""
     fbox = params["freq_box"] or float(
-        np.ceil(1.1 * freq_box_for(integrated_spec(spec)[0])))
+        np.ceil(1.1 * freq_box_for(integrated_spec(spec))))
     fn = params["freq_n_half"] or ctx.freq_n_half
     if fbox == ctx.freq_box and fn == ctx.freq_n_half:
         return ctx
@@ -87,7 +88,7 @@ def decay_samples(ctx: WeightedContext,
     radii = np.geomspace(*DECAY_RADII)
     rays = decay_rays(ctx.dim)
     pts = (radii[:, None, None] * rays[None, :, :]).reshape(-1, ctx.dim)
-    vals = np.abs(np.atleast_1d(evaluate_q(ctx, spec, pts)))
+    vals = np.abs(evaluate_q(ctx, spec, pts))
     rr = np.repeat(radii, len(rays))
     return rr, vals
 
@@ -199,7 +200,7 @@ def _check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
     xs, ys = make_pair_grid(ctx)
     p = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
     qctx = _freq_sized_ctx(ctx, spec, params)
-    q = np.atleast_1d(two_point_kernel(qctx, spec, xs, ys))
+    q = two_point_kernel(qctx, spec, xs, ys)
     V = volume_max_pairs(ctx.system, xs, ys, 1.0)
     d = orbit_distance_pairwise(ctx.group, xs, ys)
     vals = np.abs(q) * V
@@ -228,7 +229,7 @@ def _check_heat_gaussian_bound(ctx: WeightedContext, spec: KernelSpec,
     d = orbit_distance_pairwise(ctx.group, xs, ys)
     zs, vals = [], []
     for t in t_set:
-        h = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, t))
+        h = heat_kernel_two_point(ctx, xs, ys, t)
         V = volume_max_pairs(ctx.system, xs, ys, float(np.sqrt(t)))
         zs.append(d**2 / t)
         vals.append(h * V)
@@ -369,8 +370,12 @@ def _constant_ratio_verdict(vals: np.ndarray, scales: np.ndarray,
                             held: np.ndarray) -> tuple[float, dict]:
     """(defect, fitted) of vals <= C scales: C fitted on each half, the
     held-out half against the calibrated C with 1.05 slack; the defect is
-    max(drift of C between the halves / STABILITY_TOL, held-out ratio)."""
+    max(drift of C between the halves / STABILITY_TOL, held-out ratio);
+    AccuracyError when every calibration value underflows to 0."""
     C_cal = ratio_constant_fit(vals[cal], scales[cal])
+    if not C_cal > 0:
+        raise AccuracyError(f"calibrated constant C is {C_cal:g}: every "
+                            "calibration value underflows to 0")
     C_held = ratio_constant_fit(vals[held], scales[held])
     ratio = ratio_holdout_ratio(vals[held], scales[held], C_cal)
     stability = abs(C_held - C_cal) / C_cal
@@ -459,6 +464,12 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     # f and phi are the same bumps, sampled on the grid axes: transform
     # each radius once
     bumps = {r: radial_bump(ctx.dim, r) for r in radii}
+    f_l1 = {r: float(bctx.grid.integrate(np.abs(bump.values_on(bctx.grid))))
+            for r, bump in bumps.items()}
+    for r, norm in f_l1.items():
+        if not norm > 0:
+            raise AccuracyError(f"the bump of radius {r:g} has L1 norm "
+                                f"{norm:g}: no grid node lies in its support")
     spectra = {r: dunkl_transform(bctx, bump) for r, bump in bumps.items()}
 
     def translated_l1(r1: float, r2: float) -> float:
@@ -477,15 +488,14 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     l1_of = {}
     vals, scales, cal_mask = [], [], []
     for r2 in radii:          # support radius of f
-        f_l1 = float(bctx.grid.integrate(
-            np.abs(bumps[r2].values_on(bctx.grid))))
         for r1 in radii:      # support radius of the radial factor phi
             pair = (min(r1, r2), max(r1, r2))
             if pair not in l1_of:
                 l1_of[pair] = translated_l1(r1, r2)
             l1 = l1_of[pair]
             vals.append(l1)
-            scales.append((r1 * (r1 + r2)) ** (ctx.homogeneous_dim / 2.0) * f_l1)
+            scales.append((r1 * (r1 + r2)) ** (ctx.homogeneous_dim / 2.0)
+                          * f_l1[r2])
             cal_mask.append(r1 >= r2)
     vals = np.asarray(vals)
     scales = np.asarray(scales)

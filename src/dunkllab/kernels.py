@@ -39,6 +39,7 @@ from .functions import GridSampled, PolyGauss, gaussian, monomial_gauss
 from .measure import WeightedContext
 from .operators import dunkl_laplacian
 from .quadrature import TensorGrid
+from .root_systems import as_point, as_points
 from .report import VerificationReport, grid_metadata
 from .transform import (SpectralFunction, _real_part_checked,
                         dunkl_convolve, dunkl_transform, inverse_at_points,
@@ -158,12 +159,12 @@ def _rescale_to_unit_time(spec: KernelSpec) -> tuple[KernelSpec, float]:
     return replace(spec, eps=eps1, t=1.0), t ** (-1.0 / (2.0 * ell))
 
 
-def integrated_spec(spec: KernelSpec) -> tuple[KernelSpec, float]:
-    """(spec, lam): the point evaluators integrate spec at lam x, unchanged
-    for t in [T_DIRECT_MIN, T_DIRECT_MAX], else at unit time."""
+def integrated_spec(spec: KernelSpec) -> KernelSpec:
+    """The spec the point evaluators integrate: spec itself for t in
+    [T_DIRECT_MIN, T_DIRECT_MAX], else its unit-time spec."""
     if T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        return spec, 1.0
-    return _rescale_to_unit_time(spec)
+        return spec
+    return _rescale_to_unit_time(spec)[0]
 
 
 def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
@@ -178,20 +179,24 @@ def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
     return vals
 
 
-def evaluate_q(ctx: WeightedContext, spec: KernelSpec, x) -> float | np.ndarray:
-    """q_t^(eps) at one point (shape (N,)) or a batch ((M, N))."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    unit, lam = integrated_spec(spec)
-    if unit is not spec:
-        amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
-        out = amp * np.atleast_1d(evaluate_q(ctx, unit, pts * lam))
-        return float(out[0]) if single else out
+def _at_unit_time(ctx: WeightedContext, spec: KernelSpec, evaluate,
+                  *batches) -> np.ndarray:
+    """``evaluate(ctx, spec, *batches)`` by the homogeneity law,
+    t^{-N_h/(2l)} evaluate(ctx, unit, *(lam batches)), with unit and lam
+    from ``_rescale_to_unit_time``."""
+    unit, lam = _rescale_to_unit_time(spec)
+    amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
+    return amp * evaluate(ctx, unit, *(pts * lam for pts in batches))
+
+
+def evaluate_q(ctx: WeightedContext, spec: KernelSpec, x) -> np.ndarray:
+    """q_t^(eps) at the points ``x`` (``as_points``), one value each."""
+    pts = as_points(x, ctx.dim)
+    if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
+        return _at_unit_time(ctx, spec, evaluate_q, pts)
     sym = _symbol_exp_on(spec, ctx.freq_grid, spec.t)
     vals = inverse_at_points(ctx, sym, pts) / ctx.c_k
-    out = _real_part_checked(vals, "q_t")
-    return float(out[0]) if single else out
+    return _real_part_checked(vals, "q_t")
 
 
 def q_on_grid(ctx: WeightedContext, spec: KernelSpec) -> GridSampled:
@@ -205,11 +210,11 @@ def q_on_grid(ctx: WeightedContext, spec: KernelSpec) -> GridSampled:
     return inverse_dunkl_transform(ctx, sym, then=(np.divide, ctx.c_k))
 
 
-def heat_kernel(ctx: WeightedContext, x, t: float) -> float | np.ndarray:
+def heat_kernel(ctx: WeightedContext, x, t: float) -> np.ndarray:
     """h_t(x) = c_k^{-1} (2t)^{-N_h/2} exp(-|x|^2/(4t)).
 
-    ``x`` is a point (N,), a batch (M, N), or a TensorGrid: then the values
-    come in the grid's shape, formed from its axes and in place.
+    ``x`` is points (``as_points``), one value each, or a TensorGrid: then
+    the values come in the grid's shape, formed from its axes and in place.
     """
     if t <= 0:
         raise ValueError("time t must be positive")
@@ -221,79 +226,60 @@ def heat_kernel(ctx: WeightedContext, x, t: float) -> float | np.ndarray:
         np.exp(out, out=out)
         out *= amp
         return out
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_2d(x)
-    out = amp * np.exp(-np.sum(pts**2, axis=1) / (4.0 * t))
-    return float(out[0]) if single else out
+    pts = as_points(x, ctx.dim)
+    return amp * np.exp(-np.sum(pts**2, axis=1) / (4.0 * t))
 
 
-def heat_kernel_two_point(ctx: WeightedContext, x, y, t: float) -> float | np.ndarray:
-    """Closed-form h_t(x, y), evaluated in exponentially scaled form."""
+def heat_kernel_two_point(ctx: WeightedContext, x, y, t: float) -> np.ndarray:
+    """Closed-form h_t(x, y) for each pair (``two_point_kernel``), evaluated
+    in exponentially scaled form."""
     if t <= 0:
         raise ValueError("time t must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    single = x.ndim == 1 and y.ndim == 1
-    xs, ys = np.atleast_2d(x), np.atleast_2d(y)
-    xs, ys = np.broadcast_arrays(xs, ys)
+    xs, ys = np.broadcast_arrays(as_points(x, ctx.dim),
+                                 as_points(y, ctx.dim))
     ks = ctx.system.ks
     amp = (2.0 * t) ** (-ctx.homogeneous_dim / 2.0) / ctx.c_k
     expo = -np.sum((np.abs(xs) - np.abs(ys)) ** 2, axis=1) / (4.0 * t)
     prod = np.ones(len(xs))
     for d in range(ctx.dim):
         prod *= kernel_real_scaled(xs[:, d] * ys[:, d] / (2.0 * t), ks[d])
-    out = amp * np.exp(expo) * prod
-    return float(out[0]) if single else out
+    return amp * np.exp(expo) * prod
 
 
-def _kernel_at_point(ctx: WeightedContext, x: np.ndarray, grid: TensorGrid) -> np.ndarray:
-    """E(i xi, x) on all nodes of a frequency grid, as a shaped array."""
-    ks = ctx.system.ks
+def _shifted_spectrum(ctx: WeightedContext, f, x) -> np.ndarray:
+    """F f(xi) E(i xi, x) on the frequency grid for one point x; ``f`` may
+    be given as a SpectralFunction (its transform), then used as it is."""
+    x = as_point(x, ctx.dim)
+    tf = (f.values_on(ctx.freq_grid) if isinstance(f, SpectralFunction)
+          else dunkl_transform(ctx, f).values)
     axis_vals = []
     for d in range(ctx.dim):
-        re, im = kernel_imag_outer(x[d:d + 1], grid.axis_nodes(d), ks[d])
+        re, im = kernel_imag_outer(x[d:d + 1], ctx.freq_grid.axis_nodes(d),
+                                   ctx.system.ks[d])
         axis_vals.append(re[0] + 1j * im[0])
-    if ctx.dim == 1:
-        return axis_vals[0]
-    return np.multiply.outer(axis_vals[0], axis_vals[1])
+    return tf * (axis_vals[0] if ctx.dim == 1
+                 else np.multiply.outer(*axis_vals))
 
 
 def dunkl_translate(ctx: WeightedContext, f, x) -> GridSampled:
-    """tau_x f on the spatial grid: F^{-1}[E(i xi, x) F f(xi)].
-
-    ``f`` may be given as a SpectralFunction (its transform), which is then
-    used as it is instead of being transformed again.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    tf = (f.values_on(ctx.freq_grid) if isinstance(f, SpectralFunction)
-          else dunkl_transform(ctx, f).values)
-    shifted = tf * _kernel_at_point(ctx, x, ctx.freq_grid)
-    del tf      # a spectrum computed here is dead before the inverse
-    return inverse_dunkl_transform(ctx, shifted)
+    """tau_x f on the spatial grid: F^{-1}[E(i xi, x) F f(xi)], for one
+    point x; ``f`` as in ``_shifted_spectrum``."""
+    return inverse_dunkl_transform(ctx, _shifted_spectrum(ctx, f, x))
 
 
 def translate_at_points(ctx: WeightedContext, f, x, points) -> np.ndarray:
-    """tau_x f evaluated at arbitrary points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    tf = dunkl_transform(ctx, f)
-    shifted = tf.values * _kernel_at_point(ctx, x, ctx.freq_grid)
-    vals = inverse_at_points(ctx, shifted, points)
+    """tau_x f at ``points`` (``as_points``), for one point x."""
+    vals = inverse_at_points(ctx, _shifted_spectrum(ctx, f, x), points)
     return _real_part_checked(vals, "translated function")
 
 
-def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np.ndarray:
-    """q_t(x, y) = tau_x q_t(-y), by a single frequency-domain quadrature."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    single = x.ndim == 1 and y.ndim == 1
-    xs, ys = np.atleast_2d(x), np.atleast_2d(y)
-    xs, ys = np.broadcast_arrays(xs, ys)
-    unit, lam = integrated_spec(spec)
-    if unit is not spec:
-        amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
-        out = amp * np.atleast_1d(two_point_kernel(ctx, unit, xs * lam, ys * lam))
-        return float(out[0]) if single else out
+def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> np.ndarray:
+    """q_t(x, y) = tau_x q_t(-y) for each pair of points x, y (``as_points``;
+    one point broadcasts against a batch), by one frequency quadrature."""
+    xs, ys = np.broadcast_arrays(as_points(x, ctx.dim),
+                                 as_points(y, ctx.dim))
+    if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
+        return _at_unit_time(ctx, spec, two_point_kernel, xs, ys)
     grid = ctx.freq_grid
     sym = _symbol_exp_on(spec, grid, spec.t)
     ks = ctx.system.ks
@@ -309,8 +295,7 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> float | np
         acc = pair_axis[0] @ sym.reshape(-1)
     else:
         acc = np.einsum("ma,mb,ab->m", pair_axis[0], pair_axis[1], sym)
-    out = _real_part_checked(acc / ctx.c_k**2, "two-point kernel")
-    return float(out[0]) if single else out
+    return _real_part_checked(acc / ctx.c_k**2, "two-point kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +365,11 @@ def _default_points(dim: int, radii=(0.0, 1.0, 3.0)) -> np.ndarray:
 def _check_mass(ctx: WeightedContext, spec: KernelSpec,
                 params: dict) -> VerificationReport:
     t = params["t"]
-    points = np.atleast_2d(np.asarray(
-        params["points"] or _default_points(ctx.dim), dtype=float))
+    points = as_points(params["points"] or _default_points(ctx.dim), ctx.dim)
     grid_pts = ctx.grid.points()
     masses = []
     for x in points:
-        vals = heat_kernel_two_point(ctx, np.broadcast_to(x, grid_pts.shape),
-                                     grid_pts, t)
+        vals = heat_kernel_two_point(ctx, x, grid_pts, t)
         masses.append(float(ctx.grid.integrate(vals.reshape(ctx.grid.shape))))
     defect = max(abs(m - 1.0) for m in masses)
     return VerificationReport.from_defect(
@@ -410,8 +393,8 @@ def _check_symmetry(ctx: WeightedContext, spec: KernelSpec,
                     params: dict) -> VerificationReport:
     n = params["n_pairs"]
     xs, ys = _pair_sample(ctx, n, params["radius"])
-    qxy = np.atleast_1d(two_point_kernel(ctx, spec, xs, ys))
-    qyx = np.atleast_1d(two_point_kernel(ctx, spec, ys, xs))
+    qxy = two_point_kernel(ctx, spec, xs, ys)
+    qyx = two_point_kernel(ctx, spec, ys, xs)
     scale = max(float(np.max(np.abs(qxy))), 1e-300)
     defect = float(np.max(np.abs(qxy - qyx))) / scale
     return VerificationReport.from_defect(
@@ -433,7 +416,7 @@ def _check_positivity(ctx: WeightedContext, spec: KernelSpec,
     min_val = np.inf
     non_finite = []
     for t in t_set:
-        vals = np.atleast_1d(heat_kernel_two_point(ctx, xs, ys, t))
+        vals = heat_kernel_two_point(ctx, xs, ys, t)
         bad = int(np.sum(~np.isfinite(vals)))
         if bad:
             non_finite.append(f"{bad} of {vals.size} at t = {t:g}")
@@ -475,23 +458,17 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
     t_values = params["t_values"]
     pts = _default_points(ctx.dim, radii=np.linspace(0.0, 2.0, 9))
-    # q_t is integrated at t inside the direct range and at unit time
-    # outside it; enlarge the frequency box only when it cannot hold the
-    # symbol decay of every spec integrated
-    integrated = [_rescale_to_unit_time(replace(spec, t=t))[0]
-                  for t in t_values]
-    integrated += [replace(spec, t=t) for t in t_values
-                   if T_DIRECT_MIN <= t <= T_DIRECT_MAX]
-    need = max(freq_box_for(s) for s in integrated)
+    specs = [replace(spec, t=t) for t in t_values]
+    # each side integrates q_t at t or at unit time; enlarge the frequency
+    # box only when it cannot hold the symbol decay of every spec integrated
+    need = max(freq_box_for(s) for spec_t in specs for s in (
+        integrated_spec(spec_t), _rescale_to_unit_time(spec_t)[0]))
     if ctx.freq_box < need:
         ctx = ctx.with_grids(freq_box=float(np.ceil(1.1 * need)))
     defect = 0.0
-    for t in t_values:
-        spec_t = replace(spec, t=t)
-        lhs = np.atleast_1d(evaluate_q(ctx, spec_t, pts))
-        unit, lam = _rescale_to_unit_time(spec_t)
-        amp = t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
-        rhs = amp * np.atleast_1d(evaluate_q(ctx, unit, pts * lam))
+    for spec_t in specs:
+        lhs = evaluate_q(ctx, spec_t, pts)
+        rhs = _at_unit_time(ctx, spec_t, evaluate_q, pts)
         defect = max(defect, float(np.max(np.abs(lhs - rhs))))
     return VerificationReport.from_defect(
         "kernel-scaling", {"spec": spec.to_dict(), "t_values": t_values,

@@ -15,7 +15,7 @@ from scipy.special import roots_legendre
 
 from .errors import AccuracyError
 from .quadrature import AxisRule, TensorGrid, check_refined, check_shell
-from .root_systems import ReflectionGroup, RootSystemSpec
+from .root_systems import ReflectionGroup, RootSystemSpec, as_point, as_points
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,8 @@ def _ball_volume_product2(ks, center, r: float) -> float:
 
 
 def ball_volume(system: RootSystemSpec, center, r: float) -> float:
-    """Weighted volume w(B(center, r))."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    """Weighted volume w(B(center, r)) of the ball about one point."""
+    center = as_point(center, system.dim)
     if r <= 0:
         raise ValueError("ball radius must be positive")
     ks = system.ks
@@ -80,23 +80,18 @@ def ball_volume(system: RootSystemSpec, center, r: float) -> float:
 
 
 def volume_max_pairs(system: RootSystemSpec, xs, ys, t: float) -> np.ndarray:
-    """V(x_i, y_i, t) = max(w(B(x_i,t)), w(B(y_i,t))) for each pair of rows.
+    """V(x_i, y_i, t) = max(w(B(x_i,t)), w(B(y_i,t))) for each pair of points.
 
     Pair sets repeat their points, so each distinct centre among the rows of
     xs and ys gets one ball volume; the pairs then take element-wise maxima.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1, system.dim)
-    ys = np.asarray(ys, dtype=float).reshape(-1, system.dim)
+    xs = as_points(xs, system.dim)
+    ys = as_points(ys, system.dim)
     centers, inverse = np.unique(np.concatenate([xs, ys]), axis=0,
                                  return_inverse=True)
     vols = np.array([ball_volume(system, c, t) for c in centers])
     vols = vols[inverse.reshape(-1)]
     return np.maximum(vols[:len(xs)], vols[len(xs):])
-
-
-def volume_max(system: RootSystemSpec, x, y, t: float) -> float:
-    """V(x, y, t) = max(w(B(x,t)), w(B(y,t))) — the two-point normalization."""
-    return float(volume_max_pairs(system, [x], [y], t)[0])
 
 
 # ---------------------------------------------------------------------------

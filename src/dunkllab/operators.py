@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .functions import CallableFunction, PolyGauss
-from .root_systems import RootSystemSpec
+from .root_systems import RootSystemSpec, as_points
 
 #: |<alpha, x>| below which the callable path switches from the direct
 #: difference quotient to the segment-integral identity.
@@ -51,8 +51,8 @@ def _apply_polygauss(system: RootSystemSpec, zeta: np.ndarray, f: PolyGauss) -> 
 
 def dunkl_apply_values(system: RootSystemSpec, f: CallableFunction,
                        zeta: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate T_zeta f at a batch of points for a callable with gradient."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    """T_zeta f at ``pts`` (``as_points``) for a callable with gradient."""
+    pts = as_points(pts, system.dim)
     zeta = np.asarray(zeta, dtype=float)
     out = f.gradient(pts) @ zeta
     fvals = None

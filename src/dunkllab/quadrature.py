@@ -11,8 +11,6 @@ accepts a value only if it stays put, by ``relative_move``, on the grid refined
 by ``REFINE_FACTOR`` (node counts from ``refined_n_half``); ``check_shell``
 rejects an integrand whose |values| dw mass is not finite, or whose outer
 boundary shell carries more than ``SHELL_TOL`` of that mass.
-``integrate_checked`` is ``check_refined`` applied to the integral of one
-callable.
 
 ``integrate`` and the shell check write weight x integrand into one
 C-ordered buffer and sum it, the same bits as
@@ -311,13 +309,3 @@ def check_refined(base, fine, tol: float, what: str, floor: float = 1e-300):
             f"(> {tol:.1e}); increase resolution"
         )
     return fine
-
-
-def integrate_checked(grid: TensorGrid, fn, tol: float = 1e-9,
-                      what: str = "integral") -> float | complex:
-    """Integrate fn on the grid and on the refined grid; the two values must
-    agree to tol relative to max(|fine|, 1) or an AccuracyError is raised."""
-    fine_grid = grid.refined()
-    return check_refined(grid.integrate(grid.evaluate(fn)),
-                         fine_grid.integrate(fine_grid.evaluate(fn)),
-                         tol, what, floor=1.0)

@@ -84,6 +84,30 @@ class ReflectionGroup:
         return np.array([np.diag(s) for s in signs])
 
 
+def as_points(x, dim: int) -> np.ndarray:
+    """``x`` as an (M, dim) float batch, by the package's one shape rule: an
+    (M, dim) array is M points, returned as it is; a vector of dim numbers
+    is one point; in rank 1 a scalar or an (M,) vector is M points.  Any
+    other shape raises ValueError."""
+    pts = np.asarray(x, dtype=float)
+    if dim == 1 and pts.ndim <= 1:
+        return pts.reshape(-1, 1)
+    if pts.ndim == 1 and pts.size == dim:
+        return pts.reshape(1, dim)
+    if pts.ndim == 2 and pts.shape[1] == dim:
+        return pts
+    raise ValueError(f"points of R^{dim} need shape (M, {dim}) or ({dim},); "
+                     f"got shape {pts.shape}")
+
+
+def as_point(x, dim: int) -> np.ndarray:
+    """The one point of R^dim that ``as_points`` must find in x, as (dim,)."""
+    pts = as_points(x, dim)
+    if len(pts) != 1:
+        raise ValueError(f"need one point of R^{dim}; got shape {np.shape(x)}")
+    return pts[0]
+
+
 def orbit_distance(group: ReflectionGroup, x: np.ndarray, y: np.ndarray) -> float:
     """d(x, y) = min over g in G of |g(x) - y|, over every image."""
     x = np.asarray(x, dtype=float)
@@ -93,15 +117,13 @@ def orbit_distance(group: ReflectionGroup, x: np.ndarray, y: np.ndarray) -> floa
 
 
 def orbit_distance_pairwise(group: ReflectionGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Orbit distances for batches xs (m, dim) and ys (m, dim), elementwise.
+    """Orbit distances for each pair of points of xs and ys (``as_points``).
 
     The minimum over the sign flips is taken axis by axis, in closed form:
         d(x, y)^2 = sum_d (|x_d| - |y_d|)^2,
     which is bit-identical to the minimum over all |G| images.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    diff = np.abs(xs) - np.abs(ys)
+    diff = np.abs(as_points(xs, group.dim)) - np.abs(as_points(ys, group.dim))
     return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 

@@ -104,6 +104,7 @@ from .errors import AccuracyError
 from .functions import GridSampled
 from .measure import WeightedContext
 from .quadrature import AxisRule, TensorGrid, block_slices, check_shell
+from .root_systems import as_points
 
 #: byte cap of the kernel-matrix cache, read on every build
 CACHE_BYTES = 256 * 2**20
@@ -379,9 +380,9 @@ def inverse_dunkl_transform(ctx: WeightedContext, g, then=None) -> GridSampled:
 
 
 def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray:
-    """Inverse transform evaluated at arbitrary spatial points."""
+    """Inverse transform at ``points`` (``as_points``), one complex value each."""
     vals = _spectral_values(ctx, g)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = as_points(points, ctx.dim)
     ks = ctx.system.ks
     factors = []
     for d in range(ctx.dim):

@@ -54,8 +54,8 @@ def test_02_order_one_kernel_matches_closed_form_heat_kernel():
         spec = KernelSpec.heat(ctx.dim)
         rng = np.random.default_rng(7)
         pts = rng.uniform(-3.0, 3.0, size=(40, ctx.dim))
-        q = np.atleast_1d(evaluate_q(ctx, spec, pts))
-        h = np.atleast_1d(heat_kernel(ctx, pts, 1.0))
+        q = evaluate_q(ctx, spec, pts)
+        h = heat_kernel(ctx, pts, 1.0)
         worst = max(worst, float(np.max(np.abs(q - h))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 60.0

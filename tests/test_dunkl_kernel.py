@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkllab import AccuracyError, product_z2, rank1
 from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, dunkl_kernel_E,
@@ -173,3 +175,28 @@ class TestOuterEvaluation:
                                 np.arange(1.0, 6.0)])
         kernel_imag_outer(np.array([0.5, -0.5, 0.5, 2.0]), nodes, 0.5)
         assert sizes == [2 * 5]
+
+
+#: worst |E_k(iu)| - 1 measured over k in [0, 3] and |u| <= 60 was 2.44e-14
+#: (k = 0, u = 14.10); the bound is 1.5 times that
+MODULUS_EXCESS = 3.7e-14
+KERNEL_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+K = st.floats(0.0, 3.0)
+US = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40)
+
+
+class TestImagAxisProperties:
+    @KERNEL_PROPERTY
+    @given(K, US)
+    def test_re_even_and_im_odd_exactly(self, k, us):
+        u = np.array(us)
+        re, im = kernel_imag_parts(u, k)
+        re_neg, im_neg = kernel_imag_parts(-u, k)
+        assert np.array_equal(re_neg, re)
+        assert np.array_equal(im_neg, -im)
+
+    @KERNEL_PROPERTY
+    @given(K, US)
+    def test_modulus_at_most_one(self, k, us):
+        re, im = kernel_imag_parts(np.array(us), k)
+        assert np.max(np.hypot(re, im)) <= 1.0 + MODULUS_EXCESS

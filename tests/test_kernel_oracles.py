@@ -55,9 +55,10 @@ REAL_POS_TOL = {0.0: 3.8e-14, 1e-3: 1.8e-14, 0.5: 6.1e-16, 1.3: 3.5e-14}
 #: measured worst 2.16e-13 and 8.19e-14; the small-k entries hold the
 #: larger of these as the target of ROADMAP item 2
 REAL_NEG_TOL = {0.5: 3.2e-13, 1.3: 1.2e-13, 0.0: 3.2e-13, 1e-3: 3.2e-13}
-#: measured worst 7.18e-9, 3.25e-9, 4.59e-9 and 4.73e-9, all from the power
-#: series just inside SERIES_STABLE_LIMIT on the imaginary axis
-E_TOL = {0.0: 1.1e-8, 1e-3: 4.9e-9, 0.5: 6.9e-9, 1.3: 7.1e-9}
+#: measured worst 2.56e-14, 5.26e-14, 1.31e-15 and 5.72e-14 (k = 0 on the
+#: real axis, the others on the imaginary axis, which takes the Bessel
+#: forms of ``kernel_imag_parts`` at every |w|)
+E_TOL = {0.0: 3.9e-14, 1e-3: 7.9e-14, 0.5: 2.0e-15, 1.3: 8.6e-14}
 
 CANCELLATION = pytest.mark.xfail(
     strict=True,

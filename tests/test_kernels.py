@@ -172,8 +172,10 @@ class TestTwoPointKernel:
         spec = KernelSpec(directions=((1.0, 0.0), (1.0, 1.0)), ell=2, t=1.0)
         x = np.array([0.8, -0.4])
         y = np.array([0.1, 1.2])
-        assert two_point_kernel(ctx, spec, x, y) == pytest.approx(
-            two_point_kernel(ctx, spec, y, x), rel=1e-10)
+        qxy = two_point_kernel(ctx, spec, x, y)
+        assert qxy.shape == (1,)
+        assert qxy == pytest.approx(two_point_kernel(ctx, spec, y, x),
+                                    rel=1e-10)
 
     def test_classical_two_point_heat_kernel(self):
         # at k = 0 the closed form collapses to the translation kernel

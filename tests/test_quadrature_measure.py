@@ -13,12 +13,11 @@ from dunkllab import (DomainTooSmallError, WeightedContext, ball_volume,
                       eta, product_z2, rank1, weighted_norm)
 from dunkllab import measure, quadrature
 from dunkllab.harness import make_pair_grid
-from dunkllab.measure import (eta_directional, volume_max as vol_max,
-                              volume_max_pairs)
+from dunkllab.measure import eta_directional, volume_max_pairs
 from dunkllab.errors import AccuracyError
 from dunkllab.quadrature import (AxisRule, TensorGrid,
                                  boundary_shell_fraction, check_refined,
-                                 check_shell, integrate_checked,
+                                 check_shell,
                                  integrate_shell_checked, relative_move)
 
 
@@ -86,16 +85,25 @@ class TestTensorGrid:
         with pytest.raises(DomainTooSmallError):
             check_shell(grid, np.ones(grid.shape))
 
-    def test_integrate_checked_agrees_with_closed_form(self):
+    @staticmethod
+    def _refined_integral(grid, fn):
+        """The integral of fn on the refined grid, checked against the
+        grid's own to 1e-9 relative to max(|fine|, 1)."""
+        fine = grid.refined()
+        return check_refined(grid.integrate(grid.evaluate(fn)),
+                             fine.integrate(fine.evaluate(fn)), 1e-9,
+                             "integral", floor=1.0)
+
+    def test_refined_integral_agrees_with_closed_form(self):
         grid = TensorGrid.build(ks=0.0, half_widths=10.0, n_halves=80)
-        val = integrate_checked(grid, lambda p: np.exp(-p[:, 0] ** 2 / 2))
+        val = self._refined_integral(grid, lambda p: np.exp(-p[:, 0] ** 2 / 2))
         assert val == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
 
-    def test_integrate_checked_flags_underresolved_integrand(self):
+    def test_refined_integral_flags_underresolved_integrand(self):
         grid = TensorGrid.build(ks=0.0, half_widths=4.0, n_halves=12)
         with pytest.raises(AccuracyError):
-            integrate_checked(grid, lambda p: np.cos(60 * p[:, 0] ** 2)
-                              * np.exp(-p[:, 0] ** 2))
+            self._refined_integral(grid, lambda p: np.cos(60 * p[:, 0] ** 2)
+                                   * np.exp(-p[:, 0] ** 2))
 
 
 def _signed_samples(grid, rng, dtype):
@@ -376,7 +384,7 @@ class TestBallVolume:
         x, y = np.array([0.1]), np.array([2.0])
         vx = ball_volume(sys1, x, 1.0)
         vy = ball_volume(sys1, y, 1.0)
-        assert vol_max(sys1, x, y, 1.0) == pytest.approx(max(vx, vy))
+        assert volume_max_pairs(sys1, x, y, 1.0) == pytest.approx([max(vx, vy)])
 
 
 def _disc_volume_oracle(ks, center, r):

@@ -13,7 +13,7 @@ import pytest
 
 from dunkllab import __version__, cli, kernels
 from dunkllab.checks import CHECKS, Derived, Param
-from dunkllab.errors import ConfigError
+from dunkllab.errors import AccuracyError, ConfigError
 from dunkllab.report import VerificationReport
 from dunkllab.runner import (CONFIG_HASH_LEN, OUTPUT_DIR_ENV, build_context,
                              build_kernel_spec, build_system, config_schema,
@@ -39,6 +39,21 @@ FAST_CONFIG = {
                {"kind": "thm1-decay"}],
     "workers": 1,
 }
+
+
+#: (kind, params, message) of configs whose divisor underflows to 0: the
+#: translation differences at a frequency box of 1e6, and bumps too narrow
+#: to hold a grid node; small grids keep each sub-second
+UNDERFLOW_CASES = [
+    ("translation-lipschitz", {"freq_box": 1e6, "freq_n_half": 40},
+     "calibrated constant C is 0"),
+    ("compact-support-l1",
+     {"radii": [1e-300, 1.0], "n_half": 40, "freq_n_half": 60},
+     "bump of radius 1e-300 has L1 norm 0"),
+    ("compact-support-l1",
+     {"radii": [1e-12, 1.0], "n_half": 40, "freq_n_half": 60},
+     "bump of radius 1e-12 has L1 norm 0"),
+]
 
 
 def write_config(tmp_path, config, name="exp.json"):
@@ -610,6 +625,31 @@ class TestRunEndToEnd:
         summary, = out_dir.glob("exp_*_summary.csv")
         rows = list(csv.reader(summary.read_text().splitlines()))
         assert ["1", "thm1-decay", "error", "FitConvergenceError"] in rows
+
+    @pytest.mark.parametrize("kind, params, message", UNDERFLOW_CASES)
+    def test_underflowed_divisor_is_an_error_record_not_a_traceback(
+            self, tmp_path, out_dir, capsys, kind, params, message):
+        config = {"system": {"type": "rank1", "k": 0.5},
+                  "checks": [{"kind": "e-bound"},
+                             {"kind": kind, "params": params}]}
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert f"error in check 1 ({kind}):" in captured.out
+        report_path, = out_dir.glob("exp_*_e-bound.json")
+        assert json.loads(report_path.read_text())["pass"] is True
+        error_path, = out_dir.glob(f"exp_*_{kind}_error.json")
+        record = json.loads(error_path.read_text())["error"]
+        assert record["type"] == "AccuracyError"
+        assert message in record["message"]
+        assert not list(out_dir.glob(f"exp_*_{kind}.json"))
+
+    @pytest.mark.parametrize("kind, params, message", UNDERFLOW_CASES)
+    def test_underflowed_divisor_raises_accuracy_error_in_run_check(
+            self, kind, params, message):
+        ctx = build_context({"system": {"type": "rank1", "k": 0.5}})
+        with pytest.raises(AccuracyError, match=re.escape(message)):
+            run_check(ctx, kind, params)
 
     def test_order_two_translation_lipschitz_sizes_its_spatial_box(
             self, tmp_path, out_dir, capsys):
