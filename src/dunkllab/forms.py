@@ -12,7 +12,11 @@ calculus, so quadrature error enters only through the final integral.
 
 Each Dunkl image of a function is formed once per call (``DunklImages``)
 and each image is sampled once per grid, so the form and the norms of one
-function read the same arrays; garding keeps the images for a whole check.
+function read the same arrays.  Every value is a per-grid evaluation
+(``_form_on``, ``measure._norm_sq_on``) paired with its refined-grid twin
+at the end; garding runs the same evaluators one grid at a time, keeps the
+images for the whole check and the samples of a function for one grid,
+across every s.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 
 from .errors import CapabilityError
 from .functions import PolyGauss
-from .measure import EtaFields, WeightedContext, _weighted_norm
+from .measure import (EtaFields, WeightedContext, _norm_refined,
+                      _norm_sq_on, _weighted_norm)
 from .operators import apply_dunkl, positive_roots
 from .quadrature import TensorGrid, check_refined, integrate_shell_checked
 from .root_systems import as_points
@@ -107,30 +112,37 @@ class DunklImages:
 class _Samples:
     """Values of the images of one ``DunklImages`` on TensorGrids (grid
     shape) or (M, dim) point arrays, each sampled once and held for the
-    life of the object.  garding keeps one per (s, f): the form, the H_s
-    norm and the V_{l,s} norm all read the same arrays."""
+    life of the object.  garding keeps one per (function, grid): the form,
+    the H_s norm and the V_{l,s} norm at every s read the same arrays."""
 
     def __init__(self, images: DunklImages):
         self.images = images
         self._held: dict = {}
 
-    def _value(self, where, key, image):
+    def _value(self, where, key, compute):
         # ``where`` stays referenced next to its values, so its id is not
         # reused while the entry lives
         slot = (id(where), key)
         if slot not in self._held:
-            self._held[slot] = (where, _sample(image(), where))
+            self._held[slot] = (where, compute())
         return self._held[slot][1]
 
     def power(self, where, zeta=None, j: int = 0) -> np.ndarray:
         """T_zeta^j f at ``where``; f itself by default."""
         key = (tuple(zeta), j) if j else ()
-        return self._value(where, key, lambda: self.images.power(zeta, j))
+        return self._value(
+            where, key, lambda: _sample(self.images.power(zeta, j), where))
+
+    def squared(self, where, zeta=None, j: int = 0) -> np.ndarray:
+        """|T_zeta^j f|^2 at ``where``, formed anew on each call; it does
+        not depend on s, so garding forms it once per (function, grid)."""
+        return np.abs(self.power(where, zeta, j)) ** 2
 
     def reflected(self, where, axis: int) -> np.ndarray:
         """f o sigma_axis at ``where``."""
-        return self._value(where, ("reflected", axis),
-                           lambda: self.images.f.reflect_axis(axis))
+        return self._value(
+            where, ("reflected", axis),
+            lambda: _sample(self.images.f.reflect_axis(axis), where))
 
 
 def _t_g_eta(ctx: WeightedContext, zeta: np.ndarray, order: int,
@@ -176,29 +188,45 @@ def _require_polygauss(*fs):
                 "bilinear forms are evaluated on the PolyGauss family only")
 
 
-def _form_terms(ctx: WeightedContext, spec: "BilinearFormSpec", f: _Samples,
+def _form_terms(ctx: WeightedContext, ell: int, directions, f: _Samples,
                 g: _Samples, grid: TensorGrid, fields: EtaFields):
     """Per-direction integrals of T^l f . T^l(g eta) plus their gross mass,
     the |integrand| dw sum that the shell check takes; one weighted pass
     gives both."""
     total = 0.0
     gross = 0.0
-    for zeta in spec.direction_arrays():
-        integrand = f.power(grid, zeta, spec.ell) * _t_eta(
-            ctx, zeta, spec.ell, g, grid, fields)
+    for zeta in directions:
+        # the integrand is dropped before the next direction's is formed
         value, mass = integrate_shell_checked(
-            grid, integrand, what="bilinear form integrand")
+            grid, f.power(grid, zeta, ell) * _t_eta(ctx, zeta, ell, g, grid,
+                                                    fields),
+            what="bilinear form integrand")
         total += value
         gross += mass
     return total, gross
 
 
-def _refine_checked(ctx, evaluate) -> float:
-    """The refined-grid value of ``evaluate``, checked against the base grid
-    relative to max(|value|, 1e-6 of its gross mass)."""
-    base, _ = evaluate(ctx.grid)
-    fine, gross = evaluate(ctx.grid_fine)
-    return check_refined(base, fine, FORM_REFINE_TOL, "form value",
+def _form_on(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
+             g: _Samples, grid: TensorGrid,
+             fields: EtaFields) -> tuple[float, float]:
+    """(b_{s,eps}(f, g), its gross mass) on one grid, with eta from
+    ``fields`` (at spec.s); a_s(f, g) at eps = 0."""
+    total, gross = _form_terms(ctx, spec.ell, spec.direction_arrays(), f, g,
+                               grid, fields)
+    if spec.eps == 0.0:
+        return -total, gross
+    total_c, gross_c = _form_terms(ctx, 1, np.eye(ctx.dim), f, g, grid,
+                                   fields)
+    return -total + spec.eps * total_c, gross + spec.eps * gross_c
+
+
+def _form_refined(base: tuple[float, float],
+                  fine: tuple[float, float]) -> float:
+    """The form from its ``_form_on`` pairs on the base and refined grids:
+    the refined value, checked against the base relative to max(|value|,
+    1e-6 of its gross mass)."""
+    (value, _), (fine_value, gross) = base, fine
+    return check_refined(value, fine_value, FORM_REFINE_TOL, "form value",
                          floor=max(1e-6 * gross, 1e-300))
 
 
@@ -229,22 +257,9 @@ def _form(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
     ``fields`` (at spec.s)."""
     if spec.s == 0.0:
         raise ValueError("bilinear forms need s > 1/4")
-    if spec.eps == 0.0:
-        def evaluate(grid):
-            total, gross = _form_terms(ctx, spec, f, g, grid, fields)
-            return -total, gross
-
-        return _refine_checked(ctx, evaluate)
-    coords = [np.eye(ctx.dim)[d] for d in range(ctx.dim)]
-    coord_spec = BilinearFormSpec(ell=1, s=spec.s, eps=0.0,
-                                  directions=tuple(tuple(c) for c in coords))
-
-    def evaluate(grid):
-        total_a, gross_a = _form_terms(ctx, spec, f, g, grid, fields)
-        total_c, gross_c = _form_terms(ctx, coord_spec, f, g, grid, fields)
-        return -total_a + spec.eps * total_c, gross_a + spec.eps * gross_c
-
-    return _refine_checked(ctx, evaluate)
+    base = _form_on(ctx, spec, f, g, ctx.grid, fields)
+    return _form_refined(base, _form_on(ctx, spec, f, g, ctx.grid_fine,
+                                        fields))
 
 
 def sobolev_norm_V(ctx: WeightedContext, spec: BilinearFormSpec,
@@ -253,33 +268,52 @@ def sobolev_norm_V(ctx: WeightedContext, spec: BilinearFormSpec,
     _require_polygauss(f)
     fields = EtaFields(spec.s)
     fs = _Samples(DunklImages(ctx.system, f))
-    return _sobolev_norm(ctx, spec, fs, fields,
-                         _weighted_norm(ctx, fs.power, fields))
+    return _sobolev_norm(
+        _weighted_norm(ctx, fs.squared, fields),
+        [_weighted_norm(ctx, lambda grid: fs.squared(grid, zeta, spec.ell),
+                        fields) for zeta in spec.direction_arrays()])
 
 
-def _sobolev_norm(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
-                  fields: EtaFields, h_norm: float) -> float:
-    """``sobolev_norm_V`` given ||f||_{H_s} = ``h_norm``."""
+def _sobolev_norm(h_norm: float, image_norms) -> float:
+    """``sobolev_norm_V`` given ||f||_{H_s} = ``h_norm`` and the
+    ||T_{zeta_j}^l f||_{H_s} in ``image_norms``."""
     total = h_norm ** 2
-    for zeta in spec.direction_arrays():
-        total += _weighted_norm(
-            ctx, lambda grid: f.power(grid, zeta, spec.ell), fields) ** 2
+    for norm in image_norms:
+        total += norm ** 2
     return float(np.sqrt(total))
 
 
-def _coercivity_terms(ctx: WeightedContext, spec: BilinearFormSpec,
-                      images: DunklImages, fields: EtaFields
-                      ) -> tuple[float, float, float]:
-    """(-b_{s,eps}(f, f), ||f||_{H_s}^2, ||f||_{V_{l,s}}^2) at s = spec.s for
-    f = ``images.f``.
+def _grid_terms(ctx: WeightedContext, specs: dict, f: _Samples,
+                grid: TensorGrid, fields: dict) -> dict:
+    """What the coercivity terms of f = ``f.images.f`` read from one grid,
+    for each s of ``specs`` (s -> its BilinearFormSpec) with eta from
+    ``fields`` (s -> EtaFields): the ``_form_on`` pair of b_{s,eps}(f, f),
+    and ||f||^2_{H_s} followed by ||T_zeta^l f||^2_{H_s} per direction.
 
-    eta comes from ``fields``, so one instance serves every f at that s; the
-    images of f come from ``images``, so one instance serves every s.  f and
-    each image are sampled once per grid here and the three terms share the
-    samples, which are dropped on return.
+    f and its images are sampled once, in ``f``, for every s.  |f|^2 and
+    |T_zeta^l f|^2 do not depend on s either: each is formed once, serves
+    every s and is dropped before the next is formed.
     """
-    _require_polygauss(images.f)
-    f = _Samples(images)
-    A = -_form(ctx, spec, f, f, fields)
-    h_norm = _weighted_norm(ctx, f.power, fields)
-    return A, h_norm ** 2, _sobolev_norm(ctx, spec, f, fields, h_norm) ** 2
+    _require_polygauss(f.images.f)
+    spec = next(iter(specs.values()))
+
+    def norms(zeta, j: int) -> list[float]:
+        squared = f.squared(grid, zeta, j)
+        return [_norm_sq_on(grid, squared, fields[s]) for s in specs]
+
+    rows = [norms(None, 0)] + [norms(zeta, spec.ell)
+                               for zeta in spec.direction_arrays()]
+    return {s: (_form_on(ctx, spec_s, f, f, grid, fields[s]),
+                [row[n] for row in rows])
+            for n, (s, spec_s) in enumerate(specs.items())}
+
+
+def _coercivity_terms(base: tuple, fine: tuple) -> tuple[float, float, float]:
+    """(-b_{s,eps}(f, f), ||f||_{H_s}^2, ||f||_{V_{l,s}}^2) from the
+    ``_grid_terms`` of f at one s on the base and the refined grid, each
+    refinement-checked as ``form_b_s_eps``, ``weighted_norm`` and
+    ``sobolev_norm_V`` check it, so the values are theirs bit for bit."""
+    (form_base, norms_base), (form_fine, norms_fine) = base, fine
+    h_norm, *image_norms = map(_norm_refined, norms_base, norms_fine)
+    V = _sobolev_norm(h_norm, image_norms)
+    return -_form_refined(form_base, form_fine), h_norm ** 2, V ** 2

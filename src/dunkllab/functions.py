@@ -281,12 +281,17 @@ def monomial_gauss(powers, a) -> PolyGauss:
 class RadialFunction(CallableFunction):
     """A CallableFunction of |x|^2 alone: ``profile(|x|^2)``.
 
-    On a grid it is sampled from the axes, |x|^2 by
-    ``TensorGrid.outer_sum``, which for dim <= 2 has the bits of the row
+    Its ``fn`` and ``gradient`` know their dimension and read points by
+    ``as_points``, so a call hands them the points as given: in rank 1 an
+    (M,) vector is M points.  On a grid it is sampled from the axes, |x|^2
+    by ``TensorGrid.outer_sum``, which for dim <= 2 has the bits of the row
     sums over ``points()``; ``points()`` is not formed.
     """
 
     profile: object = None
+
+    def __call__(self, pts) -> np.ndarray:
+        return np.asarray(self.fn(pts))
 
     def values_on(self, grid: TensorGrid) -> np.ndarray:
         return self.profile(grid.outer_sum(lambda d, x: x * x))
@@ -309,11 +314,11 @@ def radial_bump(dim: int, radius: float) -> RadialFunction:
         return np.where(u < 1.0, np.maximum(1.0 - u, 0.0) ** BUMP_POWER, 0.0)
 
     def fn(pts):
-        pts = np.atleast_2d(pts)
+        pts = as_points(pts, dim)
         return profile(np.sum(pts**2, axis=1))
 
     def grad(pts):
-        pts = np.atleast_2d(pts)
+        pts = as_points(pts, dim)
         u = np.sum(pts**2, axis=1) / radius**2
         fac = np.where(u < 1.0, -2.0 * BUMP_POWER / radius**2
                        * np.maximum(1.0 - u, 0.0) ** (BUMP_POWER - 1), 0.0)

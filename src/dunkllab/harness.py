@@ -31,8 +31,8 @@ from .fitting import (alternating_split, envelope_fit,
                       envelope_fit_upper, envelope_holdout_ratio,
                       fit_decay_exponent, garding_lp, garding_holdout_ratio,
                       ratio_constant_fit, ratio_holdout_ratio)
-from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages,
-                    _coercivity_terms)
+from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages, _Samples,
+                    _coercivity_terms, _grid_terms)
 from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
 from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
                       dunkl_translate, evaluate_q, freq_box_for, heat_kernel,
@@ -296,19 +296,26 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
     s_set = params["s_set"]
     family = default_garding_family(ctx.dim)
     cal_f, held_f = alternating_split(len(family))
-    # each member's Dunkl images do not depend on s: they are formed once,
-    # on first use, and kept for the whole check (small PolyGauss objects).
-    # The eta fields depend on s only and are grid-sized, so s is the outer
-    # loop and one set of fields is alive at a time; the grid samples of f
-    # and its images live for one (s, f), shared by its three terms.  Rows
-    # are then listed per function, s inner
     members = [DunklImages(ctx.system, f) for f in family]
+    specs = {s: replace(form_spec, s=s) for s in s_set}
+    # the grids in turn, base then refined.  On a grid each member's
+    # images are sampled once, with |f|^2 and |T^l f|^2, and every s reads
+    # those samples; the eta fields of every s share the grid's points and
+    # are dropped with the grid, so one grid's fields are alive at a time.
+    # The Dunkl images depend on neither s nor the grid: each is formed
+    # once for the whole check (small PolyGauss objects).  The base and
+    # refined values are paired at the end, and rows are listed per
+    # function, s inner
+    on_grids = []
+    for grid in (ctx.grid, ctx.grid_fine):
+        fields = EtaFields.sharing(s_set)
+        on_grids.append([_grid_terms(ctx, specs, _Samples(images), grid,
+                                     fields) for images in members])
+    base, fine = on_grids
     terms = {}
-    for s in s_set:
-        spec_s = replace(form_spec, s=s)
-        fields = EtaFields(s)
-        for i, images in enumerate(members):
-            A, H, V = _coercivity_terms(ctx, spec_s, images, fields)
+    for i in range(len(members)):
+        for s in s_set:
+            A, H, V = _coercivity_terms(base[i][s], fine[i][s])
             terms[i, s] = (A, s ** (2 * form_spec.ell) * H, V)
     rows = {label: [terms[i, s] for i in idxs for s in s_set]
             for label, idxs in (("cal", cal_f), ("held", held_f))}
@@ -458,6 +465,10 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
                               params: dict) -> VerificationReport:
     radii = params["radii"]
     y_shift = np.asarray(params["y"] or [1.0] + [0.0] * (ctx.dim - 1))
+    # the bound's scale of every (r1, r2) pair, checked before any bump is
+    # sampled: at r1 = r2 = r it also bounds the r^2 each bump divides by
+    support_scale = {(r1, r2): _support_scale(r1, r2, ctx.homogeneous_dim)
+                     for r2 in radii for r1 in radii}
     bctx = ctx.with_grids(**{key: params[key]
                              for key in GRID_SCHEMA["properties"]})
     norms = np.sqrt(bctx.grid.outer_sum(lambda d, x: x * x))
@@ -494,8 +505,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
                 l1_of[pair] = translated_l1(r1, r2)
             l1 = l1_of[pair]
             vals.append(l1)
-            scales.append((r1 * (r1 + r2)) ** (ctx.homogeneous_dim / 2.0)
-                          * f_l1[r2])
+            scales.append(support_scale[r1, r2] * f_l1[r2])
             cal_mask.append(r1 >= r2)
     vals = np.asarray(vals)
     scales = np.asarray(scales)
@@ -517,6 +527,19 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
         notes="||tau_y(f * phi)||_L1 <= C (r1(r1+r2))^{N_h/2} "
               "||phi||_inf ||f||_L1 across the radius grid; calibration "
               "takes r1 >= r2, held-out the mirrored pairs")
+
+
+def _support_scale(r1: float, r2: float, homogeneous_dim: float) -> float:
+    """(r1 (r1 + r2))^{N_h/2}; AccuracyError when it overflows float64."""
+    try:
+        scale = (r1 * (r1 + r2)) ** (homogeneous_dim / 2.0)
+    except OverflowError:
+        scale = float("inf")
+    if not np.isfinite(scale):
+        raise AccuracyError(
+            f"the bound's scale (r1 (r1 + r2))^(N_h/2) overflows at radii "
+            f"r1 = {r1:g}, r2 = {r2:g}: lower the radii")
+    return scale
 
 
 def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from .root_systems import as_point, as_points
 from .report import VerificationReport, grid_metadata
 from .transform import (SpectralFunction, _real_part_checked,
                         dunkl_convolve, dunkl_transform, inverse_at_points,
-                        inverse_dunkl_transform)
+                        inverse_dunkl_transform, point_sums)
 
 T_DIRECT_MIN = 0.25
 T_DIRECT_MAX = 4.0
@@ -168,7 +168,18 @@ def integrated_spec(spec: KernelSpec) -> KernelSpec:
 
 
 def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
+    """exp(-t sym) on the frequency grid, which must hold its decay: below
+    ``SYMBOL_BOUNDARY_TOL`` on the boundary shell, and above it somewhere,
+    or every node has underflowed and each identity on q_t holds as 0 = 0."""
     vals = np.exp(-t * spec.symbol(grid.points())).reshape(grid.shape)
+    peak = float(np.max(vals))
+    if not peak > SYMBOL_BOUNDARY_TOL:
+        box = max(ax.half_width for ax in grid.axes)
+        raise AccuracyError(
+            f"symbol exponential is at most {peak:.3g} at every node of the "
+            f"frequency grid: freq_box {box:.3g} leaves no node where q_t's "
+            f"spectrum lives; lower freq_box to about {freq_box_for(spec):.3g}"
+            " or raise freq_n_half")
     shell = grid.shell_mask()
     worst = float(np.max(vals[shell]))
     if worst > SYMBOL_BOUNDARY_TOL:
@@ -294,7 +305,7 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> np.ndarray
     if ctx.dim == 1:
         acc = pair_axis[0] @ sym.reshape(-1)
     else:
-        acc = np.einsum("ma,mb,ab->m", pair_axis[0], pair_axis[1], sym)
+        acc = point_sums(pair_axis[0], pair_axis[1], sym)
     return _real_part_checked(acc / ctx.c_k**2, "two-point kernel")
 
 

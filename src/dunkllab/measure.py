@@ -160,19 +160,26 @@ class EtaFields:
     grid for the life of the object.  Fields on point arrays are computed on
     each request.
 
-    The fields are grid-sized and depend on s alone, so a check that
-    evaluates many functions at several s (garding) keeps s as its outer
-    loop: it builds one instance per s and drops it before the next, and
-    only one set of fields is alive at a time.  What does not depend on s is
-    held elsewhere for the whole check: the Dunkl images of each function
-    (``forms.DunklImages``), small PolyGauss objects.  The grid samples of a
-    function and its images depend on neither, but are grid-sized too: they
-    live for one (s, f) only.
+    Instances made together by ``sharing`` hold their fields in one store,
+    with one points array per grid for every s.  garding evaluates the
+    grids in turn: on each grid it makes one such set for all of its s and
+    drops it before the next grid, so the fields of one grid are alive at
+    a time.  What does not depend on s is held elsewhere: the Dunkl images
+    of each function for the whole check (``forms.DunklImages``), small
+    PolyGauss objects, and the grid samples of a function, its images and
+    their squares for one (function, grid) (``forms._Samples``).
     """
 
-    def __init__(self, s: float):
+    def __init__(self, s: float, held: dict | None = None):
         self.s = s
-        self._held: dict = {}
+        self._held = {} if held is None else held
+
+    @classmethod
+    def sharing(cls, s_set) -> dict:
+        """One instance per s of ``s_set``, all holding their fields and
+        grid points in one store."""
+        held: dict = {}
+        return {s: cls(s, held) for s in s_set}
 
     def _held_for(self, grid: TensorGrid, key, compute):
         # the grid stays referenced next to its fields, so its id is not reused
@@ -185,7 +192,8 @@ class EtaFields:
         if not isinstance(where, TensorGrid):
             return fn(where)
         pts = self._held_for(where, "points", where.points)
-        return self._held_for(where, key, lambda: fn(pts).reshape(where.shape))
+        return self._held_for(where, (self.s,) + key,
+                              lambda: fn(pts).reshape(where.shape))
 
     def eta(self, where) -> np.ndarray:
         return self._field(where, ("eta",), lambda p: eta(p, self.s))
@@ -300,24 +308,34 @@ def weighted_norm(ctx: WeightedContext, f, s: float) -> float:
     The integrand must decay inside the box (boundary-shell check) and the
     value must be stable under grid refinement.
     """
-    def values(grid: TensorGrid) -> np.ndarray:
+    def squared(grid: TensorGrid) -> np.ndarray:
         if hasattr(f, "values_on"):
-            return np.asarray(f.values_on(grid), dtype=float).reshape(grid.shape)
-        return grid.evaluate(f)
+            values = np.asarray(f.values_on(grid), dtype=float)
+            return np.abs(values.reshape(grid.shape)) ** 2
+        return np.abs(grid.evaluate(f)) ** 2
 
-    return _weighted_norm(ctx, values, EtaFields(s))
+    return _weighted_norm(ctx, squared, EtaFields(s))
 
 
-def _weighted_norm(ctx: WeightedContext, values, fields: EtaFields) -> float:
-    """``weighted_norm`` at ``fields.s`` of the function whose samples on a
-    grid are ``values(grid)``, taking eta from ``fields``."""
-    def norm_sq(grid: TensorGrid) -> float:
-        # |f|^2 eta >= 0, so the shell check's mass is its integral
-        integrand = np.abs(values(grid)) ** 2
-        if fields.s != 0.0:
-            integrand = integrand * fields.eta(grid)
-        return check_shell(grid, integrand, what="weighted norm")
+def _weighted_norm(ctx: WeightedContext, squared, fields: EtaFields) -> float:
+    """``weighted_norm`` at ``fields.s`` of the function f whose |f|^2 on a
+    grid is ``squared(grid)``, taking eta from ``fields``."""
+    base = _norm_sq_on(ctx.grid, squared(ctx.grid), fields)
+    return _norm_refined(base, _norm_sq_on(ctx.grid_fine,
+                                           squared(ctx.grid_fine), fields))
 
-    fine = check_refined(norm_sq(ctx.grid), norm_sq(ctx.grid_fine),
-                         1e-8, "weighted norm", floor=1.0)
-    return float(np.sqrt(fine))
+
+def _norm_sq_on(grid: TensorGrid, squared: np.ndarray,
+                fields: EtaFields) -> float:
+    """||f||^2 against eta(., fields.s) dw on one grid, from the samples
+    ``squared`` of |f|^2 there, which are left as they are."""
+    # |f|^2 eta >= 0, so the shell check's mass is its integral
+    integrand = squared if fields.s == 0.0 else squared * fields.eta(grid)
+    return check_shell(grid, integrand, what="weighted norm")
+
+
+def _norm_refined(base: float, fine: float) -> float:
+    """The norm from its squares on the base and the refined grid: the
+    refined one, checked against the base."""
+    return float(np.sqrt(check_refined(base, fine, 1e-8, "weighted norm",
+                                       floor=1.0)))

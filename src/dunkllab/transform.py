@@ -99,7 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dunkl_kernel import kernel_imag_outer, kernel_imag_parts
+from .dunkl_kernel import kernel_imag_outer, kernel_imag_parts, on_cores
 from .errors import AccuracyError
 from .functions import GridSampled
 from .measure import WeightedContext
@@ -108,6 +108,8 @@ from .root_systems import as_points
 
 #: byte cap of the kernel-matrix cache, read on every build
 CACHE_BYTES = 256 * 2**20
+#: point sums of at least this many products are split over the cores
+SPLIT_MIN_PRODUCTS = 2**17
 IMAG_RESIDUE_TOL = 1e-10
 
 
@@ -392,8 +394,24 @@ def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray
     if ctx.dim == 1:
         acc = factors[0] @ vals.reshape(-1)
     else:
-        acc = np.einsum("ma,mb,ab->m", factors[0], factors[1], vals)
+        acc = point_sums(factors[0], factors[1], vals)
     return acc / ctx.c_k
+
+
+def point_sums(left: np.ndarray, right: np.ndarray,
+               values: np.ndarray) -> np.ndarray:
+    """``np.einsum("ma,mb,ab->m", left, right, values)`` bit for bit, in
+    blocks of points across the cores (``dunkl_kernel.on_cores``) when it
+    takes at least ``SPLIT_MIN_PRODUCTS`` products: each point's sum reads
+    its own rows of ``left`` and ``right`` alone."""
+    out = np.empty(len(left), dtype=np.result_type(left, right, values))
+
+    def block(lo: int, hi: int) -> None:
+        np.einsum("ma,mb,ab->m", left[lo:hi], right[lo:hi], values,
+                  out=out[lo:hi])
+
+    on_cores(len(left), block, -(-SPLIT_MIN_PRODUCTS // max(values.size, 1)))
+    return out
 
 
 def plancherel_defect(ctx: WeightedContext, f) -> float:

@@ -1,11 +1,17 @@
 """The rank-1 kernel evaluators and their sign-flip product extension."""
 
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkllab import AccuracyError, product_z2, rank1
+from dunkllab import AccuracyError, dunkl_kernel, product_z2, rank1
 from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, dunkl_kernel_E,
                                    kernel_imag_batch, kernel_imag_outer,
                                    kernel_imag_parts, kernel_real,
@@ -200,3 +206,188 @@ class TestImagAxisProperties:
     def test_modulus_at_most_one(self, k, us):
         re, im = kernel_imag_parts(np.array(us), k)
         assert np.max(np.hypot(re, im)) <= 1.0 + MODULUS_EXCESS
+
+
+def _serial_imag(u, k):
+    re, im = np.empty_like(u), np.empty_like(u)
+    dunkl_kernel._imag_parts_into(u, np.abs(u), re, im, k)
+    return re, im
+
+
+def _serial_real(v, k):
+    out = np.empty_like(v)
+    dunkl_kernel._real_scaled_into(v, np.abs(v), out, k)
+    return out
+
+
+def _split_arguments(n: int) -> np.ndarray:
+    """n arguments with signed zeros, values on both sides of
+    SMALL_ARG_LIMIT and large ones, in a shuffled order."""
+    rng = np.random.default_rng(n)
+    u = np.concatenate([
+        [0.0, -0.0, SMALL_ARG_LIMIT, -SMALL_ARG_LIMIT,
+         np.nextafter(SMALL_ARG_LIMIT, 0.0)],
+        rng.uniform(-SMALL_ARG_LIMIT, SMALL_ARG_LIMIT, n // 4),
+        rng.uniform(-60.0, 60.0, n - 5 - n // 4)])
+    return rng.permutation(u)
+
+
+class TestSplitAcrossCores:
+    """Batches above ``SPLIT_MIN_VALUES`` are cut into one piece per core;
+    the bytes are those of the serial evaluator on the whole batch."""
+
+    @pytest.fixture(params=[2, 3])
+    def cores(self, request, monkeypatch):
+        monkeypatch.setattr(dunkl_kernel, "_cores", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [7, dunkl_kernel.SPLIT_MIN_VALUES - 1,
+                                   dunkl_kernel.SPLIT_MIN_VALUES,
+                                   3 * dunkl_kernel.SPLIT_MIN_VALUES + 1])
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.3])
+    def test_bytes_equal_the_serial_evaluator(self, cores, n, k):
+        u = _split_arguments(n)
+        for got, expect in zip(kernel_imag_parts(u, k), _serial_imag(u, k)):
+            assert got.tobytes() == expect.tobytes()
+        assert kernel_real_scaled(u, k).tobytes() == _serial_real(u, k).tobytes()
+
+    def test_signed_zeros_keep_their_sign(self, cores):
+        u = np.zeros(dunkl_kernel.SPLIT_MIN_VALUES)
+        u[1::2] = -0.0
+        _, im = kernel_imag_parts(u, 0.5)
+        assert np.array_equal(np.signbit(im), np.signbit(_serial_imag(u, 0.5)[1]))
+
+    def test_grid_shaped_batch_keeps_shape_and_bytes(self, cores):
+        u = np.outer(_split_arguments(150)[:150], np.linspace(-2.0, 2.0, 90))
+        re, im = kernel_imag_parts(u, 0.5)
+        expect = _serial_imag(u, 0.5)
+        assert re.shape == u.shape and re.flags.c_contiguous
+        assert re.tobytes() == expect[0].tobytes()
+        assert im.tobytes() == expect[1].tobytes()
+
+    def test_zero_dimensional_argument(self, cores):
+        for x in (0.0, -0.0, 0.3, -7.5):
+            re, im = kernel_imag_parts(np.array(x), 0.5)
+            assert re.shape == im.shape == ()
+            expect = _serial_imag(np.array(x), 0.5)
+            assert (re.tobytes(), im.tobytes()) == (expect[0].tobytes(),
+                                                    expect[1].tobytes())
+            assert (kernel_real_scaled(x, 0.5).tobytes()
+                    == _serial_real(np.array(x), 0.5).tobytes())
+
+    def test_strided_batch_is_evaluated_whole(self, cores):
+        u = _split_arguments(3 * dunkl_kernel.SPLIT_MIN_VALUES)[::3]
+        assert not u.flags.c_contiguous
+        re, im = kernel_imag_parts(u, 0.5)
+        expect = _serial_imag(np.ascontiguousarray(u), 0.5)
+        assert re.tobytes() == expect[0].tobytes()
+        assert im.tobytes() == expect[1].tobytes()
+
+    def test_pieces_run_on_the_pool_and_cover_the_batch(self, cores):
+        seen = []
+
+        def task(lo, hi):
+            seen.append((lo, hi, threading.current_thread().name))
+
+        dunkl_kernel.on_cores(10, task, 10)
+        assert sorted(lo for lo, _, _ in seen) == [10 * i // cores
+                                                   for i in range(cores)]
+        assert sum(hi - lo for lo, hi, _ in seen) == 10
+        first, = (name for lo, _, name in seen if lo == 0)
+        assert first == threading.current_thread().name
+        assert all(name.startswith("dunkllab-split")
+                   for lo, _, name in seen if lo)
+
+    def test_below_the_split_size_one_piece_in_the_caller(self, cores):
+        seen = []
+        dunkl_kernel.on_cores(9, lambda lo, hi: seen.append(
+            (lo, hi, threading.current_thread().name)), 10)
+        assert seen == [(0, 9, threading.current_thread().name)]
+
+    def test_one_core_is_serial(self, monkeypatch):
+        monkeypatch.setattr(dunkl_kernel, "_cores", lambda: 1)
+        seen = []
+        dunkl_kernel.on_cores(10 ** 6, lambda lo, hi: seen.append(
+            (lo, hi, threading.current_thread().name)), 1)
+        assert seen == [(0, 10 ** 6, threading.current_thread().name)]
+
+    def test_a_pool_thread_never_submits(self, cores):
+        inner = []
+
+        def task(lo, hi):
+            dunkl_kernel.on_cores(100, lambda a, b: inner.append(
+                (lo, a, b, threading.current_thread().name)), 1)
+
+        dunkl_kernel.on_cores(2 * cores, task, 1)
+        # the outer pieces after the first ran in pool threads, and each
+        # ran its nested call whole, in itself
+        from_pool = [entry for entry in inner if entry[0]]
+        assert len(from_pool) == cores - 1
+        assert all(a == 0 and b == 100 and name.startswith("dunkllab-split")
+                   for _, a, b, name in from_pool)
+
+    def test_a_failing_piece_raises_after_every_piece_ends(self, cores):
+        ended = []
+
+        def task(lo, hi):
+            if lo:
+                raise ValueError("piece failed")
+            ended.append(lo)
+
+        with pytest.raises(ValueError, match="piece failed"):
+            dunkl_kernel.on_cores(4, task, 1)
+        assert ended == [0]
+
+    def test_one_pool_for_many_concurrent_first_callers(self, cores,
+                                                         monkeypatch):
+        # more callers than cores race to make the pool: one is made, and
+        # every caller gets the serial bytes
+        made = []
+        real = dunkl_kernel.ThreadPoolExecutor
+
+        def counting(**kwargs):
+            made.append(real(**kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(dunkl_kernel, "ThreadPoolExecutor", counting)
+        monkeypatch.setattr(dunkl_kernel, "_POOL", None)
+        u = _split_arguments(2 * dunkl_kernel.SPLIT_MIN_VALUES)
+        expect = [part.tobytes() for part in _serial_imag(u, 0.5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as callers:
+                got = list(callers.map(
+                    lambda _: [part.tobytes()
+                               for part in kernel_imag_parts(u, 0.5)],
+                    range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert len(made) == 1
+        assert got == [expect] * 16
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool(self, cores):
+        # the parent's pool threads do not exist in a forked child: a task
+        # submitted to the parent's pool object there would never run
+        u = _split_arguments(2 * dunkl_kernel.SPLIT_MIN_VALUES)
+        expect = [part.tobytes() for part in _serial_imag(u, 0.5)]
+        kernel_imag_parts(u, 0.5)
+        assert dunkl_kernel._POOL is not None
+        pid = os.fork()
+        if pid == 0:
+            got = [part.tobytes() for part in kernel_imag_parts(u, 0.5)]
+            os._exit(0 if got == expect else 1)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on the parent's pool")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -1,15 +1,17 @@
 """Fitting protocols on synthetic data, plus harness-level checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dunkllab import (BilinearFormSpec, InvalidRootSystemError, KernelSpec,
-                      WeightedContext, fitting, forms, harness,
+                      PolyGauss, WeightedContext, fitting, forms, harness,
                       hermite_family, kernels, product_z2, rank1, run_check,
                       transform)
-from dunkllab.errors import CapabilityError, DomainTooSmallError
+from dunkllab.errors import (AccuracyError, CapabilityError,
+                             DomainTooSmallError)
 from dunkllab.fitting import (FitConvergenceError, alternating_split,
                               envelope_fit, envelope_fit_upper,
                               envelope_holdout_ratio, fit_decay_exponent,
@@ -312,7 +314,8 @@ class TestGardingCheck:
 
 class TestGardingSharesWork:
     """garding forms each member's Dunkl images once and samples them once
-    per (s, grid); its rows equal the public forms called one by one."""
+    per grid for every s; its rows equal the public forms called one by
+    one."""
 
     def test_rank2_default_forms_each_image_once(self, monkeypatch):
         # 18 members x 2 axis directions at l = 1; forming them afresh for
@@ -329,6 +332,36 @@ class TestGardingSharesWork:
         report = run_check(ctx, "garding")
         assert report.passed
         assert len(calls) == 36
+
+    def test_rank2_default_samples_each_image_once_per_grid(self,
+                                                             monkeypatch):
+        # 18 members x (f and 2 images) x 2 grids; sampling them afresh for
+        # each of the 3 values of s took 324 calls
+        calls = []
+        real = PolyGauss.values_on
+
+        def counting(self, grid):
+            calls.append(grid.shape)
+            return real(self, grid)
+
+        monkeypatch.setattr(PolyGauss, "values_on", counting)
+        ctx = WeightedContext(product_z2([0.5, 0.5]))
+        assert run_check(ctx, "garding").passed
+        assert len(calls) == 108
+        assert sorted(set(calls)) == [ctx.grid.shape, ctx.grid_fine.shape]
+
+    def test_rank2_default_peak_holds_one_grid_of_fields(self):
+        # the fields of every s are held for one grid at a time: holding
+        # every field and sample on both grids peaked above 10 MiB; the
+        # s-outer loop that held one s on both grids peaked 8.6 MiB
+        ctx = WeightedContext(product_z2([0.5, 0.5]))
+        tracemalloc.start()
+        try:
+            assert run_check(ctx, "garding").passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8.7 + 1.0) * 2**20
 
     @pytest.mark.parametrize("system, ell, eps, directions", [
         (rank1(0.5), 2, 0.0, ((1.0,),)),
@@ -387,6 +420,12 @@ class TestAuxiliaryDispatch:
         report = run_check(ctx, "e-bound")
         assert report.passed
         assert report.max_defect <= 1e-10
+
+    def test_underflowed_calibration_constant_is_an_accuracy_error(self):
+        cal, held = alternating_split(6)
+        with pytest.raises(AccuracyError, match="calibrated constant C is 0"):
+            harness._constant_ratio_verdict(np.zeros(6), np.ones(6), cal,
+                                            held)
 
     def test_kernel_lipschitz_stability(self):
         ctx = WeightedContext(rank1(1.0))

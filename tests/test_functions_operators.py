@@ -327,6 +327,18 @@ class TestRadialBump:
         assert on_axes.shape == grid.shape
         assert on_axes.tobytes() == on_points.tobytes()
 
+    def test_rank_one_vector_is_that_many_points(self):
+        # an (M,) vector in rank 1 was read as one M-dimensional point:
+        # one value, the bump at |x| = sqrt 5
+        bump = radial_bump(1, 3.0)
+        column = np.array([[0.0], [1.0], [2.0]])
+        got = bump([0.0, 1.0, 2.0])
+        assert got.tolist() == pytest.approx([1.0, 0.243315, 8.6443e-4],
+                                             rel=1e-4)
+        assert got.tobytes() == bump(column).tobytes()
+        assert bump.gradient([0.0, 1.0, 2.0]).tobytes() == bump.gradient(
+            column).tobytes()
+
     def test_support_and_peak(self):
         bump = radial_bump(2, 1.5)
         assert bump(np.zeros((1, 2)))[0] == pytest.approx(1.0)

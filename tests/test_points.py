@@ -106,6 +106,7 @@ EVALUATORS = {
     "kernel_imag_batch": lambda ctx, p: kernel_imag_batch(
         ctx.system, p, _reversed(p)),
     "PolyGauss": lambda ctx, p: gaussian(ctx.dim)(p),
+    "radial_bump": lambda ctx, p: radial_bump(ctx.dim, 3.0)(p),
     "dunkl_apply_values": lambda ctx, p: dunkl_apply_values(
         ctx.system, radial_bump(ctx.dim, 3.0), np.eye(ctx.dim)[0], p),
     "t_g_eta_values": lambda ctx, p: t_g_eta_values(

@@ -41,18 +41,30 @@ FAST_CONFIG = {
 }
 
 
-#: (kind, params, message) of configs whose divisor underflows to 0: the
-#: translation differences at a frequency box of 1e6, and bumps too narrow
-#: to hold a grid node; small grids keep each sub-second
+#: (kind, params, message) of configs whose values underflow to 0: q_t's
+#: spectrum exp(-t sym) at every node of a frequency box of 1e6, where each
+#: identity of q_t used to hold as 0 = 0, and bumps too narrow to hold a
+#: grid node; small grids keep each sub-second
+SYMBOL_UNDERFLOW = "symbol exponential is at most 0 at every node"
 UNDERFLOW_CASES = [
     ("translation-lipschitz", {"freq_box": 1e6, "freq_n_half": 40},
-     "calibrated constant C is 0"),
+     SYMBOL_UNDERFLOW),
     ("compact-support-l1",
      {"radii": [1e-300, 1.0], "n_half": 40, "freq_n_half": 60},
      "bump of radius 1e-300 has L1 norm 0"),
     ("compact-support-l1",
      {"radii": [1e-12, 1.0], "n_half": 40, "freq_n_half": 60},
      "bump of radius 1e-12 has L1 norm 0"),
+    ("kernel-semigroup", {"freq_box": 1e6, "freq_n_half": 40},
+     SYMBOL_UNDERFLOW),
+    ("kernel-decomposition", {"freq_box": 1e6, "freq_n_half": 40},
+     SYMBOL_UNDERFLOW),
+]
+#: the same for a scale that overflows: the bound's (r1 (r1 + r2))^{N_h/2},
+#: which also bounds the bump's radius^2, was an OverflowError traceback
+OVERFLOW_CASES = [
+    ("compact-support-l1", {"radii": [1.0, 1e300]},
+     "scale (r1 (r1 + r2))^(N_h/2) overflows at radii r1 = 1e+300"),
 ]
 
 
@@ -629,6 +641,28 @@ class TestRunEndToEnd:
     @pytest.mark.parametrize("kind, params, message", UNDERFLOW_CASES)
     def test_underflowed_divisor_is_an_error_record_not_a_traceback(
             self, tmp_path, out_dir, capsys, kind, params, message):
+        self._assert_error_record(tmp_path, out_dir, capsys, kind, params,
+                                  message)
+
+    @pytest.mark.parametrize("kind, params, message", UNDERFLOW_CASES)
+    def test_underflowed_divisor_raises_accuracy_error_in_run_check(
+            self, kind, params, message):
+        self._assert_accuracy_error(kind, params, message)
+
+    @pytest.mark.parametrize("kind, params, message", OVERFLOW_CASES)
+    def test_overflowed_scale_is_an_error_record_not_a_traceback(
+            self, tmp_path, out_dir, capsys, kind, params, message):
+        self._assert_error_record(tmp_path, out_dir, capsys, kind, params,
+                                  message)
+
+    @pytest.mark.parametrize("kind, params, message", OVERFLOW_CASES)
+    def test_overflowed_scale_raises_accuracy_error_in_run_check(
+            self, kind, params, message):
+        self._assert_accuracy_error(kind, params, message)
+
+    @staticmethod
+    def _assert_error_record(tmp_path, out_dir, capsys, kind, params,
+                             message):
         config = {"system": {"type": "rank1", "k": 0.5},
                   "checks": [{"kind": "e-bound"},
                              {"kind": kind, "params": params}]}
@@ -644,9 +678,8 @@ class TestRunEndToEnd:
         assert message in record["message"]
         assert not list(out_dir.glob(f"exp_*_{kind}.json"))
 
-    @pytest.mark.parametrize("kind, params, message", UNDERFLOW_CASES)
-    def test_underflowed_divisor_raises_accuracy_error_in_run_check(
-            self, kind, params, message):
+    @staticmethod
+    def _assert_accuracy_error(kind, params, message):
         ctx = build_context({"system": {"type": "rank1", "k": 0.5}})
         with pytest.raises(AccuracyError, match=re.escape(message)):
             run_check(ctx, kind, params)

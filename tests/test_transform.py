@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import sys
 import threading
 import time
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from dunkllab import harness, kernels, quadrature, transform
+from dunkllab import dunkl_kernel, harness, kernels, quadrature, runner, transform
 from dunkllab.checks import CHECKS, Derived
 from dunkllab import (AccuracyError, DomainTooSmallError, GridSampled,
                       KernelSpec, PolyGauss, WeightedContext, apply_dunkl,
@@ -795,6 +796,92 @@ class TestKernelMatrixCacheThreads:
                                    for op in ops)
         assert cache._bytes <= transform.CACHE_BYTES
         assert not cache._building
+
+
+class TestPointSums:
+    """``point_sums`` splits the point sums of ``inverse_at_points`` and
+    ``two_point_kernel`` over blocks of points, bit for bit."""
+
+    @pytest.fixture(params=[2, 3])
+    def cores(self, request, monkeypatch):
+        monkeypatch.setattr(dunkl_kernel, "_cores", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 33, 300])
+    @pytest.mark.parametrize("real_values", [True, False])
+    @pytest.mark.parametrize("split_min", [1, transform.SPLIT_MIN_PRODUCTS])
+    def test_bytes_equal_the_whole_einsum(self, cores, monkeypatch, m,
+                                          real_values, split_min):
+        monkeypatch.setattr(transform, "SPLIT_MIN_PRODUCTS", split_min)
+        rng = np.random.default_rng(m)
+        left = rng.normal(size=(m, 70)) + 1j * rng.normal(size=(m, 70))
+        right = rng.normal(size=(m, 90)) + 1j * rng.normal(size=(m, 90))
+        values = rng.normal(size=(70, 90))
+        if not real_values:
+            values = values + 1j * rng.normal(size=(70, 90))
+        got = transform.point_sums(left, right, values)
+        expect = np.einsum("ma,mb,ab->m", left, right, values)
+        assert got.dtype == expect.dtype and got.shape == (m,)
+        assert got.tobytes() == expect.tobytes()
+
+    def test_evaluators_equal_their_one_core_bytes(self, cores, monkeypatch):
+        ctx = WeightedContext(product_z2([0.5, 0.5]))
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-3.0, 3.0, (2, 40, 2))
+        spec = KernelSpec.heat(2)
+
+        def evaluate():
+            return (inverse_at_points(ctx, lambda xi: np.exp(
+                        -np.sum(xi**2, axis=1)), x).tobytes(),
+                    kernels.two_point_kernel(ctx, spec, x, y).tobytes())
+
+        split = evaluate()
+        monkeypatch.setattr(dunkl_kernel, "_cores", lambda: 1)
+        assert split == evaluate()
+
+
+class TestOperatorBuildsOnTwoWorkers:
+    """Two runner workers building cold operators at once both split their
+    kernel evaluations over the one pool; the bytes do not move."""
+
+    def test_concurrent_builds_equal_serial_builds(self, monkeypatch):
+        pairs = [(AxisRule.build(0.5, 20.0, n), AxisRule.build(0.5, 6.0, n))
+                 for n in (160, 170)]
+        monkeypatch.setattr(dunkl_kernel, "_cores", lambda: 1)
+        serial = [transform._weighted_operators(freq, space, 0.5)
+                  for freq, space in pairs]
+        monkeypatch.setattr(dunkl_kernel, "_cores", lambda: 2)
+        with ThreadPoolExecutor(max_workers=2) as workers:
+            split = list(workers.map(
+                lambda pair: transform._weighted_operators(*pair, 0.5),
+                pairs))
+        for got, expect in zip(split, serial):
+            assert [op.tobytes() for op in got] == [op.tobytes()
+                                                    for op in expect]
+
+    def test_two_worker_reports_equal_one_core_reports(self, tmp_path,
+                                                        monkeypatch):
+        # two checks that read one cold operator pair, run together on two
+        # workers, and then alone on one core
+        config = {"system": {"type": "rank1", "k": 0.5}, "workers": 2,
+                  "checks": [{"kind": "kernel-semigroup"},
+                             {"kind": "kernel-decomposition"}]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(config))
+        reports = {}
+        for cores, workers in ((2, 2), (1, 1)):
+            monkeypatch.setattr(transform, "_CACHE", KernelMatrixCache())
+            monkeypatch.setattr(dunkl_kernel, "_cores", lambda: cores)
+            config["workers"] = workers
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"out{cores}"
+            monkeypatch.setenv("DUNKLLAB_OUTPUT_DIR", str(out))
+            assert runner.run(str(path)) == 0
+            # names carry a digest of the config, which names the workers
+            reports[cores] = {p.name.rsplit("_", 1)[1]: p.read_bytes()
+                              for p in sorted(out.glob("*.json"))}
+        assert len(reports[2]) == 2
+        assert reports[2] == reports[1]
 
 
 class TestConvolutionOperands:
