@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapabilityError
-from .functions import PolyGauss
-from .measure import (EtaFields, WeightedContext, _norm_refined,
-                      _norm_sq_on, _weighted_norm)
+from .functions import PolyGauss, sample
+from .measure import (EtaFields, SampleStore, WeightedContext,
+                      _norm_refined, _norm_sq_on, _weighted_norm)
 from .operators import apply_dunkl, positive_roots
 from .quadrature import TensorGrid, check_refined, integrate_shell_checked
 from .root_systems import as_points
@@ -81,10 +81,6 @@ def t_g_eta_values(ctx: WeightedContext, s: float, zeta: np.ndarray,
                     EtaFields(s))
 
 
-def _sample(h: PolyGauss, where) -> np.ndarray:
-    return h.values_on(where) if isinstance(where, TensorGrid) else h(where)
-
-
 class DunklImages:
     """One function f with its Dunkl images T_zeta^j f.
 
@@ -110,28 +106,20 @@ class DunklImages:
 
 
 class _Samples:
-    """Values of the images of one ``DunklImages`` on TensorGrids (grid
-    shape) or (M, dim) point arrays, each sampled once and held for the
-    life of the object.  garding keeps one per (function, grid): the form,
-    the H_s norm and the V_{l,s} norm at every s read the same arrays."""
+    """The images of one ``DunklImages`` on TensorGrids or (M, dim) point
+    arrays (``functions.sample``), each sampled once and held in a
+    ``SampleStore``.  garding keeps one per (function, grid): the form and
+    the norms at every s read the same arrays."""
 
     def __init__(self, images: DunklImages):
         self.images = images
-        self._held: dict = {}
-
-    def _value(self, where, key, compute):
-        # ``where`` stays referenced next to its values, so its id is not
-        # reused while the entry lives
-        slot = (id(where), key)
-        if slot not in self._held:
-            self._held[slot] = (where, compute())
-        return self._held[slot][1]
+        self._store = SampleStore()
 
     def power(self, where, zeta=None, j: int = 0) -> np.ndarray:
         """T_zeta^j f at ``where``; f itself by default."""
         key = (tuple(zeta), j) if j else ()
-        return self._value(
-            where, key, lambda: _sample(self.images.power(zeta, j), where))
+        return self._store.get(
+            where, key, lambda: sample(self.images.power(zeta, j), where))
 
     def squared(self, where, zeta=None, j: int = 0) -> np.ndarray:
         """|T_zeta^j f|^2 at ``where``, formed anew on each call; it does
@@ -140,9 +128,9 @@ class _Samples:
 
     def reflected(self, where, axis: int) -> np.ndarray:
         """f o sigma_axis at ``where``."""
-        return self._value(
+        return self._store.get(
             where, ("reflected", axis),
-            lambda: _sample(self.images.f.reflect_axis(axis), where))
+            lambda: sample(self.images.f.reflect_axis(axis), where))
 
 
 def _t_g_eta(ctx: WeightedContext, zeta: np.ndarray, order: int,

@@ -9,6 +9,9 @@ GridSampled — values on a tensor quadrature grid (spatial or frequency side).
 
 CallableFunction — plain callable with optional directional-derivative
   callbacks, for functions outside the PolyGauss family.
+
+``sample(f, where)`` puts any of these, a callable or an array on a tensor
+grid or a point batch.
 """
 
 from __future__ import annotations
@@ -218,12 +221,8 @@ class GridSampled:
 
     def values_on(self, grid: TensorGrid) -> np.ndarray:
         if grid is not self.grid and grid.geometry != self.grid.geometry:
-            raise ValueError("GridSampled is bound to its own grid")
+            raise ValueError(f"{type(self).__name__} is bound to its own grid")
         return self.values
-
-    def __call__(self, pts):
-        raise TypeError("GridSampled has no off-grid evaluation; "
-                        "use the transform machinery to move it")
 
 
 @dataclass(frozen=True)
@@ -239,10 +238,28 @@ class CallableFunction:
     gradient: object | None = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.atleast_2d(np.asarray(pts, dtype=float))))
+        """``fn`` at an (M, dim) batch; the class knows no dimension, so any
+        other shape raises ValueError."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("a CallableFunction takes an (M, dim) point "
+                             f"batch; got shape {pts.shape}")
+        return np.asarray(self.fn(pts))
 
-    def values_on(self, grid: TensorGrid) -> np.ndarray:
-        return self(grid.points()).reshape(grid.shape)
+
+def sample(f, where) -> np.ndarray:
+    """f on a TensorGrid, in the grid's shape, or at an (M, dim) point
+    batch.  On a grid, ``f.values_on`` is used where f has it, a callable
+    is evaluated at ``where.points()``, and an array is taken as it is."""
+    if not isinstance(where, TensorGrid):
+        return np.asarray(f(where))
+    if hasattr(f, "values_on"):
+        values = f.values_on(where)
+    elif callable(f):
+        values = f(where.points())
+    else:
+        values = f
+    return np.asarray(values).reshape(where.shape)
 
 
 # ---------------------------------------------------------------------------

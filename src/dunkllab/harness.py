@@ -33,12 +33,14 @@ from .fitting import (alternating_split, envelope_fit,
                       ratio_constant_fit, ratio_holdout_ratio)
 from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages, _Samples,
                     _coercivity_terms, _grid_terms)
-from .functions import GridSampled, hermite_family, hermite_gauss, radial_bump
+from .functions import (GridSampled, hermite_family, hermite_gauss,
+                        radial_bump, sample)
 from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
                       dunkl_translate, evaluate_q, freq_box_for, heat_kernel,
                       heat_kernel_two_point, integrated_spec, q_on_grid,
                       spatial_rule, two_point_kernel)
-from .measure import EtaFields, WeightedContext, volume_max_pairs
+from .measure import (EtaFields, SampleStore, WeightedContext,
+                      volume_max_pairs)
 from .quadrature import (SHELL_TOL, boundary_shell_fraction, refined_n_half,
                          relative_move)
 from .report import VerificationReport, grid_metadata
@@ -298,17 +300,15 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
     cal_f, held_f = alternating_split(len(family))
     members = [DunklImages(ctx.system, f) for f in family]
     specs = {s: replace(form_spec, s=s) for s in s_set}
-    # the grids in turn, base then refined.  On a grid each member's
-    # images are sampled once, with |f|^2 and |T^l f|^2, and every s reads
-    # those samples; the eta fields of every s share the grid's points and
-    # are dropped with the grid, so one grid's fields are alive at a time.
-    # The Dunkl images depend on neither s nor the grid: each is formed
-    # once for the whole check (small PolyGauss objects).  The base and
-    # refined values are paired at the end, and rows are listed per
+    # the grids in turn, base then refined: on a grid each member's images
+    # are sampled once for every s, and the eta chains of every s share one
+    # store, dropped with the grid.  The Dunkl images (small PolyGauss
+    # objects) are formed once for the whole check.  Rows are listed per
     # function, s inner
     on_grids = []
     for grid in (ctx.grid, ctx.grid_fine):
-        fields = EtaFields.sharing(s_set)
+        store = SampleStore()
+        fields = {s: EtaFields(s, store) for s in s_set}
         on_grids.append([_grid_terms(ctx, specs, _Samples(images), grid,
                                      fields) for images in members])
     base, fine = on_grids
@@ -475,7 +475,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     # f and phi are the same bumps, sampled on the grid axes: transform
     # each radius once
     bumps = {r: radial_bump(ctx.dim, r) for r in radii}
-    f_l1 = {r: float(bctx.grid.integrate(np.abs(bump.values_on(bctx.grid))))
+    f_l1 = {r: float(bctx.grid.integrate(np.abs(sample(bump, bctx.grid))))
             for r, bump in bumps.items()}
     for r, norm in f_l1.items():
         if not norm > 0:
@@ -634,8 +634,7 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
     fine_ctx = base_ctx.with_grids(n_half=refined_n_half(base_ctx.n_half))
     w_base = weighted_integral(base_ctx)
     w_fine = weighted_integral(fine_ctx)
-    rel = relative_move(w_base, w_fine)
-    defect = rel if np.isfinite(w_fine) else np.inf
+    defect = relative_move(w_base, w_fine)
     return VerificationReport.from_defect(
         "exp-weighted-l1",
         {"eps0": eps0, "ell": ell, "c_weight": c_weight,

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import AccuracyError
+from .functions import sample
 from .quadrature import AxisRule, TensorGrid, check_refined, check_shell
 from .root_systems import ReflectionGroup, RootSystemSpec, as_point, as_points
 
@@ -98,26 +99,24 @@ def volume_max_pairs(system: RootSystemSpec, xs, ys, t: float) -> np.ndarray:
 # the exponential weight eta and its derivatives
 # ---------------------------------------------------------------------------
 
-def _radial_derivs(rho: np.ndarray, s: float, order: int) -> list[np.ndarray]:
+def _radial_derivs(rho: np.ndarray, s: float, order: int,
+                   E: np.ndarray | None = None) -> list[np.ndarray]:
     """Derivatives in rho of F(rho) = exp(sqrt(1 + s^2 rho)), orders
-    0..order, order <= 2."""
+    0..order, order <= 2; F itself is ``E`` when it is given."""
     g = np.sqrt(1.0 + s * s * rho)
-    E = np.exp(g)
-    out = [E]
+    out = [np.exp(g) if E is None else E]
     if order >= 1:
         gp = s * s / (2.0 * g)
-        out.append(gp * E)
+        out.append(gp * out[0])
     if order >= 2:
         gpp = -(s**4) / (4.0 * g**3)
-        out.append((gpp + gp**2) * E)
+        out.append((gpp + gp**2) * out[0])
     return out
 
 
 def eta(points: np.ndarray, s: float) -> np.ndarray:
     """eta(x, s) = exp(sqrt(1 + s^2 |x|^2)); radial and reflection-invariant."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rho = np.sum(pts**2, axis=1)
-    return np.exp(np.sqrt(1.0 + s * s * rho))
+    return EtaFields(s).eta(points)
 
 
 def eta_directional(points: np.ndarray, s: float, zeta, order: int) -> np.ndarray:
@@ -126,17 +125,7 @@ def eta_directional(points: np.ndarray, s: float, zeta, order: int) -> np.ndarra
     Orders 1, 2 in closed form via the chain rule on rho(t) = |x + t zeta|^2,
     whose only nonzero derivatives are rho' and rho''.
     """
-    if order not in (1, 2):
-        raise ValueError("directional derivatives implemented for orders 1, 2")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    zeta = np.asarray(zeta, dtype=float)
-    rho = np.sum(pts**2, axis=1)
-    rp = 2.0 * (pts @ zeta)
-    rpp = 2.0 * float(zeta @ zeta)
-    F = _radial_derivs(rho, s, order)
-    if order == 1:
-        return F[1] * rp
-    return F[2] * rp**2 + F[1] * rpp
+    return EtaFields(s).directional(points, zeta, order)
 
 
 def eta_radial_factor(points: np.ndarray, s: float) -> np.ndarray:
@@ -147,64 +136,74 @@ def eta_radial_factor(points: np.ndarray, s: float) -> np.ndarray:
     (d_zeta eta(x) - d_zeta eta(sigma_a x)) / <a, x> = 4 F'(|x|^2) <a,zeta>/|a|^2,
     because eta is radial.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rho = np.sum(pts**2, axis=1)
-    return _radial_derivs(rho, s, 1)[1]
+    return EtaFields(s).radial_factor(points)
+
+
+class SampleStore:
+    """Values computed once per (grid or point batch, key), each held next
+    to its grid or batch, whose id the key holds, for the store's life."""
+
+    def __init__(self):
+        self._held: dict = {}
+
+    def get(self, where, key, compute):
+        slot = (id(where), key)
+        if slot not in self._held:
+            self._held[slot] = (where, compute())
+        return self._held[slot][1]
 
 
 class EtaFields:
-    """eta(., s), its directional derivatives and F'(|x|^2), at one s.
+    """eta(., s), its directional derivatives and F'(|x|^2), at one s, on a
+    TensorGrid (in the grid's shape) or at an (M, dim) point batch.
 
-    ``where`` is a TensorGrid or an (M, dim) point array.  On a grid every
-    field takes the grid's shape and is computed once, then held with the
-    grid for the life of the object.  Fields on point arrays are computed on
-    each request.
-
-    Instances made together by ``sharing`` hold their fields in one store,
-    with one points array per grid for every s.  garding evaluates the
-    grids in turn: on each grid it makes one such set for all of its s and
-    drops it before the next grid, so the fields of one grid are alive at
-    a time.  What does not depend on s is held elsewhere: the Dunkl images
-    of each function for the whole check (``forms.DunklImages``), small
-    PolyGauss objects, and the grid samples of a function, its images and
-    their squares for one (function, grid) (``forms._Samples``).
+    All come from one radial chain per (grid or batch, s), held in
+    ``store``: |x|^2 and <x, zeta> (with the grid's points, for every s
+    that shares the store), then F = exp(sqrt(1 + s^2 |x|^2)) = eta, F' and
+    F'' as far as a request needs.  A directional derivative is formed on
+    each request, F' rho' or F'' rho'^2 + F' rho''.
     """
 
-    def __init__(self, s: float, held: dict | None = None):
+    def __init__(self, s: float, store: SampleStore | None = None):
         self.s = s
-        self._held = {} if held is None else held
+        self.store = SampleStore() if store is None else store
 
-    @classmethod
-    def sharing(cls, s_set) -> dict:
-        """One instance per s of ``s_set``, all holding their fields and
-        grid points in one store."""
-        held: dict = {}
-        return {s: cls(s, held) for s in s_set}
-
-    def _held_for(self, grid: TensorGrid, key, compute):
-        # the grid stays referenced next to its fields, so its id is not reused
-        slot = (id(grid), key)
-        if slot not in self._held:
-            self._held[slot] = (grid, compute())
-        return self._held[slot][1]
-
-    def _field(self, where, key, fn):
+    def _of_points(self, where, key, fn):
+        """``fn`` of the points of ``where`` (a point array is read by
+        ``np.atleast_2d``), held, in the grid's shape on a grid."""
         if not isinstance(where, TensorGrid):
-            return fn(where)
-        pts = self._held_for(where, "points", where.points)
-        return self._held_for(where, (self.s,) + key,
+            return self.store.get(where, key, lambda: fn(
+                np.atleast_2d(np.asarray(where, dtype=float))))
+        pts = self.store.get(where, "points", where.points)
+        return self.store.get(where, key,
                               lambda: fn(pts).reshape(where.shape))
 
+    def _chain(self, where, order: int) -> list[np.ndarray]:
+        """[F, F', F''] at |x|^2 up to at least ``order``."""
+        chain = self.store.get(where, ("chain", self.s), list)
+        if len(chain) <= order:
+            rho = self._of_points(where, "rho",
+                                  lambda p: np.sum(p**2, axis=1))
+            chain[:] = _radial_derivs(rho, self.s, order, *chain[:1])
+        return chain
+
     def eta(self, where) -> np.ndarray:
-        return self._field(where, ("eta",), lambda p: eta(p, self.s))
+        return self._chain(where, 0)[0]
 
     def directional(self, where, zeta, order: int) -> np.ndarray:
-        return self._field(where, ("directional", tuple(zeta), order),
-                           lambda p: eta_directional(p, self.s, zeta, order))
+        if order not in (1, 2):
+            raise ValueError("directional derivatives implemented for "
+                             "orders 1, 2")
+        zeta = np.asarray(zeta, dtype=float)
+        rp = self._of_points(where, ("rho'", tuple(zeta)),
+                             lambda p: 2.0 * (p @ zeta))
+        F = self._chain(where, order)
+        if order == 1:
+            return F[1] * rp
+        return F[2] * rp**2 + F[1] * (2.0 * float(zeta @ zeta))
 
     def radial_factor(self, where) -> np.ndarray:
-        return self._field(where, ("radial",),
-                           lambda p: eta_radial_factor(p, self.s))
+        return self._chain(where, 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +303,12 @@ class WeightedContext:
 def weighted_norm(ctx: WeightedContext, f, s: float) -> float:
     """L^2 norm of f against eta(., s) dw; s = 0 means plain L^2(dw).
 
-    f may be a callable on point batches or an object with ``values_on(grid)``.
-    The integrand must decay inside the box (boundary-shell check) and the
-    value must be stable under grid refinement.
+    f is anything ``functions.sample`` reads on a grid.  The integrand must
+    decay inside the box (boundary-shell check) and the value must be
+    stable under grid refinement.
     """
-    def squared(grid: TensorGrid) -> np.ndarray:
-        if hasattr(f, "values_on"):
-            values = np.asarray(f.values_on(grid), dtype=float)
-            return np.abs(values.reshape(grid.shape)) ** 2
-        return np.abs(grid.evaluate(f)) ** 2
-
-    return _weighted_norm(ctx, squared, EtaFields(s))
+    return _weighted_norm(ctx, lambda grid: np.abs(sample(f, grid)) ** 2,
+                          EtaFields(s))
 
 
 def _weighted_norm(ctx: WeightedContext, squared, fields: EtaFields) -> float:

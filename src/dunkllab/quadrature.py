@@ -212,11 +212,6 @@ class TensorGrid:
                        dtype=np.result_type(self.axes[0].weights, v))
         return np.sum(self.weighted(v, out))
 
-    def evaluate(self, fn) -> np.ndarray:
-        """Sample a callable fn(points[M, dim]) -> values on the grid."""
-        vals = fn(self.points())
-        return np.asarray(vals).reshape(self.shape)
-
     def shell_mask(self) -> np.ndarray:
         """Boolean tensor marking the outer boundary shell (per-axis outer
         ``SHELL_FRACTION`` of the half-width); held with a one-block grid."""

@@ -9,9 +9,12 @@ reports must be byte-identical across reruns of the same configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import AccuracyError
 
 MARGIN_CAP = 1e12
 
@@ -32,6 +35,19 @@ def to_builtin(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
+
+
+def _non_finite(value, path: str) -> str | None:
+    """"<path> is <value>" of the first NaN or infinite number in ``value``
+    (builtin JSON types), else None."""
+    if isinstance(value, dict):
+        value = {f"{path}.{k}": v for k, v in value.items()}
+    elif isinstance(value, list):
+        value = {f"{path}[{i}]": v for i, v in enumerate(value)}
+    else:
+        finite = not isinstance(value, float) or math.isfinite(value)
+        return None if finite else f"{path} is {value}"
+    return next(filter(None, map(_non_finite, value.values(), value)), None)
 
 
 def margin_of(defect: float, tolerance: float) -> float:
@@ -69,13 +85,20 @@ class VerificationReport:
     def from_defect(cls, check: str, params: dict, max_defect: float,
                     tolerance: float, *, fitted: dict | None = None,
                     grid: dict | None = None, notes: str = "") -> "VerificationReport":
+        """AccuracyError if the defect, the tolerance or a number in
+        ``fitted`` is NaN or infinite: an overflow or underflow, no verdict."""
         max_defect = abs(float(max_defect))
+        fitted = to_builtin(fitted or {})
+        bad = (_non_finite(max_defect, "max_defect") or _non_finite(
+            float(tolerance), "tolerance") or _non_finite(fitted, "fitted"))
+        if bad:
+            raise AccuracyError(f"{check}: {bad}; a report holds finite "
+                                "numbers only")
         return cls(check=check, params=to_builtin(params),
                    passed=bool(max_defect <= tolerance),
                    margin=margin_of(max_defect, tolerance),
                    max_defect=max_defect, tolerance=float(tolerance),
-                   fitted=to_builtin(fitted or {}), grid=to_builtin(grid or {}),
-                   notes=notes)
+                   fitted=fitted, grid=to_builtin(grid or {}), notes=notes)
 
     def to_json_dict(self) -> dict:
         return to_builtin({

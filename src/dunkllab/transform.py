@@ -95,13 +95,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dunkl_kernel import kernel_imag_outer, kernel_imag_parts, on_cores
 from .errors import AccuracyError
-from .functions import GridSampled
+from .functions import GridSampled, sample
 from .measure import WeightedContext
 from .quadrature import AxisRule, TensorGrid, block_slices, check_shell
 from .root_systems import as_points
@@ -205,27 +204,8 @@ def _nbytes(ops: tuple[np.ndarray, np.ndarray]) -> int:
 _CACHE = KernelMatrixCache()
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
+class SpectralFunction(GridSampled):
     """Frequency-side values on a tensor grid."""
-
-    grid: TensorGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        object.__setattr__(self, "values", v.reshape(self.grid.shape))
-
-    def values_on(self, grid: TensorGrid) -> np.ndarray:
-        if grid is not self.grid and grid.geometry != self.grid.geometry:
-            raise ValueError("SpectralFunction is bound to its own grid")
-        return self.values
-
-
-def _values_on(f, grid: TensorGrid) -> np.ndarray:
-    if hasattr(f, "values_on"):
-        return np.asarray(f.values_on(grid))
-    return np.asarray(f(grid.points())).reshape(grid.shape)
 
 
 def sup_abs(x: np.ndarray) -> float:
@@ -326,20 +306,18 @@ def dunkl_transform(ctx: WeightedContext, f) -> SpectralFunction:
     shell of |f| dw may carry at most ``quadrature.SHELL_TOL`` of its mass,
     else DomainTooSmallError.
     """
-    vals = _values_on(f, ctx.grid)
+    vals = sample(f, ctx.grid)
     check_shell(ctx.grid, vals, what="transform input")
     out = _axis_transform(ctx, vals, ctx.grid, ctx.freq_grid, forward=True)
     return SpectralFunction(grid=ctx.freq_grid, values=out)
 
 
-def _spectral_values(ctx: WeightedContext, g) -> np.ndarray:
-    """Values on the frequency grid of ``g``: a SpectralFunction, a callable
-    evaluated on the grid, or an array of values on it."""
-    if isinstance(g, SpectralFunction):
-        return g.values_on(ctx.freq_grid)
-    if callable(g) and not isinstance(g, np.ndarray):
-        return np.asarray(g(ctx.freq_grid.points())).reshape(ctx.freq_grid.shape)
-    return np.asarray(g).reshape(ctx.freq_grid.shape)
+def spectrum_of(ctx: WeightedContext, f) -> np.ndarray:
+    """The transform of f on the frequency grid of the context: the values
+    of a SpectralFunction as given, else those of ``dunkl_transform``."""
+    if not isinstance(f, SpectralFunction):
+        f = dunkl_transform(ctx, f)
+    return sample(f, ctx.freq_grid)
 
 
 def _real_part_checked(values: np.ndarray, what: str,
@@ -364,17 +342,17 @@ def inverse_dunkl_transform(ctx: WeightedContext, g, then=None) -> GridSampled:
     """Inverse transform of the spectrum of a real function onto the
     spatial grid.
 
-    ``g`` may be a SpectralFunction, an array of values on the frequency
-    grid, or a callable evaluated on it.  ``then`` = (ufunc, scalar), if
-    given, is applied in place to the complex result after the division by
-    c_k, e.g. (np.multiply, c) for ``result *= c``.
+    ``g`` is anything ``functions.sample`` reads on the frequency grid: a
+    SpectralFunction, an array of values on it, or a callable.  ``then`` =
+    (ufunc, scalar), if given, is applied in place to the complex result
+    after the division by c_k, e.g. (np.multiply, c) for ``result *= c``.
 
     Only the real part is kept, formed block by block (see the module
     docstring); the returned samples carry the sup |Im| of the complex
     result as ``imag_residue``, which must be finite and at most
     IMAG_RESIDUE_TOL of the scale of the result, else AccuracyError.
     """
-    vals = _spectral_values(ctx, g)
+    vals = sample(g, ctx.freq_grid)
     out, residue = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid,
                                    forward=False, then=then)
     values = _real_part_checked(out, "inverse transform", residue)
@@ -383,7 +361,7 @@ def inverse_dunkl_transform(ctx: WeightedContext, g, then=None) -> GridSampled:
 
 def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray:
     """Inverse transform at ``points`` (``as_points``), one complex value each."""
-    vals = _spectral_values(ctx, g)
+    vals = sample(g, ctx.freq_grid)
     pts = as_points(points, ctx.dim)
     ks = ctx.system.ks
     factors = []
@@ -416,7 +394,7 @@ def point_sums(left: np.ndarray, right: np.ndarray,
 
 def plancherel_defect(ctx: WeightedContext, f) -> float:
     """Relative defect |  ||f|| - ||Ff||  | / ||f|| in L^2(dw) on each side."""
-    vals = _values_on(f, ctx.grid)
+    vals = sample(f, ctx.grid)
     norm_f = np.sqrt(float(ctx.grid.integrate(np.abs(vals) ** 2)))
     tf = dunkl_transform(ctx, f)
     norm_tf = np.sqrt(float(ctx.freq_grid.integrate(np.abs(tf.values) ** 2)))
@@ -428,17 +406,10 @@ def dunkl_convolve(ctx: WeightedContext, f, g) -> GridSampled:
     for real f and g: the real part, with its ``imag_residue``
     (``inverse_dunkl_transform``).
 
-    Either operand may be given as a SpectralFunction (its transform on the
-    frequency grid, e.g. from ``dunkl_transform``), which is then used as it
-    is instead of being transformed again.  When ``g is f`` the operand is
-    transformed once.
+    Either operand may be given as a SpectralFunction (``spectrum_of``).
+    When ``g is f`` the operand is transformed once.
     """
-    def spectrum(h) -> np.ndarray:
-        if isinstance(h, SpectralFunction):
-            return h.values_on(ctx.freq_grid)
-        return dunkl_transform(ctx, h).values
-
-    tf = spectrum(f)
-    tg = tf if g is f else spectrum(g)
+    tf = spectrum_of(ctx, f)
+    tg = tf if g is f else spectrum_of(ctx, g)
     product = SpectralFunction(grid=ctx.freq_grid, values=tf * tg)
     return inverse_dunkl_transform(ctx, product, then=(np.multiply, ctx.c_k))

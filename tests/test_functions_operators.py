@@ -14,7 +14,9 @@ from dunkllab import (CallableFunction, CapabilityError, PolyGauss,
                       dunkl_laplacian, gaussian, hermite_family,
                       hermite_gauss, monomial_gauss, product_z2, radial_bump,
                       rank1)
-from dunkllab.functions import _convolve
+from dunkllab.functions import GridSampled, _convolve, sample
+from dunkllab.measure import (EtaFields, SampleStore, eta, eta_directional,
+                              eta_radial_factor)
 from dunkllab.operators import dunkl_apply_values
 from dunkllab.quadrature import TensorGrid
 
@@ -149,21 +151,67 @@ class TestPolyGaussGridSampling:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_values_on_is_bit_identical_to_pointwise(self, dim):
         # separable sampling must repeat the pointwise floating-point
-        # operations exactly, on unequal axes and unequal exponents
+        # operations exactly, on unequal axes and unequal exponents; so
+        # must ``sample`` on the grid against ``sample`` at its points,
+        # for every kind of function that has both
         rng = np.random.default_rng(dim)
         grid = TensorGrid.build(rng.uniform(0.0, 1.0, dim), 6.0,
                                 [30, 25][:dim])
         pts = grid.points()
+
+        def same_bytes(f):
+            on_grid = sample(f, grid)
+            assert on_grid.shape == grid.shape
+            assert on_grid.tobytes() == sample(f, pts).reshape(
+                grid.shape).tobytes()
+
         for _ in range(5):
             f = PolyGauss(rng.normal(size=tuple(rng.integers(1, 6, size=dim))),
                           rng.uniform(0.2, 1.0, dim))
             assert np.array_equal(f.values_on(grid),
                                   f(pts).reshape(grid.shape))
+            same_bytes(f)
             for d in range(dim):
                 refl = pts.copy()
                 refl[:, d] = -refl[:, d]
                 assert np.array_equal(f.reflect_axis(d).values_on(grid),
                                       f(refl).reshape(grid.shape))
+                same_bytes(f.reflect_axis(d))
+        for radius in (2.0, 4.5):
+            same_bytes(radial_bump(dim, radius))
+        wave = np.arange(1.0, dim + 1)
+        same_bytes(CallableFunction(
+            lambda p: np.cos(p @ wave) * np.exp(-np.sum(p**2, axis=1))))
+        # grid samples exist on their grid only
+        values = rng.normal(size=grid.shape)
+        held = GridSampled(grid=grid, values=values)
+        assert sample(held, grid).tobytes() == values.tobytes()
+        assert sample(held.values, grid).tobytes() == values.tobytes()
+        with pytest.raises(TypeError, match="not callable"):
+            sample(held, pts)
+
+    @pytest.mark.parametrize("ks", [[0.5], [0.7, 0.3]])
+    def test_eta_chain_has_the_bits_of_the_public_fields(self, ks):
+        # every field of one (grid, s) chain, in any order of requests,
+        # against the public functions at the grid's points
+        grid = WeightedContext(product_z2(ks), n_half=30).grid
+        pts = grid.points()
+        zetas = (np.eye(len(ks))[0], np.linspace(1.0, 0.4, len(ks)))
+        for s in (0.5, 2.0):
+            requests = [(lambda f: f.eta(grid), eta(pts, s)),
+                        (lambda f: f.radial_factor(grid),
+                         eta_radial_factor(pts, s))]
+            requests += [(lambda f, z=z, j=j: f.directional(grid, z, j),
+                          eta_directional(pts, s, z, j))
+                         for j in (1, 2) for z in zetas]
+            # the chain grows from eta up, or starts at its top
+            for order in (requests, requests[::-1]):
+                store = SampleStore()
+                for fields in (EtaFields(s), EtaFields(s, store)):
+                    EtaFields(1.0, store).eta(grid)
+                    for field, expect in order:
+                        assert field(fields).tobytes() == expect.reshape(
+                            grid.shape).tobytes()
 
 
 class TestRank1Operator:

@@ -6,19 +6,22 @@ ValueError naming the shape.  Every evaluator that knows its dimension
 reads its points through this rule and returns one value per point.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from dunkllab import (KernelSpec, WeightedContext, ball_volume, dunkl_translate,
-                      evaluate_q, gaussian, heat_kernel, heat_kernel_two_point,
-                      inverse_at_points, orbit_distance_pairwise, product_z2,
-                      radial_bump, rank1, translate_at_points,
-                      two_point_kernel)
+from dunkllab import (CallableFunction, KernelSpec, WeightedContext,
+                      ball_volume, dunkl_translate, evaluate_q, gaussian,
+                      heat_kernel, heat_kernel_two_point, inverse_at_points,
+                      orbit_distance_pairwise, product_z2, radial_bump,
+                      rank1, translate_at_points, two_point_kernel)
 from dunkllab.dunkl_kernel import kernel_imag_batch
 from dunkllab.forms import t_g_eta_values
+from dunkllab.functions import sample
 from dunkllab.measure import volume_max_pairs
 from dunkllab.operators import dunkl_apply_values
 from dunkllab.root_systems import as_points
@@ -163,3 +166,29 @@ class TestOnePointArguments:
         ctx = _context(1)
         got = np.asarray(ONE_POINT[name](ctx, 0.4))
         assert got.tobytes() == np.asarray(ONE_POINT[name](ctx, [0.4])).tobytes()
+
+
+class TestCallableFunctionTakesBatchesOnly:
+    """A CallableFunction knows no dimension, so it cannot read a vector
+    by the rule: an (M,) vector used to be one M-dimensional point."""
+
+    @staticmethod
+    def _gaussian():
+        return CallableFunction(lambda p: np.exp(-np.sum(p**2, axis=1)))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 2, 1)])
+    def test_other_shapes_raise_naming_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"(M, dim) point batch; got shape {shape}")):
+            self._gaussian()(np.zeros(shape))
+
+    def test_rank_one_vector_raises_not_one_point(self):
+        with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+            self._gaussian()([0.0, 1.0, 2.0])
+
+    def test_sample_hands_it_a_batch(self):
+        f = self._gaussian()
+        got = sample(f, np.array([[0.0], [1.0], [2.0]]))
+        assert np.array_equal(got, np.exp(-np.array([0.0, 1.0, 4.0])))
+        grid = _context(1).grid
+        assert sample(f, grid).tobytes() == f(grid.points()).tobytes()

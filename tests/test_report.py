@@ -1,10 +1,12 @@
 """Report dataclass semantics and JSON-safe conversion."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from dunkllab.errors import AccuracyError
 from dunkllab.report import (MARGIN_CAP, VerificationReport, grid_metadata,
                              margin_of, to_builtin)
 
@@ -55,6 +57,21 @@ class TestFromDefect:
         rep = VerificationReport.from_defect("x", {}, -5e-7, 1e-6)
         assert rep.passed
         assert rep.max_defect == 5e-7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, expect", [
+        ("defect", "x: max_defect is"),
+        ("tolerance", "x: tolerance is"),
+        ("fitted", "x: fitted.fit.values[1][0] is"),
+    ])
+    def test_non_finite_number_raises(self, bad, where, expect):
+        defect = bad if where == "defect" else 1e-9
+        tol = bad if where == "tolerance" else 1e-6
+        fitted = {"fit": {"c": 1.0, "values": [[0.5], [np.float64(bad)]]}}
+        with pytest.raises(AccuracyError, match=re.escape(expect)):
+            VerificationReport.from_defect(
+                "x", {}, defect, tol,
+                fitted=fitted if where == "fitted" else {"c": 1.0})
 
     def test_params_and_fitted_converted(self):
         rep = VerificationReport.from_defect(

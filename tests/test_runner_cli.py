@@ -60,6 +60,18 @@ UNDERFLOW_CASES = [
     ("kernel-decomposition", {"freq_box": 1e6, "freq_n_half": 40},
      SYMBOL_UNDERFLOW),
 ]
+#: (kind, params, message) of configs whose reports used to hold NaN or
+#: Infinity with a FAIL verdict (exit 2): ``VerificationReport.from_defect``
+#: rejects the first non-finite number
+NON_FINITE_CASES = [
+    ("kernel-mass", {"t": 1e-300}, "kernel-mass: fitted.masses[1] is nan"),
+    ("exp-weighted-l1", {"c_weight": 1e6, "ell": 1},
+     "exp-weighted-l1: max_defect is nan"),
+    ("compact-support-l1",
+     {"freq_box": 1e-300, "n_half": 40, "freq_n_half": 40},
+     "compact-support-l1: max_defect is nan"),
+    ("thm1-decay", {"freq_n_half": 8}, "thm1-decay: fitted.C_fitted is inf"),
+]
 #: the same for a scale that overflows: the bound's (r1 (r1 + r2))^{N_h/2},
 #: which also bounds the bump's radius^2, was an OverflowError traceback
 OVERFLOW_CASES = [
@@ -129,6 +141,41 @@ class TestConfigValidation:
         assert "'kernel-mass'" in message
         assert "['bogus']" in message
         assert "accepted: ['points', 't']" in message
+
+    @pytest.mark.parametrize("section, where", [
+        ("kernel", "kernel.directions"),
+        ("spec", "checks[0].params.spec.directions")])
+    def test_overflowing_direction_is_a_config_error(self, tmp_path, capsys,
+                                                     section, where):
+        # |zeta|^2 overflows: the symbol box is empty, which used to end in
+        # a zero-size-array traceback in thm1-decay and translation-lipschitz
+        kernel = {"directions": [[1e300]]}
+        config = (minimal_config(kernel=kernel) if section == "kernel" else
+                  minimal_config(checks=[{"kind": "translation-lipschitz",
+                                          "params": {"spec": kernel}}]))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config error at {where}: the symbol's frequency box is 0")):
+            validate_config(config)
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert f"config error at {where}" in captured.out
+
+    def test_long_but_finite_direction_is_accepted(self):
+        validate_config(minimal_config(kernel={"directions": [[1e100]]}))
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"directions": [[5e-324]]}, "directions must be nonzero"),
+        ({"t": 5e-324}, "the symbol's frequency box is nan"),
+        ({"eps": 1.0}, "symbol positivity violated")])
+    def test_rejected_spec_is_a_config_error_at_its_path(self, spec,
+                                                          message):
+        # these used to raise from inside the check: a traceback
+        config = minimal_config(checks=[{"kind": "kernel-symmetry",
+                                         "params": {"spec": spec}}])
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config error at checks[0].params.spec: {message}")):
+            validate_config(config)
 
     def test_kernel_directions_need_the_system_dimension(self):
         config = minimal_config(kernel={"directions": [[1.0, 0.0]]})
@@ -590,7 +637,8 @@ class TestRunEndToEnd:
         error_path, = out_dir.glob("exp_*_kernel-positivity_error.json")
         error = json.loads(error_path.read_text())["error"]
         assert error["type"] == "AccuracyError"
-        assert "50 of 50 at t = 0.5" in error["message"]
+        assert "kernel-positivity: fitted.min_value is nan" in (
+            error["message"])
         assert not list(out_dir.glob("exp_*_kernel-positivity.json"))
 
     def test_out_of_window_time_is_an_error_record_not_a_traceback(
@@ -646,6 +694,22 @@ class TestRunEndToEnd:
 
     @pytest.mark.parametrize("kind, params, message", UNDERFLOW_CASES)
     def test_underflowed_divisor_raises_accuracy_error_in_run_check(
+            self, kind, params, message):
+        self._assert_accuracy_error(kind, params, message)
+
+    @pytest.mark.parametrize("kind, params, message", NON_FINITE_CASES)
+    def test_non_finite_report_is_an_error_record(
+            self, tmp_path, out_dir, capsys, kind, params, message):
+        self._assert_error_record(tmp_path, out_dir, capsys, kind, params,
+                                  message)
+        # the error record names the number; no report or table holds one
+        for path in out_dir.iterdir():
+            if not path.name.endswith("_error.json"):
+                text = path.read_text().lower()
+                assert "nan" not in text and "infinity" not in text
+
+    @pytest.mark.parametrize("kind, params, message", NON_FINITE_CASES)
+    def test_non_finite_report_raises_accuracy_error_in_run_check(
             self, kind, params, message):
         self._assert_accuracy_error(kind, params, message)
 

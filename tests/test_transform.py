@@ -907,7 +907,10 @@ class TestConvolutionOperands:
         report = run_check(ctx_rank1(0.5), "compact-support-l1",
                            {"radii": radii})
         assert report.passed
-        assert len(calls) == len(radii)
+        # the other transforms are the translations' (``spectrum_of``) of
+        # the masked convolutions, which are grid samples
+        bumps = [f for f in calls if not isinstance(f, GridSampled)]
+        assert len(bumps) == len(radii)
 
     @staticmethod
     def _count_transforms(monkeypatch) -> list:
