@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import AccuracyError, FitConvergenceError
+from .report import MARGIN_CAP
 
 SAMPLE_FLOOR = 1e-12
 MIN_SAMPLES = 20
@@ -167,10 +168,10 @@ def envelope_fit_upper(z: np.ndarray,
 
 def envelope_holdout_ratio(d: np.ndarray, vals: np.ndarray, p: float,
                            c: float, C: float, labels=None) -> float:
-    """max vals / (HOLDOUT_SLACK * C * exp(-c d^p)) on held-out data; <= 1
-    passes.  A held-out value that underflows to 0 with its envelope has no
-    ratio (0/0): AccuracyError, naming those samples by their ``labels``
-    when given."""
+    """max vals / (HOLDOUT_SLACK * C * exp(-c d^p)) on held-out data, at most
+    MARGIN_CAP; <= 1 passes.  A held-out value that underflows to 0 with its
+    envelope has no ratio (0/0): AccuracyError, naming those samples by their
+    ``labels`` when given."""
     d = np.asarray(d, dtype=float)
     vals = np.asarray(vals, dtype=float)
     bound = HOLDOUT_SLACK * C * np.exp(-c * d**p)
@@ -181,7 +182,7 @@ def envelope_holdout_ratio(d: np.ndarray, vals: np.ndarray, p: float,
         raise AccuracyError(
             f"{int(np.sum(both))} held-out values and their envelope both "
             f"underflow to 0{where}")
-    return float(np.max(vals / bound))
+    return float(np.minimum(np.max(vals / bound), MARGIN_CAP))
 
 
 def ratio_constant_fit(cal_vals: np.ndarray, cal_scales: np.ndarray) -> float:
@@ -195,10 +196,11 @@ def ratio_constant_fit(cal_vals: np.ndarray, cal_scales: np.ndarray) -> float:
 
 def ratio_holdout_ratio(held_vals: np.ndarray, held_scales: np.ndarray,
                         C: float) -> float:
-    """max held_vals / (HOLDOUT_SLACK * C * held_scales); <= 1 passes."""
-    held_vals = np.asarray(held_vals, dtype=float)
-    held_scales = np.asarray(held_scales, dtype=float)
-    return float(np.max(held_vals / (HOLDOUT_SLACK * C * held_scales)))
+    """max held_vals / (HOLDOUT_SLACK * C * held_scales), at most
+    MARGIN_CAP; <= 1 passes."""
+    ratios = np.asarray(held_vals, dtype=float) / (
+        HOLDOUT_SLACK * C * np.asarray(held_scales, dtype=float))
+    return float(np.minimum(np.max(ratios), MARGIN_CAP))
 
 
 def garding_lp(A: np.ndarray, S: np.ndarray,
@@ -231,7 +233,7 @@ def garding_holdout_ratio(A: np.ndarray, S: np.ndarray, V: np.ndarray,
     passes.
 
     A nonpositive denominator means the inequality fails outright; the ratio
-    is reported as infinity in that case.
+    is reported as MARGIN_CAP, a finite FAIL, in that case.
     """
     A = np.asarray(A, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -239,5 +241,5 @@ def garding_holdout_ratio(A: np.ndarray, S: np.ndarray, V: np.ndarray,
     denom = A + C * S
     lhs = (alpha / HOLDOUT_SLACK) * V
     if np.any(denom <= 0):
-        return float(np.inf)
-    return float(np.max(lhs / denom))
+        return MARGIN_CAP
+    return float(np.minimum(np.max(lhs / denom), MARGIN_CAP))

@@ -26,7 +26,6 @@ read when a check runs and recorded in its report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -425,9 +424,8 @@ def _check_positivity(ctx: WeightedContext, spec: KernelSpec,
                       params: dict) -> VerificationReport:
     t_set, n = params["t_set"], params["n_pairs"]
     xs, ys = _pair_sample(ctx, n, params["radius"])
-    mins = [np.min(heat_kernel_two_point(ctx, xs, ys, t)) for t in t_set]
-    # a NaN minimum is kept, for ``from_defect`` to reject
-    min_val = math.nan if np.any(np.isnan(mins)) else float(min(mins))
+    min_val = float(np.min([np.min(heat_kernel_two_point(ctx, xs, ys, t))
+                            for t in t_set]))
     defect = max(0.0, -min_val) if min_val > 0.0 else max(1e-300, -min_val)
     return VerificationReport.from_defect(
         "kernel-positivity", {"t_set": t_set, "n_pairs": n}, defect, 0.0,

@@ -86,7 +86,7 @@ class VerificationReport:
                     tolerance: float, *, fitted: dict | None = None,
                     grid: dict | None = None, notes: str = "") -> "VerificationReport":
         """AccuracyError if the defect, the tolerance or a number in
-        ``fitted`` is NaN or infinite: an overflow or underflow, no verdict."""
+        ``fitted`` is NaN or infinite: no verdict (a designed FAIL is finite)."""
         max_defect = abs(float(max_defect))
         fitted = to_builtin(fitted or {})
         bad = (_non_finite(max_defect, "max_defect") or _non_finite(

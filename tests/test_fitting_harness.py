@@ -20,6 +20,7 @@ from dunkllab.fitting import (FitConvergenceError, alternating_split,
 from dunkllab.forms import form_b_s_eps, sobolev_norm_V
 from dunkllab.harness import decay_rays, decay_samples, make_pair_grid
 from dunkllab.measure import weighted_norm
+from dunkllab.report import MARGIN_CAP
 from dunkllab.root_systems import orbit_distance_pairwise
 
 
@@ -152,6 +153,17 @@ class TestEnvelopeFits:
         bad = envelope_holdout_ratio(d, 1.2 * np.exp(-d), p=1.0, c=1.0, C=1.0)
         assert bad > 1.0
 
+    def test_holdout_ratio_capped_over_an_underflowed_envelope(self):
+        # a positive value over an envelope that is 0 fails by MARGIN_CAP
+        # (vals / 0 is infinite); a NaN value stays NaN
+        d = np.array([1.0, 1e3])
+        with np.errstate(divide="ignore"):
+            ratio = envelope_holdout_ratio(d, np.array([0.5, 1e-3]), p=1.0,
+                                           c=1.0, C=1.0)
+        assert ratio == MARGIN_CAP
+        assert np.isnan(envelope_holdout_ratio(d[:1], np.array([np.nan]),
+                                               p=1.0, c=1.0, C=1.0))
+
 
 class TestRatioProtocol:
     def test_constant_is_max_ratio(self):
@@ -166,6 +178,11 @@ class TestRatioProtocol:
     def test_holdout_arithmetic(self):
         ratio = ratio_holdout_ratio(np.array([2.1]), np.array([1.0]), C=2.0)
         assert ratio == pytest.approx(2.1 / 2.1)
+
+    def test_holdout_ratio_capped_over_a_zero_constant(self):
+        with np.errstate(divide="ignore"):
+            ratio = ratio_holdout_ratio(np.ones(1), np.ones(1), C=0.0)
+        assert ratio == MARGIN_CAP
 
 
 class TestCoercivityLP:
@@ -191,10 +208,11 @@ class TestCoercivityLP:
         alpha, _ = garding_lp(np.array([-200.0]), np.ones(1), np.ones(1))
         assert alpha == pytest.approx(-100.0, rel=1e-9)
 
-    def test_holdout_ratio_infinite_when_denominator_nonpositive(self):
+    def test_holdout_ratio_capped_when_denominator_nonpositive(self):
+        # the inequality fails outright: a finite FAIL, not infinity
         ratio = garding_holdout_ratio(np.array([-1.0]), np.zeros(1),
                                       np.ones(1), alpha=1.0, C=0.0)
-        assert ratio == np.inf
+        assert ratio == MARGIN_CAP
 
     def test_holdout_ratio_arithmetic(self):
         ratio = garding_holdout_ratio(np.array([2.0]), np.array([1.0]),

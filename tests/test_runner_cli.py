@@ -11,10 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dunkllab import __version__, cli, kernels
+from dunkllab import __version__, cli, forms, harness, kernels
 from dunkllab.checks import CHECKS, Derived, Param
 from dunkllab.errors import AccuracyError, ConfigError
-from dunkllab.report import VerificationReport
+from dunkllab.report import MARGIN_CAP, VerificationReport
 from dunkllab.runner import (CONFIG_HASH_LEN, OUTPUT_DIR_ENV, build_context,
                              build_kernel_spec, build_system, config_schema,
                              list_checks, report_filenames, run, run_check,
@@ -712,6 +712,33 @@ class TestRunEndToEnd:
     def test_non_finite_report_raises_accuracy_error_in_run_check(
             self, kind, params, message):
         self._assert_accuracy_error(kind, params, message)
+
+    def test_garding_counterexample_is_a_fail_report(
+            self, tmp_path, out_dir, capsys, monkeypatch):
+        # the second family member, held out, gets A_i = -1e6: its
+        # A_i + C S_i is <= 0, so the inequality fails outright.  That is a
+        # FAIL report (exit 2) with a finite ratio, not an error record
+        true_terms = forms._coercivity_terms
+        calls = []
+
+        def broken_terms(*args):
+            A, H, V = true_terms(*args)
+            calls.append(None)
+            return (-1e6 if len(calls) == 2 else A), H, V
+
+        monkeypatch.setattr(harness, "_coercivity_terms", broken_terms)
+        config = {"system": {"type": "rank1", "k": 0.5},
+                  "checks": [{"kind": "garding",
+                              "params": {"s_set": [1.0]}}]}
+        assert cli.main(["run", str(write_config(tmp_path, config))]) == 2
+        assert "[FAIL]" in capsys.readouterr().out
+        assert not list(out_dir.glob("exp_*_error.json"))
+        report_path, = out_dir.glob("exp_*_garding.json")
+        payload = json.loads(report_path.read_text())
+        assert payload["pass"] is False
+        assert payload["fitted"]["alpha"] > 0
+        assert payload["fitted"]["holdout_ratio"] == MARGIN_CAP
+        assert payload["max_defect"] == MARGIN_CAP
 
     @pytest.mark.parametrize("kind, params, message", OVERFLOW_CASES)
     def test_overflowed_scale_is_an_error_record_not_a_traceback(
