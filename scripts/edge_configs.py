@@ -1,13 +1,16 @@
-"""Every check parameter at the edges of its schema, in rank 1 (k = 0.5).
+"""Every check parameter at the edges of its schema, in rank 1 (k = 0.5)
+and in rank 2 (``product_z2``, ks = [0.5, 0.5]).
 
 Each parameter of each kind in ``checks.CHECKS``, and each key of a
 ``spec``, is set on its own to the edges its schema admits: its minimum (or
 the next float above an exclusive one) and its maximum (or 1e300); -1e300,
 5e-324 and 1e300 where it has no bound; integers take their minimum only.
+A vector takes the edge in its first component and 0 in the others; a list
+of vectors is that vector followed by the other axes, so directions span.
 A case fails if ``runner.run`` raises or writes NaN or Infinity into a
 report or table.  ``KNOWN`` lists the cases that still fail, with the
-ROADMAP item that mends each.  Exit 1 if a case outside it fails or a case
-in it passes.
+ROADMAP item that mends each; it is empty.  Exit 1 if a case outside it
+fails or a case in it passes.
 
     PYTHONPATH=src python scripts/edge_configs.py
 """
@@ -27,29 +30,17 @@ import numpy as np
 from dunkllab import runner
 from dunkllab.checks import CHECKS, KERNEL_SCHEMA
 
-TINY_BOX = "item 17: no frequency node lies on the boundary shell"
-HEAT_AMP = "item 18: the heat kernel's amplitude (2t)^(-N_h/2) overflows"
-#: (kind, parameter, value as JSON) -> the ROADMAP item that mends it
-KNOWN = {
-    **{(kind, "freq_box", "5e-324"): TINY_BOX for kind in (
-        "exp-weighted-l1", "kernel-decomposition", "kernel-semigroup",
-        "thm1-decay", "thm2-two-point", "translation-lipschitz")},
-    **{(kind, "eps0", "5e-324"): "item 17: the heat time eps0 / 2 is 0"
-       for kind in ("exp-weighted-l1", "kernel-decomposition")},
-    **{("exp-weighted-l1", "directions", v): "item 17: the check's own "
-       "kernel is not validated with the config"
-       for v in ("[[-1e+300]]", "[[5e-324]]", "[[1e+300]]")},
-    ("heat-gaussian-bound", "t_set", "[5e-324]"): HEAT_AMP,
-    ("kernel-positivity", "t_set", "[5e-324]"): HEAT_AMP,
-    ("kernel-mass", "t", "5e-324"): HEAT_AMP,
-    ("kernel-scaling", "t_values", "[5e-324]"): "item 17: the homogeneity "
-    "law's amplitude t^(-N_h/(2l)) overflows",
-}
+#: the systems swept, by dimension
+SYSTEMS = {1: {"type": "rank1", "k": 0.5},
+           2: {"type": "product_z2", "ks": [0.5, 0.5]}}
+#: (dimension, kind, parameter, value as JSON) -> the ROADMAP item that
+#: mends it
+KNOWN: dict = {}
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
-def edges(schema: dict) -> list:
-    """The values at the edges of a parameter's schema (rank 1)."""
+def edges(schema: dict, dim: int) -> list:
+    """The values at the edges of a parameter's schema in R^dim."""
     if "enum" in schema:
         return [min(schema["enum"]), max(schema["enum"])]
     if schema["type"] == "integer":
@@ -64,19 +55,23 @@ def edges(schema: dict) -> list:
         return low + [schema.get("maximum", 1e300)]
     if schema["type"] == "object":
         return [{key: v} for key, sub in schema["properties"].items()
-                for v in edges(sub)]
-    if schema.get("vector") or schema["items"]["type"] == "array":
-        return [[v] for v in edges(schema["items"])]
+                for v in edges(sub, dim)]
+    if schema.get("vector"):
+        return [[v] + [0.0] * (dim - 1) for v in edges(schema["items"], dim)]
+    if schema["items"]["type"] == "array":
+        others = np.eye(dim)[1:].tolist()
+        return [[vec] + others for vec in edges(schema["items"], dim)]
     # a list of numbers, filled up to its least length with 1.0
     return [[v] + [1.0] * (schema.get("minItems", 1) - 1)
-            for v in edges(schema["items"])]
+            for v in edges(schema["items"], dim)]
 
 
-def fault(kind: str, name: str, value, out: Path) -> str | None:
-    """What goes wrong when ``kind`` runs with ``name`` = ``value``."""
+def fault(dim: int, kind: str, name: str, value, out: Path) -> str | None:
+    """What goes wrong when ``kind`` runs in R^dim with ``name`` =
+    ``value``."""
     config = out / "edge.json"
     config.write_text(json.dumps({
-        "system": {"type": "rank1", "k": 0.5}, "workers": 1,
+        "system": SYSTEMS[dim], "workers": 1,
         "checks": [{"kind": kind, "params": {name: value}}]}))
     os.environ[runner.OUTPUT_DIR_ENV] = str(out / "reports")
     try:
@@ -94,17 +89,25 @@ def fault(kind: str, name: str, value, out: Path) -> str | None:
 def main() -> int:
     warnings.simplefilter("ignore", RuntimeWarning)
     unexpected = 0
-    for kind, check in sorted(CHECKS.items()):
-        for param in check.params:
-            schema = KERNEL_SCHEMA if param.name == "spec" else param.schema
-            for value in edges(schema):
-                with tempfile.TemporaryDirectory() as tmp:
-                    found = fault(kind, param.name, value, Path(tmp))
-                item = KNOWN.get((kind, param.name, json.dumps(value)))
-                if (found is None) != (item is None):
-                    unexpected += 1
-                    print(f"{kind} {param.name}={json.dumps(value)}: "
-                          f"{found or 'passes; drop it from KNOWN: ' + item}")
+    for dim in SYSTEMS:
+        cases = 0
+        for kind, check in sorted(CHECKS.items()):
+            for param in check.params:
+                schema = (KERNEL_SCHEMA if param.name == "spec"
+                          else param.schema)
+                for value in edges(schema, dim):
+                    cases += 1
+                    with tempfile.TemporaryDirectory() as tmp:
+                        found = fault(dim, kind, param.name, value, Path(tmp))
+                    item = KNOWN.get((dim, kind, param.name,
+                                      json.dumps(value)))
+                    if (found is None) != (item is None):
+                        unexpected += 1
+                        outcome = (found or
+                                   f"passes; drop it from KNOWN: {item}")
+                        print(f"rank {dim} {kind} {param.name}="
+                              f"{json.dumps(value)}: {outcome}")
+        print(f"rank {dim}: {cases} cases")
     print(f"{unexpected} unexpected outcome(s)")
     return 1 if unexpected else 0
 

@@ -27,8 +27,14 @@ class AccuracyError(DunklLabError):
     disagreement, a series that does not settle, non-finite values, ...)."""
 
 
-class SymbolError(DunklLabError):
-    """Kernel symbol is not positive / direction set does not span."""
+class SymbolError(DunklLabError, ValueError):
+    """An operator or time that ``kernels.KernelSpec`` rejects, or directions
+    that it or ``BilinearFormSpec`` rejects; ``key`` names the spec field at
+    fault when the message does not (directions, for a box of 0)."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class FitConvergenceError(DunklLabError):

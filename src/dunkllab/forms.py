@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .functions import PolyGauss, sample
+from .kernels import spanning_directions
 from .measure import (EtaFields, SampleStore, WeightedContext,
                       _norm_refined, _norm_sq_on, _weighted_norm)
 from .operators import apply_dunkl, positive_roots
@@ -52,8 +53,6 @@ class BilinearFormSpec:
     directions: tuple = ((1.0,),)
 
     def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        object.__setattr__(self, "directions", tuple(map(tuple, dirs)))
         if self.ell not in (1, 2):
             raise ValueError("form order l must be 1 or 2")
         if not (self.s == 0.0 or self.s > 0.25):
@@ -61,17 +60,8 @@ class BilinearFormSpec:
                              "for the plain-L^2 norm)")
         if self.eps < 0 or self.eps > EPSILON_MAX:
             raise ValueError(f"eps must lie in {{0}} or (0, {EPSILON_MAX}]")
-        if np.min(np.linalg.norm(dirs, axis=1)) == 0.0:
-            raise ValueError("directions must be nonzero")
-        if np.linalg.matrix_rank(dirs) < dirs.shape[1]:
-            raise ValueError("directions must span the ambient space")
-
-    @property
-    def dim(self) -> int:
-        return len(self.directions[0])
-
-    def direction_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(z, dtype=float) for z in self.directions]
+        object.__setattr__(self, "directions",
+                           spanning_directions(self.directions))
 
 
 def t_g_eta_values(ctx: WeightedContext, s: float, zeta: np.ndarray,
@@ -199,8 +189,8 @@ def _form_on(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
              fields: EtaFields) -> tuple[float, float]:
     """(b_{s,eps}(f, g), its gross mass) on one grid, with eta from
     ``fields`` (at spec.s); a_s(f, g) at eps = 0."""
-    total, gross = _form_terms(ctx, spec.ell, spec.direction_arrays(), f, g,
-                               grid, fields)
+    total, gross = _form_terms(ctx, spec.ell, np.asarray(spec.directions), f,
+                               g, grid, fields)
     if spec.eps == 0.0:
         return -total, gross
     total_c, gross_c = _form_terms(ctx, 1, np.eye(ctx.dim), f, g, grid,
@@ -259,7 +249,7 @@ def sobolev_norm_V(ctx: WeightedContext, spec: BilinearFormSpec,
     return _sobolev_norm(
         _weighted_norm(ctx, fs.squared, fields),
         [_weighted_norm(ctx, lambda grid: fs.squared(grid, zeta, spec.ell),
-                        fields) for zeta in spec.direction_arrays()])
+                        fields) for zeta in np.asarray(spec.directions)])
 
 
 def _sobolev_norm(h_norm: float, image_norms) -> float:
@@ -290,7 +280,7 @@ def _grid_terms(ctx: WeightedContext, specs: dict, f: _Samples,
         return [_norm_sq_on(grid, squared, fields[s]) for s in specs]
 
     rows = [norms(None, 0)] + [norms(zeta, spec.ell)
-                               for zeta in spec.direction_arrays()]
+                               for zeta in np.asarray(spec.directions)]
     return {s: (_form_on(ctx, spec_s, f, f, grid, fields[s]),
                 [row[n] for row in rows])
             for n, (s, spec_s) in enumerate(specs.items())}

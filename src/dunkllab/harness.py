@@ -25,8 +25,7 @@ from . import fitting
 from .checks import (GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived,
                      Param, grid_params, integer, number, numbers, register)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
-from .errors import (AccuracyError, CapabilityError, ConfigError,
-                     DomainTooSmallError)
+from .errors import AccuracyError, CapabilityError, DomainTooSmallError
 from .fitting import (alternating_split, envelope_fit,
                       envelope_fit_upper, envelope_holdout_ratio,
                       fit_decay_exponent, garding_lp, garding_holdout_ratio,
@@ -35,10 +34,11 @@ from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages, _Samples,
                     _coercivity_terms, _grid_terms)
 from .functions import (GridSampled, hermite_family, hermite_gauss,
                         radial_bump, sample)
-from .kernels import (CONVOLUTION_GRID, KernelSpec, convolution_context,
-                      dunkl_translate, evaluate_q, freq_box_for, heat_kernel,
-                      heat_kernel_two_point, integrated_spec, q_on_grid,
-                      spatial_rule, two_point_kernel)
+from .kernels import (CONVOLUTION_GRID, FREQ_GRID, KernelSpec,
+                      convolution_context, dunkl_translate, evaluate_q,
+                      finite_power, freq_sized_context, heat_kernel,
+                      heat_kernel_two_point, q_on_grid, spatial_rule,
+                      two_point_kernel)
 from .measure import (EtaFields, SampleStore, WeightedContext,
                       volume_max_pairs)
 from .quadrature import (SHELL_TOL, boundary_shell_fraction, refined_n_half,
@@ -58,21 +58,6 @@ DECAY_REFINE_TOL = 0.01
 E_BOUND_TOL = 1e-10
 STABILITY_TOL = 0.05
 WEIGHTED_L1_REL_TOL = 0.02
-_FREQ_GRID = grid_params(
-    freq_box=Derived("1.1 x the decay radius of the symbol"),
-    freq_n_half=Derived("the config's"))
-
-
-def _freq_sized_ctx(ctx: WeightedContext, spec: KernelSpec,
-                    params: dict) -> WeightedContext:
-    """Context whose frequency box matches the symbol decay of the spec the
-    point evaluators integrate (``kernels.integrated_spec``)."""
-    fbox = params["freq_box"] or float(
-        np.ceil(1.1 * freq_box_for(integrated_spec(spec))))
-    fn = params["freq_n_half"] or ctx.freq_n_half
-    if fbox == ctx.freq_box and fn == ctx.freq_n_half:
-        return ctx
-    return ctx.with_grids(freq_box=fbox, freq_n_half=fn)
 
 
 def decay_rays(dim: int) -> np.ndarray:
@@ -100,7 +85,7 @@ def decay_samples(ctx: WeightedContext,
           "C exp(-c |x|^p) along rays; pass needs p within "
           f"{DECAY_P_RTOL:.0%} of 2l/(2l-1), r^2 >= {DECAY_R2_MIN:g}, and a "
           "refinement-stable exponent",
-          *_FREQ_GRID)
+          *FREQ_GRID)
 def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
                       params: dict) -> VerificationReport:
     """Fit |q_1(x)| ~ C exp(-c |x|^p) and compare p with 2l/(2l-1).
@@ -111,7 +96,7 @@ def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
     ``DECAY_REFINE_TOL``.  The refinement gate always runs.
     """
     p_theory = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
-    qctx = _freq_sized_ctx(ctx, spec, params)
+    qctx = freq_sized_context(ctx, spec, params)
     radii, vals = decay_samples(qctx, spec)
     fit = fit_decay_exponent(np.column_stack([radii, vals]), p0=p_theory)
     fine = qctx.with_grids(
@@ -188,7 +173,7 @@ def _envelope_verdict(z: np.ndarray, vals: np.ndarray, p: float,
           "two-point bound: calibrate (c, C) in |q_1(x,y)| * "
           "max(w(B(x,1)), w(B(y,1))) <= C exp(-c d(x,y)^{2l/(2l-1)}) and "
           "verify the bound on held-out pairs with 1.05 slack",
-          *_FREQ_GRID)
+          *FREQ_GRID)
 def _check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
                            params: dict) -> VerificationReport:
     """Calibrate (c, C) in |q(x,y)| V(x,y,1) <= C exp(-c d(x,y)^{2l/(2l-1)})
@@ -201,7 +186,7 @@ def _check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
             "its pairs rescaled to unit time")
     xs, ys = make_pair_grid(ctx)
     p = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
-    qctx = _freq_sized_ctx(ctx, spec, params)
+    qctx = freq_sized_context(ctx, spec, params)
     q = two_point_kernel(qctx, spec, xs, ys)
     V = volume_max_pairs(ctx.system, xs, ys, 1.0)
     d = orbit_distance_pairwise(ctx.group, xs, ys)
@@ -289,12 +274,9 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
     The form's l, eps and directions come from ``params``, else from the
     kernel."""
     ell = params["ell"] or (spec.ell if spec.ell in (1, 2) else 1)
-    try:
-        form_spec = BilinearFormSpec(
-            ell=ell, s=1.0, eps=params["eps"],
-            directions=params["directions"] or spec.directions)
-    except ValueError as err:
-        raise ConfigError(f"garding: {err}") from err
+    form_spec = BilinearFormSpec(
+        ell=ell, s=1.0, eps=params["eps"],
+        directions=params["directions"] or spec.directions)
     s_set = params["s_set"]
     family = default_garding_family(ctx.dim)
     cal_f, held_f = alternating_split(len(family))
@@ -415,13 +397,13 @@ def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
 @register("translation-lipschitz",
           "translation Lipschitz bound: sup_y |tau_x q_1(y) - q_1(y)| <= "
           "C ||x|| over a range of shifts",
-          SPEC, *_FREQ_GRID)
+          SPEC, *FREQ_GRID)
 def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                                  params: dict) -> VerificationReport:
     shifts = np.geomspace(0.05, 2.0, 24)
     if spec.ell > 1:
         ctx = ctx.with_grids(*spatial_rule(ctx, spec))
-    qctx = _freq_sized_ctx(ctx, spec, params)
+    qctx = freq_sized_context(ctx, spec, params)
     base = q_on_grid(qctx, spec)
     base_spectrum = dunkl_transform(qctx, base)
     sups = []
@@ -467,8 +449,11 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     y_shift = np.asarray(params["y"] or [1.0] + [0.0] * (ctx.dim - 1))
     # the bound's scale of every (r1, r2) pair, checked before any bump is
     # sampled: at r1 = r2 = r it also bounds the r^2 each bump divides by
-    support_scale = {(r1, r2): _support_scale(r1, r2, ctx.homogeneous_dim)
-                     for r2 in radii for r1 in radii}
+    support_scale = {(r1, r2): finite_power(
+        r1 * (r1 + r2), ctx.homogeneous_dim / 2.0,
+        "the bound's scale (r1 (r1 + r2))^(N_h/2)",
+        f"radii r1 = {r1:g}, r2 = {r2:g}: lower the radii")
+        for r2 in radii for r1 in radii}
     bctx = ctx.with_grids(**{key: params[key]
                              for key in GRID_SCHEMA["properties"]})
     norms = np.sqrt(bctx.grid.outer_sum(lambda d, x: x * x))
@@ -527,19 +512,6 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
         notes="||tau_y(f * phi)||_L1 <= C (r1(r1+r2))^{N_h/2} "
               "||phi||_inf ||f||_L1 across the radius grid; calibration "
               "takes r1 >= r2, held-out the mirrored pairs")
-
-
-def _support_scale(r1: float, r2: float, homogeneous_dim: float) -> float:
-    """(r1 (r1 + r2))^{N_h/2}; AccuracyError when it overflows float64."""
-    try:
-        scale = (r1 * (r1 + r2)) ** (homogeneous_dim / 2.0)
-    except OverflowError:
-        scale = float("inf")
-    if not np.isfinite(scale):
-        raise AccuracyError(
-            f"the bound's scale (r1 (r1 + r2))^(N_h/2) overflows at radii "
-            f"r1 = {r1:g}, r2 = {r2:g}: lower the radii")
-    return scale
 
 
 def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:

@@ -54,9 +54,29 @@ SYMBOL_BOUNDARY_TOL = 1e-15
 SYMBOL_SIZING_TOL = 1e-18
 
 
+def spanning_directions(directions) -> tuple:
+    """The directions as a tuple of J rows of floats; SymbolError unless
+    each is nonzero and together they span R^dim (``KernelSpec``,
+    ``BilinearFormSpec``)."""
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if np.min(np.linalg.norm(dirs, axis=1)) == 0.0:
+        raise SymbolError("directions must be nonzero")
+    if np.linalg.matrix_rank(dirs) < dirs.shape[1]:
+        raise SymbolError("directions must span the ambient space")
+    return tuple(map(tuple, dirs))
+
+
+def _check_time(t: float) -> None:
+    """SymbolError unless the time t of a kernel is positive."""
+    if t <= 0:
+        raise SymbolError("time t must be positive")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Directions zeta_j, order l, perturbation eps, time t of q_t^(eps)."""
+    """Directions zeta_j, order l, perturbation eps, time t of q_t^(eps);
+    building one is the one gate of an operator and its time (SymbolError),
+    which needs a ``freq_box_for`` box in (0, inf)."""
 
     directions: tuple
     ell: int
@@ -64,25 +84,20 @@ class KernelSpec:
     t: float = 1.0
 
     def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        object.__setattr__(self, "directions", tuple(map(tuple, dirs)))
         if self.ell not in (1, 2, 3):
-            raise ValueError("kernel order l must be 1, 2 or 3")
-        if self.t <= 0:
-            raise ValueError("time t must be positive")
+            raise SymbolError("kernel order l must be 1, 2 or 3")
+        _check_time(self.t)
         if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if np.min(np.linalg.norm(dirs, axis=1)) == 0.0:
-            raise ValueError("directions must be nonzero")
-        if np.linalg.matrix_rank(dirs) < dirs.shape[1]:
-            raise SymbolError("directions must span the ambient space")
-        if self.ell == 1:
-            gram = sum(np.outer(z, z) for z in dirs)
-            lam_min = float(np.linalg.eigvalsh(gram)[0])
-            if self.eps >= lam_min:
-                raise SymbolError(
-                    f"symbol positivity violated: for l=1 need eps < "
-                    f"lambda_min(sum zeta zeta^T) = {lam_min:.6g}; got eps={self.eps}")
+            raise SymbolError("eps must be nonnegative")
+        # a |zeta|^2 past float64 leaves a box of 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "directions",
+                               spanning_directions(self.directions))
+            box = freq_box_for(self)
+        if not 0.0 < box < np.inf:
+            raise SymbolError(
+                f"the symbol's frequency box is {box:g}, so no grid holds "
+                "exp(-t sym)", key="directions" if box == 0.0 else None)
 
     @classmethod
     def heat(cls, dim: int, t: float = 1.0) -> "KernelSpec":
@@ -111,8 +126,9 @@ class KernelSpec:
     def direction_arrays(self) -> list[np.ndarray]:
         return [np.asarray(z, dtype=float) for z in self.directions]
 
-    def symbol(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    def symbol(self, xi) -> np.ndarray:
+        """sym at the frequencies ``xi`` (``as_points``), one value each."""
+        xi = as_points(xi, self.dim)
         total = np.zeros(len(xi))
         for z in self.direction_arrays():
             total += (xi @ z) ** (2 * self.ell)
@@ -137,89 +153,119 @@ class KernelSpec:
 
 def freq_box_for(spec: KernelSpec) -> float:
     """Radius B with exp(-t sym) < SYMBOL_SIZING_TOL outside the box
-    |xi|_inf <= B."""
+    |xi|_inf <= B; SymbolError when sym is not positive (l = 1 only)."""
     level = np.log(1.0 / SYMBOL_SIZING_TOL) / spec.t
     cmin = spec.min_direction_coefficient()
-    if spec.ell == 1 and spec.eps > 0:
-        # quadratic symbol with its eps-reduced smallest eigenvalue
+    if spec.ell == 1:
         gram = sum(np.outer(z, z) for z in spec.direction_arrays())
-        lam = float(np.linalg.eigvalsh(gram)[0]) - spec.eps
-        return float(np.sqrt(level / lam))
+        lam_min = float(np.linalg.eigvalsh(gram)[0])
+        if spec.eps >= lam_min:
+            raise SymbolError(
+                f"symbol positivity violated: for l=1 need eps < lambda_min"
+                f"(sum zeta zeta^T) = {lam_min:.6g}; got eps={spec.eps}")
+        if spec.eps > 0:
+            # quadratic symbol with its eps-reduced smallest eigenvalue
+            return float(np.sqrt(level / (lam_min - spec.eps)))
     b = (level / cmin) ** (1.0 / (2 * spec.ell))
     for _ in range(8):
         b = ((level + spec.eps * b * b) / cmin) ** (1.0 / (2 * spec.ell))
     return float(b)
 
 
-def _rescale_to_unit_time(spec: KernelSpec) -> tuple[KernelSpec, float]:
-    """(unit-time spec, spatial scale lam) of the homogeneity law
-    q_t(x) = t^{-N_h/(2l)} q_1^{unit}(lam x), lam = t^{-1/(2l)}; the
-    amplitude t^{-N_h/(2l)} is left to the caller, who knows N_h."""
+def _unit_time_spec(spec: KernelSpec) -> KernelSpec:
+    """The unit-time spec of the homogeneity law q_t(x) =
+    t^{-N_h/(2l)} q_1^{unit}(t^{-1/(2l)} x), with eps' = eps t^{(l-1)/l}."""
     t, ell = spec.t, spec.ell
-    eps1 = spec.eps * t ** ((ell - 1.0) / ell)
-    return replace(spec, eps=eps1, t=1.0), t ** (-1.0 / (2.0 * ell))
+    return replace(spec, eps=spec.eps * t ** ((ell - 1.0) / ell), t=1.0)
 
 
 def integrated_spec(spec: KernelSpec) -> KernelSpec:
     """The spec the point evaluators integrate: spec itself for t in
-    [T_DIRECT_MIN, T_DIRECT_MAX], else its unit-time spec."""
+    [T_DIRECT_MIN, T_DIRECT_MAX] (the one window test), else at unit time."""
     if T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
         return spec
-    return _rescale_to_unit_time(spec)[0]
+    return _unit_time_spec(spec)
 
 
-def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid, t: float) -> np.ndarray:
+def finite_power(base: float, exponent: float, what: str, at: str) -> float:
+    """base ** exponent, the amplitude of a homogeneity law; AccuracyError
+    "<what> overflows at <at>" unless it is a finite float."""
+    try:
+        value = base ** exponent
+    except OverflowError:
+        value = np.inf
+    if not np.isfinite(value):
+        raise AccuracyError(f"{what} overflows at {at}")
+    return value
+
+
+def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid) -> np.ndarray:
     """exp(-t sym) on the frequency grid, which must hold its decay: below
-    ``SYMBOL_BOUNDARY_TOL`` on the boundary shell, and above it somewhere,
-    or every node has underflowed and each identity on q_t holds as 0 = 0."""
-    vals = np.exp(-t * sample(spec.symbol, grid))
+    ``SYMBOL_BOUNDARY_TOL`` on a nonempty boundary shell, and above it
+    somewhere, or every node underflowed and each identity holds as 0 = 0."""
+    vals = np.exp(-spec.t * sample(spec.symbol, grid))
     peak = float(np.max(vals))
+    box = max(ax.half_width for ax in grid.axes)
     if not peak > SYMBOL_BOUNDARY_TOL:
-        box = max(ax.half_width for ax in grid.axes)
         raise AccuracyError(
             f"symbol exponential is at most {peak:.3g} at every node of the "
             f"frequency grid: freq_box {box:.3g} leaves no node where q_t's "
             f"spectrum lives; lower freq_box to about {freq_box_for(spec):.3g}"
             " or raise freq_n_half")
-    shell = grid.shell_mask()
-    worst = float(np.max(vals[shell]))
+    shell = vals[grid.shell_mask()]
+    if not shell.size:
+        raise DomainTooSmallError(
+            f"no node of the frequency grid lies on its boundary shell at "
+            f"freq_box {box:.3g}; enlarge the frequency box to about "
+            f"{freq_box_for(spec):.3g}")
+    worst = float(np.max(shell))
     if worst > SYMBOL_BOUNDARY_TOL:
-        need = freq_box_for(spec)
         raise DomainTooSmallError(
             f"symbol exponential is {worst:.3g} on the frequency-box shell; "
-            f"enlarge the frequency box to about {need:.3g}")
+            f"enlarge the frequency box to about {freq_box_for(spec):.3g}")
     return vals
 
 
-def _at_unit_time(ctx: WeightedContext, spec: KernelSpec, evaluate,
-                  *batches) -> np.ndarray:
+def _at_unit_time(ctx: WeightedContext, spec: KernelSpec, unit: KernelSpec,
+                  evaluate, *batches) -> np.ndarray:
     """``evaluate(ctx, spec, *batches)`` by the homogeneity law,
-    t^{-N_h/(2l)} evaluate(ctx, unit, *(lam batches)), with unit and lam
-    from ``_rescale_to_unit_time``."""
-    unit, lam = _rescale_to_unit_time(spec)
-    amp = spec.t ** (-ctx.homogeneous_dim / (2.0 * spec.ell))
+    t^{-N_h/(2l)} evaluate(ctx, unit, *(lam batches)), with ``unit`` the
+    unit-time spec of ``spec`` and lam = t^{-1/(2l)}."""
+    lam = spec.t ** (-1.0 / (2.0 * spec.ell))
+    amp = finite_power(spec.t, -ctx.homogeneous_dim / (2.0 * spec.ell),
+                       "the homogeneity law's amplitude t^(-N_h/(2l))",
+                       f"t = {spec.t:g}")
     return amp * evaluate(ctx, unit, *(pts * lam for pts in batches))
 
 
 def evaluate_q(ctx: WeightedContext, spec: KernelSpec, x) -> np.ndarray:
     """q_t^(eps) at the points ``x`` (``as_points``), one value each."""
     pts = as_points(x, ctx.dim)
-    if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        return _at_unit_time(ctx, spec, evaluate_q, pts)
-    sym = _symbol_exp_on(spec, ctx.freq_grid, spec.t)
+    unit = integrated_spec(spec)
+    if unit is not spec:
+        return _at_unit_time(ctx, spec, unit, evaluate_q, pts)
+    sym = _symbol_exp_on(spec, ctx.freq_grid)
     vals = inverse_at_points(ctx, sym, pts) / ctx.c_k
     return _real_part_checked(vals, "q_t")
 
 
 def q_on_grid(ctx: WeightedContext, spec: KernelSpec) -> GridSampled:
     """q_t^(eps) sampled on the spatial grid of the context."""
-    if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
+    if integrated_spec(spec) is not spec:
         raise CapabilityError(
             f"q_t on the spatial grid covers t in [{T_DIRECT_MIN:g}, "
             f"{T_DIRECT_MAX:g}] only; got t = {spec.t:g}")
-    sym = _symbol_exp_on(spec, ctx.freq_grid, spec.t)
+    sym = _symbol_exp_on(spec, ctx.freq_grid)
     # the second c_k^{-1} is applied to the complex result, block by block
     return inverse_dunkl_transform(ctx, sym, then=(np.divide, ctx.c_k))
+
+
+def _heat_amplitude(ctx: WeightedContext, t: float) -> float:
+    """c_k^{-1} (2t)^{-N_h/2}, the amplitude of h_t, for a time t > 0."""
+    _check_time(t)
+    return finite_power(2.0 * t, -ctx.homogeneous_dim / 2.0,
+                        "the heat kernel's amplitude (2t)^(-N_h/2)",
+                        f"t = {t:g}") / ctx.c_k
 
 
 def heat_kernel(ctx: WeightedContext, x, t: float) -> np.ndarray:
@@ -228,9 +274,7 @@ def heat_kernel(ctx: WeightedContext, x, t: float) -> np.ndarray:
     ``x`` is points (``as_points``), one value each, or a TensorGrid: then
     the values come in the grid's shape, formed from its axes and in place.
     """
-    if t <= 0:
-        raise ValueError("time t must be positive")
-    amp = (2.0 * t) ** (-ctx.homogeneous_dim / 2.0) / ctx.c_k
+    amp = _heat_amplitude(ctx, t)
     if isinstance(x, TensorGrid):
         out = x.outer_sum(lambda d, u: u**2)
         np.negative(out, out=out)
@@ -245,12 +289,10 @@ def heat_kernel(ctx: WeightedContext, x, t: float) -> np.ndarray:
 def heat_kernel_two_point(ctx: WeightedContext, x, y, t: float) -> np.ndarray:
     """Closed-form h_t(x, y) for each pair (``two_point_kernel``), evaluated
     in exponentially scaled form."""
-    if t <= 0:
-        raise ValueError("time t must be positive")
+    amp = _heat_amplitude(ctx, t)
     xs, ys = np.broadcast_arrays(as_points(x, ctx.dim),
                                  as_points(y, ctx.dim))
     ks = ctx.system.ks
-    amp = (2.0 * t) ** (-ctx.homogeneous_dim / 2.0) / ctx.c_k
     expo = -np.sum((np.abs(xs) - np.abs(ys)) ** 2, axis=1) / (4.0 * t)
     prod = np.ones(len(xs))
     for d in range(ctx.dim):
@@ -289,10 +331,11 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> np.ndarray
     one point broadcasts against a batch), by one frequency quadrature."""
     xs, ys = np.broadcast_arrays(as_points(x, ctx.dim),
                                  as_points(y, ctx.dim))
-    if not T_DIRECT_MIN <= spec.t <= T_DIRECT_MAX:
-        return _at_unit_time(ctx, spec, two_point_kernel, xs, ys)
+    unit = integrated_spec(spec)
+    if unit is not spec:
+        return _at_unit_time(ctx, spec, unit, two_point_kernel, xs, ys)
     grid = ctx.freq_grid
-    sym = _symbol_exp_on(spec, grid, spec.t)
+    sym = _symbol_exp_on(spec, grid)
     ks = ctx.system.ks
     n = len(xs)
     pair_axis = []
@@ -330,6 +373,30 @@ CONVOLUTION_GRID = grid_params(
     freq_n_half=Derived("200"))
 
 
+#: frequency-grid keys of ``freq_sized_context``
+FREQ_GRID = grid_params(
+    freq_box=Derived("1.1 x the decay radius of the symbol"),
+    freq_n_half=Derived("the config's"))
+
+
+def freq_box_margin(*specs: KernelSpec) -> float:
+    """ceil(1.1 x the largest ``freq_box_for`` of ``specs``): the frequency
+    box that holds the symbol decay of each with a 10% margin."""
+    return float(np.ceil(1.1 * max(map(freq_box_for, specs))))
+
+
+def freq_sized_context(ctx: WeightedContext, spec: KernelSpec,
+                       params: dict) -> WeightedContext:
+    """Context whose frequency box holds the symbol decay of the spec the
+    point evaluators integrate (``integrated_spec``); the grid keys of
+    ``FREQ_GRID`` given in ``params`` take precedence."""
+    fbox = params["freq_box"] or freq_box_margin(integrated_spec(spec))
+    fn = params["freq_n_half"] or ctx.freq_n_half
+    if fbox == ctx.freq_box and fn == ctx.freq_n_half:
+        return ctx
+    return ctx.with_grids(freq_box=fbox, freq_n_half=fn)
+
+
 def spatial_rule(ctx: WeightedContext, spec: KernelSpec) -> tuple[float, int]:
     """(box, n_half) of a spatial grid that holds q of order l, which decays
     slowly for l >= 2: a 12 box on the config's nodes for l = 1, a 48 box
@@ -346,8 +413,8 @@ def convolution_context(ctx: WeightedContext, spec: KernelSpec,
     return ctx.with_grids(
         box=params["box"] or box,
         n_half=params["n_half"] or n_half,
-        freq_box=params["freq_box"] or float(
-            np.ceil(freq_box_for(replace(spec, t=t_min)) * 1.1)),
+        freq_box=params["freq_box"] or freq_box_margin(
+            replace(spec, t=t_min)),
         freq_n_half=params["freq_n_half"] or 200)
 
 
@@ -461,16 +528,16 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
     t_values = params["t_values"]
     pts = _default_points(ctx.dim, radii=np.linspace(0.0, 2.0, 9))
     specs = [replace(spec, t=t) for t in t_values]
+    units = [_unit_time_spec(spec_t) for spec_t in specs]
     # each side integrates q_t at t or at unit time; enlarge the frequency
     # box only when it cannot hold the symbol decay of every spec integrated
-    need = max(freq_box_for(s) for spec_t in specs for s in (
-        integrated_spec(spec_t), _rescale_to_unit_time(spec_t)[0]))
-    if ctx.freq_box < need:
-        ctx = ctx.with_grids(freq_box=float(np.ceil(1.1 * need)))
+    integrated = [*map(integrated_spec, specs), *units]
+    if ctx.freq_box < max(map(freq_box_for, integrated)):
+        ctx = ctx.with_grids(freq_box=freq_box_margin(*integrated))
     defect = 0.0
-    for spec_t in specs:
+    for spec_t, unit in zip(specs, units):
         lhs = evaluate_q(ctx, spec_t, pts)
-        rhs = _at_unit_time(ctx, spec_t, evaluate_q, pts)
+        rhs = _at_unit_time(ctx, spec_t, unit, evaluate_q, pts)
         defect = max(defect, float(np.max(np.abs(lhs - rhs))))
     return VerificationReport.from_defect(
         "kernel-scaling", {"spec": spec.to_dict(), "t_values": t_values,

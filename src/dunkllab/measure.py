@@ -169,11 +169,14 @@ class EtaFields:
         self.store = SampleStore() if store is None else store
 
     def _of_points(self, where, key, fn):
-        """``fn`` of the points of ``where`` (a point array is read by
-        ``np.atleast_2d``), held, in the grid's shape on a grid."""
+        """``fn`` of the points of ``where``, held, in the grid's shape on a
+        grid; knowing no dimension, it takes (M, dim) point batches only."""
         if not isinstance(where, TensorGrid):
-            return self.store.get(where, key, lambda: fn(
-                np.atleast_2d(np.asarray(where, dtype=float))))
+            pts = np.asarray(where, dtype=float)
+            if pts.ndim != 2:
+                raise ValueError("eta and its derivatives take an (M, dim) "
+                                 f"point batch; got shape {pts.shape}")
+            return self.store.get(where, key, lambda: fn(pts))
         pts = self.store.get(where, "points", where.points)
         return self.store.get(where, key,
                               lambda: fn(pts).reshape(where.shape))

@@ -30,8 +30,8 @@ import numpy as np
 from . import harness  # noqa: F401  (enters its checks in the registry)
 from .checks import (CHECKS, GRID_SCHEMA, KERNEL_SCHEMA, coerce, json_path,
                      validate)
-from .errors import ConfigError, DunklLabError
-from .kernels import KernelSpec, freq_box_for
+from .errors import ConfigError, DunklLabError, SymbolError
+from .kernels import KernelSpec
 from .measure import WeightedContext
 from .report import VerificationReport, to_builtin
 from .root_systems import RootSystemSpec, product_z2, rank1
@@ -115,19 +115,13 @@ def validate_config(config: dict) -> None:
 
 
 def _check_kernel(kernel: dict, where: tuple, dim: int) -> None:
-    """ConfigError at the kernel section ``where`` if ``KernelSpec`` rejects
-    it or its ``freq_box_for`` is not a positive float; at its directions if
-    that box is 0: the symbol overflows at every unit frequency."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            box = freq_box_for(KernelSpec.from_config(kernel, dim))
-        except (ValueError, DunklLabError) as err:
-            raise ConfigError(f"config error at {json_path(where)}: {err}")
-    if not 0.0 < box < np.inf:
-        path = (*where, "directions") if box == 0.0 else where
-        raise ConfigError(
-            f"config error at {json_path(path)}: the symbol's frequency box "
-            f"is {box:g}, so no grid holds exp(-t sym)")
+    """ConfigError at the kernel section ``where`` if ``KernelSpec``
+    rejects it, at the key its SymbolError names if it names one."""
+    try:
+        KernelSpec.from_config(kernel, dim)
+    except SymbolError as err:
+        path = where if err.key is None else (*where, err.key)
+        raise ConfigError(f"config error at {json_path(path)}: {err}")
 
 
 # ---------------------------------------------------------------------------

@@ -330,55 +330,62 @@ class TestGardingCheck:
         assert report.fitted["holdout_ratio"] <= 1.0
 
 
-class TestGardingSharesWork:
-    """garding forms each member's Dunkl images once and samples them once
-    per grid for every s; its rows equal the public forms called one by
-    one."""
+@pytest.fixture(scope="class")
+def rank2_garding():
+    """One default rank-2 garding run, traced by tracemalloc, with the
+    Dunkl images it forms and the grids on which PolyGauss samples them:
+    (context, report, image calls, sampled grid shapes, peak bytes)."""
+    images, sampled = [], []
+    real_apply, real_values_on = forms.apply_dunkl, PolyGauss.values_on
 
-    def test_rank2_default_forms_each_image_once(self, monkeypatch):
-        # 18 members x 2 axis directions at l = 1; forming them afresh for
-        # every s, grid and term took 540 calls
-        calls = []
-        real = forms.apply_dunkl
+    def counting_apply(system, zeta, f):
+        images.append(tuple(zeta))
+        return real_apply(system, zeta, f)
 
-        def counting(system, zeta, f):
-            calls.append(tuple(zeta))
-            return real(system, zeta, f)
+    def counting_values_on(self, grid):
+        sampled.append(grid.shape)
+        return real_values_on(self, grid)
 
-        monkeypatch.setattr(forms, "apply_dunkl", counting)
-        ctx = WeightedContext(product_z2([0.5, 0.5]))
-        report = run_check(ctx, "garding")
-        assert report.passed
-        assert len(calls) == 36
-
-    def test_rank2_default_samples_each_image_once_per_grid(self,
-                                                             monkeypatch):
-        # 18 members x (f and 2 images) x 2 grids; sampling them afresh for
-        # each of the 3 values of s took 324 calls
-        calls = []
-        real = PolyGauss.values_on
-
-        def counting(self, grid):
-            calls.append(grid.shape)
-            return real(self, grid)
-
-        monkeypatch.setattr(PolyGauss, "values_on", counting)
-        ctx = WeightedContext(product_z2([0.5, 0.5]))
-        assert run_check(ctx, "garding").passed
-        assert len(calls) == 108
-        assert sorted(set(calls)) == [ctx.grid.shape, ctx.grid_fine.shape]
-
-    def test_rank2_default_peak_holds_one_grid_of_fields(self):
-        # the fields of every s are held for one grid at a time: holding
-        # every field and sample on both grids peaked above 10 MiB; the
-        # s-outer loop that held one s on both grids peaked 8.6 MiB
-        ctx = WeightedContext(product_z2([0.5, 0.5]))
+    ctx = WeightedContext(product_z2([0.5, 0.5]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forms, "apply_dunkl", counting_apply)
+        patch.setattr(PolyGauss, "values_on", counting_values_on)
         tracemalloc.start()
         try:
-            assert run_check(ctx, "garding").passed
+            report = run_check(ctx, "garding")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return ctx, report, images, sampled, peak
+
+
+class TestGardingSharesWork:
+    """garding forms each member's Dunkl images once and samples them once
+    per grid for every s; its rows equal the public forms called one by
+    one.  The three rank-2 default tests read one run (``rank2_garding``)."""
+
+    def test_rank2_default_forms_each_image_once(self, rank2_garding):
+        # 18 members x 2 axis directions at l = 1; forming them afresh for
+        # every s, grid and term took 540 calls
+        _, report, images, _, _ = rank2_garding
+        assert report.passed
+        assert len(images) == 36
+
+    def test_rank2_default_samples_each_image_once_per_grid(self,
+                                                             rank2_garding):
+        # 18 members x (f and 2 images) x 2 grids; sampling them afresh for
+        # each of the 3 values of s took 324 calls
+        ctx, report, _, sampled, _ = rank2_garding
+        assert report.passed
+        assert len(sampled) == 108
+        assert sorted(set(sampled)) == [ctx.grid.shape, ctx.grid_fine.shape]
+
+    def test_rank2_default_peak_holds_one_grid_of_fields(self, rank2_garding):
+        # the fields of every s are held for one grid at a time: holding
+        # every field and sample on both grids peaked above 10 MiB; the
+        # s-outer loop that held one s on both grids peaked 8.6 MiB
+        _, report, _, _, peak = rank2_garding
+        assert report.passed
         assert peak <= (8.7 + 1.0) * 2**20
 
     @pytest.mark.parametrize("system, ell, eps, directions", [

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dunkllab import (BilinearFormSpec, CapabilityError, WeightedContext,
-                      apply_dunkl, form_a_s, form_b_s_eps, gaussian,
-                      hermite_gauss, monomial_gauss, product_z2, rank1,
-                      sobolev_norm_V)
+from dunkllab import (BilinearFormSpec, CapabilityError, KernelSpec,
+                      SymbolError, WeightedContext, apply_dunkl, form_a_s,
+                      form_b_s_eps, gaussian, hermite_gauss, monomial_gauss,
+                      product_z2, rank1, sobolev_norm_V)
 from dunkllab import forms
 from dunkllab.forms import _t_g_eta, t_g_eta_values
 from dunkllab.measure import EtaFields, eta
@@ -38,6 +38,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BilinearFormSpec(ell=1, s=1.0, directions=((1.0, 0.0), (2.0, 0.0)))
         BilinearFormSpec(ell=1, s=1.0, directions=((1.0, 0.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("directions, message", [
+        (((0.0,),), "directions must be nonzero"),
+        (((5e-324,),), "directions must be nonzero"),
+        (((1.0, 0.0), (0.0, 0.0)), "directions must be nonzero"),
+        (((1.0, 0.0), (2.0, 0.0)), "directions must span"),
+        (((1.0, 1.0),), "directions must span")])
+    def test_directions_rejected_as_the_kernel_rejects_them(self, directions,
+                                                            message):
+        # one direction rule, ``kernels.spanning_directions``, for both
+        with pytest.raises(SymbolError, match=message):
+            KernelSpec(directions=directions, ell=2)
+        with pytest.raises(SymbolError, match=message):
+            BilinearFormSpec(ell=2, s=1.0, directions=directions)
 
     def test_forms_reject_s_zero(self):
         ctx = WeightedContext(rank1(0.5))

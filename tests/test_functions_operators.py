@@ -1,8 +1,5 @@
 """Polynomial-times-Gaussian calculus and the difference-differential operators."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,20 +128,18 @@ class TestConvolve:
                 slice(0, s) for s in got.shape)].tobytes()
 
 
-def test_import_leaves_heavy_scipy_modules_out():
+HEAVY = ["scipy.signal", "scipy.stats", "scipy.ndimage", "scipy.interpolate"]
+
+
+@pytest.mark.fresh_python(
+    "import sys, dunkllab, dunkllab.runner; "
+    f"print([m for m in {HEAVY!r} if m in sys.modules])",
+    Path(__file__).resolve().parents[1] / "src")
+def test_import_leaves_heavy_scipy_modules_out(fresh_python):
     # scipy.signal pulls in scipy.stats, ndimage and interpolate, close to
     # a second of start-up for every run; the package needs none of them
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    heavy = ["scipy.signal", "scipy.stats", "scipy.ndimage",
-             "scipy.interpolate"]
-    code = ("import sys, dunkllab, dunkllab.runner; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_python.returncode == 0, fresh_python.stderr
+    assert fresh_python.stdout.strip() == "[]"
 
 
 class TestPolyGaussGridSampling:

@@ -1,11 +1,14 @@
 """Semigroup kernels: spec validation, evaluators, and structural identities."""
 
+import re
+
 import numpy as np
 import pytest
 
-from dunkllab import (AccuracyError, CapabilityError, KernelSpec, SymbolError,
-                      WeightedContext, dunkl_transform, dunkl_translate,
-                      evaluate_q, freq_box_for, gaussian, heat_kernel,
+from dunkllab import (AccuracyError, CapabilityError, DomainTooSmallError,
+                      KernelSpec, SymbolError, WeightedContext,
+                      dunkl_transform, dunkl_translate, evaluate_q,
+                      freq_box_for, gaussian, heat_kernel,
                       heat_kernel_two_point, kernels, product_z2, q_on_grid,
                       rank1, run_check, translate_at_points, two_point_kernel)
 
@@ -53,6 +56,69 @@ class TestKernelSpecValidation:
         aniso = KernelSpec(directions=((1.0, 0.0), (1.0, 1.0)), ell=2)
         c = aniso.min_direction_coefficient()
         assert 0 < c < 1.0
+
+
+class TestOneRuleEach:
+    """The gate of an operator and its time, the q_t spectrum, the
+    amplitude of a homogeneity law and the box margin, each said once in
+    ``kernels``."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"ell": 4}, {"t": 0.0}, {"eps": -0.1}, {"directions": ((0.0,),)},
+        {"directions": ((1e300,),)}, {"t": 5e-324}])
+    def test_every_rejection_is_a_symbol_error(self, kwargs):
+        with pytest.raises(SymbolError):
+            KernelSpec(**{"directions": ((1.0,),), "ell": 1, **kwargs})
+
+    def test_the_box_must_lie_in_zero_to_infinity(self):
+        # a box of 0 (|zeta|^2 overflows) names the directions
+        with pytest.raises(SymbolError, match="frequency box is 0,") as info:
+            KernelSpec(directions=((1e300,),), ell=1)
+        assert info.value.key == "directions"
+        with pytest.raises(SymbolError, match="frequency box is nan,") as info:
+            KernelSpec.heat(1, t=5e-324)
+        assert info.value.key is None
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda ctx, t: heat_kernel(ctx, [0.0], t),
+        lambda ctx, t: heat_kernel(ctx, ctx.grid, t),
+        lambda ctx, t: heat_kernel_two_point(ctx, [0.0], [1.0], t)],
+        ids=["points", "grid", "two-point"])
+    def test_heat_kernels_share_the_time_gate_and_amplitude(self, evaluate):
+        ctx = WeightedContext(rank1(0.5), n_half=40)
+        with pytest.raises(SymbolError, match="time t must be positive"):
+            evaluate(ctx, 0.0)
+        with pytest.raises(AccuracyError, match=re.escape(
+                "heat kernel's amplitude (2t)^(-N_h/2) overflows at "
+                "t = 4.94066e-324")):
+            evaluate(ctx, 5e-324)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda ctx, spec: evaluate_q(ctx, spec, [0.0]),
+        lambda ctx, spec: two_point_kernel(ctx, spec, [0.0], [0.5])],
+        ids=["evaluate_q", "two_point_kernel"])
+    def test_homogeneity_amplitude_overflow_names_the_power(self, evaluate):
+        # N_h = 401: t^(-N_h/2) overflows at t = 1e-3, where the box is not
+        ctx = WeightedContext(rank1(200.0), n_half=40)
+        with pytest.raises(AccuracyError, match=re.escape(
+                "amplitude t^(-N_h/(2l)) overflows at t = 0.001")):
+            evaluate(ctx, KernelSpec.heat(1, t=1e-3))
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda ctx, spec: evaluate_q(ctx, spec, [0.0]),
+        lambda ctx, spec: two_point_kernel(ctx, spec, [0.0], [0.5]),
+        q_on_grid], ids=["evaluate_q", "two_point_kernel", "q_on_grid"])
+    def test_frequency_grid_without_a_shell_node_is_named(self, evaluate):
+        ctx = WeightedContext(rank1(0.5), n_half=40, freq_box=5e-324)
+        with pytest.raises(DomainTooSmallError,
+                           match="no node of the frequency grid lies on its "
+                                 "boundary shell"):
+            evaluate(ctx, KernelSpec.heat(1))
+
+    def test_box_margin_is_ceil_of_1_1_times_the_largest_box(self):
+        specs = [KernelSpec.heat(1, t=t) for t in (0.25, 1.0)]
+        assert kernels.freq_box_margin(*specs) == float(
+            np.ceil(1.1 * freq_box_for(specs[0])))
 
 
 class TestFrequencyBoxSizing:

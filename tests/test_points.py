@@ -22,7 +22,8 @@ from dunkllab import (CallableFunction, KernelSpec, WeightedContext,
 from dunkllab.dunkl_kernel import kernel_imag_batch
 from dunkllab.forms import t_g_eta_values
 from dunkllab.functions import sample
-from dunkllab.measure import volume_max_pairs
+from dunkllab.measure import (eta, eta_directional, eta_radial_factor,
+                              volume_max_pairs)
 from dunkllab.operators import dunkl_apply_values
 from dunkllab.root_systems import as_points
 
@@ -114,6 +115,7 @@ EVALUATORS = {
         ctx.system, radial_bump(ctx.dim, 3.0), np.eye(ctx.dim)[0], p),
     "t_g_eta_values": lambda ctx, p: t_g_eta_values(
         ctx, 0.8, np.eye(ctx.dim)[0], 1, gaussian(ctx.dim), p),
+    "KernelSpec.symbol": lambda ctx, p: KernelSpec.heat(ctx.dim).symbol(p),
 }
 ROUTED = pytest.mark.parametrize("name", sorted(EVALUATORS))
 
@@ -192,3 +194,36 @@ class TestCallableFunctionTakesBatchesOnly:
         assert np.array_equal(got, np.exp(-np.array([0.0, 1.0, 4.0])))
         grid = _context(1).grid
         assert sample(f, grid).tobytes() == f(grid.points()).tobytes()
+
+
+class TestSymbolReadsPointsByTheRule:
+    def test_rank_one_vector_is_that_many_frequencies(self):
+        got = KernelSpec.heat(1).symbol([1.0, 2.0])
+        assert got.tolist() == [1.0, 4.0]
+
+
+#: the eta fields, which know no dimension: (points, s) -> values
+ETA = {
+    "eta": eta,
+    "eta_radial_factor": eta_radial_factor,
+    "eta_directional": lambda p, s: eta_directional(p, s, [1.0], 1),
+}
+
+
+class TestEtaTakesBatchesOnly:
+    """The eta fields know no dimension, so they cannot read a vector by
+    the rule: a rank-1 (3,) vector used to be one point of R^3."""
+
+    @pytest.mark.parametrize("name", sorted(ETA))
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 2, 1)])
+    def test_other_shapes_raise_naming_the_shape(self, name, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"(M, dim) point batch; got shape {shape}")):
+            ETA[name](np.zeros(shape), 1.0)
+
+    def test_rank_one_vector_raises_not_one_point(self):
+        # it gave e^sqrt(6) = 11.58, eta at one point of R^3
+        with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+            eta(np.array([0.0, 1.0, 2.0]), 1.0)
+        got = eta(np.array([[0.0], [1.0], [2.0]]), 1.0)
+        assert got.round(3).tolist() == [2.718, 4.113, 9.356]

@@ -79,6 +79,22 @@ OVERFLOW_CASES = [
      "scale (r1 (r1 + r2))^(N_h/2) overflows at radii r1 = 1e+300"),
 ]
 
+#: (kind, params, error type, message) of configs that ended in a traceback
+#: inside a copy of one of the kernel rules: the spectrum's empty boundary
+#: shell, a spec or time built inside a check, the heat amplitude
+RULE_CASES = [
+    ("thm1-decay", {"freq_box": 5e-324}, "DomainTooSmallError",
+     "no node of the frequency grid lies on its boundary shell"),
+    ("kernel-decomposition", {"eps0": 5e-324}, "SymbolError",
+     "time t must be positive"),
+    ("exp-weighted-l1", {"eps0": 5e-324}, "SymbolError",
+     "time t must be positive"),
+    ("exp-weighted-l1", {"directions": [[5e-324]]}, "SymbolError",
+     "directions must be nonzero"),
+    ("kernel-mass", {"t": 5e-324}, "AccuracyError",
+     "heat kernel's amplitude (2t)^(-N_h/2) overflows at t = 4.94066e-324"),
+]
+
 
 def write_config(tmp_path, config, name="exp.json"):
     path = tmp_path / name
@@ -751,9 +767,15 @@ class TestRunEndToEnd:
             self, kind, params, message):
         self._assert_accuracy_error(kind, params, message)
 
+    @pytest.mark.parametrize("kind, params, error, message", RULE_CASES)
+    def test_kernel_rule_rejection_is_an_error_record(
+            self, tmp_path, out_dir, capsys, kind, params, error, message):
+        self._assert_error_record(tmp_path, out_dir, capsys, kind, params,
+                                  message, error)
+
     @staticmethod
     def _assert_error_record(tmp_path, out_dir, capsys, kind, params,
-                             message):
+                             message, error="AccuracyError"):
         config = {"system": {"type": "rank1", "k": 0.5},
                   "checks": [{"kind": "e-bound"},
                              {"kind": kind, "params": params}]}
@@ -765,7 +787,7 @@ class TestRunEndToEnd:
         assert json.loads(report_path.read_text())["pass"] is True
         error_path, = out_dir.glob(f"exp_*_{kind}_error.json")
         record = json.loads(error_path.read_text())["error"]
-        assert record["type"] == "AccuracyError"
+        assert record["type"] == error
         assert message in record["message"]
         assert not list(out_dir.glob(f"exp_*_{kind}.json"))
 

@@ -8,10 +8,9 @@ cheap registry check under it, so both show up in the tier-1 suite.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,15 +29,10 @@ print(json.dumps({"passed": report.passed,
 """
 
 
-def test_tracer_installs_and_traces_a_registry_check():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "perfbench")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    run = subprocess.run([sys.executable, "-c", TRACED_CHECK], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.strip().splitlines()[-1])
+@pytest.mark.fresh_python(TRACED_CHECK, ROOT / "src", ROOT / "perfbench")
+def test_tracer_installs_and_traces_a_registry_check(fresh_python):
+    assert fresh_python.returncode == 0, fresh_python.stderr
+    result = json.loads(fresh_python.stdout.strip().splitlines()[-1])
     assert result["passed"]
     # q_{t/2}, q_t and the convolution are grid inverses
     assert result["grid_calls"] > 0
