@@ -1,5 +1,5 @@
-"""Every check parameter at the edges of its schema, in rank 1 (k = 0.5)
-and in rank 2 (``product_z2``, ks = [0.5, 0.5]).
+"""Every check parameter at the edges of its schema, in rank 1 (k = 0.5
+and k = 0) and in rank 2 (``product_z2``, ks = [0.5, 0.5] and [0, 1]).
 
 Each parameter of each kind in ``checks.CHECKS``, and each key of a
 ``spec``, is set on its own to the edges its schema admits: its minimum (or
@@ -17,6 +17,7 @@ fails or a case in it passes.
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -30,11 +31,12 @@ import numpy as np
 from dunkllab import runner
 from dunkllab.checks import CHECKS, KERNEL_SCHEMA
 
-#: the systems swept, by dimension
-SYSTEMS = {1: {"type": "rank1", "k": 0.5},
-           2: {"type": "product_z2", "ks": [0.5, 0.5]}}
-#: (dimension, kind, parameter, value as JSON) -> the ROADMAP item that
-#: mends it
+#: the systems swept, two multiplicities per dimension
+SYSTEMS = {1: [{"type": "rank1", "k": 0.5}, {"type": "rank1", "k": 0.0}],
+           2: [{"type": "product_z2", "ks": [0.5, 0.5]},
+               {"type": "product_z2", "ks": [0.0, 1.0]}]}
+#: (system as JSON, kind, parameter, value as JSON) -> the ROADMAP item
+#: that mends it
 KNOWN: dict = {}
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
@@ -66,12 +68,13 @@ def edges(schema: dict, dim: int) -> list:
             for v in edges(schema["items"], dim)]
 
 
-def fault(dim: int, kind: str, name: str, value, out: Path) -> str | None:
-    """What goes wrong when ``kind`` runs in R^dim with ``name`` =
+def fault(system: dict, kind: str, name: str, value,
+          out: Path) -> str | None:
+    """What goes wrong when ``kind`` runs on ``system`` with ``name`` =
     ``value``."""
     config = out / "edge.json"
     config.write_text(json.dumps({
-        "system": SYSTEMS[dim], "workers": 1,
+        "system": system, "workers": 1,
         "checks": [{"kind": kind, "params": {name: value}}]}))
     os.environ[runner.OUTPUT_DIR_ENV] = str(out / "reports")
     try:
@@ -89,23 +92,26 @@ def fault(dim: int, kind: str, name: str, value, out: Path) -> str | None:
 def main() -> int:
     warnings.simplefilter("ignore", RuntimeWarning)
     unexpected = 0
-    for dim in SYSTEMS:
+    for dim, systems in SYSTEMS.items():
         cases = 0
-        for kind, check in sorted(CHECKS.items()):
+        for system, (kind, check) in itertools.product(
+                systems, sorted(CHECKS.items())):
+            label = json.dumps(system)
             for param in check.params:
                 schema = (KERNEL_SCHEMA if param.name == "spec"
                           else param.schema)
                 for value in edges(schema, dim):
                     cases += 1
                     with tempfile.TemporaryDirectory() as tmp:
-                        found = fault(dim, kind, param.name, value, Path(tmp))
-                    item = KNOWN.get((dim, kind, param.name,
+                        found = fault(system, kind, param.name, value,
+                                      Path(tmp))
+                    item = KNOWN.get((label, kind, param.name,
                                       json.dumps(value)))
                     if (found is None) != (item is None):
                         unexpected += 1
                         outcome = (found or
                                    f"passes; drop it from KNOWN: {item}")
-                        print(f"rank {dim} {kind} {param.name}="
+                        print(f"{label} {kind} {param.name}="
                               f"{json.dumps(value)}: {outcome}")
         print(f"rank {dim}: {cases} cases")
     print(f"{unexpected} unexpected outcome(s)")

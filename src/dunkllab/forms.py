@@ -14,9 +14,9 @@ Each Dunkl image of a function is formed once per call (``DunklImages``)
 and each image is sampled once per grid, so the form and the norms of one
 function read the same arrays.  Every value is a per-grid evaluation
 (``_form_on``, ``measure._norm_sq_on``) paired with its refined-grid twin
-at the end; garding runs the same evaluators one grid at a time, keeps the
-images for the whole check and the samples of a function for one grid,
-across every s.
+at the end.  ``coercivity_terms``, which gives garding its rows, runs the
+same evaluators one grid at a time, keeps the images for the whole call
+and the samples of a function for one grid, across every s.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ class DunklImages:
     """One function f with its Dunkl images T_zeta^j f.
 
     Each image is formed on first request and kept for the life of the
-    object.  garding holds one per family member for the whole check, so
-    every image is formed once, however many s, grids and terms use it.
+    object.  ``coercivity_terms`` holds one per family member for the whole
+    call, so every image is formed once, however many s, grids and terms
+    use it.
     """
 
     def __init__(self, system, f):
@@ -98,8 +99,8 @@ class DunklImages:
 class _Samples:
     """The images of one ``DunklImages`` on TensorGrids or (M, dim) point
     arrays (``functions.sample``), each sampled once and held in a
-    ``SampleStore``.  garding keeps one per (function, grid): the form and
-    the norms at every s read the same arrays."""
+    ``SampleStore``.  ``coercivity_terms`` keeps one per (function, grid):
+    the form and the norms at every s read the same arrays."""
 
     def __init__(self, images: DunklImages):
         self.images = images
@@ -113,7 +114,8 @@ class _Samples:
 
     def squared(self, where, zeta=None, j: int = 0) -> np.ndarray:
         """|T_zeta^j f|^2 at ``where``, formed anew on each call; it does
-        not depend on s, so garding forms it once per (function, grid)."""
+        not depend on s, so ``coercivity_terms`` forms it once per
+        (function, grid)."""
         return np.abs(self.power(where, zeta, j)) ** 2
 
     def reflected(self, where, axis: int) -> np.ndarray:
@@ -208,36 +210,25 @@ def _form_refined(base: tuple[float, float],
                          floor=max(1e-6 * gross, 1e-300))
 
 
-def _pair_samples(system, f: PolyGauss, g: PolyGauss):
-    """Samples of f and of g; one set when ``g is f``."""
-    _require_polygauss(f, g)
-    fs = _Samples(DunklImages(system, f))
-    return fs, (fs if g is f else _Samples(DunklImages(system, g)))
-
-
 def form_a_s(ctx: WeightedContext, spec: BilinearFormSpec,
              f: PolyGauss, g: PolyGauss) -> float:
-    """a_s(f, g); value from the refined grid, checked against the base grid."""
-    return _form(ctx, replace(spec, eps=0.0), *_pair_samples(ctx.system, f, g),
-                 EtaFields(spec.s))
+    """a_s(f, g), which is ``form_b_s_eps`` at eps = 0."""
+    return form_b_s_eps(ctx, replace(spec, eps=0.0), f, g)
 
 
 def form_b_s_eps(ctx: WeightedContext, spec: BilinearFormSpec,
                  f: PolyGauss, g: PolyGauss) -> float:
-    """b_{s,eps}(f, g) = a_s(f, g) + eps sum_d int T_d f . T_d(g eta) dw."""
-    return _form(ctx, spec, *_pair_samples(ctx.system, f, g),
-                 EtaFields(spec.s))
-
-
-def _form(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
-          g: _Samples, fields: EtaFields) -> float:
-    """b_{s,eps}(f, g), which is a_s(f, g) at eps = 0, with eta from
-    ``fields`` (at spec.s)."""
+    """b_{s,eps}(f, g) = a_s(f, g) + eps sum_d int T_d f . T_d(g eta) dw;
+    value from the refined grid, checked against the base grid.  f and g
+    are sampled once per grid, as one set when ``g is f``."""
+    _require_polygauss(f, g)
     if spec.s == 0.0:
         raise ValueError("bilinear forms need s > 1/4")
-    base = _form_on(ctx, spec, f, g, ctx.grid, fields)
-    return _form_refined(base, _form_on(ctx, spec, f, g, ctx.grid_fine,
-                                        fields))
+    fs = _Samples(DunklImages(ctx.system, f))
+    gs = fs if g is f else _Samples(DunklImages(ctx.system, g))
+    fields = EtaFields(spec.s)
+    return _form_refined(*(_form_on(ctx, spec, fs, gs, grid, fields)
+                           for grid in (ctx.grid, ctx.grid_fine)))
 
 
 def sobolev_norm_V(ctx: WeightedContext, spec: BilinearFormSpec,
@@ -261,37 +252,55 @@ def _sobolev_norm(h_norm: float, image_norms) -> float:
     return float(np.sqrt(total))
 
 
-def _grid_terms(ctx: WeightedContext, specs: dict, f: _Samples,
-                grid: TensorGrid, fields: dict) -> dict:
-    """What the coercivity terms of f = ``f.images.f`` read from one grid,
-    for each s of ``specs`` (s -> its BilinearFormSpec) with eta from
-    ``fields`` (s -> EtaFields): the ``_form_on`` pair of b_{s,eps}(f, f),
-    and ||f||^2_{H_s} followed by ||T_zeta^l f||^2_{H_s} per direction.
+def coercivity_terms(ctx: WeightedContext, spec: BilinearFormSpec, family,
+                     s_set) -> list[list[tuple[float, float, float]]]:
+    """Garding's rows: for each f of ``family`` (PolyGauss) and, inner, each
+    s of ``s_set``, (-b_{s,eps}(f, f), s^{2l} ||f||_{H_s}^2,
+    ||f||_{V_{l,s}}^2) with the l, eps and directions of ``spec``.
 
-    f and its images are sampled once, in ``f``, for every s.  |f|^2 and
-    |T_zeta^l f|^2 do not depend on s either: each is formed once, serves
-    every s and is dropped before the next is formed.
+    The grids run in turn, base then refined.  The Dunkl images of each f
+    (small PolyGauss objects) are formed once for the call.  On a grid, f
+    and its images are sampled once for every s, and the eta chains of
+    every s share one store; the samples and the store are dropped with the
+    grid.  |f|^2 and |T_zeta^l f|^2 do not depend on s either: each is
+    formed once per grid, serves every s and is dropped before the next is
+    formed.
     """
-    _require_polygauss(f.images.f)
-    spec = next(iter(specs.values()))
+    _require_polygauss(*family)
+    members = [DunklImages(ctx.system, f) for f in family]
+    specs = [replace(spec, s=s) for s in s_set]
+    powers = [(None, 0)] + [(zeta, spec.ell)
+                            for zeta in np.asarray(spec.directions)]
 
-    def norms(zeta, j: int) -> list[float]:
-        squared = f.squared(grid, zeta, j)
-        return [_norm_sq_on(grid, squared, fields[s]) for s in specs]
+    def on(grid: TensorGrid, f: _Samples, fields: list) -> list:
+        """Per s, what f's row reads from ``grid``: the ``_form_on`` pair of
+        b_{s,eps}(f, f), and ||f||_{H_s}^2 followed by ||T_zeta^l f||_{H_s}^2
+        per direction."""
+        def norms(squared: np.ndarray) -> list[float]:
+            return [_norm_sq_on(grid, squared, eta) for eta in fields]
+        by_power = [norms(f.squared(grid, zeta, j)) for zeta, j in powers]
+        return [(_form_on(ctx, spec_s, f, f, grid, eta), by_s)
+                for spec_s, eta, by_s in zip(specs, fields, zip(*by_power))]
 
-    rows = [norms(None, 0)] + [norms(zeta, spec.ell)
-                               for zeta in np.asarray(spec.directions)]
-    return {s: (_form_on(ctx, spec_s, f, f, grid, fields[s]),
-                [row[n] for row in rows])
-            for n, (s, spec_s) in enumerate(specs.items())}
+    on_grids = []
+    for grid in (ctx.grid, ctx.grid_fine):
+        store = SampleStore()
+        fields = [EtaFields(s, store) for s in s_set]
+        on_grids.append([on(grid, _Samples(images), fields)
+                         for images in members])
+    return [[_coercivity_terms(at_base, at_fine, s ** (2 * spec.ell))
+             for s, at_base, at_fine in zip(s_set, base, fine)]
+            for base, fine in zip(*on_grids)]
 
 
-def _coercivity_terms(base: tuple, fine: tuple) -> tuple[float, float, float]:
-    """(-b_{s,eps}(f, f), ||f||_{H_s}^2, ||f||_{V_{l,s}}^2) from the
-    ``_grid_terms`` of f at one s on the base and the refined grid, each
-    refinement-checked as ``form_b_s_eps``, ``weighted_norm`` and
-    ``sobolev_norm_V`` check it, so the values are theirs bit for bit."""
+def _coercivity_terms(base: tuple, fine: tuple,
+                      s_power: float) -> tuple[float, float, float]:
+    """(-b_{s,eps}(f, f), s^{2l} ||f||_{H_s}^2, ||f||_{V_{l,s}}^2), with
+    s^{2l} = ``s_power``, from the terms of f at one s on the base and the
+    refined grid, each refinement-checked as ``form_b_s_eps``,
+    ``weighted_norm`` and ``sobolev_norm_V`` check it, so the values are
+    theirs bit for bit."""
     (form_base, norms_base), (form_fine, norms_fine) = base, fine
     h_norm, *image_norms = map(_norm_refined, norms_base, norms_fine)
     V = _sobolev_norm(h_norm, image_norms)
-    return -_form_refined(form_base, form_fine), h_norm ** 2, V ** 2
+    return -_form_refined(form_base, form_fine), s_power * h_norm ** 2, V ** 2

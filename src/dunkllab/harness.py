@@ -17,8 +17,6 @@ exponent itself is the quantity under test, so it is fitted and compared.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import fitting
@@ -30,8 +28,7 @@ from .fitting import (alternating_split, envelope_fit,
                       envelope_fit_upper, envelope_holdout_ratio,
                       fit_decay_exponent, garding_lp, garding_holdout_ratio,
                       ratio_constant_fit, ratio_holdout_ratio)
-from .forms import (EPSILON_MAX, BilinearFormSpec, DunklImages, _Samples,
-                    _coercivity_terms, _grid_terms)
+from .forms import EPSILON_MAX, BilinearFormSpec, coercivity_terms
 from .functions import (GridSampled, hermite_family, hermite_gauss,
                         radial_bump, sample)
 from .kernels import (CONVOLUTION_GRID, FREQ_GRID, KernelSpec,
@@ -39,8 +36,7 @@ from .kernels import (CONVOLUTION_GRID, FREQ_GRID, KernelSpec,
                       finite_power, freq_sized_context, heat_kernel,
                       heat_kernel_two_point, q_on_grid, spatial_rule,
                       two_point_kernel)
-from .measure import (EtaFields, SampleStore, WeightedContext,
-                      volume_max_pairs)
+from .measure import WeightedContext, volume_max_pairs
 from .quadrature import (SHELL_TOL, boundary_shell_fraction, refined_n_half,
                          relative_move)
 from .report import VerificationReport, grid_metadata
@@ -279,30 +275,11 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
         directions=params["directions"] or spec.directions)
     s_set = params["s_set"]
     family = default_garding_family(ctx.dim)
-    cal_f, held_f = alternating_split(len(family))
-    members = [DunklImages(ctx.system, f) for f in family]
-    specs = {s: replace(form_spec, s=s) for s in s_set}
-    # the grids in turn, base then refined: on a grid each member's images
-    # are sampled once for every s, and the eta chains of every s share one
-    # store, dropped with the grid.  The Dunkl images (small PolyGauss
-    # objects) are formed once for the whole check.  Rows are listed per
-    # function, s inner
-    on_grids = []
-    for grid in (ctx.grid, ctx.grid_fine):
-        store = SampleStore()
-        fields = {s: EtaFields(s, store) for s in s_set}
-        on_grids.append([_grid_terms(ctx, specs, _Samples(images), grid,
-                                     fields) for images in members])
-    base, fine = on_grids
-    terms = {}
-    for i in range(len(members)):
-        for s in s_set:
-            A, H, V = _coercivity_terms(base[i][s], fine[i][s])
-            terms[i, s] = (A, s ** (2 * form_spec.ell) * H, V)
-    rows = {label: [terms[i, s] for i in idxs for s in s_set]
-            for label, idxs in (("cal", cal_f), ("held", held_f))}
-    A_c, S_c, V_c = map(np.array, zip(*rows["cal"]))
-    A_h, S_h, V_h = map(np.array, zip(*rows["held"]))
+    # rows[i] holds member i's rows, s inner; the split is by member
+    rows = coercivity_terms(ctx, form_spec, family, s_set)
+    (A_c, S_c, V_c), (A_h, S_h, V_h) = (
+        map(np.array, zip(*(row for i in idxs for row in rows[i])))
+        for idxs in alternating_split(len(family)))
     alpha, C = garding_lp(A_c, S_c, V_c)
     ratio = garding_holdout_ratio(A_h, S_h, V_h, alpha, C)
     defect = ratio if alpha > 0 else max(ratio, 2.0)
@@ -396,7 +373,9 @@ def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
 
 @register("translation-lipschitz",
           "translation Lipschitz bound: sup_y |tau_x q_1(y) - q_1(y)| <= "
-          "C ||x|| over a range of shifts",
+          "C ||x|| over a range of shifts; q_1 on the config's grid for "
+          "l = 1, on a 48 box with 600 nodes per half-axis for l >= 2 "
+          "(kernels.spatial_rule)",
           SPEC, *FREQ_GRID)
 def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                                  params: dict) -> VerificationReport:

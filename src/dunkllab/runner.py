@@ -24,7 +24,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import harness  # noqa: F401  (enters its checks in the registry)
@@ -87,11 +86,7 @@ def config_schema() -> dict:
 
 def validate_config(config: dict) -> None:
     """Schema validation, then each check's params against its kind."""
-    try:
-        jsonschema.validate(config, config_schema())
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"config error at {json_path(err.absolute_path)}: "
-                          f"{err.message}") from err
+    validate(config, config_schema(), ())
     system = config["system"]
     stype = system["type"]
     required = {"rank1": set(), "product_z2": {"ks"}}

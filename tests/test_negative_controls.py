@@ -39,7 +39,7 @@ def test_garding_fails_for_the_sign_reversed_form(monkeypatch):
         A, H, V = true_terms(*args)
         return -A, H, V
 
-    monkeypatch.setattr(harness, "_coercivity_terms", reversed_terms)
+    monkeypatch.setattr(forms, "_coercivity_terms", reversed_terms)
     report = _run(RANK2_CONFIG, "garding")
     assert not report.passed, report.fitted
 
