@@ -11,8 +11,6 @@ values for one function and the calibrated constants across orders,
 scales, and the eps-perturbed variant.
 """
 
-import numpy as np
-
 from dunkllab import (BilinearFormSpec, WeightedContext, form_a_s, gaussian,
                       rank1, run_check, sobolev_norm_V, weighted_norm)
 

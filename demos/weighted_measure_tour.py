@@ -23,7 +23,7 @@ def main() -> None:
     for name, system in [("rank-one", rank1(0.5)),
                          ("Z2 x Z2 product", product_z2([0.5, 1.0]))]:
         group = ReflectionGroup(system.dim)
-        print(f"{name:>16}: {len(system.roots)} roots, group order "
+        print(f"{name:>16}: {2 * system.dim} roots, group order "
               f"{len(group.matrices)}, homogeneous dimension "
               f"{system.homogeneous_dim:g}")
 

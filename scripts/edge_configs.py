@@ -1,5 +1,6 @@
-"""Every check parameter at the edges of its schema, in rank 1 (k = 0.5
-and k = 0) and in rank 2 (``product_z2``, ks = [0.5, 0.5] and [0, 1]).
+"""Every check parameter at the edges of its schema, in rank 1 (k = 0.5,
+0, 1e-3 and 3) and in rank 2 (``product_z2``, ks = [0.5, 0.5], [0, 1] and
+[1e-3, 3]).
 
 Each parameter of each kind in ``checks.CHECKS``, and each key of a
 ``spec``, is set on its own to the edges its schema admits: its minimum (or
@@ -29,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from dunkllab import runner
-from dunkllab.checks import CHECKS, KERNEL_SCHEMA
+from dunkllab.checks import CHECKS
 
-#: the systems swept, two multiplicities per dimension
-SYSTEMS = {1: [{"type": "rank1", "k": 0.5}, {"type": "rank1", "k": 0.0}],
-           2: [{"type": "product_z2", "ks": [0.5, 0.5]},
-               {"type": "product_z2", "ks": [0.0, 1.0]}]}
+#: the systems swept: k = 0, a tiny and a large k, and k = 0.5
+SYSTEMS = {1: [{"type": "rank1", "k": k} for k in (0.5, 0.0, 1e-3, 3.0)],
+           2: [{"type": "product_z2", "ks": ks}
+               for ks in ([0.5, 0.5], [0.0, 1.0], [1e-3, 3.0])]}
 #: (system as JSON, kind, parameter, value as JSON) -> the ROADMAP item
 #: that mends it
 KNOWN: dict = {}
@@ -98,9 +99,7 @@ def main() -> int:
                 systems, sorted(CHECKS.items())):
             label = json.dumps(system)
             for param in check.params:
-                schema = (KERNEL_SCHEMA if param.name == "spec"
-                          else param.schema)
-                for value in edges(schema, dim):
+                for value in edges(param.schema, dim):
                     cases += 1
                     with tempfile.TemporaryDirectory() as tmp:
                         found = fault(system, kind, param.name, value,

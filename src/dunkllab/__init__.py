@@ -21,8 +21,7 @@ from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
                       heat_kernel, heat_kernel_two_point, q_on_grid,
                       translate_at_points, two_point_kernel)
 from .measure import WeightedContext, ball_volume, eta, weighted_norm
-from .operators import (apply_dunkl, apply_dunkl_iterated, dunkl_laplacian,
-                        positive_roots)
+from .operators import apply_dunkl, apply_dunkl_iterated, dunkl_laplacian
 from .quadrature import AxisRule, TensorGrid
 from .report import VerificationReport, grid_metadata
 from .root_systems import (ReflectionGroup, RootSystemSpec, orbit_distance,
@@ -49,7 +48,6 @@ __all__ = [
     "translate_at_points", "two_point_kernel",
     "WeightedContext", "ball_volume", "eta", "weighted_norm",
     "apply_dunkl", "apply_dunkl_iterated", "dunkl_laplacian",
-    "positive_roots",
     "AxisRule", "TensorGrid",
     "VerificationReport", "grid_metadata",
     "ReflectionGroup", "RootSystemSpec", "orbit_distance",

@@ -166,23 +166,30 @@ def envelope_fit_upper(z: np.ndarray,
     return c, C
 
 
-def envelope_holdout_ratio(d: np.ndarray, vals: np.ndarray, p: float,
-                           c: float, C: float, labels=None) -> float:
-    """max vals / (HOLDOUT_SLACK * C * exp(-c d^p)) on held-out data, at most
-    MARGIN_CAP; <= 1 passes.  A held-out value that underflows to 0 with its
-    envelope has no ratio (0/0): AccuracyError, naming those samples by their
-    ``labels`` when given."""
-    d = np.asarray(d, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    bound = HOLDOUT_SLACK * C * np.exp(-c * d**p)
-    both = (vals == 0) & (bound == 0)
+def holdout_ratio(vals: np.ndarray, bounds: np.ndarray, labels=None) -> float:
+    """The held-out judgement: max vals / bounds, at most MARGIN_CAP; <= 1
+    passes.  A bound <= 0 fails outright, at MARGIN_CAP.  A value that
+    underflows to 0 together with its bound has no ratio (0/0):
+    AccuracyError, naming those samples by their ``labels`` when given.  A
+    NaN passes through to the report's non-finite guard."""
+    vals, bounds = (np.asarray(x, dtype=float) for x in (vals, bounds))
+    both = (vals == 0) & (bounds == 0)
     if np.any(both):
         where = ("" if labels is None else
                  " at " + ", ".join(sorted(set(np.asarray(labels)[both]))))
         raise AccuracyError(
-            f"{int(np.sum(both))} held-out values and their envelope both "
+            f"{int(np.sum(both))} held-out values and their bound both "
             f"underflow to 0{where}")
-    return float(np.minimum(np.max(vals / bound), MARGIN_CAP))
+    if np.any(bounds <= 0):
+        return MARGIN_CAP
+    return float(np.minimum(np.max(vals / bounds), MARGIN_CAP))
+
+
+def envelope_holdout_ratio(d: np.ndarray, vals: np.ndarray, p: float,
+                           c: float, C: float, labels=None) -> float:
+    """``holdout_ratio`` of vals against HOLDOUT_SLACK * C * exp(-c d^p)."""
+    d = np.asarray(d, dtype=float)
+    return holdout_ratio(vals, HOLDOUT_SLACK * C * np.exp(-c * d**p), labels)
 
 
 def ratio_constant_fit(cal_vals: np.ndarray, cal_scales: np.ndarray) -> float:
@@ -196,11 +203,9 @@ def ratio_constant_fit(cal_vals: np.ndarray, cal_scales: np.ndarray) -> float:
 
 def ratio_holdout_ratio(held_vals: np.ndarray, held_scales: np.ndarray,
                         C: float) -> float:
-    """max held_vals / (HOLDOUT_SLACK * C * held_scales), at most
-    MARGIN_CAP; <= 1 passes."""
-    ratios = np.asarray(held_vals, dtype=float) / (
-        HOLDOUT_SLACK * C * np.asarray(held_scales, dtype=float))
-    return float(np.minimum(np.max(ratios), MARGIN_CAP))
+    """``holdout_ratio`` of held_vals against HOLDOUT_SLACK C held_scales."""
+    return holdout_ratio(held_vals, HOLDOUT_SLACK * C * np.asarray(
+        held_scales, dtype=float))
 
 
 def garding_lp(A: np.ndarray, S: np.ndarray,
@@ -216,9 +221,7 @@ def garding_lp(A: np.ndarray, S: np.ndarray,
     calibration family.  A row with S_i or V_i not positive (or NaN) raises
     FitConvergenceError.
     """
-    A = np.asarray(A, dtype=float)
-    S = np.asarray(S, dtype=float)
-    V = np.asarray(V, dtype=float)
+    A, S, V = (np.asarray(x, dtype=float) for x in (A, S, V))
     bad = int(np.sum(~((S > 0) & (V > 0))))
     if bad:
         raise FitConvergenceError(
@@ -229,17 +232,6 @@ def garding_lp(A: np.ndarray, S: np.ndarray,
 
 def garding_holdout_ratio(A: np.ndarray, S: np.ndarray, V: np.ndarray,
                           alpha: float, C: float) -> float:
-    """max (alpha/HOLDOUT_SLACK)*V_i / (A_i + C*S_i) on held-out data; <= 1
-    passes.
-
-    A nonpositive denominator means the inequality fails outright; the ratio
-    is reported as MARGIN_CAP, a finite FAIL, in that case.
-    """
-    A = np.asarray(A, dtype=float)
-    S = np.asarray(S, dtype=float)
-    V = np.asarray(V, dtype=float)
-    denom = A + C * S
-    lhs = (alpha / HOLDOUT_SLACK) * V
-    if np.any(denom <= 0):
-        return MARGIN_CAP
-    return float(np.minimum(np.max(lhs / denom), MARGIN_CAP))
+    """``holdout_ratio`` of (alpha/HOLDOUT_SLACK) V_i against A_i + C S_i."""
+    A, S, V = (np.asarray(x, dtype=float) for x in (A, S, V))
+    return holdout_ratio((alpha / HOLDOUT_SLACK) * V, A + C * S)

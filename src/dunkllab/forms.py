@@ -6,9 +6,9 @@ b_{s,eps}(f,g) = a_s(f, g) + eps sum_{d=1}^N int T_d f . T_d (g eta(., s)) dw
 
 The products T^l(g eta) are evaluated through closed-form expansions that
 exploit radiality of eta: for radial v, T_zeta(u v) = v T_zeta u + u d_zeta v,
-and the reflection-difference quotient of d_zeta eta collapses to
-4 F'(|x|^2) <alpha, zeta>/|alpha|^2.  Everything else is exact PolyGauss
-calculus, so quadrature error enters only through the final integral.
+and the reflection-difference quotient of d_zeta eta on axis j collapses to
+4 F'(|x|^2) zeta_j.  Everything else is exact PolyGauss calculus, so
+quadrature error enters only through the final integral.
 
 Each Dunkl image of a function is formed once per call (``DunklImages``)
 and each image is sampled once per grid, so the form and the norms of one
@@ -30,7 +30,7 @@ from .functions import PolyGauss, sample
 from .kernels import spanning_directions
 from .measure import (EtaFields, SampleStore, WeightedContext,
                       _norm_refined, _norm_sq_on, _weighted_norm)
-from .operators import apply_dunkl, positive_roots
+from .operators import apply_dunkl
 from .quadrature import TensorGrid, check_refined, integrate_shell_checked
 from .root_systems import as_points
 
@@ -137,8 +137,8 @@ def _t_eta(ctx: WeightedContext, zeta: np.ndarray, order: int, g: _Samples,
            where, fields: EtaFields) -> np.ndarray:
     """``_t_g_eta`` with the values of g and its images read from ``g``.
 
-    Dunkl operators of PolyGauss inputs exist on product systems only, whose
-    positive roots are sqrt(2) e_d: g o sigma_alpha is g.reflect_axis(d).
+    Dunkl operators of PolyGauss inputs exist on product systems only; axis
+    j's order-2 reflection term is 4 k_j zeta_j^2 F'(|x|^2) g(sigma_j x).
     """
     if order not in (1, 2):
         raise ValueError("closed-form expansion implemented for orders 1 and 2")
@@ -152,12 +152,9 @@ def _t_eta(ctx: WeightedContext, zeta: np.ndarray, order: int, g: _Samples,
     out = (eta_v * g.power(where, zeta, 2) + 2.0 * d1 * g.power(where, zeta, 1)
            + g.power(where) * d2)
     fprime = fields.radial_factor(where)
-    for alpha, k in positive_roots(ctx.system):
-        if k == 0.0:
-            continue
-        coef = k * float(alpha @ zeta) ** 2 * 4.0 / float(alpha @ alpha)
-        axis = int(np.flatnonzero(alpha)[0])
-        out = out + coef * fprime * g.reflected(where, axis)
+    for d, k in enumerate(ctx.system.ks):
+        if k != 0.0:
+            out = out + 4.0 * k * zeta[d] ** 2 * fprime * g.reflected(where, d)
     return out
 
 

@@ -161,8 +161,14 @@ def _envelope_verdict(z: np.ndarray, vals: np.ndarray, p: float,
     held_labels = None if labels is None else np.asarray(labels)[order][held]
     ratio = envelope_holdout_ratio(z[held], vals[held], p, c, C,
                                    held_labels)
-    defect = ratio if c > 0 else max(ratio, 2.0)
-    return defect, {"c_fitted": c, "C_fitted": C, "holdout_ratio": ratio}
+    return _rate_defect(ratio, c), {"c_fitted": c, "C_fitted": C,
+                                    "holdout_ratio": ratio}
+
+
+def _rate_defect(ratio: float, rate: float) -> float:
+    """The held-out ratio as a defect, at least 2 when the calibrated rate
+    (c, or garding's alpha) is not positive."""
+    return ratio if rate > 0 else max(ratio, 2.0)
 
 
 @register("thm2-two-point",
@@ -282,14 +288,13 @@ def _check_garding(ctx: WeightedContext, spec: KernelSpec,
         for idxs in alternating_split(len(family)))
     alpha, C = garding_lp(A_c, S_c, V_c)
     ratio = garding_holdout_ratio(A_h, S_h, V_h, alpha, C)
-    defect = ratio if alpha > 0 else max(ratio, 2.0)
     return VerificationReport.from_defect(
         "garding",
         {"ell": form_spec.ell, "eps": form_spec.eps,
          "directions": [list(z) for z in form_spec.directions],
          "s_set": s_set, "n_family": len(family),
          "garding_c_cap": fitting.GARDING_C_CAP},
-        defect, 1.0,
+        _rate_defect(ratio, alpha), 1.0,
         fitted={"alpha": alpha, "C_alpha": C, "holdout_ratio": ratio},
         grid=grid_metadata(ctx),
         notes="pass needs alpha > 0 on calibration and the inequality with "
@@ -331,6 +336,16 @@ def _lipschitz_pair_set(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xi), np.asarray(x)
 
 
+def _calibrated_constant(vals: np.ndarray, scales: np.ndarray) -> float:
+    """The smallest C with vals <= C scales (``ratio_constant_fit``); a C
+    that is not positive is no bound: AccuracyError."""
+    C = ratio_constant_fit(vals, scales)
+    if not C > 0:
+        raise AccuracyError(f"calibrated constant C is {C:g}: every "
+                            "calibration value underflows to 0")
+    return C
+
+
 def _constant_ratio_verdict(vals: np.ndarray, scales: np.ndarray,
                             cal: np.ndarray,
                             held: np.ndarray) -> tuple[float, dict]:
@@ -338,10 +353,7 @@ def _constant_ratio_verdict(vals: np.ndarray, scales: np.ndarray,
     held-out half against the calibrated C with 1.05 slack; the defect is
     max(drift of C between the halves / STABILITY_TOL, held-out ratio);
     AccuracyError when every calibration value underflows to 0."""
-    C_cal = ratio_constant_fit(vals[cal], scales[cal])
-    if not C_cal > 0:
-        raise AccuracyError(f"calibrated constant C is {C_cal:g}: every "
-                            "calibration value underflows to 0")
+    C_cal = _calibrated_constant(vals[cal], scales[cal])
     C_held = ratio_constant_fit(vals[held], scales[held])
     ratio = ratio_holdout_ratio(vals[held], scales[held], C_cal)
     stability = abs(C_held - C_cal) / C_cal
@@ -477,7 +489,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
     # not: calibrate on the wide-phi orientation (r1 >= r2, where the
     # bound is tightest) and hold out the mirror pairs
     cal_mask = np.asarray(cal_mask)
-    C_cal = ratio_constant_fit(vals[cal_mask], scales[cal_mask])
+    C_cal = _calibrated_constant(vals[cal_mask], scales[cal_mask])
     ratio = ratio_holdout_ratio(vals[~cal_mask], scales[~cal_mask], C_cal)
     return VerificationReport.from_defect(
         "compact-support-l1",

@@ -336,20 +336,16 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> np.ndarray
         return _at_unit_time(ctx, spec, unit, two_point_kernel, xs, ys)
     grid = ctx.freq_grid
     sym = _symbol_exp_on(spec, grid)
-    ks = ctx.system.ks
     n = len(xs)
     pair_axis = []
     for d in range(ctx.dim):
         # x and y rows in one evaluation: each distinct |coordinate| once
         re, im = kernel_imag_outer(np.concatenate([xs[:, d], ys[:, d]]),
-                                   grid.axis_nodes(d), ks[d])
+                                   grid.axis_nodes(d), ctx.system.ks[d])
         pair_axis.append((re[:n] + 1j * im[:n]) * (re[n:] - 1j * im[n:])
                          * grid.axes[d].weights[None, :])
-    if ctx.dim == 1:
-        acc = pair_axis[0] @ sym.reshape(-1)
-    else:
-        acc = point_sums(pair_axis[0], pair_axis[1], sym)
-    return _real_part_checked(acc / ctx.c_k**2, "two-point kernel")
+    return _real_part_checked(point_sums(pair_axis, sym) / ctx.c_k**2,
+                              "two-point kernel")
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,19 @@
 """Dunkl operators and the Dunkl Laplacian.
 
-T_zeta f(x) = d_zeta f(x)
-              + sum_{alpha in R+} k(alpha) <alpha, zeta>
-                (f(x) - f(sigma_alpha x)) / <alpha, x>
+On a product system (roots +-sqrt(2) e_j, multiplicity k_j) the sum over
+positive roots is a sum over axes, and the reflection sigma_j negates x_j:
 
-For sign-flip product systems the PolyGauss family is closed under T_zeta:
-the reflection difference f - f(sigma_d x) is odd in x_d, hence exactly
-divisible by the coordinate.  For general callables the difference quotient
-is evaluated directly away from the reflecting hyperplanes and by the
-integral-mean identity
+T_zeta f(x) = d_zeta f(x) + sum_j k_j zeta_j (f(x) - f(sigma_j x)) / x_j
 
-    (f(x) - f(sigma_alpha x)) / <alpha, x>
-        = (2/|alpha|^2) * int_0^1 <grad f(sigma_alpha x + t(x - sigma_alpha x)), alpha> dt
+The PolyGauss family is closed under T_zeta: the reflection difference
+f - f o sigma_j is odd in x_j, hence exactly divisible by the coordinate.
+For general callables the difference quotient is evaluated directly away
+from the hyperplane x_j = 0 and by the integral-mean identity
 
-near them, which is stable where the quotient is not.
+    (f(x) - f(sigma_j x)) / x_j
+        = 2 int_0^1 d_j f(sigma_j x + t(x - sigma_j x)) dt
+
+near it, which is stable where the quotient is not.
 """
 
 from __future__ import annotations
@@ -24,18 +24,13 @@ from .errors import CapabilityError
 from .functions import CallableFunction, PolyGauss
 from .root_systems import RootSystemSpec, as_points
 
-#: |<alpha, x>| below which the callable path switches from the direct
+#: |x_j| below which the callable path switches from the direct
 #: difference quotient to the segment-integral identity.
 QUOTIENT_SWITCH = 1e-4
 
 _SEG_NODES, _SEG_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _SEG_NODES = 0.5 * (_SEG_NODES + 1.0)
 _SEG_WEIGHTS = 0.5 * _SEG_WEIGHTS
-
-
-def positive_roots(system: RootSystemSpec) -> list[tuple[np.ndarray, float]]:
-    """The roots sqrt(2) e_j, one per {alpha, -alpha} pair, with k_j."""
-    return [(alpha, float(k)) for alpha, k in zip(system.roots[::2], system.ks)]
 
 
 def _apply_polygauss(system: RootSystemSpec, zeta: np.ndarray, f: PolyGauss) -> PolyGauss:
@@ -56,26 +51,22 @@ def dunkl_apply_values(system: RootSystemSpec, f: CallableFunction,
     zeta = np.asarray(zeta, dtype=float)
     out = f.gradient(pts) @ zeta
     fvals = None
-    for alpha, k in positive_roots(system):
-        coef = k * float(zeta @ alpha)
+    for d in range(system.dim):
+        coef = system.ks[d] * zeta[d]
         if coef == 0.0:
             continue
-        nrm2 = float(alpha @ alpha)
-        proj = pts @ alpha
-        refl = pts - (2.0 / nrm2) * proj[:, None] * alpha[None, :]
+        refl = pts * (1.0 - 2.0 * np.eye(system.dim)[d])  # sigma_d x
         quot = np.zeros(len(pts))
-        far = np.abs(proj) > QUOTIENT_SWITCH
+        far = np.abs(pts[:, d]) > QUOTIENT_SWITCH
         if np.any(far):
             if fvals is None:
                 fvals = f(pts)
-            quot[far] = (fvals[far] - f(refl[far])) / proj[far]
+            quot[far] = (fvals[far] - f(refl[far])) / pts[far, d]
         near = ~far
         if np.any(near):
-            seg = 0.0
             a, b = refl[near], pts[near]
-            for t, w in zip(_SEG_NODES, _SEG_WEIGHTS):
-                seg = seg + w * (f.gradient(a + t * (b - a)) @ alpha)
-            quot[near] = (2.0 / nrm2) * seg
+            quot[near] = 2.0 * sum(w * f.gradient(a + t * (b - a))[:, d]
+                                   for t, w in zip(_SEG_NODES, _SEG_WEIGHTS))
         out = out + coef * quot
     return out
 
@@ -116,7 +107,7 @@ def apply_dunkl_iterated(system: RootSystemSpec, zeta, f, order: int):
 def dunkl_laplacian(system: RootSystemSpec, f, method: str = "formula"):
     """Dunkl Laplacian of a PolyGauss function on a product system.
 
-    method="formula" uses, per positive root,
+    method="formula" uses, per axis,
         Delta f + sum_d k_d (2 x_d d_d f - (f - f o sigma_d)) / x_d^2,
     whose numerator is exactly divisible by x_d^2 on the PolyGauss family.
     method="compose" iterates the coordinate Dunkl operators; the two agree
@@ -126,9 +117,7 @@ def dunkl_laplacian(system: RootSystemSpec, f, method: str = "formula"):
         raise CapabilityError("Dunkl Laplacian requires a PolyGauss input")
     if method == "compose":
         out = None
-        for d in range(system.dim):
-            e_d = np.zeros(system.dim)
-            e_d[d] = 1.0
+        for e_d in np.eye(system.dim):
             term = apply_dunkl(system, e_d, apply_dunkl(system, e_d, f))
             out = term if out is None else out + term
         return out

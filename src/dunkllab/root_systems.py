@@ -5,7 +5,8 @@ products in dimension 1 or 2: the roots are +-sqrt(2) e_j, and axis j
 carries one multiplicity k_j >= 0 (Rosler, *Dunkl operators: theory and
 applications*, LNM 1817).  ``RootSystemSpec`` stores those per-axis
 multiplicities and is the one place that checks this scope; every other
-module takes a spec as given.
+module takes a spec as given.  No root vector is stored: each rule that
+sums over roots is written per axis, with k_j.
 
 The reflection in +-sqrt(2) e_j flips the sign of x_j, so the reflection
 group G is the 2^N sign flips and the orbit distance
@@ -50,20 +51,9 @@ class RootSystemSpec:
         return self.ks.size
 
     @property
-    def roots(self) -> np.ndarray:
-        """(2 dim, dim): rows sqrt(2) e_j, -sqrt(2) e_j in axis order."""
-        e = np.sqrt(2.0) * np.eye(self.dim)
-        return np.stack([e, -e], axis=1).reshape(-1, self.dim)
-
-    @property
-    def multiplicity(self) -> np.ndarray:
-        """k of each row of ``roots``: k_j for both roots of axis j."""
-        return np.repeat(self.ks, 2)
-
-    @property
     def homogeneous_dim(self) -> float:
-        """dim plus the sum of k(a) over all roots."""
-        return self.dim + float(np.sum(self.multiplicity))
+        """dim + the sum of k over the roots: k_j for each of +-sqrt(2) e_j."""
+        return self.dim + float(np.sum(np.repeat(self.ks, 2)))
 
 
 @dataclass(frozen=True)

@@ -363,25 +363,24 @@ def inverse_at_points(ctx: WeightedContext, g, points: np.ndarray) -> np.ndarray
     """Inverse transform at ``points`` (``as_points``), one complex value each."""
     vals = sample(g, ctx.freq_grid)
     pts = as_points(points, ctx.dim)
-    ks = ctx.system.ks
     factors = []
     for d in range(ctx.dim):
         re, im = kernel_imag_outer(pts[:, d], ctx.freq_grid.axis_nodes(d),
-                                   ks[d])
+                                   ctx.system.ks[d])
         factors.append((re + 1j * im) * ctx.freq_grid.axes[d].weights[None, :])
-    if ctx.dim == 1:
-        acc = factors[0] @ vals.reshape(-1)
-    else:
-        acc = point_sums(factors[0], factors[1], vals)
-    return acc / ctx.c_k
+    return point_sums(factors, vals) / ctx.c_k
 
 
-def point_sums(left: np.ndarray, right: np.ndarray,
-               values: np.ndarray) -> np.ndarray:
-    """``np.einsum("ma,mb,ab->m", left, right, values)`` bit for bit, in
-    blocks of points across the cores (``dunkl_kernel.on_cores``) when it
-    takes at least ``SPLIT_MIN_PRODUCTS`` products: each point's sum reads
-    its own rows of ``left`` and ``right`` alone."""
+def point_sums(rows: list, values: np.ndarray) -> np.ndarray:
+    """The sum over the grid of ``values`` against each point's per-axis
+    ``rows`` (one (M, n_d) array per axis): ``rows[0] @ values.reshape(-1)``
+    in rank 1; in rank 2 ``np.einsum("ma,mb,ab->m", *rows, values)`` bit
+    for bit, in blocks of points across the cores (``dunkl_kernel.on_cores``)
+    when it takes at least ``SPLIT_MIN_PRODUCTS`` products: each point's sum
+    reads its own rows alone."""
+    if len(rows) == 1:
+        return rows[0] @ values.reshape(-1)
+    left, right = rows
     out = np.empty(len(left), dtype=np.result_type(left, right, values))
 
     def block(lo: int, hi: int) -> None:

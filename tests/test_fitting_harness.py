@@ -185,6 +185,55 @@ class TestRatioProtocol:
         assert ratio == MARGIN_CAP
 
 
+#: each bound form with its held-out values ``vals`` judged against one
+#: bound ``b`` per sample: the envelope HOLDOUT_SLACK C exp(-c d^p) at c = 0,
+#: the constant ratio HOLDOUT_SLACK C scales with unit scales, and garding's
+#: A_i + C S_i at C = 0 with (alpha/HOLDOUT_SLACK) V_i at alpha = 1
+BOUND_FORMS = {
+    "envelope": lambda vals, b: envelope_holdout_ratio(
+        np.zeros(len(vals)), vals, p=1.0, c=0.0, C=b / fitting.HOLDOUT_SLACK),
+    "ratio": lambda vals, b: ratio_holdout_ratio(
+        vals, np.ones(len(vals)), C=b / fitting.HOLDOUT_SLACK),
+    "garding": lambda vals, b: garding_holdout_ratio(
+        np.full(len(vals), b), np.ones(len(vals)),
+        fitting.HOLDOUT_SLACK * vals, alpha=1.0, C=0.0),
+}
+
+
+class TestHeldOutJudgement:
+    """One judgement of a held-out set, whatever the bound's form."""
+
+    @pytest.fixture(params=sorted(BOUND_FORMS))
+    def judge(self, request):
+        return BOUND_FORMS[request.param]
+
+    @pytest.mark.parametrize("vals", [[0.5, 2.0], [0.0, 0.5], [np.nan, 0.5]])
+    @pytest.mark.parametrize("b", [-1.0, -1e-300])
+    def test_a_negative_bound_fails_outright(self, judge, vals, b):
+        assert judge(np.array(vals), b) == MARGIN_CAP
+
+    def test_a_zero_bound_under_a_positive_value_fails_outright(self, judge):
+        assert judge(np.array([0.5, 2.0]), 0.0) == MARGIN_CAP
+
+    def test_zero_over_zero_has_no_ratio(self, judge):
+        with pytest.raises(AccuracyError, match="1 held-out values and "
+                                                "their bound both underflow"):
+            judge(np.array([0.0, 0.5]), 0.0)
+
+    def test_nan_passes_through(self, judge):
+        assert np.isnan(judge(np.array([np.nan, 0.5]), 1.0))
+
+    def test_ratio_is_capped(self, judge):
+        with np.errstate(over="ignore"):
+            assert judge(np.array([1e300, 0.5]), 1e-30) == MARGIN_CAP
+
+    def test_labels_name_the_samples_without_a_ratio(self):
+        with pytest.raises(AccuracyError, match="2 held-out values .* at "
+                                                "t = 1, t = 2$"):
+            fitting.holdout_ratio([0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                  ["t = 2", "t = 1", "t = 2"])
+
+
 class TestCoercivityLP:
     def test_single_constraint_saturates_cap(self):
         # alpha <= A + C*S with V = 1: cap C = 100 binds

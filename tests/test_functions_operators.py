@@ -14,7 +14,7 @@ from dunkllab import (CallableFunction, CapabilityError, PolyGauss,
 from dunkllab.functions import GridSampled, _convolve, sample
 from dunkllab.measure import (EtaFields, SampleStore, eta, eta_directional,
                               eta_radial_factor)
-from dunkllab.operators import dunkl_apply_values
+from dunkllab.operators import QUOTIENT_SWITCH, dunkl_apply_values
 from dunkllab.quadrature import TensorGrid
 
 RNG = np.random.default_rng(42)
@@ -271,6 +271,23 @@ class TestCallablePath:
                                 np.full(41, 0.7)])
         vals = dunkl_apply_values(system, bump, np.array([1.0, 0.0]), line)
         assert np.all(np.abs(np.diff(vals)) < 1e-3)
+
+    @pytest.mark.parametrize("k", [0.3, 0.5, 0.7, 1.3])
+    @pytest.mark.parametrize("ks_of", [lambda k: [k], lambda k: [k, 2.0 * k]],
+                             ids=["rank1", "rank2"])
+    def test_coordinate_image_exact_off_the_hyperplane(self, k, ks_of):
+        # T_{e_j} x_j = 1 + k_j (x_j - (-x_j)) / x_j = 1 + 2 k_j: sigma_j
+        # negates x_j and the quotient is 2 in floating point
+        system = product_z2(ks_of(k))
+        dim = system.dim
+        pts = np.random.default_rng(5).uniform(-3.0, 3.0, (200 // dim, dim))
+        for j, e_j in enumerate(np.eye(dim)):
+            coord = CallableFunction(
+                fn=lambda p, j=j: p[:, j],
+                gradient=lambda p, e_j=e_j: np.tile(e_j, (len(p), 1)))
+            far = pts[np.abs(pts[:, j]) > QUOTIENT_SWITCH]
+            vals = dunkl_apply_values(system, coord, e_j, far)
+            assert np.all(vals == 1.0 + 2.0 * system.ks[j])
 
 
 class TestOperatorIdentities:

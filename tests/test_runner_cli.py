@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dunkllab import __version__, cli, forms, harness, kernels
+from dunkllab import __version__, cli, forms, kernels
 from dunkllab.checks import CHECKS, Derived, Param
 from dunkllab.errors import AccuracyError, ConfigError
 from dunkllab.report import MARGIN_CAP, VerificationReport
@@ -44,8 +44,10 @@ FAST_CONFIG = {
 
 #: (kind, params, message) of configs whose values underflow to 0: q_t's
 #: spectrum exp(-t sym) at every node of a frequency box of 1e6, where each
-#: identity of q_t used to hold as 0 = 0, and bumps too narrow to hold a
-#: grid node; small grids keep each sub-second
+#: identity of q_t used to hold as 0 = 0; bumps too narrow to hold a grid
+#: node; and a frequency box of 1e-300, under which every calibration L1
+#: value of compact-support-l1 is 0 (its report used to hold NaN); small
+#: grids keep each sub-second
 SYMBOL_UNDERFLOW = "symbol exponential is at most 0 at every node"
 UNDERFLOW_CASES = [
     ("translation-lipschitz", {"freq_box": 1e6, "freq_n_half": 40},
@@ -60,6 +62,9 @@ UNDERFLOW_CASES = [
      SYMBOL_UNDERFLOW),
     ("kernel-decomposition", {"freq_box": 1e6, "freq_n_half": 40},
      SYMBOL_UNDERFLOW),
+    ("compact-support-l1",
+     {"freq_box": 1e-300, "n_half": 40, "freq_n_half": 40},
+     "calibrated constant C is 0: every calibration value underflows to 0"),
 ]
 #: (kind, params, message) of configs whose reports used to hold NaN or
 #: Infinity with a FAIL verdict (exit 2): ``VerificationReport.from_defect``
@@ -68,9 +73,6 @@ NON_FINITE_CASES = [
     ("kernel-mass", {"t": 1e-300}, "kernel-mass: fitted.masses[1] is nan"),
     ("exp-weighted-l1", {"c_weight": 1e6, "ell": 1},
      "exp-weighted-l1: max_defect is nan"),
-    ("compact-support-l1",
-     {"freq_box": 1e-300, "n_half": 40, "freq_n_half": 40},
-     "compact-support-l1: max_defect is nan"),
     ("thm1-decay", {"freq_n_half": 8}, "thm1-decay: fitted.C_fitted is inf"),
 ]
 #: the same for a scale that overflows: the bound's (r1 (r1 + r2))^{N_h/2},
@@ -368,7 +370,7 @@ class TestBuilders:
     def test_build_rank_one_system(self):
         system = build_system({"type": "rank1", "k": 0.7})
         assert system.dim == 1
-        np.testing.assert_allclose(system.multiplicity, 0.7)
+        assert system.ks.tolist() == [0.7]
 
     def test_build_product_system(self):
         system = build_system({"type": "product_z2", "ks": [0.5, 0.25]})

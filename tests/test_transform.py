@@ -799,8 +799,9 @@ class TestKernelMatrixCacheThreads:
 
 
 class TestPointSums:
-    """``point_sums`` splits the point sums of ``inverse_at_points`` and
-    ``two_point_kernel`` over blocks of points, bit for bit."""
+    """``point_sums`` takes the point sums of ``inverse_at_points`` and
+    ``two_point_kernel`` in both ranks; in rank 2 it splits them over
+    blocks of points, bit for bit."""
 
     @pytest.fixture(params=[2, 3])
     def cores(self, request, monkeypatch):
@@ -819,8 +820,21 @@ class TestPointSums:
         values = rng.normal(size=(70, 90))
         if not real_values:
             values = values + 1j * rng.normal(size=(70, 90))
-        got = transform.point_sums(left, right, values)
+        got = transform.point_sums([left, right], values)
         expect = np.einsum("ma,mb,ab->m", left, right, values)
+        assert got.dtype == expect.dtype and got.shape == (m,)
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 300])
+    @pytest.mark.parametrize("real_values", [True, False])
+    def test_rank_one_is_the_row_product(self, m, real_values):
+        rng = np.random.default_rng(m)
+        rows = rng.normal(size=(m, 70)) + 1j * rng.normal(size=(m, 70))
+        values = rng.normal(size=(70, 1))
+        if not real_values:
+            values = values + 1j * rng.normal(size=(70, 1))
+        got = transform.point_sums([rows], values)
+        expect = rows @ values.reshape(-1)
         assert got.dtype == expect.dtype and got.shape == (m,)
         assert got.tobytes() == expect.tobytes()
 

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module imports is used in that module: the package's
+modules, and the demos, scripts and tests.
 
-No linter runs on the package, so this test does pyflakes' F401 check with
+No linter runs on the repository, so this test does pyflakes' F401 check with
 ``ast``: an imported name counts as used when it is read anywhere in the
 module, in a string annotation, or listed in ``__all__``.  An import whose
 lines carry ``# noqa: F401`` is imported for its side effects and exempt.
@@ -11,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dunkllab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dunkllab"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(
+    path for folder in ("demos", "scripts", "tests")
+    for path in (ROOT / folder).glob("*.py"))
 
 
 def _imported(tree: ast.Module, lines: list[str]):
@@ -64,8 +69,10 @@ def _unused(source: str) -> list[tuple[str, int]]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: (p.name if p.parent == PACKAGE
+                   else str(p.relative_to(ROOT))))
 def test_no_unused_imports(path):
     assert _unused(path.read_text()) == []
 
