@@ -20,7 +20,7 @@ from .harness import make_pair_grid
 from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
                       heat_kernel, heat_kernel_two_point, q_on_grid,
                       translate_at_points, two_point_kernel)
-from .measure import WeightedContext, ball_volume, eta, weighted_norm
+from .measure import WeightedContext, ball_volume, weighted_norm
 from .operators import apply_dunkl, apply_dunkl_iterated, dunkl_laplacian
 from .quadrature import AxisRule, TensorGrid
 from .report import VerificationReport, grid_metadata
@@ -46,7 +46,7 @@ __all__ = [
     "KernelSpec", "dunkl_translate", "evaluate_q", "freq_box_for",
     "heat_kernel", "heat_kernel_two_point", "q_on_grid",
     "translate_at_points", "two_point_kernel",
-    "WeightedContext", "ball_volume", "eta", "weighted_norm",
+    "WeightedContext", "ball_volume", "weighted_norm",
     "apply_dunkl", "apply_dunkl_iterated", "dunkl_laplacian",
     "AxisRule", "TensorGrid",
     "VerificationReport", "grid_metadata",

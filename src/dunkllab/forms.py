@@ -67,8 +67,8 @@ class BilinearFormSpec:
 def t_g_eta_values(ctx: WeightedContext, s: float, zeta: np.ndarray,
                    order: int, g: PolyGauss, pts: np.ndarray) -> np.ndarray:
     """T_zeta^order (g eta(., s)) at ``pts`` (``as_points``), order 1 or 2."""
-    return _t_g_eta(ctx, zeta, order, g, as_points(pts, ctx.dim),
-                    EtaFields(s))
+    return _t_eta(ctx, zeta, order, _Samples(DunklImages(ctx.system, g)),
+                  as_points(pts, ctx.dim), EtaFields(s))
 
 
 class DunklImages:
@@ -125,17 +125,11 @@ class _Samples:
             lambda: sample(self.images.f.reflect_axis(axis), where))
 
 
-def _t_g_eta(ctx: WeightedContext, zeta: np.ndarray, order: int,
-             g: PolyGauss, where, fields: EtaFields) -> np.ndarray:
-    """T_zeta^order (g eta(., fields.s)) on a TensorGrid (grid-shaped values)
-    or at an (M, dim) point array."""
-    return _t_eta(ctx, zeta, order, _Samples(DunklImages(ctx.system, g)),
-                  where, fields)
-
-
 def _t_eta(ctx: WeightedContext, zeta: np.ndarray, order: int, g: _Samples,
            where, fields: EtaFields) -> np.ndarray:
-    """``_t_g_eta`` with the values of g and its images read from ``g``.
+    """T_zeta^order (g eta(., fields.s)) on a TensorGrid (grid-shaped values)
+    or at an (M, dim) point array, with the values of g and its images read
+    from ``g``.
 
     Dunkl operators of PolyGauss inputs exist on product systems only; axis
     j's order-2 reflection term is 4 k_j zeta_j^2 F'(|x|^2) g(sigma_j x).

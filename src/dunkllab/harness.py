@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import fitting
-from .checks import (GRID_SCHEMA, KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived,
-                     Param, grid_params, integer, number, numbers, register)
+from .checks import (KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived, Param,
+                     grid_params, integer, number, numbers, register)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
 from .errors import AccuracyError, CapabilityError, DomainTooSmallError
 from .fitting import (alternating_split, envelope_fit,
@@ -31,9 +31,9 @@ from .fitting import (alternating_split, envelope_fit,
 from .forms import EPSILON_MAX, BilinearFormSpec, coercivity_terms
 from .functions import (GridSampled, hermite_family, hermite_gauss,
                         radial_bump, sample)
-from .kernels import (CONVOLUTION_GRID, FREQ_GRID, KernelSpec,
-                      convolution_context, dunkl_translate, evaluate_q,
-                      finite_power, freq_sized_context, heat_kernel,
+from .kernels import (CONVOLUTION_GRID, FREQ_GRID, KernelSpec, check_context,
+                      convolution_rule, dunkl_translate, evaluate_q,
+                      finite_power, freq_rule, heat_kernel,
                       heat_kernel_two_point, q_on_grid, spatial_rule,
                       two_point_kernel)
 from .measure import WeightedContext, volume_max_pairs
@@ -92,7 +92,7 @@ def _check_thm1_decay(ctx: WeightedContext, spec: KernelSpec,
     ``DECAY_REFINE_TOL``.  The refinement gate always runs.
     """
     p_theory = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
-    qctx = freq_sized_context(ctx, spec, params)
+    qctx = check_context(ctx, params, **freq_rule(spec))
     radii, vals = decay_samples(qctx, spec)
     fit = fit_decay_exponent(np.column_stack([radii, vals]), p0=p_theory)
     fine = qctx.with_grids(
@@ -188,7 +188,7 @@ def _check_two_point_bound(ctx: WeightedContext, spec: KernelSpec,
             "its pairs rescaled to unit time")
     xs, ys = make_pair_grid(ctx)
     p = 2.0 * spec.ell / (2.0 * spec.ell - 1.0)
-    qctx = freq_sized_context(ctx, spec, params)
+    qctx = check_context(ctx, params, **freq_rule(spec))
     q = two_point_kernel(qctx, spec, xs, ys)
     V = volume_max_pairs(ctx.system, xs, ys, 1.0)
     d = orbit_distance_pairwise(ctx.group, xs, ys)
@@ -392,9 +392,7 @@ def _check_e_lipschitz(ctx: WeightedContext, spec: KernelSpec,
 def _check_translation_lipschitz(ctx: WeightedContext, spec: KernelSpec,
                                  params: dict) -> VerificationReport:
     shifts = np.geomspace(0.05, 2.0, 24)
-    if spec.ell > 1:
-        ctx = ctx.with_grids(*spatial_rule(ctx, spec))
-    qctx = freq_sized_context(ctx, spec, params)
+    qctx = check_context(ctx, params, **spatial_rule(spec), **freq_rule(spec))
     base = q_on_grid(qctx, spec)
     base_spectrum = dunkl_transform(qctx, base)
     sups = []
@@ -445,8 +443,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
         "the bound's scale (r1 (r1 + r2))^(N_h/2)",
         f"radii r1 = {r1:g}, r2 = {r2:g}: lower the radii")
         for r2 in radii for r1 in radii}
-    bctx = ctx.with_grids(**{key: params[key]
-                             for key in GRID_SCHEMA["properties"]})
+    bctx = check_context(ctx, params)
     norms = np.sqrt(bctx.grid.outer_sum(lambda d, x: x * x))
     # f and phi are the same bumps, sampled on the grid axes: transform
     # each radius once
@@ -593,7 +590,7 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         del weight
         return float(np.sum(cctx.grid.weighted(flipped, flipped)))
 
-    base_ctx = convolution_context(ctx, spec, params, t_min=eps0 / 2.0)
+    base_ctx = check_context(ctx, params, **convolution_rule(spec, eps0 / 2.0))
     fine_ctx = base_ctx.with_grids(n_half=refined_n_half(base_ctx.n_half))
     w_base = weighted_integral(base_ctx)
     w_fine = weighted_integral(fine_ctx)

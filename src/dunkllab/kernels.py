@@ -26,7 +26,7 @@ read when a check runs and recorded in its report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,12 +76,13 @@ def _check_time(t: float) -> None:
 class KernelSpec:
     """Directions zeta_j, order l, perturbation eps, time t of q_t^(eps);
     building one is the one gate of an operator and its time (SymbolError),
-    which needs a ``freq_box_for`` box in (0, inf)."""
+    which needs a ``freq_box_for`` box in (0, inf), kept as ``symbol_box``."""
 
     directions: tuple
     ell: int
     eps: float = 0.0
     t: float = 1.0
+    symbol_box: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ell not in (1, 2, 3):
@@ -98,6 +99,7 @@ class KernelSpec:
             raise SymbolError(
                 f"the symbol's frequency box is {box:g}, so no grid holds "
                 "exp(-t sym)", key="directions" if box == 0.0 else None)
+        object.__setattr__(self, "symbol_box", box)
 
     @classmethod
     def heat(cls, dim: int, t: float = 1.0) -> "KernelSpec":
@@ -210,19 +212,19 @@ def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid) -> np.ndarray:
         raise AccuracyError(
             f"symbol exponential is at most {peak:.3g} at every node of the "
             f"frequency grid: freq_box {box:.3g} leaves no node where q_t's "
-            f"spectrum lives; lower freq_box to about {freq_box_for(spec):.3g}"
+            f"spectrum lives; lower freq_box to about {spec.symbol_box:.3g}"
             " or raise freq_n_half")
     shell = vals[grid.shell_mask()]
     if not shell.size:
         raise DomainTooSmallError(
             f"no node of the frequency grid lies on its boundary shell at "
             f"freq_box {box:.3g}; enlarge the frequency box to about "
-            f"{freq_box_for(spec):.3g}")
+            f"{spec.symbol_box:.3g}")
     worst = float(np.max(shell))
     if worst > SYMBOL_BOUNDARY_TOL:
         raise DomainTooSmallError(
             f"symbol exponential is {worst:.3g} on the frequency-box shell; "
-            f"enlarge the frequency box to about {freq_box_for(spec):.3g}")
+            f"enlarge the frequency box to about {spec.symbol_box:.3g}")
     return vals
 
 
@@ -360,7 +362,7 @@ SCALING_TOL = 1e-7
 DECOMPOSITION_TOL = 1e-6
 LAPLACIAN_TOL = 1e-8
 
-#: grid keys of ``convolution_context``
+#: grid keys of ``convolution_rule``
 CONVOLUTION_GRID = grid_params(
     box=Derived("12 for l = 1, else 48"),
     n_half=Derived("the config's for l = 1, else 600"),
@@ -369,59 +371,57 @@ CONVOLUTION_GRID = grid_params(
     freq_n_half=Derived("200"))
 
 
-#: frequency-grid keys of ``freq_sized_context``
+#: frequency-grid keys of ``freq_rule``
 FREQ_GRID = grid_params(
     freq_box=Derived("1.1 x the decay radius of the symbol"),
     freq_n_half=Derived("the config's"))
 
 
+def check_context(ctx: WeightedContext, params: dict,
+                  **rule) -> WeightedContext:
+    """The context a check runs on: each grid key given in ``params``, else
+    the check's ``rule`` (grid keys to values, or to functions of no
+    argument, called only for a key not given), else the config's."""
+    given = {key: params[key] for key in GRID_SCHEMA["properties"]
+             if params.get(key) is not None}
+    ruled = {key: value() if callable(value) else value
+             for key, value in rule.items() if key not in given}
+    return ctx.with_grids(**ruled, **given)
+
+
 def freq_box_margin(*specs: KernelSpec) -> float:
-    """ceil(1.1 x the largest ``freq_box_for`` of ``specs``): the frequency
+    """ceil(1.1 x the largest ``symbol_box`` of ``specs``): the frequency
     box that holds the symbol decay of each with a 10% margin."""
-    return float(np.ceil(1.1 * max(map(freq_box_for, specs))))
+    return float(np.ceil(1.1 * max(spec.symbol_box for spec in specs)))
 
 
-def freq_sized_context(ctx: WeightedContext, spec: KernelSpec,
-                       params: dict) -> WeightedContext:
-    """Context whose frequency box holds the symbol decay of the spec the
-    point evaluators integrate (``integrated_spec``); the grid keys of
-    ``FREQ_GRID`` given in ``params`` take precedence."""
-    fbox = params["freq_box"] or freq_box_margin(integrated_spec(spec))
-    fn = params["freq_n_half"] or ctx.freq_n_half
-    if fbox == ctx.freq_box and fn == ctx.freq_n_half:
-        return ctx
-    return ctx.with_grids(freq_box=fbox, freq_n_half=fn)
+def freq_rule(spec: KernelSpec) -> dict:
+    """A frequency box that holds the symbol decay of the spec the point
+    evaluators integrate (``integrated_spec``)."""
+    return {"freq_box": freq_box_margin(integrated_spec(spec))}
 
 
-def spatial_rule(ctx: WeightedContext, spec: KernelSpec) -> tuple[float, int]:
-    """(box, n_half) of a spatial grid that holds q of order l, which decays
-    slowly for l >= 2: a 12 box on the config's nodes for l = 1, a 48 box
-    on 600 nodes per half-axis for l >= 2."""
-    return (12.0, ctx.n_half) if spec.ell == 1 else (48.0, 600)
+def spatial_rule(spec: KernelSpec) -> dict:
+    """The spatial grid of q of order l >= 2, which decays slowly: a 48 box
+    on 600 nodes per half-axis; none (the config's grid) for l = 1."""
+    return {"box": 48.0, "n_half": 600} if spec.ell > 1 else {}
 
 
-def convolution_context(ctx: WeightedContext, spec: KernelSpec,
-                        params: dict, t_min: float) -> WeightedContext:
-    """Context sized for convolution checks: the spatial grid holds q of
-    order l (``spatial_rule``), the frequency box the symbol decay down to
-    time ``t_min``; grid keys given in ``params`` take precedence."""
-    box, n_half = spatial_rule(ctx, spec)
-    return ctx.with_grids(
-        box=params["box"] or box,
-        n_half=params["n_half"] or n_half,
-        freq_box=params["freq_box"] or freq_box_margin(
-            replace(spec, t=t_min)),
-        freq_n_half=params["freq_n_half"] or 200)
+def convolution_rule(spec: KernelSpec, t_min: float) -> dict:
+    """Grids for convolutions of q: a 12 box for l = 1, else the
+    ``spatial_rule``; on 200 nodes per half-axis, a frequency box that holds
+    the symbol decay at time ``t_min``, whose spec is built only if needed."""
+    return {"box": 12.0, **spatial_rule(spec),
+            "freq_box": lambda: freq_box_margin(replace(spec, t=t_min)),
+            "freq_n_half": 200}
 
 
-def _identity_context(ctx: WeightedContext, spec: KernelSpec,
-                      params: dict, t_min: float) -> WeightedContext:
-    """The config's context for l = 1 with no grid key given, else a
-    ``convolution_context``."""
-    if spec.ell == 1 and all(params[key] is None
-                             for key in GRID_SCHEMA["properties"]):
-        return ctx
-    return convolution_context(ctx, spec, params, t_min)
+def _identity_rule(spec: KernelSpec, params: dict, t_min: float) -> dict:
+    """The ``convolution_rule``, or none (the config's grids) for l = 1 with
+    no grid key given."""
+    if spec.ell == 1 and not any(map(params.get, GRID_SCHEMA["properties"])):
+        return {}
+    return convolution_rule(spec, t_min)
 
 
 def _default_points(dim: int, radii=(0.0, 1.0, 3.0)) -> np.ndarray:
@@ -501,7 +501,8 @@ def _check_positivity(ctx: WeightedContext, spec: KernelSpec,
           SPEC, *CONVOLUTION_GRID)
 def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
                      params: dict) -> VerificationReport:
-    cctx = _identity_context(ctx, spec, params, t_min=spec.t / 2.0)
+    cctx = check_context(ctx, params,
+                         **_identity_rule(spec, params, spec.t / 2.0))
     half = q_on_grid(cctx, replace(spec, t=spec.t / 2.0))
     conv = dunkl_convolve(cctx, half, half)
     direct = q_on_grid(cctx, spec)
@@ -528,8 +529,8 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
     # each side integrates q_t at t or at unit time; enlarge the frequency
     # box only when it cannot hold the symbol decay of every spec integrated
     integrated = [*map(integrated_spec, specs), *units]
-    if ctx.freq_box < max(map(freq_box_for, integrated)):
-        ctx = ctx.with_grids(freq_box=freq_box_margin(*integrated))
+    if ctx.freq_box < max(spec_i.symbol_box for spec_i in integrated):
+        ctx = check_context(ctx, params, freq_box=freq_box_margin(*integrated))
     defect = 0.0
     for spec_t, unit in zip(specs, units):
         lhs = evaluate_q(ctx, spec_t, pts)
@@ -550,7 +551,8 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
 def _check_decomposition(ctx: WeightedContext, spec: KernelSpec,
                          params: dict) -> VerificationReport:
     eps0 = params["eps0"]
-    cctx = _identity_context(ctx, spec, params, t_min=eps0 / 2.0)
+    cctx = check_context(ctx, params, **_identity_rule(spec, params,
+                                                       eps0 / 2.0))
     q_eps = q_on_grid(cctx, replace(spec, eps=spec.eps + eps0))
     # h_{eps0/2} enters both convolutions: transform it once
     h_half = dunkl_transform(cctx, GridSampled(

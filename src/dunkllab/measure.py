@@ -2,7 +2,8 @@
 
 Provides the weighted context (grids + normalization constant), ball volumes of
 the weighted measure, the exponential weight eta(x,s) = exp(sqrt(1+s^2|x|^2))
-with closed-form derivatives, and weighted norms.
+with its closed-form derivatives (``EtaFields``, the one way to them), and
+weighted norms.
 """
 
 from __future__ import annotations
@@ -114,31 +115,6 @@ def _radial_derivs(rho: np.ndarray, s: float, order: int,
     return out
 
 
-def eta(points: np.ndarray, s: float) -> np.ndarray:
-    """eta(x, s) = exp(sqrt(1 + s^2 |x|^2)); radial and reflection-invariant."""
-    return EtaFields(s).eta(points)
-
-
-def eta_directional(points: np.ndarray, s: float, zeta, order: int) -> np.ndarray:
-    """Directional derivative (d/dt)^order eta(x + t*zeta, s) at t = 0.
-
-    Orders 1, 2 in closed form via the chain rule on rho(t) = |x + t zeta|^2,
-    whose only nonzero derivatives are rho' and rho''.
-    """
-    return EtaFields(s).directional(points, zeta, order)
-
-
-def eta_radial_factor(points: np.ndarray, s: float) -> np.ndarray:
-    """F'(|x|^2) for F(rho) = exp(sqrt(1+s^2 rho)).
-
-    This is the whole content of the reflection-difference quotient of a first
-    derivative of eta: for any root a and direction zeta,
-    (d_zeta eta(x) - d_zeta eta(sigma_a x)) / <a, x> = 4 F'(|x|^2) <a,zeta>/|a|^2,
-    because eta is radial.
-    """
-    return EtaFields(s).radial_factor(points)
-
-
 class SampleStore:
     """Values computed once per (grid or point batch, key), each held next
     to its grid or batch, whose id the key holds, for the store's life."""
@@ -191,9 +167,14 @@ class EtaFields:
         return chain
 
     def eta(self, where) -> np.ndarray:
+        """eta(x, s) = exp(sqrt(1 + s^2 |x|^2)); radial and
+        reflection-invariant."""
         return self._chain(where, 0)[0]
 
     def directional(self, where, zeta, order: int) -> np.ndarray:
+        """(d/dt)^order eta(x + t zeta, s) at t = 0, order 1 or 2: the chain
+        rule on rho(t) = |x + t zeta|^2, whose only nonzero derivatives are
+        rho' = 2 <x, zeta> and rho'' = 2 |zeta|^2."""
         if order not in (1, 2):
             raise ValueError("directional derivatives implemented for "
                              "orders 1, 2")
@@ -206,6 +187,9 @@ class EtaFields:
         return F[2] * rp**2 + F[1] * (2.0 * float(zeta @ zeta))
 
     def radial_factor(self, where) -> np.ndarray:
+        """F'(|x|^2) for F(rho) = exp(sqrt(1 + s^2 rho)); eta is radial, so
+        it is the whole reflection quotient of d_zeta eta on axis j:
+        (d_zeta eta(x) - d_zeta eta(sigma_j x)) / x_j = 4 F'(|x|^2) zeta_j."""
         return self._chain(where, 1)[1]
 
 
@@ -293,14 +277,12 @@ class WeightedContext:
     def with_grids(self, box: float | None = None, n_half: int | None = None,
                    freq_box: float | None = None,
                    freq_n_half: int | None = None) -> "WeightedContext":
-        """A context on the same system with different grid geometry."""
-        return WeightedContext(
-            system=self.system,
-            box=self.box if box is None else box,
-            n_half=self.n_half if n_half is None else n_half,
-            freq_box=self.freq_box if freq_box is None else freq_box,
-            freq_n_half=self.freq_n_half if freq_n_half is None else freq_n_half,
-        )
+        """A context on the same system with the grid keys that are not
+        None changed; the context itself when none of them moves."""
+        old = (self.box, self.n_half, self.freq_box, self.freq_n_half)
+        new = tuple(now if key is None else key for now, key
+                    in zip(old, (box, n_half, freq_box, freq_n_half)))
+        return self if new == old else WeightedContext(self.system, *new)
 
 
 def weighted_norm(ctx: WeightedContext, f, s: float) -> float:

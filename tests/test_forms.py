@@ -8,8 +8,8 @@ from dunkllab import (BilinearFormSpec, CapabilityError, KernelSpec,
                       form_b_s_eps, gaussian, hermite_gauss, monomial_gauss,
                       product_z2, rank1, sobolev_norm_V)
 from dunkllab import forms
-from dunkllab.forms import _t_g_eta, t_g_eta_values
-from dunkllab.measure import EtaFields, eta
+from dunkllab.forms import t_g_eta_values
+from dunkllab.measure import EtaFields
 
 
 class TestSpecValidation:
@@ -83,11 +83,11 @@ class TestEtaProductExpansion:
         from dunkllab.operators import dunkl_apply_values
 
         def u(p):
-            return g(p) * eta(p, s)
+            return g(p) * EtaFields(s).eta(p)
 
         def grad_u(p):
             rho = np.sum(p**2, axis=1)
-            eta_v = eta(p, s)
+            eta_v = EtaFields(s).eta(p)
             deta = (s * s / np.sqrt(1 + s * s * rho))[:, None] * p * eta_v[:, None]
             gg = np.stack([g.deriv(d)(p) for d in range(1)], axis=1)
             return gg * eta_v[:, None] + g(p)[:, None] * deta
@@ -103,7 +103,7 @@ class TestEtaProductExpansion:
         pts = np.linspace(-2, 2, 17)[:, None]
         got = t_g_eta_values(ctx, s, zeta, 2, g, pts)
         h = 1e-4
-        u = lambda p: g(p) * eta(p, s)
+        u = lambda p: g(p) * EtaFields(s).eta(p)
         fd = (u(pts + h) - 2 * u(pts) + u(pts - h)) / h**2
         assert np.allclose(got, fd, rtol=1e-6, atol=1e-6)
 
@@ -119,7 +119,7 @@ class TestEtaProductExpansion:
         lhs_vals = t_g_eta_values(ctx, s, zeta, 2, g, pts) * w(pts)
         lhs = grid.integrate(lhs_vals.reshape(grid.shape))
         ttw = apply_dunkl(ctx.system, zeta, apply_dunkl(ctx.system, zeta, w))
-        rhs_vals = g(pts) * eta(pts, s) * ttw(pts)
+        rhs_vals = g(pts) * EtaFields(s).eta(pts) * ttw(pts)
         rhs = grid.integrate(rhs_vals.reshape(grid.shape))
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
@@ -134,14 +134,14 @@ class TestEtaProductExpansion:
         pts = np.array([[0.9, 0.4], [0.3, -1.1], [1.5, 0.0]])
         full = t_g_eta_values(ctx, s, zeta, 2, g, pts)
 
-        from dunkllab.measure import eta_directional, eta_radial_factor
+        fields = EtaFields(s)
         tg = apply_dunkl(ctx.system, zeta, g)
         ttg = apply_dunkl(ctx.system, zeta, tg)
-        smooth = (eta(pts, s) * ttg(pts)
-                  + 2 * eta_directional(pts, s, zeta, 1) * tg(pts)
-                  + g(pts) * eta_directional(pts, s, zeta, 2))
+        smooth = (fields.eta(pts) * ttg(pts)
+                  + 2 * fields.directional(pts, zeta, 1) * tg(pts)
+                  + g(pts) * fields.directional(pts, zeta, 2))
         coef = 4 * (0.7 * zeta[0] ** 2 + 0.3 * zeta[1] ** 2)
-        expect = coef * eta_radial_factor(pts, s) * g(pts)
+        expect = coef * fields.radial_factor(pts) * g(pts)
         assert np.allclose(full - smooth, expect, rtol=1e-12, atol=1e-12)
         assert np.all(np.abs(expect) > 1e-4)
 
@@ -159,21 +159,21 @@ class TestEtaProductExpansion:
         pts = np.array([[0.9, 0.4], [0.3, -1.1], [1.5, 0.2]])
         full = t_g_eta_values(ctx, s, zeta, 2, g, pts)
 
-        from dunkllab.measure import eta_directional, eta_radial_factor
+        fields = EtaFields(s)
         tg = apply_dunkl(ctx.system, zeta, g)
         ttg = apply_dunkl(ctx.system, zeta, tg)
-        smooth = (eta(pts, s) * ttg(pts)
-                  + 2 * eta_directional(pts, s, zeta, 1) * tg(pts)
-                  + g(pts) * eta_directional(pts, s, zeta, 2))
+        smooth = (fields.eta(pts) * ttg(pts)
+                  + 2 * fields.directional(pts, zeta, 1) * tg(pts)
+                  + g(pts) * fields.directional(pts, zeta, 2))
         expect = 0.0
         for d, k in enumerate(ks):
             flipped = pts.copy()
             flipped[:, d] = -flipped[:, d]
             expect = expect + 4 * k * zeta[d] ** 2 * g(flipped)
-        expect = expect * eta_radial_factor(pts, s)
+        expect = expect * fields.radial_factor(pts)
         assert np.allclose(full - smooth, expect, rtol=1e-12, atol=1e-12)
         assert np.all(np.abs(expect - 4 * (0.7 + 0.3 * 0.16)
-                             * eta_radial_factor(pts, s) * g(pts)) > 1e-3)
+                             * fields.radial_factor(pts) * g(pts)) > 1e-3)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_grid_sampling_equals_pointwise_expansion(self, order):
@@ -185,7 +185,9 @@ class TestEtaProductExpansion:
         grid = ctx.grid
         fields = EtaFields(0.8)
         for zeta in (np.array([1.0, 0.4]), np.array([0.0, 1.0])):
-            on_grid = _t_g_eta(ctx, zeta, order, g, grid, fields)
+            on_grid = forms._t_eta(
+                ctx, zeta, order, forms._Samples(forms.DunklImages(
+                    ctx.system, g)), grid, fields)
             at_points = t_g_eta_values(ctx, 0.8, zeta, order, g,
                                        grid.points())
             assert np.array_equal(on_grid, at_points.reshape(grid.shape))

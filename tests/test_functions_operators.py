@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.signal import convolve
 
 from dunkllab import (CallableFunction, CapabilityError, PolyGauss,
                       WeightedContext, apply_dunkl, apply_dunkl_iterated,
@@ -12,8 +11,7 @@ from dunkllab import (CallableFunction, CapabilityError, PolyGauss,
                       hermite_gauss, monomial_gauss, product_z2, radial_bump,
                       rank1)
 from dunkllab.functions import GridSampled, _convolve, sample
-from dunkllab.measure import (EtaFields, SampleStore, eta, eta_directional,
-                              eta_radial_factor)
+from dunkllab.measure import EtaFields, SampleStore
 from dunkllab.operators import QUOTIENT_SWITCH, dunkl_apply_values
 from dunkllab.quadrature import TensorGrid
 
@@ -91,10 +89,12 @@ def _shift_kernel(dim, axis, sign=1.0):
 class TestConvolve:
     """``_convolve`` must give the bytes of scipy's direct convolution, so
     that PolyGauss products, and every report built on them, keep their
-    bits without importing scipy.signal."""
+    bits without importing scipy.signal.  The oracles import it where they
+    run, so collecting this module does not."""
 
     @staticmethod
     def _assert_same_bytes(c, p):
+        from scipy.signal import convolve
         ours = _convolve(c, p)
         ref = convolve(c, p, method="direct")
         assert ours.shape == ref.shape and ours.dtype == ref.dtype
@@ -118,6 +118,7 @@ class TestConvolve:
                     self._assert_same_bytes(c, _shift_kernel(dim, axis, sign))
 
     def test_mul_coordinate_matches_scipy_direct(self):
+        from scipy.signal import convolve
         rng = np.random.default_rng(7)
         f = PolyGauss(_signed_zero_coeffs(rng, (4, 5)), [0.5, 0.7])
         for axis in range(2):
@@ -188,16 +189,16 @@ class TestPolyGaussGridSampling:
     @pytest.mark.parametrize("ks", [[0.5], [0.7, 0.3]])
     def test_eta_chain_has_the_bits_of_the_public_fields(self, ks):
         # every field of one (grid, s) chain, in any order of requests,
-        # against the public functions at the grid's points
+        # against fresh fields at the grid's points as a point batch
         grid = WeightedContext(product_z2(ks), n_half=30).grid
         pts = grid.points()
         zetas = (np.eye(len(ks))[0], np.linspace(1.0, 0.4, len(ks)))
         for s in (0.5, 2.0):
-            requests = [(lambda f: f.eta(grid), eta(pts, s)),
+            requests = [(lambda f: f.eta(grid), EtaFields(s).eta(pts)),
                         (lambda f: f.radial_factor(grid),
-                         eta_radial_factor(pts, s))]
+                         EtaFields(s).radial_factor(pts))]
             requests += [(lambda f, z=z, j=j: f.directional(grid, z, j),
-                          eta_directional(pts, s, z, j))
+                          EtaFields(s).directional(pts, z, j))
                          for j in (1, 2) for z in zetas]
             # the chain grows from eta up, or starts at its top
             for order in (requests, requests[::-1]):

@@ -1,6 +1,7 @@
 """Semigroup kernels: spec validation, evaluators, and structural identities."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from dunkllab import (AccuracyError, CapabilityError, DomainTooSmallError,
                       KernelSpec, SymbolError, WeightedContext,
                       dunkl_transform, dunkl_translate, evaluate_q,
-                      freq_box_for, gaussian, heat_kernel,
+                      freq_box_for, gaussian, harness, heat_kernel,
                       heat_kernel_two_point, kernels, product_z2, q_on_grid,
                       rank1, run_check, translate_at_points, two_point_kernel)
+from dunkllab.checks import CHECKS
 
 
 class TestKernelSpecValidation:
@@ -363,3 +365,145 @@ class TestIdentityChecks:
         assert need > ctx.freq_box
         assert report.grid["freq_box"] == np.ceil(1.1 * need)
         assert report.passed
+
+
+class _Stop(Exception):
+    """Raised by a spy once it has seen the context of its first call."""
+
+
+#: the first evaluator each grid-sizing kind calls, as (module, name)
+FIRST_EVALUATOR = {
+    "thm1-decay": (harness, "decay_samples"),
+    "thm2-two-point": (harness, "two_point_kernel"),
+    "translation-lipschitz": (harness, "q_on_grid"),
+    "compact-support-l1": (harness, "dunkl_transform"),
+    "exp-weighted-l1": (harness, "q_on_grid"),
+    "kernel-semigroup": (kernels, "q_on_grid"),
+    "kernel-decomposition": (kernels, "q_on_grid"),
+    "kernel-scaling": (kernels, "evaluate_q"),
+}
+#: the grid keys a case gives, in the order "one" takes the first accepted
+GIVEN_KEYS = {"box": 10.0, "n_half": 50, "freq_box": 9.0, "freq_n_half": 60}
+SYSTEMS = {1: rank1(0.5), 2: product_z2([0.5, 0.5])}
+#: (box, n_half, freq_box, freq_n_half) per kind and (dim, l), with no
+#: grid key, the first key the kind accepts and every key it accepts
+EXPECTED_GRIDS = {
+    "compact-support-l1": {
+        (1, 1): [(6.0, 240, 20.0, 400), (10.0, 240, 20.0, 400),
+                 (10.0, 50, 9.0, 60)],
+        (1, 2): [(6.0, 240, 20.0, 400), (10.0, 240, 20.0, 400),
+                 (10.0, 50, 9.0, 60)],
+        (2, 1): [(6.0, 240, 20.0, 400), (10.0, 240, 20.0, 400),
+                 (10.0, 50, 9.0, 60)],
+        (2, 2): [(6.0, 240, 20.0, 400), (10.0, 240, 20.0, 400),
+                 (10.0, 50, 9.0, 60)],
+    },
+    "exp-weighted-l1": {
+        (1, 1): [(12.0, 200, 34.0, 200), (10.0, 200, 34.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (1, 2): [(48.0, 600, 6.0, 200), (10.0, 600, 6.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (2, 1): [(12.0, 80, 34.0, 200), (10.0, 80, 34.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (2, 2): [(48.0, 600, 8.0, 200), (10.0, 600, 8.0, 200),
+                 (10.0, 50, 9.0, 60)],
+    },
+    "kernel-decomposition": {
+        (1, 1): [(12.0, 200, 13.0, 200), (10.0, 200, 32.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (1, 2): [(48.0, 600, 6.0, 200), (10.0, 600, 6.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (2, 1): [(12.0, 80, 13.0, 80), (10.0, 80, 32.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (2, 2): [(48.0, 600, 8.0, 200), (10.0, 600, 8.0, 200),
+                 (10.0, 50, 9.0, 60)],
+    },
+    "kernel-scaling": {
+        (1, 1): [(12.0, 200, 13.0, 200), (12.0, 200, 13.0, 200),
+                 (12.0, 200, 13.0, 200)],
+        (1, 2): [(12.0, 200, 13.0, 200), (12.0, 200, 13.0, 200),
+                 (12.0, 200, 13.0, 200)],
+        (2, 1): [(12.0, 80, 13.0, 80), (12.0, 80, 13.0, 80),
+                 (12.0, 80, 13.0, 80)],
+        (2, 2): [(12.0, 80, 13.0, 80), (12.0, 80, 13.0, 80),
+                 (12.0, 80, 13.0, 80)],
+    },
+    "kernel-semigroup": {
+        (1, 1): [(12.0, 200, 13.0, 200), (10.0, 200, 11.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (1, 2): [(48.0, 600, 4.0, 200), (10.0, 600, 4.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (2, 1): [(12.0, 80, 13.0, 80), (10.0, 80, 11.0, 200),
+                 (10.0, 50, 9.0, 60)],
+        (2, 2): [(48.0, 600, 4.0, 200), (10.0, 600, 4.0, 200),
+                 (10.0, 50, 9.0, 60)],
+    },
+    "thm1-decay": {
+        (1, 1): [(12.0, 200, 8.0, 200), (12.0, 200, 9.0, 200),
+                 (12.0, 200, 9.0, 60)],
+        (1, 2): [(12.0, 200, 3.0, 200), (12.0, 200, 9.0, 200),
+                 (12.0, 200, 9.0, 60)],
+        (2, 1): [(12.0, 80, 8.0, 80), (12.0, 80, 9.0, 80),
+                 (12.0, 80, 9.0, 60)],
+        (2, 2): [(12.0, 80, 4.0, 80), (12.0, 80, 9.0, 80),
+                 (12.0, 80, 9.0, 60)],
+    },
+    "thm2-two-point": {
+        (1, 1): [(12.0, 200, 8.0, 200), (12.0, 200, 9.0, 200),
+                 (12.0, 200, 9.0, 60)],
+        (1, 2): [(12.0, 200, 3.0, 200), (12.0, 200, 9.0, 200),
+                 (12.0, 200, 9.0, 60)],
+        (2, 1): [(12.0, 80, 8.0, 80), (12.0, 80, 9.0, 80),
+                 (12.0, 80, 9.0, 60)],
+        (2, 2): [(12.0, 80, 4.0, 80), (12.0, 80, 9.0, 80),
+                 (12.0, 80, 9.0, 60)],
+    },
+    "translation-lipschitz": {
+        (1, 1): [(12.0, 200, 8.0, 200), (12.0, 200, 9.0, 200),
+                 (12.0, 200, 9.0, 60)],
+        (1, 2): [(48.0, 600, 3.0, 200), (48.0, 600, 9.0, 200),
+                 (48.0, 600, 9.0, 60)],
+        (2, 1): [(12.0, 80, 8.0, 80), (12.0, 80, 9.0, 80),
+                 (12.0, 80, 9.0, 60)],
+        (2, 2): [(48.0, 600, 4.0, 80), (48.0, 600, 9.0, 80),
+                 (48.0, 600, 9.0, 60)],
+    },
+}
+
+
+def check_grids(kind: str, dim: int, ell: int, keys: str) -> tuple:
+    """(box, n_half, freq_box, freq_n_half) of the context ``kind`` hands
+    its first evaluator, on the default context of ``SYSTEMS[dim]`` with
+    the heat directions at order ``ell`` and no grid key (``keys`` "none"),
+    the first key it accepts ("one") or every key it accepts ("all")."""
+    module, name = FIRST_EVALUATOR[kind]
+    seen = []
+
+    def spy(ctx, *args):
+        seen.append((ctx.box, ctx.n_half, ctx.freq_box, ctx.freq_n_half))
+        raise _Stop
+
+    accepted = [key for key in GIVEN_KEYS
+                if key in CHECKS[kind].schema["properties"]]
+    given = {"none": [], "one": accepted[:1], "all": accepted}[keys]
+    params = {key: GIVEN_KEYS[key] for key in given}
+    if kind == "exp-weighted-l1":
+        params["ell"] = ell
+    spec = replace(KernelSpec.heat(dim), ell=ell)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, spy)
+        with pytest.raises(_Stop):
+            run_check(WeightedContext(SYSTEMS[dim]), kind, params, spec)
+    return seen[0]
+
+
+class TestCheckGrids:
+    """The grids each sizing kind runs on: a grid key given in the check's
+    params, else the check's own rule, else the config's grid."""
+
+    @pytest.mark.parametrize("kind", sorted(FIRST_EVALUATOR))
+    def test_each_kind_runs_on_its_rule_s_grids(self, kind):
+        for (dim, ell), rows in EXPECTED_GRIDS[kind].items():
+            got = [check_grids(kind, dim, ell, keys)
+                   for keys in ("none", "one", "all")]
+            assert got == rows, (dim, ell)

@@ -22,8 +22,7 @@ from dunkllab import (CallableFunction, KernelSpec, WeightedContext,
 from dunkllab.dunkl_kernel import kernel_imag_batch
 from dunkllab.forms import t_g_eta_values
 from dunkllab.functions import sample
-from dunkllab.measure import (eta, eta_directional, eta_radial_factor,
-                              volume_max_pairs)
+from dunkllab.measure import EtaFields, volume_max_pairs
 from dunkllab.operators import dunkl_apply_values
 from dunkllab.root_systems import as_points
 
@@ -204,9 +203,9 @@ class TestSymbolReadsPointsByTheRule:
 
 #: the eta fields, which know no dimension: (points, s) -> values
 ETA = {
-    "eta": eta,
-    "eta_radial_factor": eta_radial_factor,
-    "eta_directional": lambda p, s: eta_directional(p, s, [1.0], 1),
+    "eta": lambda p, s: EtaFields(s).eta(p),
+    "eta_radial_factor": lambda p, s: EtaFields(s).radial_factor(p),
+    "eta_directional": lambda p, s: EtaFields(s).directional(p, [1.0], 1),
 }
 
 
@@ -224,6 +223,6 @@ class TestEtaTakesBatchesOnly:
     def test_rank_one_vector_raises_not_one_point(self):
         # it gave e^sqrt(6) = 11.58, eta at one point of R^3
         with pytest.raises(ValueError, match=r"got shape \(3,\)"):
-            eta(np.array([0.0, 1.0, 2.0]), 1.0)
-        got = eta(np.array([[0.0], [1.0], [2.0]]), 1.0)
+            EtaFields(1.0).eta(np.array([0.0, 1.0, 2.0]))
+        got = EtaFields(1.0).eta(np.array([[0.0], [1.0], [2.0]]))
         assert got.round(3).tolist() == [2.718, 4.113, 9.356]

@@ -10,11 +10,11 @@ from scipy.integrate import dblquad
 from scipy.special import gamma
 
 from dunkllab import (DomainTooSmallError, WeightedContext, ball_volume,
-                      eta, product_z2, rank1, weighted_norm)
+                      product_z2, rank1, weighted_norm)
 from dunkllab import measure, quadrature
 from dunkllab.harness import make_pair_grid
 from dunkllab.functions import sample
-from dunkllab.measure import eta_directional, volume_max_pairs
+from dunkllab.measure import EtaFields, volume_max_pairs
 from dunkllab.errors import AccuracyError
 from dunkllab.quadrature import (AxisRule, TensorGrid,
                                  boundary_shell_fraction, check_refined,
@@ -555,7 +555,7 @@ class TestWeightedNorm:
 class TestEta:
     def test_eta_at_origin_is_e(self):
         pts = np.zeros((1, 2))
-        assert eta(pts, 1.7) == pytest.approx(np.e)
+        assert EtaFields(1.7).eta(pts) == pytest.approx(np.e)
 
     def test_eta_directional_matches_finite_difference(self):
         rng = np.random.default_rng(5)
@@ -563,8 +563,10 @@ class TestEta:
         zeta = np.array([0.6, -0.8])
         s = 0.9
         h = 1e-6
-        fd = (eta(pts + h * zeta, s) - eta(pts - h * zeta, s)) / (2 * h)
-        assert np.allclose(eta_directional(pts, s, zeta, 1), fd,
+        fields = EtaFields(s)
+        fd = (fields.eta(pts + h * zeta)
+              - fields.eta(pts - h * zeta)) / (2 * h)
+        assert np.allclose(fields.directional(pts, zeta, 1), fd,
                            rtol=1e-7, atol=1e-7)
 
     def test_eta_second_directional_matches_finite_difference(self):
@@ -573,7 +575,8 @@ class TestEta:
         zeta = np.array([1.0, 0.5])
         s = 1.3
         h = 1e-4
-        fd = (eta(pts + h * zeta, s) - 2 * eta(pts, s)
-              + eta(pts - h * zeta, s)) / h**2
-        assert np.allclose(eta_directional(pts, s, zeta, 2), fd,
+        fields = EtaFields(s)
+        fd = (fields.eta(pts + h * zeta) - 2 * fields.eta(pts)
+              + fields.eta(pts - h * zeta)) / h**2
+        assert np.allclose(fields.directional(pts, zeta, 2), fd,
                            rtol=1e-5, atol=1e-5)

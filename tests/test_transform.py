@@ -262,7 +262,7 @@ class TestGuards:
         ctx = ctx_rank1(0.5)
         sampled = GridSampled(grid=ctx.grid,
                               values=gaussian(1).values_on(ctx.grid))
-        twin = ctx.with_grids()
+        twin = WeightedContext(ctx.system)
         assert twin.grid is not ctx.grid
         assert np.array_equal(dunkl_transform(twin, sampled).values,
                               dunkl_transform(ctx, sampled).values)
@@ -714,9 +714,10 @@ class TestEvenDefaultHalves:
             halves += [ctx.n_half, ctx.freq_n_half]
             for ell in (1, 2, 3):
                 spec = dataclasses.replace(KernelSpec.heat(ctx.dim), ell=ell)
-                halves.append(kernels.spatial_rule(ctx, spec)[1])
-                conv = kernels.convolution_context(ctx, spec, unset, 1.0)
-                halves += [conv.n_half, conv.freq_n_half]
+                for rule in (kernels.spatial_rule(spec),
+                             kernels.convolution_rule(spec, 1.0)):
+                    grids = kernels.check_context(ctx, unset, **rule)
+                    halves += [grids.n_half, grids.freq_n_half]
         assert {80, 200, 240, 400, 600} <= set(halves)
         for n in halves:
             assert n % 2 == 0 and refined_n_half(n) % 2 == 0, n
