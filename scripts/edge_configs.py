@@ -9,9 +9,11 @@ the next float above an exclusive one) and its maximum (or 1e300); -1e300,
 A vector takes the edge in its first component and 0 in the others; a list
 of vectors is that vector followed by the other axes, so directions span.
 A case fails if ``runner.run`` raises or writes NaN or Infinity into a
-report or table.  ``KNOWN`` lists the cases that still fail, with the
-ROADMAP item that mends each; it is empty.  Exit 1 if a case outside it
-fails or a case in it passes.
+report or table, or writes a PASS report whose ``fitted`` holds numbers
+that are all exactly 0: a verdict on a vanished quantity is vacuous.
+``KNOWN`` lists the cases that still fail, with the ROADMAP item that mends
+each; it is empty.  Exit 1 if a case outside it fails or a case in it
+passes.
 
     PYTHONPATH=src python scripts/edge_configs.py
 """
@@ -71,6 +73,16 @@ def edges(schema: dict, dim: int) -> list:
             for v in edges(schema["items"], dim)]
 
 
+def numbers_in(value) -> list:
+    """The numbers in a JSON value, inside lists and objects too."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for v in value for n in numbers_in(v)]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return [value] if is_number else []
+
+
 def fault(system: dict, kind: str, name: str, value,
           out: Path) -> str | None:
     """What goes wrong when ``kind`` runs on ``system`` with ``name`` =
@@ -86,9 +98,16 @@ def fault(system: dict, kind: str, name: str, value,
     except Exception as err:  # a traceback for a dunkllab run user
         return f"raised {type(err).__name__}: {err}"
     for path in (out / "reports").glob("*"):
-        if not path.name.endswith("_error.json") \
-                and NON_FINITE.search(path.read_text()):
+        if path.name.endswith("_error.json"):
+            continue
+        text = path.read_text()
+        if NON_FINITE.search(text):
             return f"non-finite number in {path.name}"
+        if path.suffix == ".json":
+            report = json.loads(text)
+            fitted = numbers_in(report.get("fitted", {}))
+            if report.get("pass") and fitted and not any(fitted):
+                return f"PASS with every fitted number 0 in {path.name}"
     return None
 
 

@@ -1,14 +1,13 @@
 """The rank-1 Dunkl kernel E_k and its sign-flip product extension.
 
 E_k restricted to one coordinate pair depends only on the product w = x*z and
-solves T f = z f, f(0) = 1.  Three evaluators of the same analytic function:
+solves T f = z f, f(0) = 1.  It has one vectorized evaluator per axis, and
+none off both:
 
-* power series via the recurrence a_{n+1} = w a_n / (n+1 + 2k*[n+1 odd]) —
-  definitive but float64-cancellation-limited to moderate |w|; off the
-  imaginary axis only;
-* Bessel-J closed form for purely imaginary argument, at every |w|;
-* Bessel-I closed form for real argument (heat-kernel side), with an
-  exponentially scaled variant for large arguments.
+* Bessel-J closed form for purely imaginary argument, at every |w|
+  (``kernel_imag_parts``);
+* Bessel-I closed form for real argument (heat-kernel side), exponentially
+  scaled against overflow (``kernel_real_scaled``).
 
 For Z2^N products, E(x, z) = prod_d E_{k_d}(x_d z_d).
 
@@ -39,17 +38,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 from scipy.special import gamma, hyp0f1, ive, jv
 
-from .errors import AccuracyError
+from .errors import CapabilityError
 from .root_systems import RootSystemSpec, as_points
 
-#: adaptive series termination: stop after this many consecutive terms below
-#: SERIES_STOP_RATIO times the partial sum.
-SERIES_STOP_RUN = 5
-SERIES_STOP_RATIO = 1e-16
-SERIES_MAX_TERMS = 1000
-#: |w| beyond which the alternating series loses more than ~6 digits in
-#: float64 and the closed forms take over.
-SERIES_STABLE_LIMIT = 20.0
 #: |w| below which the hypergeometric series is used instead of Bessel forms
 #: (avoids the 0*inf limit of the closed form at w = 0).
 SMALL_ARG_LIMIT = 0.5
@@ -132,30 +123,6 @@ def _on_cores_flat(task, *arrays) -> None:
             task(*(a[start:stop] for a in flat))
 
     on_cores(arrays[0].size, piece, SPLIT_MIN_VALUES)
-
-
-def kernel_series(w: complex, k: float) -> complex:
-    """Sum the defining power series of E_k at product argument w, adding
-    terms until ``SERIES_STOP_RUN`` consecutive ones are negligible."""
-    w = complex(w)
-    if k < 0:
-        raise ValueError("multiplicity must be nonnegative")
-    a = 1.0 + 0.0j
-    total = a
-    quiet = 0
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        denom = n + (2.0 * k if n % 2 == 1 else 0.0)
-        a = w * a / denom
-        total += a
-        if abs(a) < SERIES_STOP_RATIO * abs(total):
-            quiet += 1
-            if quiet >= SERIES_STOP_RUN:
-                return total
-        else:
-            quiet = 0
-    raise AccuracyError(
-        f"series did not settle within {SERIES_MAX_TERMS} terms "
-        f"for |w|={abs(w):.3g}")
 
 
 def kernel_imag_parts(u, k: float):
@@ -250,24 +217,19 @@ def _real_scaled_into(v: np.ndarray, av: np.ndarray, out: np.ndarray,
     np.add(even, np.sign(v) * odd, out=out)
 
 
-def kernel_real(v, k: float):
-    """E_k(v) for real v; overflows for |v| beyond ~700 by design."""
-    v = np.asarray(v, dtype=float)
-    return kernel_real_scaled(v, k) * np.exp(np.abs(v))
-
-
 def _axis_value(w: complex, k: float) -> complex:
-    """E_k(w), on the imaginary axis by ``kernel_imag_parts`` at every |w|."""
+    """E_k(w) on the imaginary axis by ``kernel_imag_parts``, on the real
+    axis as ``kernel_real_scaled`` times exp(|w|); CapabilityError off
+    both."""
     if w.real == 0.0:
         re, im = kernel_imag_parts(np.array(w.imag), k)
         return complex(re) + 1j * complex(im)
-    if abs(w) <= SERIES_STABLE_LIMIT:
-        return kernel_series(w, k)
     if w.imag == 0.0:
-        return complex(kernel_real(np.array(w.real), k))
-    raise AccuracyError(
-        f"no stable evaluator for large complex argument |w|={abs(w):.3g} "
-        "off the real and imaginary axes")
+        v = np.array(w.real)
+        return complex(kernel_real_scaled(v, k) * np.exp(np.abs(v)))
+    raise CapabilityError(
+        f"E_k is evaluated on the real and imaginary axes only; got the "
+        f"product argument {w}")
 
 
 def kernel_imag_batch(system: RootSystemSpec, xi_pts: np.ndarray,
@@ -288,7 +250,7 @@ def dunkl_kernel_E(system: RootSystemSpec, x, z) -> complex:
     """E_k(x, z) for a sign-flip product system; z may be real or imaginary.
 
     The value is the per-coordinate product of rank-1 kernels at the
-    products x_d z_d.
+    products x_d z_d, each on the real or the imaginary axis.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=complex))

@@ -37,7 +37,7 @@ def _poly_eval(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _convolve(c: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Full convolution of two coefficient arrays of the same rank, with the
-    bytes of ``scipy.signal.convolve(c, p, method="direct")``.
+    bytes of ``scipy.signal.convolve`` in its direct mode.
 
     In 1-D scipy hands the product to ``np.convolve``.  In N-D the loop
     adds ``p * c[j]`` into a zero array for each index ``j`` of ``c`` in C
@@ -140,7 +140,7 @@ class PolyGauss:
         """Multiply by a polynomial given as an N-dim coefficient array.
 
         The product's coefficients have the bytes of scipy's direct
-        convolution, ``scipy.signal.convolve(coeffs, p, method="direct")``.
+        convolution (``_convolve``).
         """
         p = np.asarray(poly_coeffs, dtype=float)
         if p.ndim != self.dim:

@@ -588,7 +588,13 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         np.exp(weight, out=weight)
         flipped *= weight
         del weight
-        return float(np.sum(cctx.grid.weighted(flipped, flipped)))
+        value = float(np.sum(cctx.grid.weighted(flipped, flipped)))
+        if not value > 0.0:
+            raise AccuracyError(
+                f"weighted integral is {value:.3g} at eps0 {eps0:g} on the "
+                f"{cctx.box:g} box with n_half {cctx.n_half} and freq_box "
+                f"{cctx.freq_box:g}: the integrand vanished; raise eps0")
+        return value
 
     base_ctx = check_context(ctx, params, **convolution_rule(spec, eps0 / 2.0))
     fine_ctx = base_ctx.with_grids(n_half=refined_n_half(base_ctx.n_half))

@@ -38,7 +38,7 @@ from .errors import (AccuracyError, CapabilityError, DomainTooSmallError,
 from .functions import (GridSampled, PolyGauss, gaussian, monomial_gauss,
                         sample)
 from .measure import WeightedContext
-from .operators import dunkl_laplacian
+from .operators import apply_dunkl_iterated, dunkl_laplacian
 from .quadrature import TensorGrid
 from .root_systems import as_point, as_points
 from .report import VerificationReport, grid_metadata
@@ -518,7 +518,8 @@ def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
           "parabolic scaling: q_t(x) = t^{-N_h/(2l)} "
           "q_1^{(eps t^{(l-1)/l})}(t^{-1/(2l)} x) with N_h the homogeneous "
           "dimension",
-          numbers("t_values", [0.5, 2.0], exclusiveMinimum=0),
+          numbers("t_values", [0.5, 2.0], minimum=T_DIRECT_MIN,
+                  maximum=T_DIRECT_MAX),
           SPEC)
 def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:
@@ -528,7 +529,7 @@ def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
     units = [_unit_time_spec(spec_t) for spec_t in specs]
     # each side integrates q_t at t or at unit time; enlarge the frequency
     # box only when it cannot hold the symbol decay of every spec integrated
-    integrated = [*map(integrated_spec, specs), *units]
+    integrated = [*specs, *units]
     if ctx.freq_box < max(spec_i.symbol_box for spec_i in integrated):
         ctx = check_context(ctx, params, freq_box=freq_box_margin(*integrated))
     defect = 0.0
@@ -594,8 +595,12 @@ def _check_laplacian(ctx: WeightedContext, spec: KernelSpec,
         pts[:, 1] = 0.7 * pts[:, 0] + 0.3
     defect = 0.0
     for f in _laplacian_battery(ctx.dim):
-        via_formula = dunkl_laplacian(ctx.system, f, method="formula")(pts)
-        via_compose = dunkl_laplacian(ctx.system, f, method="compose")(pts)
+        via_formula = dunkl_laplacian(ctx.system, f)(pts)
+        compose = None
+        for e_d in np.eye(ctx.dim):
+            term = apply_dunkl_iterated(ctx.system, e_d, f, 2)
+            compose = term if compose is None else compose + term
+        via_compose = compose(pts)
         scale = max(float(np.max(np.abs(via_formula))), 1.0)
         defect = max(defect, float(np.max(np.abs(via_formula - via_compose))) / scale)
     # the report keeps its earlier name: stored reference reports use it

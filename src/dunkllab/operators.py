@@ -104,25 +104,12 @@ def apply_dunkl_iterated(system: RootSystemSpec, zeta, f, order: int):
     return f
 
 
-def dunkl_laplacian(system: RootSystemSpec, f, method: str = "formula"):
-    """Dunkl Laplacian of a PolyGauss function on a product system.
-
-    method="formula" uses, per axis,
-        Delta f + sum_d k_d (2 x_d d_d f - (f - f o sigma_d)) / x_d^2,
-    whose numerator is exactly divisible by x_d^2 on the PolyGauss family.
-    method="compose" iterates the coordinate Dunkl operators; the two agree
-    to rounding and the comparison is a standing consistency test.
-    """
+def dunkl_laplacian(system: RootSystemSpec, f):
+    """Dunkl Laplacian of a PolyGauss function on a product system,
+    Delta f + sum_d k_d (2 x_d d_d f - (f - f o sigma_d)) / x_d^2, whose
+    numerator is exactly divisible by x_d^2 on the PolyGauss family."""
     if not isinstance(f, PolyGauss):
         raise CapabilityError("Dunkl Laplacian requires a PolyGauss input")
-    if method == "compose":
-        out = None
-        for e_d in np.eye(system.dim):
-            term = apply_dunkl(system, e_d, apply_dunkl(system, e_d, f))
-            out = term if out is None else out + term
-        return out
-    if method != "formula":
-        raise ValueError("method must be 'formula' or 'compose'")
     ks = system.ks
     out = None
     for d in range(system.dim):

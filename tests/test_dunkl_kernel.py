@@ -11,19 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkllab import AccuracyError, dunkl_kernel, product_z2, rank1
+from dunkllab import CapabilityError, dunkl_kernel, product_z2, rank1
 from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, dunkl_kernel_E,
                                    kernel_imag_batch, kernel_imag_outer,
-                                   kernel_imag_parts, kernel_real,
-                                   kernel_real_scaled, kernel_series)
+                                   kernel_imag_parts, kernel_real_scaled)
+
+
+def real_axis(v, k):
+    """E_k(v) for real v, as dunkl_kernel_E forms it."""
+    return kernel_real_scaled(v, k) * np.exp(np.abs(v))
 
 
 class TestClassicalLimit:
     """At k = 0 the kernel is the exponential."""
-
-    def test_series_is_exp(self):
-        for w in (0.3, -1.7, 2.0 + 1.0j, -0.5j):
-            assert kernel_series(w, 0.0) == pytest.approx(np.exp(w), rel=1e-14)
 
     def test_imag_parts_are_cos_sin(self):
         u = np.linspace(-8, 8, 41)
@@ -33,7 +33,7 @@ class TestClassicalLimit:
 
     def test_real_axis_is_exp(self):
         v = np.linspace(-5, 5, 21)
-        assert np.allclose(kernel_real(v, 0.0), np.exp(v), rtol=1e-13)
+        assert np.allclose(real_axis(v, 0.0), np.exp(v), rtol=1e-13)
 
 
 class TestKOneClosedForm:
@@ -50,7 +50,7 @@ class TestKOneClosedForm:
     def test_real_axis(self):
         v = np.array([0.8, 1.0, 3.0])
         expect = np.sinh(v) / v + (np.cosh(v) - np.sinh(v) / v) / v
-        assert np.allclose(kernel_real(v, 1.0), expect, rtol=1e-13)
+        assert np.allclose(real_axis(v, 1.0), expect, rtol=1e-13)
 
     def test_value_at_one_is_cosh_one(self):
         # sinh(1)/1 + cosh(1) - sinh(1) collapses to cosh(1)
@@ -60,39 +60,10 @@ class TestKOneClosedForm:
 
 
 class TestEvaluatorConsistency:
-    @pytest.mark.parametrize("k", [0.25, 0.5, 1.3])
-    def test_series_matches_bessel_on_imaginary_axis(self, k):
-        u = np.linspace(0.05, 12.0, 30)
-        re, im = kernel_imag_parts(u, k)
-        for j, uj in enumerate(u):
-            s = kernel_series(1j * uj, k)
-            assert s.real == pytest.approx(re[j], abs=2e-12)
-            assert s.imag == pytest.approx(im[j], abs=2e-12)
-
-    @pytest.mark.parametrize("k", [0.25, 0.5, 1.3])
-    def test_series_matches_bessel_on_real_axis(self, k):
-        # negative arguments are kept moderate: the alternating series loses
-        # roughly max_n |v|^n/n! * eps of absolute accuracy to cancellation
-        v = np.linspace(-6.0, 6.0, 25)
-        vals = kernel_real(v, k)
-        for j, vj in enumerate(v):
-            assert kernel_series(vj, k).real == pytest.approx(
-                vals[j], rel=1e-10)
-
     def test_scaled_variant_is_overflow_free(self):
         vals = kernel_real_scaled(np.array([500.0, 700.0, 1000.0]), 0.5)
         assert np.all(np.isfinite(vals))
         assert np.all(vals > 0)
-
-    def test_no_jump_across_small_argument_switch(self):
-        # both sides of the hypergeometric/Bessel hand-off must agree with
-        # the series, which is fully stable at these tiny arguments
-        u = np.linspace(0.4, 0.6, 81)
-        re, im = kernel_imag_parts(u, 0.8)
-        for j, uj in enumerate(u):
-            s = kernel_series(1j * uj, 0.8)
-            assert re[j] == pytest.approx(s.real, abs=1e-13)
-            assert im[j] == pytest.approx(s.imag, abs=1e-13)
 
 
 class TestKernelBounds:
@@ -103,7 +74,7 @@ class TestKernelBounds:
         assert np.max(np.hypot(re, im)) <= 1.0 + 1e-12
 
     def test_value_at_zero_is_one(self):
-        assert kernel_series(0.0, 0.7) == 1.0
+        assert dunkl_kernel_E(rank1(0.7), 1.0, 0.0) == 1.0
         re, im = kernel_imag_parts(np.array([0.0]), 0.7)
         assert re[0] == 1.0 and im[0] == 0.0
 
@@ -115,14 +86,11 @@ class TestKernelBounds:
         assert np.allclose(im_p, -im_m)
 
 
-class TestTruncationControl:
-    def test_negative_multiplicity_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_series(1.0, -0.5)
-
-    def test_large_offaxis_complex_argument_rejected(self):
-        with pytest.raises(AccuracyError):
-            dunkl_kernel_E(rank1(0.5), 7.0, 5.0 + 5.0j)
+class TestAxes:
+    @pytest.mark.parametrize("w", [0.3 + 0.3j, -5.0 + 5.0j, 1e-3 - 40.0j])
+    def test_argument_off_both_axes_is_refused(self, w):
+        with pytest.raises(CapabilityError):
+            dunkl_kernel_E(rank1(0.5), 1.0, w)
 
 
 class TestProductExtension:

@@ -3,9 +3,8 @@
 E_k(w) = e^w 1F1(k; 2k+1; -2w) (Kummer's form of the rank-one Dunkl
 kernel) is summed by mpmath at 40 significant digits.  Each tolerance is
 relative, set at 1.5 times the worst error measured on the points below
-(scipy 1.17.1).  The points cross both switch points of the evaluators:
-``SMALL_ARG_LIMIT`` (hypergeometric series to Bessel forms) and
-``SERIES_STABLE_LIMIT`` (power series to Bessel forms).
+(scipy 1.17.1).  The points cross ``SMALL_ARG_LIMIT``, where both
+evaluators hand the hypergeometric series over to the Bessel forms.
 """
 
 import mpmath as mp
@@ -13,12 +12,11 @@ import numpy as np
 import pytest
 
 from dunkllab import rank1
-from dunkllab.dunkl_kernel import (SERIES_STABLE_LIMIT, SMALL_ARG_LIMIT,
-                                   dunkl_kernel_E, kernel_imag_parts,
-                                   kernel_real_scaled)
+from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, dunkl_kernel_E,
+                                   kernel_imag_parts, kernel_real_scaled)
 
 DIGITS = 40
-L, S = SMALL_ARG_LIMIT, SERIES_STABLE_LIMIT
+L = SMALL_ARG_LIMIT
 NEAR = (1 - 1e-12, 1.0, 1 + 1e-12)
 #: Im-axis arguments u of E_k(iu)
 U = np.r_[np.linspace(-60.0, 60.0, 121), 0.0, 1e-8, -0.3, 0.49, 0.51, -L,
@@ -26,8 +24,8 @@ U = np.r_[np.linspace(-60.0, 60.0, 121), 0.0, 1e-8, -0.3, 0.49, 0.51, -L,
 #: real arguments v >= 0 of E_k(v) e^{-|v|}; the v < 0 points are -V[1:]
 V = np.r_[np.linspace(0.0, 300.0, 61), 1e-8, 0.3, 0.49, 0.51, 1.0,
           [L * f for f in NEAR]]
-#: |w| of dunkl_kernel_E's arguments, on both sides of the series limit
-W = np.r_[np.linspace(0.0, 40.0, 21), 19.5, 20.5, [S * f for f in NEAR]]
+#: |w| of dunkl_kernel_E's arguments, denser about |w| = 20
+W = np.r_[np.linspace(0.0, 40.0, 21), 19.5, 20.5, [20.0 * f for f in NEAR]]
 
 
 def oracle(w: complex, k: float) -> mp.mpc:
@@ -55,10 +53,12 @@ REAL_POS_TOL = {0.0: 3.8e-14, 1e-3: 1.8e-14, 0.5: 6.1e-16, 1.3: 3.5e-14}
 #: measured worst 2.16e-13 and 8.19e-14; the small-k entries hold the
 #: larger of these as the target of ROADMAP item 2
 REAL_NEG_TOL = {0.5: 3.2e-13, 1.3: 1.2e-13, 0.0: 3.2e-13, 1e-3: 3.2e-13}
-#: measured worst 2.56e-14, 5.26e-14, 1.31e-15 and 5.72e-14 (k = 0 on the
-#: real axis, the others on the imaginary axis, which takes the Bessel
-#: forms of ``kernel_imag_parts`` at every |w|)
+#: measured worst 2.56e-14, 5.26e-14, 1.31e-15 and 5.72e-14 on +-iW and +W
+#: (k = 0 on the real axis, the others on the imaginary axis)
 E_TOL = {0.0: 3.9e-14, 1e-3: 7.9e-14, 0.5: 2.0e-15, 1.3: 8.6e-14}
+#: measured worst 3.13e-14 and 3.74e-14 on -W; the small-k entries hold the
+#: larger of these as the target of ROADMAP item 2
+E_NEG_TOL = {0.5: 4.7e-14, 1.3: 5.6e-14, 0.0: 5.6e-14, 1e-3: 5.6e-14}
 
 CANCELLATION = pytest.mark.xfail(
     strict=True,
@@ -66,6 +66,12 @@ CANCELLATION = pytest.mark.xfail(
            "which cancels for v < 0 at small k; measured worst relative "
            "error 9.5e239 at k = 0 (v = -295) and 1.7e-9 at k = 1e-3 "
            "(v = -20)")
+E_CANCELLATION = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: dunkl_kernel_E reads kernel_real_scaled on the "
+           "real axis, which cancels for v < 0 at small k; measured worst "
+           "relative error 3.1e18 at k = 0 (w = -40) and 1.7e-9 at k = 1e-3 "
+           "(w = -20.5)")
 
 
 @pytest.mark.parametrize("k", sorted(IMAG_TOL))
@@ -92,7 +98,7 @@ def test_real_scaled_negative_axis(k):
 
 
 @pytest.mark.parametrize("k", sorted(E_TOL))
-def test_dunkl_kernel_E_across_the_series_limit(k):
+def test_dunkl_kernel_E_on_the_imaginary_and_positive_real_axes(k):
     system = rank1(k)
     args = np.r_[1j * W, -1j * W, W]
     got = [dunkl_kernel_E(system, 1.0, w) for w in args]
@@ -100,9 +106,21 @@ def test_dunkl_kernel_E_across_the_series_limit(k):
     assert worst_relative(got, expect) < E_TOL[k]
 
 
+@pytest.mark.parametrize("k", [
+    0.5, 1.3,
+    pytest.param(0.0, marks=E_CANCELLATION),
+    pytest.param(1e-3, marks=E_CANCELLATION)])
+def test_dunkl_kernel_E_on_the_negative_real_axis(k):
+    system = rank1(k)
+    got = [dunkl_kernel_E(system, 1.0, -w) for w in W]
+    expect = [complex(oracle(-w, k)) for w in W]
+    assert worst_relative(got, expect) < E_NEG_TOL[k]
+
+
 def test_e_one_at_one_is_cosh_one():
     with mp.workdps(DIGITS):
         assert abs(oracle(1.0, 1.0) - mp.cosh(1)) < mp.mpf(10) ** (1 - DIGITS)
-    #: measured 2.88e-16 (two units in the last place)
+    #: measured 1.44e-15 (ten units in the last place), from
+    #: kernel_real_scaled(1, 1) e^1
     assert worst_relative(dunkl_kernel_E(rank1(1.0), 1.0, 1.0),
-                          np.cosh(1.0)) < 4.3e-16
+                          np.cosh(1.0)) < 2.2e-15

@@ -15,6 +15,7 @@ import pytest
 from dunkllab import __version__, cli, forms, kernels
 from dunkllab.checks import CHECKS, Derived, Param
 from dunkllab.errors import AccuracyError, ConfigError
+from dunkllab.kernels import T_DIRECT_MAX, T_DIRECT_MIN
 from dunkllab.report import MARGIN_CAP, VerificationReport
 from dunkllab.runner import (CONFIG_HASH_LEN, OUTPUT_DIR_ENV, build_context,
                              build_kernel_spec, build_system, config_schema,
@@ -45,9 +46,11 @@ FAST_CONFIG = {
 #: (kind, params, message) of configs whose values underflow to 0: q_t's
 #: spectrum exp(-t sym) at every node of a frequency box of 1e6, where each
 #: identity of q_t used to hold as 0 = 0; bumps too narrow to hold a grid
-#: node; and a frequency box of 1e-300, under which every calibration L1
-#: value of compact-support-l1 is 0 (its report used to hold NaN); small
-#: grids keep each sub-second
+#: node; a frequency box of 1e-300, under which every calibration L1
+#: value of compact-support-l1 is 0 (its report used to hold NaN); and
+#: h_{eps0/2} at eps0 = 1e-12, which underflows at every node, so that
+#: exp-weighted-l1's integrals were 0 on both grids and PASSed; small grids
+#: keep each sub-second
 SYMBOL_UNDERFLOW = "symbol exponential is at most 0 at every node"
 UNDERFLOW_CASES = [
     ("translation-lipschitz", {"freq_box": 1e6, "freq_n_half": 40},
@@ -65,6 +68,8 @@ UNDERFLOW_CASES = [
     ("compact-support-l1",
      {"freq_box": 1e-300, "n_half": 40, "freq_n_half": 40},
      "calibrated constant C is 0: every calibration value underflows to 0"),
+    ("exp-weighted-l1", {"eps0": 1e-12, "ell": 1, "freq_box": 13.0},
+     "weighted integral is 0 at eps0 1e-12 on the 12 box with n_half 200"),
 ]
 #: (kind, params, message) of configs whose reports used to hold NaN or
 #: Infinity with a FAIL verdict (exit 2): ``VerificationReport.from_defect``
@@ -288,6 +293,10 @@ class TestCheckParams:
         ("compact-support-l1", {"radii": [1.0]}, "radii"),
         ("compact-support-l1", {"radii": [1.0, 1.0]}, "radii"),
         ("compact-support-l1", {"radii": [0.5, 1, 1.0]}, "radii"),
+        # outside [T_DIRECT_MIN, T_DIRECT_MAX] q_t is itself formed by the
+        # scaling law, and the check would compare a computation with itself
+        ("kernel-scaling", {"t_values": [8.0]}, "t_values[0]"),
+        ("kernel-scaling", {"t_values": [0.5, 0.1]}, "t_values[1]"),
         ("kernel-symmetry", {"spec": {"directions": [[1.0, 0.0]]}},
          "spec.directions[0]"),
     ])
@@ -944,6 +953,12 @@ class TestCli:
                            else json.dumps(p.default))
                 assert kind_word in lines[p.name]
                 assert lines[p.name].endswith(f"; default {default}")
+
+    def test_catalog_shows_the_kernel_scaling_window(self, capsys):
+        assert cli.main(["list-checks"]) == 0
+        assert (f"t_values: list of number, >= {T_DIRECT_MIN:g}, "
+                f"<= {T_DIRECT_MAX:g}; default [0.5, 2.0]"
+                in capsys.readouterr().out)
 
     def test_run_subcommand(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
