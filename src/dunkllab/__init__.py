@@ -15,8 +15,6 @@ from .forms import BilinearFormSpec, form_a_s, form_b_s_eps, sobolev_norm_V
 from .functions import (CallableFunction, GridSampled, PolyGauss, gaussian,
                         hermite_family, hermite_gauss, monomial_gauss,
                         radial_bump)
-from .dunkl_kernel import dunkl_kernel_E
-from .harness import make_pair_grid
 from .kernels import (KernelSpec, dunkl_translate, evaluate_q, freq_box_for,
                       heat_kernel, heat_kernel_two_point, q_on_grid,
                       translate_at_points, two_point_kernel)
@@ -41,8 +39,6 @@ __all__ = [
     "BilinearFormSpec", "form_a_s", "form_b_s_eps", "sobolev_norm_V",
     "CallableFunction", "GridSampled", "PolyGauss", "gaussian",
     "hermite_family", "hermite_gauss", "monomial_gauss", "radial_bump",
-    "dunkl_kernel_E",
-    "make_pair_grid",
     "KernelSpec", "dunkl_translate", "evaluate_q", "freq_box_for",
     "heat_kernel", "heat_kernel_two_point", "q_on_grid",
     "translate_at_points", "two_point_kernel",

@@ -1,15 +1,16 @@
 """The rank-1 Dunkl kernel E_k and its sign-flip product extension.
 
 E_k restricted to one coordinate pair depends only on the product w = x*z and
-solves T f = z f, f(0) = 1.  It has one vectorized evaluator per axis, and
-none off both:
+solves T f = z f, f(0) = 1.  It is reached through one vectorized evaluator
+per axis and nothing else:
 
 * Bessel-J closed form for purely imaginary argument, at every |w|
-  (``kernel_imag_parts``);
+  (``kernel_imag_parts``, with ``kernel_imag_outer`` for outer products);
 * Bessel-I closed form for real argument (heat-kernel side), exponentially
   scaled against overflow (``kernel_real_scaled``).
 
-For Z2^N products, E(x, z) = prod_d E_{k_d}(x_d z_d).
+For Z2^N products, E(x, z) = prod_d E_{k_d}(x_d z_d): ``kernel_imag_batch``
+forms it for z = i xi, and ``kernels.heat_kernel_two_point`` for real z.
 
 Large batches run on every core.  ``kernel_imag_parts`` and
 ``kernel_real_scaled`` cut a C-contiguous batch of at least
@@ -38,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 from scipy.special import gamma, hyp0f1, ive, jv
 
-from .errors import CapabilityError
 from .root_systems import RootSystemSpec, as_points
 
 #: |w| below which the hypergeometric series is used instead of Bessel forms
@@ -217,21 +217,6 @@ def _real_scaled_into(v: np.ndarray, av: np.ndarray, out: np.ndarray,
     np.add(even, np.sign(v) * odd, out=out)
 
 
-def _axis_value(w: complex, k: float) -> complex:
-    """E_k(w) on the imaginary axis by ``kernel_imag_parts``, on the real
-    axis as ``kernel_real_scaled`` times exp(|w|); CapabilityError off
-    both."""
-    if w.real == 0.0:
-        re, im = kernel_imag_parts(np.array(w.imag), k)
-        return complex(re) + 1j * complex(im)
-    if w.imag == 0.0:
-        v = np.array(w.real)
-        return complex(kernel_real_scaled(v, k) * np.exp(np.abs(v)))
-    raise CapabilityError(
-        f"E_k is evaluated on the real and imaginary axes only; got the "
-        f"product argument {w}")
-
-
 def kernel_imag_batch(system: RootSystemSpec, xi_pts: np.ndarray,
                       x_pts: np.ndarray) -> np.ndarray:
     """E(i xi, x) for each pair of points (``as_points``; one point
@@ -245,19 +230,3 @@ def kernel_imag_batch(system: RootSystemSpec, xi_pts: np.ndarray,
         out *= re + 1j * im
     return out
 
-
-def dunkl_kernel_E(system: RootSystemSpec, x, z) -> complex:
-    """E_k(x, z) for a sign-flip product system; z may be real or imaginary.
-
-    The value is the per-coordinate product of rank-1 kernels at the
-    products x_d z_d, each on the real or the imaginary axis.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if x.shape != (system.dim,) or z.shape != (system.dim,):
-        raise ValueError(f"arguments must be vectors of length {system.dim}")
-    ks = system.ks
-    total = 1.0 + 0.0j
-    for d in range(system.dim):
-        total *= _axis_value(complex(x[d] * z[d]), ks[d])
-    return total

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkllab import CapabilityError, dunkl_kernel, product_z2, rank1
-from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, dunkl_kernel_E,
-                                   kernel_imag_batch, kernel_imag_outer,
-                                   kernel_imag_parts, kernel_real_scaled)
+from dunkllab import dunkl_kernel, product_z2
+from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, kernel_imag_batch,
+                                   kernel_imag_outer, kernel_imag_parts,
+                                   kernel_real_scaled)
 
 
 def real_axis(v, k):
-    """E_k(v) for real v, as dunkl_kernel_E forms it."""
+    """E_k(v) for real v, from the scaled evaluator."""
     return kernel_real_scaled(v, k) * np.exp(np.abs(v))
 
 
@@ -54,7 +54,7 @@ class TestKOneClosedForm:
 
     def test_value_at_one_is_cosh_one(self):
         # sinh(1)/1 + cosh(1) - sinh(1) collapses to cosh(1)
-        val = dunkl_kernel_E(rank1(1.0), 1.0, 1.0)
+        val = real_axis(1.0, 1.0)
         assert val == pytest.approx(np.cosh(1.0), abs=1e-14)
         assert val == pytest.approx(1.5430806348152437, abs=1e-13)
 
@@ -74,7 +74,7 @@ class TestKernelBounds:
         assert np.max(np.hypot(re, im)) <= 1.0 + 1e-12
 
     def test_value_at_zero_is_one(self):
-        assert dunkl_kernel_E(rank1(0.7), 1.0, 0.0) == 1.0
+        assert real_axis(0.0, 0.7) == 1.0
         re, im = kernel_imag_parts(np.array([0.0]), 0.7)
         assert re[0] == 1.0 and im[0] == 0.0
 
@@ -86,37 +86,19 @@ class TestKernelBounds:
         assert np.allclose(im_p, -im_m)
 
 
-class TestAxes:
-    @pytest.mark.parametrize("w", [0.3 + 0.3j, -5.0 + 5.0j, 1e-3 - 40.0j])
-    def test_argument_off_both_axes_is_refused(self, w):
-        with pytest.raises(CapabilityError):
-            dunkl_kernel_E(rank1(0.5), 1.0, w)
-
-
 class TestProductExtension:
-    def test_two_dim_value_is_axis_product(self):
-        sys2 = product_z2([0.5, 1.0])
-        x = np.array([0.9, -1.4])
-        xi = np.array([1.1, 0.6])
-        val = dunkl_kernel_E(sys2, x, 1j * xi)
-        a_re, a_im = kernel_imag_parts(np.array([x[0] * xi[0]]), 0.5)
-        b_re, b_im = kernel_imag_parts(np.array([x[1] * xi[1]]), 1.0)
-        expect = (a_re[0] + 1j * a_im[0]) * (b_re[0] + 1j * b_im[0])
-        assert val == pytest.approx(expect, abs=1e-14)
-
     def test_batch_matches_scalar(self):
+        # E(i xi, x) is the product over the axes of E_{k_d}(i xi_d x_d)
         sys2 = product_z2([0.5, 1.0])
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(6, 2))
         xis = rng.normal(size=(6, 2))
         batch = kernel_imag_batch(sys2, xis, xs)
         for j in range(6):
-            assert batch[j] == pytest.approx(
-                dunkl_kernel_E(sys2, xs[j], 1j * xis[j]), abs=1e-13)
-
-    def test_wrong_length_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            dunkl_kernel_E(rank1(0.5), np.ones(2), np.ones(2))
+            a_re, a_im = kernel_imag_parts(xis[j, 0] * xs[j, 0], 0.5)
+            b_re, b_im = kernel_imag_parts(xis[j, 1] * xs[j, 1], 1.0)
+            expect = complex(a_re + 1j * a_im) * complex(b_re + 1j * b_im)
+            assert batch[j] == pytest.approx(expect, abs=1e-13)
 
 
 class TestOuterEvaluation:

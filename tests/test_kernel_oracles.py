@@ -1,19 +1,23 @@
-"""The rank-one kernel against an independent 40-digit oracle.
+"""The rank-one kernel and the closed-form heat kernel against independent
+40-digit oracles.
 
 E_k(w) = e^w 1F1(k; 2k+1; -2w) (Kummer's form of the rank-one Dunkl
-kernel) is summed by mpmath at 40 significant digits.  Each tolerance is
-relative, set at 1.5 times the worst error measured on the points below
-(scipy 1.17.1).  The points cross ``SMALL_ARG_LIMIT``, where both
-evaluators hand the hypergeometric series over to the Bessel forms.
+kernel) is summed by mpmath at 40 significant digits.  The heat kernel's
+oracle builds h_t(x, y) from it, with its own closed-form c_k and N_h
+(Rosler, Comm. Math. Phys. 192 (1998)).  Each tolerance is relative, set
+at 1.5 times the worst error measured on the points below (scipy 1.17.1).
+The points cross ``SMALL_ARG_LIMIT``, where both evaluators hand the
+hypergeometric series over to the Bessel forms.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from dunkllab import rank1
-from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, dunkl_kernel_E,
-                                   kernel_imag_parts, kernel_real_scaled)
+from dunkllab import WeightedContext, product_z2
+from dunkllab.dunkl_kernel import (SMALL_ARG_LIMIT, kernel_imag_parts,
+                                   kernel_real_scaled)
+from dunkllab.kernels import heat_kernel_two_point
 
 DIGITS = 40
 L = SMALL_ARG_LIMIT
@@ -24,8 +28,8 @@ U = np.r_[np.linspace(-60.0, 60.0, 121), 0.0, 1e-8, -0.3, 0.49, 0.51, -L,
 #: real arguments v >= 0 of E_k(v) e^{-|v|}; the v < 0 points are -V[1:]
 V = np.r_[np.linspace(0.0, 300.0, 61), 1e-8, 0.3, 0.49, 0.51, 1.0,
           [L * f for f in NEAR]]
-#: |w| of dunkl_kernel_E's arguments, denser about |w| = 20
-W = np.r_[np.linspace(0.0, 40.0, 21), 19.5, 20.5, [20.0 * f for f in NEAR]]
+#: times of the heat kernel
+T = (0.25, 1.0, 4.0)
 
 
 def oracle(w: complex, k: float) -> mp.mpc:
@@ -53,12 +57,6 @@ REAL_POS_TOL = {0.0: 3.8e-14, 1e-3: 1.8e-14, 0.5: 6.1e-16, 1.3: 3.5e-14}
 #: measured worst 2.16e-13 and 8.19e-14; the small-k entries hold the
 #: larger of these as the target of ROADMAP item 2
 REAL_NEG_TOL = {0.5: 3.2e-13, 1.3: 1.2e-13, 0.0: 3.2e-13, 1e-3: 3.2e-13}
-#: measured worst 2.56e-14, 5.26e-14, 1.31e-15 and 5.72e-14 on +-iW and +W
-#: (k = 0 on the real axis, the others on the imaginary axis)
-E_TOL = {0.0: 3.9e-14, 1e-3: 7.9e-14, 0.5: 2.0e-15, 1.3: 8.6e-14}
-#: measured worst 3.13e-14 and 3.74e-14 on -W; the small-k entries hold the
-#: larger of these as the target of ROADMAP item 2
-E_NEG_TOL = {0.5: 4.7e-14, 1.3: 5.6e-14, 0.0: 5.6e-14, 1e-3: 5.6e-14}
 
 CANCELLATION = pytest.mark.xfail(
     strict=True,
@@ -66,12 +64,6 @@ CANCELLATION = pytest.mark.xfail(
            "which cancels for v < 0 at small k; measured worst relative "
            "error 9.5e239 at k = 0 (v = -295) and 1.7e-9 at k = 1e-3 "
            "(v = -20)")
-E_CANCELLATION = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: dunkl_kernel_E reads kernel_real_scaled on the "
-           "real axis, which cancels for v < 0 at small k; measured worst "
-           "relative error 3.1e18 at k = 0 (w = -40) and 1.7e-9 at k = 1e-3 "
-           "(w = -20.5)")
 
 
 @pytest.mark.parametrize("k", sorted(IMAG_TOL))
@@ -97,30 +89,86 @@ def test_real_scaled_negative_axis(k):
     assert worst_relative(kernel_real_scaled(v, k), expect) < REAL_NEG_TOL[k]
 
 
-@pytest.mark.parametrize("k", sorted(E_TOL))
-def test_dunkl_kernel_E_on_the_imaginary_and_positive_real_axes(k):
-    system = rank1(k)
-    args = np.r_[1j * W, -1j * W, W]
-    got = [dunkl_kernel_E(system, 1.0, w) for w in args]
-    expect = [complex(oracle(w, k)) for w in args]
-    assert worst_relative(got, expect) < E_TOL[k]
-
-
-@pytest.mark.parametrize("k", [
-    0.5, 1.3,
-    pytest.param(0.0, marks=E_CANCELLATION),
-    pytest.param(1e-3, marks=E_CANCELLATION)])
-def test_dunkl_kernel_E_on_the_negative_real_axis(k):
-    system = rank1(k)
-    got = [dunkl_kernel_E(system, 1.0, -w) for w in W]
-    expect = [complex(oracle(-w, k)) for w in W]
-    assert worst_relative(got, expect) < E_NEG_TOL[k]
-
-
 def test_e_one_at_one_is_cosh_one():
     with mp.workdps(DIGITS):
         assert abs(oracle(1.0, 1.0) - mp.cosh(1)) < mp.mpf(10) ** (1 - DIGITS)
     #: measured 1.44e-15 (ten units in the last place), from
     #: kernel_real_scaled(1, 1) e^1
-    assert worst_relative(dunkl_kernel_E(rank1(1.0), 1.0, 1.0),
+    assert worst_relative(kernel_real_scaled(1.0, 1.0) * np.exp(1.0),
                           np.cosh(1.0)) < 2.2e-15
+
+
+def heat_oracle(ks, x, y, t: float) -> float:
+    """h_t(x, y) = c_k^{-1} (2t)^{-N_h/2} e^{-(|x|^2+|y|^2)/4t}
+    prod_d E_{k_d}(v_d), v_d = x_d y_d / 2t, with c_k = prod_d
+    2^{2k_d+1/2} Gamma(k_d+1/2) and N_h = N + 2 sum_d k_d."""
+    with mp.workdps(DIGITS):
+        t = mp.mpf(t)
+        ks = [mp.mpf(k) for k in ks]
+        c_k = mp.fprod(2 ** (2 * k + 0.5) * mp.gamma(k + 0.5) for k in ks)
+        value = (2 * t) ** (-(len(ks) + 2 * mp.fsum(ks)) / 2) / c_k
+        for k, xd, yd in zip(ks, map(mp.mpf, x), map(mp.mpf, y)):
+            value *= (mp.exp(-(xd ** 2 + yd ** 2) / (4 * t))
+                      * oracle(xd * yd / (2 * t), k))
+        return float(value)
+
+
+def heat_pairs(dim: int, negative: bool):
+    """Pairs (x, y) as (M, dim) arrays: those with a negative x_d y_d if
+    ``negative``, else those with every x_d y_d >= 0.
+
+    Rank 1: the pairs x >= |y| of a 27-point grid on [-6, 6].  The grid is
+    symmetric, and h_t(x, y) is formed from x y and (|x| - |y|)^2, so they
+    give the bits of all 27^2 pairs.  Rank 2: 60 pairs in [-4, 4]^2.
+    """
+    if dim == 1:
+        g = 6.0 / 13.0 * np.arange(-13, 14)
+        x, y = (a.reshape(-1, 1) for a in np.meshgrid(g, g, indexing="ij"))
+        keep = x[:, 0] >= np.abs(y[:, 0])
+        x, y = x[keep], y[keep]
+    else:
+        x, y = np.random.default_rng(2).uniform(-4.0, 4.0, (2, 60, 2))
+    chosen = np.any(x * y < 0, axis=1) == negative
+    return x[chosen], y[chosen]
+
+
+def heat_worst(ks: tuple, negative: bool) -> float:
+    """Worst relative error of ``heat_kernel_two_point`` over
+    ``heat_pairs`` and the times T."""
+    ctx = WeightedContext(product_z2(list(ks)))
+    x, y = heat_pairs(len(ks), negative)
+    return max(worst_relative(heat_kernel_two_point(ctx, x, y, t),
+                              [heat_oracle(ks, a, b, t) for a, b in zip(x, y)])
+               for t in T)
+
+
+#: measured worst 1.33e-13, 1.23e-13, 8.74e-15, 7.55e-14, 1.80e-14 and
+#: 5.20e-14 where every x_d y_d >= 0
+HEAT_TOL = {(0.0,): 2.0e-13, (1e-3,): 1.8e-13, (0.5,): 1.3e-14,
+            (1.3,): 1.1e-13, (0.5, 1.3): 2.7e-14, (0.0, 0.5): 7.8e-14}
+#: measured worst 7.33e-14, 7.22e-14 and 3.09e-14 with a negative x_d y_d;
+#: the small-k entries hold the largest of these as the target of ROADMAP
+#: items 2 and 18
+HEAT_NEG_TOL = {(0.5,): 1.1e-13, (1.3,): 1.1e-13, (0.5, 1.3): 4.6e-14,
+                (0.0,): 1.1e-13, (1e-3,): 1.1e-13, (0.0, 0.5): 1.1e-13}
+
+HEAT_CANCELLATION = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP items 2 and 18: heat_kernel_two_point multiplies "
+           "kernel_real_scaled, which cancels for v < 0 at small k; measured "
+           "worst relative error 1.9e46 at k = 0, 1.7e-9 at k = 1e-3 and "
+           "2.3e4 at ks [0, 0.5]")
+
+
+@pytest.mark.parametrize("ks", sorted(HEAT_TOL))
+def test_heat_kernel_two_point_nonnegative_products(ks):
+    assert heat_worst(ks, negative=False) < HEAT_TOL[ks]
+
+
+@pytest.mark.parametrize("ks", [
+    (0.5,), (1.3,), (0.5, 1.3),
+    pytest.param((0.0,), marks=HEAT_CANCELLATION),
+    pytest.param((1e-3,), marks=HEAT_CANCELLATION),
+    pytest.param((0.0, 0.5), marks=HEAT_CANCELLATION)])
+def test_heat_kernel_two_point_negative_products(ks):
+    assert heat_worst(ks, negative=True) < HEAT_NEG_TOL[ks]

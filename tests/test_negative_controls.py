@@ -3,7 +3,9 @@ object must FAIL.  The wrong object is injected with ``monkeypatch``;
 no criterion, tolerance or slack is changed.  Each control runs through
 ``run_check``, the one entry point, and first asserts that the true
 object passes.  Every registered kind has a control here, or a strict
-xfail naming the ROADMAP item that will add one."""
+xfail naming the ROADMAP item that will add one.  The sharpness probes
+drop one ingredient of a bound the same way: a check that still passes
+without it has not tested it."""
 
 from dataclasses import replace
 
@@ -177,6 +179,41 @@ def test_translation_lipschitz_fails_for_a_square_root_shift(monkeypatch):
     monkeypatch.setattr(harness, "dunkl_translate", square_root_shift)
     report = _run(RANK1_CONFIG, "translation-lipschitz")
     assert not report.passed, report.fitted
+
+
+#: the kinds whose bound is stated in the orbit distance, run with their
+#: default parameters on the systems of rank1-sweep and rank2-pointwise
+ORBIT_PROBE_KINDS = ["thm2-two-point", "heat-gaussian-bound"]
+
+
+def _euclidean(group, xs, ys):
+    return np.linalg.norm(xs - ys, axis=1)
+
+
+@pytest.mark.parametrize("kind", ORBIT_PROBE_KINDS)
+def test_probe_euclidean_distance_fails_in_rank_one(kind, monkeypatch):
+    # sharpness probe (ROADMAP item 21): the bound is stated in the orbit
+    # distance d(x, y) = min_sigma |x - sigma y|; with |x - y| in its place
+    # the held-out ratio reads 1.13 (thm2-two-point) and 2.51
+    # (heat-gaussian-bound), above the pass line 1
+    assert _run(RANK1_CONFIG, kind).passed
+    monkeypatch.setattr(harness, "orbit_distance_pairwise", _euclidean)
+    report = _run(RANK1_CONFIG, kind)
+    assert not report.passed, report.max_defect
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP items 3 and 21: 3 of the 300 rank-2 pairs have "
+           "d(x, y) < 0.5 with |x - y| > 2, so |x - y| in place of the "
+           "orbit distance still passes, with held-out ratios 0.958 "
+           "(thm2-two-point) and 0.908 (heat-gaussian-bound)")
+@pytest.mark.parametrize("kind", ORBIT_PROBE_KINDS)
+def test_probe_euclidean_distance_fails_in_rank_two(kind, monkeypatch):
+    assert _run(RANK2_CONFIG, kind).passed
+    monkeypatch.setattr(harness, "orbit_distance_pairwise", _euclidean)
+    report = _run(RANK2_CONFIG, kind)
+    assert not report.passed, report.max_defect
 
 
 #: the negative control of each registered kind
