@@ -1,6 +1,6 @@
 """Every check parameter at the edges of its schema, in rank 1 (k = 0.5,
-0, 1e-3, 3 and 10) and in rank 2 (``product_z2``, ks = [0.5, 0.5], [0, 1],
-[1e-3, 3] and [3, 1e-3]).
+0, 1e-3, 3, 10, 20 and 100) and in rank 2 (``product_z2``, ks = [0.5, 0.5],
+[0, 1], [1e-3, 3], [3, 1e-3], [20, 20] and [100, 100]).
 
 Each parameter of each kind in ``checks.CHECKS``, and each key of a
 ``spec``, is set on its own to the edges its schema admits: its minimum (or
@@ -34,12 +34,13 @@ import numpy as np
 from dunkllab import runner
 from dunkllab.checks import CHECKS
 
-#: the systems swept: k = 0.5, k = 0, tiny and large k, and a tiny k next
-#: to a large one on either axis
+#: the systems swept: k = 0.5, k = 0, tiny and large k (up to 100), and a
+#: tiny k next to a large one on either axis
 SYSTEMS = {1: [{"type": "rank1", "k": k}
-               for k in (0.5, 0.0, 1e-3, 3.0, 10.0)],
+               for k in (0.5, 0.0, 1e-3, 3.0, 10.0, 20.0, 100.0)],
            2: [{"type": "product_z2", "ks": ks}
-               for ks in ([0.5, 0.5], [0.0, 1.0], [1e-3, 3.0], [3.0, 1e-3])]}
+               for ks in ([0.5, 0.5], [0.0, 1.0], [1e-3, 3.0], [3.0, 1e-3],
+                          [20.0, 20.0], [100.0, 100.0])]}
 #: (system as JSON, kind, parameter, value as JSON) -> the ROADMAP item
 #: that mends it
 KNOWN: dict = {}

@@ -162,8 +162,8 @@ def _require_polygauss(*fs):
 def _form_terms(ctx: WeightedContext, ell: int, directions, f: _Samples,
                 g: _Samples, grid: TensorGrid, fields: EtaFields):
     """Per-direction integrals of T^l f . T^l(g eta) plus their gross mass,
-    the |integrand| dw sum that the shell check takes; one weighted pass
-    gives both."""
+    the |integrand| dw sum that the shell check takes
+    (``integrate_shell_checked``)."""
     total = 0.0
     gross = 0.0
     for zeta in directions:

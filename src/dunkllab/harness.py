@@ -445,8 +445,7 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
         for r2 in radii for r1 in radii}
     bctx = check_context(ctx, params)
     norms = np.sqrt(bctx.grid.outer_sum(lambda d, x: x * x))
-    # f and phi are the same bumps, sampled on the grid axes: transform
-    # each radius once
+    # f and phi are the same bumps, sampled on the grid axes
     bumps = {r: radial_bump(ctx.dim, r) for r in radii}
     f_l1 = {r: float(bctx.grid.integrate(np.abs(sample(bump, bctx.grid))))
             for r, bump in bumps.items()}
@@ -454,10 +453,19 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
         if not norm > 0:
             raise AccuracyError(f"the bump of radius {r:g} has L1 norm "
                                 f"{norm:g}: no grid node lies in its support")
-    spectra = {r: dunkl_transform(bctx, bump) for r, bump in bumps.items()}
+    spectra = {}
+
+    def spectrum(r: float, keep: float):
+        # at most two bump spectra are alive: a third drops the one that
+        # its pair does not need before it is formed
+        if r not in spectra:
+            for old in [s for s in spectra if s != keep]:
+                del spectra[old]
+            spectra[r] = dunkl_transform(bctx, bumps[r])
+        return spectra[r]
 
     def translated_l1(r1: float, r2: float) -> float:
-        conv = dunkl_convolve(bctx, spectra[r2], spectra[r1])
+        conv = dunkl_convolve(bctx, spectrum(r2, r1), spectrum(r1, r2))
         # the convolution of radial functions supported in radii r1, r2
         # is supported in radius r1 + r2; zero the outside so grid
         # ripple there cannot pollute the translation step
@@ -468,16 +476,18 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
 
     # the spectra product commutes bit for bit and the support mask is
     # symmetric, so (r1, r2) and (r2, r1) give the same bits: each
-    # unordered pair is convolved, masked and translated once
+    # unordered pair is convolved, masked and translated once.  Pair j
+    # with j - 1, ..., 0, then with itself: each pair after the first
+    # forms one spectrum, so 1 + n(n - 1)/2 spectra are formed in all
+    # (a spectrum formed again has its bits)
     l1_of = {}
+    for j, rj in enumerate(radii):
+        for ri in [*reversed(radii[:j]), rj]:
+            l1_of[ri, rj] = translated_l1(rj, ri)
     vals, scales, cal_mask = [], [], []
-    for r2 in radii:          # support radius of f
-        for r1 in radii:      # support radius of the radial factor phi
-            pair = (min(r1, r2), max(r1, r2))
-            if pair not in l1_of:
-                l1_of[pair] = translated_l1(r1, r2)
-            l1 = l1_of[pair]
-            vals.append(l1)
+    for i2, r2 in enumerate(radii):   # support radius of f
+        for i1, r1 in enumerate(radii):   # support radius of phi
+            vals.append(l1_of[radii[min(i1, i2)], radii[max(i1, i2)]])
             scales.append(support_scale[r1, r2] * f_l1[r2])
             cal_mask.append(r1 >= r2)
     vals = np.asarray(vals)
@@ -502,8 +512,10 @@ def _check_compact_support_l1(ctx: WeightedContext, spec: KernelSpec,
               "takes r1 >= r2, held-out the mirrored pairs")
 
 
-def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:
-    """d(x, y) at every node x of the spatial grid, in its shape.
+def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray,
+                       rows: slice = slice(None)) -> np.ndarray:
+    """d(x, y) at every node x of the spatial grid, in its shape; on the
+    given ``rows`` (leading-axis indices) only, if given.
 
     The closed form of ``orbit_distance_pairwise`` is taken axis by axis,
     bit-identical to it on ``points()`` but without forming them.
@@ -511,7 +523,7 @@ def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray) -> np.ndarray:
     def square(d, x):
         diff = np.abs(x) - np.abs(y[d])
         return diff * diff
-    total = ctx.grid.outer_sum(square)
+    total = ctx.grid.outer_sum(square, rows)
     return np.sqrt(total, out=total)
 
 
@@ -577,18 +589,20 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
         del real
         moved = dunkl_translate(cctx, spectrum, y_shift).values
         del spectrum
-        # C order, as the buffer of ``grid.integrate`` is: the weighted sum
-        # is formed in place and has the bits of ``integrate(flipped)``
-        flipped = np.abs(moved[(slice(None, None, -1),) * cctx.dim],
-                         order="C")
-        del moved
-        weight = _orbit_distance_to(cctx, y_shift)
-        weight **= a_exp
-        weight *= c_weight
-        np.exp(weight, out=weight)
-        flipped *= weight
-        del weight
-        value = float(np.sum(cctx.grid.weighted(flipped, flipped)))
+        flip = (slice(None, None, -1),) * cctx.dim
+
+        def rows_of(rows: slice) -> np.ndarray:
+            # |moved(-x)| e^{c d(x, y)^a} dw on the rows of one leaf, with
+            # the bits of the same steps on the whole grid
+            weight = _orbit_distance_to(cctx, y_shift, rows)
+            weight **= a_exp
+            weight *= c_weight
+            np.exp(weight, out=weight)
+            weight *= np.abs(moved[flip][rows])
+            weight *= cctx.grid.weight_rows(rows)
+            return weight
+
+        value = float(cctx.grid.row_sum(rows_of))
         if not value > 0.0:
             raise AccuracyError(
                 f"weighted integral is {value:.3g} at eps0 {eps0:g} on the "

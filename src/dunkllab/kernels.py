@@ -27,6 +27,7 @@ read when a check runs and recorded in its report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,17 +141,24 @@ class KernelSpec:
 
     def min_direction_coefficient(self) -> float:
         """min over unit xi of sum_j <zeta_j, xi>^{2l} (without the eps term)."""
-        if self.dim == 1:
-            return float(sum(abs(z[0]) ** (2 * self.ell)
-                             for z in self.direction_arrays()))
-        if self.dim == 2:
-            ang = np.linspace(0.0, np.pi, 4096, endpoint=False)
-            u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            vals = np.zeros(len(u))
-            for z in self.direction_arrays():
-                vals += (u @ z) ** (2 * self.ell)
-            return float(vals.min())
-        raise NotImplementedError("symbol analysis implemented for dim <= 2")
+        return _min_direction_coefficient(self.directions, self.ell)
+
+
+@lru_cache(maxsize=64)
+def _min_direction_coefficient(directions: tuple, ell: int) -> float:
+    """``KernelSpec.min_direction_coefficient``, once per (directions, l):
+    every spec built reads it for its box, ``replace`` included."""
+    dirs = [np.asarray(z, dtype=float) for z in directions]
+    if len(directions[0]) == 1:
+        return float(sum(abs(z[0]) ** (2 * ell) for z in dirs))
+    if len(directions[0]) == 2:
+        ang = np.linspace(0.0, np.pi, 4096, endpoint=False)
+        u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        vals = np.zeros(len(u))
+        for z in dirs:
+            vals += (u @ z) ** (2 * ell)
+        return float(vals.min())
+    raise NotImplementedError("symbol analysis implemented for dim <= 2")
 
 
 def freq_box_for(spec: KernelSpec) -> float:
@@ -298,7 +306,15 @@ def heat_kernel_two_point(ctx: WeightedContext, x, y, t: float) -> np.ndarray:
     expo = -np.sum((np.abs(xs) - np.abs(ys)) ** 2, axis=1) / (4.0 * t)
     prod = np.ones(len(xs))
     for d in range(ctx.dim):
-        prod *= kernel_real_scaled(xs[:, d] * ys[:, d] / (2.0 * t), ks[d])
+        v = xs[:, d] * ys[:, d] / (2.0 * t)
+        factor = kernel_real_scaled(v, ks[d])
+        bad = np.isnan(factor)
+        if bad.any():
+            raise AccuracyError(
+                f"h_t(x, y) is NaN at t = {t:g}: the scaled rank-one kernel "
+                f"E_k(v) e^(-|v|) has no value at |v| = |x_{d + 1} y_{d + 1}|"
+                f" / 2t = {np.min(np.abs(v[bad])):.3g}")
+        prod *= factor
     return amp * np.exp(expo) * prod
 
 
@@ -346,7 +362,9 @@ def two_point_kernel(ctx: WeightedContext, spec: KernelSpec, x, y) -> np.ndarray
                                    grid.axis_nodes(d), ctx.system.ks[d])
         pair_axis.append((re[:n] + 1j * im[:n]) * (re[n:] - 1j * im[n:])
                          * grid.axes[d].weights[None, :])
-    return _real_part_checked(point_sums(pair_axis, sym) / ctx.c_k**2,
+    c_k_sq = finite_power(ctx.c_k, 2, "the squared normalisation c_k^2",
+                          f"c_k = {ctx.c_k:.3g}")
+    return _real_part_checked(point_sums(pair_axis, sym) / c_k_sq,
                               "two-point kernel")
 
 

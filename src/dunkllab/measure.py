@@ -202,13 +202,19 @@ def _gaussian_mass(geometry: tuple) -> float:
     """int exp(-|x|^2/2) dw by the quadrature of one grid geometry, once per
     process: a refined context's base grid is the refined grid of the
     context it came from, so both of their c_k need the same sum.  The
-    field is formed on the grid axes and weighted in place
-    (``TensorGrid.weighted``)."""
+    weighted field is formed from the grid axes a few rows at a time
+    (``TensorGrid.row_sum``), never whole on a grid of more than one
+    block."""
     grid = TensorGrid(axes=tuple(AxisRule.build(*axis) for axis in geometry))
-    vals = grid.outer_sum(lambda d, x: x ** 2)
-    vals *= -0.5
-    np.exp(vals, out=vals)
-    return np.sum(grid.weighted(vals, vals))
+
+    def rows_of(rows: slice) -> np.ndarray:
+        vals = grid.outer_sum(lambda d, x: x ** 2, rows)
+        vals *= -0.5
+        np.exp(vals, out=vals)
+        vals *= grid.weight_rows(rows)
+        return vals
+
+    return grid.row_sum(rows_of)
 
 
 @dataclass

@@ -12,16 +12,17 @@ by ``REFINE_FACTOR`` (node counts from ``refined_n_half``); ``check_shell``
 rejects an integrand whose |values| dw mass is not finite, or whose outer
 boundary shell carries more than ``SHELL_TOL`` of that mass.
 
-``integrate`` and the shell check write weight x integrand into one
-C-ordered buffer and sum it, the same bits as
-``np.sum(weight_tensor() * values)``; ``integrate_shell_checked`` takes
-both numbers of a real integrand from one such buffer.  A grid whose
-float64 array fits in one block (``TensorGrid.row_blocks`` is a single
-slice, ``BLOCK_BYTES`` a block: 1-D grids, and 2-D grids up to 724^2)
-forms its weight tensor and its shell mask once and keeps both,
-read-only, for its lifetime.  A larger grid holds neither: its weights
-reach the integrand one block of rows at a time, so what stays grid-sized
-is the one buffer, and the weight tensor is never formed whole.
+Every whole-grid sum of real values has the bits of ``np.sum`` of the
+C-ordered float64 array (``TensorGrid.row_sum``): ``integrate`` sums
+weight x integrand, and the shell check sums |integrand| dw over the grid
+and over its boundary shell, each on its own tree.  A grid whose float64
+array fits in one block (``TensorGrid.row_blocks`` is a single slice,
+``BLOCK_BYTES`` a block: 1-D grids, and 2-D grids up to 724^2) sums that
+array whole, and forms its weight tensor and its shell mask once and
+keeps both, read-only, for its lifetime.  A larger grid holds neither and
+forms no array of its size: numpy's pairwise tree is followed down to
+leaves of at most ``BLOCK_BYTES`` (``pairwise_sum``), and each leaf is
+formed from its rows of weights, mask and integrand alone.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .errors import AccuracyError, DomainTooSmallError
 REFINE_FACTOR = 1.5
 SHELL_FRACTION = 0.05
 SHELL_TOL = 1e-10
-#: bytes of one block of the package's blocked grid loops: weight rows here,
-#: the transform's operands and results in ``transform``.  Small next to a
+#: bytes of one block of the package's blocked grid loops: weight rows and
+#: the leaves of ``pairwise_sum`` here, the transform's operands and results
+#: in ``transform``.  Small next to a
 #: grid-sized array, and large enough that a 240^2 grid of float64 is one
 #: block.
 BLOCK_BYTES = 4 * 2**20
@@ -55,6 +57,23 @@ def block_slices(n: int, row_bytes: int) -> list[slice]:
     to gemv instead of gemm in a blocked matrix product."""
     step = max(2, BLOCK_BYTES // row_bytes // 2 * 2)
     return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def pairwise_sum(n: int, leaf, lo: int = 0) -> np.float64:
+    """``np.sum`` of a C-ordered float64 sequence of n values, bit for bit,
+    from ``leaf(lo, hi)``: its values lo..hi-1 as one array.
+
+    numpy sums a contiguous array along a fixed pairwise tree (Higham,
+    SIAM J. Sci. Comput. 14, 1993): above 128 values it splits n at n/2
+    rounded down to a multiple of 8.  The same splits are taken here, down
+    to leaves of at most ``BLOCK_BYTES`` of values, each summed by
+    ``np.sum``, so only one leaf is alive at a time.  ``lo`` is where the
+    sequence starts in ``leaf``'s indices."""
+    if n <= max(BLOCK_BYTES // 8, 128):
+        return np.sum(np.ravel(leaf(lo, lo + n)))
+    half = n // 2 // 8 * 8
+    return pairwise_sum(half, leaf, lo) + pairwise_sum(n - half, leaf,
+                                                       lo + half)
 
 
 def refined_n_half(n_half: int) -> int:
@@ -134,12 +153,13 @@ class TensorGrid:
         mesh = np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def outer_sum(self, fn) -> np.ndarray:
+    def outer_sum(self, fn, rows: slice = slice(None)) -> np.ndarray:
         """sum_d fn(d, x_d) on the grid, in its shape, built from the axis
-        nodes by ``np.add.outer`` in axis order.  For dim <= 2 this equals
+        nodes by ``np.add.outer`` in axis order; on the given ``rows``
+        (leading-axis indices) only, if given.  For dim <= 2 this equals
         the row sums of fn over the columns of ``points()`` bit for bit,
         without forming ``points()``."""
-        total = fn(0, self.axes[0].nodes)
+        total = fn(0, self.axes[0].nodes[rows])
         for d in range(1, self.dim):
             total = np.add.outer(total, fn(d, self.axes[d].nodes))
         return total
@@ -150,51 +170,40 @@ class TensorGrid:
         n = self.shape[0]
         return block_slices(n, 8 * (self.size // n))
 
-    def _held(self, name: str, compute) -> np.ndarray:
-        """``compute()``; on a one-block grid formed once, made read-only
-        and kept with the grid, so threads sharing the grid share the one
-        array."""
+    def _held(self, name: str, form, rows: slice | None = None):
+        """``form(rows)``, or ``form()`` when ``rows`` is None.  On a
+        one-block grid they are cut from ``form()``, formed once, made
+        read-only and kept with the grid, so threads sharing the grid share
+        the one array; a larger grid forms each on its own and keeps
+        nothing."""
         held = self.__dict__.get(name)
-        if held is not None:
-            return held
-        if len(self.row_blocks()) > 1:
-            return compute()
-        with _HELD_LOCK:
-            held = self.__dict__.get(name)
-            if held is None:
-                held = compute()
-                held.flags.writeable = False
-                # the dataclass is frozen; the held arrays are not fields
-                self.__dict__[name] = held
-        return held
+        if held is None:
+            if len(self.row_blocks()) > 1:
+                return form() if rows is None else form(rows)
+            with _HELD_LOCK:
+                held = self.__dict__.get(name)
+                if held is None:
+                    held = form()
+                    held.flags.writeable = False
+                    # the dataclass is frozen; the held arrays are not fields
+                    self.__dict__[name] = held
+        return held if rows is None else held[rows]
 
     def weight_tensor(self) -> np.ndarray:
         """The weights of all nodes in the grid's shape; held with a
         one-block grid."""
-        return self._held("_weights", lambda: self.weight_rows(slice(None)))
+        return self._held("_weights", self._weight_rows)
 
     def weight_rows(self, rows: slice) -> np.ndarray:
-        """``weight_tensor()[rows]`` with its bits, formed on its own."""
+        """``weight_tensor()[rows]`` with its bits, formed on its own on a
+        grid of more than one block."""
+        return self._held("_weights", self._weight_rows, rows)
+
+    def _weight_rows(self, rows: slice = slice(None)) -> np.ndarray:
         block = self.axes[0].weights[rows]
         for ax in self.axes[1:]:
             block = np.multiply.outer(block, ax.weights)
         return block
-
-    def weighted(self, values: np.ndarray, out: np.ndarray,
-                 first=None) -> np.ndarray:
-        """``out = weight_tensor() * first(values)`` bit for bit, for values
-        in the grid's shape and an elementwise ufunc ``first`` (none by
-        default), one block of rows at a time: the held weight tensor on a
-        one-block grid, else its rows formed per block.  ``out`` may be
-        ``values``."""
-        blocks = self.row_blocks()
-        for rows in blocks:
-            v = values[rows] if first is None else first(values[rows],
-                                                         out=out[rows])
-            # a block of weight rows lives for its product only
-            np.multiply(self.weight_tensor() if len(blocks) == 1
-                        else self.weight_rows(rows), v, out=out[rows])
-        return out
 
     def refined(self) -> "TensorGrid":
         axes = tuple(
@@ -205,42 +214,112 @@ class TensorGrid:
 
     def integrate(self, values: np.ndarray) -> float | complex:
         """Integrate values sampled on the grid (tensor shape or flat):
-        ``np.sum(weight_tensor() * values)`` bit for bit, the product
-        formed in row blocks into one C-ordered buffer."""
+        ``np.sum(weight_tensor() * values)`` bit for bit.  A real integral
+        is a ``row_sum``; a complex one sums one C-ordered buffer of the
+        products, formed in row blocks."""
         v = np.asarray(values).reshape(self.shape)
-        out = np.empty(self.shape,
-                       dtype=np.result_type(self.axes[0].weights, v))
-        return np.sum(self.weighted(v, out))
+        if not np.iscomplexobj(v):
+            return self.row_sum(lambda rows: _weighted_rows(self, v, rows))
+        out = np.empty(self.shape, dtype=complex)
+        for rows in self.row_blocks():
+            np.multiply(self.weight_rows(rows), v[rows], out=out[rows])
+        return np.sum(out)
+
+    def row_sum(self, rows_of, shell: bool = False) -> np.float64:
+        """``np.sum(a)``, or ``np.sum(a[shell_mask()])`` if ``shell``, bit
+        for bit, for the float64 array ``a`` in the grid's shape whose
+        ``rows`` (leading-axis indices) ``rows_of(rows)`` forms.
+
+        A one-block grid sums ``a`` whole, one leaf.  On a larger grid each
+        leaf of ``pairwise_sum`` takes its values from the rows it covers:
+        a leaf of ``a`` from one ``rows_of``, a leaf of the shell, whose
+        values can lie in every row, from its rows half a block at a time.
+        So neither ``a`` nor the mask is formed whole."""
+        if len(self.row_blocks()) == 1:
+            a = rows_of(slice(None))
+            return np.sum(a[self.shell_mask()] if shell else np.ravel(a))
+        first, rest = self._axis_masks()
+        width = rest.size
+        counts = (np.where(first, width, np.count_nonzero(rest)) if shell
+                  else np.full(first.size, width))
+        starts = np.concatenate([[0], np.cumsum(counts)])
+
+        def leaf(lo: int, hi: int) -> np.ndarray:
+            top = int(np.searchsorted(starts, lo, "right")) - 1
+            stop = int(np.searchsorted(starts, hi, "left"))
+            if not shell:
+                a = np.ravel(rows_of(slice(top, stop)))
+                return a[lo - starts[top]:hi - starts[top]]
+            out = np.empty(hi - lo)
+            # blocks of half the rows: with ``out``, the leaf holds about
+            # what a leaf of ``a`` does
+            for block in block_slices(stop - top, 16 * width):
+                rows = slice(top + block.start, min(top + block.stop, stop))
+                head = starts[rows.start]
+                part = slice(max(lo, head), min(hi, starts[rows.stop]))
+                vals = rows_of(rows)[self.shell_rows(rows)]
+                out[part.start - lo:part.stop - lo] = \
+                    vals[part.start - head:part.stop - head]
+            return out
+
+        return pairwise_sum(int(starts[-1]), leaf)
+
+    def _axis_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(shell nodes of the leading axis, the shell mask of one row):
+        per axis, the outer ``SHELL_FRACTION`` of the half-width."""
+        masks = [np.abs(ax.nodes) > ax.half_width * (1.0 - SHELL_FRACTION)
+                 for ax in self.axes]
+        rest = np.array(False)
+        for mm in masks[1:]:
+            rest = np.logical_or.outer(rest, mm)
+        return masks[0], rest
 
     def shell_mask(self) -> np.ndarray:
         """Boolean tensor marking the outer boundary shell (per-axis outer
         ``SHELL_FRACTION`` of the half-width); held with a one-block grid."""
         return self._held("_shell", self._shell_mask)
 
-    def _shell_mask(self) -> np.ndarray:
-        masks = []
-        for ax in self.axes:
-            cut = ax.half_width * (1.0 - SHELL_FRACTION)
-            masks.append(np.abs(ax.nodes) > cut)
-        m = masks[0]
-        for mm in masks[1:]:
-            m = np.logical_or.outer(m, mm)
-        return m
+    def shell_rows(self, rows: slice) -> np.ndarray:
+        """``shell_mask()[rows]``, formed on its own on a grid of more than
+        one block."""
+        return self._held("_shell", self._shell_mask, rows)
+
+    def _shell_mask(self, rows: slice = slice(None)) -> np.ndarray:
+        first, rest = self._axis_masks()
+        return np.logical_or.outer(first[rows], rest)
 
 
-def _abs_mass(grid: TensorGrid, values: np.ndarray) -> np.ndarray:
-    """|values| dw per node, in one C-ordered buffer: the bits of
-    ``weight_tensor() * np.abs(values)``."""
-    return grid.weighted(np.asarray(values).reshape(grid.shape),
-                         np.empty(grid.shape), first=np.abs)
+def _weighted_rows(grid: TensorGrid, values: np.ndarray, rows: slice,
+                   first=None) -> np.ndarray:
+    """``(weight_tensor() * first(values))[rows]`` bit for bit, for values
+    in the grid's shape and an elementwise ufunc ``first`` (none by
+    default): a new float64 array, the weights multiplied in place."""
+    v = values[rows]
+    out = np.empty(v.shape)
+    if first is None:
+        return np.multiply(grid.weight_rows(rows), v, out=out)
+    first(v, out=out)
+    out *= grid.weight_rows(rows)
+    return out
 
 
-def _shell_share(grid: TensorGrid, mass: np.ndarray) -> tuple[float, float]:
-    """(share of the per-node ``mass`` on the outer shell, its sum)."""
-    total = float(np.sum(mass))
+def _abs_mass(grid: TensorGrid, values: np.ndarray):
+    """The rows of |values| dw per node, ``weight_tensor() * np.abs(values)``
+    bit for bit, for the ``row_sum`` of the total and of the shell.  On a
+    one-block grid each sum is one leaf of the whole mass: formed once."""
+    v = np.asarray(values).reshape(grid.shape)
+    if len(grid.row_blocks()) > 1:
+        return lambda rows: _weighted_rows(grid, v, rows, np.abs)
+    return _weighted_rows(grid, v, slice(None), np.abs).__getitem__
+
+
+def _shell_share(grid: TensorGrid, mass) -> tuple[float, float]:
+    """(share of the per-node mass on the outer shell, its sum), for the
+    mass whose rows ``mass`` forms."""
+    total = float(grid.row_sum(mass))
     if total == 0.0:
         return 0.0, total
-    return float(np.sum(mass[grid.shell_mask()])) / total, total
+    return float(grid.row_sum(mass, shell=True)) / total, total
 
 
 def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray) -> float:
@@ -248,10 +327,11 @@ def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray) -> float:
     return _shell_share(grid, _abs_mass(grid, values))[0]
 
 
-def _checked_mass(grid: TensorGrid, mass: np.ndarray, what: str) -> float:
-    """The sum of the per-node ``mass``, which must be finite (else
-    AccuracyError) and carry at most ``SHELL_TOL`` of itself on the boundary
-    shell (else, a NaN share included, DomainTooSmallError)."""
+def _checked_mass(grid: TensorGrid, mass, what: str) -> float:
+    """The sum of the per-node mass whose rows ``mass`` forms, which must be
+    finite (else AccuracyError) and carry at most ``SHELL_TOL`` of itself
+    on the boundary shell (else, a NaN share included,
+    DomainTooSmallError)."""
     frac, total = _shell_share(grid, mass)
     if not np.isfinite(total):
         raise AccuracyError(
@@ -276,14 +356,19 @@ def check_shell(grid: TensorGrid, values: np.ndarray,
 def integrate_shell_checked(grid: TensorGrid, values: np.ndarray,
                             what: str = "integrand") -> tuple[float, float]:
     """(``grid.integrate(values)``, ``check_shell(grid, values, what)``)
-    of a real integrand, bit for bit, from one weighted float64
-    buffer.  The weights are positive, so |fl(w v)| = fl(w |v|): the
-    products sum to the integral and their absolute values to the mass.  A
-    complex integrand cannot be cast to the buffer: TypeError."""
-    buf = grid.weighted(np.asarray(values).reshape(grid.shape),
-                        np.empty(grid.shape))
+    of a real integrand, bit for bit; a complex one: TypeError.  The
+    weights are positive, so |fl(w v)| = fl(w |v|): on a one-block grid
+    both come from one buffer of the products, the integral from its sum
+    and the mass from its absolute values."""
+    if np.iscomplexobj(values):
+        raise TypeError("integrate_shell_checked takes a real integrand")
+    v = np.asarray(values).reshape(grid.shape)
+    if len(grid.row_blocks()) > 1:
+        return float(grid.integrate(v)), check_shell(grid, v, what)
+    buf = _weighted_rows(grid, v, slice(None))
     integral = float(np.sum(buf))
-    return integral, _checked_mass(grid, np.abs(buf, out=buf), what)
+    return integral, _checked_mass(grid, np.abs(buf, out=buf).__getitem__,
+                                   what)
 
 
 def relative_move(value, reference, floor: float = 1e-300) -> float:

@@ -76,7 +76,10 @@ operands (``tests/test_transform.py`` compares them byte for byte):
   with the memory order the complex result had (Fortran).
 
 What stays grid-sized: the input, the intermediate of the first
-contraction, and the result.
+contraction, and the result.  The shell check of a forward transform's
+input, and the quadrature of the context's c_k, sum over their grids in
+leaves of at most ``BLOCK_BYTES`` (``quadrature.TensorGrid.row_sum``), so
+neither forms an array of its grid's size.
 
 Every grid inverse inverts the spectrum of a real function (E(-i xi, x)
 is the conjugate of E(i xi, x)), so it keeps the real part of its result;
@@ -243,11 +246,7 @@ def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
 
     A forward transform returns that complex result.  An inverse returns
     (real part, sup |Im|) of it, and in 2-D the complex result is never
-    formed whole (see the module docstring).
-
-    c_k is read before the output is allocated: its first read sums the
-    Gaussian mass on the refined grid, which should not overlap the complex
-    output in memory."""
+    formed whole (see the module docstring)."""
     c_k = ctx.c_k
     ks = ctx.system.ks
     freq, space = (dst, src) if forward else (src, dst)

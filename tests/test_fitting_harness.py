@@ -531,9 +531,11 @@ class TestAuxiliaryDispatch:
 
     def test_compact_support_translates_each_unordered_pair_once(
             self, monkeypatch):
-        # 3 bump spectra, then per unordered radius pair one inverse
-        # transform (convolution) and two (translation): 3 + 6 x 3 = 21;
-        # every ordered pair took 3 + 9 x 3 = 30
+        # 4 bump spectra (at most two alive, so the first radius is
+        # transformed again for the last pair), then per unordered radius
+        # pair one inverse transform (convolution) and two (translation):
+        # 4 + 6 x 3 = 22; holding the 3 spectra took 21, every ordered
+        # pair 3 + 9 x 3 = 30
         calls = []
         for name in ("dunkl_transform", "inverse_dunkl_transform"):
             real = getattr(transform, name)
@@ -547,7 +549,7 @@ class TestAuxiliaryDispatch:
                     monkeypatch.setattr(module, name, counting)
         report = run_check(WeightedContext(rank1(0.5)), "compact-support-l1")
         assert report.passed
-        assert len(calls) == 21
+        assert len(calls) == 22
         # the mirrored pairs keep their bit-identical L1 values
         vals = np.reshape(report.fitted["l1_values"], (3, 3))
         assert np.array_equal(vals, vals.T)

@@ -59,6 +59,29 @@ class TestKernelSpecValidation:
         c = aniso.min_direction_coefficient()
         assert 0 < c < 1.0
 
+    def test_replace_does_not_resample_the_direction_coefficient(self):
+        # the 4096 angles are sampled once per (directions, l); specs that
+        # differ in eps or t, replaced or rescaled, read the same value
+        kernels._min_direction_coefficient.cache_clear()
+        spec = KernelSpec(directions=((1.0, 0.25), (-0.5, 1.0)), ell=2)
+        for other in (replace(spec, t=0.5), replace(spec, eps=0.01),
+                      kernels._unit_time_spec(replace(spec, eps=0.01,
+                                                      t=8.0))):
+            assert other != spec
+            assert other.min_direction_coefficient() == \
+                spec.min_direction_coefficient()
+        info = kernels._min_direction_coefficient.cache_info()
+        assert info.misses == 1
+        # the bits of sampling the angles afresh
+        ang = np.linspace(0.0, np.pi, 4096, endpoint=False)
+        u = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        vals = np.zeros(len(u))
+        for z in spec.direction_arrays():
+            vals += (u @ z) ** 4
+        assert spec.min_direction_coefficient() == float(vals.min())
+        assert replace(spec, ell=3).min_direction_coefficient() != \
+            spec.min_direction_coefficient()
+
 
 class TestOneRuleEach:
     """The gate of an operator and its time, the q_t spectrum, the
@@ -306,13 +329,27 @@ class TestIdentityChecks:
     def test_positivity_raises_on_non_finite_values(self):
         # at radius 1e6 the rank-one heat kernel is NaN on most pairs;
         # min(inf, nan) kept inf, so the check PASSED with min_value inf.
-        # A NaN minimum is kept, also when only a later time has NaN
-        # values (t = 1e-300 at radius 3), and the report's guard rejects it
+        # A NaN value is an error naming its time, also when only a later
+        # time has NaN values (t = 1e-300 at radius 3)
         ctx = WeightedContext(rank1(0.5))
-        for params in ({"radius": 1e6}, {"t_set": [1.0, 1e-300]}):
+        for params, t in (({"radius": 1e6}, "0.5"),
+                          ({"t_set": [1.0, 1e-300]}, "1e-300")):
             with pytest.raises(AccuracyError,
-                               match="fitted.min_value is nan"):
+                               match=rf"h_t\(x, y\) is NaN at t = {t}:"):
                 run_check(ctx, "kernel-positivity", params)
+
+    def test_heat_two_point_at_small_time_names_the_time(self):
+        # kernel-positivity's 50 pairs at radius 3 reach |x y| / 2t = 4.5e10
+        # at t = 1e-10, where E_k(v) e^{-|v|} is NaN: 42 NaN values were
+        # returned; finite at t = 1e-8 (|v| <= 4.5e8)
+        ctx = WeightedContext(rank1(0.5))
+        xs, ys = kernels._pair_sample(ctx, 50, 3.0)
+        assert np.all(np.isfinite(heat_kernel_two_point(ctx, xs, ys, 1e-8)))
+        with pytest.raises(AccuracyError,
+                           match=r"h_t\(x, y\) is NaN at t = 1e-10:"):
+            heat_kernel_two_point(ctx, xs, ys, 1e-10)
+        with pytest.raises(AccuracyError, match=r"NaN at t = 1e-10:"):
+            run_check(ctx, "kernel-positivity", {"t_set": [1e-10]})
 
     def test_positivity_still_fails_on_zero_values(self):
         # the k = 0 probe: exact zeros are a FAIL, not an error

@@ -2,6 +2,7 @@
 
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,8 +19,8 @@ from dunkllab.measure import EtaFields, volume_max_pairs
 from dunkllab.errors import AccuracyError
 from dunkllab.quadrature import (AxisRule, TensorGrid,
                                  boundary_shell_fraction, check_refined,
-                                 check_shell,
-                                 integrate_shell_checked, relative_move)
+                                 check_shell, integrate_shell_checked,
+                                 pairwise_sum, relative_move)
 
 
 class TestAxisRule:
@@ -159,6 +160,100 @@ def _bits(x) -> bytes:
     return np.asarray(x).tobytes()
 
 
+def _row_leaves(a: np.ndarray):
+    """``leaf(lo, hi)`` of the C-ordered values of ``a``, formed from the
+    rows of ``a`` that hold them."""
+    width = a.size // a.shape[0]
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        top = lo // width
+        rows = a[top:-(-hi // width)].ravel()
+        return rows[lo - top * width:hi - top * width]
+
+    return leaf
+
+
+def _signed_wide(shape, seed: int) -> np.ndarray:
+    """Values of magnitude e^{-30}..e^{30}, of either sign."""
+    rng = np.random.default_rng(seed)
+    return (np.exp(rng.uniform(-30.0, 30.0, shape))
+            * rng.choice([-1.0, 1.0], shape))
+
+
+class TestPairwiseSum:
+    """``pairwise_sum`` has the bits of ``np.sum`` of the whole C-ordered
+    sequence, fed in leaves formed from its rows."""
+
+    @pytest.mark.parametrize("shape", [
+        (1,), (5,), (7,), (8,), (128,), (129,), (131,), (1009,), (65537,),
+        (1000003,), (1, 5_000_001), (2700, 2700), (1800, 1800), (333, 777)])
+    def test_bytes_equal_np_sum(self, shape):
+        a = _signed_wide(shape, sum(shape))
+        assert _bits(pairwise_sum(a.size, _row_leaves(a))) == _bits(np.sum(a))
+
+    @pytest.mark.parametrize("n", [7, 8, 128, 129, 257, 1009, 4099, 65537])
+    @pytest.mark.parametrize("leaf_values", [1, 136, 1000])
+    def test_small_leaves_keep_the_tree(self, monkeypatch, n, leaf_values):
+        # leaves are never cut below numpy's 128-value blocks
+        monkeypatch.setattr(quadrature, "BLOCK_BYTES", 8 * leaf_values)
+        a = _signed_wide((n,), n)
+        leaves = []
+
+        def leaf(lo, hi):
+            leaves.append(hi - lo)
+            return a[lo:hi]
+
+        assert _bits(pairwise_sum(n, leaf)) == _bits(np.sum(a))
+        assert sum(leaves) == n
+        assert max(leaves) <= max(leaf_values, 128)
+        assert len(leaves) == 1 or min(leaves) >= 64
+
+    def test_zeros_of_either_sign(self):
+        a = np.array([-0.0] * 700 + [0.0] * 300 + [-0.0] * 500)
+        for n in (1, 700, 1000, 1500):
+            for leaf_values in (128, 200):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(quadrature, "BLOCK_BYTES", 8 * leaf_values)
+                    got = pairwise_sum(n, lambda lo, hi: a[lo:hi])
+                assert _bits(got) == _bits(np.sum(a[:n]))
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoGridSizedArray:
+    """On grids of more than one block the whole-grid sums form no
+    float64 array of the grid's size."""
+
+    def test_gaussian_mass_on_2700_squared(self):
+        geometry = ((0.5, 48.0, 1350),) * 2
+        grid = TensorGrid(axes=tuple(AxisRule.build(*axis)
+                                     for axis in geometry))
+        assert len(grid.row_blocks()) > 1
+        peak = _peak(lambda: measure._gaussian_mass.__wrapped__(geometry))
+        assert peak < 8 * grid.size / 2
+
+    def test_check_shell_on_1800_squared(self):
+        grid = TensorGrid.build(ks=[0.5, 0.5], half_widths=12.0,
+                                n_halves=900)
+        vals = np.exp(-grid.outer_sum(lambda d, x: x * x))
+        vals[::7, ::5] *= -1.0
+        assert _peak(lambda: check_shell(grid, vals)) < 8 * grid.size / 2
+        assert _peak(lambda: boundary_shell_fraction(grid, vals)) \
+            < 8 * grid.size / 2
+        mass = grid.weight_tensor() * np.abs(vals)
+        total = float(np.sum(mass))
+        assert _bits(check_shell(grid, vals)) == _bits(total)
+        share = float(np.sum(mass[grid.shell_mask()])) / total
+        assert _bits(boundary_shell_fraction(grid, vals)) == _bits(share)
+
+
 def _small_blocks(monkeypatch, grid, rows: int = 6):
     """Shrink ``BLOCK_BYTES`` to ``rows`` rows of ``grid`` a block."""
     monkeypatch.setattr(quadrature, "BLOCK_BYTES",
@@ -267,7 +362,7 @@ class TestHeldGridConstants:
         assert len(grid.row_blocks()) == 1
         vals = _signed_samples(grid, np.random.default_rng(9), float)
         formed = {"weights": 0, "masks": 0}
-        true_rows, true_mask = TensorGrid.weight_rows, TensorGrid._shell_mask
+        true_rows, true_mask = TensorGrid._weight_rows, TensorGrid._shell_mask
 
         def slow(name, fn):
             def wrapped(*args):
@@ -276,7 +371,7 @@ class TestHeldGridConstants:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(TensorGrid, "weight_rows",
+        monkeypatch.setattr(TensorGrid, "_weight_rows",
                             slow("weights", true_rows))
         monkeypatch.setattr(TensorGrid, "_shell_mask",
                             slow("masks", true_mask))

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -908,24 +909,42 @@ class TestConvolutionOperands:
                                      dunkl_transform(ctx, g)).values
         assert via_spectra.tobytes() == direct.tobytes()
 
-    def test_compact_support_transforms_each_bump_once(self, monkeypatch):
-        calls = []
-        real = transform.dunkl_transform
+    @pytest.mark.parametrize("radii, formed", [
+        ([0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 0.5]),
+        ([2.0, 0.5], [2.0, 0.5]),
+        ([0.25, 0.5, 1.0, 2.0], [0.25, 0.5, 1.0, 0.25, 2.0, 0.5, 0.25])])
+    def test_compact_support_holds_at_most_two_bump_spectra(
+            self, monkeypatch, radii, formed):
+        # each pair after the first forms one spectrum: 1 + n(n - 1)/2 bump
+        # transforms, with at most two of their spectra alive at any
+        # transform, and a spectrum formed again has the bits it had
+        bumps, alive, radius_of = [], [], {}
+        real, real_bump = transform.dunkl_transform, harness.radial_bump
+
+        def recording_bump(dim, r):
+            bump = real_bump(dim, r)
+            radius_of[id(bump)] = r
+            return bump
 
         def counting(ctx, f, **kwargs):
-            calls.append(f)
-            return real(ctx, f, **kwargs)
+            alive.append(sum(ref() is not None for _, _, ref in bumps))
+            out = real(ctx, f, **kwargs)
+            if not isinstance(f, GridSampled):
+                bumps.append((radius_of[id(f)], out.values.tobytes(),
+                              weakref.ref(out)))
+            return out
 
+        monkeypatch.setattr(harness, "radial_bump", recording_bump)
         monkeypatch.setattr(transform, "dunkl_transform", counting)
         monkeypatch.setattr(harness, "dunkl_transform", counting)
-        radii = [0.5, 1.0, 2.0]
         report = run_check(ctx_rank1(0.5), "compact-support-l1",
                            {"radii": radii})
         assert report.passed
-        # the other transforms are the translations' (``spectrum_of``) of
-        # the masked convolutions, which are grid samples
-        bumps = [f for f in calls if not isinstance(f, GridSampled)]
-        assert len(bumps) == len(radii)
+        assert [r for r, _, _ in bumps] == formed
+        assert max(alive) <= 2
+        bits = {}
+        for r, b, _ in bumps:
+            assert bits.setdefault(r, b) == b
 
     @staticmethod
     def _count_transforms(monkeypatch) -> list:
