@@ -113,8 +113,10 @@ def type_text(schema: dict) -> str:
         return "list of " + distinct + type_text(schema["items"])
     if schema["type"] == "object":
         return "object {" + ", ".join(schema["properties"]) + "}"
+    excluded = [f"!= {schema['not']['const']:g}"] if "not" in schema else []
     return ", ".join([schema["type"]] + [f"{op} {schema[key]:g}" for key, op
-                                         in _BOUNDS.items() if key in schema])
+                                         in _BOUNDS.items() if key in schema]
+                     + excluded)
 
 
 class Derived(str):

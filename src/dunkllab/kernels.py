@@ -222,7 +222,7 @@ def _symbol_exp_on(spec: KernelSpec, grid: TensorGrid) -> np.ndarray:
             f"frequency grid: freq_box {box:.3g} leaves no node where q_t's "
             f"spectrum lives; lower freq_box to about {spec.symbol_box:.3g}"
             " or raise freq_n_half")
-    shell = vals[grid.shell_mask()]
+    shell = vals[grid.shell_rows()]
     if not shell.size:
         raise DomainTooSmallError(
             f"no node of the frequency grid lies on its boundary shell at "
@@ -536,8 +536,9 @@ def _check_semigroup(ctx: WeightedContext, spec: KernelSpec,
           "parabolic scaling: q_t(x) = t^{-N_h/(2l)} "
           "q_1^{(eps t^{(l-1)/l})}(t^{-1/(2l)} x) with N_h the homogeneous "
           "dimension",
+          # at t = 1 the unit-time side is the same computation as q_t
           numbers("t_values", [0.5, 2.0], minimum=T_DIRECT_MIN,
-                  maximum=T_DIRECT_MAX),
+                  maximum=T_DIRECT_MAX, **{"not": {"const": 1}}),
           SPEC)
 def _check_scaling(ctx: WeightedContext, spec: KernelSpec,
                    params: dict) -> VerificationReport:

@@ -268,10 +268,16 @@ class WeightedContext:
     @cached_property
     def c_k(self) -> float:
         """Gaussian mass integral c_k = ∫ exp(-|x|^2/2) dw(x), by quadrature,
-        refinement-checked; cross-checked against (2 pi)^{dim/2} when k = 0."""
-        fine = check_refined(_gaussian_mass(self.grid.geometry),
-                             _gaussian_mass(self.grid_fine.geometry),
-                             1e-9, "normalization constant")
+        refinement-checked; cross-checked against (2 pi)^{dim/2} when k = 0.
+        AccuracyError if it overflows float64 on either grid."""
+        base, fine = (_gaussian_mass(grid.geometry)
+                      for grid in (self.grid, self.grid_fine))
+        if not (np.isfinite(base) and np.isfinite(fine)):
+            raise AccuracyError(
+                f"normalization constant c_k overflows float64 at ks "
+                f"{self.system.ks.tolist()}: the Gaussian mass is {base} on "
+                f"the grid and {fine} on the refined grid")
+        fine = check_refined(base, fine, 1e-9, "normalization constant")
         if np.all(self.system.ks == 0.0):
             classical = (2.0 * np.pi) ** (self.dim / 2.0)
             if abs(fine - classical) > 1e-8 * classical:

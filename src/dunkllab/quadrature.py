@@ -12,17 +12,18 @@ by ``REFINE_FACTOR`` (node counts from ``refined_n_half``); ``check_shell``
 rejects an integrand whose |values| dw mass is not finite, or whose outer
 boundary shell carries more than ``SHELL_TOL`` of that mass.
 
-Every whole-grid sum of real values has the bits of ``np.sum`` of the
+Every whole-grid total of real values has the bits of ``np.sum`` of the
 C-ordered float64 array (``TensorGrid.row_sum``): ``integrate`` sums
-weight x integrand, and the shell check sums |integrand| dw over the grid
-and over its boundary shell, each on its own tree.  A grid whose float64
-array fits in one block (``TensorGrid.row_blocks`` is a single slice,
-``BLOCK_BYTES`` a block: 1-D grids, and 2-D grids up to 724^2) sums that
-array whole, and forms its weight tensor and its shell mask once and
-keeps both, read-only, for its lifetime.  A larger grid holds neither and
-forms no array of its size: numpy's pairwise tree is followed down to
-leaves of at most ``BLOCK_BYTES`` (``pairwise_sum``), and each leaf is
-formed from its rows of weights, mask and integrand alone.
+weight x integrand, and the shell check sums |integrand| dw.  numpy's
+pairwise tree is followed down to leaves of at most ``BLOCK_BYTES``
+(``pairwise_sum``), each formed from its rows of weights and integrand
+alone, so a grid larger than one block forms no array of its size.  The
+shell check's boundary-shell mass rides the total's leaves: each leaf adds
+its shell values as it goes, so that mass keeps ``np.sum``'s bits only on
+a grid of one leaf.  A grid whose float64 array fits in one block
+(``TensorGrid.row_blocks`` is a single slice: 1-D grids, and 2-D grids up
+to 724^2) forms its weights and its shell mask once and keeps both,
+read-only, for its lifetime; a larger grid holds neither.
 """
 
 from __future__ import annotations
@@ -170,36 +171,30 @@ class TensorGrid:
         n = self.shape[0]
         return block_slices(n, 8 * (self.size // n))
 
-    def _held(self, name: str, form, rows: slice | None = None):
-        """``form(rows)``, or ``form()`` when ``rows`` is None.  On a
-        one-block grid they are cut from ``form()``, formed once, made
-        read-only and kept with the grid, so threads sharing the grid share
-        the one array; a larger grid forms each on its own and keeps
-        nothing."""
+    def _held(self, name: str, form, rows: slice):
+        """``form(rows)``.  On a one-block grid it is cut from ``form()``
+        of all rows, formed once, made read-only and kept with the grid, so
+        threads sharing the grid share the one array; a larger grid forms
+        each on its own and keeps nothing."""
         held = self.__dict__.get(name)
         if held is None:
             if len(self.row_blocks()) > 1:
-                return form() if rows is None else form(rows)
+                return form(rows)
             with _HELD_LOCK:
                 held = self.__dict__.get(name)
                 if held is None:
-                    held = form()
+                    held = form(slice(None))
                     held.flags.writeable = False
                     # the dataclass is frozen; the held arrays are not fields
                     self.__dict__[name] = held
-        return held if rows is None else held[rows]
+        return held if rows == slice(None) else held[rows]
 
-    def weight_tensor(self) -> np.ndarray:
-        """The weights of all nodes in the grid's shape; held with a
-        one-block grid."""
-        return self._held("_weights", self._weight_rows)
-
-    def weight_rows(self, rows: slice) -> np.ndarray:
-        """``weight_tensor()[rows]`` with its bits, formed on its own on a
-        grid of more than one block."""
+    def weight_rows(self, rows: slice = slice(None)) -> np.ndarray:
+        """The weights of the nodes on ``rows`` (leading-axis indices, all
+        by default) in the grid's shape; held with a one-block grid."""
         return self._held("_weights", self._weight_rows, rows)
 
-    def _weight_rows(self, rows: slice = slice(None)) -> np.ndarray:
+    def _weight_rows(self, rows: slice) -> np.ndarray:
         block = self.axes[0].weights[rows]
         for ax in self.axes[1:]:
             block = np.multiply.outer(block, ax.weights)
@@ -214,7 +209,7 @@ class TensorGrid:
 
     def integrate(self, values: np.ndarray) -> float | complex:
         """Integrate values sampled on the grid (tensor shape or flat):
-        ``np.sum(weight_tensor() * values)`` bit for bit.  A real integral
+        ``np.sum(weight_rows() * values)`` bit for bit.  A real integral
         is a ``row_sum``; a complex one sums one C-ordered buffer of the
         products, formed in row blocks."""
         v = np.asarray(values).reshape(self.shape)
@@ -225,73 +220,51 @@ class TensorGrid:
             np.multiply(self.weight_rows(rows), v[rows], out=out[rows])
         return np.sum(out)
 
-    def row_sum(self, rows_of, shell: bool = False) -> np.float64:
-        """``np.sum(a)``, or ``np.sum(a[shell_mask()])`` if ``shell``, bit
-        for bit, for the float64 array ``a`` in the grid's shape whose
-        ``rows`` (leading-axis indices) ``rows_of(rows)`` forms.
+    def row_sum(self, rows_of, shell: bool = False):
+        """``np.sum(a)`` bit for bit, for the float64 array ``a`` in the
+        grid's shape whose ``rows`` (leading-axis indices) ``rows_of(rows)``
+        forms; with ``shell``, (that sum, the sum of ``a`` on
+        ``shell_rows()``).
 
-        A one-block grid sums ``a`` whole, one leaf.  On a larger grid each
-        leaf of ``pairwise_sum`` takes its values from the rows it covers:
-        a leaf of ``a`` from one ``rows_of``, a leaf of the shell, whose
-        values can lie in every row, from its rows half a block at a time.
-        So neither ``a`` nor the mask is formed whole."""
-        if len(self.row_blocks()) == 1:
-            a = rows_of(slice(None))
-            return np.sum(a[self.shell_mask()] if shell else np.ravel(a))
-        first, rest = self._axis_masks()
-        width = rest.size
-        counts = (np.where(first, width, np.count_nonzero(rest)) if shell
-                  else np.full(first.size, width))
-        starts = np.concatenate([[0], np.cumsum(counts)])
+        Each leaf of ``pairwise_sum`` forms the rows it covers by one
+        ``rows_of``, so ``a`` is never whole on a grid of more than one
+        block, and adds its shell values to the shell's sum as it goes.
+        That sum is ``np.sum(a[shell_rows()])`` bit for bit on a one-leaf
+        grid; on a larger one it is the leaves' sums added in order."""
+        width = self.size // self.shape[0]
+        shell_sums = []
 
         def leaf(lo: int, hi: int) -> np.ndarray:
-            top = int(np.searchsorted(starts, lo, "right")) - 1
-            stop = int(np.searchsorted(starts, hi, "left"))
-            if not shell:
-                a = np.ravel(rows_of(slice(top, stop)))
-                return a[lo - starts[top]:hi - starts[top]]
-            out = np.empty(hi - lo)
-            # blocks of half the rows: with ``out``, the leaf holds about
-            # what a leaf of ``a`` does
-            for block in block_slices(stop - top, 16 * width):
-                rows = slice(top + block.start, min(top + block.stop, stop))
-                head = starts[rows.start]
-                part = slice(max(lo, head), min(hi, starts[rows.stop]))
-                vals = rows_of(rows)[self.shell_rows(rows)]
-                out[part.start - lo:part.stop - lo] = \
-                    vals[part.start - head:part.stop - head]
-            return out
+            top = lo // width
+            rows = slice(top, -(-hi // width))
+            cut = slice(lo - top * width, hi - top * width)
+            a = np.ravel(rows_of(rows))[cut]
+            if shell:
+                shell_sums.append(
+                    np.sum(a[np.ravel(self.shell_rows(rows))[cut]]))
+            return a
 
-        return pairwise_sum(int(starts[-1]), leaf)
+        total = pairwise_sum(self.size, leaf)
+        return (total, sum(shell_sums)) if shell else total
 
-    def _axis_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(shell nodes of the leading axis, the shell mask of one row):
-        per axis, the outer ``SHELL_FRACTION`` of the half-width."""
+    def shell_rows(self, rows: slice = slice(None)) -> np.ndarray:
+        """Boolean array on ``rows`` (all by default) marking the outer
+        boundary shell: per axis, the outer ``SHELL_FRACTION`` of the
+        half-width.  Held with a one-block grid."""
+        return self._held("_shell", self._shell_rows, rows)
+
+    def _shell_rows(self, rows: slice) -> np.ndarray:
         masks = [np.abs(ax.nodes) > ax.half_width * (1.0 - SHELL_FRACTION)
                  for ax in self.axes]
-        rest = np.array(False)
-        for mm in masks[1:]:
-            rest = np.logical_or.outer(rest, mm)
-        return masks[0], rest
-
-    def shell_mask(self) -> np.ndarray:
-        """Boolean tensor marking the outer boundary shell (per-axis outer
-        ``SHELL_FRACTION`` of the half-width); held with a one-block grid."""
-        return self._held("_shell", self._shell_mask)
-
-    def shell_rows(self, rows: slice) -> np.ndarray:
-        """``shell_mask()[rows]``, formed on its own on a grid of more than
-        one block."""
-        return self._held("_shell", self._shell_mask, rows)
-
-    def _shell_mask(self, rows: slice = slice(None)) -> np.ndarray:
-        first, rest = self._axis_masks()
-        return np.logical_or.outer(first[rows], rest)
+        block = masks[0][rows]
+        for mask in masks[1:]:
+            block = np.logical_or.outer(block, mask)
+        return block
 
 
 def _weighted_rows(grid: TensorGrid, values: np.ndarray, rows: slice,
                    first=None) -> np.ndarray:
-    """``(weight_tensor() * first(values))[rows]`` bit for bit, for values
+    """``weight_rows(rows) * first(values[rows])`` bit for bit, for values
     in the grid's shape and an elementwise ufunc ``first`` (none by
     default): a new float64 array, the weights multiplied in place."""
     v = values[rows]
@@ -304,22 +277,17 @@ def _weighted_rows(grid: TensorGrid, values: np.ndarray, rows: slice,
 
 
 def _abs_mass(grid: TensorGrid, values: np.ndarray):
-    """The rows of |values| dw per node, ``weight_tensor() * np.abs(values)``
-    bit for bit, for the ``row_sum`` of the total and of the shell.  On a
-    one-block grid each sum is one leaf of the whole mass: formed once."""
+    """The rows of |values| dw per node, ``weight_rows() * np.abs(values)``
+    bit for bit."""
     v = np.asarray(values).reshape(grid.shape)
-    if len(grid.row_blocks()) > 1:
-        return lambda rows: _weighted_rows(grid, v, rows, np.abs)
-    return _weighted_rows(grid, v, slice(None), np.abs).__getitem__
+    return lambda rows: _weighted_rows(grid, v, rows, np.abs)
 
 
 def _shell_share(grid: TensorGrid, mass) -> tuple[float, float]:
     """(share of the per-node mass on the outer shell, its sum), for the
     mass whose rows ``mass`` forms."""
-    total = float(grid.row_sum(mass))
-    if total == 0.0:
-        return 0.0, total
-    return float(grid.row_sum(mass, shell=True)) / total, total
+    total, shell = map(float, grid.row_sum(mass, shell=True))
+    return (0.0 if total == 0.0 else shell / total), total
 
 
 def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray) -> float:

@@ -120,7 +120,8 @@ def _signed_samples(grid, rng, dtype):
 
 class TestBlockedWeights:
     """integrate and the shell check take the weights in row blocks; the
-    bits are those of the whole weight tensor."""
+    totals have the bits of the whole weights' sums, and the shell share,
+    summed leaf by leaf, is within 1e-14 of the whole one."""
 
     @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]], ids=["dim1", "dim2"])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -134,15 +135,27 @@ class TestBlockedWeights:
         assert len(grid.row_blocks()) == 9
         vals = np.asarray(_signed_samples(grid, np.random.default_rng(5),
                                           dtype), order=order)
-        w = grid.weight_tensor()
+        w = grid.weight_rows()
         got = np.asarray(grid.integrate(vals))
         assert got.tobytes() == np.asarray(np.sum(w * vals)).tobytes()
         mass = w * np.abs(vals)
         total = float(np.sum(mass))
         monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
         assert check_shell(grid, vals) == total
-        share = float(np.sum(mass[grid.shell_mask()])) / total
-        assert boundary_shell_fraction(grid, vals) == share
+        share = float(np.sum(mass[grid.shell_rows()])) / total
+        assert boundary_shell_fraction(grid, vals) == pytest.approx(
+            share, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]], ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_block_shell_share_bytes(self, ks, order):
+        # one block is one leaf: the shell share keeps np.sum's bits
+        grid = TensorGrid.build(ks=ks, half_widths=6.0, n_halves=25)
+        assert len(grid.row_blocks()) == 1
+        vals = _edge_samples(grid, np.random.default_rng(11), order)
+        mass = grid.weight_rows() * np.abs(vals)
+        share = float(np.sum(mass[grid.shell_rows()])) / float(np.sum(mass))
+        assert _bits(boundary_shell_fraction(grid, vals)) == _bits(share)
 
     @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]], ids=["dim1", "dim2"])
     def test_gaussian_mass_bytes_equal_weight_tensor_sum(self, monkeypatch,
@@ -151,7 +164,7 @@ class TestBlockedWeights:
         monkeypatch.setattr(quadrature, "BLOCK_BYTES",
                             6 * 8 * (grid.size // grid.shape[0]))
         field = np.exp(-0.5 * grid.outer_sum(lambda d, x: x ** 2))
-        expect = np.sum(grid.weight_tensor() * field)
+        expect = np.sum(grid.weight_rows() * field)
         got = measure._gaussian_mass.__wrapped__(grid.geometry)
         assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
 
@@ -247,11 +260,12 @@ class TestNoGridSizedArray:
         assert _peak(lambda: check_shell(grid, vals)) < 8 * grid.size / 2
         assert _peak(lambda: boundary_shell_fraction(grid, vals)) \
             < 8 * grid.size / 2
-        mass = grid.weight_tensor() * np.abs(vals)
+        mass = grid.weight_rows() * np.abs(vals)
         total = float(np.sum(mass))
         assert _bits(check_shell(grid, vals)) == _bits(total)
-        share = float(np.sum(mass[grid.shell_mask()])) / total
-        assert _bits(boundary_shell_fraction(grid, vals)) == _bits(share)
+        share = float(np.sum(mass[grid.shell_rows()])) / total
+        assert boundary_shell_fraction(grid, vals) == pytest.approx(
+            share, rel=1e-14, abs=0.0)
 
 
 def _small_blocks(monkeypatch, grid, rows: int = 6):
@@ -288,7 +302,7 @@ class TestOneWeightedPass:
         if blocks == "many_blocks":
             _small_blocks(monkeypatch, grid)
         vals = _edge_samples(grid, np.random.default_rng(7), order)
-        w = grid.weight_rows(slice(None))
+        w = grid.weight_rows()
         products = w * vals
         assert np.any((products != 0) & (np.abs(products) < 2.2e-308))
         monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
@@ -311,8 +325,7 @@ def _integrate_after_shell(grid, vals, s):
         integrand = integrand * measure.EtaFields(s).eta(grid)
     check_shell(grid, integrand, what="weighted norm")
     expect = float(grid.integrate(integrand))
-    assert _bits(expect) == _bits(float(np.sum(grid.weight_rows(slice(None))
-                                              * integrand)))
+    assert _bits(expect) == _bits(float(np.sum(grid.weight_rows() * integrand)))
     return expect
 
 
@@ -353,8 +366,9 @@ class TestWeightedNormBits:
 
 
 class TestHeldGridConstants:
-    """A one-block grid forms its weight tensor and shell mask once,
-    read-only; a larger grid holds nothing."""
+    """A one-block grid forms its weights and shell mask once, read-only,
+    and ``weight_rows()`` of all rows is the held array; a larger grid
+    holds nothing."""
 
     def test_threads_on_a_cold_grid_share_one_weight_array(self,
                                                            monkeypatch):
@@ -362,7 +376,7 @@ class TestHeldGridConstants:
         assert len(grid.row_blocks()) == 1
         vals = _signed_samples(grid, np.random.default_rng(9), float)
         formed = {"weights": 0, "masks": 0}
-        true_rows, true_mask = TensorGrid._weight_rows, TensorGrid._shell_mask
+        true_rows, true_mask = TensorGrid._weight_rows, TensorGrid._shell_rows
 
         def slow(name, fn):
             def wrapped(*args):
@@ -373,7 +387,7 @@ class TestHeldGridConstants:
 
         monkeypatch.setattr(TensorGrid, "_weight_rows",
                             slow("weights", true_rows))
-        monkeypatch.setattr(TensorGrid, "_shell_mask",
+        monkeypatch.setattr(TensorGrid, "_shell_rows",
                             slow("masks", true_mask))
         monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
         start = threading.Barrier(8)
@@ -383,7 +397,7 @@ class TestHeldGridConstants:
             value, mass = integrate_shell_checked(grid, vals)
             return (_bits(grid.integrate(vals)),
                     _bits(check_shell(grid, vals)),
-                    _bits(value), _bits(mass), grid.weight_tensor())
+                    _bits(value), _bits(mass), grid.weight_rows())
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(work, range(8)))
@@ -394,7 +408,7 @@ class TestHeldGridConstants:
         assert len(weights) == 1
         assert all(r[4] is weights[0] for r in results)
         assert not weights[0].flags.writeable
-        assert not grid.shell_mask().flags.writeable
+        assert not grid.shell_rows().flags.writeable
 
     def test_blocked_grid_holds_nothing(self, monkeypatch):
         grid = TensorGrid.build(ks=[0.25, 1.0], half_widths=6.0, n_halves=25)
@@ -404,9 +418,44 @@ class TestHeldGridConstants:
         grid.integrate(vals)
         check_shell(grid, vals)
         integrate_shell_checked(grid, vals)
-        assert grid.weight_tensor() is not grid.weight_tensor()
+        assert grid.weight_rows() is not grid.weight_rows()
         assert not [v for v in vars(grid).values()
                     if isinstance(v, np.ndarray)]
+
+
+class TestOneWalk:
+    """The shell check forms each row of its mass once per leaf of the
+    total's tree that covers the row: the shell mass rides those leaves."""
+
+    @pytest.mark.parametrize("ks", [[0.5], [0.25, 1.0]], ids=["dim1", "dim2"])
+    def test_check_shell_forms_each_row_once_per_leaf(self, monkeypatch, ks):
+        grid = TensorGrid.build(ks=ks, half_widths=6.0, n_halves=25)
+        _small_blocks(monkeypatch, grid)
+        width = grid.size // grid.shape[0]
+        covers = np.zeros(grid.shape[0], dtype=int)
+
+        def leaf(lo, hi):
+            covers[lo // width:-(-hi // width)] += 1
+            return np.zeros(hi - lo)
+
+        pairwise_sum(grid.size, leaf)
+        formed = np.zeros(grid.shape[0], dtype=int)
+        true_mass = quadrature._abs_mass
+
+        def counted_mass(*args):
+            mass = true_mass(*args)
+
+            def rows_of(rows):
+                formed[rows] += 1
+                return mass(rows)
+            return rows_of
+
+        monkeypatch.setattr(quadrature, "_abs_mass", counted_mass)
+        monkeypatch.setattr(quadrature, "SHELL_TOL", 1.0)
+        vals = _signed_samples(grid, np.random.default_rng(13), float)
+        check_shell(grid, vals)
+        assert np.all(formed >= 1)
+        assert np.all(formed <= covers)
 
 
 class TestNonFiniteIntegrand:
@@ -597,6 +646,16 @@ class TestWeightedContext:
         exact = (2.0 ** (2 * 0.5 + 0.5) * gamma(1.0)
                  * 2.0 ** (2 * 1.0 + 0.5) * gamma(1.5))
         assert ctx.c_k == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_ck_overflow_names_its_cause(self):
+        # c_k = prod_d 2^{2k_d+1/2} Gamma(k_d+1/2) is about 5e434 here
+        ctx = WeightedContext(product_z2([100.0, 100.0]))
+        with pytest.raises(AccuracyError, match=r"c_k overflows float64 at "
+                           r"ks \[100\.0, 100\.0\]"):
+            ctx.c_k
+        # rank 1 at k = 100 keeps a finite c_k
+        assert np.isfinite(WeightedContext(rank1(100.0)).c_k)
 
     @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.25, 1.0])])
     def test_ck_bit_identical_to_point_formula(self, system):

@@ -298,6 +298,9 @@ class TestCheckParams:
         # scaling law, and the check would compare a computation with itself
         ("kernel-scaling", {"t_values": [8.0]}, "t_values[0]"),
         ("kernel-scaling", {"t_values": [0.5, 0.1]}, "t_values[1]"),
+        # at t = 1 both sides of the law are one computation
+        ("kernel-scaling", {"t_values": [0.5, 1.0]}, "t_values[1]"),
+        ("kernel-scaling", {"t_values": [1]}, "t_values[0]"),
         ("kernel-symmetry", {"spec": {"directions": [[1.0, 0.0]]}},
          "spec.directions[0]"),
     ])
@@ -957,7 +960,7 @@ class TestCli:
     def test_catalog_shows_the_kernel_scaling_window(self, capsys):
         assert cli.main(["list-checks"]) == 0
         assert (f"t_values: list of number, >= {T_DIRECT_MIN:g}, "
-                f"<= {T_DIRECT_MAX:g}; default [0.5, 2.0]"
+                f"<= {T_DIRECT_MAX:g}, != 1; default [0.5, 2.0]"
                 in capsys.readouterr().out)
 
     def test_run_subcommand(self, tmp_path, monkeypatch, capsys):

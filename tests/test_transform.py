@@ -436,7 +436,7 @@ def signed_field(grid, rng, dtype, order):
     vals = np.exp(-r2 / 4.0) * rng.standard_normal(grid.shape)
     if dtype is complex:
         vals = vals + 1j * np.exp(-r2 / 4.0) * rng.standard_normal(grid.shape)
-    zeros = grid.shell_mask() | (rng.random(grid.shape) < 0.05)
+    zeros = grid.shell_rows() | (rng.random(grid.shape) < 0.05)
     vals[zeros] = np.where(rng.random(grid.shape) < 0.5, 0.0, -0.0)[zeros]
     return np.asarray(vals, order=order)
 
