@@ -181,7 +181,8 @@ def _form_on(ctx: WeightedContext, spec: BilinearFormSpec, f: _Samples,
              g: _Samples, grid: TensorGrid,
              fields: EtaFields) -> tuple[float, float]:
     """(b_{s,eps}(f, g), its gross mass) on one grid, with eta from
-    ``fields`` (at spec.s); a_s(f, g) at eps = 0."""
+    ``fields`` (at fields.s; ``spec.s`` is not read); a_s(f, g) at
+    eps = 0."""
     total, gross = _form_terms(ctx, spec.ell, np.asarray(spec.directions), f,
                                g, grid, fields)
     if spec.eps == 0.0:
@@ -259,7 +260,6 @@ def coercivity_terms(ctx: WeightedContext, spec: BilinearFormSpec, family,
     """
     _require_polygauss(*family)
     members = [DunklImages(ctx.system, f) for f in family]
-    specs = [replace(spec, s=s) for s in s_set]
     powers = [(None, 0)] + [(zeta, spec.ell)
                             for zeta in np.asarray(spec.directions)]
 
@@ -270,8 +270,8 @@ def coercivity_terms(ctx: WeightedContext, spec: BilinearFormSpec, family,
         def norms(squared: np.ndarray) -> list[float]:
             return [_norm_sq_on(grid, squared, eta) for eta in fields]
         by_power = [norms(f.squared(grid, zeta, j)) for zeta, j in powers]
-        return [(_form_on(ctx, spec_s, f, f, grid, eta), by_s)
-                for spec_s, eta, by_s in zip(specs, fields, zip(*by_power))]
+        return [(_form_on(ctx, spec, f, f, grid, eta), by_s)
+                for eta, by_s in zip(fields, zip(*by_power))]
 
     on_grids = []
     for grid in (ctx.grid, ctx.grid_fine):

@@ -23,7 +23,7 @@ from . import fitting
 from .checks import (KERNEL_SCHEMA, SPEC, VECTOR_SCHEMA, Derived, Param,
                      grid_params, integer, number, numbers, register)
 from .dunkl_kernel import kernel_imag_batch, kernel_imag_outer
-from .errors import AccuracyError, CapabilityError, DomainTooSmallError
+from .errors import AccuracyError, CapabilityError
 from .fitting import (alternating_split, envelope_fit,
                       envelope_fit_upper, envelope_holdout_ratio,
                       fit_decay_exponent, garding_lp, garding_holdout_ratio,
@@ -37,8 +37,7 @@ from .kernels import (CONVOLUTION_GRID, FREQ_GRID, KernelSpec, check_context,
                       heat_kernel_two_point, q_on_grid, spatial_rule,
                       two_point_kernel)
 from .measure import WeightedContext, volume_max_pairs
-from .quadrature import (SHELL_TOL, boundary_shell_fraction, refined_n_half,
-                         relative_move)
+from .quadrature import refined_n_half, relative_move
 from .report import VerificationReport, grid_metadata
 from .root_systems import orbit_distance_pairwise
 from .transform import dunkl_convolve, dunkl_transform
@@ -527,29 +526,6 @@ def _orbit_distance_to(ctx: WeightedContext, y: np.ndarray,
     return np.sqrt(total, out=total)
 
 
-def _aliasing_error(ctx: WeightedContext,
-                    values: np.ndarray) -> DomainTooSmallError | None:
-    """The shell failure of ``values``, samples on the spatial grid formed
-    from spectra, when the frequency box outruns the spatial nodes; None
-    when it does not, and the box is the suspect.
-
-    n_half nodes per half-axis of the box resolve frequencies up to about
-    pi n_half / box (half a period per mean node spacing).  Above that the
-    spectra taken by spatial quadrature are aliased, and their inverse
-    transform leaves noise on the boundary shell that a larger box makes
-    worse.
-    """
-    resolved = np.pi * ctx.n_half / ctx.box
-    if ctx.freq_box <= resolved:
-        return None
-    return DomainTooSmallError(
-        f"q_1^(eps0) * h_(eps0/2) on the spatial grid: boundary shell carries "
-        f"{boundary_shell_fraction(ctx.grid, values):.3e} of the mass "
-        f"(> {SHELL_TOL:.1e}); freq_box {ctx.freq_box:g} exceeds the about "
-        f"{resolved:.3g} that n_half {ctx.n_half} resolves on the "
-        f"{ctx.box:g} box: lower freq_box or raise n_half")
-
-
 @register("exp-weighted-l1",
           "exponentially weighted integrability: the integral of "
           "|tau_y(q_1^{(eps0)} * h_{eps0/2})(-x)| exp(c d(x,y)^{2l/(2l-1)}) "
@@ -579,13 +555,7 @@ def _check_exp_weighted_l1(ctx: WeightedContext, spec: KernelSpec,
             grid=cctx.grid, values=heat_kernel(cctx, cctx.grid, eps0 / 2.0)))
         real = dunkl_convolve(cctx, q_spectrum, h_spectrum)
         del q_spectrum, h_spectrum
-        try:
-            spectrum = dunkl_transform(cctx, real)
-        except DomainTooSmallError as err:
-            aliased = _aliasing_error(cctx, real.values)
-            if aliased is None:
-                raise
-            raise aliased from err
+        spectrum = dunkl_transform(cctx, real)
         del real
         moved = dunkl_translate(cctx, spectrum, y_shift).values
         del spectrum

@@ -40,7 +40,7 @@ from .functions import (GridSampled, PolyGauss, gaussian, monomial_gauss,
                         sample)
 from .measure import WeightedContext
 from .operators import apply_dunkl_iterated, dunkl_laplacian
-from .quadrature import TensorGrid
+from .quadrature import TensorGrid, boundary_shell_fraction, guard_shell
 from .root_systems import as_point, as_points
 from .report import VerificationReport, grid_metadata
 from .transform import (_real_part_checked, dunkl_convolve, dunkl_transform,
@@ -461,8 +461,12 @@ def _check_mass(ctx: WeightedContext, spec: KernelSpec,
     grid_pts = ctx.grid.points()
     masses = []
     for x in points:
-        vals = heat_kernel_two_point(ctx, x, grid_pts, t)
-        masses.append(float(ctx.grid.integrate(vals.reshape(ctx.grid.shape))))
+        vals = heat_kernel_two_point(ctx, x, grid_pts, t).reshape(ctx.grid.shape)
+        # a shell holding more than MASS_TOL leaves the mass unresolved
+        guard_shell(boundary_shell_fraction(ctx.grid, vals), f"h_t(x, .) at "
+                    f"t = {t:g}, x = {x.tolist()} on the {ctx.box:g} box",
+                    MASS_TOL)
+        masses.append(float(ctx.grid.integrate(vals)))
     defect = max(abs(m - 1.0) for m in masses)
     return VerificationReport.from_defect(
         "kernel-mass", {"t": t, "points": points.tolist(), "tol": MASS_TOL},

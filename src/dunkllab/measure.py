@@ -16,7 +16,8 @@ from scipy.special import roots_legendre
 
 from .errors import AccuracyError
 from .functions import sample
-from .quadrature import AxisRule, TensorGrid, check_refined, check_shell
+from .quadrature import (AxisRule, TensorGrid, boundary_shell_fraction,
+                         check_refined, check_shell, guard_shell)
 from .root_systems import ReflectionGroup, RootSystemSpec, as_point, as_points
 
 
@@ -269,7 +270,9 @@ class WeightedContext:
     def c_k(self) -> float:
         """Gaussian mass integral c_k = ∫ exp(-|x|^2/2) dw(x), by quadrature,
         refinement-checked; cross-checked against (2 pi)^{dim/2} when k = 0.
-        AccuracyError if it overflows float64 on either grid."""
+        AccuracyError if it overflows float64 on either grid;
+        DomainTooSmallError if the grid's boundary shell carries more than
+        1e-6 of the Gaussian mass."""
         base, fine = (_gaussian_mass(grid.geometry)
                       for grid in (self.grid, self.grid_fine))
         if not (np.isfinite(base) and np.isfinite(fine)):
@@ -278,6 +281,14 @@ class WeightedContext:
                 f"{self.system.ks.tolist()}: the Gaussian mass is {base} on "
                 f"the grid and {fine} on the refined grid")
         fine = check_refined(base, fine, 1e-9, "normalization constant")
+        # field and weights are products over the axes, so the shell's share
+        # is 1 - prod_d (1 - s_d), s_d that of axis d; the bound is the
+        # kernel-mass tolerance (compact-support-l1's 6 box: 7e-8 at k = 0.5)
+        kept = sum(np.log1p(-boundary_shell_fraction(
+            TensorGrid((ax,)), np.exp(-0.5 * ax.nodes ** 2)))
+            for ax in self.grid.axes)
+        guard_shell(float(-np.expm1(kept)), f"c_k's Gaussian at ks "
+                    f"{self.system.ks.tolist()} on the {self.box:g} box", 1e-6)
         if np.all(self.system.ks == 0.0):
             classical = (2.0 * np.pi) ** (self.dim / 2.0)
             if abs(fine - classical) > 1e-8 * classical:

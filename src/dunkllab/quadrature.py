@@ -295,30 +295,37 @@ def boundary_shell_fraction(grid: TensorGrid, values: np.ndarray) -> float:
     return _shell_share(grid, _abs_mass(grid, values))[0]
 
 
-def _checked_mass(grid: TensorGrid, mass, what: str) -> float:
+def guard_shell(share: float, what: str, tol: float = SHELL_TOL,
+                remedy: str | None = None) -> None:
+    """DomainTooSmallError advising ``remedy`` (by default a larger box)
+    unless ``share``, the boundary shell's share of a mass, is at most
+    ``tol`` (a NaN share included)."""
+    if not share <= tol:
+        raise DomainTooSmallError(
+            f"{what}: boundary shell carries {share:.3e} of the mass "
+            f"(> {tol:.1e}); {remedy or 'enlarge the grid box'}")
+
+
+def _checked_mass(grid: TensorGrid, mass, what: str,
+                  remedy: str | None = None) -> float:
     """The sum of the per-node mass whose rows ``mass`` forms, which must be
     finite (else AccuracyError) and carry at most ``SHELL_TOL`` of itself
-    on the boundary shell (else, a NaN share included,
-    DomainTooSmallError)."""
+    on the boundary shell (else ``guard_shell``'s error)."""
     frac, total = _shell_share(grid, mass)
     if not np.isfinite(total):
         raise AccuracyError(
             f"{what} is not finite: its |values| dw mass is {total}")
-    if not frac <= SHELL_TOL:
-        raise DomainTooSmallError(
-            f"{what}: boundary shell carries {frac:.3e} of the mass "
-            f"(> {SHELL_TOL:.1e}); enlarge the grid box"
-        )
+    guard_shell(frac, what, remedy=remedy)
     return total
 
 
 def check_shell(grid: TensorGrid, values: np.ndarray,
-                what: str = "integrand") -> float:
-    """Raise DomainTooSmallError if the boundary shell carries more than
-    ``SHELL_TOL`` of the |values| dw mass, or AccuracyError if that mass is
-    not finite; else return the mass, which equals
-    ``grid.integrate(np.abs(values))`` bit for bit."""
-    return _checked_mass(grid, _abs_mass(grid, values), what)
+                what: str = "integrand", remedy: str | None = None) -> float:
+    """Raise DomainTooSmallError, advising ``remedy``, if the boundary shell
+    carries more than ``SHELL_TOL`` of the |values| dw mass, or
+    AccuracyError if that mass is not finite; else return the mass, which
+    equals ``grid.integrate(np.abs(values))`` bit for bit."""
+    return _checked_mass(grid, _abs_mass(grid, values), what, remedy)
 
 
 def integrate_shell_checked(grid: TensorGrid, values: np.ndarray,

@@ -81,6 +81,12 @@ input, and the quadrature of the context's c_k, sum over their grids in
 leaves of at most ``BLOCK_BYTES`` (``quadrature.TensorGrid.row_sum``), so
 neither forms an array of its grid's size.
 
+Aliasing: n_half nodes per half-axis resolve frequencies up to about
+pi n_half / box.  Spectra on a wider frequency box alias onto the spatial
+shell, the more so in a larger box, so a forward transform whose input
+fails its shell check with ``freq_box`` above that limit advises a lower
+``freq_box`` or a larger ``n_half`` first, else a larger box.
+
 Every grid inverse inverts the spectrum of a real function (E(-i xi, x)
 is the conjugate of E(i xi, x)), so it keeps the real part of its result;
 ``inverse_dunkl_transform`` checks the sup |Im| it drops, ``imag_residue``,
@@ -105,7 +111,7 @@ from .dunkl_kernel import kernel_imag_outer, kernel_imag_parts, on_cores
 from .errors import AccuracyError
 from .functions import GridSampled, sample
 from .measure import WeightedContext
-from .quadrature import AxisRule, TensorGrid, block_slices, check_shell
+from .quadrature import AxisRule, block_slices, check_shell
 from .root_systems import as_points
 
 #: byte cap of the kernel-matrix cache, read on every build
@@ -192,16 +198,12 @@ class KernelMatrixCache:
         with self._lock:
             del self._building[key]
             self._store[key] = ops
-            self._bytes += _nbytes(ops)
+            self._bytes += sum(op.nbytes for op in ops)
             while self._bytes > CACHE_BYTES and len(self._store) > 1:
                 _, old = self._store.popitem(last=False)
-                self._bytes -= _nbytes(old)
+                self._bytes -= sum(op.nbytes for op in old)
         pending.set_result(ops)
         return ops
-
-
-def _nbytes(ops: tuple[np.ndarray, np.ndarray]) -> int:
-    return sum(op.nbytes for op in ops)
 
 
 _CACHE = KernelMatrixCache()
@@ -238,18 +240,18 @@ def _row_parts(half: np.ndarray):
     return (0, np.conj(half[::-1])), (half.shape[0], half)
 
 
-def _axis_transform(ctx: WeightedContext, vals: np.ndarray,
-                    src: TensorGrid, dst: TensorGrid, forward: bool,
+def _axis_transform(ctx: WeightedContext, vals: np.ndarray, forward: bool,
                     then=None):
-    """Apply the cached weighted operators axis by axis, then divide by c_k
-    in place, then apply ``then`` = (ufunc, scalar) in place if given.
+    """Apply the cached weighted operators axis by axis, from the spatial
+    grid to the frequency grid if ``forward``, else back, then divide by
+    c_k in place, then apply ``then`` = (ufunc, scalar) in place if given.
 
     A forward transform returns that complex result.  An inverse returns
     (real part, sup |Im|) of it, and in 2-D the complex result is never
     formed whole (see the module docstring)."""
     c_k = ctx.c_k
     ks = ctx.system.ks
-    freq, space = (dst, src) if forward else (src, dst)
+    freq, space = ctx.freq_grid, ctx.grid
     steps = [(np.divide, c_k)] + ([then] if then else [])
     halves = [_CACHE.matrix(freq.axes[d], space.axes[d], ks[d], forward)
               for d in range(ctx.dim)]
@@ -303,11 +305,16 @@ def dunkl_transform(ctx: WeightedContext, f) -> SpectralFunction:
 
     The integrand must have decayed inside the spatial box: the outer 5%
     shell of |f| dw may carry at most ``quadrature.SHELL_TOL`` of its mass,
-    else DomainTooSmallError.
-    """
+    else DomainTooSmallError with the module docstring's advice."""
     vals = sample(f, ctx.grid)
-    check_shell(ctx.grid, vals, what="transform input")
-    out = _axis_transform(ctx, vals, ctx.grid, ctx.freq_grid, forward=True)
+    resolved = np.pi * ctx.n_half / ctx.box
+    remedy = None if ctx.freq_box <= resolved else (
+        f"freq_box {ctx.freq_box:g} exceeds the about {resolved:.3g} that "
+        f"n_half {ctx.n_half} resolves on the {ctx.box:g} box: lower freq_box "
+        f"or raise n_half (if the input is not formed from spectra, it needs "
+        f"a larger box)")
+    check_shell(ctx.grid, vals, what="transform input", remedy=remedy)
+    out = _axis_transform(ctx, vals, forward=True)
     return SpectralFunction(grid=ctx.freq_grid, values=out)
 
 
@@ -352,8 +359,7 @@ def inverse_dunkl_transform(ctx: WeightedContext, g, then=None) -> GridSampled:
     IMAG_RESIDUE_TOL of the scale of the result, else AccuracyError.
     """
     vals = sample(g, ctx.freq_grid)
-    out, residue = _axis_transform(ctx, vals, ctx.freq_grid, ctx.grid,
-                                   forward=False, then=then)
+    out, residue = _axis_transform(ctx, vals, forward=False, then=then)
     values = _real_part_checked(out, "inverse transform", residue)
     return GridSampled(grid=ctx.grid, values=values, imag_residue=residue)
 

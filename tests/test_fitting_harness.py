@@ -565,6 +565,13 @@ class TestAuxiliaryDispatch:
         report = run_check(ctx, "exp-weighted-l1",
                            {"n_half": 81, "ell": 1, "freq_box": 20.0})
         assert report.passed
+        # the transform gives the advice, so every check that transforms
+        # such a function gets it: kernel-decomposition's q on 20 nodes
+        with pytest.raises(DomainTooSmallError,
+                           match=r"freq_box 32 exceeds the about 5\.24 that "
+                                 r"n_half 20 resolves on the 12 box.*lower "
+                                 r"freq_box or raise n_half"):
+            run_check(ctx, "kernel-decomposition", {"n_half": 20, "box": 12.0})
 
     def test_exp_weighted_small_box_keeps_the_box_advice(self):
         ctx = WeightedContext(rank1(0.5))

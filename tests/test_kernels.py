@@ -326,6 +326,21 @@ class TestIdentityChecks:
         assert report.check.startswith("kernel-")
         assert report.max_defect <= report.tolerance
 
+    def test_mass_stops_when_the_shell_holds_more_than_its_tolerance(self):
+        # the masses are grid.integrate's, bit for bit, where the shell of
+        # h_1(x, .) holds at most 2.8e-9 (x = 3); at k = 20 it holds 7.7e-3
+        # at x = 0, which used to FAIL with defect 0.0098
+        ctx = WeightedContext(rank1(0.5))
+        report = run_check(ctx, "kernel-mass")
+        expect = [float(ctx.grid.integrate(heat_kernel_two_point(
+            ctx, x, ctx.grid.points(), 1.0))) for x in ([0.0], [1.0], [3.0])]
+        assert report.fitted["masses"] == expect
+        with pytest.raises(DomainTooSmallError,
+                           match=r"h_t\(x, \.\) at t = 1, x = \[0\.0\] on "
+                                 r"the 12 box: boundary shell carries "
+                                 r"7\.728e-03 of the mass \(> 1\.0e-06\)"):
+            run_check(WeightedContext(rank1(20.0)), "kernel-mass")
+
     def test_positivity_raises_on_non_finite_values(self):
         # at radius 1e6 the rank-one heat kernel is NaN on most pairs;
         # min(inf, nan) kept inf, so the check PASSED with min_value inf.

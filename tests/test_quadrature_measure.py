@@ -654,11 +654,18 @@ class TestWeightedContext:
         with pytest.raises(AccuracyError, match=r"c_k overflows float64 at "
                            r"ks \[100\.0, 100\.0\]"):
             ctx.c_k
-        # rank 1 at k = 100 keeps a finite c_k
-        assert np.isfinite(WeightedContext(rank1(100.0)).c_k)
+        # rank 1 at k = 100 is finite, but |x|^200 e^{-|x|^2/2} peaks at
+        # |x| = 14.1, outside the 12 box: the shell guard names the box
+        with pytest.raises(DomainTooSmallError, match=r"c_k's Gaussian at "
+                           r"ks \[100\.0\] on the 12 box: boundary shell "
+                           r"carries 9\.67\de-01"):
+            WeightedContext(rank1(100.0)).c_k
 
-    @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.25, 1.0])])
+    @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.25, 1.0]),
+                                        rank1(20.0)])
     def test_ck_bit_identical_to_point_formula(self, system):
+        # at k = 20 the shell carries 3.2e-11 of the Gaussian: the guard
+        # passes, and c_k keeps the bits of the quadrature
         ctx = WeightedContext(system, n_half=60)
 
         def gauss(grid):

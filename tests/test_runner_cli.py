@@ -546,14 +546,16 @@ class TestRunEndToEnd:
 
     def test_exit_two_when_a_check_fails(self, tmp_path, out_dir, capsys,
                                          monkeypatch):
-        monkeypatch.setattr(kernels, "MASS_TOL", 1e-20)
-        config = dict(FAST_CONFIG, checks=[{"kind": "kernel-mass"}])
+        # kernel-mass's shell guard reads MASS_TOL too, so at 1e-20 it
+        # stops with DomainTooSmallError; kernel-scaling has no such guard
+        monkeypatch.setattr(kernels, "SCALING_TOL", 1e-20)
+        config = dict(FAST_CONFIG, checks=[{"kind": "kernel-scaling"}])
         path = write_config(tmp_path, config)
         assert run(str(path)) == 2
         out = capsys.readouterr().out
         assert "[FAIL]" in out
         assert "0/1 checks passed" in out
-        report_path, = out_dir.glob("*kernel-mass.json")
+        report_path, = out_dir.glob("*kernel-scaling.json")
         payload = json.loads(report_path.read_text())
         assert payload["pass"] is False
         assert payload["tolerance"] == 1e-20

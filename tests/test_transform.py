@@ -493,8 +493,7 @@ class TestBlockedTransform:
                             order)
         expect = unblocked_transform(ctx, vals, ctx.freq_grid, ctx.grid,
                                      False, then)
-        real, residue = transform._axis_transform(
-            ctx, vals, ctx.freq_grid, ctx.grid, False, then)
+        real, residue = transform._axis_transform(ctx, vals, False, then)
         assert_same_array(real, expect.real.copy(order="K"))
         assert residue == np.max(np.abs(expect.imag))
 
@@ -573,8 +572,7 @@ class TestHalfOperatorProducts:
     def test_forward_bytes_equal_whole_operator_products(self, blocks, ctx,
                                                          dtype, pattern):
         vals = zero_lined_field(ctx.grid, pattern, "C", dtype)
-        got = transform._axis_transform(ctx, vals, ctx.grid, ctx.freq_grid,
-                                         True)
+        got = transform._axis_transform(ctx, vals, True)
         expect = unblocked_transform(ctx, vals, ctx.grid, ctx.freq_grid, True)
         assert_same_array(got, expect)
 
@@ -588,8 +586,7 @@ class TestHalfOperatorProducts:
         then = (np.multiply, 1.7)
         expect = unblocked_transform(ctx, vals, ctx.freq_grid, ctx.grid,
                                      False, then)
-        real, residue = transform._axis_transform(
-            ctx, vals, ctx.freq_grid, ctx.grid, False, then)
+        real, residue = transform._axis_transform(ctx, vals, False, then)
         assert_same_array(real, expect.real.copy(order="K"))
         assert residue == np.max(np.abs(expect.imag))
 
@@ -597,8 +594,7 @@ class TestHalfOperatorProducts:
         # the case for which the 1-D mirror adds +0.0
         ctx = BLOCK_CONTEXTS[0]
         vals = zero_lined_field(ctx.grid, "mirrored-pair", "C")
-        spectrum = transform._axis_transform(ctx, vals, ctx.grid,
-                                             ctx.freq_grid, True)
+        spectrum = transform._axis_transform(ctx, vals, True)
         assert np.any(spectrum.imag == 0.0)
 
 
@@ -642,8 +638,7 @@ class TestMirroredFirstContraction:
         vals = zero_lined_field(ctx.freq_grid, pattern, order)
         expect = unblocked_transform(ctx, vals, ctx.freq_grid, ctx.grid,
                                      False, then)
-        real, residue = transform._axis_transform(
-            ctx, vals, ctx.freq_grid, ctx.grid, False, then)
+        real, residue = transform._axis_transform(ctx, vals, False, then)
         assert_same_array(real, expect.real.copy(order="K"))
         assert residue == np.max(np.abs(expect.imag))
 
@@ -671,7 +666,7 @@ class TestMirroredFirstContraction:
         if forward:
             dunkl_transform(ctx, GridSampled(grid=src, values=vals))
         else:
-            transform._axis_transform(ctx, vals, src, dst, False)
+            transform._axis_transform(ctx, vals, False)
         assert len(columns) > 1 and sum(columns) == vals.shape[1]
 
     @pytest.mark.parametrize("forward", [True, False],
@@ -696,7 +691,7 @@ class TestMirroredFirstContraction:
             return real_dot(a, b, *args, **kwargs)
 
         monkeypatch.setattr(np, "dot", spy)
-        transform._axis_transform(ctx, vals, src, dst, forward)
+        transform._axis_transform(ctx, vals, forward)
         assert sum(rows) == parts * dst.shape[1] // 2
 
 
