@@ -31,7 +31,7 @@ def _run(config: dict, kind: str, ctx=None):
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP item 4: the sign-reversed form still passes garding, "
+    reason="ROADMAP item 11: the sign-reversed form still passes garding, "
            "with alpha 3.71 and C_alpha at the cap 100 (the true form: "
            "alpha 5.29, C_alpha 100)")
 def test_garding_fails_for_the_sign_reversed_form(monkeypatch):

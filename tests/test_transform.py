@@ -18,8 +18,8 @@ from dunkllab import dunkl_kernel, harness, kernels, quadrature, runner, transfo
 from dunkllab.checks import CHECKS, Derived
 from dunkllab import (AccuracyError, DomainTooSmallError, GridSampled,
                       KernelSpec, PolyGauss, WeightedContext, apply_dunkl,
-                      dunkl_convolve, dunkl_transform, gaussian,
-                      heat_kernel, hermite_gauss, inverse_at_points,
+                      dunkl_convolve, dunkl_transform, dunkl_translate,
+                      gaussian, heat_kernel, hermite_gauss, inverse_at_points,
                       inverse_dunkl_transform, monomial_gauss,
                       plancherel_defect, product_z2, q_on_grid, rank1)
 from dunkllab.dunkl_kernel import kernel_imag_parts
@@ -596,6 +596,149 @@ class TestHalfOperatorProducts:
         vals = zero_lined_field(ctx.grid, "mirrored-pair", "C")
         spectrum = transform._axis_transform(ctx, vals, True)
         assert np.any(spectrum.imag == 0.0)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of the blocks ``_real_part_into`` writes and of those it hands
+    to the complex steps (``_scale``), its fallback."""
+    counts = {"blocks": 0, "fallbacks": 0}
+    inside = []
+    real_part_into, scale = transform._real_part_into, transform._scale
+
+    def counted_real_part_into(*args):
+        counts["blocks"] += 1
+        inside.append(True)
+        try:
+            return real_part_into(*args)
+        finally:
+            inside.pop()
+
+    def counted_scale(*args):
+        counts["fallbacks"] += bool(inside)
+        return scale(*args)
+
+    monkeypatch.setattr(transform, "_real_part_into", counted_real_part_into)
+    monkeypatch.setattr(transform, "_scale", counted_scale)
+    return counts
+
+
+def scaling_battery() -> np.ndarray:
+    """Complex values whose parts are +-0, subnormals, +-inf, NaN and
+    magnitudes from 1e-320 to 1e300, every part against every other, then
+    random pairs of magnitudes."""
+    rng = np.random.default_rng(23)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, np.inf, -np.inf,
+               np.nan]
+    mags = 10.0 ** rng.uniform(-320, 300, 2031) * rng.choice([-1.0, 1.0], 2031)
+    parts = np.concatenate([special, mags[:31]])
+    re, im = np.meshgrid(parts, parts)
+    z = np.empty(re.size + 1000, dtype=complex)
+    z.real = np.concatenate([re.ravel(), mags[31:1031]])
+    z.imag = np.concatenate([im.ravel(), mags[1031:]])
+    return z
+
+
+#: the scalars of the scaling steps: the default rank-2 c_k (7.999...844),
+#: 1.7, and 2.3, whose reciprocal is the factor of a division
+SCALARS = [WeightedContext(product_z2([0.5, 0.5])).c_k, 1.7, 2.3]
+
+
+class TestRealPartScaling:
+    """An inverse block's real part is scaled as a real array, by fl(1/c)
+    for each division by c and by c for each multiplication, and its sup
+    |Im| by the factors' magnitudes; these are the bits of numpy's complex
+    steps wherever the fast path takes a value, and the complex steps serve
+    every other block."""
+
+    @pytest.mark.parametrize("scalar", SCALARS)
+    @pytest.mark.parametrize("ufunc", [np.divide, np.multiply])
+    def test_numpy_scales_real_and_imaginary_parts_by_one_factor(
+            self, ufunc, scalar):
+        z = scaling_battery()
+        [factor] = transform._real_factors([(ufunc, scalar)])
+        with np.errstate(all="ignore"):
+            expect = ufunc(z, scalar)
+            real = z.real * factor
+            imag = np.abs(z.imag) * abs(factor)
+        taken = (real != 0) & np.isfinite(real) & np.isfinite(imag)
+        assert 0 < taken.sum() < z.size
+        assert real[taken].tobytes() == expect.real[taken].tobytes()
+        assert imag[taken].tobytes() == np.abs(expect.imag[taken]).tobytes()
+
+    @pytest.mark.parametrize("steps", [
+        [(np.divide, SCALARS[0])],
+        [(np.divide, SCALARS[0]), (np.divide, SCALARS[0])],
+        [(np.divide, SCALARS[0]), (np.multiply, SCALARS[0])],
+        [(np.divide, SCALARS[0]), (np.multiply, SCALARS[1])],
+        [(np.divide, SCALARS[0]), (np.divide, SCALARS[2])],
+        [(np.divide, SCALARS[0]), (np.multiply, -SCALARS[1])]],
+        ids=["inverse", "q-on-grid", "convolve", "times-1.7", "over-2.3",
+             "times-minus-1.7"])
+    def test_real_part_keeps_the_bits_of_the_complex_steps(self, routes,
+                                                           steps):
+        z = scaling_battery()
+        with np.errstate(all="ignore"):
+            complex_steps = z.copy()
+            transform._scale(complex_steps, steps)
+        real = complex_steps.real
+        fast = ((real != 0) & np.isfinite(real)
+                & np.isfinite(complex_steps.imag) & (z.imag != 0))
+        blocks = [z[fast]] + [z[i:i + 1] for i in np.flatnonzero(~fast)]
+        for block in blocks:
+            dst = np.empty(block.shape)
+            with np.errstate(all="ignore"):
+                residue = transform._real_part_into(dst, block.copy(), steps)
+                expect = block.copy()
+                transform._scale(expect, steps)
+            assert dst.tobytes() == expect.real.tobytes()
+            assert (np.float64(residue).tobytes()
+                    == np.float64(transform.sup_abs(expect.imag)).tobytes())
+            if block is blocks[0]:
+                assert routes == {"blocks": 1, "fallbacks": 0}
+        assert 0 < routes["fallbacks"] < routes["blocks"] == len(blocks)
+
+    @pytest.mark.parametrize("run", ["q_on_grid", "dunkl_convolve",
+                                     "dunkl_translate"])
+    def test_default_rank2_inverses_take_the_real_view(self, routes, run):
+        ctx = WeightedContext(product_z2([0.5, 0.5]))
+        f = dunkl_transform(ctx, gaussian(2, 0.5))
+        g = dunkl_transform(ctx, monomial_gauss([1, 2], [0.6, 0.4]))
+        {"q_on_grid": lambda: q_on_grid(ctx, KernelSpec.heat(2)),
+         "dunkl_convolve": lambda: dunkl_convolve(ctx, f, g),
+         "dunkl_translate": lambda: dunkl_translate(ctx, f, [0.7, -0.3]),
+         }[run]()
+        assert routes["blocks"] > 0 and routes["fallbacks"] == 0
+
+    @pytest.mark.parametrize("ctx", GRID_CONTEXTS, ids=GRID_IDS)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("pattern", ["zeros", "negative-zeros"])
+    def test_all_zero_spectra_take_the_complex_steps(self, routes, blocks,
+                                                     ctx, dtype, pattern):
+        vals = zero_lined_field(ctx.freq_grid, pattern, "F", dtype)
+        transform._axis_transform(ctx, vals, False, (np.multiply, 1.7))
+        assert routes["blocks"] > 0
+        assert routes["fallbacks"] == routes["blocks"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("system", [rank1(0.5), product_z2([0.5, 0.5])],
+                             ids=["dim1", "dim2"])
+    @pytest.mark.parametrize("scale, infinite, then, message", [
+        (1.0, True, None, "nan"),
+        (1e300, False, (np.multiply, 1e10), "inf"),
+        (1e300, False, (np.divide, 1e-10), "inf")],
+        ids=["inf-in-spectrum", "overflow-times", "overflow-over"])
+    def test_non_finite_inverse_keeps_its_error(self, routes, system, scale,
+                                                infinite, then, message):
+        ctx = WeightedContext(system)
+        vals = scale * np.exp(-ctx.freq_grid.outer_sum(lambda d, x: x * x))
+        if infinite:
+            vals[tuple(n // 3 for n in vals.shape)] = np.inf
+        with pytest.raises(AccuracyError) as raised:
+            inverse_dunkl_transform(ctx, vals, then=then)
+        assert str(raised.value) == ("inverse transform is not finite: "
+                                     f"sup |Re| is {message}")
+        assert routes["fallbacks"] > 0
 
 
 class TestMirroredFirstContraction:
